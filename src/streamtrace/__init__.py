@@ -28,7 +28,6 @@ from .stream_mesh import (
     StreamMesh,
     StreamVertex,
     decompose,
-    init_main_face,
     segment_interval,
 )
 from .tracer import (
@@ -37,7 +36,6 @@ from .tracer import (
     Seed,
     Tracer,
     check_crossings,
-    handle_vertex_crossing,
     load_polylines,
     save_polylines,
     seed_from_vertex,
@@ -69,8 +67,6 @@ __all__ = [
     "corner_jump_deg",
     "decompose",
     "eval_field_interior",
-    "handle_vertex_crossing",
-    "init_main_face",
     "interpolated_angle",
     "load_field",
     "load_obj",

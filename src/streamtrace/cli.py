@@ -2,19 +2,16 @@
 
 Subcommands: validate, trace, bench, synth, check-crossings.
 Exit codes: 0 ok, 1 property failure (violations found), 2 input error.
-Parallelism for trace campaigns is capped by STREAMTRACE_THREADS (default 1);
-results are aggregated in seed order either way, so output is deterministic.
+Seeds are traced one after another, so output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -56,14 +53,6 @@ def _load_inputs(args):
     mesh = load_obj(args.mesh)
     fs = load_field(args.field, mesh)
     return mesh, fs
-
-
-def _thread_count():
-    try:
-        n = int(os.environ.get("STREAMTRACE_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 # -- seeding -----------------------------------------------------------------
@@ -175,12 +164,7 @@ def _run_campaign(mesh, fs, seeds, engine, rk4_h, max_steps=None):
         return pl, time.perf_counter() - t0, None
 
     t_start = time.perf_counter()
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, seeds))
-    else:
-        results = [run_one(s) for s in seeds]
+    results = [run_one(s) for s in seeds]
     report.total_time = time.perf_counter() - t_start
 
     for pl, dt, exc in results:

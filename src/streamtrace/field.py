@@ -91,6 +91,9 @@ def normalize_sample(value_deg):
     """Reduce a real angle in degrees to ([0, 360), winding)."""
     w = math.floor(value_deg / 360.0)
     a = value_deg - 360.0 * w
+    if a < 0.0:  # value / 360 underflowed to -0.0 for a tiny negative value
+        a += 360.0
+        w -= 1
     if a >= 360.0:  # floating point guard when value is a hair below 0
         a -= 360.0
         w += 1

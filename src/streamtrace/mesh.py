@@ -274,18 +274,6 @@ class SurfaceMesh:
     def facet_halfedges(self, f):
         return (3 * f, 3 * f + 1, 3 * f + 2)
 
-    def halfedge_index_in_facet(self, h):
-        """Edge ordinal k of an interior halfedge within its facet."""
-        if not self.has_facet(h):
-            raise MeshError(f"halfedge {h} has no facet")
-        return h % 3
-
-    def halfedge_between(self, u, v):
-        for h in self._vertex_out[u]:
-            if self._dest[h] == v:
-                return h
-        return None
-
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])
 

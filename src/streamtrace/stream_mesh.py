@@ -702,13 +702,15 @@ class StreamMesh:
 
     # -- conversions ---------------------------------------------------------
 
-    def import_position(self, halfedge, c):
+    def import_position(self, halfedge, c, enter=Behavior.IN):
         """Map a mesh border point into the stream mesh: (piece, local c).
 
         ``halfedge`` must bound this facet (either side of the edge is
         accepted; the parameter is reoriented to the facet's own halfedge).
-        Points landing on a tangency resolve to the endpoint of the adjacent
-        inflow piece; landing strictly inside an outflow piece is an error.
+        ``enter`` is the behavior of the pieces a line may enter on: ``IN``
+        for forward lines, ``OUT`` for backward ones.  Points landing on a
+        tangency resolve to the endpoint of the adjacent entry piece;
+        landing strictly inside a piece of the other flow is an error.
         """
         mesh = self.mesh
         if mesh.facet(halfedge) == self.facet:
@@ -725,29 +727,40 @@ class StreamMesh:
         if not -VERTEX_SNAP <= t <= 1.0 + VERTEX_SNAP:
             raise StreamMeshError(f"entry parameter {t} outside [0, 1]")
         t = min(1.0, max(0.0, t))
-        pieces = self._edge_pieces[k]
-        touching = [sh for sh in pieces if sh.t0 <= t <= sh.t1]
+        entry = self._enter(self._edge_pieces[k], t, enter)
+        if entry is None:
+            raise StreamMeshError(
+                f"entry at edge {k} t={t} of facet {self.facet} "
+                f"is not on an {enter.value} piece or a tangency"
+            )
+        return entry
+
+    def _enter(self, pieces, t, enter, tol=0.0):
+        """Entry (piece, c) at element parameter t, or None.
+
+        The first ``enter`` piece within ``tol`` of t takes it; failing
+        that, a tangent piece there resolves to its neighbors.
+        """
+        touching = [sh for sh in pieces if sh.t0 - tol <= t <= sh.t1 + tol]
         for sh in touching:
-            if sh.behavior == Behavior.IN:
+            if sh.behavior == enter:
                 if sh.t1 == sh.t0:
                     return sh, 0.0
-                return sh, (t - sh.t0) / (sh.t1 - sh.t0)
+                return sh, min(1.0, max(0.0, (t - sh.t0) / (sh.t1 - sh.t0)))
         for sh in touching:
             if sh.behavior.is_tangent:
-                return self._resolve_tangent_entry(sh)
-        if touching:
-            raise StreamMeshError(
-                f"entry at edge {k} t={t} lands in an outflow interval"
-            )
-        raise StreamMeshError(f"no border piece covers edge {k} t={t}")
+                return self._resolve_tangent_entry(sh, enter)
+        return None
 
-    def _resolve_tangent_entry(self, sh):
-        """Snap a tangency entry to the endpoint of the adjacent inflow piece.
+    def _resolve_tangent_entry(self, sh, enter):
+        """Snap a tangency entry to the endpoint of the adjacent entry piece.
 
         A point on a forward tangency slides with the border orientation, so
-        the forward neighbor is preferred; backward tangencies prefer the
-        backward neighbor.  Walks use border adjacency, not face adjacency,
-        so split tangents resolve across chord junctions correctly.
+        a forward line prefers the forward neighbor; on a backward tangency
+        it prefers the backward neighbor.  A backward line slides the other
+        way, so the roles of the two tangents swap.  Walks use border
+        adjacency, not face adjacency, so split tangents resolve across
+        chord junctions correctly.
         """
         i = self._border.index(sh)
         n = len(self._border)
@@ -762,33 +775,32 @@ class StreamMesh:
             if not self._border[(i - d) % n].behavior.is_tangent
         )
         order = [(fwd, 0.0), (bwd, 1.0)]
-        if sh.behavior == Behavior.TB:
+        if sh.behavior == (Behavior.TB if enter == Behavior.IN else Behavior.TF):
             order.reverse()
         for cand, c in order:
-            if cand.behavior == Behavior.IN:
+            if cand.behavior == enter:
                 return cand, c
-        raise StreamMeshError("tangency entry with no adjacent inflow")
+        raise StreamMeshError("tangency entry with no adjacent entry piece")
 
-    def corner_entry(self, k, t):
+    def corner_entry(self, k, t, enter=Behavior.IN):
         """Entry into the facet through corner k at corner parameter t.
 
         Used when a streamline starts at a vertex: the flow enters the facet
-        through the corner's inflow piece rather than across an edge.
+        through the corner's entry piece rather than across an edge.  A
+        separatrix seed at a corner end is a root clamped onto the end,
+        while the stream mesh may cut the corner a hair inside it; there
+        the pieces within ``VERTEX_SNAP`` of the end are tried as well.
         """
         if self._edge_pieces is None:
             raise StreamMeshError("stream mesh not finalized")
-        touching = [sh for sh in self._corner_pieces[k] if sh.t0 <= t <= sh.t1]
-        for sh in touching:
-            if sh.behavior == Behavior.IN:
-                if sh.t1 == sh.t0:
-                    return sh, 0.0
-                return sh, (t - sh.t0) / (sh.t1 - sh.t0)
-        for sh in touching:
-            if sh.behavior.is_tangent:
-                return self._resolve_tangent_entry(sh)
-        raise StreamMeshError(
-            f"corner {k} t={t} of facet {self.facet} is not an inflow"
-        )
+        entry = self._enter(self._corner_pieces[k], t, enter)
+        if entry is None and t in (0.0, 1.0):
+            entry = self._enter(self._corner_pieces[k], t, enter, VERTEX_SNAP)
+        if entry is None:
+            raise StreamMeshError(
+                f"corner {k} t={t} of facet {self.facet} is not an entry"
+            )
+        return entry
 
     def export_position(self, sh, c):
         """Map a stream-mesh border point back to the mesh: a TracePoint.
@@ -831,11 +843,6 @@ class StreamMesh:
                     f"t={sh.dest.t:.12g}) {sh.behavior.value}"
                 )
         return "\n".join(lines) + "\n"
-
-
-def init_main_face(mesh, fieldsamples, facet) -> StreamMesh:
-    """Segment a facet border into one (possibly non-simple) stream face."""
-    return StreamMesh(mesh, fieldsamples, facet)
 
 
 def decompose(mesh, fieldsamples, facet) -> StreamMesh:

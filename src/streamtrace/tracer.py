@@ -98,44 +98,45 @@ def load_polylines(path):
     return out
 
 
+# the pieces a line enters a facet on, per trace direction; it leaves the
+# facet on the run of the other flow
+_ENTRY = {"forward": Behavior.IN, "backward": Behavior.OUT}
+
+
 class Tracer:
-    """Holds per-facet stream-mesh caches for both trace directions."""
+    """Holds one stream mesh per facet, shared by both trace directions."""
 
     def __init__(self, mesh, fieldsamples, max_steps=None):
         self.mesh = mesh
-        self._fields = {
-            "forward": fieldsamples,
-            "backward": fieldsamples.flipped(),
-        }
+        self.fieldsamples = fieldsamples
         self.max_steps = max_steps if max_steps else 100 * mesh.n_facets
         self._cache = {}
 
-    def field(self, direction="forward"):
-        return self._fields[direction]
-
-    def stream_mesh(self, facet, direction="forward"):
-        key = (facet, direction)
-        sm = self._cache.get(key)
+    def stream_mesh(self, facet):
+        sm = self._cache.get(facet)
         if sm is None:
-            sm = stream_mesh.decompose(self.mesh, self._fields[direction], facet)
-            self._cache[key] = sm
+            sm = stream_mesh.decompose(self.mesh, self.fieldsamples, facet)
+            self._cache[facet] = sm
         return sm
 
     # -- facet crossing ------------------------------------------------------
 
-    def cross_facet(self, sm, sh, c):
+    def cross_facet(self, sm, sh, c, enter=Behavior.IN):
         """Carry an entry (piece, c) to the exit border piece of the facet.
 
         Each simple face preserves the flux fraction: the exit splits the
-        outflow total in the same ratio the entry splits the inflow total,
-        measured from the shared bounding tangency.  Chord exits hop into
-        the neighboring simple face with the parameter reversed.
+        exit run's total in the same ratio the entry splits the entry run's
+        total, measured from the shared bounding tangency.  A forward line
+        enters on the inflow run and leaves on the outflow run; a backward
+        line does the reverse, which is the inverse map.  Chord exits
+        hop into the neighboring simple face with the parameter reversed.
         """
+        leave = Behavior.OUT if enter == Behavior.IN else Behavior.IN
         hops = 0
         while True:
             runs = sm.face_runs(sh.face)
-            rin = runs[Behavior.IN]
-            rout = runs[Behavior.OUT]
+            rin = runs[enter]
+            rout = runs[leave]
             xin = flux.accumulate(rin, sh, c)
             ratio = min(1.0, max(0.0, xin / rin.total))
             out_sh, c_out = flux.locate(rout, rout.total * (1.0 - ratio))
@@ -152,9 +153,9 @@ class Tracer:
 
     def trace(self, seed) -> Polyline:
         mesh = self.mesh
-        direction = seed.direction
-        if direction not in self._fields:
-            raise TraceError(f"unknown trace direction {direction!r}")
+        enter = _ENTRY.get(seed.direction)
+        if enter is None:
+            raise TraceError(f"unknown trace direction {seed.direction!r}")
         pl = Polyline(seed)
         tp0 = seed.point
         pl.append(tp0, mesh.position(tp0))
@@ -162,8 +163,8 @@ class Tracer:
         entry = None  # (stream mesh, piece, local c)
         if seed.corner_entry is not None:
             f, k, tc = seed.corner_entry
-            sm = self.stream_mesh(f, direction)
-            sh, csm = sm.corner_entry(k, tc)
+            sm = self.stream_mesh(f)
+            sh, csm = sm.corner_entry(k, tc, enter)
             entry = (sm, sh, csm)
             h = c = None
         else:
@@ -181,22 +182,22 @@ class Tracer:
         while True:
             if entry is None:
                 f = mesh.facet(h)
-                sm = self.stream_mesh(f, direction)
+                sm = self.stream_mesh(f)
                 try:
-                    sh, csm = sm.import_position(h, c)
+                    sh, csm = sm.import_position(h, c, enter)
                 except StreamMeshError:
                     if steps == 0 and mesh.has_facet(mesh.opposite(h)):
                         # seed placed on the downstream side of its edge
                         h, c = mesh.opposite(h), 1.0 - c
-                        sm = self.stream_mesh(mesh.facet(h), direction)
-                        sh, csm = sm.import_position(h, c)
+                        sm = self.stream_mesh(mesh.facet(h))
+                        sh, csm = sm.import_position(h, c, enter)
                     else:
                         raise
                 entry = (sm, sh, csm)
 
             sm, sh, csm = entry
             entry = None
-            out_sh, c_out = self.cross_facet(sm, sh, csm)
+            out_sh, c_out = self.cross_facet(sm, sh, csm, enter)
             tp = sm.export_position(out_sh, c_out)
 
             if tp.c > 1.0:
@@ -242,7 +243,7 @@ class Tracer:
                 if pivot_count > mesh.vertex_valence(v):
                     pl.termination = "vertex-stall"
                     return pl
-                result = self._pivot_at_vertex(tp, c_exit, v, direction)
+                result = self._pivot_at_vertex(tp, c_exit, v, enter)
                 if result is None:
                     pl.termination = "vertex-stall"
                     return pl
@@ -254,7 +255,7 @@ class Tracer:
                 pivot_vertex, pivot_count = None, 0
                 h, c = mesh.opposite(tp.halfedge), 1.0 - c_exit
 
-    def _pivot_at_vertex(self, tp, c_exit, v, direction):
+    def _pivot_at_vertex(self, tp, c_exit, v, enter):
         """Continue a trace that exited exactly at a vertex.
 
         Walks the facet fan around the vertex, attempting entry at the
@@ -268,30 +269,13 @@ class Tracer:
             e = mesh.opposite(h_at)
             if not mesh.has_facet(e):
                 return "boundary"
-            sm = self.stream_mesh(mesh.facet(e), direction)
+            sm = self.stream_mesh(mesh.facet(e))
             try:
-                sh, csm = sm.import_position(e, 0.0)
+                sh, csm = sm.import_position(e, 0.0, enter)
                 return sm, sh, csm
             except StreamMeshError:
                 h_at = mesh.prev(e)
         return None
-
-
-def handle_vertex_crossing(tracer, tp, direction="forward"):
-    """Resolve a border point at a vertex (c within 1e-12 of 0 or 1) to the
-    facet fan entry that accepts the flow; None means the flow stalls."""
-    mesh = tracer.mesh
-    c = tp.c
-    if min(abs(c), abs(c - 1.0)) > VERTEX_SNAP:
-        raise TraceError(f"point c={c} is not at a vertex")
-    c_exit = 0.0 if abs(c) <= VERTEX_SNAP else 1.0
-    v = mesh.dest(tp.halfedge) if c_exit == 1.0 else mesh.origin(tp.halfedge)
-    result = tracer._pivot_at_vertex(
-        TracePoint(tp.halfedge, c_exit), c_exit, v, direction
-    )
-    if result is None or result == "boundary":
-        return None
-    return result
 
 
 # -- separatrix seeding ---------------------------------------------------------
@@ -329,7 +313,7 @@ def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
     A positive-index vertex emits streamlines in every direction, which has
     no finite seed set, so it is refused.
     """
-    if direction not in ("forward", "backward"):
+    if direction not in _ENTRY:
         raise TraceError(f"unknown trace direction {direction!r}")
     idx = vertex_index(mesh, fieldsamples, v)
     if idx > 1e-9:
@@ -337,15 +321,16 @@ def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
             f"vertex {v} has positive index {idx:.3f}: "
             "its separatrix family is infinite"
         )
-    fs = fieldsamples if direction == "forward" else fieldsamples.flipped()
     corners = _fan_corners(mesh, v)
     events = []  # (fan position, facet, corner k, t)
     for fan_i, (f, k) in enumerate(corners):
-        nodes = fs.nodes(f)
+        nodes = fieldsamples.nodes(f)
         b0 = nodes[2 * k + 1]
         b1 = nodes[2 * k + 2]
         slope = (b1 - b0) + 180.0
-        g0 = b0 - 180.0
+        # the reverse field is the field turned a half turn; adding it to
+        # the samples would round, so the offset is folded in here instead
+        g0 = b0 - 180.0 if direction == "forward" else b0
         if slope == 0.0:
             if g0 % 360.0 == 0.0:
                 raise TraceError(

@@ -151,14 +151,3 @@ def test_bench_reports_ratio(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "ratio:" in out and "per facet crossing" in out
-
-
-def test_thread_env_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("STREAMTRACE_THREADS", "2")
-    obj, field = synth(tmp_path, "circular", "--rings", "4", "--sectors", "12")
-    lines = str(tmp_path / "par.jsonl")
-    rc = main([
-        "trace", "--mesh", obj, "--field", field, "--seeds", "12", "--out", lines,
-    ])
-    assert rc == 0
-    assert sum(1 for l in open(lines) if l.strip()) >= 6

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamtrace import (
@@ -23,6 +23,7 @@ from conftest import right_triangle, samples_from_reals
 
 
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
+@example(-5e-324)  # v / 360 underflows to -0.0
 def test_normalize_sample_preserves_real_angle(v):
     a, w = normalize_sample(v)
     assert 0.0 <= a < 360.0

@@ -9,7 +9,6 @@ from streamtrace.stream_mesh import (
     Behavior,
     StreamMesh,
     decompose,
-    init_main_face,
     segment_interval,
 )
 from streamtrace.stream_mesh import _classify, _segment_values
@@ -170,7 +169,7 @@ def test_golden_decomposition_dump():
 
 
 def test_initial_a_sequence_closes_at_minus_two():
-    sm = init_main_face(fan_mesh(), samples_from_reals(WOUND), 0)
+    sm = StreamMesh(fan_mesh(), samples_from_reals(WOUND), 0)
     a = sm.a_sequence(sm.main_face)
     assert a[0] == 0
     full = a + [-2]  # one value per group, closing value validated internally
@@ -274,6 +273,9 @@ def test_import_prefers_inflow_at_shared_cut():
     # t = 0.364864... on edge 0 is an exact cut between I and O pieces
     sh, c = sm.import_position(0, 27.0 / 74.0)
     assert sh.behavior == Behavior.IN
+    # a backward line enters the same stream mesh on the outflow side
+    sh, c = sm.import_position(0, 27.0 / 74.0, Behavior.OUT)
+    assert sh.behavior == Behavior.OUT
 
 
 def test_reference_rotation_leaves_cuts_invariant():

@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from streamtrace import TraceError, meshgen, synth_field
+from streamtrace import (
+    TraceError,
+    flux,
+    meshgen,
+    stream_mesh,
+    synth_field,
+)
 from streamtrace.field import interpolated_angle, vertex_index
 from streamtrace.mesh import TracePoint
+from streamtrace.stream_mesh import Behavior
 from streamtrace.tracer import (
     Polyline,
     Seed,
@@ -16,7 +23,7 @@ from streamtrace.tracer import (
     seed_from_vertex,
 )
 
-from conftest import assert_close
+from conftest import assert_close, wound_config
 
 
 def boundary_seed(mesh, axis, level, s, direction="forward"):
@@ -318,3 +325,91 @@ def test_step_cap_termination():
     pl = tr.trace(Seed(start))
     assert pl.termination == "step-cap"
     assert len(pl.points) <= 9
+
+
+def separatrix_seeds(mesh, fs, direction):
+    return [
+        s
+        for v in range(mesh.n_vertices)
+        if not mesh.is_boundary_vertex(v) and vertex_index(mesh, fs, v) <= 1e-9
+        for s in seed_from_vertex(mesh, fs, v, direction)
+    ]
+
+
+def test_mixed_directions_share_one_stream_mesh_without_crossings():
+    # The field and its half-turn reverse cut a corner of facet 9 here
+    # 3e-16 apart and type it differently, so lines of the two directions
+    # only stay apart when both are traced on one stream mesh.
+    mesh = meshgen.disc(8, 24, distortion=0.3, seed=2)
+    fs = synth_field(mesh, "sink")
+    inner = [
+        h
+        for h in range(mesh.n_interior_halfedges)
+        if mesh.has_facet(mesh.opposite(h)) and h < mesh.opposite(h)
+    ][:60]
+    seeds = []
+    for d in ("forward", "backward"):
+        seeds += separatrix_seeds(mesh, fs, d)
+        seeds += [Seed(TracePoint(h, 0.5), d) for h in inner]
+    tr = Tracer(mesh, fs, max_steps=1500)
+    pls = [tr.trace(s) for s in seeds]
+    assert {pl.seed.direction for pl in pls} == {"forward", "backward"}
+    assert check_crossings(mesh, pls) == []
+
+
+def test_both_directions_decompose_each_facet_once(monkeypatch):
+    mesh = meshgen.grid(8, 8, distortion=0.2, seed=3)
+    fs = synth_field(mesh, "constant", angle_deg=12.0)
+    calls = []
+    real = stream_mesh.decompose
+
+    def counting(m, samples, facet):
+        calls.append(facet)
+        return real(m, samples, facet)
+
+    monkeypatch.setattr(stream_mesh, "decompose", counting)
+    tr = Tracer(mesh, fs)
+    fwd = [tr.trace(left_edge_seed(mesh, y)) for y in (0.11, 0.312, 0.57, 0.83)]
+    built = len(calls)
+    assert built > 0 and len(set(calls)) == built
+    # walking the forward lines in reverse crosses only facets already built
+    for pl in fwd:
+        back = tr.trace(Seed(pl.points[-1], "backward"))
+        assert back.termination == "boundary"
+        assert np.linalg.norm(back.positions[-1] - pl.positions[0]) < 1e-9
+    assert len(calls) == built
+
+
+@pytest.mark.parametrize("kind", ["sink", "saddle"])
+def test_every_separatrix_seed_enters(kind):
+    mesh = meshgen.disc(8, 24)
+    fs = synth_field(mesh, kind)
+    tr = Tracer(mesh, fs)
+    pls = []
+    for d in ("forward", "backward"):
+        seeds = separatrix_seeds(mesh, fs, d)
+        assert seeds
+        pls += [tr.trace(s) for s in seeds]
+    assert check_crossings(mesh, pls) == []
+
+
+def test_backward_crossing_inverts_forward_crossing():
+    rng = np.random.default_rng(21)
+    checked = 0
+    while checked < 300:
+        mesh, fs = wound_config(rng)
+        tr = Tracer(mesh, fs)
+        sm = tr.stream_mesh(0)
+        for face_id in sm.faces:
+            rin = sm.face_runs(face_id)[Behavior.IN]
+            for sh in rin.pieces:
+                if sh.kind == "chord" or rin.totals[rin.pos[sh.id]] == 0.0:
+                    continue
+                c = float(rng.uniform(0.0, 1.0))
+                out_sh, c_out = tr.cross_facet(sm, sh, c)
+                back_sh, c_back = tr.cross_facet(sm, out_sh, c_out, Behavior.OUT)
+                assert back_sh.face == face_id
+                x = flux.accumulate(rin, sh, c)
+                x_back = flux.accumulate(rin, back_sh, c_back)
+                assert abs(x_back - x) <= 1e-9 * rin.total
+                checked += 1
