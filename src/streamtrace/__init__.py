@@ -26,7 +26,6 @@ from .stream_mesh import (
     Behavior,
     StreamHalfedge,
     StreamMesh,
-    StreamVertex,
     decompose,
     segment_interval,
 )

@@ -208,18 +208,13 @@ def write_svg(path, mesh, polylines):
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {size[0] / span * 1000:.1f} {size[1] / span * 1000:.1f}">'
     ]
-    drawn = set()
     for h in range(mesh.n_halfedges):
-        o = mesh.opposite(h)
-        key = (min(h, o), max(h, o))
-        if key in drawn:
-            continue
-        drawn.add(key)
-        a = mesh.vertices[mesh.origin(h)]
-        b = mesh.vertices[mesh.dest(h)]
+        if mesh.opposite(h) < h:
+            continue  # each edge is drawn once, from its lower halfedge
+        x1, y1 = pt(mesh.vertices[mesh.origin(h)]).split(",")
+        x2, y2 = pt(mesh.vertices[mesh.dest(h)]).split(",")
         parts.append(
-            f'<line x1="{pt(a).split(",")[0]}" y1="{pt(a).split(",")[1]}" '
-            f'x2="{pt(b).split(",")[0]}" y2="{pt(b).split(",")[1]}" '
+            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
             'stroke="#ddd" stroke-width="0.7"/>'
         )
     for i, pl in enumerate(polylines):
@@ -286,7 +281,7 @@ def cmd_bench(args):
     cfg = RK4Config(step_fraction=rk4_h)
     for s in seeds:
         pl = rk4_trace(mesh, fs, s, cfg, direction=s.direction)
-        rk4_steps += getattr(pl, "rk4_steps", max(1, len(pl.points) - 1))
+        rk4_steps += pl.rk4_steps
     rk4_total = time.perf_counter() - t0
     rk4_per_step = rk4_total / max(1, rk4_steps)
 

@@ -116,7 +116,7 @@ def accumulate(run, sh, c) -> float:
     if i is None:
         raise FluxError("stream-halfedge is not a member of this run")
     own = 0.0 if sh.behavior.is_tangent else phi(sh, c)
-    return float(run.starts[i]) + own
+    return run.starts[i] + own
 
 
 def locate(run, x):
@@ -130,8 +130,7 @@ def locate(run, x):
         x = 0.0
     if x > run.total:
         x = run.total
-    ends = run.starts + run.totals
-    j = bisect_left(list(ends), x)
+    j = bisect_left(run.ends, x)
     while j < len(run.pieces) and run.totals[j] == 0.0:
         j += 1
     if j >= len(run.pieces):
@@ -142,5 +141,5 @@ def locate(run, x):
         raise FluxError("run has no flux-bearing pieces")
     sh = run.pieces[j]
     # prefix-sum roundoff may land a hair outside the piece's own range
-    rem = min(max(x - float(run.starts[j]), 0.0), float(run.totals[j]))
+    rem = min(max(x - run.starts[j], 0.0), run.totals[j])
     return sh, phi_inverse(sh, rem)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,32 +58,16 @@ _MIRROR = {
 VERTEX_SNAP = 1e-12
 
 
-class StreamVertex:
-    """Border anchor: element ordinal, parameter, 3D point, field angle.
-
-    ``alpha`` is the field angle at the anchor in radians relative to the
-    facet reference vector, on the continuous (winding-aware) branch.
-    """
-
-    __slots__ = ("id", "element", "t", "position", "alpha")
-
-    def __init__(self, vid, element, t, position, alpha):
-        self.id = vid
-        self.element = element  # border element ordinal 0..5
-        self.t = t
-        self.position = position
-        self.alpha = alpha
-
-
 class StreamHalfedge:
     """One stream-mesh halfedge.
 
     Border halfedges (kind ``edge`` or ``corner``) carry their element
     ordinal, the anchor span [t0, t1] on it, and the border-relative field
     angles b0, b1 in degrees at their endpoints.  Chord halfedges carry the
-    field angles relative to the chord direction instead, also in degrees.
-    ``opp`` is None on the border (the outside is not represented) and the
-    twin record on chords.
+    field angles relative to the chord direction instead, also in degrees,
+    and their border anchors as ``(element, t)`` pairs in ``origin`` and
+    ``dest``.  ``opp`` is None on the border (the outside is not
+    represented) and the twin record on chords.
     """
 
     __slots__ = (
@@ -131,15 +116,20 @@ class StreamHalfedge:
 
 
 class Run:
-    """One inflow or outflow run of a simple face, with flux prefix sums."""
+    """One inflow or outflow run of a simple face, with flux prefix sums.
 
-    __slots__ = ("pieces", "starts", "totals", "total", "pos")
+    ``totals[i]`` is the flux through piece i, ``starts[i]`` and ``ends[i]``
+    the flux accumulated before and after it.
+    """
+
+    __slots__ = ("pieces", "totals", "starts", "ends", "total", "pos")
 
     def __init__(self, pieces, totals):
         self.pieces = pieces
         self.totals = totals
-        self.starts = np.concatenate([[0.0], np.cumsum(totals)])[:-1]
-        self.total = float(np.sum(totals))
+        self.ends = list(accumulate(totals))
+        self.starts = [0.0] + self.ends[:-1]
+        self.total = self.ends[-1]
         self.pos = {sh.id: i for i, sh in enumerate(pieces)}
 
 
@@ -199,15 +189,19 @@ def segment_interval(mesh, fieldsamples, f, element):
     derived on the lower-id halfedge of the undirected edge and mirrored, so
     the two incident facets cut the edge at bitwise-identical parameters.
     """
+    nodes = fieldsamples.nodes(f)
     return [
         (p[0], p[1], p[2])
-        for p in _segment_element(mesh, fieldsamples, f, element)
+        for p in _segment_element(mesh, fieldsamples, f, element, nodes)
     ]
 
 
-def _segment_element(mesh, fieldsamples, f, element):
+def _segment_element(mesh, fieldsamples, f, element, nodes):
+    """Pieces (behavior, t0, t1, b0, b1) of one element of f.
+
+    ``nodes`` is ``fieldsamples.nodes(f)``, read once by the caller.
+    """
     kind, k = element
-    nodes = fieldsamples.nodes(f)
     if kind == "corner":
         return _segment_values(nodes[2 * k + 1], nodes[2 * k + 2])
     if kind != "edge":
@@ -248,7 +242,6 @@ class StreamMesh:
         self.field = fieldsamples
         self.facet = facet
         self.hs: list[StreamHalfedge] = []
-        self.vertices: list[StreamVertex] = []
         self.faces: dict[int, StreamHalfedge] = {}
         self.main_face = 0
         self.split_count = 0
@@ -262,11 +255,12 @@ class StreamMesh:
 
     def _init_border(self):
         mesh, f = self.mesh, self.facet
+        nodes = self.field.nodes(f)
         raw = []
         for ordinal in range(6):
             k = ordinal // 2
             element = ("edge", k) if ordinal % 2 == 0 else ("corner", k)
-            for p in _segment_element(mesh, self.field, f, element):
+            for p in _segment_element(mesh, self.field, f, element, nodes):
                 raw.append((ordinal,) + p)
 
         # drop zero-length tangent pieces duplicated at element junctions
@@ -318,10 +312,6 @@ class StreamMesh:
         for i, sh in enumerate(self._border):
             sh.nxt = self._border[(i + 1) % n]
             sh.prv = self._border[(i - 1) % n]
-            sh.origin = self._make_vertex(sh.element, sh.t0, sh.b0)
-            sh.face = 0
-        for sh in self._border:
-            sh.dest = sh.nxt.origin
         self.faces = {0: self._border[0]}
 
         flows = [sh.behavior for sh in self._border if not sh.behavior.is_tangent]
@@ -336,13 +326,6 @@ class StreamMesh:
         if ordinal % 2 == 1:
             return 0.0
         return float(self._frame.edge_lens[ordinal // 2]) * (t1 - t0)
-
-    def _make_vertex(self, element, t, b_deg):
-        pos = self._anchor_position(element, t)
-        alpha = self._anchor_alpha_rad(element, t, b_deg)
-        sv = StreamVertex(len(self.vertices), element, t, pos, alpha)
-        self.vertices.append(sv)
-        return sv
 
     def _anchor_position(self, element, t):
         mesh, f = self.mesh, self.facet
@@ -524,22 +507,14 @@ class StreamMesh:
         a2 = self._split_tangent(sh_a)  # sh_a keeps [t0,tm], a2 is [tm,t1]
         b2 = self._split_tangent(sh_b)
 
-        sv1 = a2.origin  # split point on the leading tangent
-        sv2 = b2.origin  # split point on the trailing tangent
-        p1 = sv1.position
-        p2 = sv2.position
-        chord_vec = p1 - p2
-        clen = float(np.linalg.norm(chord_vec))
-        if clen <= 0.0:
-            raise StreamMeshError("degenerate zero-length chord")
-
         if primal:
             ext_beh, main_beh = Behavior.IN, Behavior.OUT
         else:
             ext_beh, main_beh = Behavior.OUT, Behavior.IN
 
-        # carved side runs sv2 -> sv1; the main side mirrors it bit-exactly
-        ext = self._make_chord(sv2, sv1, ext_beh)
+        # carved side runs b2 -> a2 (the split points); the main side
+        # mirrors it bit-exactly
+        ext = self._make_chord(b2, a2, ext_beh)
         mainc = self._mirror_chord(ext, main_beh)
         ext.opp = mainc
         mainc.opp = ext
@@ -583,15 +558,11 @@ class StreamMesh:
             self._piece_length(sh.element, tm, sh.t1),
         )
         self.hs.append(second)
-        sv = self._make_vertex(sh.element, tm, sh.b0)
-        second.origin = sv
-        second.dest = sh.dest
         second.nxt = sh.nxt
         second.prv = sh
         second.face = sh.face
         sh.nxt.prv = second
         sh.nxt = second
-        sh.dest = sv
         sh.t1 = tm
         sh.b1 = sh.b0
         sh.length = self._piece_length(sh.element, sh.t0, tm)
@@ -599,15 +570,22 @@ class StreamMesh:
         self._border.insert(i + 1, second)
         return second
 
-    def _make_chord(self, sv_from, sv_to, behavior):
-        alpha0 = sv_from.alpha
-        alpha1 = sv_to.alpha
-        d = sv_to.position - sv_from.position
+    def _make_chord(self, sh_from, sh_to, behavior):
+        """Chord between the start anchors of border pieces sh_from, sh_to."""
+        p0 = self._anchor_position(sh_from.element, sh_from.t0)
+        d = self._anchor_position(sh_to.element, sh_to.t0) - p0
+        length = float(np.linalg.norm(d))
+        if length <= 0.0:
+            raise StreamMeshError("degenerate zero-length chord")
         ang = math.atan2(
             float(np.dot(d, self._frame.v)), float(np.dot(d, self._frame.u))
         )
-        b0 = self._reduce_to_band(alpha0 - ang, behavior)
-        b1 = self._reduce_to_band(alpha1 - ang, behavior)
+        b0, b1 = (
+            self._reduce_to_band(
+                self._anchor_alpha_rad(sh.element, sh.t0, sh.b0) - ang, behavior
+            )
+            for sh in (sh_from, sh_to)
+        )
         sh = StreamHalfedge(
             len(self.hs),
             "chord",
@@ -617,11 +595,11 @@ class StreamMesh:
             1.0,
             math.degrees(b0),
             math.degrees(b1),
-            float(np.linalg.norm(d)),
+            length,
         )
         self.hs.append(sh)
-        sh.origin = sv_from
-        sh.dest = sv_to
+        sh.origin = (sh_from.element, sh_from.t0)
+        sh.dest = (sh_to.element, sh_to.t0)
         return sh
 
     def _mirror_chord(self, twin, behavior):
@@ -674,12 +652,10 @@ class StreamMesh:
             for g in groups:
                 pieces = [cycle[i] for i in g]
                 beh = cycle[g[0]].behavior
-                totals = np.array(
-                    [
-                        0.0 if sh.behavior.is_tangent else flux.phi(sh, 1.0)
-                        for sh in pieces
-                    ]
-                )
+                totals = [
+                    0.0 if sh.behavior.is_tangent else flux.phi(sh, 1.0)
+                    for sh in pieces
+                ]
                 runs[beh] = Run(pieces, totals)
             if runs[Behavior.IN].total <= 0.0 or runs[Behavior.OUT].total <= 0.0:
                 raise StreamMeshError(
@@ -837,10 +813,10 @@ class StreamMesh:
             )
         for sh in self.hs:
             if sh.kind == "chord":
+                (e0, t0), (e1, t1) = sh.origin, sh.dest
                 lines.append(
-                    f"chord face{sh.face} ({names[sh.origin.element]} "
-                    f"t={sh.origin.t:.12g}) -> ({names[sh.dest.element]} "
-                    f"t={sh.dest.t:.12g}) {sh.behavior.value}"
+                    f"chord face{sh.face} ({names[e0]} t={t0:.12g}) -> "
+                    f"({names[e1]} t={t1:.12g}) {sh.behavior.value}"
                 )
         return "\n".join(lines) + "\n"
 

@@ -39,7 +39,11 @@ class Seed:
 
 
 class Polyline:
-    """Traced streamline: border points in order plus the termination cause."""
+    """Traced streamline: border points in order plus the termination cause.
+
+    ``rk4_steps`` counts the integration steps of an RK4 reference line; it
+    stays 0 on stream-traced lines, which take none.
+    """
 
     def __init__(self, seed):
         self.seed = seed
@@ -47,6 +51,7 @@ class Polyline:
         self.positions: list[np.ndarray] = []
         self.termination = None
         self.sink_vertex = None
+        self.rk4_steps = 0
 
     def append(self, tp, pos):
         self.points.append(tp)
@@ -240,12 +245,11 @@ class Tracer:
                     pivot_count += 1
                 else:
                     pivot_vertex, pivot_count = v, 1
-                if pivot_count > mesh.vertex_valence(v):
-                    pl.termination = "vertex-stall"
-                    return pl
-                result = self._pivot_at_vertex(tp, c_exit, v, enter)
+                result = None
+                if pivot_count <= mesh.vertex_valence(v):
+                    result = self._pivot_at_vertex(tp, c_exit, v, enter)
                 if result is None:
-                    pl.termination = "vertex-stall"
+                    self._stop_at_vertex(pl, v)
                     return pl
                 if result == "boundary":
                     pl.termination = "boundary"
@@ -254,6 +258,23 @@ class Tracer:
             else:
                 pivot_vertex, pivot_count = None, 0
                 h, c = mesh.opposite(tp.halfedge), 1.0 - c_exit
+
+    def _stop_at_vertex(self, pl, v):
+        """Label a line that cannot leave vertex v.
+
+        An interior vertex of positive index is a sink (a source, traced
+        backward) the line has reached through an edge end; anywhere else
+        the flow stalls.
+        """
+        mesh = self.mesh
+        if (
+            not mesh.is_boundary_vertex(v)
+            and vertex_index(mesh, self.fieldsamples, v) > 1e-9
+        ):
+            pl.termination = "sink-vertex"
+            pl.sink_vertex = v
+        else:
+            pl.termination = "vertex-stall"
 
     def _pivot_at_vertex(self, tp, c_exit, v, enter):
         """Continue a trace that exited exactly at a vertex.

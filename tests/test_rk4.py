@@ -73,6 +73,7 @@ def test_rk4_step_cap_and_step_count():
     pl = rk4_trace(mesh, fs, seed, RK4Config(step_fraction=0.05, max_steps=40))
     assert pl.termination == "step-cap"
     assert pl.rk4_steps == 40
+    assert Tracer(mesh, fs).trace(seed).rk4_steps == 0
 
 
 def test_rk4_circular_orbit_stays_on_radius():

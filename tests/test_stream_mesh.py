@@ -161,11 +161,69 @@ chord face0 (corner0 t=0.959183673469) -> (edge0 t=0.851351351351) I
 """
 
 
+# (b0, b1, length) of each chord of GOLDEN_DUMP, in the same order
+GOLDEN_CHORDS = [
+    ("0x1.eeb2885020aafp+7", "0x1.627d6343eb1a2p+8", "0x1.0f876ccdf6cd9p+1"),
+    ("0x1.5cfac687d6344p+7", "0x1.0d6510a04155ep+6", "0x1.0f876ccdf6cd9p+1"),
+    ("0x1.27815685bfc96p+6", "0x1.22e1f9a62c203p+7", "0x1.386d6da08b202p+0"),
+    ("-0x1.147819674f7f4p+5", "-0x1.a87ea97a4036ap+6", "0x1.386d6da08b202p+0"),
+    ("0x1.6800000000000p+8", "0x1.357d6343eb1a2p+8", "0x1.306eb3e453070p-2"),
+    ("0x1.02fac687d6344p+7", "0x1.6800000000000p+7", "0x1.306eb3e453070p-2"),
+]
+
+# (face, behavior) -> (starts, total) of each run of the golden decomposition
+GOLDEN_RUNS = {
+    (0, "I"): (
+        ["0x0.0p+0", "0x1.f6e1e57b653b1p-4", "0x1.f6e1e57b653b1p-4",
+         "0x1.04f4de8b1d3ddp-2"],
+        "0x1.04f4de8b1d3ddp-2",
+    ),
+    (0, "O"): (["0x0.0p+0"], "0x1.0000000000000p+0"),
+    (1, "I"): (["0x0.0p+0", "0x0.0p+0"], "0x1.9bb6e2102c738p-1"),
+    (1, "O"): (
+        ["0x0.0p+0", "0x1.54c4a663066fcp-1", "0x1.54c4a663066fcp-1",
+         "0x1.54c4a663066fcp-1"],
+        "0x1.1da5f25077a27p+1",
+    ),
+    (2, "I"): (
+        ["0x0.0p+0", "0x1.9da72f7b21186p-2", "0x1.9da72f7b21186p-2",
+         "0x1.dd85b91e60d87p-1", "0x1.dd85b91e60d87p-1"],
+        "0x1.011c6bd78553ep+1",
+    ),
+    (2, "O"): (["0x0.0p+0"], "0x1.aa8398240bbe9p-2"),
+    (3, "I"): (
+        ["0x0.0p+0", "0x1.90e9916f6c0d1p+0", "0x1.90e9916f6c0d1p+0",
+         "0x1.90e9916f6c0d1p+0"],
+        "0x1.cadf8ee189836p+0",
+    ),
+    (3, "O"): (
+        ["0x0.0p+0", "0x1.1375fb1fda3b9p+0", "0x1.1375fb1fda3b9p+0",
+         "0x1.b207e2c9727ddp+0", "0x1.b207e2c9727ddp+0"],
+        "0x1.d176012128d18p+0",
+    ),
+}
+
+
 def test_golden_decomposition_dump():
     sm = decompose(fan_mesh(), samples_from_reals(WOUND), 0)
     assert sm.dump() == GOLDEN_DUMP
     assert sm.split_count == 3
     assert sm.initial_pairs == 4
+    chords = [
+        (float(sh.b0).hex(), float(sh.b1).hex(), float(sh.length).hex())
+        for sh in sm.hs
+        if sh.kind == "chord"
+    ]
+    assert chords == GOLDEN_CHORDS
+    runs = {
+        (face_id, beh.value): (
+            [float(x).hex() for x in run.starts],
+            float(run.total).hex(),
+        )
+        for face_id in sm.faces
+        for beh, run in sm.face_runs(face_id).items()
+    }
+    assert runs == GOLDEN_RUNS
 
 
 def test_initial_a_sequence_closes_at_minus_two():

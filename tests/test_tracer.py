@@ -10,6 +10,7 @@ from streamtrace import (
     stream_mesh,
     synth_field,
 )
+from streamtrace.cli import _spread_edge_seeds
 from streamtrace.field import interpolated_angle, vertex_index
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import Behavior
@@ -117,6 +118,46 @@ def test_sink_terminates_with_corner_coordinate():
         assert 1.0 < pl.points[-1].c <= 2.0
         hits += 1
     assert hits == 20
+
+
+def test_sink_reached_through_an_edge_end_is_a_sink():
+    # every line of this field converges on the index +1 vertex through
+    # edge ends, where no pivot can continue it
+    mesh = meshgen.icosphere(2)
+    fs = synth_field(mesh, "smoothed-random", seed=1)
+    plus_one = [v for v in range(mesh.n_vertices) if vertex_index(mesh, fs, v) > 0.5]
+    tr = Tracer(mesh, fs)
+    ends = set()
+    for seed in _spread_edge_seeds(mesh, 20):
+        pl = tr.trace(seed)
+        assert pl.termination == "sink-vertex"
+        assert pl.points[-1].c in (0.0, 1.0)  # an edge end, not a corner
+        ends.add(pl.sink_vertex)
+    assert len(ends) == 1 and ends <= set(plus_one)
+
+
+def test_only_a_positive_index_vertex_stops_a_line_as_sink():
+    mesh = meshgen.disc(5, 20)
+    fs = synth_field(mesh, "sink")
+    tr = Tracer(mesh, fs)
+    center = int(np.argmin(np.linalg.norm(mesh.vertices[:, :2], axis=1)))
+    rim = next(v for v in range(mesh.n_vertices) if mesh.is_boundary_vertex(v))
+    ring = next(
+        v
+        for v in range(mesh.n_vertices)
+        if v != center and not mesh.is_boundary_vertex(v)
+    )
+    assert abs(vertex_index(mesh, fs, ring)) < 1e-9
+    labels = []
+    for v in (center, rim, ring):
+        pl = Polyline(Seed(TracePoint(0, 0.5)))
+        tr._stop_at_vertex(pl, v)
+        labels.append((pl.termination, pl.sink_vertex))
+    assert labels == [
+        ("sink-vertex", center),
+        ("vertex-stall", None),
+        ("vertex-stall", None),
+    ]
 
 
 def test_positive_index_vertex_is_refused():
