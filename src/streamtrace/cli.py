@@ -106,7 +106,13 @@ def make_seeds(mesh, fs, args):
         seeds = []
         for tok in args.seed_points.split(","):
             h_s, c_s = tok.split(":")
-            seeds.append(Seed(TracePoint(int(h_s), float(c_s)), direction))
+            h, c = int(h_s), float(c_s)
+            if not (0 <= h < mesh.n_halfedges and 0.0 <= c <= 1.0):
+                raise ValueError(
+                    f"seed point {tok!r}: need 0 <= h < {mesh.n_halfedges} "
+                    f"and 0 <= c <= 1"
+                )
+            seeds.append(Seed(TracePoint(h, c), direction))
         return seeds
     if getattr(args, "seed_singularities", False):
         seeds = []

@@ -16,12 +16,14 @@ edge and mirrored to the other side (swap I/O and Tf/Tb, reverse the
 parameter), which makes the cut parameters of the two facets sharing the
 edge identical by construction rather than approximately equal.
 
-A face whose border carries exactly one inflow run and one outflow run,
-separated by a backward tangency at the outflow-to-inflow transition and a
-forward tangency at the other, is *simple* and can be crossed by flux ratio.
-``decompose`` repeatedly carves simple faces off the main face with chords
-drawn between a split forward tangency and a split backward tangency until
-every face is simple.
+A face is held as its flow groups (maximal runs of same-direction flow
+pieces, with the tangents among them) and the tangent separators between
+consecutive groups, both computed once from the border.  A face with
+exactly two groups, one inflow run and one outflow run, is *simple* and can
+be crossed by flux ratio.  ``decompose`` repeatedly carves a simple face off
+the main face with a chord drawn between a split forward tangency and a
+split backward tangency, updating both faces' lists in place, until every
+face is simple.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ class Behavior(Enum):
     TF = "Tf"
     TB = "Tb"
 
-    @property
-    def is_tangent(self):
-        return self in (Behavior.TF, Behavior.TB)
+    def __init__(self, value):
+        self.is_tangent = value in ("Tf", "Tb")
 
 
 _MIRROR = {
@@ -67,7 +68,8 @@ class StreamHalfedge:
     field angles relative to the chord direction instead, also in degrees,
     and their border anchors as ``(element, t)`` pairs in ``origin`` and
     ``dest``.  ``opp`` is None on the border (the outside is not
-    represented) and the twin record on chords.
+    represented) and the twin record on chords.  ``nxt`` and ``prv`` link
+    border neighbours and are None on chords.
     """
 
     __slots__ = (
@@ -234,20 +236,61 @@ def _segment_element(mesh, fieldsamples, f, element, nodes):
     return out
 
 
+def _groups_and_separators(pieces):
+    """Maximal same-direction flow groups of a face border and the tangents between.
+
+    ``pieces`` is the face border in cycle order.  Returns (groups, seps):
+    groups[i] lists the pieces of one group (flow pieces plus the tangents
+    interleaved among them), seps[i] the tangent pieces between groups[i-1]
+    and groups[i].  Groups alternate IN/OUT around the face; groups[0]
+    starts at the first flow piece whose flow differs from the one before.
+    """
+    flows = [i for i, sh in enumerate(pieces) if not sh.behavior.is_tangent]
+    if not flows:
+        raise StreamMeshError("face has no flow pieces")
+    first = next(
+        (
+            i
+            for h, i in zip([flows[-1]] + flows, flows)
+            if pieces[h].behavior != pieces[i].behavior
+        ),
+        flows[0],
+    )
+    groups, seps, pending = [], [], []
+    for sh in pieces[first:] + pieces[:first]:
+        if sh.behavior.is_tangent:
+            pending.append(sh)
+        elif groups and sh.behavior == groups[-1][0].behavior:
+            groups[-1] += pending + [sh]
+            pending = []
+        else:
+            seps.append(pending)
+            groups.append([sh])
+            pending = []
+    seps[0] = pending
+    if len(groups) > 1 and not all(seps):
+        raise StreamMeshError("adjacent opposite flow groups without a tangency")
+    return groups, seps
+
+
 class StreamMesh:
-    """Stream mesh of one facet; built as a single main face, then decomposed."""
+    """Stream mesh of one facet; built as a single main face, then decomposed.
+
+    ``faces`` maps a face id to its (groups, seps) lists, as returned by
+    ``_groups_and_separators`` for the face's border cycle.
+    """
 
     def __init__(self, mesh, fieldsamples, facet):
         self.mesh = mesh
         self.field = fieldsamples
         self.facet = facet
         self.hs: list[StreamHalfedge] = []
-        self.faces: dict[int, StreamHalfedge] = {}
+        self.faces: dict[int, tuple[list, list]] = {}
         self.main_face = 0
         self.split_count = 0
         self._border: list[StreamHalfedge] = []
         self._runs = None
-        self._edge_pieces = None
+        self._pieces = None
         self._frame = mesh.frame(facet)
         self._init_border()
 
@@ -312,14 +355,14 @@ class StreamMesh:
         for i, sh in enumerate(self._border):
             sh.nxt = self._border[(i + 1) % n]
             sh.prv = self._border[(i - 1) % n]
-        self.faces = {0: self._border[0]}
 
         flows = [sh.behavior for sh in self._border if not sh.behavior.is_tangent]
         if Behavior.IN not in flows or Behavior.OUT not in flows:
             raise StreamMeshError(
                 f"facet {self.facet}: border lacks inflow or outflow"
             )
-        groups, _, _ = self._groups_and_separators(0)
+        groups, seps = _groups_and_separators(self._border)
+        self.faces = {0: (groups, seps)}
         self.initial_pairs = len(groups) // 2
 
     def _piece_length(self, ordinal, t0, t1):
@@ -345,72 +388,7 @@ class StreamMesh:
             ang = ang + t * (math.pi - self._frame.betas[k])
         return math.radians(level_deg) + ang
 
-    # -- face walking ------------------------------------------------------
-
-    def face_cycle(self, face_id):
-        start = self.faces[face_id]
-        cycle = [start]
-        sh = start.nxt
-        guard = 0
-        while sh is not start:
-            cycle.append(sh)
-            sh = sh.nxt
-            guard += 1
-            if guard > len(self.hs) + 1:
-                raise StreamMeshError("broken face cycle")
-        return cycle
-
-    def _groups_and_separators(self, face_id):
-        """Maximal same-direction flow groups and the tangent runs between.
-
-        Returns (groups, seps, cycle): groups[i] is a list of cycle indices
-        (flow pieces plus the tangents interleaved among them), seps[i] is
-        the list of tangent cycle indices between groups[i-1] and groups[i].
-        Groups alternate IN/OUT around the face.
-        """
-        cycle = self.face_cycle(face_id)
-        n = len(cycle)
-        flow_idx = [i for i, sh in enumerate(cycle) if not sh.behavior.is_tangent]
-        if not flow_idx:
-            raise StreamMeshError("face has no flow pieces")
-        nf = len(flow_idx)
-        # cyclic run starts over the flow subsequence
-        marks = [
-            j
-            for j in range(nf)
-            if cycle[flow_idx[j]].behavior != cycle[flow_idx[j - 1]].behavior
-        ] or [0]
-        groups = []
-        seps = []
-        for gi, mstart in enumerate(marks):
-            mend = marks[(gi + 1) % len(marks)]
-            count = (mend - mstart) % nf or nf
-            first = flow_idx[mstart]
-            last = flow_idx[(mstart + count - 1) % nf]
-            members = []
-            i = first
-            while True:
-                members.append(i)
-                if i == last:
-                    break
-                i = (i + 1) % n
-            groups.append(members)
-        for gi in range(len(groups)):
-            prev_last = groups[gi - 1][-1]
-            first = groups[gi][0]
-            sep = []
-            i = (prev_last + 1) % n
-            while i != first:
-                if not cycle[i].behavior.is_tangent:
-                    raise StreamMeshError("flow piece between separator tangents")
-                sep.append(i)
-                i = (i + 1) % n
-            if len(groups) > 1 and not sep:
-                raise StreamMeshError(
-                    "adjacent opposite flow groups without a tangency"
-                )
-            seps.append(sep)
-        return groups, seps, cycle
+    # -- face queries ------------------------------------------------------
 
     def a_sequence(self, face_id=None):
         """Alternation profile of a face border, one value per flow group.
@@ -422,12 +400,12 @@ class StreamMesh:
         """
         if face_id is None:
             face_id = self.main_face
-        groups, seps, cycle = self._groups_and_separators(face_id)
+        groups, seps = self.faces[face_id]
         if len(groups) % 2 != 0:
             raise StreamMeshError("flow groups do not alternate")
         start = None
         for gi, g in enumerate(groups):
-            if cycle[g[0]].behavior == Behavior.OUT:
+            if g[0].behavior == Behavior.OUT:
                 start = gi
                 break
         if start is None:
@@ -438,8 +416,8 @@ class StreamMesh:
         for j in range(1, m + 1):
             gi = (start + j) % m
             sep = seps[gi]
-            sep_type = cycle[sep[0]].behavior if sep else None
-            entering = cycle[groups[gi][0]].behavior
+            sep_type = sep[0].behavior if sep else None
+            entering = groups[gi][0].behavior
             if entering == Behavior.IN:
                 a += 1 if sep_type == Behavior.TF else -1
             else:
@@ -452,8 +430,7 @@ class StreamMesh:
         return seq[:-1]
 
     def is_simple(self, face_id):
-        groups, _, _ = self._groups_and_separators(face_id)
-        return len(groups) == 2
+        return len(self.faces[face_id][0]) == 2
 
     # -- decomposition -------------------------------------------------------
 
@@ -467,7 +444,7 @@ class StreamMesh:
         chord is typed incoming on the carved side and outgoing on the main
         side (swapped for the symmetric form).
         """
-        groups, seps, cycle = self._groups_and_separators(self.main_face)
+        groups, seps = self.faces[self.main_face]
         m = len(groups)
         if m == 2:
             return False
@@ -475,17 +452,17 @@ class StreamMesh:
             raise StreamMeshError("flow groups do not alternate")
 
         for gi in range(m):
-            t_first = cycle[seps[gi][0]].behavior
-            first_beh = cycle[groups[gi][0]].behavior
-            t_mid = cycle[seps[(gi + 1) % m][0]].behavior
-            t_last = cycle[seps[(gi + 2) % m][0]].behavior
+            t_first = seps[gi][0].behavior
+            first_beh = groups[gi][0].behavior
+            t_mid = seps[(gi + 1) % m][0].behavior
+            t_last = seps[(gi + 2) % m][0].behavior
             if (
                 first_beh == Behavior.OUT
                 and t_first == Behavior.TF
                 and t_mid == Behavior.TB
                 and t_last == Behavior.TB
             ):
-                self._apply_split(gi, groups, seps, cycle, primal=True)
+                self._apply_split(gi, groups, seps, primal=True)
                 return True
             if (
                 first_beh == Behavior.IN
@@ -493,17 +470,17 @@ class StreamMesh:
                 and t_mid == Behavior.TF
                 and t_last == Behavior.TF
             ):
-                self._apply_split(gi, groups, seps, cycle, primal=False)
+                self._apply_split(gi, groups, seps, primal=False)
                 return True
         raise StreamMeshError("no splittable tangency pattern on non-simple face")
 
-    def _apply_split(self, gi, groups, seps, cycle, primal):
-        m = len(groups)
-        first_run = seps[gi]
-        last_run = seps[(gi + 2) % m]
+    def _apply_split(self, gi, groups, seps, primal):
+        # rotate the lists so the carved group pair is groups[0], groups[1]
+        groups = groups[gi:] + groups[:gi]
+        seps = seps[gi:] + seps[:gi]
         # split the tangent adjacent to the carved group pair on each side
-        sh_a = cycle[first_run[-1]]
-        sh_b = cycle[last_run[0]]
+        sh_a = seps[0][-1]
+        sh_b = seps[2][0]
         a2 = self._split_tangent(sh_a)  # sh_a keeps [t0,tm], a2 is [tm,t1]
         b2 = self._split_tangent(sh_b)
 
@@ -519,27 +496,17 @@ class StreamMesh:
         ext.opp = mainc
         mainc.opp = ext
 
-        # relink: carved cycle is a2 ... sh_b, closed by ext
-        sh_b.nxt = ext
-        ext.prv = sh_b
-        ext.nxt = a2
-        a2.prv = ext
-        # main cycle: sh_a, mainc, b2
-        sh_a.nxt = mainc
-        mainc.prv = sh_a
-        mainc.nxt = b2
-        b2.prv = mainc
-
+        # carved face: a2, groups[0], seps[1], groups[1], sh_b, ext; the
+        # main face keeps sh_a and continues mainc, b2, rest of seps[2].
+        # Its merged group leads, as a border walk from mainc lists it, so
+        # the next pattern search meets the groups in the same order.
         new_id = len(self.faces)
-        sh = ext
-        while True:
+        for sh in (a2, *groups[0], *seps[1], *groups[1], sh_b, ext):
             sh.face = new_id
-            sh = sh.nxt
-            if sh is ext:
-                break
-        self.faces[new_id] = ext
+        self.faces[new_id] = ([groups[0], groups[1] + [sh_b, ext]], [[a2], seps[1]])
+        merged = [mainc, b2, *seps[2][1:], *groups[2]]
+        self.faces[self.main_face] = ([merged] + groups[3:], [seps[0]] + seps[3:])
         mainc.face = self.main_face
-        self.faces[self.main_face] = mainc
         self.split_count += 1
 
     def _split_tangent(self, sh):
@@ -640,35 +607,28 @@ class StreamMesh:
     # -- finalized queries ---------------------------------------------------
 
     def finalize(self):
-        """Freeze after decomposition: build run tables and edge piece maps."""
+        """Freeze after decomposition: build run tables and border piece lists."""
         from . import flux
 
         self._runs = {}
-        for face_id in self.faces:
-            groups, seps, cycle = self._groups_and_separators(face_id)
+        for face_id, (groups, _) in self.faces.items():
             if len(groups) != 2:
                 raise StreamMeshError(f"face {face_id} is not simple")
             runs = {}
             for g in groups:
-                pieces = [cycle[i] for i in g]
-                beh = cycle[g[0]].behavior
                 totals = [
-                    0.0 if sh.behavior.is_tangent else flux.phi(sh, 1.0)
-                    for sh in pieces
+                    0.0 if sh.behavior.is_tangent else flux.phi(sh, 1.0) for sh in g
                 ]
-                runs[beh] = Run(pieces, totals)
+                runs[g[0].behavior] = Run(g, totals)
             if runs[Behavior.IN].total <= 0.0 or runs[Behavior.OUT].total <= 0.0:
                 raise StreamMeshError(
                     f"simple face {face_id} has a zero-flux run"
                 )
             self._runs[face_id] = runs
-        self._edge_pieces = {k: [] for k in range(3)}
-        self._corner_pieces = {k: [] for k in range(3)}
+        # border pieces per element ordinal (edge k is 2k, corner k is 2k + 1)
+        self._pieces = [[] for _ in range(6)]
         for sh in self._border:
-            if sh.element % 2 == 0:
-                self._edge_pieces[sh.element // 2].append(sh)
-            else:
-                self._corner_pieces[sh.element // 2].append(sh)
+            self._pieces[sh.element].append(sh)
         return self
 
     def face_runs(self, face_id):
@@ -703,7 +663,7 @@ class StreamMesh:
         if not -VERTEX_SNAP <= t <= 1.0 + VERTEX_SNAP:
             raise StreamMeshError(f"entry parameter {t} outside [0, 1]")
         t = min(1.0, max(0.0, t))
-        entry = self._enter(self._edge_pieces[k], t, enter)
+        entry = self._enter(self._pieces[2 * k], t, enter)
         if entry is None:
             raise StreamMeshError(
                 f"entry at edge {k} t={t} of facet {self.facet} "
@@ -734,22 +694,16 @@ class StreamMesh:
         A point on a forward tangency slides with the border orientation, so
         a forward line prefers the forward neighbor; on a backward tangency
         it prefers the backward neighbor.  A backward line slides the other
-        way, so the roles of the two tangents swap.  Walks use border
-        adjacency, not face adjacency, so split tangents resolve across
-        chord junctions correctly.
+        way, so the roles of the two tangents swap.  Walks follow the
+        border links ``nxt``/``prv``, not a face, so split tangents resolve
+        across chord junctions correctly.
         """
-        i = self._border.index(sh)
-        n = len(self._border)
-        fwd = next(
-            self._border[(i + d) % n]
-            for d in range(1, n)
-            if not self._border[(i + d) % n].behavior.is_tangent
-        )
-        bwd = next(
-            self._border[(i - d) % n]
-            for d in range(1, n)
-            if not self._border[(i - d) % n].behavior.is_tangent
-        )
+        fwd = sh.nxt
+        while fwd.behavior.is_tangent:
+            fwd = fwd.nxt
+        bwd = sh.prv
+        while bwd.behavior.is_tangent:
+            bwd = bwd.prv
         order = [(fwd, 0.0), (bwd, 1.0)]
         if sh.behavior == (Behavior.TB if enter == Behavior.IN else Behavior.TF):
             order.reverse()
@@ -767,11 +721,12 @@ class StreamMesh:
         while the stream mesh may cut the corner a hair inside it; there
         the pieces within ``VERTEX_SNAP`` of the end are tried as well.
         """
-        if self._edge_pieces is None:
+        if self._runs is None:
             raise StreamMeshError("stream mesh not finalized")
-        entry = self._enter(self._corner_pieces[k], t, enter)
+        pieces = self._pieces[2 * k + 1]
+        entry = self._enter(pieces, t, enter)
         if entry is None and t in (0.0, 1.0):
-            entry = self._enter(self._corner_pieces[k], t, enter, VERTEX_SNAP)
+            entry = self._enter(pieces, t, enter, VERTEX_SNAP)
         if entry is None:
             raise StreamMeshError(
                 f"corner {k} t={t} of facet {self.facet} is not an entry"

@@ -77,6 +77,17 @@ def test_trace_explicit_seed_backward(tmp_path):
     assert recs[0]["seed"]["direction"] == "backward"
 
 
+@pytest.mark.parametrize("tok", ["99999:0.5", "-1:0.5", "0:1.5", "0:nan"])
+def test_malformed_seed_point_exits_2(tmp_path, capsys, tok):
+    obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    rc = main([
+        "trace", "--mesh", obj, "--field", field,
+        f"--seed-points={tok}", "--out", str(tmp_path / "bad.jsonl"),
+    ])
+    assert rc == 2
+    assert "seed point" in capsys.readouterr().err
+
+
 def test_trace_rk4_engine(tmp_path):
     obj, field = synth(tmp_path, "grid", "--nx", "5", "--ny", "4", "--angle", "25")
     lines = str(tmp_path / "rk4.jsonl")

@@ -290,6 +290,36 @@ def test_decompose_random_stress():
     assert max(hist) >= 8
 
 
+# fan-mesh samples along which whole border elements run tangent, so that a
+# split meets a separator of two or three tangent pieces
+MULTI_TANGENT = [
+    [-270.0, 180.0, 180.0, 180.0, 180.0, 540.0],
+    [-270.0, -90.0, 0.0, 0.0, 0.0, 540.0],
+]
+
+
+def test_every_stream_face_closes():
+    rng = np.random.default_rng(21)
+    meshes = [decompose(*wound_config(rng), 0) for _ in range(300)]
+    meshes += [decompose(fan_mesh(), samples_from_reals(v), 0) for v in MULTI_TANGENT]
+    for sm in meshes:
+        owner = {}
+        for face_id, (groups, seps) in sm.faces.items():
+            walk = [sh for sep, g in zip(seps, groups) for sh in sep + g]
+            for sh in walk:
+                assert sh.id not in owner
+                owner[sh.id] = face_id
+                assert sh.face == face_id
+            for a, b in zip(walk, walk[1:] + walk[:1]):
+                if a.kind != "chord" and b.kind != "chord":
+                    assert a.nxt is b
+                if b.kind == "chord":
+                    assert b.origin == (a.element, a.t1)
+                if a.kind == "chord":
+                    assert a.dest == (b.element, b.t0)
+        assert sorted(owner) == [sh.id for sh in sm.hs]
+
+
 def test_chord_twins_carry_equal_flux():
     from streamtrace import phi
 
