@@ -314,12 +314,9 @@ def cmd_synth(args):
     elif kind == "icosphere-random":
         mesh = meshgen.icosphere(args.subdiv)
         fs = synth_field(mesh, "smoothed-random", seed=seed)
-    elif kind == "torus-random":
+    else:  # torus-random; argparse rejects any other kind
         mesh = meshgen.torus()
         fs = synth_field(mesh, "smoothed-random", seed=seed)
-    else:
-        print(f"unknown synth kind {kind!r}", file=sys.stderr)
-        return 2
     save_obj(args.out + ".obj", mesh)
     save_field(args.out + ".field", fs)
     bad = validate(mesh, fs)

@@ -131,14 +131,10 @@ def locate(run, x):
     if x > run.total:
         x = run.total
     j = bisect_left(run.ends, x)
-    while j < len(run.pieces) and run.totals[j] == 0.0:
+    # a zero-flux piece ends where the piece before it does, so bisect lands
+    # on one only at x == 0, ahead of the first flux-bearing piece
+    while run.totals[j] == 0.0:
         j += 1
-    if j >= len(run.pieces):
-        # x == total with trailing zero-flux pieces
-        for i in range(len(run.pieces) - 1, -1, -1):
-            if run.totals[i] > 0.0:
-                return run.pieces[i], 1.0
-        raise FluxError("run has no flux-bearing pieces")
     sh = run.pieces[j]
     # prefix-sum roundoff may land a hair outside the piece's own range
     rem = min(max(x - run.starts[j], 0.0), run.totals[j])

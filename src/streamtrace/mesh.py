@@ -52,7 +52,6 @@ class FacetFrame:
 
     u: np.ndarray
     v: np.ndarray
-    edge_vecs: np.ndarray
     edge_lens: np.ndarray
     edge_angles: np.ndarray
     betas: np.ndarray
@@ -184,7 +183,6 @@ class SurfaceMesh:
         nf = len(self.faces)
         self._frame_u = np.empty((nf, 3))
         self._frame_v = np.empty((nf, 3))
-        self._edge_vecs = np.empty((nf, 3, 3))
         self._edge_lens = np.empty((nf, 3))
         self._betas = np.empty((nf, 3))
         self._edge_angles = np.empty((nf, 3))
@@ -195,13 +193,13 @@ class SurfaceMesh:
         p = self.vertices
         for f, (a, b, c) in enumerate(self.faces):
             pts = (p[a], p[b], p[c])
+            es = [pts[(k + 1) % 3] - pts[k] for k in range(3)]
+            lens = self._edge_lens[f]
             for k in range(3):
-                e = pts[(k + 1) % 3] - pts[k]
-                self._edge_vecs[f, k] = e
-                self._edge_lens[f, k] = np.linalg.norm(e)
-            normal = np.cross(self._edge_vecs[f, 0], -self._edge_vecs[f, 2])
+                lens[k] = np.linalg.norm(es[k])
+            normal = np.cross(es[0], -es[2])
             normal /= np.linalg.norm(normal)
-            u0 = self._edge_vecs[f, 0] / self._edge_lens[f, 0]
+            u0 = es[0] / lens[0]
             v0 = np.cross(normal, u0)
             off = self._reference_offsets[f]
             if off:
@@ -212,9 +210,8 @@ class SurfaceMesh:
             self._frame_u[f] = u
             self._frame_v[f] = v
             for k in range(3):
-                d1 = -self._edge_vecs[f, k]
-                d2 = self._edge_vecs[f, (k + 1) % 3]
-                cosb = np.dot(d1, d2) / (np.linalg.norm(d1) * np.linalg.norm(d2))
+                k1 = (k + 1) % 3
+                cosb = np.dot(-es[k], es[k1]) / (lens[k] * lens[k1])
                 self._betas[f, k] = math.acos(min(1.0, max(-1.0, cosb)))
             # unwrapped angles from r to the edge directions: the turn at
             # each corner is pi - beta in (0, pi), accumulated, never reduced
@@ -308,7 +305,6 @@ class SurfaceMesh:
         return FacetFrame(
             u=self._frame_u[f],
             v=self._frame_v[f],
-            edge_vecs=self._edge_vecs[f],
             edge_lens=self._edge_lens[f],
             edge_angles=self._edge_angles[f],
             betas=self._betas[f],

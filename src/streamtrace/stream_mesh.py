@@ -390,7 +390,7 @@ class StreamMesh:
 
     # -- face queries ------------------------------------------------------
 
-    def a_sequence(self, face_id=None):
+    def a_sequence(self, face_id):
         """Alternation profile of a face border, one value per flow group.
 
         Starts at 0 on an outflow group; steps by +1 or -1 per the type of
@@ -398,8 +398,6 @@ class StreamMesh:
         -2, which reflects that the border direction gains a full turn per
         loop; strictly decreasing over the period means the face is simple.
         """
-        if face_id is None:
-            face_id = self.main_face
         groups, seps = self.faces[face_id]
         if len(groups) % 2 != 0:
             raise StreamMeshError("flow groups do not alternate")
@@ -641,28 +639,21 @@ class StreamMesh:
     def import_position(self, halfedge, c, enter=Behavior.IN):
         """Map a mesh border point into the stream mesh: (piece, local c).
 
-        ``halfedge`` must bound this facet (either side of the edge is
-        accepted; the parameter is reoriented to the facet's own halfedge).
-        ``enter`` is the behavior of the pieces a line may enter on: ``IN``
-        for forward lines, ``OUT`` for backward ones.  Points landing on a
-        tangency resolve to the endpoint of the adjacent entry piece;
-        landing strictly inside a piece of the other flow is an error.
+        ``halfedge`` must be one of this facet's own halfedges, and ``c``
+        runs along it.  ``enter`` is the behavior of the pieces a line may
+        enter on: ``IN`` for forward lines, ``OUT`` for backward ones.
+        Points landing on a tangency resolve to the endpoint of the adjacent
+        entry piece; landing strictly inside a piece of the other flow is an
+        error.
         """
-        mesh = self.mesh
-        if mesh.facet(halfedge) == self.facet:
-            k = halfedge % 3
-            t = c
-        else:
-            o = mesh.opposite(halfedge)
-            if mesh.facet(o) != self.facet:
-                raise StreamMeshError(
-                    f"halfedge {halfedge} does not bound facet {self.facet}"
-                )
-            k = o % 3
-            t = 1.0 - c
-        if not -VERTEX_SNAP <= t <= 1.0 + VERTEX_SNAP:
-            raise StreamMeshError(f"entry parameter {t} outside [0, 1]")
-        t = min(1.0, max(0.0, t))
+        if self.mesh.facet(halfedge) != self.facet:
+            raise StreamMeshError(
+                f"halfedge {halfedge} is not a halfedge of facet {self.facet}"
+            )
+        k = halfedge % 3
+        if not -VERTEX_SNAP <= c <= 1.0 + VERTEX_SNAP:
+            raise StreamMeshError(f"entry parameter {c} outside [0, 1]")
+        t = min(1.0, max(0.0, c))
         entry = self._enter(self._pieces[2 * k], t, enter)
         if entry is None:
             raise StreamMeshError(

@@ -405,7 +405,10 @@ class CrossingViolation:
 
 
 def _border_key(mesh, facet, tp):
-    """Map a trace point on the facet border to a cyclic coordinate in [0, 3)."""
+    """Map a trace point on the facet border to its key in [0, 3].
+
+    Edge k covers [k, k + 1], so vertex 0 reads as 0.0 or as 3.0.
+    """
     h = tp.halfedge
     if tp.c > 1.0:
         return (h % 3 + 1.0) % 3.0  # absorbing corner: the vertex itself
@@ -423,19 +426,23 @@ def _border_key(mesh, facet, tp):
     raise TraceError(f"trace point {tp} does not touch facet {facet}")
 
 
-def _in_open_arc(x, a, b):
-    span = (b - a) % 3.0
-    pos = (x - a) % 3.0
-    return 0.0 < pos < span
+def _same_point(p, q):
+    """True when two border keys lie within 1e-12 around the facet border."""
+    d = abs(p - q)
+    return d <= 1e-12 or 3.0 - d <= 1e-12
 
 
 def check_crossings(mesh, polylines):
     """Pairwise interleaving test of traced segments inside each facet.
 
-    Two segments whose endpoints strictly interleave around the facet border
-    must cross; segments sharing an endpoint are tangential meetings and are
-    allowed.  Returns the violations found (empty when the no-crossing
-    guarantee holds).
+    Cut open at vertex 0, a facet border is the interval [0, 3] of
+    ``_border_key``, and each segment is stored once as its sorted keys
+    ``(lo, hi)``.  Two segments cross when exactly one endpoint of the
+    second lies strictly inside ``(lo, hi)`` of the first.  Segments sharing
+    an endpoint are tangential meetings and are allowed: two keys are one
+    point when their gap d is at most 1e-12, or when 3 - d is (vertex 0
+    reads as 0.0 or as 3.0).  Returns the violations found (empty when the
+    no-crossing guarantee holds).
     """
     by_facet = defaultdict(list)
     for li, pl in enumerate(polylines):
@@ -449,21 +456,20 @@ def check_crossings(mesh, polylines):
             kb = _border_key(mesh, f, tp_b)
             if ka == kb:
                 continue
-            by_facet[f].append((ka, kb, li, si))
+            lo, hi = (ka, kb) if ka < kb else (kb, ka)
+            by_facet[f].append((lo, hi, li, si))
     violations = []
-    eps = 1e-12
     for f, segs in by_facet.items():
-        for i in range(len(segs)):
-            a1, b1, l1, s1 = segs[i]
-            for j in range(i + 1, len(segs)):
-                a2, b2, l2, s2 = segs[j]
-                shared = any(
-                    min((p - q) % 3.0, (q - p) % 3.0) <= eps
-                    for p in (a1, b1)
-                    for q in (a2, b2)
-                )
-                if shared:
+        for i, (lo1, hi1, l1, s1) in enumerate(segs):
+            for lo2, hi2, l2, s2 in segs[i + 1:]:
+                if (lo1 < lo2 < hi1) == (lo1 < hi2 < hi1):
                     continue
-                if _in_open_arc(a2, a1, b1) != _in_open_arc(b2, a1, b1):
-                    violations.append(CrossingViolation(f, l1, s1, l2, s2))
+                if (
+                    _same_point(lo1, lo2)
+                    or _same_point(lo1, hi2)
+                    or _same_point(hi1, lo2)
+                    or _same_point(hi1, hi2)
+                ):
+                    continue
+                violations.append(CrossingViolation(f, l1, s1, l2, s2))
     return violations

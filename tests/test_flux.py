@@ -169,10 +169,12 @@ def random_run(rng, n):
 
 def test_locate_matches_linear_scan_everywhere():
     rng = np.random.default_rng(8)
+    zero_tails = 0
     for _ in range(200):
         run = random_run(rng, int(rng.integers(1, 9)))
         if run.total <= 0.0:
             continue
+        zero_tails += run.totals[-1] == 0.0
         probes = list(rng.uniform(0.0, run.total, 20))
         probes += [0.0, run.total]
         # piece boundaries are the tie cases
@@ -185,6 +187,8 @@ def test_locate_matches_linear_scan_everywhere():
             b_sh, b_c = linear_scan_locate(run, float(x))
             assert a_sh is b_sh, f"x={x}"
             assert abs(a_c - b_c) < 1e-12
+    # x == total on a run ending in zero-flux pieces is among the probes
+    assert zero_tails >= 10
 
 
 def test_accumulate_then_locate_round_trips():

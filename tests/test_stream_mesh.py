@@ -366,6 +366,26 @@ def test_import_prefers_inflow_at_shared_cut():
     assert sh.behavior == Behavior.OUT
 
 
+def test_import_takes_only_the_facets_own_halfedges():
+    m = fan_mesh()
+    fs = samples_from_reals(WOUND)
+    sm = decompose(m, fs, 0)
+    rng = np.random.default_rng(16)
+    imported = 0
+    for _ in range(60):
+        k = int(rng.integers(0, 3))
+        c = float(rng.uniform(0.0, 1.0))
+        try:
+            sm.import_position(k, c)
+        except StreamMeshError:
+            continue  # outflow point: not importable
+        imported += 1
+        # the same point named from the other side of the edge
+        with pytest.raises(StreamMeshError):
+            sm.import_position(m.opposite(k), 1.0 - c)
+    assert imported >= 10
+
+
 def test_reference_rotation_leaves_cuts_invariant():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)

@@ -1,12 +1,15 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
 from streamtrace import (
+    RK4Config,
     TraceError,
     flux,
     meshgen,
+    rk4_trace,
     stream_mesh,
     synth_field,
 )
@@ -15,9 +18,11 @@ from streamtrace.field import interpolated_angle, vertex_index
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import Behavior
 from streamtrace.tracer import (
+    CrossingViolation,
     Polyline,
     Seed,
     Tracer,
+    _border_key,
     check_crossings,
     load_polylines,
     save_polylines,
@@ -354,6 +359,139 @@ def test_traced_scene_has_no_crossings():
             pass
     assert len(pls) >= 15
     assert check_crossings(mesh, pls) == []
+
+
+def arc_check_crossings(mesh, polylines):
+    """Modular-arc form of ``check_crossings``: the oracle it must equal.
+
+    Keys are read as points on a circle of length 3; two keys share a point
+    when their circular distance is at most 1e-12, and a pair crosses when
+    exactly one endpoint of the second segment lies on the open arc running
+    from the first segment's start to its end.
+    """
+    by_facet = defaultdict(list)
+    for li, pl in enumerate(polylines):
+        pts = pl.points
+        for si in range(len(pts) - 1):
+            tp_a, tp_b = pts[si], pts[si + 1]
+            f = mesh.facet(tp_b.halfedge)
+            if f is None:
+                f = mesh.facet(mesh.opposite(tp_b.halfedge))
+            ka = _border_key(mesh, f, tp_a)
+            kb = _border_key(mesh, f, tp_b)
+            if ka != kb:
+                by_facet[f].append((ka, kb, li, si))
+
+    def in_open_arc(x, a, b):
+        return 0.0 < (x - a) % 3.0 < (b - a) % 3.0
+
+    violations = []
+    for f, segs in by_facet.items():
+        for i, (a1, b1, l1, s1) in enumerate(segs):
+            for a2, b2, l2, s2 in segs[i + 1:]:
+                shared = any(
+                    min((p - q) % 3.0, (q - p) % 3.0) <= 1e-12
+                    for p in (a1, b1)
+                    for q in (a2, b2)
+                )
+                if not shared and in_open_arc(a2, a1, b1) != in_open_arc(
+                    b2, a1, b1
+                ):
+                    violations.append(CrossingViolation(f, l1, s1, l2, s2))
+    return violations
+
+
+def edge_point_names(mesh, f, k, t):
+    """Trace points naming parameter t of facet f's edge k.
+
+    Each comes with whether it may end a segment: ``check_crossings`` reads
+    a segment's facet from its end point, so the neighbour's halfedge may
+    end one only when it is an outward boundary halfedge.
+    """
+    h = 3 * f + k
+    o = mesh.opposite(h)
+    return [(TracePoint(h, t), True), (TracePoint(o, 1.0 - t), not mesh.has_facet(o))]
+
+
+def vertex_point_names(mesh, f, j, rng):
+    """Trace points naming corner j of facet f (the origin of edge j)."""
+    h_out, h_in = 3 * f + j, 3 * f + (j + 2) % 3
+    v = mesh.origin(h_out)
+    names = edge_point_names(mesh, f, j, 0.0)
+    names += edge_point_names(mesh, f, (j + 2) % 3, 1.0)
+    # sink encodings: the edge that ends at v, with c in (1, 2]
+    names.append((TracePoint(h_in, float(rng.choice([1.5, 2.0, 1.0 + 1e-9]))), True))
+    # vertex pivots: halfedges of the fan around v that do not bound f
+    for g in mesh.outgoing_halfedges(v):
+        o = mesh.opposite(g)
+        if f not in (mesh.facet(g), mesh.facet(o)):
+            names += [(TracePoint(g, 0.0), False), (TracePoint(o, 1.0), False)]
+    return names
+
+
+def random_one_facet_lines(mesh, rng):
+    """Random polylines whose segments all lie in one facet.
+
+    Points cluster around a few anchors (corners and edge points) at gaps
+    of 0, 0.5e-12, 1e-12 and 2e-12, so shared-endpoint decisions sit on
+    both sides of the checker's 1e-12 tolerance, across vertex 0 too.
+    """
+    f = int(rng.integers(mesh.n_facets))
+    names = []
+    for _ in range(int(rng.integers(2, 6))):
+        gap = float(rng.choice([0.5e-12, 1e-12, 2e-12]))
+        if rng.random() < 0.5:
+            j = int(rng.integers(3))
+            names += vertex_point_names(mesh, f, j, rng)
+            names += edge_point_names(mesh, f, j, gap)
+            names += edge_point_names(mesh, f, (j + 2) % 3, 1.0 - gap)
+        else:
+            k = int(rng.integers(3))
+            t = float(rng.uniform(0.01, 0.99))
+            for tk in (t, t - gap, t + gap):
+                names += edge_point_names(mesh, f, k, tk)
+    ends = [tp for tp, can_end in names if can_end]
+    lines = []
+    for _ in range(int(rng.integers(2, 10))):
+        pl = Polyline(None)
+        pts = [names[rng.integers(len(names))][0]]
+        pts += [ends[rng.integers(len(ends))] for _ in range(int(rng.integers(1, 3)))]
+        for tp in pts:
+            pl.append(tp, mesh.position(tp))
+        lines.append(pl)
+    return lines
+
+
+def test_check_crossings_equals_arc_oracle_on_random_facets():
+    mesh = meshgen.grid(3, 3, distortion=0.2, seed=4)
+    rng = np.random.default_rng(31)
+    crossing_sets = 0
+    for _ in range(3000):
+        lines = random_one_facet_lines(mesh, rng)
+        got = check_crossings(mesh, lines)
+        assert got == arc_check_crossings(mesh, lines)
+        crossing_sets += bool(got)
+    # the corpus holds both crossing and non-crossing sets
+    assert 0 < crossing_sets < 3000
+
+
+def test_check_crossings_equals_arc_oracle_on_reference_lines():
+    # criterion 9's shear, where RK4 lines cross by the thousand
+    from test_acceptance import planar_angle_field
+
+    mesh = meshgen.grid(12, 12)
+    fs = planar_angle_field(mesh, lambda x, y: 90.0 + 36000.0 * (y - 0.503))
+    seeds = [
+        boundary_seed(mesh, 0, 1.0, float(y)) for y in np.linspace(0.451, 0.549, 30)
+    ]
+    counts = []
+    for fraction in (0.05, 0.1, 0.3):
+        cfg = RK4Config(step_fraction=fraction, max_steps=20000)
+        ref = [rk4_trace(mesh, fs, s, cfg) for s in seeds]
+        got = check_crossings(mesh, ref)
+        assert got == arc_check_crossings(mesh, ref)
+        counts.append(len(got))
+    assert max(counts) >= 1000
 
 
 def test_step_cap_termination():
