@@ -36,33 +36,41 @@ EVENNESS_TOL = 1e-6
 
 
 class FieldSamples:
-    """Six direction samples per facet (degrees in [0, 360) plus windings)."""
+    """Six direction samples per facet (degrees in [0, 360) plus windings).
+
+    The real border angles of every facet are computed once, on
+    construction, into a read-only ``(n_facets, 7)`` node table; ``nodes``
+    returns its rows.
+    """
 
     def __init__(self, angles, windings):
         angles = np.asarray(angles, dtype=np.float64)
         windings = np.asarray(windings, dtype=np.int64)
         if angles.shape != windings.shape or angles.ndim != 2 or angles.shape[1] != 6:
             raise FieldError("field samples must be two (n_facets, 6) arrays")
-        if np.any(angles < 0.0) or np.any(angles >= 360.0):
+        if not np.all((angles >= 0.0) & (angles < 360.0)):
             raise FieldError("sample angles must lie in [0, 360)")
         self.angles = angles
         self.windings = windings
         self.angles.setflags(write=False)
         self.windings.setflags(write=False)
+        th = angles + 360.0 * windings
+        self._nodes = np.concatenate([th, th[:, :1] - 360.0], axis=1)
+        self._nodes.setflags(write=False)
 
     @property
     def n_facets(self):
         return len(self.angles)
 
     def nodes(self, f):
-        """Real border angles of facet f as a 7-array.
+        """Real border angles of facet f as a read-only 7-array.
 
         Entries 0..5 are the six samples un-reduced; entry 6 repeats sample 0
         minus 360, closing the border loop.  Edge k interpolates nodes[2k] ->
-        nodes[2k+1]; corner k interpolates nodes[2k+1] -> nodes[2k+2].
+        nodes[2k+1]; corner k interpolates nodes[2k+1] -> nodes[2k+2].  The
+        row is a view of the node table built once with the samples.
         """
-        th = self.angles[f] + 360.0 * self.windings[f]
-        return np.append(th, th[0] - 360.0)
+        return self._nodes[f]
 
     def flipped(self):
         """The reverse field: every sample rotated by 180 degrees."""
@@ -107,7 +115,8 @@ def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
     13 numbers: the facet id followed by six (angle, winding) pairs.  ``#``
     starts a comment.  Angles outside [0, 360) are normalized on load with
     the winding adjusted to keep the real angle unchanged (370 becomes 10
-    with winding + 1).
+    with winding + 1).  A non-finite angle, or a winding that does not fit
+    64 bits after that adjustment, is a ``FieldError`` naming its line.
     """
     angles = np.full((mesh.n_facets, 6), np.nan)
     windings = np.zeros((mesh.n_facets, 6), dtype=np.int64)
@@ -141,10 +150,18 @@ def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
             if seen[fid]:
                 raise FieldError(f"line {lineno}: duplicate facet id {fid}")
             seen[fid] = True
-            for i in range(6):
-                a, w = normalize_sample(vals[i])
-                angles[fid, i] = a
-                windings[fid, i] = winds[i] + w
+            try:
+                for i in range(6):
+                    a, w = normalize_sample(vals[i])
+                    angles[fid, i] = a
+                    windings[fid, i] = winds[i] + w
+            except (OverflowError, ValueError):
+                # math.floor rejects inf and nan, the int64 store any winding
+                # (given, or from a huge angle) outside 64 bits
+                raise FieldError(
+                    f"line {lineno}: angle {vals[i]!r} with winding {winds[i]} "
+                    "is not a finite angle with a 64-bit winding"
+                ) from None
     if header is None:
         raise FieldError("empty field file")
     if not seen.all():
@@ -221,57 +238,62 @@ def validate(mesh: SurfaceMesh, fieldsamples: FieldSamples) -> list[Violation]:
     * corner distribution: around every interior vertex the per-corner jump
       divided by the corner angle must agree across corners, which makes the
       jump a single vertex property spread evenly by angle.
+
+    Both checks run on whole arrays.  Edge violations come first, by lower
+    halfedge id, then vertex violations, by vertex id.
     """
     if fieldsamples.n_facets != mesh.n_facets:
         raise FieldError("field facet count does not match mesh")
+    nodes = fieldsamples._nodes
     violations = []
 
-    for h in range(mesh.n_interior_halfedges):
-        o = mesh.opposite(h)
-        if o < h or not mesh.has_facet(o):
-            continue
-        f, k = h // 3, h % 3
-        g, k2 = o // 3, o % 3
-        na, nb = fieldsamples.nodes(f), fieldsamples.nodes(g)
-        d1 = _circular_gap(nb[2 * k2 + 1] - na[2 * k] - 180.0)
-        d2 = _circular_gap(nb[2 * k2] - na[2 * k + 1] - 180.0)
-        rot_a = na[2 * k + 1] - na[2 * k]
-        rot_b = nb[2 * k2 + 1] - nb[2 * k2]
-        d3 = abs(rot_a + rot_b)
-        worst = max(d1, d2, d3)
-        if worst > CONTINUITY_TOL_DEG:
-            u, v = mesh.origin(h), mesh.dest(h)
-            violations.append(
-                Violation(
-                    kind="edge-continuity",
-                    where=f"edge ({u}, {v})",
-                    discrepancy=worst,
-                    edge=(u, v),
-                )
+    # flat index of node 2k of a halfedge's facet; node 2k + 1 follows it
+    h, o = mesh.interior_edge_pairs()
+    ia, ib = 7 * (h // 3) + 2 * (h % 3), 7 * (o // 3) + 2 * (o % 3)
+    flat = nodes.ravel()
+    a0, a1, b0, b1 = flat[ia], flat[ia + 1], flat[ib], flat[ib + 1]
+    d1 = _circular_gap(b1 - a0 - 180.0)
+    d2 = _circular_gap(b0 - a1 - 180.0)
+    d3 = np.abs((a1 - a0) + (b1 - b0))
+    worst = np.maximum(np.maximum(d1, d2), d3)
+    for i in np.nonzero(worst > CONTINUITY_TOL_DEG)[0].tolist():
+        u, v = mesh.origin(h[i]), mesh.dest(h[i])
+        violations.append(
+            Violation(
+                kind="edge-continuity",
+                where=f"edge ({u}, {v})",
+                discrepancy=float(worst[i]),
+                edge=(u, v),
             )
+        )
 
-    for v in range(mesh.n_vertices):
-        if mesh.is_boundary_vertex(v):
-            continue
-        ratios = []
-        for f, k in _vertex_corners(mesh, v):
-            beta = mesh.corner_angle(3 * f + k)
-            ratios.append(corner_jump_deg(mesh, fieldsamples, f, k) / beta)
-        if ratios and max(ratios) - min(ratios) > EVENNESS_TOL:
-            violations.append(
-                Violation(
-                    kind="uneven-corner-distribution",
-                    where=f"vertex {v}",
-                    discrepancy=max(ratios) - min(ratios),
-                    vertex=v,
-                )
+    # one jump / beta ratio per corner; corner k sits on facet vertex k + 1
+    betas = mesh.corner_angles()
+    corner_rot = nodes[:, 2::2] - nodes[:, 1::2]
+    ratios = (-corner_rot - (180.0 - np.degrees(betas))) / betas
+    at = np.roll(mesh.faces, -1, axis=1)
+    inner = ~mesh.boundary_vertices()[at]
+    at, ratios = at[inner], ratios[inner]
+    hi = np.full(mesh.n_vertices, -np.inf)
+    lo = np.full(mesh.n_vertices, np.inf)
+    np.maximum.at(hi, at, ratios)
+    np.minimum.at(lo, at, ratios)
+    spread = hi - lo  # -inf on vertices without an interior corner
+    for v in np.nonzero(spread > EVENNESS_TOL)[0].tolist():
+        violations.append(
+            Violation(
+                kind="uneven-corner-distribution",
+                where=f"vertex {v}",
+                discrepancy=float(spread[v]),
+                vertex=v,
             )
+        )
     return violations
 
 
 def _circular_gap(delta_deg):
-    """Distance from a degree value to the nearest multiple of 360."""
-    return abs(delta_deg - 360.0 * round(delta_deg / 360.0))
+    """Distance from degree values to the nearest multiple of 360."""
+    return np.abs(delta_deg - 360.0 * np.rint(delta_deg / 360.0))
 
 
 # -- border interpolation -----------------------------------------------------

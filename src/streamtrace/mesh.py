@@ -69,6 +69,9 @@ class SurfaceMesh:
             raise MeshError("faces must be an (m, 3) array")
         if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
             raise MeshError("face references a vertex that does not exist")
+        bad = np.nonzero(~np.isfinite(vertices).all(axis=1))[0]
+        if len(bad):
+            raise MeshError(f"vertex {bad[0]} has a non-finite coordinate")
         self.vertices = vertices
         self.faces = faces
         self._build_connectivity()
@@ -82,8 +85,8 @@ class SurfaceMesh:
     def _build_connectivity(self):
         nf = len(self.faces)
         n_interior = 3 * nf
-        directed = {}
-        for f, (a, b, c) in enumerate(self.faces):
+        directed = {}  # (origin, dest) -> halfedge, in ascending halfedge order
+        for f, (a, b, c) in enumerate(self.faces.tolist()):
             for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
                 if u == v:
                     raise MeshError(f"facet {f} repeats vertex {u}")
@@ -93,12 +96,6 @@ class SurfaceMesh:
                         f"({u}, {v}) at facet {f}"
                     )
                 directed[(u, v)] = 3 * f + k
-
-        origin = np.empty(n_interior, dtype=np.int64)
-        dest = np.empty(n_interior, dtype=np.int64)
-        for (u, v), h in directed.items():
-            origin[h] = u
-            dest[h] = v
 
         opposite = np.full(n_interior, -1, dtype=np.int64)
         boundary_pairs = []  # (origin, dest) of boundary halfedges to create
@@ -118,15 +115,14 @@ class SurfaceMesh:
         self._prev = np.empty(n, dtype=np.int64)
         self._facet = np.empty(n, dtype=np.int64)
 
-        self._origin[:n_interior] = origin
-        self._dest[:n_interior] = dest
+        self._origin[:n_interior] = self.faces.ravel()
+        self._dest[:n_interior] = np.roll(self.faces, -1, axis=1).ravel()
         self._opposite[:n_interior] = opposite
-        for f in range(nf):
-            for k in range(3):
-                h = 3 * f + k
-                self._next[h] = 3 * f + (k + 1) % 3
-                self._prev[h] = 3 * f + (k + 2) % 3
-                self._facet[h] = f
+        h = np.arange(n_interior)
+        first = h - h % 3  # 3 * facet
+        self._next[:n_interior] = first + (h + 1) % 3
+        self._prev[:n_interior] = first + (h + 2) % 3
+        self._facet[:n_interior] = h // 3
 
         boundary_by_origin = {}
         for i, (u, v) in enumerate(boundary_pairs):
@@ -151,12 +147,12 @@ class SurfaceMesh:
         # outgoing halfedges per vertex; remember which vertices touch the
         # boundary (those get a boundary halfedge as well)
         self._vertex_out = [[] for _ in range(len(self.vertices))]
-        for h in range(n):
-            self._vertex_out[self._origin[h]].append(h)
+        for h, u in enumerate(self._origin.tolist()):
+            self._vertex_out[u].append(h)
         self._vertex_on_boundary = np.zeros(len(self.vertices), dtype=bool)
-        for b in range(n_interior, n):
-            self._vertex_on_boundary[self._origin[b]] = True
-            self._vertex_on_boundary[self._dest[b]] = True
+        self._vertex_on_boundary[self._origin[n_interior:]] = True
+        self._vertex_on_boundary[self._dest[n_interior:]] = True
+        self._vertex_on_boundary.setflags(write=False)
         self.n_interior_halfedges = n_interior
 
     def _check_degenerate(self):
@@ -173,56 +169,60 @@ class SurfaceMesh:
             raise MeshError(f"degenerate facet {bad[0]}")
 
     def _build_frames(self, reference_offsets=None):
-        """Precompute per-facet frames.
+        """Precompute per-facet frames as ``(n_facets, 3)`` arrays.
 
         ``reference_offsets`` rotates each facet's reference direction r by
         the given angle (radians, counterclockwise in the facet plane).  The
         default of zero pins r to edge 0.  Rotated references exist so tests
         can check that traced points do not depend on the choice of r.
+
+        Every facet is computed at once, yet each value is bit-identical to
+        a per-facet loop over 3-vectors: ``np.vecdot`` runs the same BLAS
+        ``dot`` as ``np.dot`` and ``np.linalg.norm`` on one vector, and the
+        corner angles and offset rotations go through ``math.acos``,
+        ``math.cos`` and ``math.sin`` one value at a time, since the numpy
+        ufuncs may round those differently.
         """
         nf = len(self.faces)
-        self._frame_u = np.empty((nf, 3))
-        self._frame_v = np.empty((nf, 3))
-        self._edge_lens = np.empty((nf, 3))
-        self._betas = np.empty((nf, 3))
-        self._edge_angles = np.empty((nf, 3))
         if reference_offsets is None:
             reference_offsets = np.zeros(nf)
-        self._reference_offsets = np.asarray(reference_offsets, dtype=float)
+        offs = np.asarray(reference_offsets, dtype=float)
 
-        p = self.vertices
-        for f, (a, b, c) in enumerate(self.faces):
-            pts = (p[a], p[b], p[c])
-            es = [pts[(k + 1) % 3] - pts[k] for k in range(3)]
-            lens = self._edge_lens[f]
-            for k in range(3):
-                lens[k] = np.linalg.norm(es[k])
-            normal = np.cross(es[0], -es[2])
-            normal /= np.linalg.norm(normal)
-            u0 = es[0] / lens[0]
-            v0 = np.cross(normal, u0)
-            off = self._reference_offsets[f]
-            if off:
-                u = math.cos(off) * u0 + math.sin(off) * v0
-                v = math.cos(off) * v0 - math.sin(off) * u0
-            else:
-                u, v = u0, v0
-            self._frame_u[f] = u
-            self._frame_v[f] = v
-            for k in range(3):
-                k1 = (k + 1) % 3
-                cosb = np.dot(-es[k], es[k1]) / (lens[k] * lens[k1])
-                self._betas[f, k] = math.acos(min(1.0, max(-1.0, cosb)))
-            # unwrapped angles from r to the edge directions: the turn at
-            # each corner is pi - beta in (0, pi), accumulated, never reduced
-            base = -off  # angle from r to edge 0
-            self._edge_angles[f, 0] = base
-            self._edge_angles[f, 1] = base + (math.pi - self._betas[f, 0])
-            self._edge_angles[f, 2] = (
-                base
-                + (math.pi - self._betas[f, 0])
-                + (math.pi - self._betas[f, 1])
-            )
+        tri = self.vertices[self.faces]  # (nf, 3 corners, 3 coordinates)
+        es = np.roll(tri, -1, axis=1) - tri  # edge k runs corner k -> k + 1
+        lens = np.sqrt(np.vecdot(es, es))
+        normal = np.cross(es[:, 0], -es[:, 2])
+        normal /= np.sqrt(np.vecdot(normal, normal))[:, None]
+        u0 = es[:, 0] / lens[:, :1]
+        v0 = np.cross(normal, u0)
+        turned = offs != 0.0
+        cos = np.array([math.cos(o) for o in offs[turned].tolist()])[:, None]
+        sin = np.array([math.sin(o) for o in offs[turned].tolist()])[:, None]
+        u, v = u0.copy(), v0.copy()
+        u[turned] = cos * u0[turned] + sin * v0[turned]
+        v[turned] = cos * v0[turned] - sin * u0[turned]
+
+        # corner k sits between edge k and edge k + 1
+        es1 = np.roll(es, -1, axis=1)
+        cosb = np.vecdot(-es, es1) / (lens * np.roll(lens, -1, axis=1))
+        betas = np.array(
+            [math.acos(min(1.0, max(-1.0, c))) for c in cosb.ravel().tolist()]
+        ).reshape(nf, 3)
+
+        # unwrapped angles from r to the edge directions: the turn at each
+        # corner is pi - beta in (0, pi), accumulated, never reduced
+        angles = np.empty((nf, 3))
+        angles[:, 0] = -offs  # angle from r to edge 0
+        angles[:, 1] = angles[:, 0] + (math.pi - betas[:, 0])
+        angles[:, 2] = angles[:, 1] + (math.pi - betas[:, 1])
+
+        for table in (u, v, lens, betas, angles):
+            table.setflags(write=False)
+        self._frame_u = u
+        self._frame_v = v
+        self._edge_lens = lens
+        self._betas = betas
+        self._edge_angles = angles
 
     # -- basic queries ----------------------------------------------------
 
@@ -273,6 +273,20 @@ class SurfaceMesh:
 
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])
+
+    def boundary_vertices(self):
+        """Read-only bool array: which vertices touch the boundary."""
+        return self._vertex_on_boundary
+
+    def interior_edge_pairs(self):
+        """Halfedges ``(h, o)`` of every edge between two facets, as arrays.
+
+        Each such edge appears once, with ``h < o``, in ascending ``h``.
+        """
+        h = np.arange(self.n_interior_halfedges)
+        o = self._opposite[: self.n_interior_halfedges]
+        keep = (o > h) & (self._facet[o] >= 0)
+        return h[keep], o[keep]
 
     def vertex_valence(self, v):
         return len(self._vertex_out[v])
@@ -327,6 +341,10 @@ class SurfaceMesh:
         if not self.has_facet(h):
             raise MeshError(f"corner angle undefined on boundary halfedge {h}")
         return float(self._betas[h // 3, h % 3])
+
+    def corner_angles(self):
+        """Read-only ``(n_facets, 3)`` array of ``corner_angle(3*f + k)``."""
+        return self._betas
 
     def corner_angle_sum(self, v):
         total = 0.0

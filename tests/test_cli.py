@@ -162,3 +162,58 @@ def test_bench_reports_ratio(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "ratio:" in out and "per facet crossing" in out
+
+
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_non_finite_vertex_exits_2(tmp_path, capsys, coord):
+    obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")
+    lines = open(obj).read().splitlines()
+    i = [n for n, line in enumerate(lines) if line.startswith("v ")][4]
+    lines[i] = f"v {coord} 0 0"
+    bad = tmp_path / "bad.obj"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["validate", "--mesh", str(bad), "--field", field])
+    assert rc == 2
+    assert "vertex 4 has a non-finite coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "angle,winding",
+    [
+        ("inf", "0"),
+        ("-inf", "0"),
+        ("nan", "0"),
+        ("1e308", "0"),
+        ("-1e308", "0"),
+        ("10.0", str(2**63)),
+        ("370.0", str(2**63 - 1)),
+        ("-10.0", str(-(2**63))),
+    ],
+)
+def test_unrepresentable_field_sample_exits_2_with_line(
+    tmp_path, capsys, angle, winding
+):
+    obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")
+    lines = open(field).read().splitlines()
+    parts = lines[3].split()
+    parts[1], parts[2] = angle, winding
+    lines[3] = " ".join(parts)
+    bad = tmp_path / "bad.field"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["validate", "--mesh", obj, "--field", str(bad)])
+    assert rc == 2
+    assert "error: line 4:" in capsys.readouterr().err
+
+
+def test_largest_windings_still_load(tmp_path):
+    obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")
+    lines = open(field).read().splitlines()
+    parts = lines[3].split()
+    parts[1], parts[2] = "10.0", str(2**63 - 1)
+    parts[3], parts[4] = "-10.0", str(-(2**63) + 1)
+    lines[3] = " ".join(parts)
+    p = tmp_path / "edge.field"
+    p.write_text("\n".join(lines) + "\n")
+    fs = load_field(p, load_obj(obj))
+    assert fs.windings[2, 0] == 2**63 - 1
+    assert fs.angles[2, 1] == 350.0 and fs.windings[2, 1] == -(2**63)

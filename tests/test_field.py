@@ -17,7 +17,12 @@ from streamtrace import (
     validate,
     vertex_index,
 )
-from streamtrace.field import normalize_sample
+from streamtrace.field import (
+    CONTINUITY_TOL_DEG,
+    EVENNESS_TOL,
+    Violation,
+    normalize_sample,
+)
 
 from conftest import right_triangle, samples_from_reals
 
@@ -229,3 +234,134 @@ def test_vertex_index_is_near_integer_on_random_valid_fields(seed, which):
         if not m.is_boundary_vertex(v):
             idx = vertex_index(m, fs, v)
             assert abs(idx - round(idx)) < 1e-6
+
+
+def test_nodes_rows_are_the_read_only_node_table(sphere_random_field, disc_mesh):
+    for fs in (sphere_random_field, synth_field(disc_mesh, "saddle")):
+        for f in range(fs.n_facets):
+            th = fs.angles[f] + 360.0 * fs.windings[f]
+            want = np.append(th, th[0] - 360.0)
+            got = fs.nodes(f)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            fs.nodes(0)[3] = 1.0
+
+
+def test_samples_reject_nan_angles():
+    ang = np.zeros((1, 6))
+    ang[0, 2] = np.nan
+    with pytest.raises(FieldError):
+        FieldSamples(ang, np.zeros((1, 6), dtype=np.int64))
+
+
+def loop_validate(mesh, fieldsamples):
+    """Per-halfedge and per-vertex loop oracle for ``validate``.
+
+    This is how ``validate`` checked fields before it worked on arrays: one
+    Python loop over interior halfedges, then one over vertices and their
+    corners, with Python ``round`` and ``max``/``min``.
+    """
+
+    def gap(delta_deg):
+        return abs(delta_deg - 360.0 * round(delta_deg / 360.0))
+
+    violations = []
+    for h in range(mesh.n_interior_halfedges):
+        o = mesh.opposite(h)
+        if o < h or not mesh.has_facet(o):
+            continue
+        f, k = h // 3, h % 3
+        g, k2 = o // 3, o % 3
+        na, nb = fieldsamples.nodes(f), fieldsamples.nodes(g)
+        d1 = gap(nb[2 * k2 + 1] - na[2 * k] - 180.0)
+        d2 = gap(nb[2 * k2] - na[2 * k + 1] - 180.0)
+        d3 = abs((na[2 * k + 1] - na[2 * k]) + (nb[2 * k2 + 1] - nb[2 * k2]))
+        worst = max(d1, d2, d3)
+        if worst > CONTINUITY_TOL_DEG:
+            u, v = mesh.origin(h), mesh.dest(h)
+            violations.append(
+                Violation("edge-continuity", f"edge ({u}, {v})", worst, edge=(u, v))
+            )
+    for v in range(mesh.n_vertices):
+        if mesh.is_boundary_vertex(v):
+            continue
+        ratios = []
+        for h in mesh.outgoing_halfedges(v):
+            f = mesh.facet(h)
+            if f is None:
+                continue
+            k = (h % 3 + 2) % 3
+            beta = mesh.corner_angle(3 * f + k)
+            ratios.append(corner_jump_deg(mesh, fieldsamples, f, k) / beta)
+        if ratios and max(ratios) - min(ratios) > EVENNESS_TOL:
+            violations.append(
+                Violation(
+                    "uneven-corner-distribution",
+                    f"vertex {v}",
+                    max(ratios) - min(ratios),
+                    vertex=v,
+                )
+            )
+    return violations
+
+
+def _broken(fs, rng, n):
+    """``fs`` with n random samples overwritten; half of them are nudges."""
+    ang = fs.angles.copy()
+    wnd = fs.windings.copy()
+    for _ in range(n):
+        f = int(rng.integers(fs.n_facets))
+        i = int(rng.integers(6))
+        way = int(rng.integers(4))
+        if way == 0:  # any angle, any nearby winding
+            ang[f, i] = rng.uniform(0.0, 360.0)
+            wnd[f, i] += int(rng.integers(-2, 3))
+        elif way == 1:  # a whole turn: only corner distributions can see it
+            wnd[f, i] += int(rng.choice([-1, 1]))
+        else:  # a nudge on either side of the tolerances
+            step = rng.choice([0.3e-6, 0.9e-6, 1.1e-6, 3e-6, 1e-3])
+            a = ang[f, i] + rng.choice([-1.0, 1.0]) * step
+            ang[f, i] = min(max(a, 0.0), np.nextafter(360.0, 0.0))
+    return FieldSamples(ang, wnd)
+
+
+def test_validate_equals_loop_oracle_on_consistent_fields(
+    disc_mesh, icosphere2, torus_mesh, sphere_random_field
+):
+    grid = meshgen.grid(9, 7, distortion=0.3, seed=4)
+    cases = [
+        (grid, synth_field(grid, "constant", angle_deg=33.0)),
+        (disc_mesh, synth_field(disc_mesh, "circular")),
+        (disc_mesh, synth_field(disc_mesh, "saddle")),
+        (icosphere2, sphere_random_field),
+        (torus_mesh, synth_field(torus_mesh, "smoothed-random", seed=4)),
+    ]
+    for m, fs in cases:
+        assert validate(m, fs) == loop_validate(m, fs) == []
+
+
+def test_validate_equals_loop_oracle_on_broken_fields():
+    grid = meshgen.grid(9, 7, distortion=0.3, seed=4)
+    disc = meshgen.disc(5, 16, distortion=0.2, seed=3)
+    sphere = meshgen.icosphere(3)
+    torus = meshgen.torus()
+    scenes = [
+        (grid, synth_field(grid, "constant", angle_deg=33.0)),
+        (disc, synth_field(disc, "sink")),
+        (sphere, synth_field(sphere, "smoothed-random", seed=2)),
+        (torus, synth_field(torus, "smoothed-random", seed=5)),
+    ]
+    rng = np.random.default_rng(23)
+    sizes = []
+    kinds = set()
+    for m, fs in scenes:
+        for n in (1, 2, 5, 20, 80):
+            bad = _broken(fs, rng, n)
+            want = loop_validate(m, bad)
+            assert validate(m, bad) == want
+            sizes.append(len(want))
+            kinds.update(v.kind for v in want)
+    assert kinds == {"edge-continuity", "uneven-corner-distribution"}
+    assert sum(s >= 50 for s in sizes) >= 4
+    assert min(sizes) <= 2

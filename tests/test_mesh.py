@@ -157,3 +157,72 @@ def test_cube_corner_has_right_angle_defect():
     inner = [v for v in range(m.n_vertices) if not m.is_boundary_vertex(v)]
     assert len(inner) == 1
     assert math.isclose(m.angle_defect(inner[0]), math.pi / 2, abs_tol=1e-12)
+
+
+def loop_frames(m, reference_offsets=None):
+    """Per-facet loop oracle for ``SurfaceMesh._build_frames``.
+
+    Returns (u, v, edge_lens, betas, edge_angles), each ``(n_facets, 3)``,
+    computed one facet at a time on 3-vectors with ``np.linalg.norm`` and
+    ``np.dot``, as the frames were built before they were vectorised.
+    """
+    nf = m.n_facets
+    u_all, v_all = np.empty((nf, 3)), np.empty((nf, 3))
+    lens_all, betas, angles = np.empty((nf, 3)), np.empty((nf, 3)), np.empty((nf, 3))
+    offs = np.zeros(nf) if reference_offsets is None else reference_offsets
+    p = m.vertices
+    for f, (a, b, c) in enumerate(m.faces):
+        pts = (p[a], p[b], p[c])
+        es = [pts[(k + 1) % 3] - pts[k] for k in range(3)]
+        lens = lens_all[f]
+        for k in range(3):
+            lens[k] = np.linalg.norm(es[k])
+        normal = np.cross(es[0], -es[2])
+        normal /= np.linalg.norm(normal)
+        u0 = es[0] / lens[0]
+        v0 = np.cross(normal, u0)
+        off = offs[f]
+        if off:
+            u = math.cos(off) * u0 + math.sin(off) * v0
+            v = math.cos(off) * v0 - math.sin(off) * u0
+        else:
+            u, v = u0, v0
+        u_all[f] = u
+        v_all[f] = v
+        for k in range(3):
+            k1 = (k + 1) % 3
+            cosb = np.dot(-es[k], es[k1]) / (lens[k] * lens[k1])
+            betas[f, k] = math.acos(min(1.0, max(-1.0, cosb)))
+        base = -off
+        angles[f, 0] = base
+        angles[f, 1] = base + (math.pi - betas[f, 0])
+        angles[f, 2] = base + (math.pi - betas[f, 0]) + (math.pi - betas[f, 1])
+    return u_all, v_all, lens_all, betas, angles
+
+
+def _frame_arrays(m):
+    return m._frame_u, m._frame_v, m._edge_lens, m._betas, m._edge_angles
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: meshgen.grid(12, 9, distortion=0.3, seed=2),
+        lambda: meshgen.disc(6, 20, distortion=0.25, seed=1),
+        lambda: meshgen.icosphere(3),
+        lambda: meshgen.torus(),
+    ],
+    ids=["grid", "disc", "icosphere3", "torus"],
+)
+def test_frames_are_bit_identical_to_the_facet_loop(make):
+    m = make()
+    rng = np.random.default_rng(17)
+    offsets = rng.uniform(-math.pi, math.pi, m.n_facets)
+    offsets[::7] = 0.0  # unrotated facets among rotated ones
+    for ref in (None, offsets):
+        if ref is not None:
+            m.set_reference_offsets(ref)
+        want = loop_frames(m, ref)
+        for got, exp in zip(_frame_arrays(m), want):
+            assert got.shape == exp.shape
+            assert np.array_equal(got.view(np.int64), exp.view(np.int64))
