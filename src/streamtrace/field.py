@@ -268,11 +268,11 @@ def validate(mesh: SurfaceMesh, fieldsamples: FieldSamples) -> list[Violation]:
         )
 
     # one jump / beta ratio per corner; corner k sits on facet vertex k + 1
-    betas = mesh.corner_angles()
+    betas = mesh._betas
     corner_rot = nodes[:, 2::2] - nodes[:, 1::2]
     ratios = (-corner_rot - (180.0 - np.degrees(betas))) / betas
     at = np.roll(mesh.faces, -1, axis=1)
-    inner = ~mesh.boundary_vertices()[at]
+    inner = ~mesh._vertex_on_boundary[at]
     at, ratios = at[inner], ratios[inner]
     hi = np.full(mesh.n_vertices, -np.inf)
     lo = np.full(mesh.n_vertices, np.inf)

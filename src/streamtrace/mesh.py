@@ -177,11 +177,11 @@ class SurfaceMesh:
         can check that traced points do not depend on the choice of r.
 
         Every facet is computed at once, yet each value is bit-identical to
-        a per-facet loop over 3-vectors: ``np.vecdot`` runs the same BLAS
-        ``dot`` as ``np.dot`` and ``np.linalg.norm`` on one vector, and the
-        corner angles and offset rotations go through ``math.acos``,
-        ``math.cos`` and ``math.sin`` one value at a time, since the numpy
-        ufuncs may round those differently.
+        a per-facet loop over 3-vectors: ``np.vecdot`` (new in NumPy 2.0)
+        runs the same BLAS ``dot`` as ``np.dot`` and ``np.linalg.norm`` on
+        one vector, and the corner angles and offset rotations go through
+        ``math.acos``, ``math.cos`` and ``math.sin`` one value at a time,
+        since the numpy ufuncs may round those differently.
         """
         nf = len(self.faces)
         if reference_offsets is None:
@@ -274,10 +274,6 @@ class SurfaceMesh:
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])
 
-    def boundary_vertices(self):
-        """Read-only bool array: which vertices touch the boundary."""
-        return self._vertex_on_boundary
-
     def interior_edge_pairs(self):
         """Halfedges ``(h, o)`` of every edge between two facets, as arrays.
 
@@ -341,10 +337,6 @@ class SurfaceMesh:
         if not self.has_facet(h):
             raise MeshError(f"corner angle undefined on boundary halfedge {h}")
         return float(self._betas[h // 3, h % 3])
-
-    def corner_angles(self):
-        """Read-only ``(n_facets, 3)`` array of ``corner_angle(3*f + k)``."""
-        return self._betas
 
     def corner_angle_sum(self, v):
         total = 0.0
