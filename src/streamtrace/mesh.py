@@ -62,7 +62,10 @@ class SurfaceMesh:
 
     def __init__(self, vertices, faces):
         vertices = np.asarray(vertices, dtype=np.float64)
-        faces = np.asarray(faces, dtype=np.int64)
+        try:
+            faces = np.asarray(faces, dtype=np.int64)
+        except OverflowError:
+            raise MeshError("face references a vertex that does not exist") from None
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError("vertices must be an (n, 3) array")
         if faces.ndim != 2 or faces.shape[1] != 3:
@@ -75,7 +78,6 @@ class SurfaceMesh:
         self.vertices = vertices
         self.faces = faces
         self._build_connectivity()
-        self._check_degenerate()
         self._build_frames()
         self.vertices.setflags(write=False)
         self.faces.setflags(write=False)
@@ -155,19 +157,6 @@ class SurfaceMesh:
         self._vertex_on_boundary.setflags(write=False)
         self.n_interior_halfedges = n_interior
 
-    def _check_degenerate(self):
-        if not len(self.faces):
-            return
-        p = self.vertices
-        lo, hi = p.min(axis=0), p.max(axis=0)
-        bbox_sq = float(np.dot(hi - lo, hi - lo))
-        tri = p[self.faces]
-        cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        areas = 0.5 * np.linalg.norm(cross, axis=1)
-        bad = np.nonzero(areas < _DEGENERATE_AREA_FRACTION * bbox_sq)[0]
-        if len(bad):
-            raise MeshError(f"degenerate facet {bad[0]}")
-
     def _build_frames(self, reference_offsets=None):
         """Precompute per-facet frames as ``(n_facets, 3)`` arrays.
 
@@ -192,7 +181,15 @@ class SurfaceMesh:
         es = np.roll(tri, -1, axis=1) - tri  # edge k runs corner k -> k + 1
         lens = np.sqrt(np.vecdot(es, es))
         normal = np.cross(es[:, 0], -es[:, 2])
-        normal /= np.sqrt(np.vecdot(normal, normal))[:, None]
+        norms = np.sqrt(np.vecdot(normal, normal))
+        if nf:
+            # reject degenerate facets before dividing by their zero norms
+            lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
+            bbox_sq = float(np.dot(hi - lo, hi - lo))
+            bad = np.nonzero(0.5 * norms < _DEGENERATE_AREA_FRACTION * bbox_sq)[0]
+            if len(bad):
+                raise MeshError(f"degenerate facet {bad[0]}")
+        normal /= norms[:, None]
         u0 = es[:, 0] / lens[:, :1]
         v0 = np.cross(normal, u0)
         turned = offs != 0.0
@@ -268,9 +265,6 @@ class SurfaceMesh:
     def has_facet(self, h):
         return self._facet[h] >= 0
 
-    def facet_halfedges(self, f):
-        return (3 * f, 3 * f + 1, 3 * f + 2)
-
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])
 
@@ -290,11 +284,25 @@ class SurfaceMesh:
     def outgoing_halfedges(self, v):
         return list(self._vertex_out[v])
 
+    def fan(self, h):
+        """Outgoing halfedges around ``origin(h)`` in fan order, from ``h``.
+
+        Steps ``e -> opposite(prev(e))``, counterclockwise about the vertex,
+        and stops after the first halfedge without a facet or before ``h``.
+        """
+        e = h
+        while True:
+            yield e
+            if self._facet[e] < 0:
+                return
+            e = int(self._opposite[self._prev[e]])
+            if e == h:
+                return
+
     def edge_length(self, h):
-        if self.has_facet(h):
-            return float(self._edge_lens[h // 3, h % 3])
-        o = self.opposite(h)
-        return float(self._edge_lens[o // 3, o % 3])
+        if not self.has_facet(h):
+            h = self.opposite(h)
+        return float(self._edge_lens[h // 3, h % 3])
 
     def average_edge_length(self):
         total = 0.0
@@ -406,20 +414,19 @@ def load_obj(path) -> SurfaceMesh:
                         raise MeshError(f"line {lineno}: face indices are 1-based")
                     idx.append(i - 1)
                 if len(idx) != 3:
-                    raise MeshError(f"non-triangle face at index {len(faces)}")
+                    raise MeshError(
+                        f"line {lineno}: face needs 3 vertex indices, got {len(idx)}"
+                    )
                 faces.append(idx)
     return SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3), faces)
 
 
-def save_obj(path, mesh_or_vertices, faces=None, polylines=None):
-    """Write vertices/faces (and optional ``l`` polylines) to an OBJ file."""
-    if mesh_or_vertices is None:
+def save_obj(path, mesh, polylines=None):
+    """Write a mesh (or None) and optional ``l`` polylines to an OBJ file."""
+    if mesh is None:
         vertices, faces = [], []
-    elif faces is None:
-        vertices = mesh_or_vertices.vertices
-        faces = mesh_or_vertices.faces
     else:
-        vertices = mesh_or_vertices
+        vertices, faces = mesh.vertices, mesh.faces
     with open(path, "w") as fh:
         for p in vertices:
             fh.write(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")

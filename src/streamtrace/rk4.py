@@ -35,8 +35,7 @@ class _FacetField:
     __slots__ = ("origin", "inv", "u", "v", "corner_dirs")
 
     def __init__(self, mesh, fieldsamples, f):
-        vids = mesh.faces[f]
-        p0, p1, p2 = (mesh.vertices[i] for i in vids)
+        p0, p1, p2 = mesh.vertices[mesh.faces[f]]
         self.origin = p0
         frame = mesh.frame(f)
         self.u, self.v = frame.u, frame.v
@@ -81,19 +80,11 @@ def eval_field_interior(mesh, fieldsamples, f, point):
     return _FacetField(mesh, fieldsamples, f).eval(np.asarray(point, float))
 
 
-def _transport_angle(mesh, f, g, direction3d):
-    """Carry a direction across the shared edge from facet f to facet g."""
-    hf = None
-    for h in mesh.facet_halfedges(f):
-        o = mesh.opposite(h)
-        if mesh.has_facet(o) and mesh.facet(o) == g:
-            hf = h
-            break
-    if hf is None:
-        raise TraceError(f"facets {f} and {g} share no edge")
+def _transport_angle(mesh, hf, direction3d):
+    """Carry a direction across edge ``hf`` into the facet on its other side."""
     ho = mesh.opposite(hf)
-    fr_f = mesh.frame(f)
-    fr_g = mesh.frame(g)
+    fr_f = mesh.frame(mesh.facet(hf))
+    fr_g = mesh.frame(mesh.facet(ho))
     ang_f = math.atan2(
         float(np.dot(direction3d, fr_f.v)), float(np.dot(direction3d, fr_f.u))
     )
@@ -168,13 +159,11 @@ def rk4_trace(mesh, fieldsamples, seed, config=None, direction="forward"):
                 break
             t_exit = min(1.0, max(0.0, t_exit))
             x = p + t_exit * (q - p)
-            vids = mesh.faces[f]
-            pa = mesh.vertices[vids[k_edge]]
-            pb = mesh.vertices[vids[(k_edge + 1) % 3]]
-            ev = pb - pa
+            he = 3 * f + k_edge
+            pa = mesh.vertices[mesh.origin(he)]
+            ev = mesh.vertices[mesh.dest(he)] - pa
             c = float(np.dot(x - pa, ev) / np.dot(ev, ev))
             c = min(1.0, max(0.0, c))
-            he = 3 * f + k_edge
             tp = TracePoint(he, c)
             x_on = mesh.position(tp)
             pl.append(tp, x_on)
@@ -183,12 +172,11 @@ def rk4_trace(mesh, fieldsamples, seed, config=None, direction="forward"):
                 pl.termination = "boundary"
                 pl.rk4_steps = steps
                 return pl
-            g = mesh.facet(o)
             d = q - p
             norm = float(np.linalg.norm(d))
             rem = (1.0 - t_exit) * norm
-            d_g = _transport_angle(mesh, f, g, d / norm) if norm > 0 else None
-            f = g
+            d_g = _transport_angle(mesh, he, d / norm) if norm > 0 else None
+            f = mesh.facet(o)
             if d_g is None or rem <= 0.0:
                 q = x_on
                 p = x_on

@@ -306,33 +306,20 @@ class StreamMesh:
             for p in _segment_element(mesh, self.field, f, element, nodes):
                 raw.append((ordinal,) + p)
 
-        # drop zero-length tangent pieces duplicated at element junctions
-        cleaned = []
-        for item in raw:
-            ordinal, beh, t0, t1, b0, b1 = item
-            if cleaned:
-                po, pbeh, pt0, pt1, _, _ = cleaned[-1]
-                junction = ordinal != po and t0 == 0.0 and pt1 == 1.0
-                if junction and beh.is_tangent and pbeh.is_tangent:
-                    if t0 == t1:
-                        continue  # keep the earlier piece
-                    if pt0 == pt1:
-                        cleaned.pop()
-            cleaned.append(item)
-        if len(cleaned) > 1:
-            fo, fbeh, ft0, ft1, _, _ = cleaned[0]
-            lo, lbeh, lt0, lt1, _, _ = cleaned[-1]
-            if (
-                fo != lo
-                and ft0 == 0.0
-                and lt1 == 1.0
-                and fbeh.is_tangent
-                and lbeh.is_tangent
-            ):
-                if ft0 == ft1:
-                    cleaned.pop(0)
-                elif lt0 == lt1:
-                    cleaned.pop()
+        # two tangents meeting at an element junction (the last one wraps
+        # round) repeat one tangency: drop the later element's zero-length
+        # start piece, and the earlier element's zero-length end piece if a
+        # tangent still starts the later element
+        drop = set()
+        for i, (ordinal, beh, t0, t1, _, _) in enumerate(raw):
+            po, pbeh, pt0, pt1, _, _ = raw[i - 1]
+            if ordinal != po and beh.is_tangent and pbeh.is_tangent:
+                if t0 == t1:
+                    drop.add(i)
+                    beh = raw[i + 1][1]  # an element has a piece of length > 0
+                if beh.is_tangent and pt0 == pt1:
+                    drop.add((i - 1) % len(raw))
+        cleaned = [item for i, item in enumerate(raw) if i not in drop]
 
         for ordinal, beh, t0, t1, b0, b1 in cleaned:
             sh = StreamHalfedge(
@@ -371,14 +358,12 @@ class StreamMesh:
         return float(self._frame.edge_lens[ordinal // 2]) * (t1 - t0)
 
     def _anchor_position(self, element, t):
-        mesh, f = self.mesh, self.facet
-        k = element // 2
-        vids = mesh.faces[f]
+        h = 3 * self.facet + element // 2
         if element % 2 == 0:
-            p0 = mesh.vertices[vids[k]]
-            p1 = mesh.vertices[vids[(k + 1) % 3]]
-            return (1.0 - t) * p0 + t * p1
-        return mesh.vertices[vids[(k + 1) % 3]].copy()
+            return self.mesh.position(TracePoint(h, t))
+        # not the edge end at c = 1, where 0.0 * p0 + p1 can turn a -0.0
+        # coordinate into +0.0, a sign that atan2 in _make_chord reads
+        return self.mesh.vertices[self.mesh.dest(h)]
 
     def _anchor_alpha_rad(self, element, t, level_deg):
         """Field angle at a border anchor, in radians relative to r."""

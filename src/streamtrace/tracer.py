@@ -157,51 +157,30 @@ class Tracer:
     # -- the main loop ---------------------------------------------------------
 
     def trace(self, seed) -> Polyline:
+        """Trace one streamline from ``seed`` until it terminates.
+
+        Every step crosses a facet from an entry (stream mesh, piece, local
+        c): the seed's, then the one across the exit edge, or after an exit
+        exactly at a vertex the one ``_pivot_at_vertex`` finds.
+        """
         mesh = self.mesh
         enter = _ENTRY.get(seed.direction)
         if enter is None:
             raise TraceError(f"unknown trace direction {seed.direction!r}")
         pl = Polyline(seed)
-        tp0 = seed.point
-        pl.append(tp0, mesh.position(tp0))
-
-        entry = None  # (stream mesh, piece, local c)
+        pl.append(seed.point, mesh.position(seed.point))
         if seed.corner_entry is not None:
-            f, k, tc = seed.corner_entry
+            f, k, t = seed.corner_entry
             sm = self.stream_mesh(f)
-            sh, csm = sm.corner_entry(k, tc, enter)
-            entry = (sm, sh, csm)
-            h = c = None
+            entry = (sm, *sm.corner_entry(k, t, enter))
         else:
-            h, c = tp0.halfedge, tp0.c
-            if not mesh.has_facet(h):
-                h, c = mesh.opposite(h), 1.0 - c
-                if not mesh.has_facet(h):
-                    raise TraceError("seed halfedge bounds no facet")
+            entry = self._edge_seed_entry(seed.point, enter)
 
         visited = defaultdict(list)
-        pivot_vertex = None
-        pivot_count = 0
+        pivot_vertex, pivot_count = None, 0
         steps = 0
-
         while True:
-            if entry is None:
-                f = mesh.facet(h)
-                sm = self.stream_mesh(f)
-                try:
-                    sh, csm = sm.import_position(h, c, enter)
-                except StreamMeshError:
-                    if steps == 0 and mesh.has_facet(mesh.opposite(h)):
-                        # seed placed on the downstream side of its edge
-                        h, c = mesh.opposite(h), 1.0 - c
-                        sm = self.stream_mesh(mesh.facet(h))
-                        sh, csm = sm.import_position(h, c, enter)
-                    else:
-                        raise
-                entry = (sm, sh, csm)
-
             sm, sh, csm = entry
-            entry = None
             out_sh, c_out = self.cross_facet(sm, sh, csm, enter)
             tp = sm.export_position(out_sh, c_out)
 
@@ -236,28 +215,39 @@ class Tracer:
                 return pl
 
             if c_exit == 0.0 or c_exit == 1.0:
-                v = (
-                    mesh.dest(tp.halfedge)
-                    if c_exit == 1.0
-                    else mesh.origin(tp.halfedge)
-                )
-                if v == pivot_vertex:
-                    pivot_count += 1
-                else:
-                    pivot_vertex, pivot_count = v, 1
-                result = None
-                if pivot_count <= mesh.vertex_valence(v):
-                    result = self._pivot_at_vertex(tp, c_exit, v, enter)
-                if result is None:
+                # the exit facet's halfedge that leaves the vertex
+                o = tp.halfedge if c_exit == 0.0 else mesh.next(tp.halfedge)
+                v = mesh.origin(o)
+                pivot_count = pivot_count + 1 if v == pivot_vertex else 1
+                pivot_vertex = v
+                if pivot_count > mesh.vertex_valence(v):
                     self._stop_at_vertex(pl, v)
                     return pl
-                if result == "boundary":
-                    pl.termination = "boundary"
+                entry = self._pivot_at_vertex(pl, o, enter)
+                if entry is None:
                     return pl
-                entry = result
             else:
                 pivot_vertex, pivot_count = None, 0
-                h, c = mesh.opposite(tp.halfedge), 1.0 - c_exit
+                h = mesh.opposite(tp.halfedge)
+                sm = self.stream_mesh(mesh.facet(h))
+                entry = (sm, *sm.import_position(h, 1.0 - c_exit, enter))
+
+    def _edge_seed_entry(self, tp, enter):
+        """Entry from the facet of ``tp.halfedge``, else from the one across.
+
+        A seed may sit on the downstream side of its edge.  Raises the last
+        ``StreamMeshError`` when neither facet takes the line.
+        """
+        mesh = self.mesh
+        error = TraceError("seed halfedge bounds no facet")
+        for h, c in ((tp.halfedge, tp.c), (mesh.opposite(tp.halfedge), 1.0 - tp.c)):
+            if mesh.has_facet(h):
+                sm = self.stream_mesh(mesh.facet(h))
+                try:
+                    return (sm, *sm.import_position(h, c, enter))
+                except StreamMeshError as exc:
+                    error = exc
+        raise error
 
     def _stop_at_vertex(self, pl, v):
         """Label a line that cannot leave vertex v.
@@ -276,26 +266,25 @@ class Tracer:
         else:
             pl.termination = "vertex-stall"
 
-    def _pivot_at_vertex(self, tp, c_exit, v, enter):
-        """Continue a trace that exited exactly at a vertex.
+    def _pivot_at_vertex(self, pl, o, enter):
+        """Entry for a line that left its facet at ``origin(o)``, or None.
 
-        Walks the facet fan around the vertex, attempting entry at the
-        vertex end of each shared edge; the mirrored segmentation guarantees
-        an inflow opens somewhere unless the flow genuinely stalls.
+        ``o`` is the exit facet's halfedge leaving the vertex.  The vertex
+        end of each edge is tried in fan order, from the next facet round to
+        the exit facet.  None comes with the line labelled: ``boundary`` at
+        the surface boundary, else through ``_stop_at_vertex``.
         """
         mesh = self.mesh
-        h_at = tp.halfedge if c_exit == 1.0 else mesh.prev(tp.halfedge)
-        tries = mesh.vertex_valence(v)
-        for _ in range(tries):
-            e = mesh.opposite(h_at)
+        for e in mesh.fan(mesh.opposite(mesh.prev(o))):
             if not mesh.has_facet(e):
-                return "boundary"
+                pl.termination = "boundary"
+                return None
             sm = self.stream_mesh(mesh.facet(e))
             try:
-                sh, csm = sm.import_position(e, 0.0, enter)
-                return sm, sh, csm
+                return (sm, *sm.import_position(e, 0.0, enter))
             except StreamMeshError:
-                h_at = mesh.prev(e)
+                pass
+        self._stop_at_vertex(pl, mesh.origin(o))
         return None
 
 
@@ -304,23 +293,14 @@ class Tracer:
 
 def _fan_corners(mesh, v):
     """(facet, corner k) pairs around an interior vertex, in fan order."""
-    h0 = None
-    for h in mesh.outgoing_halfedges(v):
-        if mesh.has_facet(h):
-            h0 = h
-            break
+    h0 = next((h for h in mesh.outgoing_halfedges(v) if mesh.has_facet(h)), None)
     if h0 is None:
         raise TraceError(f"vertex {v} has no incident facet")
     out = []
-    h = h0
-    while True:
-        f = mesh.facet(h)
-        out.append((f, (h % 3 + 2) % 3))
-        h = mesh.opposite(mesh.prev(h))
-        if h == h0:
-            break
+    for h in mesh.fan(h0):
         if not mesh.has_facet(h):
             raise TraceError(f"vertex {v} is on the boundary")
+        out.append((mesh.facet(h), (h % 3 + 2) % 3))
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -217,3 +218,32 @@ def test_largest_windings_still_load(tmp_path):
     fs = load_field(p, load_obj(obj))
     assert fs.windings[2, 0] == 2**63 - 1
     assert fs.angles[2, 1] == 350.0 and fs.windings[2, 1] == -(2**63)
+
+
+@pytest.mark.parametrize(
+    "obj_text,message",
+    [
+        (
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+            "error: face references a vertex that does not exist",
+        ),
+        (
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n",
+            "error: line 5: face needs 3 vertex indices, got 4",
+        ),
+        (
+            "v 0 0 0\nv 1 1 1\nv 3 3 3\nf 1 2 3\n",
+            "error: degenerate facet 0",
+        ),
+    ],
+    ids=["index-past-int64", "quad-face", "collinear-facet"],
+)
+def test_malformed_obj_exits_2(tmp_path, capsys, obj_text, message):
+    bad = tmp_path / "bad.obj"
+    bad.write_text(obj_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["validate", "--mesh", str(bad), "--field", str(tmp_path / "no")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -136,6 +136,22 @@ def test_load_obj_rejects_garbage(tmp_path):
         load_obj(p)
 
 
+def test_fan_turns_counterclockwise_once_around_a_vertex(disc_mesh):
+    m = disc_mesh
+    for v in range(m.n_vertices):
+        for h in m.outgoing_halfedges(v):
+            fan = list(m.fan(h))
+            assert fan[0] == h and len(set(fan)) == len(fan)
+            assert all(m.origin(e) == v for e in fan)
+            if m.is_boundary_vertex(v):
+                assert not m.has_facet(fan[-1])
+                assert all(m.has_facet(e) for e in fan[:-1])
+            else:
+                assert sorted(fan) == m.outgoing_halfedges(v)
+            d = [m.vertices[m.dest(e)] - m.vertices[v] for e in fan]
+            assert all(np.cross(a, b)[2] > 0.0 for a, b in zip(d, d[1:]))
+
+
 def test_boundary_loop_of_disc(disc_mesh):
     m = disc_mesh
     border = boundary_halfedges(m)

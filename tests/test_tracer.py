@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import defaultdict
 
@@ -14,6 +15,7 @@ from streamtrace import (
     synth_field,
 )
 from streamtrace.cli import _spread_edge_seeds
+from streamtrace.errors import StreamMeshError
 from streamtrace.field import interpolated_angle, vertex_index
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import Behavior
@@ -29,7 +31,7 @@ from streamtrace.tracer import (
     seed_from_vertex,
 )
 
-from conftest import assert_close, wound_config
+from conftest import assert_close, constant_samples, wound_config
 
 
 def boundary_seed(mesh, axis, level, s, direction="forward"):
@@ -174,6 +176,14 @@ def test_positive_index_vertex_is_refused():
             seed_from_vertex(mesh, fs, center)
 
 
+# (facet, corner k, t.hex()) of the saddle's separatrix seeds, in the order
+# seed_from_vertex returns them; the order follows the walk around the vertex
+SADDLE_SEEDS = {
+    "forward": [(72, 2, "0x1.8e38e38e38e39p-1"), (55, 0, "0x1.8e38e38e38e39p-1")],
+    "backward": [(56, 1, "0x1.8e38e38e38e39p-1"), (71, 2, "0x1.8e38e38e38e39p-1")],
+}
+
+
 def test_saddle_emits_two_separatrices_per_direction():
     mesh = meshgen.grid(8, 8)
     fs = synth_field(mesh, "saddle", center=(0.5, 0.5), phase_deg=20.0)
@@ -183,12 +193,45 @@ def test_saddle_emits_two_separatrices_per_direction():
     assert round(vertex_index(mesh, fs, saddle)) == -1
     for direction in ("forward", "backward"):
         seeds = seed_from_vertex(mesh, fs, saddle, direction)
-        assert len(seeds) == 2
+        entries = [(f, k, t.hex()) for f, k, t in (s.corner_entry for s in seeds)]
+        assert entries == SADDLE_SEEDS[direction]
         tr = Tracer(mesh, fs)
         for s in seeds:
             pl = tr.trace(s)
             assert pl.termination == "boundary"
             assert len(pl) > 2
+
+
+# angle -> (continuing vertex pivots, sha256) of the lines traced from every
+# boundary halfedge of grid(10, 10) at c in {0, 0.5, 1} under a constant
+# field; the digest covers each line's (halfedge, c.hex()) points and its
+# termination, and marks the seeds that no facet takes.  Diagonal lines run
+# through vertices, so the pivots pin the direction of the walk around them.
+GRID_PIVOT_DIGESTS = {
+    45.0: (370, "809853154a61980b23e2c957f759da67aa7efc9b3e3d0d4aed477dbb328a730c"),
+    135.0: (363, "8847464841fd62d6ee8e5e7d0a0e89f360bb43f1c2b40c339728ec1022b52320"),
+}
+
+
+@pytest.mark.parametrize("angle", sorted(GRID_PIVOT_DIGESTS))
+def test_vertex_pivots_on_grid_diagonals_are_pinned(grid10, angle):
+    tr = Tracer(grid10, constant_samples(grid10, angle))
+    digest = hashlib.sha256()
+    pivots = 0
+    for h in range(grid10.n_halfedges):
+        if grid10.has_facet(h):
+            continue
+        for c in (0.0, 0.5, 1.0):
+            try:
+                pl = tr.trace(Seed(TracePoint(h, c)))
+            except StreamMeshError:
+                digest.update(f"{h} {c.hex()} refused\n".encode())
+                continue
+            pts = " ".join(f"{tp.halfedge}:{tp.c.hex()}" for tp in pl.points)
+            digest.update(f"{h} {c.hex()} {pl.termination} {pts}\n".encode())
+            # every vertex exit but a line's last one continues by a pivot
+            pivots += sum(tp.c in (0.0, 1.0) for tp in pl.points[1:-1])
+    assert (pivots, digest.hexdigest()) == GRID_PIVOT_DIGESTS[angle]
 
 
 def fan_walk(mesh, v):
