@@ -60,21 +60,13 @@ def _load_inputs(args):
 
 def _boundary_loop_seeds(mesh, n):
     """n seeds spaced by arc length along the surface boundary."""
-    loops = []
+    segs = []  # boundary halfedges loop by loop, each from its lowest id
     seen = set()
-    for h in range(mesh.n_halfedges):
-        if mesh.has_facet(h) or h in seen:
-            continue
-        loop = []
-        cur = h
-        while True:
-            seen.add(cur)
-            loop.append(cur)
-            cur = mesh.next(cur)
-            if cur == h:
-                break
-        loops.append(loop)
-    segs = [(h, mesh.edge_length(h)) for loop in loops for h in loop]
+    for h in range(mesh.n_interior_halfedges, mesh.n_halfedges):
+        while h not in seen:
+            seen.add(h)
+            segs.append((h, mesh.edge_length(h)))
+            h = mesh.next(h)
     total = sum(l for _, l in segs)
     seeds = []
     targets = [(i + 0.5) * total / n for i in range(n)]
@@ -91,16 +83,14 @@ def _boundary_loop_seeds(mesh, n):
 
 def _spread_edge_seeds(mesh, n):
     """n seeds spread over the mesh's undirected edges (closed meshes)."""
-    canon = [
-        h
-        for h in range(mesh.n_interior_halfedges)
-        if not mesh.has_facet(mesh.opposite(h)) or h < mesh.opposite(h)
-    ]
+    canon = mesh.edge_halfedges().tolist()
     idx = np.linspace(0, len(canon) - 1, n).round().astype(int)
     return [Seed(TracePoint(canon[i], 0.5)) for i in idx]
 
 
 def make_seeds(mesh, fs, args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     direction = getattr(args, "direction", "forward")
     if getattr(args, "seed_points", None):
         seeds = []
@@ -127,25 +117,17 @@ def make_seeds(mesh, fs, args):
             for d in ("forward", "backward"):
                 seeds.extend(seed_from_vertex(mesh, fs, v, d))
         return seeds
-    n = getattr(args, "seeds", None) or 20
-    boundary = [h for h in range(mesh.n_halfedges) if not mesh.has_facet(h)]
-    base = (
-        _boundary_loop_seeds(mesh, n) if boundary else _spread_edge_seeds(mesh, n)
-    )
+    closed = mesh.n_halfedges == mesh.n_interior_halfedges
+    base = (_spread_edge_seeds if closed else _boundary_loop_seeds)(mesh, args.seeds)
     if direction != "forward":
         base = [Seed(s.point, direction) for s in base]
     return base
 
 
 def _has_vertex_tangency(mesh, fs, v):
-    for h in mesh.outgoing_halfedges(v):
-        f = mesh.facet(h)
-        if f is None:
-            continue
-        k = h % 3
-        if fs.nodes(f)[2 * k] % 180.0 == 0.0:
-            return True
-    return False
+    # v is interior, so every outgoing halfedge h starts edge h % 3 of a facet
+    out = mesh.outgoing_halfedges(v)
+    return any(fs.nodes(h // 3)[2 * (h % 3)] % 180.0 == 0.0 for h in out)
 
 
 # -- trace running ------------------------------------------------------------
@@ -214,9 +196,7 @@ def write_svg(path, mesh, polylines):
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {size[0] / span * 1000:.1f} {size[1] / span * 1000:.1f}">'
     ]
-    for h in range(mesh.n_halfedges):
-        if mesh.opposite(h) < h:
-            continue  # each edge is drawn once, from its lower halfedge
+    for h in mesh.edge_halfedges().tolist():
         x1, y1 = pt(mesh.vertices[mesh.origin(h)]).split(",")
         x2, y2 = pt(mesh.vertices[mesh.dest(h)]).split(",")
         parts.append(
@@ -327,7 +307,17 @@ def cmd_synth(args):
 def cmd_check_crossings(args):
     mesh = load_obj(args.mesh)
     polylines = load_polylines(args.lines)
-    violations = check_crossings(mesh, polylines)
+    n = mesh.n_halfedges
+    for i, pl in enumerate(polylines):
+        for j, tp in enumerate(pl.points):
+            if not (0 <= tp.halfedge < n and 0.0 <= tp.c <= 2.0):
+                raise ValueError(
+                    f"{args.lines}: polyline {i} point {j} is off the mesh: {tp}"
+                )
+    try:
+        violations = check_crossings(mesh, polylines)
+    except TraceError as exc:  # a segment whose ends share no facet
+        raise ValueError(f"{args.lines}: {exc}") from None
     for v in violations:
         print(v)
     print(f"{len(violations)} crossing violation(s) in {len(polylines)} polylines")
@@ -354,7 +344,7 @@ def _build_parser():
 
     q = sub.add_parser("trace", help="trace streamlines")
     add_io(q)
-    q.add_argument("--seeds", type=int, default=None, help="N spread seeds")
+    q.add_argument("--seeds", type=int, default=20, help="N spread seeds")
     q.add_argument("--seed-points", default=None, help="explicit h:c,h:c,... seeds")
     q.add_argument("--seed-singularities", action="store_true")
     q.add_argument("--direction", choices=("forward", "backward"), default="forward")

@@ -201,16 +201,6 @@ def corner_jump_deg(mesh, fieldsamples, f, k):
     return -corner_rot - (180.0 - beta_deg)
 
 
-def _vertex_corners(mesh, v):
-    """(facet, corner ordinal) pairs of the corners sitting on vertex v."""
-    out = []
-    for h in mesh.outgoing_halfedges(v):
-        f = mesh.facet(h)
-        if f is not None:
-            out.append((f, (h % 3 + 2) % 3))
-    return out
-
-
 def vertex_index(mesh, fieldsamples, v):
     """Topological index of the field at an interior vertex.
 
@@ -220,7 +210,7 @@ def vertex_index(mesh, fieldsamples, v):
     if mesh.is_boundary_vertex(v):
         raise MeshError(f"vertex index undefined for boundary vertex {v}")
     total_jump = 0.0
-    for f, k in _vertex_corners(mesh, v):
+    for f, k in mesh.vertex_corners(v):
         total_jump += corner_jump_deg(mesh, fieldsamples, f, k)
     return math.radians(total_jump) / (2.0 * math.pi) + mesh.angle_defect(v) / (
         2.0 * math.pi
@@ -448,9 +438,8 @@ def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
     from scipy.sparse import csr_matrix, vstack
     from scipy.sparse.linalg import lsqr
 
-    for h in range(mesh.n_halfedges):
-        if not mesh.has_facet(h):
-            raise FieldError("smoothed-random fields need a closed mesh")
+    if mesh.n_halfedges > mesh.n_interior_halfedges:
+        raise FieldError("smoothed-random fields need a closed mesh")
     rng = np.random.default_rng(seed)
     nf, nv = mesh.n_facets, mesh.n_vertices
 
@@ -472,16 +461,14 @@ def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
                 beta
             )
 
-    # canonical (lower-id) halfedge of each undirected edge -> edge column
-    edge_col = {}
-    for h in range(mesh.n_interior_halfedges):
-        if mesh.opposite(h) > h:
-            edge_col[h] = len(edge_col)
-    ne = len(edge_col)
+    # canonical halfedge of each undirected edge -> edge column
+    edges = mesh.edge_halfedges()
+    edge_col = {h: col for col, h in enumerate(edges.tolist())}
+    ne = len(edges)
 
     def edge_of(h):
-        o = mesh.opposite(h)
-        return (edge_col[h], 1.0) if h < o else (edge_col[o], -1.0)
+        e = mesh.canonical_halfedge(h)
+        return edge_col[e], 1.0 if e == h else -1.0
 
     rows, cols, vals = [], [], []
     rhs = np.empty(nf)
@@ -514,8 +501,7 @@ def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
     spread = g.max() - g.min()
     if spread > 0:
         g *= amplitude_deg / spread
-    for h, col in edge_col.items():
-        rot[col] += g[mesh.dest(h)] - g[mesh.origin(h)]
+    rot += g[mesh._dest[edges]] - g[mesh._origin[edges]]
 
     seed_angle = float(rng.uniform(0.0, 360.0))
 
@@ -574,7 +560,7 @@ def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
         uniq = []
         have = set()
         for h in nontree:
-            key = min(h, mesh.opposite(h))
+            key = mesh.canonical_halfedge(h)
             if key not in have:
                 have.add(key)
                 uniq.append(h)

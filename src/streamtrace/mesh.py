@@ -85,75 +85,64 @@ class SurfaceMesh:
     # -- construction ---------------------------------------------------
 
     def _build_connectivity(self):
-        nf = len(self.faces)
-        n_interior = 3 * nf
-        directed = {}  # (origin, dest) -> halfedge, in ascending halfedge order
-        for f, (a, b, c) in enumerate(self.faces.tolist()):
-            for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                if u == v:
-                    raise MeshError(f"facet {f} repeats vertex {u}")
-                if (u, v) in directed:
-                    raise MeshError(
-                        f"non-manifold or inconsistently oriented edge "
-                        f"({u}, {v}) at facet {f}"
-                    )
-                directed[(u, v)] = 3 * f + k
+        """Halfedge tables from one stable sort of the ``(origin, dest)`` keys.
 
-        opposite = np.full(n_interior, -1, dtype=np.int64)
-        boundary_pairs = []  # (origin, dest) of boundary halfedges to create
-        for (u, v), h in directed.items():
-            twin = directed.get((v, u))
-            if twin is not None:
-                opposite[h] = twin
-            else:
-                boundary_pairs.append((v, u))
+        Boundary halfedge ``n_interior + i`` is the twin of the i-th facet
+        halfedge without one, in ascending id.
+        """
+        nv = len(self.vertices)
+        n_interior = 3 * len(self.faces)
+        origin = self.faces.ravel()
+        dest = np.roll(self.faces, -1, axis=1).ravel()
+        key = origin * nv + dest
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        # a repeated key follows its first halfedge in the stable order
+        repeated = order[1:][sorted_key[1:] == sorted_key[:-1]]
+        bad = np.concatenate([np.nonzero(origin == dest)[0], repeated])
+        if len(bad):
+            h = int(bad.min())
+            f, u, v = h // 3, int(origin[h]), int(dest[h])
+            if u == v:
+                raise MeshError(f"facet {f} repeats vertex {u}")
+            edge = f"non-manifold or inconsistently oriented edge ({u}, {v})"
+            raise MeshError(f"{edge} at facet {f}")
 
-        nb = len(boundary_pairs)
-        n = n_interior + nb
-        self._origin = np.empty(n, dtype=np.int64)
-        self._dest = np.empty(n, dtype=np.int64)
-        self._opposite = np.empty(n, dtype=np.int64)
-        self._next = np.empty(n, dtype=np.int64)
-        self._prev = np.empty(n, dtype=np.int64)
-        self._facet = np.empty(n, dtype=np.int64)
+        twin_key = dest * nv + origin
+        at = np.minimum(np.searchsorted(sorted_key, twin_key), n_interior - 1)
+        twin = np.where(sorted_key[at] == twin_key, order[at], -1)
+        lone = np.nonzero(twin < 0)[0]
+        n = n_interior + len(lone)
+        b = np.arange(n_interior, n)
+        twin[lone] = b
 
-        self._origin[:n_interior] = self.faces.ravel()
-        self._dest[:n_interior] = np.roll(self.faces, -1, axis=1).ravel()
-        self._opposite[:n_interior] = opposite
         h = np.arange(n_interior)
         first = h - h % 3  # 3 * facet
-        self._next[:n_interior] = first + (h + 1) % 3
-        self._prev[:n_interior] = first + (h + 2) % 3
-        self._facet[:n_interior] = h // 3
+        self._origin = np.concatenate([origin, dest[lone]])
+        self._dest = np.concatenate([dest, origin[lone]])
+        self._opposite = np.concatenate([twin, lone])
+        self._next = np.concatenate([first + (h + 1) % 3, np.empty_like(b)])
+        self._prev = np.concatenate([first + (h + 2) % 3, np.empty_like(b)])
+        self._facet = np.concatenate([h // 3, np.full_like(b, -1)])
 
-        boundary_by_origin = {}
-        for i, (u, v) in enumerate(boundary_pairs):
-            b = n_interior + i
-            if u in boundary_by_origin:
-                raise MeshError(f"non-manifold boundary at vertex {u}")
-            boundary_by_origin[u] = b
-            self._origin[b] = u
-            self._dest[b] = v
-            self._facet[b] = -1
-            h = directed[(v, u)]
-            self._opposite[b] = h
-            self._opposite[h] = b
-        for i, (u, v) in enumerate(boundary_pairs):
-            b = n_interior + i
-            nxt = boundary_by_origin.get(v)
-            if nxt is None:
-                raise MeshError(f"open boundary fan at vertex {v}")
-            self._next[b] = nxt
-            self._prev[nxt] = b
+        # outgoing halfedges of vertex v: _out[_out_start[v]:_out_start[v + 1]],
+        # ascending by id, so boundary halfedges come last
+        self._out = np.argsort(self._origin, kind="stable")
+        self._out_start = np.cumsum(np.bincount(self._origin + 1, minlength=nv + 1))
+        out_b = self._out[self._out >= n_interior]
+        again = out_b[1:][self._origin[out_b[1:]] == self._origin[out_b[:-1]]]
+        if len(again):
+            u = int(self._origin[again.min()])
+            raise MeshError(f"non-manifold boundary at vertex {u}")
+        # a boundary halfedge enters a vertex one leaves: the facet halfedges
+        # without a twin, which they reverse, enter and leave it equally often
+        leaving = np.empty(nv, dtype=np.int64)
+        leaving[self._origin[b]] = b
+        self._next[b] = leaving[self._dest[b]]
+        self._prev[self._next[b]] = b
 
-        # outgoing halfedges per vertex; remember which vertices touch the
-        # boundary (those get a boundary halfedge as well)
-        self._vertex_out = [[] for _ in range(len(self.vertices))]
-        for h, u in enumerate(self._origin.tolist()):
-            self._vertex_out[u].append(h)
-        self._vertex_on_boundary = np.zeros(len(self.vertices), dtype=bool)
-        self._vertex_on_boundary[self._origin[n_interior:]] = True
-        self._vertex_on_boundary[self._dest[n_interior:]] = True
+        self._canonical = self._opposite > np.arange(n)
+        self._vertex_on_boundary = np.bincount(self._origin[b], minlength=nv) > 0
         self._vertex_on_boundary.setflags(write=False)
         self.n_interior_halfedges = n_interior
 
@@ -268,21 +257,30 @@ class SurfaceMesh:
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])
 
-    def interior_edge_pairs(self):
-        """Halfedges ``(h, o)`` of every edge between two facets, as arrays.
+    def edge_halfedges(self):
+        """Canonical halfedge of every undirected edge, in ascending id.
 
-        Each such edge appears once, with ``h < o``, in ascending ``h``.
+        It is the lower id, so the facet side of a boundary edge.
         """
-        h = np.arange(self.n_interior_halfedges)
-        o = self._opposite[: self.n_interior_halfedges]
-        keep = (o > h) & (self._facet[o] >= 0)
+        return np.nonzero(self._canonical)[0]
+
+    def canonical_halfedge(self, h):
+        """The canonical halfedge of the edge of ``h``: ``h`` or its twin."""
+        return h if self._canonical[h] else int(self._opposite[h])
+
+    def interior_edge_pairs(self):
+        """Halfedges ``(h, o)`` of each edge between two facets, ``h`` canonical."""
+        h = self.edge_halfedges()
+        o = self._opposite[h]
+        keep = self._facet[o] >= 0
         return h[keep], o[keep]
 
     def vertex_valence(self, v):
-        return len(self._vertex_out[v])
+        return int(self._out_start[v + 1] - self._out_start[v])
 
     def outgoing_halfedges(self, v):
-        return list(self._vertex_out[v])
+        """Halfedges leaving ``v``, in ascending id."""
+        return self._out[self._out_start[v] : self._out_start[v + 1]].tolist()
 
     def fan(self, h):
         """Outgoing halfedges around ``origin(h)`` in fan order, from ``h``.
@@ -300,20 +298,13 @@ class SurfaceMesh:
                 return
 
     def edge_length(self, h):
-        if not self.has_facet(h):
-            h = self.opposite(h)
+        h = self.canonical_halfedge(h)
         return float(self._edge_lens[h // 3, h % 3])
 
     def average_edge_length(self):
-        total = 0.0
-        count = 0
-        for h in range(self.n_halfedges):
-            if self.has_facet(h) and (
-                self.opposite(h) > h or not self.has_facet(self.opposite(h))
-            ):
-                total += self.edge_length(h)
-                count += 1
-        return total / count if count else 0.0
+        # canonical halfedges have facets; cumsum adds in order, as a loop would
+        lens = self._edge_lens.ravel()[self.edge_halfedges()]
+        return float(np.cumsum(lens)[-1] / len(lens)) if len(lens) else 0.0
 
     def bbox_diagonal(self):
         lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -346,12 +337,15 @@ class SurfaceMesh:
             raise MeshError(f"corner angle undefined on boundary halfedge {h}")
         return float(self._betas[h // 3, h % 3])
 
+    def vertex_corners(self, v):
+        """``(facet, corner k)`` of each corner at ``v``, by outgoing halfedge."""
+        out = self.outgoing_halfedges(v)
+        return [(h // 3, (h % 3 + 2) % 3) for h in out if self.has_facet(h)]
+
     def corner_angle_sum(self, v):
         total = 0.0
-        for h in self._vertex_out[v]:
-            if self.has_facet(h):
-                # corner sitting at origin(h) inside facet(h)
-                total += self._betas[h // 3, (h % 3 + 2) % 3]
+        for f, k in self.vertex_corners(v):
+            total += self._betas[f, k]
         return total
 
     def angle_defect(self, v):

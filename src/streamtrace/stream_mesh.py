@@ -208,9 +208,8 @@ def _segment_element(mesh, fieldsamples, f, element, nodes):
         return _segment_values(nodes[2 * k + 1], nodes[2 * k + 2])
     if kind != "edge":
         raise StreamMeshError(f"unknown border element {kind!r}")
-    h = 3 * f + k
-    o = mesh.opposite(h)
-    if not mesh.has_facet(o) or h < o:
+    o = mesh.canonical_halfedge(3 * f + k)
+    if o == 3 * f + k:
         return _segment_values(nodes[2 * k], nodes[2 * k + 1])
     # mirror the canonical side
     g, k2 = o // 3, o % 3

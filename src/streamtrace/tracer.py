@@ -75,16 +75,26 @@ class Polyline:
 
     @classmethod
     def from_record(cls, rec):
-        seed = Seed(
-            TracePoint(rec["seed"]["halfedge"], rec["seed"]["c"]),
-            rec["seed"].get("direction", "forward"),
-        )
-        pl = cls(seed)
-        pl.termination = rec["termination"]
-        pl.sink_vertex = rec.get("sink_vertex")
-        for (h, c), pos in zip(rec["points"], rec["positions"]):
-            pl.append(TracePoint(h, c), np.array(pos))
+        """Inverse of ``to_record``; a malformed record raises ValueError."""
+        try:
+            s = rec["seed"]
+            point = _record_point(s["halfedge"], s["c"])
+            pl = cls(Seed(point, s.get("direction", "forward")))
+            pl.termination = rec["termination"]
+            pl.sink_vertex = rec.get("sink_vertex")
+            for (h, c), pos in zip(rec["points"], rec["positions"], strict=True):
+                pl.append(_record_point(h, c), pos)
+        except KeyError as exc:
+            raise ValueError(f"polyline record lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed polyline record: {exc}") from None
         return pl
+
+
+def _record_point(h, c):
+    if type(h) is not int or type(c) not in (int, float):
+        raise ValueError(f"{[h, c]!r} is not a [halfedge, c] pair")
+    return TracePoint(h, c)
 
 
 def save_polylines(path, polylines):
@@ -94,12 +104,15 @@ def save_polylines(path, polylines):
 
 
 def load_polylines(path):
+    """Read ``save_polylines`` output; a malformed line raises ValueError."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Polyline.from_record(json.loads(line)))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append(Polyline.from_record(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out
 
 

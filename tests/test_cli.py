@@ -247,3 +247,56 @@ def test_malformed_obj_exits_2(tmp_path, capsys, obj_text, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _record(points, **extra):
+    rec = {
+        "seed": {"halfedge": 0, "c": 0.5, "direction": "forward"},
+        "termination": "boundary",
+        "sink_vertex": None,
+        "points": points,
+        "positions": [[0.0, 0.0, 0.0] for _ in points],
+    }
+    rec.update(extra)
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize(
+    "records,message",
+    [
+        (["{}"], "line 1: polyline record lacks 'seed'"),
+        (
+            [_record([[0, "x"]])],
+            "line 1: malformed polyline record: [0, 'x'] is not a [halfedge, c] pair",
+        ),
+        (
+            [_record([[0, 0.5]]), _record([[0, 0.5], [99999, 0.5]])],
+            "polyline 1 point 1 is off the mesh: TracePoint(halfedge=99999, c=0.5)",
+        ),
+        (
+            [_record([[0, 0.5], [1, 2.5]])],
+            "polyline 0 point 1 is off the mesh: TracePoint(halfedge=1, c=2.5)",
+        ),
+        # halfedges 0 and 93 of the 4 x 4 grid share no facet
+        ([_record([[0, 0.5], [93, 0.5]])], "does not touch facet 31"),
+    ],
+    ids=["no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet"],
+)
+def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
+    obj, _ = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    lines = tmp_path / "bad.jsonl"
+    lines.write_text("\n".join(records) + "\n")
+    rc = main(["check-crossings", "--mesh", obj, "--lines", str(lines)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["trace", "bench"])
+def test_seed_count_below_one_exits_2(tmp_path, capsys, cmd):
+    obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    argv = [cmd, "--mesh", obj, "--field", field, "--seeds", "0"]
+    if cmd == "trace":
+        argv += ["--out", str(tmp_path / "lines.jsonl")]
+    assert main(argv) == 2
+    assert "--seeds must be at least 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "lines.jsonl").exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from streamtrace import (
     FieldError,
     FieldSamples,
+    SurfaceMesh,
     corner_jump_deg,
     interpolated_angle,
     load_field,
@@ -17,6 +18,7 @@ from streamtrace import (
     validate,
     vertex_index,
 )
+import streamtrace.field as field_mod
 from streamtrace.field import (
     CONTINUITY_TOL_DEG,
     EVENNESS_TOL,
@@ -365,3 +367,23 @@ def test_validate_equals_loop_oracle_on_broken_fields():
     assert kinds == {"edge-continuity", "uneven-corner-distribution"}
     assert sum(s >= 50 for s in sizes) >= 4
     assert min(sizes) <= 2
+
+
+def test_smoothed_random_repairs_handle_loops(monkeypatch):
+    # on a noisy torus the spanning-tree propagation picks up fractional
+    # holonomy around the handles; the repair adds one loop row per
+    # non-tree edge that disagrees and solves again
+    m = meshgen.torus(n_major=10, n_minor=6)
+    rng = np.random.default_rng(0)
+    m = SurfaceMesh(m.vertices + rng.normal(0.0, 0.03, m.vertices.shape), m.faces)
+    rows = []
+    defect_row = field_mod._defect_row
+
+    def counted(*args):
+        rows.append(defect_row(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(field_mod, "_defect_row", counted)
+    fs = synth_field(m, "smoothed-random", seed=0)
+    assert len(rows) == 20
+    assert validate(m, fs) == []

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -242,3 +243,177 @@ def test_frames_are_bit_identical_to_the_facet_loop(make):
         for got, exp in zip(_frame_arrays(m), want):
             assert got.shape == exp.shape
             assert np.array_equal(got.view(np.int64), exp.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "faces,message",
+    [
+        ([[0, 0, 1]], "facet 0 repeats vertex 0"),
+        (
+            [[0, 1, 2], [0, 1, 3]],
+            "non-manifold or inconsistently oriented edge (0, 1) at facet 1",
+        ),
+        ([[0, 1, 2], [0, 3, 4]], "non-manifold boundary at vertex 0"),
+        (
+            [[0, 1, 2], [0, 1, 3], [4, 4, 5]],
+            "non-manifold or inconsistently oriented edge (0, 1) at facet 1",
+        ),
+        ([[0, 1, 2], [3, 3, 4], [0, 1, 5]], "facet 1 repeats vertex 3"),
+    ],
+    ids=["repeat", "edge", "bowtie", "edge-before-repeat", "repeat-before-edge"],
+)
+def test_mesh_errors_name_the_first_offending_halfedge(faces, message):
+    verts = np.random.default_rng(0).normal(size=(6, 3))
+    with pytest.raises(MeshError) as exc:
+        SurfaceMesh(verts, faces)
+    assert str(exc.value) == message
+
+
+def test_mesh_without_facets_has_empty_tables():
+    m = SurfaceMesh(np.zeros((2, 3)), np.zeros((0, 3), dtype=np.int64))
+    assert m.n_halfedges == 0 and m.average_edge_length() == 0.0
+    assert [m.outgoing_halfedges(v) for v in range(2)] == [[], []]
+    assert not m.is_boundary_vertex(0) and m.vertex_valence(1) == 0
+
+
+def loop_connectivity(n_vertices, faces):
+    """Dict-and-loop oracle for ``SurfaceMesh._build_connectivity``.
+
+    Builds the halfedge tables one halfedge at a time, as they were built
+    before the sort.  Returns the ``MeshError`` text, or ``(rows, verts)``
+    in the layout of ``_tables``.
+    """
+    directed = {}
+    for f, (a, b, c) in enumerate(faces):
+        for k, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            if u == v:
+                return f"facet {f} repeats vertex {u}"
+            if (u, v) in directed:
+                return (
+                    f"non-manifold or inconsistently oriented edge "
+                    f"({u}, {v}) at facet {f}"
+                )
+            directed[(u, v)] = 3 * f + k
+    n_interior = 3 * len(faces)
+    origin, dest = [], []
+    for f, (a, b, c) in enumerate(faces):
+        origin += [a, b, c]
+        dest += [b, c, a]
+    opposite = [directed.get((v, u)) for u, v in zip(origin, dest)]
+    nxt = [3 * (h // 3) + (h + 1) % 3 for h in range(n_interior)]
+    prv = [3 * (h // 3) + (h + 2) % 3 for h in range(n_interior)]
+    facet = [h // 3 for h in range(n_interior)]
+    leaving = {}
+    for h in range(n_interior):
+        if opposite[h] is None:
+            b = len(origin)
+            if dest[h] in leaving:
+                return f"non-manifold boundary at vertex {dest[h]}"
+            leaving[dest[h]] = b
+            origin.append(dest[h])
+            dest.append(origin[h])
+            opposite.append(h)
+            opposite[h] = b
+            facet.append(None)
+    for b in range(n_interior, len(origin)):
+        if dest[b] not in leaving:
+            return f"open boundary fan at vertex {dest[b]}"
+        nxt.append(leaving[dest[b]])
+    prv += [None] * (len(origin) - n_interior)
+    for b in range(n_interior, len(origin)):
+        prv[nxt[b]] = b
+    rows = list(zip(origin, dest, opposite, nxt, prv, facet))
+    on_boundary = set(origin[n_interior:]) | set(dest[n_interior:])
+    verts = [
+        (v in on_boundary, [h for h in range(len(origin)) if origin[h] == v])
+        for v in range(n_vertices)
+    ]
+    return rows, verts
+
+
+def _tables(m):
+    rows = [
+        (m.origin(h), m.dest(h), m.opposite(h), m.next(h), m.prev(h), m.facet(h))
+        for h in range(m.n_halfedges)
+    ]
+    verts = [
+        (m.is_boundary_vertex(v), m.outgoing_halfedges(v))
+        for v in range(m.n_vertices)
+    ]
+    return rows, verts
+
+
+def test_connectivity_equals_loop_oracle_on_random_soups():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for i in range(3000):
+        nv, nf = int(rng.integers(3, 7)), int(rng.integers(1, 7))
+        verts = rng.normal(size=(nv, 3))
+        if i % 4 == 0:
+            faces = rng.integers(0, nv, size=(nf, 3)).tolist()
+        else:
+            faces = [rng.choice(nv, 3, replace=False).tolist() for _ in range(nf)]
+        want = loop_connectivity(nv, faces)
+        try:
+            got = _tables(SurfaceMesh(verts, faces))
+        except MeshError as exc:
+            got = str(exc)
+        assert got == want, faces
+        kinds = ("repeats vertex", "oriented edge", "boundary at")
+        outcomes.add(next((k for k in kinds if k in str(want)), "built"))
+    assert outcomes == {"repeats vertex", "oriented edge", "boundary at", "built"}
+
+
+def test_average_edge_length_adds_edges_in_halfedge_order(icosphere2, disc_mesh):
+    for m in (icosphere2, disc_mesh, meshgen.grid(7, 5, distortion=0.3, seed=2)):
+        total, count = 0.0, 0
+        for h in range(m.n_halfedges):
+            o = m.opposite(h)
+            if m.has_facet(h) and (o > h or not m.has_facet(o)):
+                total += m.edge_length(h)
+                count += 1
+        assert m.average_edge_length() == total / count
+
+
+def _table_digest(m):
+    """sha256 over every halfedge and vertex table, through public accessors."""
+    rows, verts = _tables(m)
+    text = repr((rows, verts, m.average_edge_length().hex()))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of ``_table_digest``, taken before the tables were built by sorting
+_PINNED_TABLES = {
+    "grid": (
+        lambda: meshgen.grid(7, 5, distortion=0.3, seed=2),
+        "fe575c4bad45471b54e06c2cfdda8d55a59ec7d487623fc41f61f8fd806a0cfc",
+    ),
+    "disc": (
+        lambda: meshgen.disc(4, 10),
+        "ed1c906b8adac9c072afa3537a64330aadee28044fa4489845abb88a27026442",
+    ),
+    "strip": (
+        lambda: meshgen.strip(6),
+        "830e055aac81dce4533774343c27866d8b068907e424332e9d02ef3ab0eb4454",
+    ),
+    "icosphere2": (
+        lambda: meshgen.icosphere(2),
+        "bce63a54582c20e705d72d14a7f5a491c4fbf642aeb032f1edc50d2b3d5177c1",
+    ),
+    "torus": (
+        lambda: meshgen.torus(n_major=10, n_minor=6),
+        "58e6d40d9bff05017d491e2764818103f704569d6e5b59bd167a0283c0f586bb",
+    ),
+    "cube-corner": (
+        meshgen.cube_corner,
+        "43654c640b0ed345cea3585131dcfdc52b88a0a436beccd8df7698096f9c65c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_TABLES))
+def test_halfedge_tables_are_pinned(name):
+    # boundary halfedges follow the facet halfedges, in the order of the
+    # facet halfedges they pair with; outgoing lists ascend by id
+    make, digest = _PINNED_TABLES[name]
+    assert _table_digest(make()) == digest
