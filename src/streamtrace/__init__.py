@@ -22,13 +22,7 @@ from .field import (
 from .flux import accumulate, locate, phi, phi_inverse, phi_signed
 from .mesh import FacetFrame, SurfaceMesh, TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, eval_field_interior, rk4_trace
-from .stream_mesh import (
-    Behavior,
-    StreamHalfedge,
-    StreamMesh,
-    decompose,
-    segment_interval,
-)
+from .stream_mesh import Behavior, StreamHalfedge, StreamMesh, decompose
 from .tracer import (
     CrossingViolation,
     Polyline,
@@ -79,7 +73,6 @@ __all__ = [
     "save_obj",
     "save_polylines",
     "seed_from_vertex",
-    "segment_interval",
     "synth_field",
     "validate",
     "vertex_index",

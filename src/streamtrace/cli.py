@@ -133,32 +133,23 @@ def _has_vertex_tangency(mesh, fs, v):
 # -- trace running ------------------------------------------------------------
 
 
-def _run_campaign(mesh, fs, seeds, engine, rk4_h, max_steps=None):
+BENCH_RK4_STEPS = 1000  # per RK4 line in ``bench``, which times per step
+
+
+def _run_campaign(seeds, trace):
+    """Trace every seed with ``trace``; seeds that fail count as rejected."""
     report = RunReport()
     polylines = []
     per_line = []
-    tracer = Tracer(mesh, fs, max_steps=max_steps)
-    cfg = RK4Config(step_fraction=rk4_h) if rk4_h else RK4Config()
-
-    def run_one(seed):
+    t_start = time.perf_counter()
+    for seed in seeds:
         t0 = time.perf_counter()
         try:
-            if engine == "rk4":
-                pl = rk4_trace(mesh, fs, seed, cfg, direction=seed.direction)
-            else:
-                pl = tracer.trace(seed)
-        except (TraceError, StreamMeshError) as exc:
-            return None, 0.0, exc
-        return pl, time.perf_counter() - t0, None
-
-    t_start = time.perf_counter()
-    results = [run_one(s) for s in seeds]
-    report.total_time = time.perf_counter() - t_start
-
-    for pl, dt, exc in results:
-        if pl is None:
+            pl = trace(seed)
+        except (TraceError, StreamMeshError):
             report.rejected_seeds += 1
             continue
+        dt = time.perf_counter() - t0
         polylines.append(pl)
         nx = max(1, len(pl.points) - 1)
         report.crossings += nx
@@ -166,6 +157,7 @@ def _run_campaign(mesh, fs, seeds, engine, rk4_h, max_steps=None):
         report.terminations[pl.termination] = (
             report.terminations.get(pl.termination, 0) + 1
         )
+    report.total_time = time.perf_counter() - t_start
     report.polylines = len(polylines)
     if per_line:
         report.median_crossing_time = statistics.median(per_line)
@@ -237,9 +229,18 @@ def cmd_trace(args):
     if not seeds:
         print("no seeds produced", file=sys.stderr)
         return 2
-    polylines, report = _run_campaign(
-        mesh, fs, seeds, args.engine, args.rk4_h, args.max_steps
-    )
+    if args.engine == "rk4":
+        cfg = RK4Config()
+        if args.rk4_h:
+            cfg.step_fraction = args.rk4_h
+        if args.max_steps:
+            cfg.max_steps = args.max_steps
+
+        def trace(seed):
+            return rk4_trace(mesh, fs, seed, cfg)
+    else:
+        trace = Tracer(mesh, fs, max_steps=args.max_steps).trace
+    polylines, report = _run_campaign(seeds, trace)
     violations = check_crossings(mesh, polylines)
     report.violations = len(violations)
     save_polylines(args.out, polylines)
@@ -256,17 +257,18 @@ def cmd_trace(args):
 def cmd_bench(args):
     mesh, fs = _load_inputs(args)
     seeds = make_seeds(mesh, fs, args)
-    # cold pass builds decompositions, warm pass measures the hot path
-    _, cold = _run_campaign(mesh, fs, seeds, "stream", None)
-    _, warm = _run_campaign(mesh, fs, seeds, "stream", None)
+    # the cold pass builds decompositions, the warm pass reuses them
+    trace = Tracer(mesh, fs).trace
+    _, cold = _run_campaign(seeds, trace)
+    _, warm = _run_campaign(seeds, trace)
     stream_t = min(cold.median_crossing_time, warm.median_crossing_time)
 
     rk4_h = args.rk4_h or 0.1
     t0 = time.perf_counter()
     rk4_steps = 0
-    cfg = RK4Config(step_fraction=rk4_h)
+    cfg = RK4Config(step_fraction=rk4_h, max_steps=BENCH_RK4_STEPS)
     for s in seeds:
-        pl = rk4_trace(mesh, fs, s, cfg, direction=s.direction)
+        pl = rk4_trace(mesh, fs, s, cfg)
         rk4_steps += pl.rk4_steps
     rk4_total = time.perf_counter() - t0
     rk4_per_step = rk4_total / max(1, rk4_steps)
@@ -350,13 +352,14 @@ def _build_parser():
     q.add_argument("--direction", choices=("forward", "backward"), default="forward")
     q.add_argument("--engine", choices=("stream", "rk4"), default="stream")
     q.add_argument("--rk4-h", type=float, default=None, help="step, fraction of avg edge")
-    q.add_argument("--max-steps", type=int, default=None)
+    q.add_argument("--max-steps", type=int, default=None,
+                   help="per-line cap: facet crossings (stream), steps (rk4)")
     q.add_argument("--out", required=True, help="polylines JSON (one per line)")
     q.add_argument("--svg", default=None)
     q.add_argument("--obj", default=None)
     q.set_defaults(fn=cmd_trace)
 
-    q = sub.add_parser("bench", help="stream vs rk4 timing")
+    q = sub.add_parser("bench", help=f"stream vs rk4 ({BENCH_RK4_STEPS} rk4 steps a line)")
     add_io(q)
     q.add_argument("--seeds", type=int, default=20)
     q.add_argument("--rk4-h", type=float, default=None)

@@ -14,7 +14,8 @@ Corner pieces carry no transverse flux except when they absorb or emit the
 flow head-on: an outflow corner sandwiched between a forward and a backward
 tangency soaks up everything that converges on it (phi = c), and the
 time-reversed sandwich emits (phi = -c).  Every other corner is a zero-flux
-pass-through.
+pass-through.  The stream mesh fixes that rule once per corner, in the
+piece's ``sink`` sign, when it links the facet border.
 
 ``phi_inverse`` picks the branch of arccos from the half-turn count of the
 piece's midpoint angle, so it stays exact even when B sweeps across several
@@ -38,31 +39,12 @@ def _check_c(c):
         raise FluxError(f"piece parameter {c} outside [0, 1]")
 
 
-def corner_sink_sign(sh):
-    """+1 for an absorbing corner, -1 for an emitting one, 0 otherwise."""
-    if sh.kind != "corner":
-        return 0
-    if (
-        sh.behavior == Behavior.OUT
-        and sh.prv.behavior == Behavior.TF
-        and sh.nxt.behavior == Behavior.TB
-    ):
-        return 1
-    if (
-        sh.behavior == Behavior.IN
-        and sh.prv.behavior == Behavior.TB
-        and sh.nxt.behavior == Behavior.TF
-    ):
-        return -1
-    return 0
-
-
 def phi_signed(sh, c) -> float:
     _check_c(c)
     if sh.behavior.is_tangent:
         raise FluxError("tangent stream-halfedges carry no flux")
     if sh.kind == "corner":
-        return corner_sink_sign(sh) * c
+        return sh.sink * c
     b0 = math.radians(sh.b0)
     b1 = math.radians(sh.b1)
     db = b1 - b0
@@ -88,8 +70,7 @@ def phi_inverse(sh, x) -> float:
     if sh.behavior.is_tangent:
         raise FluxError("tangent stream-halfedges carry no flux")
     if sh.kind == "corner":
-        s = corner_sink_sign(sh)
-        if s == 0:
+        if sh.sink == 0:
             raise FluxError("corner piece without sink flux is not invertible")
         return min(1.0, max(0.0, x))
     b0 = math.radians(sh.b0)

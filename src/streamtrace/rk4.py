@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TraceError
 from .mesh import TracePoint
-from .tracer import Polyline, Seed
+from .tracer import Polyline
 
 _EDGE_EPS = 1e-12
 
@@ -95,14 +95,22 @@ def _transport_angle(mesh, hf, direction3d):
     return math.cos(ang_g) * fr_g.u + math.sin(ang_g) * fr_g.v
 
 
-def rk4_trace(mesh, fieldsamples, seed, config=None, direction="forward"):
-    """Integrate a streamline with fixed-step RK4; record border crossings."""
+def rk4_trace(mesh, fieldsamples, seed, config=None, direction=None):
+    """Integrate a streamline from a ``Seed`` with fixed-step RK4.
+
+    Traces in ``seed.direction`` and records the border crossings.  A
+    ``direction`` given as well must agree with the seed's.
+    """
+    if direction not in (None, seed.direction):
+        raise TraceError(f"direction {direction!r} disagrees with the seed's")
+    if seed.direction not in ("forward", "backward"):
+        raise TraceError(f"unknown trace direction {seed.direction!r}")
     if config is None:
         config = RK4Config()
-    fs = fieldsamples if direction == "forward" else fieldsamples.flipped()
+    fs = fieldsamples if seed.direction == "forward" else fieldsamples.flipped()
     h_len = config.step_fraction * mesh.average_edge_length()
 
-    tp0 = seed.point if isinstance(seed, Seed) else seed
+    tp0 = seed.point
     h0 = tp0.halfedge
     if not mesh.has_facet(h0):
         h0 = mesh.opposite(h0)
@@ -110,7 +118,7 @@ def rk4_trace(mesh, fieldsamples, seed, config=None, direction="forward"):
     if f is None:
         raise TraceError("seed bounds no facet")
 
-    pl = Polyline(seed if isinstance(seed, Seed) else Seed(tp0, direction))
+    pl = Polyline(seed)
     pl.append(tp0, mesh.position(tp0))
 
     fields = {}

@@ -16,6 +16,16 @@ edge and mirrored to the other side (swap I/O and Tf/Tb, reverse the
 parameter), which makes the cut parameters of the two facets sharing the
 edge identical by construction rather than approximately equal.
 
+The border is held once, as the cycle of ``nxt``/``prv`` links from
+``hs[0]``.  Border element ``2k`` is edge k and ``2k + 1`` is corner k; the
+cycle runs through the elements in that order and through each element's
+pieces in parameter order.  Splitting a tangent links its second half right
+after the first, so decomposition keeps that order.  When the links are
+made, each corner piece gets its ``sink`` sign, which ``flux`` reads: +1 if
+it absorbs the flow head-on (``O`` between ``Tf`` and ``Tb``), -1 if it
+emits it (``I`` between ``Tb`` and ``Tf``), 0 otherwise.  Splits give both
+halves of a tangent its behavior, so they never change a sign.
+
 A face is held as its flow groups (maximal runs of same-direction flow
 pieces, with the tangents among them) and the tangent separators between
 consecutive groups, both computed once from the border.  A face with
@@ -30,7 +40,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -55,6 +65,18 @@ _MIRROR = {
     Behavior.TB: Behavior.TF,
 }
 
+# sink sign of a corner piece by its (own, previous, next) behaviors
+_CORNER_SINK = {
+    (Behavior.OUT, Behavior.TF, Behavior.TB): 1,
+    (Behavior.IN, Behavior.TB, Behavior.TF): -1,
+}
+
+# split_step's (first group, three separators) patterns: is the split primal
+_SPLIT_PATTERNS = {
+    (Behavior.OUT, Behavior.TF, Behavior.TB, Behavior.TB): True,
+    (Behavior.IN, Behavior.TB, Behavior.TF, Behavior.TF): False,
+}
+
 # snapping tolerances (parameters are dimensionless in [0, 1])
 VERTEX_SNAP = 1e-12
 
@@ -63,13 +85,15 @@ class StreamHalfedge:
     """One stream-mesh halfedge.
 
     Border halfedges (kind ``edge`` or ``corner``) carry their element
-    ordinal, the anchor span [t0, t1] on it, and the border-relative field
-    angles b0, b1 in degrees at their endpoints.  Chord halfedges carry the
-    field angles relative to the chord direction instead, also in degrees,
-    and their border anchors as ``(element, t)`` pairs in ``origin`` and
-    ``dest``.  ``opp`` is None on the border (the outside is not
-    represented) and the twin record on chords.  ``nxt`` and ``prv`` link
-    border neighbours and are None on chords.
+    ordinal (edge k is 2k, corner k is 2k + 1), the anchor span [t0, t1] on
+    it, and the border-relative field angles b0, b1 in degrees at their
+    endpoints.  Chord halfedges carry the field angles relative to the chord
+    direction instead, also in degrees, and their border anchors as
+    ``(element, t)`` pairs in ``origin`` and ``dest``.  ``opp`` is None on
+    the border (the outside is not represented) and the twin record on
+    chords.  ``nxt`` and ``prv`` link border neighbours and are None on
+    chords.  ``sink`` is +1 on an absorbing corner, -1 on an emitting one
+    and 0 on every other piece.
     """
 
     __slots__ = (
@@ -88,6 +112,7 @@ class StreamHalfedge:
         "prv",
         "opp",
         "face",
+        "sink",
     )
 
     def __init__(self, hid, kind, behavior, element, t0, t1, b0, b1, length):
@@ -106,6 +131,7 @@ class StreamHalfedge:
         self.prv = None
         self.opp = None
         self.face = 0
+        self.sink = 0
 
     def anchor_t(self, c):
         return self.t0 + c * (self.t1 - self.t0)
@@ -182,40 +208,23 @@ def _snap_level(value_deg):
     return 180.0 * round(value_deg / 180.0)
 
 
-def segment_interval(mesh, fieldsamples, f, element):
-    """Constant-behavior partition of one border element of facet ``f``.
-
-    ``element`` is ``("edge", k)`` or ``("corner", k)``.  Returns ordered
-    (behavior, t0, t1) triples covering [0, 1], with zero-length tangent
-    pieces at interior tangency crossings.  Edge partitions are always
-    derived on the lower-id halfedge of the undirected edge and mirrored, so
-    the two incident facets cut the edge at bitwise-identical parameters.
-    """
-    nodes = fieldsamples.nodes(f)
-    return [
-        (p[0], p[1], p[2])
-        for p in _segment_element(mesh, fieldsamples, f, element, nodes)
-    ]
-
-
 def _segment_element(mesh, fieldsamples, f, element, nodes):
-    """Pieces (behavior, t0, t1, b0, b1) of one element of f.
+    """Pieces (behavior, t0, t1, b0, b1) of border element ``element`` of f.
 
-    ``nodes`` is ``fieldsamples.nodes(f)``, read once by the caller.
+    Element ``2k`` is edge k and ``2k + 1`` corner k; ``nodes`` is
+    ``fieldsamples.nodes(f)``, read once by the caller.
     """
-    kind, k = element
-    if kind == "corner":
-        return _segment_values(nodes[2 * k + 1], nodes[2 * k + 2])
-    if kind != "edge":
-        raise StreamMeshError(f"unknown border element {kind!r}")
+    if element % 2 == 1:
+        return _segment_values(nodes[element], nodes[element + 1])
+    k = element // 2
     o = mesh.canonical_halfedge(3 * f + k)
     if o == 3 * f + k:
-        return _segment_values(nodes[2 * k], nodes[2 * k + 1])
+        return _segment_values(nodes[element], nodes[element + 1])
     # mirror the canonical side
     g, k2 = o // 3, o % 3
     ng = fieldsamples.nodes(g)
     canonical = _segment_values(ng[2 * k2], ng[2 * k2 + 1])
-    d0, d1 = nodes[2 * k], nodes[2 * k + 1]
+    d0, d1 = nodes[element], nodes[element + 1]
 
     def local(t, snap):
         v = d0 + t * (d1 - d0)
@@ -276,7 +285,9 @@ class StreamMesh:
     """Stream mesh of one facet; built as a single main face, then decomposed.
 
     ``faces`` maps a face id to its (groups, seps) lists, as returned by
-    ``_groups_and_separators`` for the face's border cycle.
+    ``_groups_and_separators`` for the face's border cycle.  Face 0 is the
+    main face, off which ``split_step`` carves the others.  Run tables and
+    entry queries exist once ``decompose`` has finalized the mesh.
     """
 
     def __init__(self, mesh, fieldsamples, facet):
@@ -285,11 +296,7 @@ class StreamMesh:
         self.facet = facet
         self.hs: list[StreamHalfedge] = []
         self.faces: dict[int, tuple[list, list]] = {}
-        self.main_face = 0
         self.split_count = 0
-        self._border: list[StreamHalfedge] = []
-        self._runs = None
-        self._pieces = None
         self._frame = mesh.frame(facet)
         self._init_border()
 
@@ -300,9 +307,7 @@ class StreamMesh:
         nodes = self.field.nodes(f)
         raw = []
         for ordinal in range(6):
-            k = ordinal // 2
-            element = ("edge", k) if ordinal % 2 == 0 else ("corner", k)
-            for p in _segment_element(mesh, self.field, f, element, nodes):
+            for p in _segment_element(mesh, self.field, f, ordinal, nodes):
                 raw.append((ordinal,) + p)
 
         # two tangents meeting at an element junction (the last one wraps
@@ -321,33 +326,28 @@ class StreamMesh:
         cleaned = [item for i, item in enumerate(raw) if i not in drop]
 
         for ordinal, beh, t0, t1, b0, b1 in cleaned:
-            sh = StreamHalfedge(
-                len(self.hs),
-                "edge" if ordinal % 2 == 0 else "corner",
-                beh,
-                ordinal,
-                t0,
-                t1,
-                b0,
-                b1,
-                self._piece_length(ordinal, t0, t1),
+            kind = "corner" if ordinal % 2 else "edge"
+            length = self._piece_length(ordinal, t0, t1)
+            self.hs.append(
+                StreamHalfedge(len(self.hs), kind, beh, ordinal, t0, t1, b0, b1, length)
             )
-            self.hs.append(sh)
-            self._border.append(sh)
 
-        n = len(self._border)
-        if n == 0:
+        border = self.hs
+        if not border:
             raise StreamMeshError("empty facet border")
-        for i, sh in enumerate(self._border):
-            sh.nxt = self._border[(i + 1) % n]
-            sh.prv = self._border[(i - 1) % n]
+        for prev, sh in zip(border[-1:] + border[:-1], border):
+            prev.nxt, sh.prv = sh, prev
+        for sh in border:
+            if sh.kind == "corner" and not sh.behavior.is_tangent:
+                key = (sh.behavior, sh.prv.behavior, sh.nxt.behavior)
+                sh.sink = _CORNER_SINK.get(key, 0)
 
-        flows = [sh.behavior for sh in self._border if not sh.behavior.is_tangent]
+        flows = [sh.behavior for sh in border if not sh.behavior.is_tangent]
         if Behavior.IN not in flows or Behavior.OUT not in flows:
             raise StreamMeshError(
                 f"facet {self.facet}: border lacks inflow or outflow"
             )
-        groups, seps = _groups_and_separators(self._border)
+        groups, seps = _groups_and_separators(border)
         self.faces = {0: (groups, seps)}
         self.initial_pairs = len(groups) // 2
 
@@ -426,7 +426,7 @@ class StreamMesh:
         chord is typed incoming on the carved side and outgoing on the main
         side (swapped for the symmetric form).
         """
-        groups, seps = self.faces[self.main_face]
+        groups, seps = self.faces[0]
         m = len(groups)
         if m == 2:
             return False
@@ -434,25 +434,15 @@ class StreamMesh:
             raise StreamMeshError("flow groups do not alternate")
 
         for gi in range(m):
-            t_first = seps[gi][0].behavior
-            first_beh = groups[gi][0].behavior
-            t_mid = seps[(gi + 1) % m][0].behavior
-            t_last = seps[(gi + 2) % m][0].behavior
-            if (
-                first_beh == Behavior.OUT
-                and t_first == Behavior.TF
-                and t_mid == Behavior.TB
-                and t_last == Behavior.TB
-            ):
-                self._apply_split(gi, groups, seps, primal=True)
-                return True
-            if (
-                first_beh == Behavior.IN
-                and t_first == Behavior.TB
-                and t_mid == Behavior.TF
-                and t_last == Behavior.TF
-            ):
-                self._apply_split(gi, groups, seps, primal=False)
+            key = (
+                groups[gi][0].behavior,
+                seps[gi][0].behavior,
+                seps[(gi + 1) % m][0].behavior,
+                seps[(gi + 2) % m][0].behavior,
+            )
+            primal = _SPLIT_PATTERNS.get(key)
+            if primal is not None:
+                self._apply_split(gi, groups, seps, primal)
                 return True
         raise StreamMeshError("no splittable tangency pattern on non-simple face")
 
@@ -487,8 +477,8 @@ class StreamMesh:
             sh.face = new_id
         self.faces[new_id] = ([groups[0], groups[1] + [sh_b, ext]], [[a2], seps[1]])
         merged = [mainc, b2, *seps[2][1:], *groups[2]]
-        self.faces[self.main_face] = ([merged] + groups[3:], [seps[0]] + seps[3:])
-        mainc.face = self.main_face
+        self.faces[0] = ([merged] + groups[3:], [seps[0]] + seps[3:])
+        mainc.face = 0
         self.split_count += 1
 
     def _split_tangent(self, sh):
@@ -515,8 +505,6 @@ class StreamMesh:
         sh.t1 = tm
         sh.b1 = sh.b0
         sh.length = self._piece_length(sh.element, sh.t0, tm)
-        i = self._border.index(sh)
-        self._border.insert(i + 1, second)
         return second
 
     def _make_chord(self, sh_from, sh_to, behavior):
@@ -607,15 +595,16 @@ class StreamMesh:
                     f"simple face {face_id} has a zero-flux run"
                 )
             self._runs[face_id] = runs
-        # border pieces per element ordinal (edge k is 2k, corner k is 2k + 1)
+        # border pieces per element ordinal, walking the border from hs[0]
         self._pieces = [[] for _ in range(6)]
-        for sh in self._border:
+        first = sh = self.hs[0]
+        while True:
             self._pieces[sh.element].append(sh)
-        return self
+            sh = sh.nxt
+            if sh is first:
+                return self
 
     def face_runs(self, face_id):
-        if self._runs is None:
-            raise StreamMeshError("stream mesh not finalized")
         return self._runs[face_id]
 
     # -- conversions ---------------------------------------------------------
@@ -696,8 +685,6 @@ class StreamMesh:
         while the stream mesh may cut the corner a hair inside it; there
         the pieces within ``VERTEX_SNAP`` of the end are tried as well.
         """
-        if self._runs is None:
-            raise StreamMeshError("stream mesh not finalized")
         pieces = self._pieces[2 * k + 1]
         entry = self._enter(pieces, t, enter)
         if entry is None and t in (0.0, 1.0):
@@ -736,7 +723,7 @@ class StreamMesh:
         """Stable text form: border pieces in order, then chords per face."""
         names = {0: "edge0", 1: "corner0", 2: "edge1", 3: "corner1", 4: "edge2", 5: "corner2"}
         lines = []
-        for sh in self._border:
+        for sh in chain(*self._pieces):
             lines.append(
                 f"{names[sh.element]} [{sh.t0:.12g}, {sh.t1:.12g}] "
                 f"{sh.behavior.value} face{sh.face}"
@@ -759,7 +746,7 @@ def decompose(mesh, fieldsamples, facet) -> StreamMesh:
     to turn a logic error into a loud failure instead of a hang.
     """
     sm = StreamMesh(mesh, fieldsamples, facet)
-    tangents = sum(1 for sh in sm._border if sh.behavior.is_tangent)
+    tangents = sum(1 for sh in sm.hs if sh.behavior.is_tangent)
     cap = 3 + 2 * tangents
     n = 0
     while sm.split_step():

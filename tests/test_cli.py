@@ -165,6 +165,59 @@ def test_bench_reports_ratio(tmp_path, capsys):
     assert "ratio:" in out and "per facet crossing" in out
 
 
+def test_bench_warm_pass_decomposes_nothing(tmp_path, monkeypatch):
+    from streamtrace import stream_mesh
+
+    obj, field = synth(tmp_path, "circular", "--rings", "6", "--sectors", "16")
+    calls = []
+    real = stream_mesh.decompose
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(stream_mesh, "decompose", counting)
+    io = ["--mesh", obj, "--field", field, "--seeds", "12"]
+    assert main(["trace", *io, "--out", str(tmp_path / "lines.jsonl")]) == 0
+    one_pass = len(calls)
+    calls.clear()
+    assert main(["bench", *io]) == 0
+    # the warm pass reuses every decomposition the cold pass built
+    assert len(calls) == one_pass > 0
+
+
+def test_trace_rk4_obeys_max_steps(tmp_path):
+    obj, field = synth(tmp_path, "torus-random", "--seed", "1")
+    lines = str(tmp_path / "rk4.jsonl")
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--engine", "rk4",
+        "--seeds", "1", "--max-steps", "10", "--out", lines,
+    ])
+    assert rc == 0
+    (rec,) = [json.loads(l) for l in open(lines) if l.strip()]
+    assert rec["termination"] == "step-cap"
+    # ten steps of 0.05 average edge cross a few facets at most
+    assert len(rec["points"]) <= 10
+
+
+def test_bench_caps_rk4_lines_on_a_torus(tmp_path, monkeypatch):
+    from streamtrace import cli
+
+    obj, field = synth(tmp_path, "torus-random", "--seed", "1")
+    steps = []
+    real = cli.rk4_trace
+
+    def recording(*args, **kwargs):
+        pl = real(*args, **kwargs)
+        steps.append(pl.rk4_steps)
+        return pl
+
+    monkeypatch.setattr(cli, "rk4_trace", recording)
+    assert main(["bench", "--mesh", obj, "--field", field, "--seeds", "2"]) == 0
+    assert len(steps) == 2
+    assert all(0 < n <= 1000 for n in steps)
+
+
 @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
 def test_non_finite_vertex_exits_2(tmp_path, capsys, coord):
     obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")

@@ -185,21 +185,21 @@ def test_interpolated_angle_matches_nodes_at_sample_points():
         fr = m.frame(0)
         n = fs.nodes(0)
         for k in range(3):
-            a = interpolated_angle(m, fs, 0, ("edge", k), 0.0)
+            a = interpolated_angle(m, fs, 0, 2 * k, 0.0)
             assert math.isclose(
                 a, math.radians(n[2 * k]) + fr.edge_angles[k], abs_tol=1e-9
             )
-            b = interpolated_angle(m, fs, 0, ("edge", k), 1.0)
+            b = interpolated_angle(m, fs, 0, 2 * k, 1.0)
             assert math.isclose(
                 b, math.radians(n[2 * k + 1]) + fr.edge_angles[k], abs_tol=1e-9
             )
         # corner ends meet the next edge's start, modulo 2 pi
         for k in range(3):
-            end = interpolated_angle(m, fs, 0, ("corner", k), 1.0)
+            end = interpolated_angle(m, fs, 0, 2 * k + 1, 1.0)
             if k < 2:
-                nxt = interpolated_angle(m, fs, 0, ("edge", k + 1), 0.0)
+                nxt = interpolated_angle(m, fs, 0, 2 * k + 2, 0.0)
             else:
-                nxt = interpolated_angle(m, fs, 0, ("edge", 0), 0.0)
+                nxt = interpolated_angle(m, fs, 0, 0, 0.0)
             gap = (end - nxt) % (2 * math.pi)
             gap = min(gap, 2 * math.pi - gap)
             assert gap < 1e-9
@@ -208,7 +208,7 @@ def test_interpolated_angle_matches_nodes_at_sample_points():
 def test_interpolated_angle_rejects_bad_t(grid10):
     fs = synth_field(grid10, "constant")
     with pytest.raises(FieldError):
-        interpolated_angle(grid10, fs, 0, ("edge", 0), 1.5)
+        interpolated_angle(grid10, fs, 0, 0, 1.5)
 
 
 def test_constant_field_direction_is_uniform(grid10):
@@ -217,7 +217,7 @@ def test_constant_field_direction_is_uniform(grid10):
     for f in range(0, grid10.n_facets, 13):
         fr = grid10.frame(f)
         for k in range(3):
-            a = interpolated_angle(grid10, fs, 0 if False else f, ("edge", k), 0.3)
+            a = interpolated_angle(grid10, fs, 0 if False else f, 2 * k, 0.3)
             d = fr.u * math.cos(a) + fr.v * math.sin(a)
             assert math.isclose(
                 math.atan2(d[1], d[0]), want, abs_tol=1e-9

@@ -13,9 +13,8 @@ from conftest import wound_config
 from streamtrace.stream_mesh import decompose
 
 
-def make_piece(length, b0, b1, behavior, kind="edge"):
-    sh = StreamHalfedge(0, kind, behavior, 0, 0.0, 1.0, b0, b1, length)
-    return sh
+def make_piece(length, b0, b1, behavior):
+    return StreamHalfedge(0, "edge", behavior, 0, 0.0, 1.0, b0, b1, length)
 
 
 # frozen adaptive-quadrature values of -L * integral of sin(B(t)) dt
@@ -120,18 +119,47 @@ def test_phi_monotone_in_c():
     assert vals[0] == 0.0
 
 
+def corner_sink_by_neighbours(sh):
+    """+1 on an OUT corner between Tf and Tb, -1 on an IN one between Tb and Tf."""
+    pair = (sh.prv.behavior, sh.nxt.behavior)
+    if sh.behavior == Behavior.OUT and pair == (Behavior.TF, Behavior.TB):
+        return 1
+    if sh.behavior == Behavior.IN and pair == (Behavior.TB, Behavior.TF):
+        return -1
+    return 0
+
+
+def corner_flow_pieces():
+    from test_stream_mesh import decomposition_corpus
+
+    for sm in decomposition_corpus():
+        for sh in sm.hs:
+            if sh.kind == "corner" and not sh.behavior.is_tangent:
+                yield sh
+
+
 def test_corner_sink_flux_is_linear_in_c():
-    # an OUT corner between a forward and a backward tangency absorbs flow
-    sink = make_piece(0.0, 360.0, 180.0, Behavior.OUT, kind="corner")
-    prv = make_piece(1.0, 0.0, 0.0, Behavior.TF)
-    nxt = make_piece(1.0, 180.0, 180.0, Behavior.TB)
-    prv.nxt = sink
-    sink.prv = prv
-    sink.nxt = nxt
-    nxt.prv = sink
-    for c in (0.0, 0.25, 1.0):
-        assert phi_signed(sink, c) == pytest.approx(c)
-        assert phi(sink, c) == pytest.approx(c)
+    # corners that absorb or emit the flow head-on carry flux c on [0, c]
+    sinks = [sh for sh in corner_flow_pieces() if corner_sink_by_neighbours(sh)]
+    assert sinks
+    for sh in sinks:
+        s = corner_sink_by_neighbours(sh)
+        for c in (0.0, 0.25, 1.0):
+            assert phi_signed(sh, c) == s * c
+            assert phi(sh, c) == c
+            assert phi_inverse(sh, c) == c
+
+
+def test_corner_carries_flux_exactly_between_opposite_tangents():
+    # the rule reads the decomposed border's links: splits never change it
+    absorbing = emitting = 0
+    for sh in corner_flow_pieces():
+        s = corner_sink_by_neighbours(sh)
+        assert phi_signed(sh, 1.0) == s
+        absorbing += s == 1
+        emitting += s == -1
+    # 722 and 709 of them in the random facets, 6 and 6 in the two fans
+    assert (absorbing, emitting) == (728, 715)
 
 
 def linear_scan_locate(run, x):

@@ -1,8 +1,16 @@
 import math
 
 import numpy as np
+import pytest
 
-from streamtrace import RK4Config, eval_field_interior, meshgen, rk4_trace, synth_field
+from streamtrace import (
+    RK4Config,
+    TraceError,
+    eval_field_interior,
+    meshgen,
+    rk4_trace,
+    synth_field,
+)
 from streamtrace.mesh import TracePoint
 from streamtrace.tracer import Seed, Tracer
 
@@ -104,3 +112,30 @@ def test_rk4_and_stream_agree_on_constant_field():
     b = rk4_trace(mesh, fs, seed, RK4Config(step_fraction=0.01))
     assert a.termination == b.termination == "boundary"
     assert np.linalg.norm(a.positions[-1] - b.positions[-1]) < 1e-5
+
+
+def test_rk4_traces_a_backward_seed_backward():
+    mesh = meshgen.grid(6, 6)
+    fs = synth_field(mesh, "constant", angle_deg=30.0)
+    seed = boundary_seed(mesh, 0, 1.0, 0.4, "backward")
+    pl = rk4_trace(mesh, fs, seed)
+    assert pl.seed.direction == "backward"
+    assert pl.termination == "boundary"
+    assert len(pl) > 4
+    forward = rk4_trace(mesh, fs, Seed(seed.point))
+    assert [tp.halfedge for tp in pl.points] != [tp.halfedge for tp in forward.points]
+    # a constant field is exact, so the line ends where the stream engine's does
+    exact = Tracer(mesh, fs).trace(seed)
+    assert np.linalg.norm(pl.positions[-1] - exact.positions[-1]) < 1e-5
+
+
+def test_rk4_rejects_a_direction_that_disagrees_with_the_seed():
+    mesh = meshgen.grid(6, 6)
+    fs = synth_field(mesh, "constant", angle_deg=30.0)
+    seed = boundary_seed(mesh, 0, 1.0, 0.4, "backward")
+    assert len(rk4_trace(mesh, fs, seed, direction="backward")) > 4
+    with pytest.raises(TraceError):
+        rk4_trace(mesh, fs, seed, direction="forward")
+    # as Tracer.trace does, an unknown direction is an error, not backward
+    with pytest.raises(TraceError):
+        rk4_trace(mesh, fs, boundary_seed(mesh, 0, 1.0, 0.4, "sideways"))

@@ -1,17 +1,14 @@
+import hashlib
 import math
+from functools import cache
 
 import numpy as np
 import pytest
 
 from streamtrace import StreamMeshError, meshgen, synth_field
 from streamtrace.mesh import SurfaceMesh
-from streamtrace.stream_mesh import (
-    Behavior,
-    StreamMesh,
-    decompose,
-    segment_interval,
-)
-from streamtrace.stream_mesh import _classify, _segment_values
+from streamtrace.stream_mesh import Behavior, StreamMesh, decompose
+from streamtrace.stream_mesh import _classify, _segment_element, _segment_values
 
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 
@@ -75,6 +72,12 @@ def test_segment_values_cover_unit_interval_and_alternate():
                     ) < 1e-6 or abs(v - 180.0 - 360.0 * round((v - 180.0) / 360.0)) < 1e-6
 
 
+def segment_interval(mesh, fieldsamples, f, element):
+    """(behavior, t0, t1) of each piece of border element ``element`` of f."""
+    nodes = fieldsamples.nodes(f)
+    return [p[:3] for p in _segment_element(mesh, fieldsamples, f, element, nodes)]
+
+
 def test_segment_interval_mirrors_exactly():
     m = meshgen.grid(1, 1)
     fs = synth_field(m, "constant", angle_deg=77.0)
@@ -85,8 +88,8 @@ def test_segment_interval_mirrors_exactly():
         if m.has_facet(m.opposite(h)) and m.opposite(h) < m.n_interior_halfedges
     )
     o = m.opposite(shared)
-    a = segment_interval(m, fs, shared // 3, ("edge", shared % 3))
-    b = segment_interval(m, fs, o // 3, ("edge", o % 3))
+    a = segment_interval(m, fs, shared // 3, 2 * (shared % 3))
+    b = segment_interval(m, fs, o // 3, 2 * (o % 3))
     assert len(a) == len(b)
     for pa, pb in zip(a, reversed(b)):
         assert pa[1] == 1.0 - pb[2]  # bit-exact reversed cuts
@@ -108,8 +111,8 @@ def test_mirrored_cuts_identical_on_random_meshes():
             ohe = m.opposite(h)
             if ohe < h or not m.has_facet(ohe):
                 continue
-            a = segment_interval(m, fs, h // 3, ("edge", h % 3))
-            b = segment_interval(m, fs, ohe // 3, ("edge", ohe % 3))
+            a = segment_interval(m, fs, h // 3, 2 * (h % 3))
+            b = segment_interval(m, fs, ohe // 3, 2 * (ohe % 3))
             # h < ohe, so side a is canonical and side b stores exactly 1 - t.
             cuts_a = sorted({1.0 - p[1] for p in a} | {1.0 - p[2] for p in a})
             cuts_b = sorted({p[2] for p in b} | {p[1] for p in b})
@@ -228,13 +231,13 @@ def test_golden_decomposition_dump():
 
 def test_initial_a_sequence_closes_at_minus_two():
     sm = StreamMesh(fan_mesh(), samples_from_reals(WOUND), 0)
-    a = sm.a_sequence(sm.main_face)
+    a = sm.a_sequence(0)
     assert a[0] == 0
     full = a + [-2]  # one value per group, closing value validated internally
     steps = [b - a_ for a_, b in zip(full, full[1:])]
     assert all(s in (-1, 1) for s in steps)
     assert sum(steps) == -2
-    assert not sm.is_simple(sm.main_face)
+    assert not sm.is_simple(0)
 
 
 def test_decompose_produces_simple_faces_with_flux():
@@ -255,7 +258,7 @@ def test_simple_config_needs_no_split():
         sm = decompose(m, synth_field(m, "constant", angle_deg=angle), 0)
         assert sm.split_count == 0
         assert sm.initial_pairs == 1
-        assert list(sm.faces) == [sm.main_face]
+        assert list(sm.faces) == [0]
 
 
 def test_border_always_carries_both_flows():
@@ -264,11 +267,10 @@ def test_border_always_carries_both_flows():
     m = fan_mesh()
     fs = samples_from_reals([30.0, 40.0, 50.0, 60.0, 70.0, 80.0])
     behaviors = set()
-    for k in range(3):
-        for element in (("edge", k), ("corner", k)):
-            for b, t0, t1 in segment_interval(m, fs, 0, element):
-                if t1 > t0:
-                    behaviors.add(b)
+    for element in range(6):
+        for b, t0, t1 in segment_interval(m, fs, 0, element):
+            if t1 > t0:
+                behaviors.add(b)
     assert {Behavior.IN, Behavior.OUT} <= behaviors
     assert decompose(m, fs, 0).initial_pairs >= 1
 
@@ -406,3 +408,46 @@ def test_corner_sink_pieces_have_zero_length():
             if sh.kind == "corner":
                 assert sh.length == 0.0
                 found += 1
+
+
+@cache
+def decomposition_corpus():
+    """300 random wound facets (rng seed 5) plus the MULTI_TANGENT fans."""
+    rng = np.random.default_rng(5)
+    meshes = [decompose(*wound_config(rng), 0) for _ in range(300)]
+    meshes += [decompose(fan_mesh(), samples_from_reals(v), 0) for v in MULTI_TANGENT]
+    return meshes
+
+
+# sha256 of decomposition_digest over decomposition_corpus(); it pins the
+# dump, runs, piece angles, lengths, twins and fluxes bit for bit
+CORPUS_SHA256 = "fdf993394846e239f3e1a47e485f30874aae5e340c79fd9374272157819ce458"
+
+
+def decomposition_digest(meshes):
+    from streamtrace import phi
+
+    h = hashlib.sha256()
+    for sm in meshes:
+        h.update(sm.dump().encode())
+        for face_id in sm.faces:
+            runs = sm.face_runs(face_id)
+            for beh in (Behavior.IN, Behavior.OUT):
+                run = runs[beh]
+                h.update(
+                    f"face{face_id} {beh.value} {[sh.id for sh in run.pieces]} "
+                    f"{[float(x).hex() for x in run.starts]} "
+                    f"{float(run.total).hex()}\n".encode()
+                )
+        for sh in sm.hs:
+            flux = "-" if sh.behavior.is_tangent else float(phi(sh, 1.0)).hex()
+            twin = None if sh.opp is None else sh.opp.id
+            h.update(
+                f"{sh.id} face{sh.face} {float(sh.b0).hex()} {float(sh.b1).hex()} "
+                f"{float(sh.length).hex()} {twin} {flux}\n".encode()
+            )
+    return h.hexdigest()
+
+
+def test_decomposition_corpus_is_pinned():
+    assert decomposition_digest(decomposition_corpus()) == CORPUS_SHA256

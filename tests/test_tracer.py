@@ -259,7 +259,7 @@ def sweep_seed_count(mesh, fs, v, samples=512):
         fr = mesh.frame(f)
 
         def delta(t):
-            field = interpolated_angle(mesh, fs, f, ("corner", k), t)
+            field = interpolated_angle(mesh, fs, f, 2 * k + 1, t)
             ray = fr.edge_angles[k] + math.pi - t * fr.betas[k]
             return field - ray
 
