@@ -21,6 +21,7 @@ from .errors import FieldError, MeshError, StreamMeshError, TraceError
 from .field import load_field, save_field, synth_field, validate, vertex_index
 from .mesh import SurfaceMesh, TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, rk4_trace
+from .stream_mesh import Behavior
 from .tracer import Seed, Tracer, check_crossings, save_polylines, load_polylines, seed_from_vertex
 
 
@@ -34,7 +35,10 @@ class RunReport:
     median_crossing_time: float = 0.0
     violations: int = 0
 
-    def print(self, out=sys.stdout):
+    def print(self, out=None):
+        # sys.stdout is read at call time, so a later redirection receives it
+        if out is None:
+            out = sys.stdout
         out.write(f"polylines:            {self.polylines}\n")
         out.write(f"facet crossings:      {self.crossings}\n")
         for reason in sorted(self.terminations):
@@ -58,24 +62,38 @@ def _load_inputs(args):
 # -- seeding -----------------------------------------------------------------
 
 
-def _boundary_loop_seeds(mesh, n):
-    """n seeds spaced by arc length along the surface boundary."""
-    segs = []  # boundary halfedges loop by loop, each from its lowest id
+def _boundary_loop_seeds(mesh, fs, n, direction="forward"):
+    """n seeds spaced by arc length over the boundary a line can start on.
+
+    Only the stream-mesh pieces of the boundary edges where the field
+    enters the surface count: ``IN`` pieces for forward lines, ``OUT``
+    pieces for backward ones.  The loops are walked in order, each from its
+    lowest boundary halfedge; a seed sits on the facet side of its edge.
+    """
+    enter = Behavior.IN if direction == "forward" else Behavior.OUT
+    stream_mesh = Tracer(mesh, fs).stream_mesh
+    spans = []  # (facet halfedge, t0, t1, arc length), in walk order
     seen = set()
     for h in range(mesh.n_interior_halfedges, mesh.n_halfedges):
         while h not in seen:
             seen.add(h)
-            segs.append((h, mesh.edge_length(h)))
+            o = mesh.opposite(h)
+            sm = stream_mesh(mesh.facet(o))
+            length = mesh.edge_length(h)
+            # the facet side runs against the walk
+            for sh in reversed(sm.border_pieces(2 * (o % 3))):
+                if sh.behavior == enter and sh.t1 > sh.t0:
+                    spans.append((o, sh.t1, sh.t0, length * (sh.t1 - sh.t0)))
             h = mesh.next(h)
-    total = sum(l for _, l in segs)
+    total = sum(span[3] for span in spans)
     seeds = []
     targets = [(i + 0.5) * total / n for i in range(n)]
     acc = 0.0
     ti = 0
-    for h, l in segs:
+    for o, t0, t1, l in spans:
         while ti < n and targets[ti] <= acc + l:
-            c = (targets[ti] - acc) / l
-            seeds.append(Seed(TracePoint(h, c)))
+            t = t0 + (targets[ti] - acc) / l * (t1 - t0)
+            seeds.append(Seed(TracePoint(o, t), direction))
             ti += 1
         acc += l
     return seeds
@@ -117,11 +135,9 @@ def make_seeds(mesh, fs, args):
             for d in ("forward", "backward"):
                 seeds.extend(seed_from_vertex(mesh, fs, v, d))
         return seeds
-    closed = mesh.n_halfedges == mesh.n_interior_halfedges
-    base = (_spread_edge_seeds if closed else _boundary_loop_seeds)(mesh, args.seeds)
-    if direction != "forward":
-        base = [Seed(s.point, direction) for s in base]
-    return base
+    if mesh.n_halfedges > mesh.n_interior_halfedges:
+        return _boundary_loop_seeds(mesh, fs, args.seeds, direction)
+    return [Seed(s.point, direction) for s in _spread_edge_seeds(mesh, args.seeds)]
 
 
 def _has_vertex_tangency(mesh, fs, v):
@@ -224,6 +240,8 @@ def cmd_validate(args):
 
 
 def cmd_trace(args):
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
     mesh, fs = _load_inputs(args)
     seeds = make_seeds(mesh, fs, args)
     if not seeds:

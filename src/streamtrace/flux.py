@@ -58,9 +58,14 @@ def phi(sh, c) -> float:
     return abs(phi_signed(sh, c))
 
 
-def phi_inverse(sh, x) -> float:
-    """Parameter c with phi(sh, c) == x; exact at x == 0 and x == phi(sh, 1)."""
-    total = phi(sh, 1.0)
+def phi_inverse(sh, x, total=None) -> float:
+    """Parameter c with phi(sh, c) == x; exact at x == 0 and x == phi(sh, 1).
+
+    ``total`` is ``phi(sh, 1.0)`` when the caller already holds it, as
+    ``locate`` does in the run's ``totals``; None computes it here.
+    """
+    if total is None:
+        total = phi(sh, 1.0)
     if x < 0.0 or x > total * (1.0 + 1e-9) + 1e-300:
         raise FluxError(f"flux value {x} outside [0, {total}]")
     if x == 0.0:
@@ -105,7 +110,9 @@ def locate(run, x):
 
     Ties at piece boundaries resolve to the earlier piece; zero-flux members
     (tangents interleaved in the run, pass-through corners) are skipped.
-    Matches a linear scan over the run exactly.
+    Matches a linear scan over the run exactly.  The piece's flux total is
+    read from ``run.totals``, which ``finalize`` filled with ``phi(sh, 1.0)``,
+    and handed to ``phi_inverse``.
     """
     if x < 0.0:
         x = 0.0
@@ -118,5 +125,6 @@ def locate(run, x):
         j += 1
     sh = run.pieces[j]
     # prefix-sum roundoff may land a hair outside the piece's own range
-    rem = min(max(x - run.starts[j], 0.0), run.totals[j])
-    return sh, phi_inverse(sh, rem)
+    total = run.totals[j]
+    rem = min(max(x - run.starts[j], 0.0), total)
+    return sh, phi_inverse(sh, rem, total)

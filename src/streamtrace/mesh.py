@@ -142,6 +142,10 @@ class SurfaceMesh:
         self._prev[self._next[b]] = b
 
         self._canonical = self._opposite > np.arange(n)
+        # the trace path asks for one halfedge at a time: a list item is
+        # an int already, where each numpy read builds a scalar
+        self._opposite_list = self._opposite.tolist()
+        self._facet_list = self._facet.tolist()
         self._vertex_on_boundary = np.bincount(self._origin[b], minlength=nv) > 0
         self._vertex_on_boundary.setflags(write=False)
         self.n_interior_halfedges = n_interior
@@ -244,15 +248,15 @@ class SurfaceMesh:
         return int(self._prev[h])
 
     def opposite(self, h):
-        return int(self._opposite[h])
+        return self._opposite_list[h]
 
     def facet(self, h):
         """Facet id of a halfedge, or None for boundary halfedges."""
-        f = int(self._facet[h])
+        f = self._facet_list[h]
         return None if f < 0 else f
 
     def has_facet(self, h):
-        return self._facet[h] >= 0
+        return self._facet_list[h] >= 0
 
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])
@@ -266,7 +270,7 @@ class SurfaceMesh:
 
     def canonical_halfedge(self, h):
         """The canonical halfedge of the edge of ``h``: ``h`` or its twin."""
-        return h if self._canonical[h] else int(self._opposite[h])
+        return h if self._canonical[h] else self._opposite_list[h]
 
     def interior_edge_pairs(self):
         """Halfedges ``(h, o)`` of each edge between two facets, ``h`` canonical."""
@@ -357,10 +361,12 @@ class SurfaceMesh:
     # -- positions ----------------------------------------------------------
 
     def position(self, tp: TracePoint) -> np.ndarray:
-        """World position of a trace point.
+        """World position of one trace point, a new 3-vector.
 
-        For c in [0, 1] the point is interpolated along the halfedge; for
-        c in (1, 2] it is the destination vertex (terminal sink encoding).
+        For c in [0, 1] the point is ``(1 - c) * origin + c * dest`` along
+        the halfedge; for c in (1, 2] it is the destination vertex (terminal
+        sink encoding).  ``positions`` applies the same rule to many points
+        at once and gives the same bits.
         """
         c = tp.c
         if c < 0.0 or c > 2.0:
@@ -370,6 +376,24 @@ class SurfaceMesh:
         if c <= 1.0:
             return (1.0 - c) * p0 + c * p1
         return p1.copy()
+
+    def positions(self, points) -> np.ndarray:
+        """World positions of a sequence of trace points, an ``(n, 3)`` array.
+
+        ``position``'s rule on whole arrays: numpy multiplies and adds
+        elementwise, so row i has the bits of ``position(points[i])``.
+        """
+        hs = [tp.halfedge for tp in points]
+        c = np.array([tp.c for tp in points], dtype=float)
+        bad = np.nonzero((c < 0.0) | (c > 2.0))[0]
+        if len(bad):
+            raise MeshError(f"trace point parameter {c[bad[0]]} outside [0, 2]")
+        p0 = self.vertices[self._origin[hs]]
+        p1 = self.vertices[self._dest[hs]]
+        out = (1.0 - c)[:, None] * p0 + c[:, None] * p1
+        sink = c > 1.0
+        out[sink] = p1[sink]
+        return out
 
 
 def load_obj(path) -> SurfaceMesh:

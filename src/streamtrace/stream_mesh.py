@@ -34,6 +34,12 @@ be crossed by flux ratio.  ``decompose`` repeatedly carves a simple face off
 the main face with a chord drawn between a split forward tangency and a
 split backward tangency, updating both faces' lists in place, until every
 face is simple.
+
+A facet is decomposed one value at a time, so the work runs on Python
+floats, not numpy scalars: ``_init_border`` reads the facet's node row, each
+mirrored neighbour's row and the edge lengths with ``tolist()`` once.  The
+values are the same IEEE doubles either way; only the per-operation cost
+differs.
 """
 
 from __future__ import annotations
@@ -54,6 +60,10 @@ class Behavior(Enum):
     TF = "Tf"
     TB = "Tb"
 
+    # members are singletons: hash by identity, not by Enum's Python-level
+    # hash of the name, so dict and set lookups stay in C
+    __hash__ = object.__hash__
+
     def __init__(self, value):
         self.is_tangent = value in ("Tf", "Tb")
 
@@ -63,12 +73,6 @@ _MIRROR = {
     Behavior.OUT: Behavior.IN,
     Behavior.TF: Behavior.TB,
     Behavior.TB: Behavior.TF,
-}
-
-# sink sign of a corner piece by its (own, previous, next) behaviors
-_CORNER_SINK = {
-    (Behavior.OUT, Behavior.TF, Behavior.TB): 1,
-    (Behavior.IN, Behavior.TB, Behavior.TF): -1,
 }
 
 # split_step's (first group, three separators) patterns: is the split primal
@@ -132,9 +136,6 @@ class StreamHalfedge:
         self.opp = None
         self.face = 0
         self.sink = 0
-
-    def anchor_t(self, c):
-        return self.t0 + c * (self.t1 - self.t0)
 
     def __repr__(self):
         return (
@@ -222,7 +223,7 @@ def _segment_element(mesh, fieldsamples, f, element, nodes):
         return _segment_values(nodes[element], nodes[element + 1])
     # mirror the canonical side
     g, k2 = o // 3, o % 3
-    ng = fieldsamples.nodes(g)
+    ng = fieldsamples.nodes(g).tolist()
     canonical = _segment_values(ng[2 * k2], ng[2 * k2 + 1])
     d0, d1 = nodes[element], nodes[element + 1]
 
@@ -303,58 +304,62 @@ class StreamMesh:
     # -- construction -------------------------------------------------------
 
     def _init_border(self):
-        mesh, f = self.mesh, self.facet
-        nodes = self.field.nodes(f)
-        raw = []
-        for ordinal in range(6):
-            for p in _segment_element(mesh, self.field, f, ordinal, nodes):
-                raw.append((ordinal,) + p)
+        """Segment the six border elements and link the pieces into the border.
 
+        The node row and edge lengths are read as Python floats once, so
+        the per-piece arithmetic runs on floats, not numpy scalars.
+        """
+        mesh, f = self.mesh, self.facet
+        nodes = self.field.nodes(f).tolist()
+        self._lens = self._frame.edge_lens.tolist()
+        elements = [
+            _segment_element(mesh, self.field, f, ordinal, nodes)
+            for ordinal in range(6)
+        ]
         # two tangents meeting at an element junction (the last one wraps
         # round) repeat one tangency: drop the later element's zero-length
         # start piece, and the earlier element's zero-length end piece if a
         # tangent still starts the later element
-        drop = set()
-        for i, (ordinal, beh, t0, t1, _, _) in enumerate(raw):
-            po, pbeh, pt0, pt1, _, _ = raw[i - 1]
-            if ordinal != po and beh.is_tangent and pbeh.is_tangent:
+        for prev, cur in zip(elements[-1:] + elements[:-1], elements):
+            pbeh, pt0, pt1 = prev[-1][:3]
+            beh, t0, t1 = cur[0][:3]
+            if pbeh.is_tangent and beh.is_tangent:
                 if t0 == t1:
-                    drop.add(i)
-                    beh = raw[i + 1][1]  # an element has a piece of length > 0
-                if beh.is_tangent and pt0 == pt1:
-                    drop.add((i - 1) % len(raw))
-        cleaned = [item for i, item in enumerate(raw) if i not in drop]
+                    del cur[0]  # an element has a piece of length > 0
+                if cur[0][0].is_tangent and pt0 == pt1:
+                    prev.pop()
 
-        for ordinal, beh, t0, t1, b0, b1 in cleaned:
+        hs = self.hs
+        for ordinal, pieces in enumerate(elements):
             kind = "corner" if ordinal % 2 else "edge"
-            length = self._piece_length(ordinal, t0, t1)
-            self.hs.append(
-                StreamHalfedge(len(self.hs), kind, beh, ordinal, t0, t1, b0, b1, length)
-            )
+            for beh, t0, t1, b0, b1 in pieces:
+                length = self._piece_length(ordinal, t0, t1)
+                hs.append(
+                    StreamHalfedge(len(hs), kind, beh, ordinal, t0, t1, b0, b1, length)
+                )
+        for prv, sh, nxt in zip(hs[-1:] + hs[:-1], hs, hs[1:] + hs[:1]):
+            sh.prv, sh.nxt = prv, nxt
+            if sh.kind != "corner":
+                continue
+            beh, pbeh, nbeh = sh.behavior, prv.behavior, nxt.behavior
+            if beh is Behavior.OUT and pbeh is Behavior.TF and nbeh is Behavior.TB:
+                sh.sink = 1
+            elif beh is Behavior.IN and pbeh is Behavior.TB and nbeh is Behavior.TF:
+                sh.sink = -1
 
-        border = self.hs
-        if not border:
-            raise StreamMeshError("empty facet border")
-        for prev, sh in zip(border[-1:] + border[:-1], border):
-            prev.nxt, sh.prv = sh, prev
-        for sh in border:
-            if sh.kind == "corner" and not sh.behavior.is_tangent:
-                key = (sh.behavior, sh.prv.behavior, sh.nxt.behavior)
-                sh.sink = _CORNER_SINK.get(key, 0)
-
-        flows = [sh.behavior for sh in border if not sh.behavior.is_tangent]
-        if Behavior.IN not in flows or Behavior.OUT not in flows:
+        behaviors = {sh.behavior for sh in hs}
+        if Behavior.IN not in behaviors or Behavior.OUT not in behaviors:
             raise StreamMeshError(
                 f"facet {self.facet}: border lacks inflow or outflow"
             )
-        groups, seps = _groups_and_separators(border)
+        groups, seps = _groups_and_separators(hs)
         self.faces = {0: (groups, seps)}
         self.initial_pairs = len(groups) // 2
 
     def _piece_length(self, ordinal, t0, t1):
         if ordinal % 2 == 1:
             return 0.0
-        return float(self._frame.edge_lens[ordinal // 2]) * (t1 - t0)
+        return self._lens[ordinal // 2] * (t1 - t0)
 
     def _anchor_position(self, element, t):
         h = 3 * self.facet + element // 2
@@ -607,6 +612,10 @@ class StreamMesh:
     def face_runs(self, face_id):
         return self._runs[face_id]
 
+    def border_pieces(self, element):
+        """Border pieces of element ``element`` (edge k is 2k), in parameter order."""
+        return self._pieces[element]
+
     # -- conversions ---------------------------------------------------------
 
     def import_position(self, halfedge, c, enter=Behavior.IN):
@@ -700,22 +709,27 @@ class StreamMesh:
 
         Edge pieces yield (facet halfedge, t on it); exits through a surface
         boundary edge are flipped to the outside halfedge so the returned
-        point's halfedge has no facet.  Corner pieces only terminate
-        streamlines (absorbing corners); they yield the halfedge pointing at
-        the corner vertex with c = 1 + t as terminal encoding.  Chords
-        cannot be exported.
+        point's halfedge has no facet.  An edge point within ``VERTEX_SNAP``
+        of an edge end snaps onto that vertex (c = 0 or 1).  Corner pieces
+        only terminate streamlines (absorbing corners); they yield the
+        halfedge pointing at the corner vertex with c = 1 + t as terminal
+        encoding.  Chords cannot be exported.
         """
-        if sh.kind == "chord":
+        kind = sh.kind
+        if kind == "chord":
             raise StreamMeshError("cannot export a chord position")
-        t = sh.anchor_t(c)
-        k = sh.element // 2
-        if sh.kind == "edge":
-            h = 3 * self.facet + k
-            o = self.mesh.opposite(h)
-            if not self.mesh.has_facet(o):
-                return TracePoint(o, 1.0 - t)
-            return TracePoint(h, t)
-        return TracePoint(3 * self.facet + k, 1.0 + t)
+        t = sh.t0 + c * (sh.t1 - sh.t0)
+        h = 3 * self.facet + sh.element // 2
+        if kind == "corner":
+            return TracePoint(h, 1.0 + t)
+        o = self.mesh.opposite(h)
+        if not self.mesh.has_facet(o):
+            h, t = o, 1.0 - t
+        if t < VERTEX_SNAP:
+            t = 0.0
+        elif t > 1.0 - VERTEX_SNAP:
+            t = 1.0
+        return TracePoint(h, t)
 
     # -- diagnostics -----------------------------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from . import flux, stream_mesh
 from .errors import StreamMeshError, TraceError
 from .field import vertex_index
 from .mesh import TracePoint
-from .stream_mesh import Behavior, VERTEX_SNAP
+from .stream_mesh import Behavior
 
 ORBIT_TOL = 1e-9
 
@@ -41,6 +42,10 @@ class Seed:
 class Polyline:
     """Traced streamline: border points in order plus the termination cause.
 
+    ``positions[i]`` is the world position of ``points[i]``.  ``Tracer.trace``
+    records the points only and fills ``positions`` from one
+    ``SurfaceMesh.positions`` call when the line ends; ``append`` adds one
+    point with its position, as RK4 lines and ``from_record`` do.
     ``rk4_steps`` counts the integration steps of an RK4 reference line; it
     stays 0 on stream-traced lines, which take none.
     """
@@ -174,14 +179,29 @@ class Tracer:
 
         Every step crosses a facet from an entry (stream mesh, piece, local
         c): the seed's, then the one across the exit edge, or after an exit
-        exactly at a vertex the one ``_pivot_at_vertex`` finds.
+        exactly at a vertex the one ``_pivot_at_vertex`` finds.  The points
+        are recorded as the line goes; their positions are computed once,
+        when it ends.
         """
-        mesh = self.mesh
         enter = _ENTRY.get(seed.direction)
         if enter is None:
             raise TraceError(f"unknown trace direction {seed.direction!r}")
         pl = Polyline(seed)
-        pl.append(seed.point, mesh.position(seed.point))
+        pl.points.append(seed.point)
+        self._walk(pl, enter)
+        pl.positions = list(self.mesh.positions(pl.points))
+        return pl
+
+    def _walk(self, pl, enter):
+        """Append the exits of ``pl`` to its points and set its termination.
+
+        A line closes an orbit when it leaves through a halfedge within
+        ``ORBIT_TOL`` of an earlier exit there; each halfedge's exits are
+        kept sorted, so only the two neighbours of a new exit are compared.
+        """
+        mesh = self.mesh
+        seed = pl.seed
+        points = pl.points
         if seed.corner_entry is not None:
             f, k, t = seed.corner_entry
             sm = self.stream_mesh(f)
@@ -189,59 +209,58 @@ class Tracer:
         else:
             entry = self._edge_seed_entry(seed.point, enter)
 
-        visited = defaultdict(list)
+        visited = {}  # halfedge -> sorted exit parameters
         pivot_vertex, pivot_count = None, 0
         steps = 0
         while True:
             sm, sh, csm = entry
             out_sh, c_out = self.cross_facet(sm, sh, csm, enter)
             tp = sm.export_position(out_sh, c_out)
+            points.append(tp)
+            h_exit, c_exit = tp.halfedge, tp.c
 
-            if tp.c > 1.0:
-                pl.append(tp, mesh.position(tp))
+            if c_exit > 1.0:
                 pl.termination = "sink-vertex"
-                pl.sink_vertex = mesh.dest(tp.halfedge)
-                return pl
+                pl.sink_vertex = mesh.dest(h_exit)
+                return
 
-            c_exit = tp.c
-            if c_exit < VERTEX_SNAP:
-                c_exit = 0.0
-            elif c_exit > 1.0 - VERTEX_SNAP:
-                c_exit = 1.0
-            tp = TracePoint(tp.halfedge, c_exit)
-            pl.append(tp, mesh.position(tp))
-
-            for prev_c in visited[tp.halfedge]:
-                if abs(prev_c - c_exit) <= ORBIT_TOL:
+            seen = visited.get(h_exit)
+            if seen is None:
+                visited[h_exit] = [c_exit]
+            else:
+                i = bisect_left(seen, c_exit)
+                if (i and c_exit - seen[i - 1] <= ORBIT_TOL) or (
+                    i < len(seen) and seen[i] - c_exit <= ORBIT_TOL
+                ):
                     pl.termination = "closed-orbit"
-                    return pl
-            visited[tp.halfedge].append(c_exit)
+                    return
+                seen.insert(i, c_exit)
 
             steps += 1
             if steps >= self.max_steps:
                 pl.termination = "step-cap"
-                return pl
+                return
 
-            if not mesh.has_facet(tp.halfedge):
+            if not mesh.has_facet(h_exit):
                 # export flipped the point outward: surface boundary reached
                 pl.termination = "boundary"
-                return pl
+                return
 
             if c_exit == 0.0 or c_exit == 1.0:
                 # the exit facet's halfedge that leaves the vertex
-                o = tp.halfedge if c_exit == 0.0 else mesh.next(tp.halfedge)
+                o = h_exit if c_exit == 0.0 else mesh.next(h_exit)
                 v = mesh.origin(o)
                 pivot_count = pivot_count + 1 if v == pivot_vertex else 1
                 pivot_vertex = v
                 if pivot_count > mesh.vertex_valence(v):
                     self._stop_at_vertex(pl, v)
-                    return pl
+                    return
                 entry = self._pivot_at_vertex(pl, o, enter)
                 if entry is None:
-                    return pl
+                    return
             else:
                 pivot_vertex, pivot_count = None, 0
-                h = mesh.opposite(tp.halfedge)
+                h = mesh.opposite(h_exit)
                 sm = self.stream_mesh(mesh.facet(h))
                 entry = (sm, *sm.import_position(h, 1.0 - c_exit, enter))
 

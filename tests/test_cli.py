@@ -353,3 +353,49 @@ def test_seed_count_below_one_exits_2(tmp_path, capsys, cmd):
     assert main(argv) == 2
     assert "--seeds must be at least 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "lines.jsonl").exists()
+
+
+def test_trace_prints_its_summary_to_the_current_stdout(tmp_path, capsys):
+    obj, field = synth(tmp_path, "circular", "--rings", "4", "--sectors", "12")
+    rc = main([
+        "trace", "--mesh", obj, "--field", field,
+        "--seeds", "6", "--out", str(tmp_path / "lines.jsonl"),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "polylines:            6\n" in out
+    assert "crossing violations:  0\n" in out
+
+
+@pytest.mark.parametrize("direction, sides", [("forward", (0.0,)), ("backward", (1.0,))])
+def test_boundary_seeds_start_only_where_lines_enter(tmp_path, capsys, direction, sides):
+    # a 30 degree flow enters a unit grid through x = 0 and y = 0 and leaves
+    # through x = 1 and y = 1; every seed must sit where its lines enter
+    obj, field = synth(tmp_path, "grid", "--nx", "10", "--ny", "10", "--angle", "30")
+    lines = str(tmp_path / "lines.jsonl")
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--seeds", "20",
+        "--direction", direction, "--out", lines,
+    ])
+    assert rc == 0
+    assert "rejected seeds" not in capsys.readouterr().out
+    recs = [json.loads(l) for l in open(lines) if l.strip()]
+    assert len(recs) == 20
+    for rec in recs:
+        x, y, _ = rec["positions"][0]
+        assert x in sides or y in sides
+        assert rec["termination"] == "boundary"
+
+
+@pytest.mark.parametrize("engine", ["stream", "rk4"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_steps_below_one_exits_2(tmp_path, capsys, engine, value):
+    obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    lines = tmp_path / "lines.jsonl"
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--engine", engine,
+        "--max-steps", value, "--out", str(lines),
+    ])
+    assert rc == 2
+    assert f"--max-steps must be at least 1, got {value}" in capsys.readouterr().err
+    assert not lines.exists()

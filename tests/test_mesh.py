@@ -114,6 +114,25 @@ def test_position_sink_encoding_lands_on_corner_vertex(strip10):
     assert np.allclose(m.position(tp), m.vertices[v])
 
 
+def test_positions_equal_position_bit_for_bit():
+    m = meshgen.torus()
+    rng = np.random.default_rng(8)
+    hs = rng.integers(0, m.n_halfedges, 600).tolist()
+    cs = rng.uniform(0.0, 2.0, 600).tolist()
+    # edge ends, the sink encoding's ends and a negative zero as well
+    cs[:6] = [0.0, 1.0, 2.0, -0.0, 1.0 + 1e-16, 5e-324]
+    points = [TracePoint(h, c) for h, c in zip(hs, cs)]
+    rows = m.positions(points)
+    assert rows.shape == (600, 3)
+    for tp, row in zip(points, rows):
+        assert [x.hex() for x in row.tolist()] == [
+            x.hex() for x in m.position(tp).tolist()
+        ]
+    assert m.positions([]).shape == (0, 3)
+    with pytest.raises(MeshError, match="outside"):
+        m.positions(points[:3] + [TracePoint(0, 2.5)])
+
+
 def test_obj_round_trip(tmp_path, disc_mesh):
     p = tmp_path / "disc.obj"
     save_obj(p, disc_mesh)

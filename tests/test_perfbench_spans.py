@@ -9,7 +9,7 @@ reads 0 the same way.  This checks both here, where the tier-1 suite runs.
 import importlib.util
 from pathlib import Path
 
-from streamtrace import StreamMeshError, cli, field, meshgen, mesh, synth_field, tracer
+from streamtrace import cli, field, meshgen, mesh, synth_field, tracer
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -43,13 +43,8 @@ def test_a_tiny_campaign_calls_every_benchmark_entry_point(tmp_path):
         fs = field.load_field(fld, m)
         assert field.validate(m, fs) == []
         tr = tracer.Tracer(m, fs)
-        polylines = []
-        for s in cli._boundary_loop_seeds(m, 8):
-            try:
-                polylines.append(tr.trace(s))
-            except StreamMeshError:  # a seed on the outflow boundary
-                pass
-        assert len(polylines) >= 4
+        polylines = [tr.trace(s) for s in cli._boundary_loop_seeds(m, fs, 8)]
+        assert len(polylines) == 8
         assert tracer.check_crossings(m, polylines) == []
         tracer.save_polylines(str(tmp_path / "lines.json"), polylines)
         cli.write_obj_polylines(str(tmp_path / "lines.obj"), polylines)

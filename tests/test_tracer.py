@@ -635,3 +635,51 @@ def test_backward_crossing_inverts_forward_crossing():
                 x_back = flux.accumulate(rin, back_sh, c_back)
                 assert abs(x_back - x) <= 1e-9 * rin.total
                 checked += 1
+
+
+def campaign_digest(mesh, fs, n_seeds, max_steps):
+    """sha256 of a forward and a backward campaign from spread edge seeds.
+
+    Covers every point's ``(halfedge, c.hex())``, every position's
+    coordinates in hex and each line's termination; a seed that no facet
+    takes counts as one rejection.
+    """
+    sha = hashlib.sha256()
+    tr = Tracer(mesh, fs, max_steps=max_steps)
+    edges = mesh.edge_halfedges().tolist()
+    picks = [edges[i] for i in np.linspace(0, len(edges) - 1, n_seeds).round().astype(int)]
+    for d in ("forward", "backward"):
+        for h in picks:
+            try:
+                pl = tr.trace(Seed(TracePoint(h, 0.5), d))
+            except StreamMeshError:
+                sha.update(b"rejected|")
+                continue
+            for tp, p in zip(pl.points, pl.positions, strict=True):
+                sha.update(f"{tp.halfedge}:{float(tp.c).hex()}@".encode())
+                sha.update(",".join(float(x).hex() for x in p).encode())
+            sha.update(f"={pl.termination}:{pl.sink_vertex}|".encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "scene, n_seeds, max_steps, digest",
+    [
+        ("torus", 6, 2000, "32988eb1df957a36829881d1e0c310f707e1986ddb517ebc95293e6b143d771f"),
+        ("icosphere2", 12, 400, "e9cc2642058747a4518afc5eb85f559180e372475a0250355e794d3b7bdb0af8"),
+        ("distorted-grid", 12, 400, "22bc1c53b34d97545f595ea7467123bf695ca3ddaf3d91a7da48d1c672104a1c"),
+    ],
+)
+def test_campaign_points_and_positions_are_pinned(scene, n_seeds, max_steps, digest):
+    # lines end by closed orbit and step cap on the torus, by sink vertex and
+    # closed orbit on the sphere, at the boundary on the grid
+    if scene == "torus":
+        mesh = meshgen.torus()
+        fs = synth_field(mesh, "smoothed-random", seed=1)
+    elif scene == "icosphere2":
+        mesh = meshgen.icosphere(2)
+        fs = synth_field(mesh, "smoothed-random", seed=1)
+    else:
+        mesh = meshgen.grid(12, 12, distortion=0.4, seed=7)
+        fs = synth_field(mesh, "circular", center=(0.0, 0.0))
+    assert campaign_digest(mesh, fs, n_seeds, max_steps) == digest
