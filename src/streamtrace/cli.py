@@ -62,23 +62,24 @@ def _load_inputs(args):
 # -- seeding -----------------------------------------------------------------
 
 
-def _boundary_loop_seeds(mesh, fs, n, direction="forward"):
+def _boundary_loop_seeds(tracer, n, direction="forward"):
     """n seeds spaced by arc length over the boundary a line can start on.
 
     Only the stream-mesh pieces of the boundary edges where the field
     enters the surface count: ``IN`` pieces for forward lines, ``OUT``
     pieces for backward ones.  The loops are walked in order, each from its
     lowest boundary halfedge; a seed sits on the facet side of its edge.
+    The pieces come from ``tracer``'s stream meshes, which its lines reuse.
     """
+    mesh = tracer.mesh
     enter = Behavior.IN if direction == "forward" else Behavior.OUT
-    stream_mesh = Tracer(mesh, fs).stream_mesh
     spans = []  # (facet halfedge, t0, t1, arc length), in walk order
     seen = set()
     for h in range(mesh.n_interior_halfedges, mesh.n_halfedges):
         while h not in seen:
             seen.add(h)
             o = mesh.opposite(h)
-            sm = stream_mesh(mesh.facet(o))
+            sm = tracer.stream_mesh(mesh.facet(o))
             length = mesh.edge_length(h)
             # the facet side runs against the walk
             for sh in reversed(sm.border_pieces(2 * (o % 3))):
@@ -106,7 +107,8 @@ def _spread_edge_seeds(mesh, n):
     return [Seed(TracePoint(canon[i], 0.5)) for i in idx]
 
 
-def make_seeds(mesh, fs, args):
+def make_seeds(tracer, args):
+    mesh, fs = tracer.mesh, tracer.fieldsamples
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     direction = getattr(args, "direction", "forward")
@@ -136,7 +138,7 @@ def make_seeds(mesh, fs, args):
                 seeds.extend(seed_from_vertex(mesh, fs, v, d))
         return seeds
     if mesh.n_halfedges > mesh.n_interior_halfedges:
-        return _boundary_loop_seeds(mesh, fs, args.seeds, direction)
+        return _boundary_loop_seeds(tracer, args.seeds, direction)
     return [Seed(s.point, direction) for s in _spread_edge_seeds(mesh, args.seeds)]
 
 
@@ -243,7 +245,8 @@ def cmd_trace(args):
     if args.max_steps is not None and args.max_steps < 1:
         raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
     mesh, fs = _load_inputs(args)
-    seeds = make_seeds(mesh, fs, args)
+    tracer = Tracer(mesh, fs, max_steps=args.max_steps)
+    seeds = make_seeds(tracer, args)
     if not seeds:
         print("no seeds produced", file=sys.stderr)
         return 2
@@ -257,7 +260,7 @@ def cmd_trace(args):
         def trace(seed):
             return rk4_trace(mesh, fs, seed, cfg)
     else:
-        trace = Tracer(mesh, fs, max_steps=args.max_steps).trace
+        trace = tracer.trace
     polylines, report = _run_campaign(seeds, trace)
     violations = check_crossings(mesh, polylines)
     report.violations = len(violations)
@@ -274,9 +277,11 @@ def cmd_trace(args):
 
 def cmd_bench(args):
     mesh, fs = _load_inputs(args)
-    seeds = make_seeds(mesh, fs, args)
-    # the cold pass builds decompositions, the warm pass reuses them
-    trace = Tracer(mesh, fs).trace
+    tracer = Tracer(mesh, fs)
+    seeds = make_seeds(tracer, args)
+    # the cold pass builds the decompositions seeding did not, the warm
+    # pass reuses them
+    trace = tracer.trace
     _, cold = _run_campaign(seeds, trace)
     _, warm = _run_campaign(seeds, trace)
     stream_t = min(cold.median_crossing_time, warm.median_crossing_time)

@@ -299,19 +299,15 @@ class StreamMesh:
         self.faces: dict[int, tuple[list, list]] = {}
         self.split_count = 0
         self._frame = mesh.frame(facet)
+        self._lens = self._frame.edge_lens.tolist()
         self._init_border()
 
     # -- construction -------------------------------------------------------
 
     def _init_border(self):
-        """Segment the six border elements and link the pieces into the border.
-
-        The node row and edge lengths are read as Python floats once, so
-        the per-piece arithmetic runs on floats, not numpy scalars.
-        """
+        """Segment the six border elements and link their pieces into the border."""
         mesh, f = self.mesh, self.facet
         nodes = self.field.nodes(f).tolist()
-        self._lens = self._frame.edge_lens.tolist()
         elements = [
             _segment_element(mesh, self.field, f, ordinal, nodes)
             for ordinal in range(6)

@@ -43,7 +43,7 @@ def test_a_tiny_campaign_calls_every_benchmark_entry_point(tmp_path):
         fs = field.load_field(fld, m)
         assert field.validate(m, fs) == []
         tr = tracer.Tracer(m, fs)
-        polylines = [tr.trace(s) for s in cli._boundary_loop_seeds(m, fs, 8)]
+        polylines = [tr.trace(s) for s in cli._boundary_loop_seeds(tr, 8)]
         assert len(polylines) == 8
         assert tracer.check_crossings(m, polylines) == []
         tracer.save_polylines(str(tmp_path / "lines.json"), polylines)
