@@ -8,7 +8,7 @@ Seeds are traced one after another, so output is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import statistics
 import sys
 import time
@@ -19,11 +19,13 @@ import numpy as np
 from . import meshgen
 from .errors import FieldError, MeshError, StreamMeshError, TraceError
 from .field import load_field, save_field, synth_field, validate, vertex_index
-from .mesh import SurfaceMesh, TracePoint, load_obj, save_obj
+from .mesh import TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, rk4_trace
 from .stream_mesh import Behavior
 from .tracer import Seed, Tracer, check_crossings, save_polylines, load_polylines, seed_from_vertex
 
+SPREAD_SEEDS = 20  # per ``trace`` or ``bench`` run that names no other seeding
+BENCH_RK4_STEPS = 1000  # per RK4 line in ``bench``, which times per step
 
 @dataclass
 class RunReport:
@@ -35,22 +37,17 @@ class RunReport:
     median_crossing_time: float = 0.0
     violations: int = 0
 
-    def print(self, out=None):
-        # sys.stdout is read at call time, so a later redirection receives it
-        if out is None:
-            out = sys.stdout
-        out.write(f"polylines:            {self.polylines}\n")
-        out.write(f"facet crossings:      {self.crossings}\n")
+    def print(self):
+        print(f"polylines:            {self.polylines}")
+        print(f"facet crossings:      {self.crossings}")
         for reason in sorted(self.terminations):
-            out.write(f"  ended by {reason}: {self.terminations[reason]}\n")
+            print(f"  ended by {reason}: {self.terminations[reason]}")
         if self.rejected_seeds:
-            out.write(f"rejected seeds:       {self.rejected_seeds}\n")
-        out.write(f"total time:           {self.total_time:.3f} s\n")
+            print(f"rejected seeds:       {self.rejected_seeds}")
+        print(f"total time:           {self.total_time:.3f} s")
         if self.median_crossing_time:
-            out.write(
-                f"median per crossing:  {self.median_crossing_time * 1e6:.1f} us\n"
-            )
-        out.write(f"crossing violations:  {self.violations}\n")
+            print(f"median per crossing:  {self.median_crossing_time * 1e6:.1f} us")
+        print(f"crossing violations:  {self.violations}")
 
 
 def _load_inputs(args):
@@ -100,21 +97,26 @@ def _boundary_loop_seeds(tracer, n, direction="forward"):
     return seeds
 
 
-def _spread_edge_seeds(mesh, n):
+def _spread_edge_seeds(mesh, n, direction="forward"):
     """n seeds spread over the mesh's undirected edges (closed meshes)."""
     canon = mesh.edge_halfedges().tolist()
     idx = np.linspace(0, len(canon) - 1, n).round().astype(int)
-    return [Seed(TracePoint(canon[i], 0.5)) for i in idx]
+    return [Seed(TracePoint(canon[i], 0.5), direction) for i in idx]
 
 
-def make_seeds(tracer, args):
+def make_seeds(tracer, n=None, direction=None, points=None, singularities=False):
+    """Seeds of one seeding: the explicit ``h:c,...`` ``points``, the singular
+    vertices in both directions, or ``n`` spread seeds (None: ``SPREAD_SEEDS``).
+
+    A direction is an error with ``singularities``, which trace both.
+    """
+    if singularities and direction is not None:
+        raise ValueError("--seed-singularities traces both directions: drop --direction")
     mesh, fs = tracer.mesh, tracer.fieldsamples
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
-    direction = getattr(args, "direction", "forward")
-    if getattr(args, "seed_points", None):
-        seeds = []
-        for tok in args.seed_points.split(","):
+    direction = direction or "forward"
+    seeds = []
+    if points is not None:
+        for tok in points.split(","):
             h_s, c_s = tok.split(":")
             h, c = int(h_s), float(c_s)
             if not (0 <= h < mesh.n_halfedges and 0.0 <= c <= 1.0):
@@ -123,9 +125,7 @@ def make_seeds(tracer, args):
                     f"and 0 <= c <= 1"
                 )
             seeds.append(Seed(TracePoint(h, c), direction))
-        return seeds
-    if getattr(args, "seed_singularities", False):
-        seeds = []
+    elif singularities:
         for v in range(mesh.n_vertices):
             if mesh.is_boundary_vertex(v):
                 continue
@@ -136,10 +136,17 @@ def make_seeds(tracer, args):
                 continue
             for d in ("forward", "backward"):
                 seeds.extend(seed_from_vertex(mesh, fs, v, d))
-        return seeds
-    if mesh.n_halfedges > mesh.n_interior_halfedges:
-        return _boundary_loop_seeds(tracer, args.seeds, direction)
-    return [Seed(s.point, direction) for s in _spread_edge_seeds(mesh, args.seeds)]
+    else:
+        n = SPREAD_SEEDS if n is None else n
+        if n < 1:
+            raise ValueError(f"--seeds must be at least 1, got {n}")
+        if mesh.n_halfedges > mesh.n_interior_halfedges:
+            seeds = _boundary_loop_seeds(tracer, n, direction)
+        else:
+            seeds = _spread_edge_seeds(mesh, n, direction)
+    if not seeds:
+        raise ValueError("no seeds produced")
+    return seeds
 
 
 def _has_vertex_tangency(mesh, fs, v):
@@ -149,9 +156,6 @@ def _has_vertex_tangency(mesh, fs, v):
 
 
 # -- trace running ------------------------------------------------------------
-
-
-BENCH_RK4_STEPS = 1000  # per RK4 line in ``bench``, which times per step
 
 
 def _run_campaign(seeds, trace):
@@ -246,21 +250,13 @@ def cmd_trace(args):
         raise ValueError(f"--max-steps must be at least 1, got {args.max_steps}")
     mesh, fs = _load_inputs(args)
     tracer = Tracer(mesh, fs, max_steps=args.max_steps)
-    seeds = make_seeds(tracer, args)
-    if not seeds:
-        print("no seeds produced", file=sys.stderr)
-        return 2
+    seeds = make_seeds(
+        tracer, args.seeds, args.direction, args.seed_points, args.seed_singularities
+    )
+    trace = tracer.trace
     if args.engine == "rk4":
-        cfg = RK4Config()
-        if args.rk4_h:
-            cfg.step_fraction = args.rk4_h
-        if args.max_steps:
-            cfg.max_steps = args.max_steps
-
-        def trace(seed):
-            return rk4_trace(mesh, fs, seed, cfg)
-    else:
-        trace = tracer.trace
+        caps = {} if args.max_steps is None else {"max_steps": args.max_steps}
+        trace = functools.partial(rk4_trace, mesh, fs, config=RK4Config(args.rk4_h, **caps))
     polylines, report = _run_campaign(seeds, trace)
     violations = check_crossings(mesh, polylines)
     report.violations = len(violations)
@@ -276,9 +272,10 @@ def cmd_trace(args):
 
 
 def cmd_bench(args):
+    cfg = RK4Config(step_fraction=args.rk4_h, max_steps=BENCH_RK4_STEPS)
     mesh, fs = _load_inputs(args)
     tracer = Tracer(mesh, fs)
-    seeds = make_seeds(tracer, args)
+    seeds = make_seeds(tracer, args.seeds)
     # the cold pass builds the decompositions seeding did not, the warm
     # pass reuses them
     trace = tracer.trace
@@ -286,20 +283,14 @@ def cmd_bench(args):
     _, warm = _run_campaign(seeds, trace)
     stream_t = min(cold.median_crossing_time, warm.median_crossing_time)
 
-    rk4_h = args.rk4_h or 0.1
     t0 = time.perf_counter()
-    rk4_steps = 0
-    cfg = RK4Config(step_fraction=rk4_h, max_steps=BENCH_RK4_STEPS)
-    for s in seeds:
-        pl = rk4_trace(mesh, fs, s, cfg)
-        rk4_steps += pl.rk4_steps
-    rk4_total = time.perf_counter() - t0
-    rk4_per_step = rk4_total / max(1, rk4_steps)
+    rk4_steps = sum(rk4_trace(mesh, fs, s, cfg).rk4_steps for s in seeds)
+    rk4_per_step = (time.perf_counter() - t0) / max(1, rk4_steps)
 
     print(f"stream: median {stream_t * 1e6:.2f} us per facet crossing")
     print(f"        (cold {cold.median_crossing_time * 1e6:.2f} us, "
           f"warm {warm.median_crossing_time * 1e6:.2f} us)")
-    print(f"rk4:    {rk4_per_step * 1e6:.2f} us per step (h = {rk4_h} avg edge)")
+    print(f"rk4:    {rk4_per_step * 1e6:.2f} us per step (h = {cfg.step_fraction} avg edge)")
     print(f"ratio:  {stream_t / rk4_per_step:.2f} stream crossings per rk4 step")
     return 0
 
@@ -310,17 +301,11 @@ def cmd_synth(args):
     if kind == "grid":
         mesh = meshgen.grid(args.nx, args.ny, distortion=args.distort, seed=seed)
         fs = synth_field(mesh, "constant", angle_deg=args.angle)
-    elif kind == "circular":
+    elif kind in ("circular", "saddle", "source", "sink"):
         mesh = meshgen.disc(args.rings, args.sectors, distortion=args.distort, seed=seed)
-        fs = synth_field(mesh, "circular", center=(0.0, 0.0))
-    elif kind in ("saddle", "source", "sink"):
-        mesh = meshgen.disc(args.rings, args.sectors, distortion=args.distort, seed=seed)
-        fs = synth_field(mesh, kind, center=(0.0, 0.0))
-    elif kind == "icosphere-random":
-        mesh = meshgen.icosphere(args.subdiv)
-        fs = synth_field(mesh, "smoothed-random", seed=seed)
-    else:  # torus-random; argparse rejects any other kind
-        mesh = meshgen.torus()
+        fs = synth_field(mesh, kind)
+    else:  # icosphere-random or torus-random; argparse rejects any other kind
+        mesh = meshgen.icosphere(args.subdiv) if kind == "icosphere-random" else meshgen.torus()
         fs = synth_field(mesh, "smoothed-random", seed=seed)
     save_obj(args.out + ".obj", mesh)
     save_field(args.out + ".field", fs)
@@ -369,12 +354,16 @@ def _build_parser():
 
     q = sub.add_parser("trace", help="trace streamlines")
     add_io(q)
-    q.add_argument("--seeds", type=int, default=20, help="N spread seeds")
-    q.add_argument("--seed-points", default=None, help="explicit h:c,h:c,... seeds")
-    q.add_argument("--seed-singularities", action="store_true")
-    q.add_argument("--direction", choices=("forward", "backward"), default="forward")
+    seeding = q.add_mutually_exclusive_group()
+    seeding.add_argument("--seeds", type=int, help=f"N spread seeds (default {SPREAD_SEEDS})")
+    seeding.add_argument("--seed-points", help="explicit h:c,h:c,... seeds")
+    seeding.add_argument("--seed-singularities", action="store_true",
+                         help="separatrices of the singular vertices, both directions")
+    q.add_argument("--direction", choices=("forward", "backward"),
+                   help="default forward")
     q.add_argument("--engine", choices=("stream", "rk4"), default="stream")
-    q.add_argument("--rk4-h", type=float, default=None, help="step, fraction of avg edge")
+    q.add_argument("--rk4-h", type=float, default=RK4Config.step_fraction,
+                   help="rk4 step, fraction of avg edge")
     q.add_argument("--max-steps", type=int, default=None,
                    help="per-line cap: facet crossings (stream), steps (rk4)")
     q.add_argument("--out", required=True, help="polylines JSON (one per line)")
@@ -384,8 +373,8 @@ def _build_parser():
 
     q = sub.add_parser("bench", help=f"stream vs rk4 ({BENCH_RK4_STEPS} rk4 steps a line)")
     add_io(q)
-    q.add_argument("--seeds", type=int, default=20)
-    q.add_argument("--rk4-h", type=float, default=None)
+    q.add_argument("--seeds", type=int, help=f"N spread seeds (default {SPREAD_SEEDS})")
+    q.add_argument("--rk4-h", type=float, default=0.1, help="rk4 step, fraction of avg edge")
     q.set_defaults(fn=cmd_bench)
 
     q = sub.add_parser("synth", help="generate a test mesh + field")

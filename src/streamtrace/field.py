@@ -330,11 +330,9 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
     The planar kinds require all facets to lie in the z = 0 plane with
     counterclockwise orientation.  Every generated field passes validate().
     """
-    if kind == "constant":
-        return _synth_planar(mesh, "constant", **params)
-    if kind in ("circular", "source", "sink", "saddle"):
+    if kind in ("constant", "circular", "source", "sink", "saddle"):
         return _synth_planar(mesh, kind, **params)
-    if kind in ("smoothed-random", "smoothed_random"):
+    if kind == "smoothed-random":
         return _synth_smoothed_random(mesh, **params)
     raise FieldError(f"unknown field kind {kind!r}")
 
@@ -375,14 +373,14 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
     def is_center_vertex(q):
         return abs(q[0] - cx) + abs(q[1] - cy) < 1e-12 * scale
 
-    angles = np.empty((mesh.n_facets, 6))
-    windings = np.empty((mesh.n_facets, 6), dtype=np.int64)
+    raws = np.empty((mesh.n_facets, 6))
+    thetas = np.empty((mesh.n_facets, 6))
     for f in range(mesh.n_facets):
         verts = [p[v] for v in mesh.faces[f]]
         frame = mesh.frame(f)
         if np.cross(frame.u, frame.v)[2] < 0:
             raise FieldError(f"facet {f} is not counterclockwise in the plane")
-        raw = np.empty(6)
+        raw = raws[f]
         rots = np.empty(3)
         for k in range(3):
             po, pd = verts[k], verts[(k + 1) % 3]
@@ -394,7 +392,7 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
             # an edge that avoids the center subtends less than a half turn
             d = ad - ao
             rots[k] = d - 360.0 * round(d / 360.0)
-        theta = np.empty(6)
+        theta = thetas[f]
         theta[0] = raw[0] % 360.0
         for k in range(3):
             if k:
@@ -407,19 +405,27 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
         closure = theta[5] - jump - (180.0 - beta_deg) - (theta[0] - 360.0)
         if abs(closure) > 1e-6:
             raise FieldError(f"synth closure failed on facet {f}: {closure}")
-        for i in range(6):
-            a = raw[i] % 360.0
-            if a >= 360.0:
-                a -= 360.0
-            w = round((theta[i] - a) / 360.0)
-            if abs(theta[i] - (a + 360.0 * w)) > 1e-6:
-                raise FieldError(f"synth winding drift on facet {f} sample {i}")
-            angles[f, i] = a
-            windings[f, i] = w
+    angles, windings = _reduce_samples(raws, thetas)
+    drift = np.abs(thetas - (angles + 360.0 * windings)) > 1e-6
+    if drift.any():
+        f, i = np.argwhere(drift)[0]
+        raise FieldError(f"synth winding drift on facet {f} sample {i}")
     return FieldSamples(angles, windings)
 
 
-def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
+def _reduce_samples(raw, theta):
+    """Angles ``raw`` mod 360 in [0, 360), and the whole turns to ``theta``."""
+    # a tiny negative angle mod 360 rounds up to 360.0
+    angles = np.mod(raw, 360.0)
+    angles[angles >= 360.0] -= 360.0
+    return angles, np.rint((theta - angles) / 360.0).astype(np.int64)
+
+
+# span in degrees of the random potential that turns smoothed-random edges
+_RANDOM_AMPLITUDE_DEG = 40.0
+
+
+def _synth_smoothed_random(mesh, seed=0):
     """Random smooth field on a closed mesh via per-edge rotation solving.
 
     Unknowns are one real rotation per undirected edge.  Per-corner jumps
@@ -497,7 +503,7 @@ def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
         )
     spread = g.max() - g.min()
     if spread > 0:
-        g *= amplitude_deg / spread
+        g *= _RANDOM_AMPLITUDE_DEG / spread
     rot += g[mesh._dest[edges]] - g[mesh._origin[edges]]
 
     seed_angle = float(rng.uniform(0.0, 360.0))
@@ -593,17 +599,7 @@ def _synth_smoothed_random(mesh, seed=0, amplitude_deg=40.0):
         if _circular_gap(defect(theta, h)) > 1e-5:
             raise FieldError("random field propagation failed to close")
 
-    angles = np.empty((nf, 6))
-    windings = np.empty((nf, 6), dtype=np.int64)
-    for f in range(nf):
-        for i in range(6):
-            a = theta[f][i] % 360.0
-            if a >= 360.0:
-                a -= 360.0
-            w = round((theta[f][i] - a) / 360.0)
-            angles[f, i] = a
-            windings[f, i] = w
-    return FieldSamples(angles, windings)
+    return FieldSamples(*_reduce_samples(theta, theta))
 
 
 def _defect_row(mesh, parent, anchors, nontree_h, edge_of, ne):

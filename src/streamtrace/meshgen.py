@@ -24,6 +24,8 @@ def grid(nx, ny, width=1.0, height=1.0, distortion=0.0, seed=0):
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one cell per side")
+    if not distortion >= 0.0:
+        raise ValueError(f"distortion must be at least 0, got {distortion}")
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     verts = np.zeros(((nx + 1) * (ny + 1), 3))
@@ -64,6 +66,8 @@ def disc(rings, sectors, radius=1.0, distortion=0.0, seed=0):
     """
     if rings < 1 or sectors < 3:
         raise ValueError("disc needs rings >= 1 and sectors >= 3")
+    if not distortion >= 0.0:
+        raise ValueError(f"distortion must be at least 0, got {distortion}")
     rng = np.random.default_rng(seed)
     verts = [np.zeros(3)]
     ring_start = []

@@ -23,10 +23,16 @@ from .tracer import Polyline
 _EDGE_EPS = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class RK4Config:
     step_fraction: float = 0.05  # of the average edge length
     max_steps: int = 200000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.step_fraction) and self.step_fraction > 0.0):
+            raise ValueError(f"RK4 step must be finite and above 0, got {self.step_fraction}")
+        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+            raise ValueError(f"RK4 max_steps must be an int >= 1, got {self.max_steps!r}")
 
 
 class _FacetField:
@@ -95,7 +101,7 @@ def _transport_angle(mesh, hf, direction3d):
     return math.cos(ang_g) * fr_g.u + math.sin(ang_g) * fr_g.v
 
 
-def rk4_trace(mesh, fieldsamples, seed, config=None, direction=None):
+def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
     """Integrate a streamline from a ``Seed`` with fixed-step RK4.
 
     Traces in ``seed.direction`` and records the border crossings.  A
@@ -103,10 +109,6 @@ def rk4_trace(mesh, fieldsamples, seed, config=None, direction=None):
     """
     if direction not in (None, seed.direction):
         raise TraceError(f"direction {direction!r} disagrees with the seed's")
-    if seed.direction not in ("forward", "backward"):
-        raise TraceError(f"unknown trace direction {seed.direction!r}")
-    if config is None:
-        config = RK4Config()
     fs = fieldsamples if seed.direction == "forward" else fieldsamples.flipped()
     h_len = config.step_fraction * mesh.average_edge_length()
 

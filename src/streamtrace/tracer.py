@@ -29,6 +29,10 @@ from .stream_mesh import Behavior
 
 ORBIT_TOL = 1e-9
 
+# the pieces a line enters a facet on, per trace direction; it leaves the
+# facet on the run of the other flow
+_ENTRY = {"forward": Behavior.IN, "backward": Behavior.OUT}
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -37,6 +41,10 @@ class Seed:
     point: TracePoint
     direction: str = "forward"
     corner_entry: tuple | None = None  # (facet, corner k, corner parameter)
+
+    def __post_init__(self):
+        if self.direction not in _ENTRY:
+            raise TraceError(f"unknown trace direction {self.direction!r}")
 
 
 class Polyline:
@@ -91,7 +99,7 @@ class Polyline:
                 pl.append(_record_point(h, c), pos)
         except KeyError as exc:
             raise ValueError(f"polyline record lacks {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TraceError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polyline record: {exc}") from None
         return pl
 
@@ -121,18 +129,17 @@ def load_polylines(path):
     return out
 
 
-# the pieces a line enters a facet on, per trace direction; it leaves the
-# facet on the run of the other flow
-_ENTRY = {"forward": Behavior.IN, "backward": Behavior.OUT}
-
-
 class Tracer:
     """Holds one stream mesh per facet, shared by both trace directions."""
 
     def __init__(self, mesh, fieldsamples, max_steps=None):
+        if max_steps is None:
+            max_steps = 100 * mesh.n_facets
+        elif not (isinstance(max_steps, int) and max_steps >= 1):
+            raise ValueError(f"max_steps must be an int of at least 1, got {max_steps!r}")
         self.mesh = mesh
         self.fieldsamples = fieldsamples
-        self.max_steps = max_steps if max_steps else 100 * mesh.n_facets
+        self.max_steps = max_steps
         self._cache = {}
 
     def stream_mesh(self, facet):
@@ -183,12 +190,9 @@ class Tracer:
         are recorded as the line goes; their positions are computed once,
         when it ends.
         """
-        enter = _ENTRY.get(seed.direction)
-        if enter is None:
-            raise TraceError(f"unknown trace direction {seed.direction!r}")
         pl = Polyline(seed)
         pl.points.append(seed.point)
-        self._walk(pl, enter)
+        self._walk(pl, _ENTRY[seed.direction])
         pl.positions = list(self.mesh.positions(pl.points))
         return pl
 

@@ -332,8 +332,18 @@ def _record(points, **extra):
         ),
         # halfedges 0 and 93 of the 4 x 4 grid share no facet
         ([_record([[0, 0.5], [93, 0.5]])], "does not touch facet 31"),
+        (
+            [
+                _record([[0, 0.5]]),
+                _record([[0, 0.5]], seed={"halfedge": 0, "c": 0.5, "direction": "sideways"}),
+            ],
+            "line 2: malformed polyline record: unknown trace direction 'sideways'",
+        ),
     ],
-    ids=["no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet"],
+    ids=[
+        "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
+        "unknown-direction",
+    ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
     obj, _ = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
@@ -399,3 +409,94 @@ def test_max_steps_below_one_exits_2(tmp_path, capsys, engine, value):
     assert rc == 2
     assert f"--max-steps must be at least 1, got {value}" in capsys.readouterr().err
     assert not lines.exists()
+
+
+def test_check_crossings_prints_a_violation_and_exits_1(tmp_path, capsys):
+    obj, _ = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    lines = tmp_path / "crossing.jsonl"
+    # halfedges 0, 1 and 2 border facet 0: border keys 0.5 -> 1.5 and
+    # 1.2 -> 2.5 interleave, so the two segments cross inside it
+    lines.write_text(
+        _record([[0, 0.5], [1, 0.5]]) + "\n" + _record([[1, 0.2], [2, 0.5]]) + "\n"
+    )
+    rc = main(["check-crossings", "--mesh", obj, "--lines", str(lines)])
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert "facet 0: line 0 segment 0 crosses line 1 segment 0" in out
+    assert "1 crossing violation(s) in 2 polylines" in out
+
+
+def test_trace_counts_a_rejected_seed(tmp_path, capsys):
+    # the 30 degree field leaves the 6 x 6 grid through halfedge 33 (x = 1)
+    # and enters it through halfedge 0 (y = 0): no line starts on the first
+    obj, field = synth(tmp_path, "grid", "--nx", "6", "--ny", "6")
+    lines = tmp_path / "lines.jsonl"
+    rc = main([
+        "trace", "--mesh", obj, "--field", field,
+        "--seed-points", "33:0.5,0:0.5", "--out", str(lines),
+    ])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "polylines:            1\n" in out
+    assert "rejected seeds:       1\n" in out
+    assert len(lines.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "cmd, h",
+    [("trace", "0"), ("trace", "-0.05"), ("bench", "0"), ("bench", "-0.1")],
+)
+def test_rk4_step_not_above_zero_exits_2(tmp_path, capsys, cmd, h):
+    obj, field = synth(tmp_path, "grid", "--nx", "6", "--ny", "6")
+    capsys.readouterr()
+    lines = tmp_path / "lines.jsonl"
+    argv = [cmd, "--mesh", obj, "--field", field, f"--rk4-h={h}"]
+    if cmd == "trace":
+        argv += ["--engine", "rk4", "--out", str(lines)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert f"error: RK4 step must be finite and above 0, got {float(h)}" in err
+    assert out == ""
+    assert not lines.exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed-singularities", "--seed-points", "0:0.5"],
+        ["--seed-singularities", "--seeds", "20"],
+        ["--seeds", "20", "--seed-points", "0:0.5"],
+    ],
+    ids=["singularities-points", "singularities-seeds", "seeds-points"],
+)
+def test_two_seedings_exit_2(tmp_path, capsys, flags):
+    obj, field = synth(tmp_path, "saddle", "--rings", "4", "--sectors", "12")
+    lines = tmp_path / "lines.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--mesh", obj, "--field", field, *flags, "--out", str(lines)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not lines.exists()
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_seed_singularities_with_a_direction_exits_2(tmp_path, capsys, direction):
+    obj, field = synth(tmp_path, "saddle", "--rings", "4", "--sectors", "12")
+    lines = tmp_path / "lines.jsonl"
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--seed-singularities",
+        "--direction", direction, "--out", str(lines),
+    ])
+    assert rc == 2
+    assert "--seed-singularities traces both directions" in capsys.readouterr().err
+    assert not lines.exists()
+
+
+@pytest.mark.parametrize("kind", ["grid", "circular"])
+@pytest.mark.parametrize("distort", ["-0.3", "nan"])
+def test_negative_distortion_exits_2(tmp_path, capsys, kind, distort):
+    prefix = tmp_path / "scene"
+    rc = main(["synth", kind, f"--distort={distort}", "--out", str(prefix)])
+    assert rc == 2
+    assert f"error: distortion must be at least 0, got {float(distort)}" in capsys.readouterr().err
+    assert not (tmp_path / "scene.obj").exists()

@@ -169,6 +169,11 @@ def test_smoothed_random_needs_closed_mesh(disc_mesh):
         synth_field(disc_mesh, "smoothed-random")
 
 
+def test_smoothed_random_has_one_spelling(icosphere2):
+    with pytest.raises(FieldError, match="unknown field kind 'smoothed_random'"):
+        synth_field(icosphere2, "smoothed_random")
+
+
 def test_smoothed_random_is_deterministic(icosphere2, sphere_random_field):
     again = synth_field(icosphere2, "smoothed-random", seed=0)
     assert np.array_equal(again.angles, sphere_random_field.angles)

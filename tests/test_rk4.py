@@ -139,3 +139,21 @@ def test_rk4_rejects_a_direction_that_disagrees_with_the_seed():
     # as Tracer.trace does, an unknown direction is an error, not backward
     with pytest.raises(TraceError):
         rk4_trace(mesh, fs, boundary_seed(mesh, 0, 1.0, 0.4, "sideways"))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"step_fraction": 0.0}, "RK4 step must be finite and above 0, got 0.0"),
+        ({"step_fraction": -0.05}, "RK4 step must be finite and above 0, got -0.05"),
+        ({"step_fraction": math.nan}, "RK4 step must be finite and above 0, got nan"),
+        ({"step_fraction": math.inf}, "RK4 step must be finite and above 0, got inf"),
+        ({"max_steps": 0}, "RK4 max_steps must be an int >= 1, got 0"),
+        ({"max_steps": 10.0}, "RK4 max_steps must be an int >= 1, got 10.0"),
+    ],
+    ids=["h-zero", "h-negative", "h-nan", "h-inf", "cap-zero", "cap-float"],
+)
+def test_rk4_config_rejects_a_step_or_cap_out_of_range(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        RK4Config(**kwargs)
+    assert str(exc.value) == message

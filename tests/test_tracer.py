@@ -549,6 +549,20 @@ def test_step_cap_termination():
     assert len(pl.points) <= 9
 
 
+@pytest.mark.parametrize("max_steps", [0, -5, 7.0])
+def test_tracer_rejects_a_step_cap_that_is_not_an_int_of_at_least_1(max_steps):
+    mesh = meshgen.disc(6, 24)
+    fs = synth_field(mesh, "circular")
+    assert Tracer(mesh, fs).max_steps == 100 * mesh.n_facets
+    with pytest.raises(ValueError, match="max_steps must be an int of at least 1"):
+        Tracer(mesh, fs, max_steps=max_steps)
+
+
+def test_seed_rejects_an_unknown_direction():
+    with pytest.raises(TraceError, match="unknown trace direction 'sideways'"):
+        Seed(TracePoint(0, 0.5), "sideways")
+
+
 def separatrix_seeds(mesh, fs, direction):
     return [
         s
