@@ -117,11 +117,15 @@ def make_seeds(tracer, n=None, direction=None, points=None, singularities=False)
     seeds = []
     if points is not None:
         for tok in points.split(","):
-            h_s, c_s = tok.split(":")
-            h, c = int(h_s), float(c_s)
-            if not (0 <= h < mesh.n_halfedges and 0.0 <= c <= 1.0):
+            try:
+                h_s, c_s = tok.split(":")
+                h, c = int(h_s), float(c_s)
+                ok = 0 <= h < mesh.n_halfedges and 0.0 <= c <= 1.0
+            except ValueError:  # not an int:float pair
+                ok = False
+            if not ok:
                 raise ValueError(
-                    f"seed point {tok!r}: need 0 <= h < {mesh.n_halfedges} "
+                    f"seed point {tok!r}: need h:c with 0 <= h < {mesh.n_halfedges} "
                     f"and 0 <= c <= 1"
                 )
             seeds.append(Seed(TracePoint(h, c), direction))
@@ -200,25 +204,26 @@ def write_svg(path, mesh, polylines):
     lo = lo - margin
     size = (hi - lo) + margin
 
-    def pt(p):
-        x = (p[0] - lo[0]) / span * 1000.0
-        y = (size[1] - (p[1] - lo[1])) / span * 1000.0
-        return f"{x:.2f},{y:.2f}"
+    def screen(points):
+        """SVG ``[x, y]`` rows of an ``(n, 3)`` array of world points."""
+        x = (points[:, 0] - lo[0]) / span * 1000.0
+        y = (size[1] - (points[:, 1] - lo[1])) / span * 1000.0
+        return np.column_stack([x, y]).tolist()
 
     palette = ["#d33", "#36c", "#293", "#a3c", "#e80", "#087"]
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {size[0] / span * 1000:.1f} {size[1] / span * 1000:.1f}">'
     ]
+    xy = screen(mesh.vertices)
     for h in mesh.edge_halfedges().tolist():
-        x1, y1 = pt(mesh.vertices[mesh.origin(h)]).split(",")
-        x2, y2 = pt(mesh.vertices[mesh.dest(h)]).split(",")
+        (x1, y1), (x2, y2) = xy[mesh.origin(h)], xy[mesh.dest(h)]
         parts.append(
-            f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             'stroke="#ddd" stroke-width="0.7"/>'
         )
     for i, pl in enumerate(polylines):
-        pts = " ".join(pt(p) for p in pl.positions)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in screen(pl.positions))
         color = palette[i % len(palette)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -260,11 +265,12 @@ def cmd_trace(args):
     polylines, report = _run_campaign(seeds, trace)
     violations = check_crossings(mesh, polylines)
     report.violations = len(violations)
-    save_polylines(args.out, polylines)
+    # the lines file comes last, so that a failed export leaves none
     if args.svg:
         write_svg(args.svg, mesh, polylines)
     if args.obj:
         write_obj_polylines(args.obj, polylines)
+    save_polylines(args.out, polylines)
     report.print()
     for v in violations[:20]:
         print(v)

@@ -361,27 +361,15 @@ class SurfaceMesh:
     # -- positions ----------------------------------------------------------
 
     def position(self, tp: TracePoint) -> np.ndarray:
-        """World position of one trace point, a new 3-vector.
-
-        For c in [0, 1] the point is ``(1 - c) * origin + c * dest`` along
-        the halfedge; for c in (1, 2] it is the destination vertex (terminal
-        sink encoding).  ``positions`` applies the same rule to many points
-        at once and gives the same bits.
-        """
-        c = tp.c
-        if c < 0.0 or c > 2.0:
-            raise MeshError(f"trace point parameter {c} outside [0, 2]")
-        p0 = self.vertices[self._origin[tp.halfedge]]
-        p1 = self.vertices[self._dest[tp.halfedge]]
-        if c <= 1.0:
-            return (1.0 - c) * p0 + c * p1
-        return p1.copy()
+        """World position of one trace point, a new 3-vector: ``positions``'s row."""
+        return self.positions([tp])[0]
 
     def positions(self, points) -> np.ndarray:
         """World positions of a sequence of trace points, an ``(n, 3)`` array.
 
-        ``position``'s rule on whole arrays: numpy multiplies and adds
-        elementwise, so row i has the bits of ``position(points[i])``.
+        For c in [0, 1] a point is ``(1 - c) * origin + c * dest`` along its
+        halfedge; for c in (1, 2] it is the destination vertex (terminal
+        sink encoding).  A c outside [0, 2] raises MeshError.
         """
         hs = [tp.halfedge for tp in points]
         c = np.array([tp.c for tp in points], dtype=float)
@@ -440,23 +428,19 @@ def load_obj(path) -> SurfaceMesh:
 
 
 def save_obj(path, mesh, polylines=None):
-    """Write a mesh (or None) and optional ``l`` polylines to an OBJ file."""
-    if mesh is None:
-        vertices, faces = [], []
-    else:
-        vertices, faces = mesh.vertices, mesh.faces
+    """Write a mesh (or None) and optional ``l`` polylines of [x, y, z] rows to OBJ."""
+    vertices = [] if mesh is None else mesh.vertices.tolist()
+    faces = [] if mesh is None else mesh.faces.tolist()
     with open(path, "w") as fh:
-        for p in vertices:
-            fh.write(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-        for tri in faces:
-            fh.write(f"f {int(tri[0]) + 1} {int(tri[1]) + 1} {int(tri[2]) + 1}\n")
-        if polylines:
-            base = len(vertices) + 1
-            for pts in polylines:
-                ids = []
-                for p in pts:
-                    fh.write(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-                    ids.append(base)
-                    base += 1
-                if len(ids) >= 2:
-                    fh.write("l " + " ".join(str(i) for i in ids) + "\n")
+        for x, y, z in vertices:
+            fh.write(f"v {x!r} {y!r} {z!r}\n")
+        for a, b, c in faces:
+            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        base = len(vertices) + 1
+        for pts in polylines or ():
+            rows = np.asarray(pts, dtype=float).tolist()
+            for x, y, z in rows:
+                fh.write(f"v {x!r} {y!r} {z!r}\n")
+            if len(rows) >= 2:
+                fh.write("l " + " ".join(map(str, range(base, base + len(rows)))) + "\n")
+            base += len(rows)

@@ -121,7 +121,7 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
         raise TraceError("seed bounds no facet")
 
     pl = Polyline(seed)
-    pl.append(tp0, mesh.position(tp0))
+    pl.points.append(tp0)
 
     fields = {}
 
@@ -139,7 +139,7 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
     p = p + 1e-9 * (centroid - p)
 
     steps = 0
-    while steps < config.max_steps:
+    while pl.termination is None and steps < config.max_steps:
         ff = field_of(f)
         k1 = ff.eval(p)
         k2 = ff.eval(p + 0.5 * h_len * k1)
@@ -176,12 +176,11 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
             c = min(1.0, max(0.0, c))
             tp = TracePoint(he, c)
             x_on = mesh.position(tp)
-            pl.append(tp, x_on)
+            pl.points.append(tp)
             o = mesh.opposite(he)
             if not mesh.has_facet(o):
                 pl.termination = "boundary"
-                pl.rk4_steps = steps
-                return pl
+                break
             d = q - p
             norm = float(np.linalg.norm(d))
             rem = (1.0 - t_exit) * norm
@@ -197,6 +196,7 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
             if guard > 64:
                 raise TraceError("step crossed too many facets")
 
-    pl.termination = "step-cap"
+    pl.termination = pl.termination or "step-cap"
     pl.rk4_steps = steps
+    pl.positions = mesh.positions(pl.points)
     return pl

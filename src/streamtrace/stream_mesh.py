@@ -614,7 +614,7 @@ class StreamMesh:
 
     # -- conversions ---------------------------------------------------------
 
-    def import_position(self, halfedge, c, enter=Behavior.IN):
+    def import_position(self, halfedge, c, enter):
         """Map a mesh border point into the stream mesh: (piece, local c).
 
         ``halfedge`` must be one of this facet's own halfedges, and ``c``
@@ -681,7 +681,7 @@ class StreamMesh:
                 return cand, c
         raise StreamMeshError("tangency entry with no adjacent entry piece")
 
-    def corner_entry(self, k, t, enter=Behavior.IN):
+    def corner_entry(self, k, t, enter):
         """Entry into the facet through corner k at corner parameter t.
 
         Used when a streamline starts at a vertex: the flow enters the facet

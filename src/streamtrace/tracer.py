@@ -50,25 +50,26 @@ class Seed:
 class Polyline:
     """Traced streamline: border points in order plus the termination cause.
 
-    ``positions[i]`` is the world position of ``points[i]``.  ``Tracer.trace``
-    records the points only and fills ``positions`` from one
-    ``SurfaceMesh.positions`` call when the line ends; ``append`` adds one
-    point with its position, as RK4 lines and ``from_record`` do.
-    ``rk4_steps`` counts the integration steps of an RK4 reference line; it
-    stays 0 on stream-traced lines, which take none.
+    ``positions`` is an ``(n, 3)`` array, row i the world position of
+    ``points[i]``: traced lines set it from one ``SurfaceMesh.positions``
+    call when they end, ``append`` adds a row to a line built by hand.
+    ``rk4_steps`` counts an RK4 line's integration steps; 0 on stream lines.
     """
 
     def __init__(self, seed):
         self.seed = seed
         self.points: list[TracePoint] = []
-        self.positions: list[np.ndarray] = []
+        self.positions = np.empty((0, 3))
         self.termination = None
         self.sink_vertex = None
         self.rk4_steps = 0
 
     def append(self, tp, pos):
+        row = np.asarray(pos, dtype=float)
+        if row.shape != (3,):
+            raise ValueError(f"position {pos!r} is not 3 numbers")
         self.points.append(tp)
-        self.positions.append(np.asarray(pos, dtype=float))
+        self.positions = np.vstack([self.positions, row])
 
     def __len__(self):
         return len(self.points)
@@ -83,20 +84,23 @@ class Polyline:
             "termination": self.termination,
             "sink_vertex": self.sink_vertex,
             "points": [[tp.halfedge, tp.c] for tp in self.points],
-            "positions": [[float(x) for x in p] for p in self.positions],
+            "positions": self.positions.tolist(),
         }
 
     @classmethod
     def from_record(cls, rec):
-        """Inverse of ``to_record``; a malformed record raises ValueError."""
+        """Inverse of ``to_record``; a record it would not write raises ValueError."""
         try:
             s = rec["seed"]
             point = _record_point(s["halfedge"], s["c"])
-            pl = cls(Seed(point, s.get("direction", "forward")))
+            pl = cls(Seed(point, s["direction"]))
             pl.termination = rec["termination"]
-            pl.sink_vertex = rec.get("sink_vertex")
-            for (h, c), pos in zip(rec["points"], rec["positions"], strict=True):
-                pl.append(_record_point(h, c), pos)
+            pl.sink_vertex = rec["sink_vertex"]
+            pl.points = [_record_point(h, c) for h, c in rec["points"]]
+            # one [x, y, z] row per point; ragged rows raise in np.array
+            pl.positions = np.array(rec["positions"] or np.empty((0, 3)), dtype=float)
+            if pl.positions.shape != (len(pl.points), 3):
+                raise ValueError(f"positions are not {len(pl.points)} [x, y, z] rows")
         except KeyError as exc:
             raise ValueError(f"polyline record lacks {exc}") from None
         except (TraceError, TypeError, ValueError) as exc:
@@ -151,16 +155,18 @@ class Tracer:
 
     # -- facet crossing ------------------------------------------------------
 
-    def cross_facet(self, sm, sh, c, enter=Behavior.IN):
+    def cross_facet(self, sm, sh, c):
         """Carry an entry (piece, c) to the exit border piece of the facet.
 
         Each simple face preserves the flux fraction: the exit splits the
         exit run's total in the same ratio the entry splits the entry run's
-        total, measured from the shared bounding tangency.  A forward line
-        enters on the inflow run and leaves on the outflow run; a backward
-        line does the reverse, which is the inverse map.  Chord exits
-        hop into the neighboring simple face with the parameter reversed.
+        total, measured from the shared bounding tangency.  The entry
+        piece's behaviour is the direction: a forward line enters on an
+        inflow piece and leaves on the outflow run, a backward line the
+        reverse (the inverse map).  Chord exits hop into the neighboring
+        simple face with the parameter reversed.
         """
+        enter = sh.behavior
         leave = Behavior.OUT if enter == Behavior.IN else Behavior.IN
         hops = 0
         while True:
@@ -193,7 +199,7 @@ class Tracer:
         pl = Polyline(seed)
         pl.points.append(seed.point)
         self._walk(pl, _ENTRY[seed.direction])
-        pl.positions = list(self.mesh.positions(pl.points))
+        pl.positions = self.mesh.positions(pl.points)
         return pl
 
     def _walk(self, pl, enter):
@@ -218,7 +224,7 @@ class Tracer:
         steps = 0
         while True:
             sm, sh, csm = entry
-            out_sh, c_out = self.cross_facet(sm, sh, csm, enter)
+            out_sh, c_out = self.cross_facet(sm, sh, csm)
             tp = sm.export_position(out_sh, c_out)
             points.append(tp)
             h_exit, c_exit = tp.halfedge, tp.c

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -60,6 +61,41 @@ def test_trace_writes_lines_svg_and_obj(tmp_path):
     assert main(["check-crossings", "--mesh", obj, "--lines", lines]) == 0
 
 
+# sha256 of the lines, SVG and OBJ files; the sink scene's lines end on
+# sink rows with c in (1, 2]
+@pytest.mark.parametrize(
+    "kind,extra,seeds,digests",
+    [
+        (
+            "circular", ("--rings", "5", "--sectors", "18"), "30",
+            (
+                "190457a8ef474636fff3503e7d25b4629efd84267b1c1600a17a61445532cffd",
+                "340e49eb568766ef9851f60d24aa489ba19da8f6545ca4bb6d0eee657f3fc096",
+                "0c74a9edbcddf124426f9441c449d478a8ae6eb941b6872e2cded73ac14efb1a",
+            ),
+        ),
+        (
+            "sink", ("--rings", "4", "--sectors", "12"), "12",
+            (
+                "96fbe03870178bb096433364161e5ad256a6cdfd0539f77d23ac74fb86052ef2",
+                "4aea0e9b72d4dd65012446e051bf47509929d0ad5bfefa936b339e78886c350a",
+                "c7d8ba1eeccf9fa24988701b67173c66559a799593a460b62e6fa2be56e36ee6",
+            ),
+        ),
+    ],
+)
+def test_trace_export_bytes_are_pinned(tmp_path, kind, extra, seeds, digests):
+    obj, field = synth(tmp_path, kind, *extra)
+    outs = [str(tmp_path / name) for name in ("lines.jsonl", "lines.svg", "lines.obj")]
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--seeds", seeds,
+        "--out", outs[0], "--svg", outs[1], "--obj", outs[2],
+    ])
+    assert rc == 0
+    got = tuple(hashlib.sha256(open(p, "rb").read()).hexdigest() for p in outs)
+    assert got == digests
+
+
 def test_trace_explicit_seed_backward(tmp_path):
     obj, field = synth(tmp_path, "grid", "--nx", "5", "--ny", "5", "--angle", "10")
     mesh = load_obj(obj)
@@ -78,7 +114,9 @@ def test_trace_explicit_seed_backward(tmp_path):
     assert recs[0]["seed"]["direction"] == "backward"
 
 
-@pytest.mark.parametrize("tok", ["99999:0.5", "-1:0.5", "0:1.5", "0:nan"])
+@pytest.mark.parametrize(
+    "tok", ["99999:0.5", "-1:0.5", "0:1.5", "0:nan", "abc", "0:0.5:1", "x:0.5", "0:x"]
+)
 def test_malformed_seed_point_exits_2(tmp_path, capsys, tok):
     obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
     rc = main([
@@ -86,7 +124,19 @@ def test_malformed_seed_point_exits_2(tmp_path, capsys, tok):
         f"--seed-points={tok}", "--out", str(tmp_path / "bad.jsonl"),
     ])
     assert rc == 2
-    assert "seed point" in capsys.readouterr().err
+    assert f"seed point {tok!r}: need h:c" in capsys.readouterr().err
+
+
+def test_failed_export_leaves_no_lines_file(tmp_path, capsys):
+    obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    lines = tmp_path / "z.jsonl"
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--seeds", "3",
+        "--svg", str(tmp_path / "missing" / "x.svg"), "--out", str(lines),
+    ])
+    assert rc == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not lines.exists()
 
 
 def test_trace_rk4_engine(tmp_path):
@@ -339,10 +389,33 @@ def _record(points, **extra):
             ],
             "line 2: malformed polyline record: unknown trace direction 'sideways'",
         ),
+        (
+            [_record([[0, 0.5]], seed={"halfedge": 0, "c": 0.5})],
+            "line 1: polyline record lacks 'direction'",
+        ),
+        (
+            [
+                _record([[0, 0.5]]),
+                '{"seed": {"halfedge": 0, "c": 0.5, "direction": "forward"}, '
+                '"termination": "boundary", "points": [[0, 0.5]], '
+                '"positions": [[0.0, 0.0, 0.0]]}',
+            ],
+            "line 2: polyline record lacks 'sink_vertex'",
+        ),
+        (
+            # numpy names the ragged rows
+            [_record([[0, 0.5], [1, 0.5]], positions=[[0, 0], [1]])],
+            "line 1: malformed polyline record: setting an array element",
+        ),
+        (
+            [_record([[0, 0.5], [1, 0.5]], positions=[[0.0, 0.5, 0.0]])],
+            "line 1: malformed polyline record: positions are not 2 [x, y, z] rows",
+        ),
     ],
     ids=[
         "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
-        "unknown-direction",
+        "unknown-direction", "no-direction", "no-sink-vertex", "ragged-positions",
+        "positions-short",
     ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):

@@ -129,6 +129,24 @@ def test_rk4_traces_a_backward_seed_backward():
     assert np.linalg.norm(pl.positions[-1] - exact.positions[-1]) < 1e-5
 
 
+def test_rk4_positions_are_the_mesh_positions_of_its_points():
+    disc = meshgen.disc(6, 24)
+    h = next(h for h in range(0, disc.n_interior_halfedges, 3)
+             if disc.has_facet(disc.opposite(h)))
+    grid = meshgen.grid(6, 6)
+    cases = [
+        (disc, synth_field(disc, "circular"), Seed(TracePoint(h, 0.5)),
+         RK4Config(max_steps=40), "step-cap"),
+        (grid, synth_field(grid, "constant", angle_deg=30.0),
+         boundary_seed(grid, 0, 1.0, 0.4, "backward"), RK4Config(), "boundary"),
+    ]
+    for mesh, fs, seed, config, end in cases:
+        pl = rk4_trace(mesh, fs, seed, config)
+        assert pl.termination == end
+        assert pl.positions.shape == (len(pl), 3)
+        assert pl.positions.tobytes() == mesh.positions(pl.points).tobytes()
+
+
 def test_rk4_rejects_a_direction_that_disagrees_with_the_seed():
     mesh = meshgen.grid(6, 6)
     fs = synth_field(mesh, "constant", angle_deg=30.0)

@@ -346,7 +346,7 @@ def test_import_export_round_trip_on_edges():
         k = int(rng.integers(0, 3))
         c = float(rng.uniform(0.0, 1.0))
         try:
-            sh, csm = sm.import_position(3 * 0 + k, c)
+            sh, csm = sm.import_position(3 * 0 + k, c, Behavior.IN)
         except StreamMeshError:
             continue  # outflow point: not importable
         assert sh.kind in ("edge", "corner")
@@ -361,7 +361,7 @@ def test_import_prefers_inflow_at_shared_cut():
     fs = samples_from_reals(WOUND)
     sm = decompose(m, fs, 0)
     # t = 0.364864... on edge 0 is an exact cut between I and O pieces
-    sh, c = sm.import_position(0, 27.0 / 74.0)
+    sh, c = sm.import_position(0, 27.0 / 74.0, Behavior.IN)
     assert sh.behavior == Behavior.IN
     # a backward line enters the same stream mesh on the outflow side
     sh, c = sm.import_position(0, 27.0 / 74.0, Behavior.OUT)
@@ -378,13 +378,13 @@ def test_import_takes_only_the_facets_own_halfedges():
         k = int(rng.integers(0, 3))
         c = float(rng.uniform(0.0, 1.0))
         try:
-            sm.import_position(k, c)
+            sm.import_position(k, c, Behavior.IN)
         except StreamMeshError:
             continue  # outflow point: not importable
         imported += 1
         # the same point named from the other side of the edge
         with pytest.raises(StreamMeshError):
-            sm.import_position(m.opposite(k), 1.0 - c)
+            sm.import_position(m.opposite(k), 1.0 - c, Behavior.IN)
     assert imported >= 10
 
 

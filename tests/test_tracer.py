@@ -365,7 +365,22 @@ def test_polyline_record_round_trip(tmp_path):
         assert [(tp.halfedge, tp.c) for tp in a.points] == [
             (tp.halfedge, tp.c) for tp in b.points
         ]
-        assert np.array_equal(np.asarray(a.positions), np.asarray(b.positions))
+        # one (n, 3) array from one rule, read back bit for bit
+        assert a.positions.shape == b.positions.shape == (len(a), 3)
+        assert a.positions.tobytes() == mesh.positions(a.points).tobytes()
+        assert b.positions.tobytes() == a.positions.tobytes()
+
+
+def test_polyline_append_takes_one_xyz_row():
+    mesh = meshgen.strip(4)
+    pl = Polyline(left_edge_seed(mesh, 0.3))
+    assert pl.positions.shape == (0, 3)
+    pl.append(pl.seed.point, [0.0, 0.3, 0.0])
+    assert pl.positions.tolist() == [[0.0, 0.3, 0.0]]
+    for bad in ([0.0, 0.3], [[0.0, 0.3, 0.0]], 1.0):
+        with pytest.raises(ValueError, match="is not 3 numbers"):
+            pl.append(pl.seed.point, bad)
+    assert len(pl) == 1 and pl.positions.shape == (1, 3)
 
 
 def test_check_crossings_flags_interleaving():
@@ -643,7 +658,7 @@ def test_backward_crossing_inverts_forward_crossing():
                     continue
                 c = float(rng.uniform(0.0, 1.0))
                 out_sh, c_out = tr.cross_facet(sm, sh, c)
-                back_sh, c_back = tr.cross_facet(sm, out_sh, c_out, Behavior.OUT)
+                back_sh, c_back = tr.cross_facet(sm, out_sh, c_out)
                 assert back_sh.face == face_id
                 x = flux.accumulate(rin, sh, c)
                 x_back = flux.accumulate(rin, back_sh, c_back)
