@@ -142,6 +142,8 @@ class SurfaceMesh:
         self._prev[self._next[b]] = b
 
         self._canonical = self._opposite > np.arange(n)
+        self._facet.setflags(write=False)
+        self._opposite.setflags(write=False)
         # the trace path asks for one halfedge at a time: a list item is
         # an int already, where each numpy read builds a scalar
         self._opposite_list = self._opposite.tolist()
@@ -257,6 +259,13 @@ class SurfaceMesh:
 
     def has_facet(self, h):
         return self._facet_list[h] >= 0
+
+    def halfedge_tables(self):
+        """Read-only ``(facet, opposite)`` arrays indexed by halfedge id.
+
+        ``facet`` is -1 on boundary halfedges, where ``facet(h)`` is None.
+        """
+        return self._facet, self._opposite
 
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])

@@ -8,7 +8,11 @@ evaluation per simple face traversed.
 
 Crossings of two traced lines inside a facet are impossible by construction
 (each simple face maps the inflow interval monotonically onto the outflow
-interval); ``check_crossings`` verifies that property on traced output.
+interval); ``check_crossings`` verifies that property on traced output.  It
+reads every segment as an interval of the facet border, sorts each facet's
+intervals once and flags, in one stack pass, the facets where two of them
+interleave: O(k log k) for k segments in a facet.  Only flagged facets are
+compared pair by pair, under the shared-endpoint tolerance.
 """
 
 from __future__ import annotations
@@ -97,13 +101,18 @@ class Polyline:
             pl.termination = rec["termination"]
             pl.sink_vertex = rec["sink_vertex"]
             pl.points = [_record_point(h, c) for h, c in rec["points"]]
+            rows = rec["positions"]
+            for row in rows:
+                for x in row:
+                    if type(x) not in (int, float) or not math.isfinite(x):
+                        raise ValueError(f"position coordinate {x!r} is not a finite number")
             # one [x, y, z] row per point; ragged rows raise in np.array
-            pl.positions = np.array(rec["positions"] or np.empty((0, 3)), dtype=float)
+            pl.positions = np.array(rows or np.empty((0, 3)), dtype=float)
             if pl.positions.shape != (len(pl.points), 3):
                 raise ValueError(f"positions are not {len(pl.points)} [x, y, z] rows")
         except KeyError as exc:
             raise ValueError(f"polyline record lacks {exc}") from None
-        except (TraceError, TypeError, ValueError) as exc:
+        except (TraceError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed polyline record: {exc}") from None
         return pl
 
@@ -455,7 +464,7 @@ def _same_point(p, q):
 
 
 def check_crossings(mesh, polylines):
-    """Pairwise interleaving test of traced segments inside each facet.
+    """Traced segments that cross inside a facet, found by one sort per facet.
 
     Cut open at vertex 0, a facet border is the interval [0, 3] of
     ``_border_key``, and each segment is stored once as its sorted keys
@@ -463,35 +472,120 @@ def check_crossings(mesh, polylines):
     second lies strictly inside ``(lo, hi)`` of the first.  Segments sharing
     an endpoint are tangential meetings and are allowed: two keys are one
     point when their gap d is at most 1e-12, or when 3 - d is (vertex 0
-    reads as 0.0 or as 3.0).  Returns the violations found (empty when the
-    no-crossing guarantee holds).
+    reads as 0.0 or as 3.0).
+
+    Chords of a convex facet cross only when their intervals interleave, so
+    each facet's intervals are sorted by ``lo`` ascending, ``hi``
+    descending, and one stack pass flags the facet when a new interval
+    starts inside the open one on top and ends beyond it: O(k log k) for k
+    segments.  A facet it passes holds no two interleaving intervals, hence
+    no violation.  Only flagged facets go through the pairwise scan, which
+    applies the shared-endpoint rule; facets come in the order of their
+    first segment and pairs in (line, segment) order.  Returns the
+    violations found (empty when the no-crossing guarantee holds).
     """
+    facet, lo, hi, line, seg = _segment_intervals(mesh, polylines)
+    flagged = _interleaving_facets(facet, lo, hi)
     by_facet = defaultdict(list)
-    for li, pl in enumerate(polylines):
-        pts = pl.points
-        for si in range(len(pts) - 1):
-            tp_a, tp_b = pts[si], pts[si + 1]
-            f = mesh.facet(tp_b.halfedge)
-            if f is None:
-                f = mesh.facet(mesh.opposite(tp_b.halfedge))
-            ka = _border_key(mesh, f, tp_a)
-            kb = _border_key(mesh, f, tp_b)
-            if ka == kb:
-                continue
-            lo, hi = (ka, kb) if ka < kb else (kb, ka)
-            by_facet[f].append((lo, hi, li, si))
+    picked = np.nonzero(np.isin(facet, list(flagged)))[0]
+    for f, a, b, li, si in zip(
+        *(col[picked].tolist() for col in (facet, lo, hi, line, seg))
+    ):
+        by_facet[f].append((a, b, li, si))
     violations = []
     for f, segs in by_facet.items():
-        for i, (lo1, hi1, l1, s1) in enumerate(segs):
-            for lo2, hi2, l2, s2 in segs[i + 1:]:
-                if (lo1 < lo2 < hi1) == (lo1 < hi2 < hi1):
-                    continue
-                if (
-                    _same_point(lo1, lo2)
-                    or _same_point(lo1, hi2)
-                    or _same_point(hi1, lo2)
-                    or _same_point(hi1, hi2)
-                ):
-                    continue
-                violations.append(CrossingViolation(f, l1, s1, l2, s2))
+        violations += _pairwise_crossings(f, segs)
+    return violations
+
+
+def _segment_intervals(mesh, polylines):
+    """``(facet, lo, hi, line, segment)`` arrays, one row per segment.
+
+    Rows come in (line, segment) order and leave out segments whose ends
+    share a key.  A segment's facet is its end point's, or the one across
+    when that point is on an outward boundary halfedge, so only a start can
+    be a vertex pivot or touch no facet.  Those go through ``_border_key``
+    in segment order, and the first point touching no facet raises its
+    ``TraceError``, as a segment-by-segment scan would.
+    """
+    fac, opp = mesh.halfedge_tables()
+    pts = [tp for pl in polylines for tp in pl.points]
+    h = np.array([tp.halfedge for tp in pts], dtype=np.int64)
+    c = np.array([tp.c for tp in pts], dtype=float)
+    counts = np.array([len(pl.points) for pl in polylines], dtype=np.int64)
+    n_seg = np.maximum(counts - 1, 0)
+    line = np.repeat(np.arange(len(counts)), n_seg)
+    first = np.cumsum(counts) - counts  # index of each line's first point
+    seg = np.arange(len(line)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
+    start = first[line] + seg
+    end = start + 1
+    facet = fac[h[end]]
+    facet = np.where(facet < 0, fac[opp[h[end]]], facet)
+
+    ka, rest = _edge_keys(fac, opp, h[start], c[start], facet)
+    kb, _ = _edge_keys(fac, opp, h[end], c[end], facet)
+    for i in np.nonzero(rest)[0].tolist():
+        ka[i] = _border_key(mesh, int(facet[i]), pts[start[i]])
+
+    keep = ka != kb
+    ka, kb = ka[keep], kb[keep]
+    lo = np.where(ka < kb, ka, kb)
+    hi = np.where(ka < kb, kb, ka)
+    return facet[keep], lo, hi, line[keep], seg[keep]
+
+
+def _edge_keys(fac, opp, h, c, facet):
+    """``_border_key`` of points on their facet's halfedges or twins, or at sinks.
+
+    Whole arrays, with the float operations of ``_border_key``, so the keys
+    are the same doubles.  Also returns the mask of the other points, whose
+    keys are left unset.
+    """
+    o = opp[h]
+    key = np.empty(len(h))
+    sink = c > 1.0
+    own = ~sink & (fac[h] == facet)
+    across = ~sink & ~own & (fac[o] == facet)
+    key[sink] = (h[sink] % 3 + 1.0) % 3.0
+    key[own] = h[own] % 3 + c[own]
+    key[across] = o[across] % 3 + (1.0 - c[across])
+    return key, ~(sink | own | across)
+
+
+def _interleaving_facets(facet, lo, hi):
+    """Facets holding two intervals ``lo1 < lo2 < hi1 < hi2``, from one sort.
+
+    The stack holds the open intervals, each nested in the one below it; a
+    new interval first closes those that end at or before its start.
+    """
+    # a nan key orders nowhere: its facet goes to the pairwise scan
+    flagged = set(facet[np.isnan(lo) | np.isnan(hi)].tolist())
+    order = np.lexsort((-hi, lo, facet))
+    stack, current = [], None
+    for f, a, b in zip(facet[order].tolist(), lo[order].tolist(), hi[order].tolist()):
+        if f != current:
+            stack, current = [], f
+        while stack and stack[-1] <= a:
+            stack.pop()
+        if stack and b > stack[-1]:
+            flagged.add(f)
+        stack.append(b)
+    return flagged
+
+
+def _pairwise_crossings(f, segs):
+    """Violations among one facet's ``(lo, hi, line, segment)`` rows, pair by pair."""
+    violations = []
+    for i, (lo1, hi1, l1, s1) in enumerate(segs):
+        for lo2, hi2, l2, s2 in segs[i + 1:]:
+            if (lo1 < lo2 < hi1) == (lo1 < hi2 < hi1):
+                continue
+            if (
+                _same_point(lo1, lo2)
+                or _same_point(lo1, hi2)
+                or _same_point(hi1, lo2)
+                or _same_point(hi1, hi2)
+            ):
+                continue
+            violations.append(CrossingViolation(f, l1, s1, l2, s2))
     return violations

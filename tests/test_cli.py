@@ -411,11 +411,40 @@ def _record(points, **extra):
             [_record([[0, 0.5], [1, 0.5]], positions=[[0.0, 0.5, 0.0]])],
             "line 1: malformed polyline record: positions are not 2 [x, y, z] rows",
         ),
+        (
+            [_record([[0, 0.5]]), _record([[0, 0.5], [1, 0.5]], positions=[[None, 0, 0], [True, "1", 0]])],
+            "line 2: malformed polyline record: position coordinate None is not a finite number",
+        ),
+        (
+            [_record([[0, 0.5], [1, 0.5]], positions=[[0, 0, 0], [True, 1, 0]])],
+            "line 1: malformed polyline record: position coordinate True is not a finite number",
+        ),
+        (
+            [_record([[0, 0.5], [1, 0.5]], positions=[[0, 0, 0], [1, "1", 0]])],
+            "line 1: malformed polyline record: position coordinate '1' is not a finite number",
+        ),
+        (
+            [_record([[0, 0.5]], positions=[[0, float("nan"), 0]])],
+            "line 1: malformed polyline record: position coordinate nan is not a finite number",
+        ),
+        (
+            [_record([[0, 0.5]], positions=[[10**400, 0, 0]])],
+            "line 1: malformed polyline record: int too large to convert to float",
+        ),
+        (
+            # the first segment in file order whose start misses its facet
+            [
+                _record([[0, 0.5], [1, 0.5], [93, 0.5]]),
+                _record([[2, 0.5], [93, 0.25]]),
+            ],
+            "TracePoint(halfedge=1, c=0.5) does not touch facet 31",
+        ),
     ],
     ids=[
         "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
         "unknown-direction", "no-direction", "no-sink-vertex", "ragged-positions",
-        "positions-short",
+        "positions-short", "position-null", "position-bool", "position-string",
+        "position-nan", "position-too-large", "two-bad-segments",
     ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):

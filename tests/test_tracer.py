@@ -1,6 +1,7 @@
 import hashlib
 import math
-from collections import defaultdict
+import re
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from streamtrace.tracer import (
     Seed,
     Tracer,
     _border_key,
+    _interleaving_facets,
+    _pairwise_crossings,
+    _segment_intervals,
     check_crossings,
     load_polylines,
     save_polylines,
@@ -550,6 +554,94 @@ def test_check_crossings_equals_arc_oracle_on_reference_lines():
         assert got == arc_check_crossings(mesh, ref)
         counts.append(len(got))
     assert max(counts) >= 1000
+
+
+def test_segment_intervals_hold_the_scalar_border_keys_bit_for_bit():
+    # every point kind: own, opposite and outward boundary halfedges, sinks,
+    # vertex pivots, and vertex 0 read as 0.0 and as 3.0
+    mesh = meshgen.grid(3, 3, distortion=0.2, seed=4)
+    rng = np.random.default_rng(5)
+    lines, expected, kinds = [], [], Counter()
+    for f in range(mesh.n_facets):
+        names = []
+        for j in range(3):
+            names += vertex_point_names(mesh, f, j, rng)
+            names += edge_point_names(mesh, f, j, float(rng.uniform(0.01, 0.99)))
+        ends = [tp for tp, can_end in names if can_end]
+        for tp_a, _ in names:
+            ka = _border_key(mesh, f, tp_a)
+            if tp_a.c > 1.0:
+                kinds["sink"] += 1
+            elif mesh.facet(tp_a.halfedge) == f:
+                kinds["own"] += 1
+            elif mesh.has_facet(mesh.opposite(tp_a.halfedge)):
+                kinds["opposite" if mesh.has_facet(tp_a.halfedge) else "outward"] += 1
+            else:
+                kinds["pivot"] += 1
+            for tp_b in ends:
+                kb = _border_key(mesh, f, tp_b)
+                if ka != kb:
+                    lo, hi = sorted((ka, kb))
+                    expected.append((f, lo.hex(), hi.hex(), len(lines), 0))
+                pl = Polyline(None)
+                pl.points = [tp_a, tp_b]
+                lines.append(pl)
+    assert set(kinds) == {"sink", "own", "opposite", "outward", "pivot"}
+    facet, lo, hi, line, seg = _segment_intervals(mesh, lines)
+    got = list(zip(
+        facet.tolist(),
+        [k.hex() for k in lo.tolist()],
+        [k.hex() for k in hi.tolist()],
+        line.tolist(),
+        seg.tolist(),
+    ))
+    assert got == expected
+    assert lo.min() == 0.0 and hi.max() == 3.0
+
+
+def test_a_facet_the_sweep_passes_has_no_pairwise_violation():
+    mesh = meshgen.grid(3, 3, distortion=0.2, seed=4)
+    rng = np.random.default_rng(31)
+    outcomes = Counter()  # (sweep flags the facet, pairwise scan finds one)
+    for _ in range(3000):
+        facet, lo, hi, line, seg = _segment_intervals(mesh, random_one_facet_lines(mesh, rng))
+        flagged = _interleaving_facets(facet, lo, hi)
+        rows = defaultdict(list)
+        for f, *row in zip(facet.tolist(), lo.tolist(), hi.tolist(), line.tolist(), seg.tolist()):
+            rows[f].append(row)
+        for f, segs in rows.items():
+            outcomes[f in flagged, bool(_pairwise_crossings(f, segs))] += 1
+    assert outcomes[False, True] == 0
+    # the 1e-12 shared-endpoint rule clears some flagged facets
+    assert outcomes[True, True] and outcomes[True, False] and outcomes[False, False]
+
+
+def test_first_point_off_its_facet_raises_in_segment_order():
+    mesh = meshgen.grid(4, 4)
+    # halfedge 93 bounds facet 31, which halfedges 1 and 2 do not touch;
+    # each line starts with a vertex pivot into facet 0, which is fine
+    pivot = next(
+        TracePoint(g, 0.0)
+        for g in mesh.outgoing_halfedges(mesh.origin(1))
+        if 0 not in (mesh.facet(g), mesh.facet(mesh.opposite(g)))
+    )
+    a = Polyline(None)
+    a.points = [pivot, TracePoint(0, 0.5), TracePoint(1, 0.5), TracePoint(93, 0.5)]
+    b = Polyline(None)
+    b.points = [pivot, TracePoint(1, 0.25), TracePoint(2, 0.5), TracePoint(93, 0.25)]
+    for lines, bad in (([a, b], TracePoint(1, 0.5)), ([b, a], TracePoint(2, 0.5))):
+        message = f"trace point {bad} does not touch facet 31"
+        with pytest.raises(TraceError, match=re.escape(message)):
+            check_crossings(mesh, lines)
+
+
+def test_torus_campaign_of_50k_crossings_has_no_crossings():
+    mesh = meshgen.torus()
+    fs = synth_field(mesh, "smoothed-random", seed=1)
+    tr = Tracer(mesh, fs)
+    pls = [tr.trace(s) for s in _spread_edge_seeds(mesh, 25)]
+    assert sum(len(pl) - 1 for pl in pls) > 45000
+    assert check_crossings(mesh, pls) == []
 
 
 def test_step_cap_termination():
