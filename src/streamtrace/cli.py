@@ -18,7 +18,7 @@ import numpy as np
 
 from . import meshgen
 from .errors import FieldError, MeshError, StreamMeshError, TraceError
-from .field import load_field, save_field, synth_field, validate, vertex_index
+from .field import INDEX_TOL, load_field, save_field, synth_field, validate, vertex_index
 from .mesh import TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, rk4_trace
 from .stream_mesh import Behavior
@@ -90,7 +90,9 @@ def _boundary_loop_seeds(tracer, n, direction="forward"):
     ti = 0
     for o, t0, t1, l in spans:
         while ti < n and targets[ti] <= acc + l:
-            t = t0 + (targets[ti] - acc) / l * (t1 - t0)
+            # roundoff can carry a target at a span end past it; the span
+            # runs down from t0 to t1
+            t = min(t0, max(t1, t0 + (targets[ti] - acc) / l * (t1 - t0)))
             seeds.append(Seed(TracePoint(o, t), direction))
             ti += 1
         acc += l
@@ -134,9 +136,9 @@ def make_seeds(tracer, n=None, direction=None, points=None, singularities=False)
             if mesh.is_boundary_vertex(v):
                 continue
             idx = vertex_index(mesh, fs, v)
-            if idx > 1e-9:
+            if idx > INDEX_TOL:
                 continue
-            if abs(idx) <= 1e-9 and not _has_vertex_tangency(mesh, fs, v):
+            if abs(idx) <= INDEX_TOL and not _has_vertex_tangency(mesh, fs, v):
                 continue
             for d in ("forward", "backward"):
                 seeds.extend(seed_from_vertex(mesh, fs, v, d))
@@ -323,16 +325,9 @@ def cmd_synth(args):
 def cmd_check_crossings(args):
     mesh = load_obj(args.mesh)
     polylines = load_polylines(args.lines)
-    n = mesh.n_halfedges
-    for i, pl in enumerate(polylines):
-        for j, tp in enumerate(pl.points):
-            if not (0 <= tp.halfedge < n and 0.0 <= tp.c <= 2.0):
-                raise ValueError(
-                    f"{args.lines}: polyline {i} point {j} is off the mesh: {tp}"
-                )
     try:
         violations = check_crossings(mesh, polylines)
-    except TraceError as exc:  # a segment whose ends share no facet
+    except TraceError as exc:  # a point off the mesh, or a segment off its facet
         raise ValueError(f"{args.lines}: {exc}") from None
     for v in violations:
         print(v)

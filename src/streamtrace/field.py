@@ -201,6 +201,10 @@ def corner_jump_deg(mesh, fieldsamples, f, k):
     return -corner_rot - (180.0 - beta_deg)
 
 
+# an index above INDEX_TOL is positive, one within it of 0 is zero
+INDEX_TOL = 1e-9
+
+
 def vertex_index(mesh, fieldsamples, v):
     """Topological index of the field at an interior vertex.
 

@@ -58,14 +58,12 @@ def phi(sh, c) -> float:
     return abs(phi_signed(sh, c))
 
 
-def phi_inverse(sh, x, total=None) -> float:
-    """Parameter c with phi(sh, c) == x; exact at x == 0 and x == phi(sh, 1).
+def phi_inverse(sh, x, total) -> float:
+    """Parameter c with phi(sh, c) == x; exact at x == 0 and x == total.
 
-    ``total`` is ``phi(sh, 1.0)`` when the caller already holds it, as
-    ``locate`` does in the run's ``totals``; None computes it here.
+    ``total`` is ``phi(sh, 1.0)``, which ``locate`` reads from the run's
+    ``totals``.
     """
-    if total is None:
-        total = phi(sh, 1.0)
     if x < 0.0 or x > total * (1.0 + 1e-9) + 1e-300:
         raise FluxError(f"flux value {x} outside [0, {total}]")
     if x == 0.0:

@@ -30,10 +30,11 @@ A face is held as its flow groups (maximal runs of same-direction flow
 pieces, with the tangents among them) and the tangent separators between
 consecutive groups, both computed once from the border.  A face with
 exactly two groups, one inflow run and one outflow run, is *simple* and can
-be crossed by flux ratio.  ``decompose`` repeatedly carves a simple face off
-the main face with a chord drawn between a split forward tangency and a
-split backward tangency, updating both faces' lists in place, until every
-face is simple.
+be crossed by flux ratio.  ``decompose`` carves simple faces off the main
+face, each with a chord drawn between a split forward tangency and a split
+backward tangency, updating both faces' lists in place.  Each split carves
+off one inflow/outflow pair, so a border of p pairs takes exactly p - 1
+splits, with no iteration cap.
 
 A facet is decomposed one value at a time, so the work runs on Python
 floats, not numpy scalars: ``_init_border`` reads the facet's node row, each
@@ -343,12 +344,11 @@ class StreamMesh:
             elif beh is Behavior.IN and pbeh is Behavior.TB and nbeh is Behavior.TF:
                 sh.sink = -1
 
-        behaviors = {sh.behavior for sh in hs}
-        if Behavior.IN not in behaviors or Behavior.OUT not in behaviors:
+        groups, seps = _groups_and_separators(hs)
+        if len(groups) < 2:
             raise StreamMeshError(
                 f"facet {self.facet}: border lacks inflow or outflow"
             )
-        groups, seps = _groups_and_separators(hs)
         self.faces = {0: (groups, seps)}
         self.initial_pairs = len(groups) // 2
 
@@ -418,22 +418,18 @@ class StreamMesh:
     # -- decomposition -------------------------------------------------------
 
     def split_step(self):
-        """Carve one simple face off the main face; False if already simple.
+        """Carve one simple face, one inflow/outflow pair, off the main face.
 
         Finds three consecutive separators typed (Tf, Tb, Tb) around an
         outflow-then-inflow group pair, or the symmetric (Tb, Tf, Tf) around
         an inflow-then-outflow pair, splits the two outer tangents at their
         anchor midpoints and connects the split points with a chord.  The
         chord is typed incoming on the carved side and outgoing on the main
-        side (swapped for the symmetric form).
+        side (swapped for the symmetric form).  A main face with no such
+        pattern raises.
         """
         groups, seps = self.faces[0]
         m = len(groups)
-        if m == 2:
-            return False
-        if m % 2 != 0:
-            raise StreamMeshError("flow groups do not alternate")
-
         for gi in range(m):
             key = (
                 groups[gi][0].behavior,
@@ -444,7 +440,7 @@ class StreamMesh:
             primal = _SPLIT_PATTERNS.get(key)
             if primal is not None:
                 self._apply_split(gi, groups, seps, primal)
-                return True
+                return
         raise StreamMeshError("no splittable tangency pattern on non-simple face")
 
     def _apply_split(self, gi, groups, seps, primal):
@@ -751,18 +747,11 @@ class StreamMesh:
 def decompose(mesh, fieldsamples, facet) -> StreamMesh:
     """Fully decompose a facet into simple stream faces.
 
-    The number of splits is always (initial inflow/outflow pair count) - 1;
-    the iteration cap of 3 + 2 x (initial tangent piece count) exists only
-    to turn a logic error into a loud failure instead of a hang.
+    Each split carves one inflow/outflow pair off the main face, so a facet
+    with p pairs takes exactly p - 1 splits.  A split that finds no pattern
+    raises, and ``finalize`` refuses a face that is not simple.
     """
     sm = StreamMesh(mesh, fieldsamples, facet)
-    tangents = sum(1 for sh in sm.hs if sh.behavior.is_tangent)
-    cap = 3 + 2 * tangents
-    n = 0
-    while sm.split_step():
-        n += 1
-        if n > cap:
-            raise StreamMeshError(
-                f"decomposition of facet {facet} exceeded {cap} splits"
-            )
+    for _ in range(sm.initial_pairs - 1):
+        sm.split_step()
     return sm.finalize()

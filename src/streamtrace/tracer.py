@@ -27,7 +27,7 @@ import numpy as np
 
 from . import flux, stream_mesh
 from .errors import StreamMeshError, TraceError
-from .field import vertex_index
+from .field import INDEX_TOL, vertex_index
 from .mesh import TracePoint
 from .stream_mesh import Behavior
 
@@ -49,6 +49,8 @@ class Seed:
     def __post_init__(self):
         if self.direction not in _ENTRY:
             raise TraceError(f"unknown trace direction {self.direction!r}")
+        if not 0.0 <= self.point.c <= 1.0:
+            raise TraceError(f"seed point {self.point} is not on its edge")
 
 
 class Polyline:
@@ -230,7 +232,6 @@ class Tracer:
 
         visited = {}  # halfedge -> sorted exit parameters
         pivot_vertex, pivot_count = None, 0
-        steps = 0
         while True:
             sm, sh, csm = entry
             out_sh, c_out = self.cross_facet(sm, sh, csm)
@@ -255,8 +256,8 @@ class Tracer:
                     return
                 seen.insert(i, c_exit)
 
-            steps += 1
-            if steps >= self.max_steps:
+            # the seed and one exit per crossing
+            if len(points) > self.max_steps:
                 pl.termination = "step-cap"
                 return
 
@@ -279,9 +280,12 @@ class Tracer:
                     return
             else:
                 pivot_vertex, pivot_count = None, 0
-                h = mesh.opposite(h_exit)
-                sm = self.stream_mesh(mesh.facet(h))
-                entry = (sm, *sm.import_position(h, 1.0 - c_exit, enter))
+                entry = self._import(mesh.opposite(h_exit), 1.0 - c_exit, enter)
+
+    def _import(self, h, c, enter):
+        """Entry (stream mesh, piece, local c) at parameter c of facet halfedge h."""
+        sm = self.stream_mesh(self.mesh.facet(h))
+        return (sm, *sm.import_position(h, c, enter))
 
     def _edge_seed_entry(self, tp, enter):
         """Entry from the facet of ``tp.halfedge``, else from the one across.
@@ -293,9 +297,8 @@ class Tracer:
         error = TraceError("seed halfedge bounds no facet")
         for h, c in ((tp.halfedge, tp.c), (mesh.opposite(tp.halfedge), 1.0 - tp.c)):
             if mesh.has_facet(h):
-                sm = self.stream_mesh(mesh.facet(h))
                 try:
-                    return (sm, *sm.import_position(h, c, enter))
+                    return self._import(h, c, enter)
                 except StreamMeshError as exc:
                     error = exc
         raise error
@@ -310,7 +313,7 @@ class Tracer:
         mesh = self.mesh
         if (
             not mesh.is_boundary_vertex(v)
-            and vertex_index(mesh, self.fieldsamples, v) > 1e-9
+            and vertex_index(mesh, self.fieldsamples, v) > INDEX_TOL
         ):
             pl.termination = "sink-vertex"
             pl.sink_vertex = v
@@ -330,9 +333,8 @@ class Tracer:
             if not mesh.has_facet(e):
                 pl.termination = "boundary"
                 return None
-            sm = self.stream_mesh(mesh.facet(e))
             try:
-                return (sm, *sm.import_position(e, 0.0, enter))
+                return self._import(e, 0.0, enter)
             except StreamMeshError:
                 pass
         self._stop_at_vertex(pl, mesh.origin(o))
@@ -340,19 +342,6 @@ class Tracer:
 
 
 # -- separatrix seeding ---------------------------------------------------------
-
-
-def _fan_corners(mesh, v):
-    """(facet, corner k) pairs around an interior vertex, in fan order."""
-    h0 = next((h for h in mesh.outgoing_halfedges(v) if mesh.has_facet(h)), None)
-    if h0 is None:
-        raise TraceError(f"vertex {v} has no incident facet")
-    out = []
-    for h in mesh.fan(h0):
-        if not mesh.has_facet(h):
-            raise TraceError(f"vertex {v} is on the boundary")
-        out.append((mesh.facet(h), (h % 3 + 2) % 3))
-    return out
 
 
 def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
@@ -368,14 +357,17 @@ def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
     if direction not in _ENTRY:
         raise TraceError(f"unknown trace direction {direction!r}")
     idx = vertex_index(mesh, fieldsamples, v)
-    if idx > 1e-9:
+    if idx > INDEX_TOL:
         raise TraceError(
             f"vertex {v} has positive index {idx:.3f}: "
             "its separatrix family is infinite"
         )
-    corners = _fan_corners(mesh, v)
+    # vertex_index refused a boundary vertex, so every fan halfedge has a
+    # facet; the corner at v of halfedge h's facet is the one before edge h
+    fan = list(mesh.fan(mesh.outgoing_halfedges(v)[0]))
     events = []  # (fan position, facet, corner k, t)
-    for fan_i, (f, k) in enumerate(corners):
+    for fan_i, h in enumerate(fan):
+        f, k = mesh.facet(h), (h % 3 + 2) % 3
         nodes = fieldsamples.nodes(f)
         b0 = nodes[2 * k + 1]
         b1 = nodes[2 * k + 2]
@@ -403,7 +395,7 @@ def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
                 events.append((fan_i + (1.0 - t), f, k, t))
     events.sort()
     seeds = []
-    n = len(corners)
+    n = len(fan)
     for pos, f, k, t in events:
         if seeds and pos - seeds[-1][0] <= 1e-9:
             continue
@@ -501,21 +493,33 @@ def check_crossings(mesh, polylines):
 def _segment_intervals(mesh, polylines):
     """``(facet, lo, hi, line, segment)`` arrays, one row per segment.
 
-    Rows come in (line, segment) order and leave out segments whose ends
-    share a key.  A segment's facet is its end point's, or the one across
-    when that point is on an outward boundary halfedge, so only a start can
-    be a vertex pivot or touch no facet.  Those go through ``_border_key``
-    in segment order, and the first point touching no facet raises its
-    ``TraceError``, as a segment-by-segment scan would.
+    A point off the mesh (halfedge outside the table, c outside [0, 2])
+    raises ``TraceError``, the first in (line, point) order.  Rows come in
+    (line, segment) order and leave out segments whose ends share a key.
+    A segment's facet is its end point's, or the one across when that point
+    is on an outward boundary halfedge, so only a start can be a vertex
+    pivot or touch no facet.  Those go through ``_border_key`` in segment
+    order, and the first point touching no facet raises its ``TraceError``,
+    as a segment-by-segment scan would.
     """
     fac, opp = mesh.halfedge_tables()
     pts = [tp for pl in polylines for tp in pl.points]
-    h = np.array([tp.halfedge for tp in pts], dtype=np.int64)
-    c = np.array([tp.c for tp in pts], dtype=float)
+    # no dtype yet: an int too large for one leaves an object array, which
+    # still compares
+    h = np.array([tp.halfedge for tp in pts])
+    c = np.array([tp.c for tp in pts])
     counts = np.array([len(pl.points) for pl in polylines], dtype=np.int64)
+    first = np.cumsum(counts) - counts  # index of each line's first point
+    off = np.nonzero((h < 0) | (h >= len(fac)) | ~((c >= 0.0) & (c <= 2.0)))[0]
+    if len(off):
+        k = int(off[0])
+        i = int(np.searchsorted(first, k, side="right")) - 1
+        raise TraceError(
+            f"polyline {i} point {k - int(first[i])} is off the mesh: {pts[k]}"
+        )
+    h, c = h.astype(np.int64), c.astype(float)
     n_seg = np.maximum(counts - 1, 0)
     line = np.repeat(np.arange(len(counts)), n_seg)
-    first = np.cumsum(counts) - counts  # index of each line's first point
     seg = np.arange(len(line)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
     start = first[line] + seg
     end = start + 1

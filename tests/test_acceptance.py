@@ -289,7 +289,7 @@ def test_criterion_6_flux_oracles():
                         0.0, c, epsabs=1e-14, epsrel=1e-13,
                     )
                     worst_quad = max(worst_quad, abs(phi(sh, c) - abs(sh.length * want)))
-                    worst_inv = max(worst_inv, abs(phi_inverse(sh, phi(sh, c)) - c))
+                    worst_inv = max(worst_inv, abs(phi_inverse(sh, phi(sh, c), phi(sh, 1.0)) - c))
                     checked += 1
 
     mismatches = probes = 0

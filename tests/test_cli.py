@@ -439,12 +439,17 @@ def _record(points, **extra):
             ],
             "TracePoint(halfedge=1, c=0.5) does not touch facet 31",
         ),
+        (
+            [_record([[0, 0.5]], seed={"halfedge": 0, "c": 1.5, "direction": "forward"})],
+            "line 1: malformed polyline record: seed point "
+            "TracePoint(halfedge=0, c=1.5) is not on its edge",
+        ),
     ],
     ids=[
         "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
         "unknown-direction", "no-direction", "no-sink-vertex", "ragged-positions",
         "positions-short", "position-null", "position-bool", "position-string",
-        "position-nan", "position-too-large", "two-bad-segments",
+        "position-nan", "position-too-large", "two-bad-segments", "seed-off-edge",
     ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
@@ -454,6 +459,23 @@ def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
     rc = main(["check-crossings", "--mesh", obj, "--lines", str(lines)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,seeds", [("sink", None), ("circular", None), ("circular", 8)])
+def test_boundary_seeds_at_span_ends_all_trace(tmp_path, capsys, kind, seeds):
+    # the symmetric boundary puts seed targets on span ends, where roundoff
+    # once carried a seed off its edge (sink) or onto an outflow piece
+    obj, field = synth(tmp_path, kind, "--rings", "5", "--sectors", "16")
+    out = tmp_path / "lines.jsonl"
+    argv = ["trace", "--mesh", obj, "--field", field, "--out", str(out)]
+    if seeds is not None:
+        argv += ["--seeds", str(seeds)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert f"polylines:            {seeds or 20}\n" in stdout
+    assert "rejected seeds" not in stdout
+    assert len(out.read_text().splitlines()) == (seeds or 20)
 
 
 @pytest.mark.parametrize("cmd", ["trace", "bench"])

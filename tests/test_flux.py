@@ -91,17 +91,17 @@ def test_phi_inverse_is_a_left_inverse(L, b0, sweep, c):
     b1 = min(b0 + sweep, 179.999)
     sh = make_piece(L, b0, b1, Behavior.IN)
     x = phi(sh, c)
-    c2 = phi_inverse(sh, x)
+    c2 = phi_inverse(sh, x, phi(sh, 1.0))
     # compare through phi: c itself may be ambiguous where density hits zero
     assert abs(phi(sh, c2) - x) < 1e-9 * max(1.0, phi(sh, 1.0))
 
 
 def test_phi_inverse_endpoints_are_exact():
     sh = make_piece(1.3, 20.0, 160.0, Behavior.IN)
-    assert phi_inverse(sh, 0.0) == 0.0
-    assert phi_inverse(sh, phi(sh, 1.0)) == 1.0
+    assert phi_inverse(sh, 0.0, phi(sh, 1.0)) == 0.0
+    assert phi_inverse(sh, phi(sh, 1.0), phi(sh, 1.0)) == 1.0
     with pytest.raises(FluxError):
-        phi_inverse(sh, phi(sh, 1.0) * 1.1)
+        phi_inverse(sh, phi(sh, 1.0) * 1.1, phi(sh, 1.0))
 
 
 def test_phi_inverse_across_band_copies():
@@ -109,7 +109,9 @@ def test_phi_inverse_across_band_copies():
     a = make_piece(1.0, 30.0, 150.0, Behavior.IN)
     b = make_piece(1.0, 30.0 + 720.0, 150.0 + 720.0, Behavior.IN)
     for x in np.linspace(0.0, phi(a, 1.0), 17):
-        assert abs(phi_inverse(a, float(x)) - phi_inverse(b, float(x))) < 1e-12
+        assert abs(
+            phi_inverse(a, float(x), phi(a, 1.0)) - phi_inverse(b, float(x), phi(b, 1.0))
+        ) < 1e-12
 
 
 def test_phi_monotone_in_c():
@@ -147,7 +149,7 @@ def test_corner_sink_flux_is_linear_in_c():
         for c in (0.0, 0.25, 1.0):
             assert phi_signed(sh, c) == s * c
             assert phi(sh, c) == c
-            assert phi_inverse(sh, c) == c
+            assert phi_inverse(sh, c, phi(sh, 1.0)) == c
 
 
 def test_corner_carries_flux_exactly_between_opposite_tangents():
@@ -171,7 +173,7 @@ def linear_scan_locate(run, x):
         if t > 0.0:
             last = i
             if x <= acc + t:
-                return sh, phi_inverse(sh, min(max(x - acc, 0.0), t))
+                return sh, phi_inverse(sh, min(max(x - acc, 0.0), t), phi(sh, 1.0))
         acc += t
     if last is None:
         raise FluxError("no flux")

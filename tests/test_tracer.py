@@ -635,6 +635,23 @@ def test_first_point_off_its_facet_raises_in_segment_order():
             check_crossings(mesh, lines)
 
 
+@pytest.mark.parametrize(
+    "halfedge,c",
+    [(-1, 0.5), ("past-end", 0.5), (10**30, 0.5), (1, 2.5), (1, -0.5), (1, float("nan"))],
+)
+def test_check_crossings_refuses_a_point_off_the_mesh(halfedge, c):
+    mesh = meshgen.grid(2, 2)
+    if halfedge == "past-end":
+        halfedge = mesh.n_halfedges + 5
+    good = Polyline(None)
+    good.points = [TracePoint(0, 0.5), TracePoint(1, 0.5)]
+    bad = Polyline(None)
+    bad.points = [TracePoint(0, 0.25), TracePoint(halfedge, c), TracePoint(1, 2.5)]
+    message = f"polyline 1 point 1 is off the mesh: {TracePoint(halfedge, c)}"
+    with pytest.raises(TraceError, match=re.escape(message)):
+        check_crossings(mesh, [good, bad])
+
+
 def test_torus_campaign_of_50k_crossings_has_no_crossings():
     mesh = meshgen.torus()
     fs = synth_field(mesh, "smoothed-random", seed=1)
@@ -668,6 +685,14 @@ def test_tracer_rejects_a_step_cap_that_is_not_an_int_of_at_least_1(max_steps):
 def test_seed_rejects_an_unknown_direction():
     with pytest.raises(TraceError, match="unknown trace direction 'sideways'"):
         Seed(TracePoint(0, 0.5), "sideways")
+
+
+@pytest.mark.parametrize("c", [-6.661338147750939e-16, 1.0 + 1e-15, 1.5, float("nan")])
+def test_seed_rejects_a_point_off_its_edge(c):
+    with pytest.raises(TraceError, match="is not on its edge"):
+        Seed(TracePoint(0, c))
+    Seed(TracePoint(0, 0.0))
+    Seed(TracePoint(0, 1.0))
 
 
 def separatrix_seeds(mesh, fs, direction):
