@@ -7,6 +7,7 @@ import pytest
 
 from streamtrace import StreamMeshError, meshgen, synth_field
 from streamtrace.mesh import SurfaceMesh
+from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import Behavior, StreamMesh, decompose
 from streamtrace.stream_mesh import _classify, _segment_element, _segment_values
 
@@ -451,3 +452,35 @@ def decomposition_digest(meshes):
 
 def test_decomposition_corpus_is_pinned():
     assert decomposition_digest(decomposition_corpus()) == CORPUS_SHA256
+
+
+def whole_mesh_scenes():
+    """(name, mesh, field) of the scenes whose every facet is pinned."""
+    grid = meshgen.grid(12, 12, distortion=0.3, seed=0)
+    yield "grid-constant", grid, synth_field(grid, "constant", angle_deg=0.0)
+    for s in range(3):
+        disc = meshgen.disc(5, 16, distortion=0.2, seed=s)
+        yield f"disc-saddle-{s}", disc, synth_field(disc, "saddle")
+    for name, closed in (("torus", meshgen.torus()), ("icosphere3", meshgen.icosphere(3))):
+        yield f"{name}-random", closed, synth_field(closed, "smoothed-random", seed=1)
+
+
+# sha256 of decomposition_digest over every facet of each scene, in facet
+# order.  A mirrored edge reads its canonical side, and junction tangents
+# are merged across elements, so these pin what single-facet fans cannot.
+WHOLE_MESH_SHA256 = {
+    "grid-constant": "3f47dfdf1a16dccbb06b43b37fe8b7fae8c6abd4c58699e6422e62a66e568e0d",
+    "disc-saddle-0": "8cb50620b91b89a3ff4b794a66aedcdd41c0d1c90242efb4fab7ccbf6321f40d",
+    "disc-saddle-1": "c7466a18b7f04f49dc7649575f2eaa3408f1b3ce73bb30c3e69b23b52bbd6a82",
+    "disc-saddle-2": "52fb49f06e5b2a0d888a0e50622e3174ecc167f99fd94fa14132d8231cf3b95d",
+    "torus-random": "7f37756f5cf38fd6a6793e630d0031405ae99e85b237bd3c90ed99269436f756",
+    "icosphere3-random": "d7b90f81b5ecaf0fec816460d80a9881afc2c7f9d92c77db380a41c0a28bb356",
+}
+
+
+def test_whole_mesh_decompositions_are_pinned():
+    got = {}
+    for name, mesh, fs in whole_mesh_scenes():
+        tr = Tracer(mesh, fs)
+        got[name] = decomposition_digest([tr.stream_mesh(f) for f in range(mesh.n_facets)])
+    assert got == WHOLE_MESH_SHA256
