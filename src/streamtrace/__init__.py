@@ -22,7 +22,7 @@ from .field import (
 from .flux import accumulate, locate, phi, phi_inverse, phi_signed
 from .mesh import FacetFrame, SurfaceMesh, TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, eval_field_interior, rk4_trace
-from .stream_mesh import Behavior, StreamHalfedge, StreamMesh, decompose
+from .stream_mesh import Behavior, BorderTable, StreamHalfedge, StreamMesh, decompose
 from .tracer import (
     CrossingViolation,
     Polyline,
@@ -38,6 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Behavior",
+    "BorderTable",
     "CrossingViolation",
     "FacetFrame",
     "FieldError",

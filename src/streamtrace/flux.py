@@ -15,7 +15,7 @@ flow head-on: an outflow corner sandwiched between a forward and a backward
 tangency soaks up everything that converges on it (phi = c), and the
 time-reversed sandwich emits (phi = -c).  Every other corner is a zero-flux
 pass-through.  The stream mesh fixes that rule once per corner, in the
-piece's ``sink`` sign, when it links the facet border.
+piece's ``sink`` sign, when it cuts the facet borders.
 
 ``phi_inverse`` picks the branch of arccos from the half-turn count of the
 piece's midpoint angle, so it stays exact even when B sweeps across several
@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+
+import numpy as np
 
 from .errors import FluxError
 from .stream_mesh import Behavior
@@ -56,6 +58,18 @@ def phi_signed(sh, c) -> float:
 def phi(sh, c) -> float:
     """Flux magnitude through the sub-piece [0, c] of a stream-halfedge."""
     return abs(phi_signed(sh, c))
+
+
+def phi_totals(length, b0, b1):
+    """``phi(sh, 1.0)`` of straight pieces, from arrays of their fields.
+
+    The same float operations as ``phi_signed`` at c = 1, elementwise.
+    """
+    r0 = np.radians(b0)
+    db = np.radians(b1) - r0
+    flat = np.abs(db) < _DEGENERATE_SWEEP
+    swept = length * (np.cos(r0 + db) - np.cos(r0)) / np.where(flat, 1.0, db)
+    return np.abs(np.where(flat, -length * np.sin(r0), swept))
 
 
 def phi_inverse(sh, x, total) -> float:
@@ -96,8 +110,8 @@ def phi_inverse(sh, x, total) -> float:
 
 def accumulate(run, sh, c) -> float:
     """Flux magnitude collected along a run up to parameter c on member sh."""
-    i = run.pos.get(sh.id)
-    if i is None:
+    i = sh.run_index
+    if i is None or i >= len(run.pieces) or run.pieces[i] is not sh:
         raise FluxError("stream-halfedge is not a member of this run")
     own = 0.0 if sh.behavior.is_tangent else phi(sh, c)
     return run.starts[i] + own

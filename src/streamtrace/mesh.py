@@ -314,6 +314,10 @@ class SurfaceMesh:
         h = self.canonical_halfedge(h)
         return float(self._edge_lens[h // 3, h % 3])
 
+    def facet_edge_lengths(self, f):
+        """Lengths of edges 0, 1 and 2 of facet f; f may be an index array."""
+        return self._edge_lens[f]
+
     def average_edge_length(self):
         # canonical halfedges have facets; cumsum adds in order, as a loop would
         lens = self._edge_lens.ravel()[self.edge_halfedges()]

@@ -11,36 +11,39 @@ a cyclic sequence of constant-behavior pieces:
 
 Tangency crossings in the middle of a piece produce zero-length tangent
 pieces, so behavior is constant on every piece including its endpoints.
-Edge pieces are always computed on the lower-id halfedge of the undirected
-edge and mirrored to the other side (swap I/O and Tf/Tb, reverse the
-parameter), which makes the cut parameters of the two facets sharing the
-edge identical by construction rather than approximately equal.
+Edge pieces are always cut from the node values of the canonical halfedge
+of the undirected edge; the other side takes the same rows in reverse (swap
+I/O and Tf/Tb, reverse the parameter), which makes the cut parameters of
+the two facets sharing the edge identical by construction rather than
+approximately equal.
 
-The border is held once, as the cycle of ``nxt``/``prv`` links from
-``hs[0]``.  Border element ``2k`` is edge k and ``2k + 1`` is corner k; the
-cycle runs through the elements in that order and through each element's
-pieces in parameter order.  Splitting a tangent links its second half right
-after the first, so decomposition keeps that order.  When the links are
-made, each corner piece gets its ``sink`` sign, which ``flux`` reads: +1 if
-it absorbs the flow head-on (``O`` between ``Tf`` and ``Tb``), -1 if it
-emits it (``I`` between ``Tb`` and ``Tf``), 0 otherwise.  Splits give both
-halves of a tangent its behavior, so they never change a sign.
+Every facet's border is cut once, when a ``BorderTable`` is built, on whole
+numpy arrays, ``BLOCK_FACETS`` facets at a time.  The table holds each
+facet's pieces in border order: element 0 through 5, each element's pieces
+in parameter order.  Element ``2k`` is edge k and ``2k + 1`` is corner k.
+There each corner piece gets its ``sink`` sign from its neighbours, which
+``flux`` reads: +1 if it absorbs the flow head-on (``O`` between ``Tf`` and
+``Tb``), -1 if it emits it (``I`` between ``Tb`` and ``Tf``), 0 otherwise.
+The table also holds every piece's flux total and each facet's flow groups.
+The array operations are the ones a loop over Python floats would make, in
+the same order, so the rows hold the same doubles; the tests pin them bit
+for bit, which also checks that numpy's ``sin`` and ``cos`` round as
+``math``'s do.
+
+``decompose`` builds one facet's ``StreamHalfedge`` objects from its rows
+and links them into the border: the cycle of ``nxt``/``prv`` links from
+``hs[0]``.  Splitting a tangent links its second half right after the
+first, so decomposition keeps the border order.  Splits give both halves of
+a tangent its behavior, so they never change a sign.
 
 A face is held as its flow groups (maximal runs of same-direction flow
 pieces, with the tangents among them) and the tangent separators between
-consecutive groups, both computed once from the border.  A face with
-exactly two groups, one inflow run and one outflow run, is *simple* and can
-be crossed by flux ratio.  ``decompose`` carves simple faces off the main
-face, each with a chord drawn between a split forward tangency and a split
-backward tangency, updating both faces' lists in place.  Each split carves
-off one inflow/outflow pair, so a border of p pairs takes exactly p - 1
-splits, with no iteration cap.
-
-A facet is decomposed one value at a time, so the work runs on Python
-floats, not numpy scalars: ``_init_border`` reads the facet's node row, each
-mirrored neighbour's row and the edge lengths with ``tolist()`` once.  The
-values are the same IEEE doubles either way; only the per-operation cost
-differs.
+consecutive groups.  A face with exactly two groups, one inflow run and one
+outflow run, is *simple* and can be crossed by flux ratio.  ``decompose``
+carves simple faces off the main face, each with a chord drawn between a
+split forward tangency and a split backward tangency, updating both faces'
+lists in place.  Each split carves off one inflow/outflow pair, so a border
+of p pairs takes exactly p - 1 splits, with no iteration cap.
 """
 
 from __future__ import annotations
@@ -69,12 +72,31 @@ class Behavior(Enum):
         self.is_tangent = value in ("Tf", "Tb")
 
 
-_MIRROR = {
-    Behavior.IN: Behavior.OUT,
-    Behavior.OUT: Behavior.IN,
-    Behavior.TF: Behavior.TB,
-    Behavior.TB: Behavior.TF,
-}
+# behavior codes of the border table: a mirror flips the low bit, and the
+# codes from _TF up are the tangents
+_IN, _OUT, _TF, _TB = 0, 1, 2, 3
+_BEHAVIORS = (Behavior.IN, Behavior.OUT, Behavior.TF, Behavior.TB)
+
+# a row's code is element + 8 behavior + 32 (sink + 1); _DECODE maps it to
+# (kind, behavior, element, sink)
+_DECODE = [
+    ("corner" if e % 2 else "edge", _BEHAVIORS[b], e, s - 1)
+    for s in range(3)
+    for b in range(4)
+    for e in range(8)
+]
+
+# facets cut together while a table is built; a larger block only raises
+# the build's peak memory
+BLOCK_FACETS = 512
+
+# a border that cannot be decomposed keeps the index of its message
+_BORDER_ERRORS = (
+    None,
+    "face has no flow pieces",
+    "adjacent opposite flow groups without a tangency",
+    "facet {facet}: border lacks inflow or outflow",
+)
 
 # split_step's (first group, three separators) patterns: is the split primal
 _SPLIT_PATTERNS = {
@@ -98,7 +120,9 @@ class StreamHalfedge:
     the border (the outside is not represented) and the twin record on
     chords.  ``nxt`` and ``prv`` link border neighbours and are None on
     chords.  ``sink`` is +1 on an absorbing corner, -1 on an emitting one
-    and 0 on every other piece.
+    and 0 on every other piece.  ``total`` is the flux through the whole
+    piece, ``phi(sh, 1.0)``, and 0.0 on tangents.  ``run_index`` is the
+    piece's place in the run that holds it, None outside every run.
     """
 
     __slots__ = (
@@ -118,9 +142,13 @@ class StreamHalfedge:
         "opp",
         "face",
         "sink",
+        "total",
+        "run_index",
     )
 
-    def __init__(self, hid, kind, behavior, element, t0, t1, b0, b1, length):
+    def __init__(
+        self, hid, kind, behavior, element, t0, t1, b0, b1, length, total=0.0, sink=0
+    ):
         self.id = hid
         self.kind = kind
         self.behavior = behavior
@@ -136,7 +164,9 @@ class StreamHalfedge:
         self.prv = None
         self.opp = None
         self.face = 0
-        self.sink = 0
+        self.sink = sink
+        self.total = total
+        self.run_index = None
 
     def __repr__(self):
         return (
@@ -149,10 +179,11 @@ class Run:
     """One inflow or outflow run of a simple face, with flux prefix sums.
 
     ``totals[i]`` is the flux through piece i, ``starts[i]`` and ``ends[i]``
-    the flux accumulated before and after it.
+    the flux accumulated before and after it.  Each piece's ``run_index``
+    is set to its place in the run.
     """
 
-    __slots__ = ("pieces", "totals", "starts", "ends", "total", "pos")
+    __slots__ = ("pieces", "totals", "starts", "ends", "total")
 
     def __init__(self, pieces, totals):
         self.pieces = pieces
@@ -160,197 +191,290 @@ class Run:
         self.ends = list(accumulate(totals))
         self.starts = [0.0] + self.ends[:-1]
         self.total = self.ends[-1]
-        self.pos = {sh.id: i for i, sh in enumerate(pieces)}
+        for i, sh in enumerate(pieces):
+            sh.run_index = i
 
 
-def _classify(value_deg):
-    m = value_deg % 360.0
-    if m == 0.0:
-        return Behavior.TF
-    if m == 180.0:
-        return Behavior.TB
-    return Behavior.IN if m < 180.0 else Behavior.OUT
+def _behaviors(values):
+    """Behavior code of each border-relative angle in degrees."""
+    m = np.mod(values, 360.0)
+    return np.where(
+        m == 0.0, _TF, np.where(m == 180.0, _TB, np.where(m < 180.0, _IN, _OUT))
+    ).astype(np.int8)
 
 
-def _segment_values(d0, d1):
-    """Partition [0, 1] by the tangency roots of the linear angle d0 -> d1.
+def _segment(d0, d1):
+    """Cut each linear angle ``d0[i] -> d1[i]`` on [0, 1] at its tangencies.
 
-    Returns 5-tuples (behavior, t0, t1, b0, b1) with angles in degrees.
-    Tangency crossings interior to the interval become zero-length tangent
-    pieces; endpoint tangencies become zero-length pieces at 0 or 1.
+    Returns ``(element, behavior, t0, t1, b0, b1)`` arrays, one row per
+    piece, element i's pieces in parameter order and angles in degrees.  A
+    tangency inside the interval becomes a zero-length tangent piece, and so
+    does one at an end.
     """
-    if d0 == d1:
-        return [(_classify(d0), 0.0, 1.0, d0, d1)]
+    n = len(d0)
     span = d1 - d0
-    lo, hi = (d0, d1) if d0 < d1 else (d1, d0)
-    m0 = math.ceil(lo / 180.0)
-    m1 = math.floor(hi / 180.0)
-    cuts = []
-    for m in range(m0, m1 + 1):
-        level = 180.0 * m
-        t = (level - d0) / span
-        t = min(1.0, max(0.0, t))
-        cuts.append((t, level))
-    cuts.sort()
-    pieces = []
-    prev_t, prev_b = 0.0, d0
-    for t, level in cuts:
-        if t > prev_t:
-            mid = 0.5 * (prev_b + level)
-            pieces.append((_classify(mid), prev_t, t, prev_b, level))
-        pieces.append((_classify(level), t, t, level, level))
-        prev_t, prev_b = t, level
-    if prev_t < 1.0:
-        mid = 0.5 * (prev_b + d1)
-        pieces.append((_classify(mid), prev_t, 1.0, prev_b, d1))
-    return pieces
+    lo = np.where(d0 < d1, d0, d1)
+    hi = np.where(d0 < d1, d1, d0)
+    # the multiples of 180 in [lo, hi], as ints, so that level 0 is +0.0
+    m0 = np.ceil(lo / 180.0).astype(np.int64)
+    count = np.where(span != 0.0, np.floor(hi / 180.0).astype(np.int64) - m0 + 1, 0)
+    first = np.cumsum(count) - count
+    cut = np.repeat(np.arange(n), count)
+    level = 180.0 * (m0[cut] + np.arange(len(cut)) - first[cut])
+    t = (level - d0[cut]) / span[cut]
+    # min(1, max(0, t)), which keeps 0.0 where t is -0.0
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    # levels run downward where the span is negative
+    order = np.lexsort((level, t, cut))
+    t, level = t[order], level[order]
+
+    # each cut ends the flow piece before it, when that has length, and
+    # is a tangent piece itself; the element's last piece follows its cuts
+    new = np.ones(len(cut), bool)
+    new[1:] = cut[1:] != cut[:-1]
+    prev_t = np.where(new, 0.0, np.roll(t, 1))
+    prev_b = np.where(new, d0[cut], np.roll(level, 1))
+    cuts = count > 0
+    last = np.where(cuts, first + count - 1, 0)
+    last_t = np.where(cuts, t[last] if len(cut) else 0.0, 0.0)
+    last_b = np.where(cuts, level[last] if len(cut) else 0.0, d0)
+
+    size = 2 * len(cut) + n
+    el = np.empty(size, np.int64)
+    t0, t1, b0, b1, value = (np.empty(size) for _ in range(5))
+    keep = np.ones(size, bool)
+    fp = 2 * np.arange(len(cut)) + cut  # the flow piece before each cut
+    tp = fp + 1  # the tangent piece at each cut
+    ep = 2 * (first + count) + np.arange(n)  # each element's last piece
+    el[fp], t0[fp], t1[fp], b0[fp], b1[fp] = cut, prev_t, t, prev_b, level
+    value[fp] = 0.5 * (prev_b + level)
+    keep[fp] = t > prev_t
+    el[tp], t0[tp], t1[tp], b0[tp], b1[tp], value[tp] = cut, t, t, level, level, level
+    el[ep], t0[ep], t1[ep], b0[ep], b1[ep] = np.arange(n), last_t, 1.0, last_b, d1
+    value[ep] = 0.5 * (last_b + d1)
+    keep[ep] = last_t < 1.0
+    return el[keep], _behaviors(value[keep]), t0[keep], t1[keep], b0[keep], b1[keep]
 
 
-def _snap_level(value_deg):
-    return 180.0 * round(value_deg / 180.0)
+def _snap(value_deg):
+    """The nearest multiple of 180; ``+ 0.0`` turns -0.0 into 0.0."""
+    return 180.0 * np.rint(value_deg / 180.0) + 0.0
 
 
-def _segment_element(mesh, fieldsamples, f, element, nodes):
-    """Pieces (behavior, t0, t1, b0, b1) of border element ``element`` of f.
+class BorderTable:
+    """The border pieces of every facet of a mesh, cut once on whole arrays.
 
-    Element ``2k`` is edge k and ``2k + 1`` corner k; ``nodes`` is
-    ``fieldsamples.nodes(f)``, read once by the caller.
+    ``border(f)`` returns facet f's pieces in border order, from the first
+    piece of edge 0, with its flow groups.  A border that cannot be
+    decomposed keeps an error code instead, and ``border`` raises its
+    ``StreamMeshError``, so a facet that no line reaches raises nothing.
     """
-    if element % 2 == 1:
-        return _segment_values(nodes[element], nodes[element + 1])
-    k = element // 2
-    o = mesh.canonical_halfedge(3 * f + k)
-    if o == 3 * f + k:
-        return _segment_values(nodes[element], nodes[element + 1])
-    # mirror the canonical side
-    g, k2 = o // 3, o % 3
-    ng = fieldsamples.nodes(g).tolist()
-    canonical = _segment_values(ng[2 * k2], ng[2 * k2 + 1])
-    d0, d1 = nodes[element], nodes[element + 1]
 
-    def local(t, snap):
-        v = d0 + t * (d1 - d0)
-        return _snap_level(v) if snap else v
+    def __init__(self, mesh, fieldsamples):
+        self.mesh = mesh
+        n = mesh.n_facets
+        blocks = [
+            _cut_block(mesh, fieldsamples, np.arange(a, min(a + BLOCK_FACETS, n)))
+            for a in range(0, n, BLOCK_FACETS) or [0]
+        ]
+        self._codes, self._values, n_rows, group0, n_groups, bounds, error = (
+            np.concatenate([b[i] for b in blocks]) for i in range(7)
+        )
+        self._bounds = bounds.astype(np.int32)
+        row_end = np.cumsum(n_rows)
+        bound_end = np.cumsum(2 * n_groups)
+        # per facet: row span, group 0's first row, bound span, error code
+        self._facets = np.stack(
+            [row_end - n_rows, row_end, group0, bound_end - 2 * n_groups, bound_end, error],
+            axis=1,
+        ).astype(np.int32)
 
-    out = []
-    for beh, t0, t1, b0, b1 in reversed(canonical):
-        s0, s1 = 1.0 - t1, 1.0 - t0
-        beh2 = _MIRROR[beh]
-        if beh2.is_tangent:
-            lv = local(0.5 * (s0 + s1), True)
-            out.append((beh2, s0, s1, lv, lv))
-        else:
-            e0 = local(s0, b1 % 180.0 == 0.0)
-            e1 = local(s1, b0 % 180.0 == 0.0)
-            out.append((beh2, s0, s1, e0, e1))
-    return out
+    def border(self, f):
+        """``(rows, first, bounds)`` of facet f.
+
+        Each row is ``(code, [t1, b0, b1, total])``: ``_DECODE[code]`` is
+        the piece's (kind, behavior, element, sink) and ``total`` its flux,
+        ``phi(sh, 1.0)``, 0.0 on tangents.  A piece's t0 is the t1 of the
+        row before it on the same element, else 0.0.  Counted from
+        row ``first``, round the border, flow group i spans rows
+        ``bounds[2 i]:bounds[2 i + 1]``, and the tangents before it separate
+        it from group i - 1.
+        """
+        lo, hi, first, b_lo, b_hi, error = self._facets[f].tolist()
+        if error:
+            raise StreamMeshError(_BORDER_ERRORS[error].format(facet=f))
+        rows = zip(self._codes[lo:hi].tolist(), self._values[lo:hi].tolist())
+        return rows, first, self._bounds[b_lo:b_hi].tolist()
 
 
-def _groups_and_separators(pieces):
-    """Maximal same-direction flow groups of a face border and the tangents between.
+def _cut_block(mesh, fieldsamples, facets):
+    """``BorderTable``'s arrays for one block of facets.
 
-    ``pieces`` is the face border in cycle order.  Returns (groups, seps):
-    groups[i] lists the pieces of one group (flow pieces plus the tangents
-    interleaved among them), seps[i] the tangent pieces between groups[i-1]
-    and groups[i].  Groups alternate IN/OUT around the face; groups[0]
-    starts at the first flow piece whose flow differs from the one before.
+    Returns the rows' codes and values, then per facet its row count,
+    group 0's first row, group count, group bounds and error code.
     """
-    flows = [i for i, sh in enumerate(pieces) if not sh.behavior.is_tangent]
-    if not flows:
-        raise StreamMeshError("face has no flow pieces")
-    first = next(
-        (
-            i
-            for h, i in zip([flows[-1]] + flows, flows)
-            if pieces[h].behavior != pieces[i].behavior
-        ),
-        flows[0],
-    )
-    groups, seps, pending = [], [], []
-    for sh in pieces[first:] + pieces[:first]:
-        if sh.behavior.is_tangent:
-            pending.append(sh)
-        elif groups and sh.behavior == groups[-1][0].behavior:
-            groups[-1] += pending + [sh]
-            pending = []
-        else:
-            seps.append(pending)
-            groups.append([sh])
-            pending = []
-    seps[0] = pending
-    if len(groups) > 1 and not all(seps):
-        raise StreamMeshError("adjacent opposite flow groups without a tangency")
-    return groups, seps
+    from . import flux
+
+    nb = len(facets)
+    nodes = fieldsamples.nodes(facets)
+    # element e of facet i is slot 6 i + e; an edge is cut on its
+    # canonical side, from that side's node values
+    own0, own1 = nodes[:, :6].ravel(), nodes[:, 1:].ravel()
+    h = 3 * facets[:, None] + np.arange(3)
+    o = mesh.halfedge_tables()[1][h]
+    mirrored = np.zeros((nb, 6), bool)
+    mirrored[:, 0::2] = o < h
+    mirrored = mirrored.ravel()
+    o = o[o < h]
+    canonical = fieldsamples.nodes(o // 3)
+    d0, d1 = own0.copy(), own1.copy()
+    d0[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3)]
+    d1[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3) + 1]
+    slot, beh, t0, t1, b0, b1 = _segment(d0, d1)
+
+    # a mirrored edge takes its canonical side's rows in reverse, with the
+    # angles taken at the same cuts from its own node values
+    count = np.bincount(slot, minlength=6 * nb)
+    start = np.cumsum(count) - count
+    r = np.arange(len(slot))
+    flip = mirrored[slot]
+    src = np.where(flip, 2 * start[slot] + count[slot] - 1 - r, r)
+    beh, t0, t1, b0, b1 = beh[src], t0[src], t1[src], b0[src], b1[src]
+    s0, s1 = 1.0 - t1[flip], 1.0 - t0[flip]
+    u0, u1 = own0[slot[flip]], own1[slot[flip]]
+    near = u0 + s0 * (u1 - u0)
+    far = u0 + s1 * (u1 - u0)
+    mid = _snap(u0 + (0.5 * (s0 + s1)) * (u1 - u0))
+    tangent = beh[flip] >= _TF
+    snap_near = np.mod(b1[flip], 180.0) == 0.0
+    snap_far = np.mod(b0[flip], 180.0) == 0.0
+    b0[flip] = np.where(tangent, mid, np.where(snap_near, _snap(near), near))
+    b1[flip] = np.where(tangent, mid, np.where(snap_far, _snap(far), far))
+    t0[flip], t1[flip] = s0, s1
+    beh[flip] ^= 1
+
+    # two tangents meeting at an element junction (the last one wraps
+    # round) repeat one tangency: drop the later element's zero-length
+    # start piece, and the earlier element's zero-length end piece if a
+    # tangent still starts the later element.  An element has a piece of
+    # length > 0, so neither drop empties it.
+    tan = beh >= _TF
+    head = start
+    tail = np.roll((start + count - 1).reshape(nb, 6), 1, axis=1).ravel()
+    both = tan[tail] & tan[head]
+    drop_head = both & (t0[head] == t1[head])
+    after = np.minimum(head + 1, len(slot) - 1)
+    drop_tail = both & np.where(drop_head, tan[after], True) & (t0[tail] == t1[tail])
+    keep = np.ones(len(slot), bool)
+    keep[head[drop_head]] = False
+    keep[tail[drop_tail]] = False
+    slot, beh, t0, t1, b0, b1, tan = (a[keep] for a in (slot, beh, t0, t1, b0, b1, tan))
+
+    # each facet's rows are its border cycle
+    fi, element = slot // 6, slot % 6
+    n_rows = np.bincount(fi, minlength=nb)
+    row0 = np.cumsum(n_rows) - n_rows
+    r = np.arange(len(slot))
+    prv = np.where(r == row0[fi], r + n_rows[fi] - 1, r - 1)
+    nxt = np.where(r == row0[fi] + n_rows[fi] - 1, row0[fi], r + 1)
+    corner = element % 2 == 1
+    sink = np.zeros(len(slot), np.int64)
+    sink[corner & (beh == _OUT) & (beh[prv] == _TF) & (beh[nxt] == _TB)] = 1
+    sink[corner & (beh == _IN) & (beh[prv] == _TB) & (beh[nxt] == _TF)] = -1
+
+    lens = mesh.facet_edge_lengths(facets)
+    length = np.where(corner, 0.0, lens[fi, element // 2] * (t1 - t0))
+    total = np.abs(sink).astype(float)
+    edge_flow = ~corner & ~tan
+    total[edge_flow] = flux.phi_totals(length[edge_flow], b0[edge_flow], b1[edge_flow])
+
+    # a flow piece whose flow differs from the flow piece before it, round
+    # the border, starts a group; group 0 starts at the first such row
+    fr = np.nonzero(~tan)[0]
+    ff = fi[fr]
+    n_flows = np.bincount(ff, minlength=nb)
+    k = np.arange(len(fr))
+    first_flow = np.ones(len(fr), bool)
+    first_flow[1:] = ff[1:] != ff[:-1]
+    before = fr[np.where(first_flow, np.cumsum(n_flows)[ff] - 1, k - 1)]
+    starts = beh[fr] != beh[before]
+    heads, last_before = fr[starts], before[starts]
+    hf = fi[heads]
+    n_groups = np.bincount(hf, minlength=nb)
+    group0 = np.zeros(nb, np.int64)
+    firsts = np.ones(len(heads), bool)
+    firsts[1:] = hf[1:] != hf[:-1]
+    group0[hf[firsts]] = heads[firsts] - row0[hf[firsts]]
+    # group i runs from head i through the last flow piece before head
+    # i + 1, in rows counted from group 0's first row round the border
+    j = np.arange(len(heads))
+    heads_end = np.cumsum(n_groups)[hf]
+    following = np.where(j == heads_end - 1, heads_end - n_groups[hf], j + 1)
+    bounds = np.empty(2 * len(heads), np.int64)
+    bounds[0::2] = heads - row0[hf] - group0[hf]
+    ends = last_before[following]
+    bounds[1::2] = (ends - row0[hf] - group0[hf]) % n_rows[hf] + 1
+
+    error = np.zeros(nb, np.int64)
+    error[n_groups == 0] = 3
+    error[hf[~tan[prv[heads]]]] = 2
+    error[n_flows == 0] = 1
+
+    codes = (element + 8 * beh + 32 * (sink + 1)).astype(np.int8)
+    values = np.stack([t1, b0, b1, total], axis=1)
+    return codes, values, n_rows, group0, n_groups, bounds, error
 
 
 class StreamMesh:
     """Stream mesh of one facet; built as a single main face, then decomposed.
 
-    ``faces`` maps a face id to its (groups, seps) lists, as returned by
-    ``_groups_and_separators`` for the face's border cycle.  Face 0 is the
-    main face, off which ``split_step`` carves the others.  Run tables and
-    entry queries exist once ``decompose`` has finalized the mesh.
+    ``faces`` maps a face id to its (groups, seps) lists: groups[i] lists
+    the pieces of one flow group (flow pieces plus the tangents interleaved
+    among them), seps[i] the tangent pieces between groups[i - 1] and
+    groups[i].  Groups alternate IN/OUT around the face.  Face 0 is the
+    main face, built from the facet's rows of ``borders``, off which
+    ``split_step`` carves the others.  Run tables and entry queries exist
+    once ``decompose`` has finalized the mesh.
     """
 
-    def __init__(self, mesh, fieldsamples, facet):
-        self.mesh = mesh
-        self.field = fieldsamples
+    def __init__(self, borders, facet):
+        self.mesh = borders.mesh
         self.facet = facet
-        self.hs: list[StreamHalfedge] = []
-        self.faces: dict[int, tuple[list, list]] = {}
         self.split_count = 0
-        self._frame = mesh.frame(facet)
-        self._lens = self._frame.edge_lens.tolist()
-        self._init_border()
-
-    # -- construction -------------------------------------------------------
-
-    def _init_border(self):
-        """Segment the six border elements and link their pieces into the border."""
-        mesh, f = self.mesh, self.facet
-        nodes = self.field.nodes(f).tolist()
-        elements = [
-            _segment_element(mesh, self.field, f, ordinal, nodes)
-            for ordinal in range(6)
-        ]
-        # two tangents meeting at an element junction (the last one wraps
-        # round) repeat one tangency: drop the later element's zero-length
-        # start piece, and the earlier element's zero-length end piece if a
-        # tangent still starts the later element
-        for prev, cur in zip(elements[-1:] + elements[:-1], elements):
-            pbeh, pt0, pt1 = prev[-1][:3]
-            beh, t0, t1 = cur[0][:3]
-            if pbeh.is_tangent and beh.is_tangent:
-                if t0 == t1:
-                    del cur[0]  # an element has a piece of length > 0
-                if cur[0][0].is_tangent and pt0 == pt1:
-                    prev.pop()
-
-        hs = self.hs
-        for ordinal, pieces in enumerate(elements):
-            kind = "corner" if ordinal % 2 else "edge"
-            for beh, t0, t1, b0, b1 in pieces:
-                length = self._piece_length(ordinal, t0, t1)
-                hs.append(
-                    StreamHalfedge(len(hs), kind, beh, ordinal, t0, t1, b0, b1, length)
+        rows, first, bounds = borders.border(facet)
+        lens = self.mesh.facet_edge_lengths(facet).tolist()
+        hs = self.hs = []
+        t0, at = 0.0, 0
+        for code, (t1, b0, b1, total) in rows:
+            kind, behavior, element, sink = _DECODE[code]
+            if element != at:
+                # an element's pieces are contiguous from t = 0
+                t0, at = 0.0, element
+            length = 0.0 if element % 2 else lens[element >> 1] * (t1 - t0)
+            hs.append(
+                StreamHalfedge(
+                    len(hs), kind, behavior, element, t0, t1, b0, b1, length, total, sink
                 )
-        for prv, sh, nxt in zip(hs[-1:] + hs[:-1], hs, hs[1:] + hs[:1]):
-            sh.prv, sh.nxt = prv, nxt
-            if sh.kind != "corner":
-                continue
-            beh, pbeh, nbeh = sh.behavior, prv.behavior, nxt.behavior
-            if beh is Behavior.OUT and pbeh is Behavior.TF and nbeh is Behavior.TB:
-                sh.sink = 1
-            elif beh is Behavior.IN and pbeh is Behavior.TB and nbeh is Behavior.TF:
-                sh.sink = -1
-
-        groups, seps = _groups_and_separators(hs)
-        if len(groups) < 2:
-            raise StreamMeshError(
-                f"facet {self.facet}: border lacks inflow or outflow"
             )
+            t0 = t1
+        prv = hs[-1]
+        for sh in hs:
+            sh.prv = prv
+            prv.nxt = sh
+            prv = sh
+        cycle = hs[first:] + hs[:first]
+        starts, ends = bounds[0::2], bounds[1::2]
+        groups = [cycle[a:b] for a, b in zip(starts, ends)]
+        seps = [cycle[ends[-1]:]] + [cycle[b:a] for b, a in zip(ends, starts[1:])]
         self.faces = {0: (groups, seps)}
         self.initial_pairs = len(groups) // 2
+        if self.initial_pairs > 1:
+            # only splits read the frame and the edge lengths
+            self._frame = self.mesh.frame(facet)
+            self._lens = lens
+
+    # -- construction -------------------------------------------------------
 
     def _piece_length(self, ordinal, t0, t1):
         if ordinal % 2 == 1:
@@ -506,6 +630,8 @@ class StreamMesh:
 
     def _make_chord(self, sh_from, sh_to, behavior):
         """Chord between the start anchors of border pieces sh_from, sh_to."""
+        from . import flux
+
         p0 = self._anchor_position(sh_from.element, sh_from.t0)
         d = self._anchor_position(sh_to.element, sh_to.t0) - p0
         length = float(np.linalg.norm(d))
@@ -531,6 +657,7 @@ class StreamMesh:
             math.degrees(b1),
             length,
         )
+        sh.total = flux.phi(sh, 1.0)
         self.hs.append(sh)
         sh.origin = (sh_from.element, sh_from.t0)
         sh.dest = (sh_to.element, sh_to.t0)
@@ -538,6 +665,8 @@ class StreamMesh:
 
     def _mirror_chord(self, twin, behavior):
         """Reversed copy of a chord: same angles shifted a half turn."""
+        from . import flux
+
         sh = StreamHalfedge(
             len(self.hs),
             "chord",
@@ -549,6 +678,7 @@ class StreamMesh:
             twin.b0 - 180.0,
             twin.length,
         )
+        sh.total = flux.phi(sh, 1.0)
         self.hs.append(sh)
         sh.origin = twin.dest
         sh.dest = twin.origin
@@ -575,31 +705,26 @@ class StreamMesh:
 
     def finalize(self):
         """Freeze after decomposition: build run tables and border piece lists."""
-        from . import flux
-
         self._runs = {}
         for face_id, (groups, _) in self.faces.items():
             if len(groups) != 2:
                 raise StreamMeshError(f"face {face_id} is not simple")
-            runs = {}
-            for g in groups:
-                totals = [
-                    0.0 if sh.behavior.is_tangent else flux.phi(sh, 1.0) for sh in g
-                ]
-                runs[g[0].behavior] = Run(g, totals)
+            runs = {g[0].behavior: Run(g, [sh.total for sh in g]) for g in groups}
             if runs[Behavior.IN].total <= 0.0 or runs[Behavior.OUT].total <= 0.0:
                 raise StreamMeshError(
                     f"simple face {face_id} has a zero-flux run"
                 )
             self._runs[face_id] = runs
         # border pieces per element ordinal, walking the border from hs[0]
-        self._pieces = [[] for _ in range(6)]
+        pieces = [[] for _ in range(6)]
         first = sh = self.hs[0]
         while True:
-            self._pieces[sh.element].append(sh)
+            pieces[sh.element].append(sh)
             sh = sh.nxt
             if sh is first:
-                return self
+                break
+        self._pieces = tuple(map(tuple, pieces))
+        return self
 
     def face_runs(self, face_id):
         return self._runs[face_id]
@@ -744,14 +869,15 @@ class StreamMesh:
         return "\n".join(lines) + "\n"
 
 
-def decompose(mesh, fieldsamples, facet) -> StreamMesh:
+def decompose(borders, facet) -> StreamMesh:
     """Fully decompose a facet into simple stream faces.
 
-    Each split carves one inflow/outflow pair off the main face, so a facet
-    with p pairs takes exactly p - 1 splits.  A split that finds no pattern
-    raises, and ``finalize`` refuses a face that is not simple.
+    ``borders`` is the mesh's ``BorderTable``.  Each split carves one
+    inflow/outflow pair off the main face, so a facet with p pairs takes
+    exactly p - 1 splits.  A split that finds no pattern raises, and
+    ``finalize`` refuses a face that is not simple.
     """
-    sm = StreamMesh(mesh, fieldsamples, facet)
+    sm = StreamMesh(borders, facet)
     for _ in range(sm.initial_pairs - 1):
         sm.split_step()
     return sm.finalize()

@@ -145,7 +145,12 @@ def load_polylines(path):
 
 
 class Tracer:
-    """Holds one stream mesh per facet, shared by both trace directions."""
+    """Holds one stream mesh per facet, shared by both trace directions.
+
+    Every facet's border is cut once, into ``borders``, when the tracer is
+    built; a facet's stream mesh is decomposed from it when a line first
+    reaches the facet.
+    """
 
     def __init__(self, mesh, fieldsamples, max_steps=None):
         if max_steps is None:
@@ -155,12 +160,13 @@ class Tracer:
         self.mesh = mesh
         self.fieldsamples = fieldsamples
         self.max_steps = max_steps
+        self.borders = stream_mesh.BorderTable(mesh, fieldsamples)
         self._cache = {}
 
     def stream_mesh(self, facet):
         sm = self._cache.get(facet)
         if sm is None:
-            sm = stream_mesh.decompose(self.mesh, self.fieldsamples, facet)
+            sm = stream_mesh.decompose(self.borders, facet)
             self._cache[facet] = sm
         return sm
 

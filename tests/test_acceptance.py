@@ -29,7 +29,7 @@ from streamtrace import (
 )
 from streamtrace.errors import StreamMeshError, TraceError
 from streamtrace.mesh import TracePoint
-from streamtrace.stream_mesh import decompose
+from streamtrace.stream_mesh import BorderTable, decompose
 
 from conftest import wound_config
 from test_flux import linear_scan_locate, random_run
@@ -250,7 +250,7 @@ def test_criterion_5_decomposition_storm():
     splits_ok = seq_ok = flux_ok = 0
     for _ in range(n_cfg):
         mesh, fs = wound_config(rng)
-        sm = decompose(mesh, fs, 0)
+        sm = decompose(BorderTable(mesh, fs), 0)
         if sm.split_count == sm.initial_pairs - 1:
             splits_ok += 1
         good_seq = good_flux = True
@@ -276,7 +276,7 @@ def test_criterion_6_flux_oracles():
     checked = 0
     while checked < 1000:
         mesh, fs = wound_config(rng)
-        sm = decompose(mesh, fs, 0)
+        sm = decompose(BorderTable(mesh, fs), 0)
         for face_id in sm.faces:
             for run in sm.face_runs(face_id).values():
                 for sh in run.pieces:

@@ -223,7 +223,7 @@ def test_bench_warm_pass_decomposes_nothing(tmp_path, monkeypatch):
     real = stream_mesh.decompose
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(args[1])
         return real(*args)
 
     monkeypatch.setattr(stream_mesh, "decompose", counting)

@@ -10,7 +10,7 @@ from streamtrace import FluxError, accumulate, locate, phi, phi_inverse, phi_sig
 from streamtrace.stream_mesh import Behavior, StreamHalfedge, Run
 
 from conftest import wound_config
-from streamtrace.stream_mesh import decompose
+from streamtrace.stream_mesh import BorderTable, decompose
 
 
 def make_piece(length, b0, b1, behavior):
@@ -253,7 +253,7 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
     checked = 0
     while checked < 1000:
         mesh, fs = wound_config(rng)
-        sm = decompose(mesh, fs, 0)
+        sm = decompose(BorderTable(mesh, fs), 0)
         for face_id in sm.faces:
             for run in sm.face_runs(face_id).values():
                 for sh in run.pieces:

@@ -5,13 +5,25 @@ from functools import cache
 import numpy as np
 import pytest
 
-from streamtrace import StreamMeshError, meshgen, synth_field
+from streamtrace import FieldSamples, StreamMeshError, meshgen, synth_field
+from streamtrace.field import normalize_sample
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
-from streamtrace.stream_mesh import Behavior, StreamMesh, decompose
-from streamtrace.stream_mesh import _classify, _segment_element, _segment_values
+from streamtrace.stream_mesh import Behavior, BorderTable, StreamMesh, decompose
+from streamtrace.stream_mesh import _BEHAVIORS, _behaviors, _segment
 
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
+
+
+def _classify(value_deg):
+    return _BEHAVIORS[_behaviors(np.array([value_deg]))[0]]
+
+
+def _segment_values(d0, d1):
+    """(behavior, t0, t1, b0, b1) of each piece of the linear angle d0 -> d1."""
+    _, beh, *columns = _segment(np.array([d0]), np.array([d1]))
+    rows = zip(beh.tolist(), *(c.tolist() for c in columns))
+    return [(_BEHAVIORS[b], *row) for b, *row in rows]
 
 
 def test_classify_levels():
@@ -75,8 +87,8 @@ def test_segment_values_cover_unit_interval_and_alternate():
 
 def segment_interval(mesh, fieldsamples, f, element):
     """(behavior, t0, t1) of each piece of border element ``element`` of f."""
-    nodes = fieldsamples.nodes(f)
-    return [p[:3] for p in _segment_element(mesh, fieldsamples, f, element, nodes)]
+    border = StreamMesh(BorderTable(mesh, fieldsamples), f).hs
+    return [(sh.behavior, sh.t0, sh.t1) for sh in border if sh.element == element]
 
 
 def test_segment_interval_mirrors_exactly():
@@ -209,7 +221,7 @@ GOLDEN_RUNS = {
 
 
 def test_golden_decomposition_dump():
-    sm = decompose(fan_mesh(), samples_from_reals(WOUND), 0)
+    sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
     assert sm.dump() == GOLDEN_DUMP
     assert sm.split_count == 3
     assert sm.initial_pairs == 4
@@ -231,7 +243,7 @@ def test_golden_decomposition_dump():
 
 
 def test_initial_a_sequence_closes_at_minus_two():
-    sm = StreamMesh(fan_mesh(), samples_from_reals(WOUND), 0)
+    sm = StreamMesh(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
     a = sm.a_sequence(0)
     assert a[0] == 0
     full = a + [-2]  # one value per group, closing value validated internally
@@ -242,7 +254,7 @@ def test_initial_a_sequence_closes_at_minus_two():
 
 
 def test_decompose_produces_simple_faces_with_flux():
-    sm = decompose(fan_mesh(), samples_from_reals(WOUND), 0)
+    sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
     for face_id in sm.faces:
         assert sm.is_simple(face_id)
         seq = sm.a_sequence(face_id)
@@ -256,7 +268,7 @@ def test_decompose_produces_simple_faces_with_flux():
 def test_simple_config_needs_no_split():
     m = fan_mesh()
     for angle in (17.0, 37.0, 130.0):
-        sm = decompose(m, synth_field(m, "constant", angle_deg=angle), 0)
+        sm = decompose(BorderTable(m, synth_field(m, "constant", angle_deg=angle)), 0)
         assert sm.split_count == 0
         assert sm.initial_pairs == 1
         assert list(sm.faces) == [0]
@@ -273,7 +285,7 @@ def test_border_always_carries_both_flows():
             if t1 > t0:
                 behaviors.add(b)
     assert {Behavior.IN, Behavior.OUT} <= behaviors
-    assert decompose(m, fs, 0).initial_pairs >= 1
+    assert decompose(BorderTable(m, fs), 0).initial_pairs >= 1
 
 
 def test_decompose_random_stress():
@@ -281,7 +293,7 @@ def test_decompose_random_stress():
     hist = {}
     for _ in range(1500):
         mesh, fs = wound_config(rng)
-        sm = decompose(mesh, fs, 0)
+        sm = decompose(BorderTable(mesh, fs), 0)
         assert sm.split_count == sm.initial_pairs - 1
         hist[sm.split_count] = hist.get(sm.split_count, 0) + 1
         for face_id in sm.faces:
@@ -303,8 +315,8 @@ MULTI_TANGENT = [
 
 def test_every_stream_face_closes():
     rng = np.random.default_rng(21)
-    meshes = [decompose(*wound_config(rng), 0) for _ in range(300)]
-    meshes += [decompose(fan_mesh(), samples_from_reals(v), 0) for v in MULTI_TANGENT]
+    meshes = [decompose(BorderTable(*wound_config(rng)), 0) for _ in range(300)]
+    meshes += [decompose(BorderTable(fan_mesh(), samples_from_reals(v)), 0) for v in MULTI_TANGENT]
     for sm in meshes:
         owner = {}
         for face_id, (groups, seps) in sm.faces.items():
@@ -330,7 +342,7 @@ def test_chord_twins_carry_equal_flux():
     seen = 0
     while seen < 200:
         mesh, fs = wound_config(rng)
-        sm = decompose(mesh, fs, 0)
+        sm = decompose(BorderTable(mesh, fs), 0)
         for sh in sm.hs:
             if sh.kind == "chord" and sh.opp is not None and sh.id < sh.opp.id:
                 assert phi(sh, 1.0) == pytest.approx(phi(sh.opp, 1.0), abs=1e-12)
@@ -341,7 +353,7 @@ def test_chord_twins_carry_equal_flux():
 def test_import_export_round_trip_on_edges():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)
-    sm = decompose(m, fs, 0)
+    sm = decompose(BorderTable(m, fs), 0)
     rng = np.random.default_rng(14)
     for _ in range(200):
         k = int(rng.integers(0, 3))
@@ -360,7 +372,7 @@ def test_import_export_round_trip_on_edges():
 def test_import_prefers_inflow_at_shared_cut():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)
-    sm = decompose(m, fs, 0)
+    sm = decompose(BorderTable(m, fs), 0)
     # t = 0.364864... on edge 0 is an exact cut between I and O pieces
     sh, c = sm.import_position(0, 27.0 / 74.0, Behavior.IN)
     assert sh.behavior == Behavior.IN
@@ -372,7 +384,7 @@ def test_import_prefers_inflow_at_shared_cut():
 def test_import_takes_only_the_facets_own_halfedges():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)
-    sm = decompose(m, fs, 0)
+    sm = decompose(BorderTable(m, fs), 0)
     rng = np.random.default_rng(16)
     imported = 0
     for _ in range(60):
@@ -392,9 +404,9 @@ def test_import_takes_only_the_facets_own_halfedges():
 def test_reference_rotation_leaves_cuts_invariant():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)
-    before = decompose(m, fs, 0).dump()
+    before = decompose(BorderTable(m, fs), 0).dump()
     m.set_reference_offsets([1.2345])
-    after = decompose(m, fs, 0).dump()
+    after = decompose(BorderTable(m, fs), 0).dump()
     m.set_reference_offsets([0.0])
     assert before == after
 
@@ -404,7 +416,7 @@ def test_corner_sink_pieces_have_zero_length():
     found = 0
     while found < 50:
         mesh, fs = wound_config(rng)
-        sm = decompose(mesh, fs, 0)
+        sm = decompose(BorderTable(mesh, fs), 0)
         for sh in sm.hs:
             if sh.kind == "corner":
                 assert sh.length == 0.0
@@ -415,8 +427,8 @@ def test_corner_sink_pieces_have_zero_length():
 def decomposition_corpus():
     """300 random wound facets (rng seed 5) plus the MULTI_TANGENT fans."""
     rng = np.random.default_rng(5)
-    meshes = [decompose(*wound_config(rng), 0) for _ in range(300)]
-    meshes += [decompose(fan_mesh(), samples_from_reals(v), 0) for v in MULTI_TANGENT]
+    meshes = [decompose(BorderTable(*wound_config(rng)), 0) for _ in range(300)]
+    meshes += [decompose(BorderTable(fan_mesh(), samples_from_reals(v)), 0) for v in MULTI_TANGENT]
     return meshes
 
 
@@ -484,3 +496,27 @@ def test_whole_mesh_decompositions_are_pinned():
         tr = Tracer(mesh, fs)
         got[name] = decomposition_digest([tr.stream_mesh(f) for f in range(mesh.n_facets)])
     assert got == WHOLE_MESH_SHA256
+
+
+def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
+    # random samples with random windings disagree across edges: some
+    # borders cannot be decomposed, and each raises only for its own facet
+    mesh = meshgen.grid(8, 8, distortion=0.2, seed=0)
+    rng = np.random.default_rng(100)
+    vals = rng.uniform(0.0, 360.0, (mesh.n_facets, 6))
+    vals += 360.0 * rng.integers(-2, 3, (mesh.n_facets, 6))
+    ang, wnd = zip(*(normalize_sample(float(v)) for v in vals.ravel()))
+    fs = FieldSamples(np.reshape(ang, vals.shape), np.reshape(wnd, vals.shape))
+    tr = Tracer(mesh, fs)
+    out = []
+    for f in range(mesh.n_facets):
+        try:
+            out.append(tr.stream_mesh(f).dump())
+        except StreamMeshError as exc:
+            out.append(f"facet {f}: {exc}")
+    failed = [o for o in out if o.startswith("facet")]
+    assert len(failed) == 121
+    assert any(o.endswith("adjacent opposite flow groups without a tangency") for o in failed)
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
+        "4edf1618d32ba5bb3b798e2c0f42279485ea5d13a3b79b95deb9ac316748ce3e"
+    )

@@ -731,9 +731,9 @@ def test_both_directions_decompose_each_facet_once(monkeypatch):
     calls = []
     real = stream_mesh.decompose
 
-    def counting(m, samples, facet):
+    def counting(borders, facet):
         calls.append(facet)
-        return real(m, samples, facet)
+        return real(borders, facet)
 
     monkeypatch.setattr(stream_mesh, "decompose", counting)
     tr = Tracer(mesh, fs)
@@ -771,7 +771,7 @@ def test_backward_crossing_inverts_forward_crossing():
         for face_id in sm.faces:
             rin = sm.face_runs(face_id)[Behavior.IN]
             for sh in rin.pieces:
-                if sh.kind == "chord" or rin.totals[rin.pos[sh.id]] == 0.0:
+                if sh.kind == "chord" or rin.totals[sh.run_index] == 0.0:
                     continue
                 c = float(rng.uniform(0.0, 1.0))
                 out_sh, c_out = tr.cross_facet(sm, sh, c)
