@@ -16,11 +16,27 @@ def _mesh(vertices, faces):
     return SurfaceMesh(np.asarray(vertices, float), np.asarray(faces, np.int64))
 
 
+def _planar(vertices, faces, what):
+    """The planar mesh, once every facet is counterclockwise from +z.
+
+    A distortion too large for the sizes folds facets; the ValueError names
+    the first one and ``what``, the generator call.
+    """
+    tri = np.asarray(vertices, float)[np.asarray(faces, np.int64)]
+    ab, ac = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+    area2 = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    folded = np.nonzero(~(area2 > 0.0))[0]
+    if len(folded):
+        raise ValueError(f"{what} folds facet {folded[0]}: its area is not positive")
+    return _mesh(vertices, faces)
+
+
 def grid(nx, ny, width=1.0, height=1.0, distortion=0.0, seed=0):
     """Triangulated rectangle: (nx+1) x (ny+1) vertices, 2 nx ny facets.
 
     ``distortion`` jitters interior vertices by that fraction of the cell
-    spacing, keeping the boundary rectangle intact.
+    spacing, keeping the boundary rectangle intact; one that folds a facet
+    raises ValueError.
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one cell per side")
@@ -48,7 +64,8 @@ def grid(nx, ny, width=1.0, height=1.0, distortion=0.0, seed=0):
                 faces += [[a, b, c], [a, c, d]]
             else:
                 faces += [[a, b, d], [b, c, d]]
-    return _mesh(verts, faces)
+    what = f"grid({nx} x {ny} cells, distortion {distortion}, seed {seed})"
+    return _planar(verts, faces, what)
 
 
 def strip(n, width=None, height=1.0):
@@ -62,7 +79,8 @@ def disc(rings, sectors, radius=1.0, distortion=0.0, seed=0):
     ``distortion`` perturbs the interior ring vertices radially and
     angularly by that fraction of the local spacing; the same seed gives the
     same connectivity across a distortion ladder, so drift comparisons see
-    geometry changes only.
+    geometry changes only.  A distortion that folds a facet raises
+    ValueError; coarse sector counts fold first.
     """
     if rings < 1 or sectors < 3:
         raise ValueError("disc needs rings >= 1 and sectors >= 3")
@@ -93,7 +111,8 @@ def disc(rings, sectors, radius=1.0, distortion=0.0, seed=0):
             s1 = (s + 1) % sectors
             faces.append([a0 + s, b0 + s, b0 + s1])
             faces.append([a0 + s, b0 + s1, a0 + s1])
-    return _mesh(verts, faces)
+    what = f"disc({rings} rings, {sectors} sectors, distortion {distortion}, seed {seed})"
+    return _planar(verts, faces, what)
 
 
 def _signed_volume(verts, faces):

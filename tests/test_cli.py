@@ -624,3 +624,14 @@ def test_negative_distortion_exits_2(tmp_path, capsys, kind, distort):
     assert rc == 2
     assert f"error: distortion must be at least 0, got {float(distort)}" in capsys.readouterr().err
     assert not (tmp_path / "scene.obj").exists()
+
+
+def test_folding_distortion_exits_2(tmp_path, capsys):
+    prefix = tmp_path / "scene"
+    rc = main(
+        ["synth", "circular", "--sectors", "3", "--distort", "0.3", "--out", str(prefix)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: disc(8 rings, 3 sectors, distortion 0.3, seed 0) folds facet 4" in err
+    assert not (tmp_path / "scene.obj").exists()

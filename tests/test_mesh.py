@@ -436,3 +436,43 @@ def test_halfedge_tables_are_pinned(name):
     # facet halfedges they pair with; outgoing lists ascend by id
     make, digest = _PINNED_TABLES[name]
     assert _table_digest(make()) == digest
+
+
+def test_planar_generators_refuse_folded_facets():
+    disc = r"disc\(3 rings, 3 sectors, distortion 0.3, seed 0\) folds facet 4:"
+    with pytest.raises(ValueError, match=disc):
+        meshgen.disc(3, 3, distortion=0.3, seed=0)
+    grid = r"grid\(3 x 3 cells, distortion 3.0, seed 0\) folds facet"
+    with pytest.raises(ValueError, match=grid):
+        meshgen.grid(3, 3, distortion=3.0, seed=0)
+    # 83 of 150 three-sector discs fold at distortion 0.3
+    folded = 0
+    for rings in range(1, 6):
+        for seed in range(30):
+            try:
+                meshgen.disc(rings, 3, distortion=0.3, seed=seed)
+            except ValueError:
+                folded += 1
+    assert folded == 83
+
+
+@pytest.mark.parametrize(
+    "make,sha256",
+    [
+        (
+            lambda: meshgen.grid(12, 12, distortion=0.3, seed=0),
+            "efb0c8c9344b8aaaf9850fd65673ef7010d59386224551f9e3a6efce59867c91",
+        ),
+        (
+            lambda: meshgen.disc(5, 16, distortion=0.2, seed=1),
+            "b957c31b0013a0e1935bac6d184d2b8d6d5455a53605849e4bcf8f1d47a3adad",
+        ),
+        (
+            lambda: meshgen.disc(3, 6, distortion=0.3, seed=7),
+            "2c860bf940d2a4da9e1e188f25376182def650a52ad67aa9791aeb43e3365d39",
+        ),
+    ],
+)
+def test_unfolded_distorted_meshes_are_unchanged(make, sha256):
+    m = make()
+    assert hashlib.sha256(m.vertices.tobytes() + m.faces.tobytes()).hexdigest() == sha256
