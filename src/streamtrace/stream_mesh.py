@@ -86,9 +86,10 @@ _DECODE = [
     for e in range(8)
 ]
 
-# facets cut together while a table is built; a larger block only raises
-# the build's peak memory
-BLOCK_FACETS = 512
+# facets cut together while a table is built: larger blocks make fewer
+# numpy calls, smaller ones keep the build's temporaries, and the heap they
+# leave behind, small
+BLOCK_FACETS = 256
 
 # a border that cannot be decomposed keeps the index of its message
 _BORDER_ERRORS = (
@@ -233,8 +234,8 @@ def _segment(d0, d1):
     # is a tangent piece itself; the element's last piece follows its cuts
     new = np.ones(len(cut), bool)
     new[1:] = cut[1:] != cut[:-1]
-    prev_t = np.where(new, 0.0, np.roll(t, 1))
-    prev_b = np.where(new, d0[cut], np.roll(level, 1))
+    prev_t = np.where(new, 0.0, np.concatenate([t[-1:], t[:-1]]))
+    prev_b = np.where(new, d0[cut], np.concatenate([level[-1:], level[:-1]]))
     cuts = count > 0
     last = np.where(cuts, first + count - 1, 0)
     last_t = np.where(cuts, t[last] if len(cut) else 0.0, 0.0)
@@ -274,21 +275,12 @@ class BorderTable:
     def __init__(self, mesh, fieldsamples):
         self.mesh = mesh
         n = mesh.n_facets
-        blocks = [
+        # each block keeps its own arrays: joining them would hold the
+        # table twice while it is built
+        self._blocks = [
             _cut_block(mesh, fieldsamples, np.arange(a, min(a + BLOCK_FACETS, n)))
-            for a in range(0, n, BLOCK_FACETS) or [0]
+            for a in range(0, n, BLOCK_FACETS)
         ]
-        self._codes, self._values, n_rows, group0, n_groups, bounds, error = (
-            np.concatenate([b[i] for b in blocks]) for i in range(7)
-        )
-        self._bounds = bounds.astype(np.int32)
-        row_end = np.cumsum(n_rows)
-        bound_end = np.cumsum(2 * n_groups)
-        # per facet: row span, group 0's first row, bound span, error code
-        self._facets = np.stack(
-            [row_end - n_rows, row_end, group0, bound_end - 2 * n_groups, bound_end, error],
-            axis=1,
-        ).astype(np.int32)
 
     def border(self, f):
         """``(rows, first, bounds)`` of facet f.
@@ -301,18 +293,20 @@ class BorderTable:
         ``bounds[2 i]:bounds[2 i + 1]``, and the tangents before it separate
         it from group i - 1.
         """
-        lo, hi, first, b_lo, b_hi, error = self._facets[f].tolist()
+        codes, values, facets, bounds = self._blocks[f // BLOCK_FACETS]
+        lo, hi, first, b_lo, b_hi, error = facets[f % BLOCK_FACETS].tolist()
         if error:
             raise StreamMeshError(_BORDER_ERRORS[error].format(facet=f))
-        rows = zip(self._codes[lo:hi].tolist(), self._values[lo:hi].tolist())
-        return rows, first, self._bounds[b_lo:b_hi].tolist()
+        rows = zip(codes[lo:hi].tolist(), values[lo:hi].tolist())
+        return rows, first, bounds[b_lo:b_hi].tolist()
 
 
 def _cut_block(mesh, fieldsamples, facets):
     """``BorderTable``'s arrays for one block of facets.
 
-    Returns the rows' codes and values, then per facet its row count,
-    group 0's first row, group count, group bounds and error code.
+    Returns the rows' codes and values, a table with one row per facet (its
+    row span, group 0's first row, its span of group bounds and its error
+    code) and the group bounds.
     """
     from . import flux
 
@@ -361,7 +355,7 @@ def _cut_block(mesh, fieldsamples, facets):
     # length > 0, so neither drop empties it.
     tan = beh >= _TF
     head = start
-    tail = np.roll((start + count - 1).reshape(nb, 6), 1, axis=1).ravel()
+    tail = (start + count - 1).reshape(nb, 6)[:, [5, 0, 1, 2, 3, 4]].ravel()
     both = tan[tail] & tan[head]
     drop_head = both & (t0[head] == t1[head])
     after = np.minimum(head + 1, len(slot) - 1)
@@ -422,8 +416,13 @@ def _cut_block(mesh, fieldsamples, facets):
     error[n_flows == 0] = 1
 
     codes = (element + 8 * beh + 32 * (sink + 1)).astype(np.int8)
-    values = np.stack([t1, b0, b1, total], axis=1)
-    return codes, values, n_rows, group0, n_groups, bounds, error
+    values = np.empty((len(t1), 4))
+    values[:, 0], values[:, 1], values[:, 2], values[:, 3] = t1, b0, b1, total
+    bound_end = np.cumsum(2 * n_groups)
+    spans = np.empty((nb, 6), np.int32)
+    spans[:, 0], spans[:, 1], spans[:, 2] = row0, row0 + n_rows, group0
+    spans[:, 3], spans[:, 4], spans[:, 5] = bound_end - 2 * n_groups, bound_end, error
+    return codes, values, spans, bounds.astype(np.int32)
 
 
 class StreamMesh:
