@@ -78,10 +78,12 @@ def _boundary_loop_seeds(tracer, n, direction="forward"):
             o = mesh.opposite(h)
             sm = tracer.stream_mesh(mesh.facet(o))
             length = mesh.edge_length(h)
+            e = 2 * (o % 3)
             # the facet side runs against the walk
-            for sh in reversed(sm.border_pieces(2 * (o % 3))):
-                if sh.behavior == enter and sh.t1 > sh.t0:
-                    spans.append((o, sh.t1, sh.t0, length * (sh.t1 - sh.t0)))
+            for r in reversed(range(sm.elements[e], sm.elements[e + 1])):
+                t0, t1 = sm.t0[r], sm.t1[r]
+                if sm.decode(r)[1] == enter and t1 > t0:
+                    spans.append((o, t1, t0, length * (t1 - t0)))
             h = mesh.next(h)
     total = sum(span[3] for span in spans)
     seeds = []

@@ -21,6 +21,12 @@ piece's ``sink`` sign, when it cuts the facet borders.
 piece's midpoint angle, so it stays exact even when B sweeps across several
 multiples of pi (the piece never does after segmentation, but chords built
 from raw angle differences may sit in any band copy).
+
+The trace path reads pieces as rows of a ``StreamMesh``: ``accumulate``,
+``locate`` and ``phi_inverse`` take the stream mesh and a row or run index
+and read its flat per-row lists.  ``phi`` and ``phi_signed`` take a
+``StreamHalfedge``, the object form that splits build chords in; both forms
+evaluate a flow piece through one formula, ``_flow``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import FluxError
-from .stream_mesh import Behavior
+from .stream_mesh import _DECODE, Behavior
 
 _DEGENERATE_SWEEP = 1e-12
 
@@ -42,17 +48,23 @@ def _check_c(c):
 
 
 def phi_signed(sh, c) -> float:
+    """Signed flux through the sub-piece [0, c] of a ``StreamHalfedge``."""
     _check_c(c)
     if sh.behavior.is_tangent:
         raise FluxError("tangent stream-halfedges carry no flux")
-    if sh.kind == "corner":
-        return sh.sink * c
-    b0 = math.radians(sh.b0)
-    b1 = math.radians(sh.b1)
+    return _flow(sh.kind == "corner", sh.sink, sh.b0, sh.b1, sh.length, c)
+
+
+def _flow(corner, sink, b0, b1, length, c):
+    """``phi_signed`` of a flow piece given by its fields."""
+    if corner:
+        return sink * c
+    b0 = math.radians(b0)
+    b1 = math.radians(b1)
     db = b1 - b0
     if abs(db) < _DEGENERATE_SWEEP:
-        return -sh.length * c * math.sin(b0)
-    return sh.length * (math.cos(b0 + c * db) - math.cos(b0)) / db
+        return -length * c * math.sin(b0)
+    return length * (math.cos(b0 + c * db) - math.cos(b0)) / db
 
 
 def phi(sh, c) -> float:
@@ -72,11 +84,10 @@ def phi_totals(length, b0, b1):
     return np.abs(np.where(flat, -length * np.sin(r0), swept))
 
 
-def phi_inverse(sh, x, total) -> float:
-    """Parameter c with phi(sh, c) == x; exact at x == 0 and x == total.
+def phi_inverse(sm, r, x, total) -> float:
+    """Parameter c with phi(row r of sm, c) == x; exact at x == 0 and x == total.
 
-    ``total`` is ``phi(sh, 1.0)``, which ``locate`` reads from the run's
-    ``totals``.
+    ``total`` is the row's flux, ``sm.total[r]``, which ``locate`` reads.
     """
     if x < 0.0 or x > total * (1.0 + 1e-9) + 1e-300:
         raise FluxError(f"flux value {x} outside [0, {total}]")
@@ -84,22 +95,24 @@ def phi_inverse(sh, x, total) -> float:
         return 0.0
     if x >= total:
         return 1.0
-    if sh.behavior.is_tangent:
+    kind, behavior, _, sink = _DECODE[sm.code[r]]
+    if behavior.is_tangent:
         raise FluxError("tangent stream-halfedges carry no flux")
-    if sh.kind == "corner":
-        if sh.sink == 0:
+    if kind == "corner":
+        if sink == 0:
             raise FluxError("corner piece without sink flux is not invertible")
         return min(1.0, max(0.0, x))
-    b0 = math.radians(sh.b0)
-    b1 = math.radians(sh.b1)
+    length = sm.length[r]
+    b0 = math.radians(sm.b0[r])
+    b1 = math.radians(sm.b1[r])
     db = b1 - b0
-    sigma = -1.0 if sh.behavior == Behavior.IN else 1.0
+    sigma = -1.0 if behavior == Behavior.IN else 1.0
     if abs(db) < _DEGENERATE_SWEEP:
-        denom = sh.length * abs(math.sin(b0))
+        denom = length * abs(math.sin(b0))
         if denom == 0.0:
             raise FluxError("degenerate piece with zero flux density")
         return min(1.0, max(0.0, x / denom))
-    u = math.cos(b0) + sigma * x * db / sh.length
+    u = math.cos(b0) + sigma * x * db / length
     u = min(1.0, max(-1.0, u))
     # branch of arccos from the half-turn the mid-angle sits in
     n = math.floor((b0 + 0.5 * db) / math.pi)
@@ -108,35 +121,41 @@ def phi_inverse(sh, x, total) -> float:
     return min(1.0, max(0.0, (bt - b0) / db))
 
 
-def accumulate(run, sh, c) -> float:
-    """Flux magnitude collected along a run up to parameter c on member sh."""
-    i = sh.run_index
-    if i is None or i >= len(run.pieces) or run.pieces[i] is not sh:
-        raise FluxError("stream-halfedge is not a member of this run")
-    own = 0.0 if sh.behavior.is_tangent else phi(sh, c)
-    return run.starts[i] + own
+def accumulate(sm, r, c) -> float:
+    """Flux magnitude collected along the run of row r up to parameter c on r."""
+    if sm.run[r] < 0:
+        raise FluxError(f"row {r} is not a member of a run")
+    kind, behavior, _, sink = _DECODE[sm.code[r]]
+    if behavior.is_tangent:
+        return sm.start[r] + 0.0
+    _check_c(c)
+    return sm.start[r] + abs(
+        _flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c)
+    )
 
 
-def locate(run, x):
-    """Find (piece, c) at accumulated flux x along a run.
+def locate(sm, run, x):
+    """Find (row, c) at accumulated flux x along run ``run`` of sm.
 
     Ties at piece boundaries resolve to the earlier piece; zero-flux members
     (tangents interleaved in the run, pass-through corners) are skipped.
-    Matches a linear scan over the run exactly.  The piece's flux total is
-    read from ``run.totals``, which ``finalize`` filled with ``phi(sh, 1.0)``,
-    and handed to ``phi_inverse``.
+    Matches a linear scan over the run exactly.  The row's flux total is
+    read from ``sm.total`` and handed to ``phi_inverse``.
     """
+    rows = sm.run_rows[run]
+    prefix = sm.run_prefix[run]
+    total = sm.total
     if x < 0.0:
         x = 0.0
-    if x > run.total:
-        x = run.total
-    j = bisect_left(run.ends, x)
+    if x > prefix[-1]:
+        x = prefix[-1]
+    # prefix[j + 1] is the flux up to the end of the run's piece j
+    j = bisect_left(prefix, x, 1) - 1
     # a zero-flux piece ends where the piece before it does, so bisect lands
     # on one only at x == 0, ahead of the first flux-bearing piece
-    while run.totals[j] == 0.0:
+    while total[rows[j]] == 0.0:
         j += 1
-    sh = run.pieces[j]
+    r = rows[j]
     # prefix-sum roundoff may land a hair outside the piece's own range
-    total = run.totals[j]
-    rem = min(max(x - run.starts[j], 0.0), total)
-    return sh, phi_inverse(sh, rem, total)
+    rem = min(max(x - prefix[j], 0.0), total[r])
+    return r, phi_inverse(sm, r, rem, total[r])

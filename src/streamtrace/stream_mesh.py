@@ -17,33 +17,39 @@ I/O and Tf/Tb, reverse the parameter), which makes the cut parameters of
 the two facets sharing the edge identical by construction rather than
 approximately equal.
 
-Every facet's border is cut once, when a ``BorderTable`` is built, on whole
-numpy arrays, ``BLOCK_FACETS`` facets at a time.  The table holds each
-facet's pieces in border order: element 0 through 5, each element's pieces
-in parameter order.  Element ``2k`` is edge k and ``2k + 1`` is corner k.
-There each corner piece gets its ``sink`` sign from its neighbours, which
-``flux`` reads: +1 if it absorbs the flow head-on (``O`` between ``Tf`` and
-``Tb``), -1 if it emits it (``I`` between ``Tb`` and ``Tf``), 0 otherwise.
-The table also holds every piece's flux total and each facet's flow groups.
-The array operations are the ones a loop over Python floats would make, in
-the same order, so the rows hold the same doubles; the tests pin them bit
-for bit, which also checks that numpy's ``sin`` and ``cos`` round as
-``math``'s do.
-
-``decompose`` builds one facet's ``StreamHalfedge`` objects from its rows
-and links them into the border: the cycle of ``nxt``/``prv`` links from
-``hs[0]``.  Splitting a tangent links its second half right after the
-first, so decomposition keeps the border order.  Splits give both halves of
-a tangent its behavior, so they never change a sign.
+A ``BorderTable`` cuts the facet borders on whole numpy arrays,
+``BLOCK_FACETS`` facets at a time, each block when a line first reaches one
+of its facets.  The table holds each facet's pieces as rows in border
+order: element 0 through 5, each element's pieces in parameter order.
+Element ``2k`` is edge k and ``2k + 1`` is corner k.  There each corner
+piece gets its ``sink`` sign from its neighbours, which ``flux`` reads: +1
+if it absorbs the flow head-on (``O`` between ``Tf`` and ``Tb``), -1 if it
+emits it (``I`` between ``Tb`` and ``Tf``), 0 otherwise.  The table also
+holds every piece's span, length and flux total, and each facet's flow
+groups.  The array operations are the ones a loop over Python floats would
+make, in the same order, so the rows hold the same doubles; the tests pin
+them bit for bit, which also checks that numpy's ``sin`` and ``cos`` round
+as ``math``'s do.
 
 A face is held as its flow groups (maximal runs of same-direction flow
 pieces, with the tangents among them) and the tangent separators between
 consecutive groups.  A face with exactly two groups, one inflow run and one
-outflow run, is *simple* and can be crossed by flux ratio.  ``decompose``
-carves simple faces off the main face, each with a chord drawn between a
-split forward tangency and a split backward tangency, updating both faces'
-lists in place.  Each split carves off one inflow/outflow pair, so a border
-of p pairs takes exactly p - 1 splits, with no iteration cap.
+outflow run, is *simple* and can be crossed by flux ratio.
+
+``decompose`` returns a ``StreamMesh``: flat Python lists of rows, runs and
+chord twins, which is all the trace path reads.  A border of one
+inflow/outflow pair is one simple face, and its rows come straight from the
+table.  A border of p > 1 pairs is first split as linked ``StreamHalfedge``
+objects (``HalfedgeMesh``): each split carves one simple face, one
+inflow/outflow pair, off the main face, with a chord drawn between a split
+forward tangency and a split backward tangency, so the border takes exactly
+p - 1 splits, with no iteration cap.  Splitting a tangent links its second
+half right after the first, so decomposition keeps the border order, and
+gives both halves the tangent's behavior, so it never changes a sign.  The
+split objects are then compiled to the same rows and dropped.  The objects
+are built again, on demand, only for the diagnostic views of a
+``StreamMesh`` (``faces``, ``hs``, ``face_runs``, ``border_pieces`` and
+``dump``), so the trace path allocates few objects and no reference cycles.
 """
 
 from __future__ import annotations
@@ -58,6 +64,11 @@ from .errors import StreamMeshError
 from .mesh import TracePoint
 
 
+# behavior codes of the rows: a mirror flips the low bit, and the codes
+# from _TF up are the tangents
+_IN, _OUT, _TF, _TB = 0, 1, 2, 3
+
+
 class Behavior(Enum):
     IN = "I"
     OUT = "O"
@@ -69,25 +80,31 @@ class Behavior(Enum):
     __hash__ = object.__hash__
 
     def __init__(self, value):
-        self.is_tangent = value in ("Tf", "Tb")
+        self.code = ("I", "O", "Tf", "Tb").index(value)
+        self.is_tangent = self.code >= _TF
 
 
-# behavior codes of the border table: a mirror flips the low bit, and the
-# codes from _TF up are the tangents
-_IN, _OUT, _TF, _TB = 0, 1, 2, 3
 _BEHAVIORS = (Behavior.IN, Behavior.OUT, Behavior.TF, Behavior.TB)
 
-# a row's code is element + 8 behavior + 32 (sink + 1); _DECODE maps it to
-# (kind, behavior, element, sink)
+# a row's code is element + 8 behavior + 32 (sink + 1), where element 6
+# marks a chord; _DECODE maps it to (kind, behavior, element, sink), the
+# fields of a StreamHalfedge
+_CHORD = 6
 _DECODE = [
-    ("corner" if e % 2 else "edge", _BEHAVIORS[b], e, s - 1)
+    ("chord", _BEHAVIORS[b], None, s - 1)
+    if e == _CHORD
+    else ("corner" if e % 2 else "edge", _BEHAVIORS[b], e, s - 1)
     for s in range(3)
     for b in range(4)
     for e in range(8)
 ]
 
-# facets cut together while a table is built: larger blocks make fewer
-# numpy calls, smaller ones keep the build's temporaries, and the heap they
+# the row columns, in the order BorderTable.border returns them
+_COLUMNS = ("t0", "t1", "b0", "b1", "length", "total")
+
+# facets cut together, when a line first reaches one of them: larger
+# blocks make fewer numpy calls, smaller ones cut less for a line that
+# reaches few facets and keep the cut's temporaries, and the heap they
 # leave behind, small
 BLOCK_FACETS = 256
 
@@ -122,8 +139,7 @@ class StreamHalfedge:
     chords.  ``nxt`` and ``prv`` link border neighbours and are None on
     chords.  ``sink`` is +1 on an absorbing corner, -1 on an emitting one
     and 0 on every other piece.  ``total`` is the flux through the whole
-    piece, ``phi(sh, 1.0)``, and 0.0 on tangents.  ``run_index`` is the
-    piece's place in the run that holds it, None outside every run.
+    piece, ``phi(sh, 1.0)``, and 0.0 on tangents.
     """
 
     __slots__ = (
@@ -144,7 +160,6 @@ class StreamHalfedge:
         "face",
         "sink",
         "total",
-        "run_index",
     )
 
     def __init__(
@@ -167,7 +182,6 @@ class StreamHalfedge:
         self.face = 0
         self.sink = sink
         self.total = total
-        self.run_index = None
 
     def __repr__(self):
         return (
@@ -180,8 +194,7 @@ class Run:
     """One inflow or outflow run of a simple face, with flux prefix sums.
 
     ``totals[i]`` is the flux through piece i, ``starts[i]`` and ``ends[i]``
-    the flux accumulated before and after it.  Each piece's ``run_index``
-    is set to its place in the run.
+    the flux accumulated before and after it.
     """
 
     __slots__ = ("pieces", "totals", "starts", "ends", "total")
@@ -192,8 +205,6 @@ class Run:
         self.ends = list(accumulate(totals))
         self.starts = [0.0] + self.ends[:-1]
         self.total = self.ends[-1]
-        for i, sh in enumerate(pieces):
-            sh.run_index = i
 
 
 def _behaviors(values):
@@ -264,49 +275,64 @@ def _snap(value_deg):
 
 
 class BorderTable:
-    """The border pieces of every facet of a mesh, cut once on whole arrays.
+    """The border pieces of every facet of a mesh, cut on whole arrays.
 
-    ``border(f)`` returns facet f's pieces in border order, from the first
-    piece of edge 0, with its flow groups.  A border that cannot be
-    decomposed keeps an error code instead, and ``border`` raises its
-    ``StreamMeshError``, so a facet that no line reaches raises nothing.
+    The facets are cut ``BLOCK_FACETS`` at a time, each block when
+    ``border`` first asks for one of its facets, so a campaign pays only
+    for the blocks its lines reach.  ``border(f)`` returns facet f's rows
+    in border order, from the first piece of edge 0, with its flow groups.
+    A border that cannot be decomposed keeps an error code instead, and
+    ``border`` raises its ``StreamMeshError``, so a facet that no line
+    reaches raises nothing.
     """
 
     def __init__(self, mesh, fieldsamples):
         self.mesh = mesh
-        n = mesh.n_facets
-        # each block keeps its own arrays: joining them would hold the
-        # table twice while it is built
-        self._blocks = [
-            _cut_block(mesh, fieldsamples, np.arange(a, min(a + BLOCK_FACETS, n)))
-            for a in range(0, n, BLOCK_FACETS)
-        ]
+        self.fieldsamples = fieldsamples
+        # each block's arrays, or None until border asks for one of its facets
+        self._blocks = [None] * -(-mesh.n_facets // BLOCK_FACETS)
 
     def border(self, f):
-        """``(rows, first, bounds)`` of facet f.
+        """``(codes, columns, elements, first, bounds)`` of facet f.
 
-        Each row is ``(code, [t1, b0, b1, total])``: ``_DECODE[code]`` is
-        the piece's (kind, behavior, element, sink) and ``total`` its flux,
-        ``phi(sh, 1.0)``, 0.0 on tangents.  A piece's t0 is the t1 of the
-        row before it on the same element, else 0.0.  Counted from
-        row ``first``, round the border, flow group i spans rows
-        ``bounds[2 i]:bounds[2 i + 1]``, and the tangents before it separate
-        it from group i - 1.
+        ``codes[r]`` is row r's code: ``_DECODE[code]`` is the piece's
+        (kind, behavior, element, sink).  ``columns`` holds the lists t0,
+        t1, b0, b1, length and total, one entry per row; total is the
+        piece's flux ``phi(sh, 1.0)``, 0.0 on tangents.  Element e holds
+        rows ``elements[e]:elements[e + 1]``.  Counted from row ``first``,
+        round the border, flow group i spans rows
+        ``bounds[2 i]:bounds[2 i + 1]``, and the tangents before it
+        separate it from group i - 1.
         """
-        codes, values, facets, bounds = self._blocks[f // BLOCK_FACETS]
-        lo, hi, first, b_lo, b_hi, error = facets[f % BLOCK_FACETS].tolist()
+        b, i = divmod(f, BLOCK_FACETS)
+        block = self._blocks[b]
+        if block is None:
+            a = b * BLOCK_FACETS
+            facets = np.arange(a, min(a + BLOCK_FACETS, self.mesh.n_facets))
+            block = self._blocks[b] = _cut_block(self.mesh, self.fieldsamples, facets)
+        codes, columns, facets, bounds = block
+        lo, *elements, first, b_lo, b_hi, error = facets[i].tolist()
         if error:
             raise StreamMeshError(_BORDER_ERRORS[error].format(facet=f))
-        rows = zip(codes[lo:hi].tolist(), values[lo:hi].tolist())
-        return rows, first, bounds[b_lo:b_hi].tolist()
+        hi = lo + elements[6]
+        return (
+            codes[lo:hi].tolist(),
+            columns[:, lo:hi].tolist(),
+            elements,
+            first,
+            bounds[b_lo:b_hi].tolist(),
+        )
 
 
 def _cut_block(mesh, fieldsamples, facets):
     """``BorderTable``'s arrays for one block of facets.
 
-    Returns the rows' codes and values, a table with one row per facet (its
-    row span, group 0's first row, its span of group bounds and its error
-    code) and the group bounds.
+    Returns the rows' codes, their columns (t0, t1, b0, b1, length, total)
+    as one ``(6, rows)`` array, a table with one row per facet (its first
+    row, the start of each element and the end of the last, counted from
+    that row, group 0's first row, its span of group bounds and its error
+    code) and the group bounds.  A piece's t0 is the t1 of the piece before
+    it on the same element, else 0.0, as the cut leaves them.
     """
     from . import flux
 
@@ -416,47 +442,37 @@ def _cut_block(mesh, fieldsamples, facets):
     error[n_flows == 0] = 1
 
     codes = (element + 8 * beh + 32 * (sink + 1)).astype(np.int8)
-    values = np.empty((len(t1), 4))
-    values[:, 0], values[:, 1], values[:, 2], values[:, 3] = t1, b0, b1, total
+    columns = np.stack([t0, t1, b0, b1, length, total])
     bound_end = np.cumsum(2 * n_groups)
-    spans = np.empty((nb, 6), np.int32)
-    spans[:, 0], spans[:, 1], spans[:, 2] = row0, row0 + n_rows, group0
-    spans[:, 3], spans[:, 4], spans[:, 5] = bound_end - 2 * n_groups, bound_end, error
-    return codes, values, spans, bounds.astype(np.int32)
+    spans = np.zeros((nb, 12), np.int32)
+    spans[:, 0] = row0
+    spans[:, 2:8] = np.cumsum(np.bincount(slot, minlength=6 * nb).reshape(nb, 6), axis=1)
+    spans[:, 8], spans[:, 9], spans[:, 10] = group0, bound_end - 2 * n_groups, bound_end
+    spans[:, 11] = error
+    return codes, columns, spans, bounds.astype(np.int32)
 
 
-class StreamMesh:
-    """Stream mesh of one facet; built as a single main face, then decomposed.
+class HalfedgeMesh:
+    """Stream mesh of one facet as linked ``StreamHalfedge`` objects.
 
-    ``faces`` maps a face id to its (groups, seps) lists: groups[i] lists
-    the pieces of one flow group (flow pieces plus the tangents interleaved
-    among them), seps[i] the tangent pieces between groups[i - 1] and
-    groups[i].  Groups alternate IN/OUT around the face.  Face 0 is the
-    main face, built from the facet's rows of ``borders``, off which
-    ``split_step`` carves the others.  Run tables and entry queries exist
-    once ``decompose`` has finalized the mesh.
+    Built as a single main face from the facet's rows of ``borders``, then
+    split by ``split_step`` and frozen by ``finalize``.  ``faces`` maps a
+    face id to its (groups, seps) lists: groups[i] lists the pieces of one
+    flow group (flow pieces plus the tangents interleaved among them),
+    seps[i] the tangent pieces between groups[i - 1] and groups[i].  Groups
+    alternate IN/OUT around the face.  Face 0 is the main face, off which
+    ``split_step`` carves the others.  Run tables exist once the mesh is
+    finalized.
     """
 
     def __init__(self, borders, facet):
         self.mesh = borders.mesh
         self.facet = facet
-        self.split_count = 0
-        rows, first, bounds = borders.border(facet)
-        lens = self.mesh.facet_edge_lengths(facet).tolist()
+        codes, columns, _, first, bounds = borders.border(facet)
         hs = self.hs = []
-        t0, at = 0.0, 0
-        for code, (t1, b0, b1, total) in rows:
+        for code, *values in zip(codes, *columns):
             kind, behavior, element, sink = _DECODE[code]
-            if element != at:
-                # an element's pieces are contiguous from t = 0
-                t0, at = 0.0, element
-            length = 0.0 if element % 2 else lens[element >> 1] * (t1 - t0)
-            hs.append(
-                StreamHalfedge(
-                    len(hs), kind, behavior, element, t0, t1, b0, b1, length, total, sink
-                )
-            )
-            t0 = t1
+            hs.append(StreamHalfedge(len(hs), kind, behavior, element, *values, sink))
         prv = hs[-1]
         for sh in hs:
             sh.prv = prv
@@ -471,7 +487,7 @@ class StreamMesh:
         if self.initial_pairs > 1:
             # only splits read the frame and the edge lengths
             self._frame = self.mesh.frame(facet)
-            self._lens = lens
+            self._lens = self.mesh.facet_edge_lengths(facet).tolist()
 
     # -- construction -------------------------------------------------------
 
@@ -495,48 +511,6 @@ class StreamMesh:
         if element % 2 == 1:
             ang = ang + t * (math.pi - self._frame.betas[k])
         return math.radians(level_deg) + ang
-
-    # -- face queries ------------------------------------------------------
-
-    def a_sequence(self, face_id):
-        """Alternation profile of a face border, one value per flow group.
-
-        Starts at 0 on an outflow group; steps by +1 or -1 per the type of
-        the tangency separating consecutive groups.  Closes one period at
-        -2, which reflects that the border direction gains a full turn per
-        loop; strictly decreasing over the period means the face is simple.
-        """
-        groups, seps = self.faces[face_id]
-        if len(groups) % 2 != 0:
-            raise StreamMeshError("flow groups do not alternate")
-        start = None
-        for gi, g in enumerate(groups):
-            if g[0].behavior == Behavior.OUT:
-                start = gi
-                break
-        if start is None:
-            raise StreamMeshError("face has no outflow group")
-        seq = [0]
-        a = 0
-        m = len(groups)
-        for j in range(1, m + 1):
-            gi = (start + j) % m
-            sep = seps[gi]
-            sep_type = sep[0].behavior if sep else None
-            entering = groups[gi][0].behavior
-            if entering == Behavior.IN:
-                a += 1 if sep_type == Behavior.TF else -1
-            else:
-                a += 1 if sep_type == Behavior.TB else -1
-            seq.append(a)
-        if seq[-1] != -2:
-            raise StreamMeshError(
-                f"malformed border: alternation closes at {seq[-1]}, not -2"
-            )
-        return seq[:-1]
-
-    def is_simple(self, face_id):
-        return len(self.faces[face_id][0]) == 2
 
     # -- decomposition -------------------------------------------------------
 
@@ -599,7 +573,6 @@ class StreamMesh:
         merged = [mainc, b2, *seps[2][1:], *groups[2]]
         self.faces[0] = ([merged] + groups[3:], [seps[0]] + seps[3:])
         mainc.face = 0
-        self.split_count += 1
 
     def _split_tangent(self, sh):
         if not sh.behavior.is_tangent:
@@ -708,12 +681,9 @@ class StreamMesh:
         for face_id, (groups, _) in self.faces.items():
             if len(groups) != 2:
                 raise StreamMeshError(f"face {face_id} is not simple")
-            runs = {g[0].behavior: Run(g, [sh.total for sh in g]) for g in groups}
-            if runs[Behavior.IN].total <= 0.0 or runs[Behavior.OUT].total <= 0.0:
-                raise StreamMeshError(
-                    f"simple face {face_id} has a zero-flux run"
-                )
-            self._runs[face_id] = runs
+            self._runs[face_id] = {
+                g[0].behavior: Run(g, [sh.total for sh in g]) for g in groups
+            }
         # border pieces per element ordinal, walking the border from hs[0]
         pieces = [[] for _ in range(6)]
         first = sh = self.hs[0]
@@ -731,121 +701,6 @@ class StreamMesh:
     def border_pieces(self, element):
         """Border pieces of element ``element`` (edge k is 2k), in parameter order."""
         return self._pieces[element]
-
-    # -- conversions ---------------------------------------------------------
-
-    def import_position(self, halfedge, c, enter):
-        """Map a mesh border point into the stream mesh: (piece, local c).
-
-        ``halfedge`` must be one of this facet's own halfedges, and ``c``
-        runs along it.  ``enter`` is the behavior of the pieces a line may
-        enter on: ``IN`` for forward lines, ``OUT`` for backward ones.
-        Points landing on a tangency resolve to the endpoint of the adjacent
-        entry piece; landing strictly inside a piece of the other flow is an
-        error.
-        """
-        if self.mesh.facet(halfedge) != self.facet:
-            raise StreamMeshError(
-                f"halfedge {halfedge} is not a halfedge of facet {self.facet}"
-            )
-        k = halfedge % 3
-        if not -VERTEX_SNAP <= c <= 1.0 + VERTEX_SNAP:
-            raise StreamMeshError(f"entry parameter {c} outside [0, 1]")
-        t = min(1.0, max(0.0, c))
-        entry = self._enter(self._pieces[2 * k], t, enter)
-        if entry is None:
-            raise StreamMeshError(
-                f"entry at edge {k} t={t} of facet {self.facet} "
-                f"is not on an {enter.value} piece or a tangency"
-            )
-        return entry
-
-    def _enter(self, pieces, t, enter, tol=0.0):
-        """Entry (piece, c) at element parameter t, or None.
-
-        The first ``enter`` piece within ``tol`` of t takes it; failing
-        that, a tangent piece there resolves to its neighbors.
-        """
-        touching = [sh for sh in pieces if sh.t0 - tol <= t <= sh.t1 + tol]
-        for sh in touching:
-            if sh.behavior == enter:
-                if sh.t1 == sh.t0:
-                    return sh, 0.0
-                return sh, min(1.0, max(0.0, (t - sh.t0) / (sh.t1 - sh.t0)))
-        for sh in touching:
-            if sh.behavior.is_tangent:
-                return self._resolve_tangent_entry(sh, enter)
-        return None
-
-    def _resolve_tangent_entry(self, sh, enter):
-        """Snap a tangency entry to the endpoint of the adjacent entry piece.
-
-        A point on a forward tangency slides with the border orientation, so
-        a forward line prefers the forward neighbor; on a backward tangency
-        it prefers the backward neighbor.  A backward line slides the other
-        way, so the roles of the two tangents swap.  Walks follow the
-        border links ``nxt``/``prv``, not a face, so split tangents resolve
-        across chord junctions correctly.
-        """
-        fwd = sh.nxt
-        while fwd.behavior.is_tangent:
-            fwd = fwd.nxt
-        bwd = sh.prv
-        while bwd.behavior.is_tangent:
-            bwd = bwd.prv
-        order = [(fwd, 0.0), (bwd, 1.0)]
-        if sh.behavior == (Behavior.TB if enter == Behavior.IN else Behavior.TF):
-            order.reverse()
-        for cand, c in order:
-            if cand.behavior == enter:
-                return cand, c
-        raise StreamMeshError("tangency entry with no adjacent entry piece")
-
-    def corner_entry(self, k, t, enter):
-        """Entry into the facet through corner k at corner parameter t.
-
-        Used when a streamline starts at a vertex: the flow enters the facet
-        through the corner's entry piece rather than across an edge.  A
-        separatrix seed at a corner end is a root clamped onto the end,
-        while the stream mesh may cut the corner a hair inside it; there
-        the pieces within ``VERTEX_SNAP`` of the end are tried as well.
-        """
-        pieces = self._pieces[2 * k + 1]
-        entry = self._enter(pieces, t, enter)
-        if entry is None and t in (0.0, 1.0):
-            entry = self._enter(pieces, t, enter, VERTEX_SNAP)
-        if entry is None:
-            raise StreamMeshError(
-                f"corner {k} t={t} of facet {self.facet} is not an entry"
-            )
-        return entry
-
-    def export_position(self, sh, c):
-        """Map a stream-mesh border point back to the mesh: a TracePoint.
-
-        Edge pieces yield (facet halfedge, t on it); exits through a surface
-        boundary edge are flipped to the outside halfedge so the returned
-        point's halfedge has no facet.  An edge point within ``VERTEX_SNAP``
-        of an edge end snaps onto that vertex (c = 0 or 1).  Corner pieces
-        only terminate streamlines (absorbing corners); they yield the
-        halfedge pointing at the corner vertex with c = 1 + t as terminal
-        encoding.  Chords cannot be exported.
-        """
-        kind = sh.kind
-        if kind == "chord":
-            raise StreamMeshError("cannot export a chord position")
-        t = sh.t0 + c * (sh.t1 - sh.t0)
-        h = 3 * self.facet + sh.element // 2
-        if kind == "corner":
-            return TracePoint(h, 1.0 + t)
-        o = self.mesh.opposite(h)
-        if not self.mesh.has_facet(o):
-            h, t = o, 1.0 - t
-        if t < VERTEX_SNAP:
-            t = 0.0
-        elif t > 1.0 - VERTEX_SNAP:
-            t = 1.0
-        return TracePoint(h, t)
 
     # -- diagnostics -----------------------------------------------------------
 
@@ -868,15 +723,296 @@ class StreamMesh:
         return "\n".join(lines) + "\n"
 
 
-def decompose(borders, facet) -> StreamMesh:
-    """Fully decompose a facet into simple stream faces.
 
-    ``borders`` is the mesh's ``BorderTable``.  Each split carves one
-    inflow/outflow pair off the main face, so a facet with p pairs takes
-    exactly p - 1 splits.  A split that finds no pattern raises, and
-    ``finalize`` refuses a face that is not simple.
+
+class StreamMesh:
+    """Stream mesh of one facet as flat rows: what the trace path reads.
+
+    Row r is one piece.  The border pieces come first, in border order from
+    the first piece of edge 0, so that element e holds rows
+    ``elements[e]:elements[e + 1]`` and row ``r + 1`` follows row r round
+    the border; the chords of a split facet follow them.  The per-row
+    lists are ``code`` (see ``decode``), ``t0``, ``t1``, ``b0``, ``b1``,
+    ``length`` and ``total``, the fields of the ``StreamHalfedge`` of the
+    same piece.  Face i has the inflow run ``2 i`` and the outflow run
+    ``2 i + 1``: ``run_rows[k]`` lists run k's rows in run order and
+    ``run_prefix[k]`` its flux prefix sums, from 0.0 to the run's total.
+    ``run[r]`` is the run that holds row r, -1 outside every run, and
+    ``start[r]`` the flux of that run before row r.  ``twin`` maps each
+    chord row to the row of its twin.
+
+    ``faces``, ``hs``, ``initial_pairs``, ``face_runs``, ``border_pieces``
+    and ``dump`` read the same stream mesh as ``HalfedgeMesh`` objects,
+    decomposed from ``borders`` when one of them is first read.
     """
-    sm = StreamMesh(borders, facet)
-    for _ in range(sm.initial_pairs - 1):
-        sm.split_step()
-    return sm.finalize()
+
+    __slots__ = (
+        "borders",
+        "mesh",
+        "facet",
+        "code",
+        "t0",
+        "t1",
+        "b0",
+        "b1",
+        "length",
+        "total",
+        "elements",
+        "run",
+        "start",
+        "run_rows",
+        "run_prefix",
+        "twin",
+        "_objects",
+    )
+
+    def __init__(self, borders, facet, code, columns, elements, runs, twin=None):
+        self.borders = borders
+        self.mesh = borders.mesh
+        self.facet = facet
+        self.code = code
+        self.t0, self.t1, self.b0, self.b1, self.length, self.total = columns
+        self.elements = elements
+        self.twin = twin or {}
+        self.run_rows = runs
+        total = self.total
+        self.run_prefix = prefixes = []
+        self.run = run = [-1] * len(code)
+        self.start = start = [0.0] * len(code)
+        # the sums of itertools.accumulate(totals, initial=0.0), in one pass
+        for k, rows in enumerate(runs):
+            x = 0.0
+            prefix = [x]
+            for r in rows:
+                run[r] = k
+                start[r] = x
+                x += total[r]
+                prefix.append(x)
+            prefixes.append(prefix)
+        self._objects = None
+
+    def decode(self, r):
+        """(kind, behavior, element, sink) of row r; element is None on chords."""
+        return _DECODE[self.code[r]]
+
+    # -- the object view -------------------------------------------------------
+
+    def objects(self):
+        """This stream mesh as a decomposed ``HalfedgeMesh``, built once."""
+        if self._objects is None:
+            self._objects = _decompose_objects(self.borders, self.facet)
+        return self._objects
+
+    @property
+    def faces(self):
+        return self.objects().faces
+
+    @property
+    def hs(self):
+        return self.objects().hs
+
+    @property
+    def initial_pairs(self):
+        return self.objects().initial_pairs
+
+    def face_runs(self, face_id):
+        return self.objects().face_runs(face_id)
+
+    def border_pieces(self, element):
+        return self.objects().border_pieces(element)
+
+    def dump(self):
+        return self.objects().dump()
+
+    # -- conversions ---------------------------------------------------------
+
+    def import_position(self, halfedge, c, enter):
+        """Map a mesh border point into the stream mesh: (row, local c).
+
+        ``halfedge`` must be one of this facet's own halfedges, and ``c``
+        runs along it.  ``enter`` is the behavior of the pieces a line may
+        enter on: ``IN`` for forward lines, ``OUT`` for backward ones.
+        Points landing on a tangency resolve to the endpoint of the adjacent
+        entry piece; landing strictly inside a piece of the other flow is an
+        error.
+        """
+        if self.mesh.facet(halfedge) != self.facet:
+            raise StreamMeshError(
+                f"halfedge {halfedge} is not a halfedge of facet {self.facet}"
+            )
+        k = halfedge % 3
+        if not -VERTEX_SNAP <= c <= 1.0 + VERTEX_SNAP:
+            raise StreamMeshError(f"entry parameter {c} outside [0, 1]")
+        t = min(1.0, max(0.0, c))
+        entry = self._enter(2 * k, t, enter.code)
+        if entry is None:
+            raise StreamMeshError(
+                f"entry at edge {k} t={t} of facet {self.facet} "
+                f"is not on an {enter.value} piece or a tangency"
+            )
+        return entry
+
+    def _enter(self, element, t, enter, tol=0.0):
+        """Entry (row, c) at parameter t of an element, or None.
+
+        The first row of behavior code ``enter`` within ``tol`` of t takes
+        it; failing that, a tangent row there resolves to its neighbors.
+        """
+        code, t0, t1 = self.code, self.t0, self.t1
+        tangent = None
+        for r in range(self.elements[element], self.elements[element + 1]):
+            a = t0[r]
+            if a - tol > t:
+                # the rows of an element run in parameter order
+                break
+            b = t1[r]
+            if t <= b + tol:
+                behavior = code[r] >> 3 & 3
+                if behavior == enter:
+                    if b == a:
+                        return r, 0.0
+                    return r, min(1.0, max(0.0, (t - a) / (b - a)))
+                if tangent is None and behavior >= _TF:
+                    tangent = r
+        if tangent is None:
+            return None
+        return self._resolve_tangent_entry(tangent, enter)
+
+    def _resolve_tangent_entry(self, r, enter):
+        """Snap a tangency entry to the endpoint of the adjacent entry row.
+
+        A point on a forward tangency slides with the border orientation, so
+        a forward line prefers the forward neighbor; on a backward tangency
+        it prefers the backward neighbor.  A backward line slides the other
+        way, so the roles of the two tangents swap.  The walks go round the
+        border rows, not a face, so split tangents resolve across chord
+        junctions correctly.
+        """
+        code = self.code
+        n = self.elements[6]
+        fwd = (r + 1) % n
+        while code[fwd] >> 3 & 3 >= _TF:
+            fwd = (fwd + 1) % n
+        bwd = (r - 1) % n
+        while code[bwd] >> 3 & 3 >= _TF:
+            bwd = (bwd - 1) % n
+        order = [(fwd, 0.0), (bwd, 1.0)]
+        if code[r] >> 3 & 3 == (_TB if enter == _IN else _TF):
+            order.reverse()
+        for cand, c in order:
+            if code[cand] >> 3 & 3 == enter:
+                return cand, c
+        raise StreamMeshError("tangency entry with no adjacent entry piece")
+
+    def corner_entry(self, k, t, enter):
+        """Entry (row, c) into the facet through corner k at corner parameter t.
+
+        Used when a streamline starts at a vertex: the flow enters the facet
+        through the corner's entry piece rather than across an edge.  A
+        separatrix seed at a corner end is a root clamped onto the end,
+        while the stream mesh may cut the corner a hair inside it; there
+        the pieces within ``VERTEX_SNAP`` of the end are tried as well.
+        """
+        entry = self._enter(2 * k + 1, t, enter.code)
+        if entry is None and t in (0.0, 1.0):
+            entry = self._enter(2 * k + 1, t, enter.code, VERTEX_SNAP)
+        if entry is None:
+            raise StreamMeshError(
+                f"corner {k} t={t} of facet {self.facet} is not an entry"
+            )
+        return entry
+
+    def export_position(self, r, c):
+        """Map a point of border row r back to the mesh: a TracePoint.
+
+        Edge pieces yield (facet halfedge, t on it); exits through a surface
+        boundary edge are flipped to the outside halfedge so the returned
+        point's halfedge has no facet.  An edge point within ``VERTEX_SNAP``
+        of an edge end snaps onto that vertex (c = 0 or 1).  Corner pieces
+        only terminate streamlines (absorbing corners); they yield the
+        halfedge pointing at the corner vertex with c = 1 + t as terminal
+        encoding.  Chords cannot be exported.
+        """
+        element = self.code[r] & 7
+        if element == _CHORD:
+            raise StreamMeshError("cannot export a chord position")
+        t0 = self.t0[r]
+        t = t0 + c * (self.t1[r] - t0)
+        h = 3 * self.facet + element // 2
+        if element % 2:
+            return TracePoint(h, 1.0 + t)
+        o = self.mesh.opposite(h)
+        if not self.mesh.has_facet(o):
+            h, t = o, 1.0 - t
+        if t < VERTEX_SNAP:
+            t = 0.0
+        elif t > 1.0 - VERTEX_SNAP:
+            t = 1.0
+        return TracePoint(h, t)
+
+
+def _decompose_objects(borders, facet):
+    """Facet's ``HalfedgeMesh``, split into simple faces and finalized.
+
+    Each split carves one inflow/outflow pair off the main face, so a facet
+    with p pairs takes exactly p - 1 splits.  A split that finds no pattern
+    raises, and ``finalize`` refuses a face that is not simple.
+    """
+    hm = HalfedgeMesh(borders, facet)
+    for _ in range(hm.initial_pairs - 1):
+        hm.split_step()
+    return hm.finalize()
+
+
+def piece_rows(pieces):
+    """``(codes, columns)`` of ``StreamHalfedge`` objects, one row per piece.
+
+    The inverse of ``decode`` and of the columns ``StreamMesh`` takes.
+    """
+    codes = [
+        (_CHORD if sh.element is None else sh.element)
+        + 8 * sh.behavior.code
+        + 32 * (sh.sink + 1)
+        for sh in pieces
+    ]
+    return codes, [[getattr(sh, name) for sh in pieces] for name in _COLUMNS]
+
+
+def _compile(borders, facet, hm):
+    """The rows of a decomposed ``HalfedgeMesh``: its border, then its chords."""
+    pieces = [*chain(*hm._pieces), *(sh for sh in hm.hs if sh.kind == "chord")]
+    row = {sh.id: r for r, sh in enumerate(pieces)}
+    code, columns = piece_rows(pieces)
+    elements = list(accumulate(map(len, hm._pieces), initial=0))
+    runs = [
+        [row[sh.id] for sh in hm.face_runs(face_id)[behavior].pieces]
+        for face_id in hm.faces
+        for behavior in (Behavior.IN, Behavior.OUT)
+    ]
+    twin = {row[sh.id]: row[sh.opp.id] for sh in pieces if sh.opp is not None}
+    return StreamMesh(borders, facet, code, columns, elements, runs, twin)
+
+
+def decompose(borders, facet) -> StreamMesh:
+    """Decompose a facet into simple stream faces, as rows.
+
+    ``borders`` is the mesh's ``BorderTable``.  A border of one
+    inflow/outflow pair is one simple face, whose two flow groups are its
+    runs, and goes to rows as the table cut it.  A border of more pairs is
+    split as ``HalfedgeMesh`` objects first (``_decompose_objects``), and
+    then compiled to the same rows.  A face with a run that carries no
+    flux raises.
+    """
+    codes, columns, elements, first, bounds = borders.border(facet)
+    if len(bounds) == 4:
+        cycle = [*range(first, len(codes)), *range(first)]
+        runs = [cycle[bounds[0] : bounds[1]], cycle[bounds[2] : bounds[3]]]
+        if codes[runs[0][0]] >> 3 & 3 == _OUT:
+            runs.reverse()
+        sm = StreamMesh(borders, facet, codes, columns, elements, runs)
+    else:
+        sm = _compile(borders, facet, _decompose_objects(borders, facet))
+    for k, prefix in enumerate(sm.run_prefix):
+        if prefix[-1] <= 0.0:
+            raise StreamMeshError(f"simple face {k // 2} has a zero-flux run")
+    return sm

@@ -1,10 +1,11 @@
 """Streamline tracing over decomposed facets.
 
 A streamline is advanced one facet at a time: the entry point is imported
-into the facet's stream mesh, carried across simple faces by flux ratio
-(hopping chords between faces as needed), and exported back to a mesh
-border point.  No step size exists anywhere; a crossing is one closed-form
-evaluation per simple face traversed.
+into the facet's stream mesh as a row and a local parameter, carried across
+simple faces by flux ratio (hopping chords to their twin rows as needed),
+and exported back to a mesh border point.  No step size exists anywhere; a
+crossing is one closed-form evaluation per simple face traversed, and it
+reads the stream mesh's flat rows only, never its object view.
 
 Crossings of two traced lines inside a facet are impossible by construction
 (each simple face maps the inflow interval monotonically onto the outflow
@@ -147,9 +148,9 @@ def load_polylines(path):
 class Tracer:
     """Holds one stream mesh per facet, shared by both trace directions.
 
-    Every facet's border is cut once, into ``borders``, when the tracer is
-    built; a facet's stream mesh is decomposed from it when a line first
-    reaches the facet.
+    Facet borders are cut into ``borders`` a block at a time, when a line
+    first reaches a facet of the block; a facet's stream mesh is decomposed
+    from its rows when a line first reaches the facet.
     """
 
     def __init__(self, mesh, fieldsamples, max_steps=None):
@@ -172,32 +173,30 @@ class Tracer:
 
     # -- facet crossing ------------------------------------------------------
 
-    def cross_facet(self, sm, sh, c):
-        """Carry an entry (piece, c) to the exit border piece of the facet.
+    def cross_facet(self, sm, r, c):
+        """Carry an entry (row, c) to the exit border row of the facet.
 
         Each simple face preserves the flux fraction: the exit splits the
         exit run's total in the same ratio the entry splits the entry run's
-        total, measured from the shared bounding tangency.  The entry
-        piece's behaviour is the direction: a forward line enters on an
-        inflow piece and leaves on the outflow run, a backward line the
-        reverse (the inverse map).  Chord exits hop into the neighboring
-        simple face with the parameter reversed.
+        total, measured from the shared bounding tangency.  The entry row's
+        run is the direction: a forward line enters on an inflow run and
+        leaves on the outflow run of the same face, a backward line the
+        reverse (the inverse map).  Chord exits hop to the twin row, in the
+        neighboring simple face, with the parameter reversed.
         """
-        enter = sh.behavior
-        leave = Behavior.OUT if enter == Behavior.IN else Behavior.IN
+        run, prefix, twin = sm.run, sm.run_prefix, sm.twin
         hops = 0
         while True:
-            runs = sm.face_runs(sh.face)
-            rin = runs[enter]
-            rout = runs[leave]
-            xin = flux.accumulate(rin, sh, c)
-            ratio = min(1.0, max(0.0, xin / rin.total))
-            out_sh, c_out = flux.locate(rout, rout.total * (1.0 - ratio))
-            if out_sh.kind != "chord":
-                return out_sh, c_out
-            sh, c = out_sh.opp, 1.0 - c_out
+            rin = run[r]
+            rout = rin ^ 1
+            xin = flux.accumulate(sm, r, c)
+            ratio = min(1.0, max(0.0, xin / prefix[rin][-1]))
+            out, c_out = flux.locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
+            if out not in twin:
+                return out, c_out
+            r, c = twin[out], 1.0 - c_out
             hops += 1
-            if hops > len(sm.faces) + 1:
+            if hops > len(prefix) // 2 + 1:
                 raise TraceError(
                     f"facet {sm.facet}: chord hopping failed to reach the border"
                 )
@@ -207,8 +206,8 @@ class Tracer:
     def trace(self, seed) -> Polyline:
         """Trace one streamline from ``seed`` until it terminates.
 
-        Every step crosses a facet from an entry (stream mesh, piece, local
-        c): the seed's, then the one across the exit edge, or after an exit
+        Every step crosses a facet from an entry (stream mesh, row, local c):
+        the seed's, then the one across the exit edge, or after an exit
         exactly at a vertex the one ``_pivot_at_vertex`` finds.  The points
         are recorded as the line goes; their positions are computed once,
         when it ends.
@@ -239,9 +238,9 @@ class Tracer:
         visited = {}  # halfedge -> sorted exit parameters
         pivot_vertex, pivot_count = None, 0
         while True:
-            sm, sh, csm = entry
-            out_sh, c_out = self.cross_facet(sm, sh, csm)
-            tp = sm.export_position(out_sh, c_out)
+            sm, r, csm = entry
+            out, c_out = self.cross_facet(sm, r, csm)
+            tp = sm.export_position(out, c_out)
             points.append(tp)
             h_exit, c_exit = tp.halfedge, tp.c
 
@@ -289,7 +288,7 @@ class Tracer:
                 entry = self._import(mesh.opposite(h_exit), 1.0 - c_exit, enter)
 
     def _import(self, h, c, enter):
-        """Entry (stream mesh, piece, local c) at parameter c of facet halfedge h."""
+        """Entry (stream mesh, row, local c) at parameter c of facet halfedge h."""
         sm = self.stream_mesh(self.mesh.facet(h))
         return (sm, *sm.import_position(h, c, enter))
 

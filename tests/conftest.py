@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from streamtrace import FieldSamples, SurfaceMesh, meshgen, synth_field
+from streamtrace import FieldSamples, StreamMeshError, SurfaceMesh, meshgen, synth_field
 from streamtrace.field import normalize_sample
+from streamtrace.stream_mesh import Behavior
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +98,53 @@ def boundary_halfedges(mesh):
 
 def assert_close(a, b, tol, msg=""):
     assert abs(a - b) <= tol, f"{msg} |{a} - {b}| = {abs(a - b)} > {tol}"
+
+
+# -- stream-mesh face queries, over ``sm.faces`` -------------------------------
+
+
+def a_sequence(sm, face_id):
+    """Alternation profile of a face border, one value per flow group.
+
+    Starts at 0 on an outflow group; steps by +1 or -1 per the type of
+    the tangency separating consecutive groups.  Closes one period at
+    -2, which reflects that the border direction gains a full turn per
+    loop; strictly decreasing over the period means the face is simple.
+    """
+    groups, seps = sm.faces[face_id]
+    if len(groups) % 2 != 0:
+        raise StreamMeshError("flow groups do not alternate")
+    start = None
+    for gi, g in enumerate(groups):
+        if g[0].behavior == Behavior.OUT:
+            start = gi
+            break
+    if start is None:
+        raise StreamMeshError("face has no outflow group")
+    seq = [0]
+    a = 0
+    m = len(groups)
+    for j in range(1, m + 1):
+        gi = (start + j) % m
+        sep = seps[gi]
+        sep_type = sep[0].behavior if sep else None
+        entering = groups[gi][0].behavior
+        if entering == Behavior.IN:
+            a += 1 if sep_type == Behavior.TF else -1
+        else:
+            a += 1 if sep_type == Behavior.TB else -1
+        seq.append(a)
+    if seq[-1] != -2:
+        raise StreamMeshError(
+            f"malformed border: alternation closes at {seq[-1]}, not -2"
+        )
+    return seq[:-1]
+
+
+def is_simple(sm, face_id):
+    return len(sm.faces[face_id][0]) == 2
+
+
+def split_count(sm):
+    """Splits a decomposition made: each one carved off one face."""
+    return len(sm.faces) - 1

@@ -31,7 +31,7 @@ from streamtrace.errors import StreamMeshError, TraceError
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
-from conftest import wound_config
+from conftest import a_sequence, split_count, wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -251,11 +251,11 @@ def test_criterion_5_decomposition_storm():
     for _ in range(n_cfg):
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        if sm.split_count == sm.initial_pairs - 1:
+        if split_count(sm) == sm.initial_pairs - 1:
             splits_ok += 1
         good_seq = good_flux = True
         for face_id in sm.faces:
-            seq = sm.a_sequence(face_id) + [-2]
+            seq = a_sequence(sm, face_id) + [-2]
             if not all(b < a for a, b in zip(seq, seq[1:])):
                 good_seq = False
             runs = sm.face_runs(face_id)
@@ -278,8 +278,9 @@ def test_criterion_6_flux_oracles():
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
         for face_id in sm.faces:
-            for run in sm.face_runs(face_id).values():
-                for sh in run.pieces:
+            for behavior, run in sm.face_runs(face_id).items():
+                rows = sm.run_rows[2 * face_id + behavior.code]
+                for sh, r in zip(run.pieces, rows):
                     if sh.behavior.is_tangent or sh.length == 0.0:
                         continue
                     c = float(rng.uniform(0.05, 1.0))
@@ -289,19 +290,20 @@ def test_criterion_6_flux_oracles():
                         0.0, c, epsabs=1e-14, epsrel=1e-13,
                     )
                     worst_quad = max(worst_quad, abs(phi(sh, c) - abs(sh.length * want)))
-                    worst_inv = max(worst_inv, abs(phi_inverse(sh, phi(sh, c), phi(sh, 1.0)) - c))
+                    worst_inv = max(worst_inv, abs(phi_inverse(sm, r, phi(sh, c), phi(sh, 1.0)) - c))
                     checked += 1
 
     mismatches = probes = 0
     for _ in range(150):
         run = random_run(rng, int(rng.integers(1, 9)))
-        if run.total <= 0.0:
+        total = run.run_prefix[0][-1]
+        if total <= 0.0:
             continue
-        for x in rng.uniform(-0.1, run.total * 1.1, 14):
-            got_sh, got_c = locate(run, float(x))
-            want_sh, want_c = linear_scan_locate(run, float(x))
+        for x in rng.uniform(-0.1, total * 1.1, 14):
+            got_r, got_c = locate(run, 0, float(x))
+            want_r, want_c = linear_scan_locate(run, float(x))
             probes += 1
-            if got_sh is not want_sh or got_c != want_c:
+            if got_r != want_r or got_c != want_c:
                 mismatches += 1
     ok = worst_quad < 1e-9 and worst_inv < 1e-9 and mismatches == 0
     report(6, ok, f"{checked} pieces: quadrature gap {worst_quad:.1e}, "

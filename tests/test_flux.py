@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_left
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamtrace import FluxError, accumulate, locate, phi, phi_inverse, phi_signed
-from streamtrace.stream_mesh import Behavior, StreamHalfedge, Run
+from streamtrace.stream_mesh import Behavior, StreamHalfedge, StreamMesh, piece_rows
 
 from conftest import wound_config
 from streamtrace.stream_mesh import BorderTable, decompose
@@ -15,6 +16,19 @@ from streamtrace.stream_mesh import BorderTable, decompose
 
 def make_piece(length, b0, b1, behavior):
     return StreamHalfedge(0, "edge", behavior, 0, 0.0, 1.0, b0, b1, length)
+
+
+def as_rows(pieces, runs=None):
+    """A StreamMesh of no facet whose rows are ``pieces``, by default all in run 0."""
+    codes, columns = piece_rows(pieces)
+    if runs is None:
+        runs = [list(range(len(pieces)))]
+    return StreamMesh(SimpleNamespace(mesh=None), None, codes, columns, [0] * 7, runs)
+
+
+def inverse(sh, x, total):
+    """``phi_inverse`` of a stand-alone piece, as row 0 of its own rows."""
+    return phi_inverse(as_rows([sh]), 0, x, total)
 
 
 # frozen adaptive-quadrature values of -L * integral of sin(B(t)) dt
@@ -91,17 +105,17 @@ def test_phi_inverse_is_a_left_inverse(L, b0, sweep, c):
     b1 = min(b0 + sweep, 179.999)
     sh = make_piece(L, b0, b1, Behavior.IN)
     x = phi(sh, c)
-    c2 = phi_inverse(sh, x, phi(sh, 1.0))
+    c2 = inverse(sh, x, phi(sh, 1.0))
     # compare through phi: c itself may be ambiguous where density hits zero
     assert abs(phi(sh, c2) - x) < 1e-9 * max(1.0, phi(sh, 1.0))
 
 
 def test_phi_inverse_endpoints_are_exact():
     sh = make_piece(1.3, 20.0, 160.0, Behavior.IN)
-    assert phi_inverse(sh, 0.0, phi(sh, 1.0)) == 0.0
-    assert phi_inverse(sh, phi(sh, 1.0), phi(sh, 1.0)) == 1.0
+    assert inverse(sh, 0.0, phi(sh, 1.0)) == 0.0
+    assert inverse(sh, phi(sh, 1.0), phi(sh, 1.0)) == 1.0
     with pytest.raises(FluxError):
-        phi_inverse(sh, phi(sh, 1.0) * 1.1, phi(sh, 1.0))
+        inverse(sh, phi(sh, 1.0) * 1.1, phi(sh, 1.0))
 
 
 def test_phi_inverse_across_band_copies():
@@ -110,7 +124,7 @@ def test_phi_inverse_across_band_copies():
     b = make_piece(1.0, 30.0 + 720.0, 150.0 + 720.0, Behavior.IN)
     for x in np.linspace(0.0, phi(a, 1.0), 17):
         assert abs(
-            phi_inverse(a, float(x), phi(a, 1.0)) - phi_inverse(b, float(x), phi(b, 1.0))
+            inverse(a, float(x), phi(a, 1.0)) - inverse(b, float(x), phi(b, 1.0))
         ) < 1e-12
 
 
@@ -149,7 +163,7 @@ def test_corner_sink_flux_is_linear_in_c():
         for c in (0.0, 0.25, 1.0):
             assert phi_signed(sh, c) == s * c
             assert phi(sh, c) == c
-            assert phi_inverse(sh, c, phi(sh, 1.0)) == c
+            assert inverse(sh, c, phi(sh, 1.0)) == c
 
 
 def test_corner_carries_flux_exactly_between_opposite_tangents():
@@ -164,23 +178,24 @@ def test_corner_carries_flux_exactly_between_opposite_tangents():
     assert (absorbing, emitting) == (728, 715)
 
 
-def linear_scan_locate(run, x):
-    x = min(max(x, 0.0), run.total)
+def linear_scan_locate(sm, x):
+    rows = sm.run_rows[0]
+    x = min(max(x, 0.0), sm.run_prefix[0][-1])
     acc = 0.0
     last = None
-    for i, sh in enumerate(run.pieces):
-        t = float(run.totals[i])
+    for r in rows:
+        t = float(sm.total[r])
         if t > 0.0:
-            last = i
+            last = r
             if x <= acc + t:
-                return sh, phi_inverse(sh, min(max(x - acc, 0.0), t), phi(sh, 1.0))
+                return r, phi_inverse(sm, r, min(max(x - acc, 0.0), t), t)
         acc += t
     if last is None:
         raise FluxError("no flux")
-    return run.pieces[last], 1.0
+    return last, 1.0
 
 
-def random_run(rng, n):
+def random_pieces(rng, n):
     pieces = []
     for i in range(n):
         if rng.random() < 0.3:
@@ -189,33 +204,37 @@ def random_run(rng, n):
             b0 = float(rng.uniform(1.0, 179.0))
             b1 = float(rng.uniform(1.0, 179.0))
             sh = make_piece(float(rng.uniform(0.01, 2.0)), b0, b1, Behavior.IN)
+            sh.total = phi(sh, 1.0)
         sh.id = i
         pieces.append(sh)
-    totals = np.array(
-        [0.0 if sh.behavior.is_tangent else phi(sh, 1.0) for sh in pieces]
-    )
-    return Run(pieces, totals)
+    return pieces
+
+
+def random_run(rng, n):
+    """Rows of n random pieces, all in run 0."""
+    return as_rows(random_pieces(rng, n))
 
 
 def test_locate_matches_linear_scan_everywhere():
     rng = np.random.default_rng(8)
     zero_tails = 0
     for _ in range(200):
-        run = random_run(rng, int(rng.integers(1, 9)))
-        if run.total <= 0.0:
+        sm = random_run(rng, int(rng.integers(1, 9)))
+        total = sm.run_prefix[0][-1]
+        if total <= 0.0:
             continue
-        zero_tails += run.totals[-1] == 0.0
-        probes = list(rng.uniform(0.0, run.total, 20))
-        probes += [0.0, run.total]
+        zero_tails += sm.total[-1] == 0.0
+        probes = list(rng.uniform(0.0, total, 20))
+        probes += [0.0, total]
         # piece boundaries are the tie cases
         acc = 0.0
-        for t in run.totals:
+        for t in sm.total:
             acc += float(t)
             probes.append(acc)
         for x in probes:
-            a_sh, a_c = locate(run, float(x))
-            b_sh, b_c = linear_scan_locate(run, float(x))
-            assert a_sh is b_sh, f"x={x}"
+            a_r, a_c = locate(sm, 0, float(x))
+            b_r, b_c = linear_scan_locate(sm, float(x))
+            assert a_r == b_r, f"x={x}"
             assert abs(a_c - b_c) < 1e-12
     # x == total on a run ending in zero-flux pieces is among the probes
     assert zero_tails >= 10
@@ -224,25 +243,26 @@ def test_locate_matches_linear_scan_everywhere():
 def test_accumulate_then_locate_round_trips():
     rng = np.random.default_rng(9)
     for _ in range(100):
-        run = random_run(rng, int(rng.integers(2, 7)))
-        if run.total <= 0.0:
+        sm = random_run(rng, int(rng.integers(2, 7)))
+        if sm.run_prefix[0][-1] <= 0.0:
             continue
-        for sh in run.pieces:
-            if sh.behavior.is_tangent:
+        for r in sm.run_rows[0]:
+            if sm.decode(r)[1].is_tangent:
                 continue
             c = float(rng.uniform(0.0, 1.0))
-            x = accumulate(run, sh, c)
-            sh2, c2 = locate(run, x)
-            assert abs(accumulate(run, sh2, c2) - x) < 1e-9
+            x = accumulate(sm, r, c)
+            r2, c2 = locate(sm, 0, x)
+            assert abs(accumulate(sm, r2, c2) - x) < 1e-9
 
 
 def test_accumulate_rejects_foreign_piece():
     rng = np.random.default_rng(10)
-    run = random_run(rng, 3)
+    pieces = random_pieces(rng, 3)
     stranger = make_piece(1.0, 30.0, 60.0, Behavior.IN)
     stranger.id = 999
+    sm = as_rows(pieces + [stranger], [[0, 1, 2]])
     with pytest.raises(FluxError):
-        accumulate(run, stranger, 0.5)
+        accumulate(sm, 3, 0.5)
 
 
 def test_decomposed_faces_phi_agrees_with_quadrature():

@@ -9,9 +9,10 @@ from streamtrace import FieldSamples, StreamMeshError, meshgen, synth_field
 from streamtrace.field import normalize_sample
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
-from streamtrace.stream_mesh import Behavior, BorderTable, StreamMesh, decompose
-from streamtrace.stream_mesh import _BEHAVIORS, _behaviors, _segment
+from streamtrace.stream_mesh import Behavior, BorderTable, HalfedgeMesh, decompose
+from streamtrace.stream_mesh import _BEHAVIORS, _DECODE, _behaviors, _segment
 
+from conftest import a_sequence, is_simple, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 
 
@@ -87,7 +88,7 @@ def test_segment_values_cover_unit_interval_and_alternate():
 
 def segment_interval(mesh, fieldsamples, f, element):
     """(behavior, t0, t1) of each piece of border element ``element`` of f."""
-    border = StreamMesh(BorderTable(mesh, fieldsamples), f).hs
+    border = HalfedgeMesh(BorderTable(mesh, fieldsamples), f).hs
     return [(sh.behavior, sh.t0, sh.t1) for sh in border if sh.element == element]
 
 
@@ -223,7 +224,7 @@ GOLDEN_RUNS = {
 def test_golden_decomposition_dump():
     sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
     assert sm.dump() == GOLDEN_DUMP
-    assert sm.split_count == 3
+    assert split_count(sm) == 3
     assert sm.initial_pairs == 4
     chords = [
         (float(sh.b0).hex(), float(sh.b1).hex(), float(sh.length).hex())
@@ -243,21 +244,21 @@ def test_golden_decomposition_dump():
 
 
 def test_initial_a_sequence_closes_at_minus_two():
-    sm = StreamMesh(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
-    a = sm.a_sequence(0)
+    sm = HalfedgeMesh(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
+    a = a_sequence(sm, 0)
     assert a[0] == 0
     full = a + [-2]  # one value per group, closing value validated internally
     steps = [b - a_ for a_, b in zip(full, full[1:])]
     assert all(s in (-1, 1) for s in steps)
     assert sum(steps) == -2
-    assert not sm.is_simple(0)
+    assert not is_simple(sm, 0)
 
 
 def test_decompose_produces_simple_faces_with_flux():
     sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
     for face_id in sm.faces:
-        assert sm.is_simple(face_id)
-        seq = sm.a_sequence(face_id)
+        assert is_simple(sm, face_id)
+        seq = a_sequence(sm, face_id)
         assert all(b < a for a, b in zip(seq, seq[1:]))
         runs = sm.face_runs(face_id)
         assert set(runs) == {Behavior.IN, Behavior.OUT}
@@ -269,7 +270,7 @@ def test_simple_config_needs_no_split():
     m = fan_mesh()
     for angle in (17.0, 37.0, 130.0):
         sm = decompose(BorderTable(m, synth_field(m, "constant", angle_deg=angle)), 0)
-        assert sm.split_count == 0
+        assert split_count(sm) == 0
         assert sm.initial_pairs == 1
         assert list(sm.faces) == [0]
 
@@ -294,10 +295,10 @@ def test_decompose_random_stress():
     for _ in range(1500):
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        assert sm.split_count == sm.initial_pairs - 1
-        hist[sm.split_count] = hist.get(sm.split_count, 0) + 1
+        assert split_count(sm) == sm.initial_pairs - 1
+        hist[split_count(sm)] = hist.get(split_count(sm), 0) + 1
         for face_id in sm.faces:
-            seq = sm.a_sequence(face_id)
+            seq = a_sequence(sm, face_id)
             assert all(b < a for a, b in zip(seq, seq[1:])), seq
             for run in sm.face_runs(face_id).values():
                 assert run.total > 0.0
@@ -359,14 +360,15 @@ def test_import_export_round_trip_on_edges():
         k = int(rng.integers(0, 3))
         c = float(rng.uniform(0.0, 1.0))
         try:
-            sh, csm = sm.import_position(3 * 0 + k, c, Behavior.IN)
+            r, csm = sm.import_position(3 * 0 + k, c, Behavior.IN)
         except StreamMeshError:
             continue  # outflow point: not importable
-        assert sh.kind in ("edge", "corner")
-        tp = sm.export_position(sh, csm)
+        kind, _, element, _ = sm.decode(r)
+        assert kind in ("edge", "corner")
+        tp = sm.export_position(r, csm)
         # exporting an edge piece lands back on the same undirected edge
-        if sh.kind == "edge":
-            assert tp.halfedge % 3 == sh.element // 2 or not m.has_facet(tp.halfedge)
+        if kind == "edge":
+            assert tp.halfedge % 3 == element // 2 or not m.has_facet(tp.halfedge)
 
 
 def test_import_prefers_inflow_at_shared_cut():
@@ -374,11 +376,11 @@ def test_import_prefers_inflow_at_shared_cut():
     fs = samples_from_reals(WOUND)
     sm = decompose(BorderTable(m, fs), 0)
     # t = 0.364864... on edge 0 is an exact cut between I and O pieces
-    sh, c = sm.import_position(0, 27.0 / 74.0, Behavior.IN)
-    assert sh.behavior == Behavior.IN
+    r, c = sm.import_position(0, 27.0 / 74.0, Behavior.IN)
+    assert sm.decode(r)[1] == Behavior.IN
     # a backward line enters the same stream mesh on the outflow side
-    sh, c = sm.import_position(0, 27.0 / 74.0, Behavior.OUT)
-    assert sh.behavior == Behavior.OUT
+    r, c = sm.import_position(0, 27.0 / 74.0, Behavior.OUT)
+    assert sm.decode(r)[1] == Behavior.OUT
 
 
 def test_import_takes_only_the_facets_own_halfedges():
@@ -520,3 +522,74 @@ def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
     assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
         "4edf1618d32ba5bb3b798e2c0f42279485ea5d13a3b79b95deb9ac316748ce3e"
     )
+
+
+def row_pieces(sm):
+    """The object view's pieces in row order: the border, then the chords."""
+    border = [sh for e in range(6) for sh in sm.border_pieces(e)]
+    return border + [sh for sh in sm.hs if sh.kind == "chord"]
+
+
+def loop_t0_length(codes, t1, lens):
+    """t0 and length of a facet's table rows, one row at a time.
+
+    A piece's t0 is the t1 of the row before it on the same element, else
+    0.0; its length is 0.0 on corners and edge length times (t1 - t0) on
+    edges.
+    """
+    t0s, lengths = [], []
+    t0, at = 0.0, 0
+    for code, b in zip(codes, t1):
+        element = _DECODE[code][2]
+        if element != at:
+            t0, at = 0.0, element
+        lengths.append(0.0 if element % 2 else lens[element >> 1] * (b - t0))
+        t0s.append(t0)
+        t0 = b
+    return t0s, lengths
+
+
+def hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def assert_rows_match_objects(sm):
+    pieces = row_pieces(sm)
+    assert len(pieces) == len(sm.code)
+    row = {sh.id: r for r, sh in enumerate(pieces)}
+    for r, sh in enumerate(pieces):
+        assert sm.decode(r) == (sh.kind, sh.behavior, sh.element, sh.sink)
+        for name in ("t0", "t1", "b0", "b1", "length", "total"):
+            assert float(getattr(sm, name)[r]).hex() == float(getattr(sh, name)).hex()
+    for face_id in sm.faces:
+        for behavior in (Behavior.IN, Behavior.OUT):
+            run = sm.face_runs(face_id)[behavior]
+            k = 2 * face_id + behavior.code
+            rows = sm.run_rows[k]
+            assert [pieces[r] for r in rows] == run.pieces
+            assert hexes(sm.total[r] for r in rows) == hexes(run.totals)
+            assert hexes(sm.run_prefix[k][:-1]) == hexes(run.starts)
+            assert float(sm.run_prefix[k][-1]).hex() == float(run.total).hex()
+            assert [sm.run[r] for r in rows] == [k] * len(rows)
+            assert hexes(sm.start[r] for r in rows) == hexes(run.starts)
+    chords = [sh for sh in pieces if sh.kind == "chord"]
+    assert {row[sh.id]: row[sh.opp.id] for sh in chords} == sm.twin
+    # the table's rows: t0 and length from arrays equal the loop's
+    codes, columns, elements, _, _ = sm.borders.border(sm.facet)
+    lens = sm.mesh.facet_edge_lengths(sm.facet).tolist()
+    t0s, lengths = loop_t0_length(codes, columns[1], lens)
+    assert hexes(columns[0]) == hexes(t0s)
+    assert hexes(columns[4]) == hexes(lengths)
+    assert elements == [sum(1 for c in codes if _DECODE[c][2] < e) for e in range(7)]
+
+
+def test_rows_match_the_object_view_bit_for_bit():
+    meshes = list(decomposition_corpus())
+    for _, mesh, fs in whole_mesh_scenes():
+        tr = Tracer(mesh, fs)
+        meshes += [tr.stream_mesh(f) for f in range(mesh.n_facets)]
+    for sm in meshes:
+        assert_rows_match_objects(sm)
+    # split facets are covered, and compile their chords to twin rows
+    assert sum(len(sm.faces) > 1 for sm in meshes) >= 100
+    assert sum(len(sm.twin) for sm in meshes) >= 200

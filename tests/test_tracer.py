@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import re
@@ -15,11 +16,10 @@ from streamtrace import (
     stream_mesh,
     synth_field,
 )
-from streamtrace.cli import _spread_edge_seeds
+from streamtrace.cli import _boundary_loop_seeds, _spread_edge_seeds
 from streamtrace.errors import StreamMeshError
 from streamtrace.field import interpolated_angle, vertex_index
 from streamtrace.mesh import TracePoint
-from streamtrace.stream_mesh import Behavior
 from streamtrace.tracer import (
     CrossingViolation,
     Polyline,
@@ -748,6 +748,47 @@ def test_both_directions_decompose_each_facet_once(monkeypatch):
     assert len(calls) == built
 
 
+def test_one_seed_cuts_only_the_blocks_its_facets_lie_in():
+    # a 40 x 40 grid has 3200 facets, 13 blocks; a line at 3 degrees
+    # crosses the grid in a band of a few cell rows, 80 facets each
+    mesh = meshgen.grid(40, 40)
+    fs = synth_field(mesh, "constant", angle_deg=3.0)
+    tr = Tracer(mesh, fs)
+    pl = tr.trace(left_edge_seed(mesh, 0.5))
+    assert pl.termination == "boundary"
+    cut = {b for b, block in enumerate(tr.borders._blocks) if block is not None}
+    assert cut == {f // stream_mesh.BLOCK_FACETS for f in tr._cache}
+    assert len(cut) < len(tr.borders._blocks) == 13
+
+
+def test_a_campaign_builds_no_halfedge_objects_and_leaves_no_cycles(monkeypatch):
+    built = []
+    real = stream_mesh.StreamHalfedge.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(stream_mesh.StreamHalfedge, "__init__", counting)
+    mesh = meshgen.grid(12, 12)
+    fs = synth_field(mesh, "constant", angle_deg=30.0)
+    gc.collect()
+    gc.disable()
+    try:
+        tr = Tracer(mesh, fs)
+        pls = [tr.trace(s) for s in _boundary_loop_seeds(tr, 24)]
+        assert {pl.termination for pl in pls} == {"boundary"}
+        assert len(tr._cache) > 100
+        del tr, pls
+        # the stream meshes hold no reference cycles: freeing the tracer
+        # frees them, and the collector finds nothing left
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert built == []
+    assert unreachable == 0
+
+
 @pytest.mark.parametrize("kind", ["sink", "saddle"])
 def test_every_separatrix_seed_enters(kind):
     mesh = meshgen.disc(8, 24)
@@ -769,17 +810,18 @@ def test_backward_crossing_inverts_forward_crossing():
         tr = Tracer(mesh, fs)
         sm = tr.stream_mesh(0)
         for face_id in sm.faces:
-            rin = sm.face_runs(face_id)[Behavior.IN]
-            for sh in rin.pieces:
-                if sh.kind == "chord" or rin.totals[sh.run_index] == 0.0:
+            # face i's inflow run is run 2 i
+            rin = 2 * face_id
+            for r in sm.run_rows[rin]:
+                if sm.decode(r)[0] == "chord" or sm.total[r] == 0.0:
                     continue
                 c = float(rng.uniform(0.0, 1.0))
-                out_sh, c_out = tr.cross_facet(sm, sh, c)
-                back_sh, c_back = tr.cross_facet(sm, out_sh, c_out)
-                assert back_sh.face == face_id
-                x = flux.accumulate(rin, sh, c)
-                x_back = flux.accumulate(rin, back_sh, c_back)
-                assert abs(x_back - x) <= 1e-9 * rin.total
+                out, c_out = tr.cross_facet(sm, r, c)
+                back, c_back = tr.cross_facet(sm, out, c_out)
+                assert sm.run[back] // 2 == face_id
+                x = flux.accumulate(sm, r, c)
+                x_back = flux.accumulate(sm, back, c_back)
+                assert abs(x_back - x) <= 1e-9 * sm.run_prefix[rin][-1]
                 checked += 1
 
 
