@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from streamtrace import (
     corner_jump_deg,
     interpolated_angle,
     load_field,
+    load_obj,
     meshgen,
     save_field,
     synth_field,
@@ -80,6 +82,63 @@ def test_field_file_normalizes_out_of_range_angles(tmp_path):
     fs = load_field(p, m)
     assert fs.angles[0, 0] == 10.0 and fs.windings[0, 0] == 1
     assert fs.angles[0, 1] == 350.0 and fs.windings[0, 1] == 0
+
+
+# OBJ statements other than v and f are skipped; v rows may carry a w
+_CORPUS_OBJ = (
+    b"# two facets, CRLF on some lines\r\n"
+    b"o corpus\r\n"
+    b"g part\n"
+    b"s off\n"
+    b"v 0 0 -0.0\n"
+    b"   v 1.0 0 0 1.0\r\n"
+    b"vn 0 0 1\n"
+    b"vt 0.5 0.5\n"
+    b"\n"
+    b"v\t0\t1\t0\n"
+    b"v 1e0 +1.0 0.25 \r\n"
+    b"\r\n"
+    b"f 1/1/1 2/2/1 3/3/1\n"
+    b"f 2//1 4//1 3//1\n"
+)
+_CORPUS_FIELD = (
+    b"# facets out of order\r\n"
+    b"\n"
+    b"streamfield 1   # header\r\n"
+    b"1 370 9223372036854775806 -10 -9223372036854775806 -5e-324 0"
+    b" 0 -9223372036854775808 5 9223372036854775807 -0.0 0\r\n"
+    b"   \n"
+    b"0\t10.5 -1 720 0 359.99999999999994 3 180.0 -9223372036854775807"
+    b" -370 9223372036854775807 1e2 0#comment\n"
+)
+# sha256 of each loaded array's bytes
+_CORPUS_DIGESTS = {
+    "vertices": "9e83b3212b015c5e1b462edc8b6bbd62ea0b884f9a7c3eaa137cc2eadec4b20c",
+    "faces": "d6a9739dc30beec3cb2f030eec378bf28b83db704d0735f5849e72cae3ccb7f9",
+    "angles": "a352896de96954ef752e2eef5afce5b46649e11d82bc3e687fc17d2228f9c29c",
+    "windings": "51c9cc5178e4ed74113a949a7991edc94e6dd0971b905442dc25486520afc5e6",
+}
+
+
+def test_loaders_accept_the_corpus_as_pinned(tmp_path):
+    obj, fld = tmp_path / "c.obj", tmp_path / "c.field"
+    obj.write_bytes(_CORPUS_OBJ)
+    fld.write_bytes(_CORPUS_FIELD)
+    m = load_obj(obj)
+    fs = load_field(fld, m)
+    arrays = {
+        "vertices": (m.vertices, (4, 3), np.float64),
+        "faces": (m.faces, (2, 3), np.int64),
+        "angles": (fs.angles, (2, 6), np.float64),
+        "windings": (fs.windings, (2, 6), np.int64),
+    }
+    digests = {}
+    for name, (a, shape, dtype) in arrays.items():
+        assert a.shape == shape and a.dtype == dtype, name
+        digests[name] = hashlib.sha256(a.tobytes()).hexdigest()
+    assert digests == _CORPUS_DIGESTS
+    assert fs.windings[1, 0] == 2**63 - 1 and fs.windings[1, 1] == -(2**63 - 1)
+    assert np.signbit(fs.angles[1, 5]) and np.signbit(m.vertices[0, 2])
 
 
 def test_field_file_errors(tmp_path, disc_mesh):
