@@ -141,17 +141,98 @@ def test_loaders_accept_the_corpus_as_pinned(tmp_path):
     assert np.signbit(fs.angles[1, 5]) and np.signbit(m.vertices[0, 2])
 
 
-def test_field_file_errors(tmp_path, disc_mesh):
+@pytest.fixture(scope="module")
+def grid32():
+    return meshgen.grid(32, 32)  # 2048 facets, so a field file of 2049 lines
+
+
+def _row(fid, angle="0.0", winding="0"):
+    return f"{fid} {angle} {winding}" + " 90.0 0" * 5
+
+
+_NOT_REPRESENTABLE = "is not a finite angle with a 64-bit winding"
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ("", "empty field file"),
+        ("# only a comment\n\n", "empty field file"),
+        (
+            "streamfield 1\n",
+            "missing samples for 2048 facet(s): 0, 1, 2, 3, 4, 5, 6, 7",
+        ),
+        (
+            {1: "streamfield 2"},
+            "line 1: expected header 'streamfield 1', got 'streamfield 2'",
+        ),
+        (
+            {1: "streamfield\t1  # tab"},
+            "line 1: expected header 'streamfield 1', got 'streamfield\\t1'",
+        ),
+        ({2: "0 1 2 3"}, "line 2: expected facet id and 6 angle/winding pairs"),
+        ({2: _row(0) + " 7"}, "line 2: expected facet id and 6 angle/winding pairs"),
+        ({2: _row("x")}, "line 2: invalid literal for int() with base 10: 'x'"),
+        ({2: _row("0.0")}, "line 2: invalid literal for int() with base 10: '0.0'"),
+        ({2: _row(0, "abc")}, "line 2: could not convert string to float: 'abc'"),
+        (
+            {2: _row(0, "1", "1.5")},
+            "line 2: invalid literal for int() with base 10: '1.5'",
+        ),
+        ({2: _row(2048)}, "line 2: facet id 2048 out of range"),
+        ({2: _row(-1)}, "line 2: facet id -1 out of range"),
+        (
+            {2: _row(10**20)},
+            "line 2: facet id 100000000000000000000 out of range",
+        ),
+        ({3: _row(0)}, "line 3: duplicate facet id 0"),
+        ({2049: _row(5)}, "line 2049: duplicate facet id 5"),
+        ({2: ""}, "missing samples for 1 facet(s): 0"),
+        ({2: _row(0, "inf")}, f"line 2: angle inf with winding 0 {_NOT_REPRESENTABLE}"),
+        (
+            {2: _row(0, "-nan")},
+            f"line 2: angle nan with winding 0 {_NOT_REPRESENTABLE}",
+        ),
+        (
+            {2: _row(0, "1e308")},
+            f"line 2: angle 1e+308 with winding 0 {_NOT_REPRESENTABLE}",
+        ),
+        (
+            {2: _row(0, "370", str(2**63 - 1))},
+            f"line 2: angle 370.0 with winding {2**63 - 1} {_NOT_REPRESENTABLE}",
+        ),
+        (
+            {2: _row(0, "-10", str(-(2**63)))},
+            f"line 2: angle -10.0 with winding {-(2**63)} {_NOT_REPRESENTABLE}",
+        ),
+        (
+            {2: _row(0, "10", str(10**20))},
+            f"line 2: angle 10.0 with winding {10**20} {_NOT_REPRESENTABLE}",
+        ),
+        # the first bad line wins, whatever comes after it
+        (
+            {5: "3 1 2", 4: _row(1), 2000: _row(1998, "zz")},
+            "line 4: duplicate facet id 1",
+        ),
+        (
+            {2000: _row(1998, "zz")},
+            "line 2000: could not convert string to float: 'zz'",
+        ),
+    ],
+)
+def test_field_file_errors(tmp_path, grid32, edits, message):
+    if isinstance(edits, str):
+        text = edits
+    else:
+        lines = ["streamfield 1"] + [_row(f) for f in range(grid32.n_facets)]
+        for lineno, line in edits.items():
+            lines[lineno - 1] = line
+        text = "\n".join(lines) + "\n"
     p = tmp_path / "f.field"
-    p.write_text("streamfield 2\n")
-    with pytest.raises(FieldError):
-        load_field(p, disc_mesh)
-    p.write_text("streamfield 1\n0 1 2 3\n")
-    with pytest.raises(FieldError):
-        load_field(p, disc_mesh)
-    p.write_text("streamfield 1\n")
-    with pytest.raises(FieldError):
-        load_field(p, disc_mesh)  # missing facets
+    p.write_text(text)
+    with pytest.raises(FieldError) as exc:
+        load_field(p, grid32)
+    assert str(exc.value) == message
 
 
 def test_constant_field_validates_and_has_zero_jumps(grid10):

@@ -149,11 +149,56 @@ def test_obj_polyline_export(tmp_path, strip10):
     assert "np." not in text
 
 
-def test_load_obj_rejects_garbage(tmp_path):
+@pytest.fixture(scope="module")
+def grid32_obj_lines(tmp_path_factory):
+    """OBJ lines of a 32 x 32 grid: 1089 ``v`` lines, then 2048 ``f`` lines."""
+    p = tmp_path_factory.mktemp("obj") / "grid.obj"
+    save_obj(p, meshgen.grid(32, 32))
+    return p.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "edits,message",
+    [
+        ("v 0 0 0\nf 1 2 3\n", "face references a vertex that does not exist"),
+        (
+            "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
+            "face references a vertex that does not exist",
+        ),
+        ({2: "v 0 0"}, "line 2: vertex needs 3 coordinates"),
+        ({2: "v"}, "line 2: vertex needs 3 coordinates"),
+        ({2: "v 0 x 0"}, "line 2: bad vertex: could not convert string to float: 'x'"),
+        ({1090: "f 1 a 3"}, "line 1090: bad face index 'a'"),
+        ({1090: "f 1/2 x/3 3"}, "line 1090: bad face index 'x'"),
+        ({1090: "f /1 2 3"}, "line 1090: bad face index ''"),
+        ({1090: "f 1 2 3 # note"}, "line 1090: bad face index '#'"),
+        ({1090: "f 0 2 3"}, "line 1090: face indices are 1-based"),
+        ({1090: "f 1 -2 3"}, "line 1090: face indices are 1-based"),
+        ({1090: "f 0 1 2 3"}, "line 1090: face indices are 1-based"),
+        ({1090: "f 1 2 3 4"}, "line 1090: face needs 3 vertex indices, got 4"),
+        ({1090: "f 1 2"}, "line 1090: face needs 3 vertex indices, got 2"),
+        ({1090: "f"}, "line 1090: face needs 3 vertex indices, got 0"),
+        # the first bad line wins, whatever comes after it
+        (
+            {3000: "v 1 2", 2500: "f 1 2 x", 1500: "f 1 2"},
+            "line 1500: face needs 3 vertex indices, got 2",
+        ),
+        ({2000: "f 1 2 x"}, "line 2000: bad face index 'x'"),
+    ],
+)
+def test_load_obj_rejects_garbage(tmp_path, grid32_obj_lines, edits, message):
+    if isinstance(edits, str):
+        text = edits
+    else:
+        lines = list(grid32_obj_lines)
+        for lineno, line in edits.items():
+            lines[lineno - 1] = line
+        text = "\n".join(lines) + "\n"
     p = tmp_path / "bad.obj"
-    p.write_text("v 0 0 0\nf 1 2 3\n")
-    with pytest.raises(MeshError):
+    p.write_text(text)
+    with pytest.raises(MeshError) as exc:
         load_obj(p)
+    assert str(exc.value) == message
 
 
 def test_fan_turns_counterclockwise_once_around_a_vertex(disc_mesh):
