@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import FieldError, MeshError
-from .mesh import SurfaceMesh
+from .mesh import BLOCK_LINES, SurfaceMesh
 
 _HEADER = "streamfield 1"
 
@@ -108,6 +109,28 @@ def normalize_sample(value_deg):
     return a, int(w)
 
 
+def normalize_samples(values):
+    """``normalize_sample`` over an array of finite angles below ``ANGLE_LIMIT``.
+
+    Returns the angles in [0, 360) and their int64 windings, equal bit for
+    bit to the scalar form.  The whole turns become int64 before they scale
+    360.0, as the scalar form's ``int`` does, so -0.0 stays -0.0.
+    """
+    turns = np.floor(values / 360.0).astype(np.int64)
+    angles = values - 360.0 * turns
+    low = angles < 0.0  # value / 360 underflowed to -0.0 for a tiny negative value
+    angles = np.where(low, angles + 360.0, angles)
+    high = angles >= 360.0  # floating point guard when value is a hair below 0
+    angles = np.where(high, angles - 360.0, angles)
+    return angles, turns - low + high
+
+
+# an angle of this many degrees or more carries whole turns past 2**62: the
+# windings of a field file must stay far inside int64
+ANGLE_LIMIT = 360.0 * 2.0**62
+_INT64 = np.iinfo(np.int64)
+
+
 def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
     """Read a field file and bind it to ``mesh``.
 
@@ -115,26 +138,100 @@ def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
     13 numbers: the facet id followed by six (angle, winding) pairs.  ``#``
     starts a comment.  Angles outside [0, 360) are normalized on load with
     the winding adjusted to keep the real angle unchanged (370 becomes 10
-    with winding + 1).  A non-finite angle, or a winding that does not fit
-    64 bits after that adjustment, is a ``FieldError`` naming its line.
+    with winding + 1).  A non-finite angle, one of ``ANGLE_LIMIT`` degrees
+    or more, or a winding that does not fit 64 bits, as given or after
+    that adjustment, is a ``FieldError`` naming its line.
+
+    The lines are split ``BLOCK_LINES`` at a time, and each block is
+    converted a column at a time; the checks then run on whole arrays.
+    Only a file that fails is read again, row by row, to name its first bad
+    line.
     """
-    angles = np.full((mesh.n_facets, 6), np.nan)
-    windings = np.zeros((mesh.n_facets, 6), dtype=np.int64)
-    seen = np.zeros(mesh.n_facets, dtype=bool)
+    n = mesh.n_facets
     with open(path) as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for header_at, raw in enumerate(fh, start=1):
+            header = raw.split("#", 1)[0].strip()
+            if header:
+                break
+        else:
+            raise FieldError("empty field file")
+        if header != _HEADER:
+            raise FieldError(
+                f"line {header_at}: expected header {_HEADER!r}, got {header!r}"
+            )
+        blocks = []
+        while rows := [
+            line.partition("#")[0].split() for line in islice(fh, BLOCK_LINES)
+        ]:
+            blocks.append(_field_columns(rows))
+    samples = _samples_from_columns(blocks, n)
+    if samples is None:
+        _raise_first_bad_line(path, n)
+    return samples
+
+
+def _field_columns(rows):
+    """Facet ids, and ``(6, m)`` angles and windings, of the non-blank rows.
+
+    None if a row does not hold 13 numbers of the right kinds.
+    """
+    data = [p for p in rows if p]
+    if any(len(p) != 13 for p in data):
+        return None
+    m = len(data)
+    cols = list(zip(*data)) or [()] * 13  # no rows: 13 empty columns
+    try:
+        ids = np.array(cols[0], dtype=np.int64)
+        # map(float) parses a column faster than np.array does, by the same rules
+        values = np.fromiter(map(float, chain.from_iterable(cols[1::2])), np.float64)
+        given = np.array(cols[2::2], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    return ids, values.reshape(6, m), given.reshape(6, m)
+
+
+def _samples_from_columns(blocks, n):
+    """FieldSamples of ``n`` facets from column blocks; None if a check fails."""
+    if any(block is None for block in blocks):
+        return None
+    # the columns of no rows lead, for a file of a header alone
+    columns = zip(_field_columns([]), *blocks)
+    ids, values, given = (np.concatenate(c, axis=-1) for c in columns)
+    values, given = values.T, given.T
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        return None
+    counts = np.bincount(ids, minlength=n)
+    if np.any(counts > 1) or not np.all(np.abs(values) < ANGLE_LIMIT):
+        return None
+    angles, turns = normalize_samples(values)
+    # int64 addition wraps: bound the given winding before adding the turns
+    if np.any(given > _INT64.max - np.maximum(turns, 0)) or np.any(
+        given < _INT64.min - np.minimum(turns, 0)
+    ):
+        return None
+    if len(ids) < n:
+        missing = np.nonzero(counts == 0)[0]
+        head = ", ".join(str(i) for i in missing[:8])
+        raise FieldError(f"missing samples for {len(missing)} facet(s): {head}")
+    out_angles = np.empty((n, 6))
+    out_windings = np.empty((n, 6), dtype=np.int64)
+    out_angles[ids] = angles
+    out_windings[ids] = given + turns
+    return FieldSamples(out_angles, out_windings)
+
+
+def _raise_first_bad_line(path, n):
+    """Raise the FieldError of the first line that fails a check of the loader."""
+    seen = set()
+    with open(path) as fh:
+        rows = (line.partition("#")[0].split() for line in fh)
+        # the first non-blank line is the header, which passed
+        for lineno, parts in enumerate(rows, start=1):
+            if parts:
+                break
+        for lineno, parts in enumerate(rows, start=lineno + 1):
+            if not parts:
                 continue
-            if header is None:
-                if line != _HEADER:
-                    raise FieldError(
-                        f"line {lineno}: expected header {_HEADER!r}, got {line!r}"
-                    )
-                header = line
-                continue
-            parts = line.split()
             if len(parts) != 13:
                 raise FieldError(
                     f"line {lineno}: expected facet id and 6 angle/winding pairs"
@@ -145,42 +242,34 @@ def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
                 winds = [int(x) for x in parts[2::2]]
             except ValueError as exc:
                 raise FieldError(f"line {lineno}: {exc}") from None
-            if fid < 0 or fid >= mesh.n_facets:
+            if fid < 0 or fid >= n:
                 raise FieldError(f"line {lineno}: facet id {fid} out of range")
-            if seen[fid]:
+            if fid in seen:
                 raise FieldError(f"line {lineno}: duplicate facet id {fid}")
-            seen[fid] = True
-            try:
-                for i in range(6):
-                    a, w = normalize_sample(vals[i])
-                    angles[fid, i] = a
-                    windings[fid, i] = winds[i] + w
-            except (OverflowError, ValueError):
-                # math.floor rejects inf and nan, the int64 store any winding
-                # (given, or from a huge angle) outside 64 bits
-                raise FieldError(
-                    f"line {lineno}: angle {vals[i]!r} with winding {winds[i]} "
-                    "is not a finite angle with a 64-bit winding"
-                ) from None
-    if header is None:
-        raise FieldError("empty field file")
-    if not seen.all():
-        missing = np.nonzero(~seen)[0]
-        head = ", ".join(str(i) for i in missing[:8])
-        raise FieldError(f"missing samples for {len(missing)} facet(s): {head}")
-    return FieldSamples(angles, windings)
+            seen.add(fid)
+            for v, w in zip(vals, winds):
+                if not (
+                    abs(v) < ANGLE_LIMIT
+                    and _INT64.min <= w <= _INT64.max
+                    and _INT64.min <= w + normalize_sample(v)[1] <= _INT64.max
+                ):
+                    raise FieldError(
+                        f"line {lineno}: angle {v!r} with winding {w} "
+                        "is not a finite angle with a 64-bit winding"
+                    )
+    # not reached: every check of the loader is a line check above
+    raise FieldError("malformed field file")
 
 
 def save_field(path, fieldsamples: FieldSamples):
     """Write a field file that round-trips bit-exactly through load_field."""
+    rows = zip(fieldsamples.angles.tolist(), fieldsamples.windings.tolist())
+    lines = [_HEADER + "\n"]
+    for f, (angles, windings) in enumerate(rows):
+        pairs = " ".join(f"{a!r} {w}" for a, w in zip(angles, windings))
+        lines.append(f"{f} {pairs}\n")
     with open(path, "w") as fh:
-        fh.write(_HEADER + "\n")
-        for f in range(fieldsamples.n_facets):
-            row = [str(f)]
-            for i in range(6):
-                row.append(repr(float(fieldsamples.angles[f, i])))
-                row.append(str(int(fieldsamples.windings[f, i])))
-            fh.write(" ".join(row) + "\n")
+        fh.write("".join(lines))
 
 
 # -- consistency -------------------------------------------------------------

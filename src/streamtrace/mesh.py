@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -197,9 +198,8 @@ class SurfaceMesh:
         # corner k sits between edge k and edge k + 1
         es1 = np.roll(es, -1, axis=1)
         cosb = np.vecdot(-es, es1) / (lens * np.roll(lens, -1, axis=1))
-        betas = np.array(
-            [math.acos(min(1.0, max(-1.0, c))) for c in cosb.ravel().tolist()]
-        ).reshape(nf, 3)
+        cosb = np.clip(cosb, -1.0, 1.0).ravel().tolist()
+        betas = np.fromiter(map(math.acos, cosb), np.float64, 3 * nf).reshape(nf, 3)
 
         # unwrapped angles from r to the edge directions: the turn at each
         # corner is pi - beta in (0, pi), accumulated, never reduced
@@ -397,30 +397,78 @@ class SurfaceMesh:
         return out
 
 
+# lines a loader splits and converts at a time: few enough that their
+# tokens are still in cache when their columns are converted
+BLOCK_LINES = 512
+
+
 def load_obj(path) -> SurfaceMesh:
     """Load a triangle mesh from a Wavefront OBJ file.
 
     Supports ``v x y z`` and ``f i j k`` statements (1-based indices;
     ``i/j/k`` attribute suffixes are tolerated and ignored).  Everything
     else is skipped.  Faces must be triangles.
+
+    The lines are split ``BLOCK_LINES`` at a time, and each block is checked
+    and converted a column at a time.  Only a file that fails is read again,
+    row by row, to name its first bad line.
     """
-    vertices = []
-    faces = []
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        blocks = []
+        while rows := [line.split() for line in islice(fh, BLOCK_LINES)]:
+            blocks.append(_obj_columns(rows))
+    if any(block is None for block in blocks):
+        _raise_first_bad_line(path)
+    # the columns of no rows lead, for a file without lines
+    columns = zip(_obj_columns([]), *blocks)
+    coords, faces = (np.concatenate(c, axis=1) for c in columns)
+    if not faces.size:  # as SurfaceMesh refuses an empty list of faces
+        raise MeshError("faces must be an (m, 3) array")
+    vertices = np.ascontiguousarray(coords.T)
+    return SurfaceMesh(vertices, np.ascontiguousarray(faces.T - 1))
+
+
+def _obj_columns(rows):
+    """``(3, n)`` vertex coordinates and face indices of token rows.
+
+    None if a row is malformed, or an index does not fit int64.
+    """
+    vrows = [p for p in rows if p and p[0] == "v"]
+    frows = [p for p in rows if p and p[0] == "f"]
+    if any(len(p) < 4 for p in vrows) or any(len(p) != 4 for p in frows):
+        return None
+    # tokens 1-3 of the rows, a column each; an empty list for no rows
+    vcols = list(zip(*vrows))[1:4]
+    fcols = list(zip(*frows))[1:4]
+    if any("/" in " ".join(col) for col in fcols):
+        fcols = [[tok.partition("/")[0] for tok in col] for col in fcols]
+    try:
+        # map(float) parses a column faster than np.array does, by the same rules
+        coords = np.fromiter(map(float, chain.from_iterable(vcols)), np.float64)
+        faces = np.array(fcols, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if faces.size and faces.min() <= 0:
+        return None
+    return coords.reshape(3, -1), faces.reshape(3, -1)
+
+
+def _raise_first_bad_line(path):
+    """Raise the MeshError of the first OBJ line that fails a check of the loader."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
+            if not parts:
+                continue
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise MeshError(f"line {lineno}: vertex needs 3 coordinates")
                 try:
-                    vertices.append([float(x) for x in parts[1:4]])
+                    for x in parts[1:4]:
+                        float(x)
                 except ValueError as exc:
                     raise MeshError(f"line {lineno}: bad vertex: {exc}") from None
             elif parts[0] == "f":
-                idx = []
                 for tok in parts[1:]:
                     head = tok.split("/")[0]
                     try:
@@ -431,13 +479,13 @@ def load_obj(path) -> SurfaceMesh:
                         ) from None
                     if i <= 0:
                         raise MeshError(f"line {lineno}: face indices are 1-based")
-                    idx.append(i - 1)
-                if len(idx) != 3:
+                if len(parts) != 4:
                     raise MeshError(
-                        f"line {lineno}: face needs 3 vertex indices, got {len(idx)}"
+                        f"line {lineno}: face needs 3 vertex indices, "
+                        f"got {len(parts) - 1}"
                     )
-                faces.append(idx)
-    return SurfaceMesh(np.array(vertices, dtype=float).reshape(-1, 3), faces)
+    # every line parses, so a face index did not fit int64
+    raise MeshError("face references a vertex that does not exist")
 
 
 def save_obj(path, mesh, polylines=None):
@@ -445,15 +493,17 @@ def save_obj(path, mesh, polylines=None):
     vertices = [] if mesh is None else mesh.vertices.tolist()
     faces = [] if mesh is None else mesh.faces.tolist()
     with open(path, "w") as fh:
-        for x, y, z in vertices:
-            fh.write(f"v {x!r} {y!r} {z!r}\n")
-        for a, b, c in faces:
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        fh.write(_obj_vertex_lines(vertices))
+        fh.write("".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces))
         base = len(vertices) + 1
         for pts in polylines or ():
             rows = np.asarray(pts, dtype=float).tolist()
-            for x, y, z in rows:
-                fh.write(f"v {x!r} {y!r} {z!r}\n")
+            block = _obj_vertex_lines(rows)
             if len(rows) >= 2:
-                fh.write("l " + " ".join(map(str, range(base, base + len(rows)))) + "\n")
+                block += "l " + " ".join(map(str, range(base, base + len(rows)))) + "\n"
+            fh.write(block)
             base += len(rows)
+
+
+def _obj_vertex_lines(rows):
+    return "".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in rows)

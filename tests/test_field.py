@@ -26,6 +26,7 @@ from streamtrace.field import (
     EVENNESS_TOL,
     Violation,
     normalize_sample,
+    normalize_samples,
 )
 
 from conftest import right_triangle, samples_from_reals
@@ -33,10 +34,15 @@ from conftest import right_triangle, samples_from_reals
 
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
 @example(-5e-324)  # v / 360 underflows to -0.0
+@example(-0.0)  # stays -0.0
 def test_normalize_sample_preserves_real_angle(v):
     a, w = normalize_sample(v)
     assert 0.0 <= a < 360.0
     assert abs((a + 360.0 * w) - v) < 1e-9
+    # the array form the loader uses agrees bit for bit
+    angles, windings = normalize_samples(np.array([v]))
+    assert windings.dtype == np.int64
+    assert (angles.tolist()[0].hex(), windings.tolist()[0]) == (a.hex(), w)
 
 
 def test_nodes_wrap_closes_the_border_loop():
@@ -156,67 +162,125 @@ _NOT_REPRESENTABLE = "is not a finite angle with a 64-bit winding"
 @pytest.mark.parametrize(
     "edits,message",
     [
-        ("", "empty field file"),
-        ("# only a comment\n\n", "empty field file"),
-        (
+        pytest.param("", "empty field file", id="empty-file"),
+        pytest.param("# only a comment\n\n", "empty field file", id="comments-only"),
+        pytest.param(
             "streamfield 1\n",
             "missing samples for 2048 facet(s): 0, 1, 2, 3, 4, 5, 6, 7",
+            id="header-only",
         ),
-        (
+        pytest.param(
             {1: "streamfield 2"},
             "line 1: expected header 'streamfield 1', got 'streamfield 2'",
+            id="bad-header",
         ),
-        (
+        pytest.param(
             {1: "streamfield\t1  # tab"},
             "line 1: expected header 'streamfield 1', got 'streamfield\\t1'",
+            id="header-with-tab",
         ),
-        ({2: "0 1 2 3"}, "line 2: expected facet id and 6 angle/winding pairs"),
-        ({2: _row(0) + " 7"}, "line 2: expected facet id and 6 angle/winding pairs"),
-        ({2: _row("x")}, "line 2: invalid literal for int() with base 10: 'x'"),
-        ({2: _row("0.0")}, "line 2: invalid literal for int() with base 10: '0.0'"),
-        ({2: _row(0, "abc")}, "line 2: could not convert string to float: 'abc'"),
-        (
+        pytest.param(
+            {2: "0 1 2 3"},
+            "line 2: expected facet id and 6 angle/winding pairs",
+            id="four-tokens",
+        ),
+        pytest.param(
+            {2: _row(0) + " 7"},
+            "line 2: expected facet id and 6 angle/winding pairs",
+            id="fourteen-tokens",
+        ),
+        pytest.param(
+            {2: _row("x")},
+            "line 2: invalid literal for int() with base 10: 'x'",
+            id="bad-facet-id",
+        ),
+        pytest.param(
+            {2: _row("0.0")},
+            "line 2: invalid literal for int() with base 10: '0.0'",
+            id="float-facet-id",
+        ),
+        pytest.param(
+            {2: _row(0, "abc")},
+            "line 2: could not convert string to float: 'abc'",
+            id="bad-angle",
+        ),
+        pytest.param(
             {2: _row(0, "1", "1.5")},
             "line 2: invalid literal for int() with base 10: '1.5'",
+            id="float-winding",
         ),
-        ({2: _row(2048)}, "line 2: facet id 2048 out of range"),
-        ({2: _row(-1)}, "line 2: facet id -1 out of range"),
-        (
+        pytest.param(
+            {2: _row(2048)},
+            "line 2: facet id 2048 out of range",
+            id="facet-id-past-last",
+        ),
+        pytest.param(
+            {2: _row(-1)},
+            "line 2: facet id -1 out of range",
+            id="negative-facet-id",
+        ),
+        pytest.param(
             {2: _row(10**20)},
             "line 2: facet id 100000000000000000000 out of range",
+            id="facet-id-past-int64",
         ),
-        ({3: _row(0)}, "line 3: duplicate facet id 0"),
-        ({2049: _row(5)}, "line 2049: duplicate facet id 5"),
-        ({2: ""}, "missing samples for 1 facet(s): 0"),
-        ({2: _row(0, "inf")}, f"line 2: angle inf with winding 0 {_NOT_REPRESENTABLE}"),
-        (
+        pytest.param(
+            {3: _row(0)},
+            "line 3: duplicate facet id 0",
+            id="duplicate-facet",
+        ),
+        pytest.param(
+            {2049: _row(5)},
+            "line 2049: duplicate facet id 5",
+            id="late-duplicate-facet",
+        ),
+        pytest.param({2: ""}, "missing samples for 1 facet(s): 0", id="missing-facet"),
+        pytest.param(
+            {2: _row(0, "inf")},
+            f"line 2: angle inf with winding 0 {_NOT_REPRESENTABLE}",
+            id="inf-angle",
+        ),
+        pytest.param(
             {2: _row(0, "-nan")},
             f"line 2: angle nan with winding 0 {_NOT_REPRESENTABLE}",
+            id="nan-angle",
         ),
-        (
+        pytest.param(
             {2: _row(0, "1e308")},
             f"line 2: angle 1e+308 with winding 0 {_NOT_REPRESENTABLE}",
+            id="1e308-angle",
         ),
-        (
+        pytest.param(
             {2: _row(0, "370", str(2**63 - 1))},
             f"line 2: angle 370.0 with winding {2**63 - 1} {_NOT_REPRESENTABLE}",
+            id="winding-overflow",
         ),
-        (
+        pytest.param(
             {2: _row(0, "-10", str(-(2**63)))},
             f"line 2: angle -10.0 with winding {-(2**63)} {_NOT_REPRESENTABLE}",
+            id="winding-underflow",
         ),
-        (
+        pytest.param(
             {2: _row(0, "10", str(10**20))},
             f"line 2: angle 10.0 with winding {10**20} {_NOT_REPRESENTABLE}",
+            id="winding-past-int64",
+        ),
+        # refused although the sum fits: the turns of 2e21 degrees pass 2**62
+        pytest.param(
+            {2: _row(0, "2e21", str(-(5 * 10**18)))},
+            f"line 2: angle 2e+21 with winding {-(5 * 10**18)} {_NOT_REPRESENTABLE}",
+            id="angle-past-limit",
         ),
         # the first bad line wins, whatever comes after it
-        (
+        pytest.param(
             {5: "3 1 2", 4: _row(1), 2000: _row(1998, "zz")},
             "line 4: duplicate facet id 1",
+            id="first-bad-line-wins",
         ),
-        (
+        pytest.param(
             {2000: _row(1998, "zz")},
             "line 2000: could not convert string to float: 'zz'",
+            id="late-bad-angle",
         ),
     ],
 )

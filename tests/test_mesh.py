@@ -160,30 +160,94 @@ def grid32_obj_lines(tmp_path_factory):
 @pytest.mark.parametrize(
     "edits,message",
     [
-        ("v 0 0 0\nf 1 2 3\n", "face references a vertex that does not exist"),
-        (
+        pytest.param(
+            "v 0 0 0\nf 1 2 3\n",
+            "face references a vertex that does not exist",
+            id="index-past-last-vertex",
+        ),
+        pytest.param(
             "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n",
             "face references a vertex that does not exist",
+            id="index-past-int64",
         ),
-        ({2: "v 0 0"}, "line 2: vertex needs 3 coordinates"),
-        ({2: "v"}, "line 2: vertex needs 3 coordinates"),
-        ({2: "v 0 x 0"}, "line 2: bad vertex: could not convert string to float: 'x'"),
-        ({1090: "f 1 a 3"}, "line 1090: bad face index 'a'"),
-        ({1090: "f 1/2 x/3 3"}, "line 1090: bad face index 'x'"),
-        ({1090: "f /1 2 3"}, "line 1090: bad face index ''"),
-        ({1090: "f 1 2 3 # note"}, "line 1090: bad face index '#'"),
-        ({1090: "f 0 2 3"}, "line 1090: face indices are 1-based"),
-        ({1090: "f 1 -2 3"}, "line 1090: face indices are 1-based"),
-        ({1090: "f 0 1 2 3"}, "line 1090: face indices are 1-based"),
-        ({1090: "f 1 2 3 4"}, "line 1090: face needs 3 vertex indices, got 4"),
-        ({1090: "f 1 2"}, "line 1090: face needs 3 vertex indices, got 2"),
-        ({1090: "f"}, "line 1090: face needs 3 vertex indices, got 0"),
+        pytest.param("", "faces must be an (m, 3) array", id="empty-file"),
+        pytest.param(
+            "v 0 0 0\n# no faces\n",
+            "faces must be an (m, 3) array",
+            id="no-faces",
+        ),
+        pytest.param(
+            {2: "v 0 0"},
+            "line 2: vertex needs 3 coordinates",
+            id="short-vertex",
+        ),
+        pytest.param({2: "v"}, "line 2: vertex needs 3 coordinates", id="bare-v"),
+        pytest.param(
+            {2: "v 0 x 0"},
+            "line 2: bad vertex: could not convert string to float: 'x'",
+            id="bad-coordinate",
+        ),
+        pytest.param(
+            {1090: "f 1 a 3"},
+            "line 1090: bad face index 'a'",
+            id="bad-face-index",
+        ),
+        pytest.param(
+            {1090: "f 1/2 x/3 3"},
+            "line 1090: bad face index 'x'",
+            id="bad-face-index-with-slash",
+        ),
+        pytest.param(
+            {1090: "f /1 2 3"},
+            "line 1090: bad face index ''",
+            id="empty-face-index",
+        ),
+        pytest.param(
+            {1090: "f 1 2 3 # note"},
+            "line 1090: bad face index '#'",
+            id="face-comment",
+        ),
+        pytest.param(
+            {1090: "f 0 2 3"},
+            "line 1090: face indices are 1-based",
+            id="zero-index",
+        ),
+        pytest.param(
+            {1090: "f 1 -2 3"},
+            "line 1090: face indices are 1-based",
+            id="negative-index",
+        ),
+        pytest.param(
+            {1090: "f 0 1 2 3"},
+            "line 1090: face indices are 1-based",
+            id="zero-index-in-quad",
+        ),
+        pytest.param(
+            {1090: "f 1 2 3 4"},
+            "line 1090: face needs 3 vertex indices, got 4",
+            id="quad-face",
+        ),
+        pytest.param(
+            {1090: "f 1 2"},
+            "line 1090: face needs 3 vertex indices, got 2",
+            id="two-index-face",
+        ),
+        pytest.param(
+            {1090: "f"},
+            "line 1090: face needs 3 vertex indices, got 0",
+            id="bare-f",
+        ),
         # the first bad line wins, whatever comes after it
-        (
+        pytest.param(
             {3000: "v 1 2", 2500: "f 1 2 x", 1500: "f 1 2"},
             "line 1500: face needs 3 vertex indices, got 2",
+            id="first-bad-line-wins",
         ),
-        ({2000: "f 1 2 x"}, "line 2000: bad face index 'x'"),
+        pytest.param(
+            {2000: "f 1 2 x"},
+            "line 2000: bad face index 'x'",
+            id="late-bad-face-index",
+        ),
     ],
 )
 def test_load_obj_rejects_garbage(tmp_path, grid32_obj_lines, edits, message):
