@@ -263,13 +263,14 @@ def _raise_first_bad_line(path, n):
 
 def save_field(path, fieldsamples: FieldSamples):
     """Write a field file that round-trips bit-exactly through load_field."""
-    rows = zip(fieldsamples.angles.tolist(), fieldsamples.windings.tolist())
-    lines = [_HEADER + "\n"]
-    for f, (angles, windings) in enumerate(rows):
-        pairs = " ".join(f"{a!r} {w}" for a, w in zip(angles, windings))
-        lines.append(f"{f} {pairs}\n")
+    n = fieldsamples.n_facets
+    columns = [map(str, range(n))]
+    for i in range(6):
+        columns.append(map(repr, fieldsamples.angles[:, i].tolist()))
+        columns.append(map(str, fieldsamples.windings[:, i].tolist()))
     with open(path, "w") as fh:
-        fh.write("".join(lines))
+        fh.write(_HEADER + "\n")
+        fh.write("".join(" ".join(row) + "\n" for row in zip(*columns)))
 
 
 # -- consistency -------------------------------------------------------------
