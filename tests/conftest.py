@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from streamtrace import FieldSamples, StreamMeshError, SurfaceMesh, meshgen, synth_field
+from streamtrace import FieldSamples, StreamMeshError, SurfaceMesh, flux, meshgen, synth_field
 from streamtrace.field import normalize_sample
-from streamtrace.stream_mesh import Behavior
+from streamtrace.stream_mesh import _DECODE, Behavior
 
 
 @pytest.fixture(scope="session")
@@ -100,23 +100,58 @@ def assert_close(a, b, tol, msg=""):
     assert abs(a - b) <= tol, f"{msg} |{a} - {b}| = {abs(a - b)} > {tol}"
 
 
-# -- stream-mesh face queries, over ``sm.faces`` -------------------------------
+# -- stream-mesh face queries, over row indices ------------------------------
 
 
-def a_sequence(sm, face_id):
+def faces(sm):
+    """Each face of ``sm`` as (groups, seps) lists of row indices.
+
+    ``groups[i]`` lists the rows of one flow group in walk order,
+    ``seps[i]`` the tangent rows between groups i - 1 and i.
+    """
+    pieces = [sh for e in range(6) for sh in sm.border_pieces(e)]
+    pieces += [sh for sh in sm.hs if sh.kind == "chord"]
+    row = {sh.id: r for r, sh in enumerate(pieces)}
+    return [
+        tuple([[row[sh.id] for sh in part] for part in parts] for parts in face)
+        for face in sm.faces.values()
+    ]
+
+
+def border_face(borders, f):
+    """Facet f's undecomposed border as one face: (groups, seps) of its rows."""
+    codes, _, _, first, bounds = borders.border(f)
+    cycle = [*range(first, len(codes)), *range(first)]
+    starts, ends = bounds[0::2], bounds[1::2]
+    groups = [cycle[a:b] for a, b in zip(starts, ends)]
+    seps = [cycle[ends[-1]:]] + [cycle[b:a] for b, a in zip(ends, starts[1:])]
+    return groups, seps
+
+
+def initial_pairs(borders, f):
+    """Inflow/outflow pairs of facet f's border, from its flow groups."""
+    return len(borders.border(f)[4]) // 4
+
+
+def a_sequence(codes, face):
     """Alternation profile of a face border, one value per flow group.
 
-    Starts at 0 on an outflow group; steps by +1 or -1 per the type of
-    the tangency separating consecutive groups.  Closes one period at
-    -2, which reflects that the border direction gains a full turn per
-    loop; strictly decreasing over the period means the face is simple.
+    ``face`` is (groups, seps) of rows whose codes are ``codes``.  Starts
+    at 0 on an outflow group; steps by +1 or -1 per the type of the
+    tangency separating consecutive groups.  Closes one period at -2,
+    which reflects that the border direction gains a full turn per loop;
+    strictly decreasing over the period means the face is simple.
     """
-    groups, seps = sm.faces[face_id]
+    groups, seps = face
+
+    def behavior(r):
+        return _DECODE[codes[r]][1]
+
     if len(groups) % 2 != 0:
         raise StreamMeshError("flow groups do not alternate")
     start = None
     for gi, g in enumerate(groups):
-        if g[0].behavior == Behavior.OUT:
+        if behavior(g[0]) == Behavior.OUT:
             start = gi
             break
     if start is None:
@@ -127,8 +162,8 @@ def a_sequence(sm, face_id):
     for j in range(1, m + 1):
         gi = (start + j) % m
         sep = seps[gi]
-        sep_type = sep[0].behavior if sep else None
-        entering = groups[gi][0].behavior
+        sep_type = behavior(sep[0]) if sep else None
+        entering = behavior(groups[gi][0])
         if entering == Behavior.IN:
             a += 1 if sep_type == Behavior.TF else -1
         else:
@@ -141,10 +176,24 @@ def a_sequence(sm, face_id):
     return seq[:-1]
 
 
-def is_simple(sm, face_id):
-    return len(sm.faces[face_id][0]) == 2
+def is_simple(face):
+    return len(face[0]) == 2
 
 
 def split_count(sm):
     """Splits a decomposition made: each one carved off one face."""
-    return len(sm.faces) - 1
+    return len(sm.run_rows) // 2 - 1
+
+
+# -- flux of one row, from its fields -------------------------------------------
+
+
+def phi_signed(sm, r, c):
+    """Signed flux through the sub-piece [0, c] of row r of ``sm``."""
+    kind, _, _, sink = sm.decode(r)
+    return flux._flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c)
+
+
+def phi(sm, r, c):
+    """Flux magnitude through the sub-piece [0, c] of row r of ``sm``."""
+    return abs(phi_signed(sm, r, c))

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from streamtrace import (
-    Behavior,
     FieldSamples,
     RK4Config,
     Seed,
@@ -19,7 +18,6 @@ from streamtrace import (
     check_crossings,
     locate,
     meshgen,
-    phi,
     phi_inverse,
     rk4_trace,
     seed_from_vertex,
@@ -31,7 +29,7 @@ from streamtrace.errors import StreamMeshError, TraceError
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
-from conftest import a_sequence, split_count, wound_config
+from conftest import a_sequence, faces, initial_pairs, phi, split_count, wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -249,18 +247,17 @@ def test_criterion_5_decomposition_storm():
     n_cfg = 10_000
     splits_ok = seq_ok = flux_ok = 0
     for _ in range(n_cfg):
-        mesh, fs = wound_config(rng)
-        sm = decompose(BorderTable(mesh, fs), 0)
-        if split_count(sm) == sm.initial_pairs - 1:
+        borders = BorderTable(*wound_config(rng))
+        sm = decompose(borders, 0)
+        if split_count(sm) == initial_pairs(borders, 0) - 1:
             splits_ok += 1
-        good_seq = good_flux = True
-        for face_id in sm.faces:
-            seq = a_sequence(sm, face_id) + [-2]
+        good_seq = True
+        for face in faces(sm):
+            seq = a_sequence(sm.code, face) + [-2]
             if not all(b < a for a, b in zip(seq, seq[1:])):
                 good_seq = False
-            runs = sm.face_runs(face_id)
-            if runs[Behavior.IN].total <= 0.0 or runs[Behavior.OUT].total <= 0.0:
-                good_flux = False
+        # face i has the inflow run 2 i and the outflow run 2 i + 1
+        good_flux = all(prefix[-1] > 0.0 for prefix in sm.run_prefix)
         seq_ok += good_seq
         flux_ok += good_flux
     ok = splits_ok == seq_ok == flux_ok == n_cfg
@@ -277,20 +274,21 @@ def test_criterion_6_flux_oracles():
     while checked < 1000:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for face_id in sm.faces:
-            for behavior, run in sm.face_runs(face_id).items():
-                rows = sm.run_rows[2 * face_id + behavior.code]
-                for sh, r in zip(run.pieces, rows):
-                    if sh.behavior.is_tangent or sh.length == 0.0:
+        for groups, _ in faces(sm):
+            for rows in groups:
+                for r in rows:
+                    if sm.decode(r)[1].is_tangent or sm.length[r] == 0.0:
                         continue
                     c = float(rng.uniform(0.05, 1.0))
-                    db = sh.b1 - sh.b0
+                    b0 = sm.b0[r]
+                    db = sm.b1[r] - b0
                     want, _ = quad(
-                        lambda t: math.sin(math.radians(sh.b0 + t * db)),
+                        lambda t: math.sin(math.radians(b0 + t * db)),
                         0.0, c, epsabs=1e-14, epsrel=1e-13,
                     )
-                    worst_quad = max(worst_quad, abs(phi(sh, c) - abs(sh.length * want)))
-                    worst_inv = max(worst_inv, abs(phi_inverse(sm, r, phi(sh, c), phi(sh, 1.0)) - c))
+                    x = phi(sm, r, c)
+                    worst_quad = max(worst_quad, abs(x - abs(sm.length[r] * want)))
+                    worst_inv = max(worst_inv, abs(phi_inverse(sm, r, x, phi(sm, r, 1.0)) - c))
                     checked += 1
 
     mismatches = probes = 0

@@ -7,28 +7,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtrace import FluxError, accumulate, locate, phi, phi_inverse, phi_signed
-from streamtrace.stream_mesh import Behavior, StreamHalfedge, StreamMesh, piece_rows
+from streamtrace import FluxError, accumulate, flux, locate, phi_inverse
+from streamtrace.stream_mesh import Behavior, StreamMesh
 
-from conftest import wound_config
+from conftest import faces, phi, phi_signed, wound_config
 from streamtrace.stream_mesh import BorderTable, decompose
 
 
-def make_piece(length, b0, b1, behavior):
-    return StreamHalfedge(0, "edge", behavior, 0, 0.0, 1.0, b0, b1, length)
-
-
 def as_rows(pieces, runs=None):
-    """A StreamMesh of no facet whose rows are ``pieces``, by default all in run 0."""
-    codes, columns = piece_rows(pieces)
+    """A StreamMesh of no facet whose rows are edge pieces on [0, 1].
+
+    Each piece is ``(length, b0, b1, behavior)``, and a flow piece's total
+    is its flux.  By default every row is in run 0.
+    """
+    lengths, b0s, b1s, behaviors = (list(column) for column in zip(*pieces))
+    codes = [8 * behavior.code + 32 for behavior in behaviors]
+    totals = [
+        0.0 if behavior.is_tangent else abs(flux._flow(False, 0, *piece[1:3], piece[0], 1.0))
+        for *piece, behavior in pieces
+    ]
+    n = len(pieces)
+    columns = [[0.0] * n, [1.0] * n, b0s, b1s, lengths, totals]
     if runs is None:
-        runs = [list(range(len(pieces)))]
+        runs = [list(range(n))]
     return StreamMesh(SimpleNamespace(mesh=None), None, codes, columns, [0] * 7, runs)
 
 
-def inverse(sh, x, total):
-    """``phi_inverse`` of a stand-alone piece, as row 0 of its own rows."""
-    return phi_inverse(as_rows([sh]), 0, x, total)
+def make_piece(length, b0, b1, behavior):
+    """A stream mesh whose one row, row 0, is the given edge piece."""
+    return as_rows([(length, b0, b1, behavior)])
+
+
+def inverse(sm, x, total):
+    """``phi_inverse`` of row 0 of a one-row stream mesh."""
+    return phi_inverse(sm, 0, x, total)
 
 
 # frozen adaptive-quadrature values of -L * integral of sin(B(t)) dt
@@ -44,26 +56,26 @@ QUAD_FROZEN = [
 @pytest.mark.parametrize("L,b0,b1,c,want", QUAD_FROZEN)
 def test_phi_signed_matches_frozen_quadrature(L, b0, b1, c, want):
     beh = Behavior.IN if math.sin(math.radians((b0 + b1) / 2)) > 0 else Behavior.OUT
-    sh = make_piece(L, b0, b1, beh)
-    assert abs(phi_signed(sh, c) - want) < 1e-12
+    sm = make_piece(L, b0, b1, beh)
+    assert abs(phi_signed(sm, 0, c) - want) < 1e-12
 
 
 def test_phi_signed_sign_convention():
     inflow = make_piece(1.0, 30.0, 150.0, Behavior.IN)
     outflow = make_piece(1.0, 210.0, 330.0, Behavior.OUT)
-    assert phi_signed(inflow, 1.0) < 0.0
-    assert phi_signed(outflow, 1.0) > 0.0
-    assert phi(inflow, 1.0) == -phi_signed(inflow, 1.0)
-    assert phi(outflow, 1.0) == phi_signed(outflow, 1.0)
+    assert phi_signed(inflow, 0, 1.0) < 0.0
+    assert phi_signed(outflow, 0, 1.0) > 0.0
+    assert phi(inflow, 0, 1.0) == -phi_signed(inflow, 0, 1.0)
+    assert phi(outflow, 0, 1.0) == phi_signed(outflow, 0, 1.0)
 
 
 def test_phi_rejects_tangent_pieces_and_bad_c():
     t = make_piece(1.0, 0.0, 0.0, Behavior.TF)
-    with pytest.raises(FluxError):
-        phi_signed(t, 0.5)
-    sh = make_piece(1.0, 30.0, 60.0, Behavior.IN)
-    with pytest.raises(FluxError):
-        phi_signed(sh, 1.5)
+    with pytest.raises(FluxError, match="tangent stream-halfedges carry no flux"):
+        phi_inverse(t, 0, 0.5, 1.0)
+    sm = make_piece(1.0, 30.0, 60.0, Behavior.IN)
+    with pytest.raises(FluxError, match="piece parameter 1.5 outside"):
+        accumulate(sm, 0, 1.5)
 
 
 def test_live_quadrature_agreement():
@@ -88,10 +100,10 @@ def test_live_quadrature_agreement():
         if not (s0 <= 180.0 and s1 <= 180.0):
             continue
         c = float(rng.uniform(0.0, 1.0))
-        sh = make_piece(L, b0, b1, beh)
+        sm = make_piece(L, b0, b1, beh)
         want, _ = quad(lambda t: math.sin(math.radians(b0 + t * db)), 0.0, c,
                        epsabs=1e-14, epsrel=1e-13)
-        assert abs(phi_signed(sh, c) - (-L * want)) < 1e-9
+        assert abs(phi_signed(sm, 0, c) - (-L * want)) < 1e-9
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,75 +115,82 @@ def test_live_quadrature_agreement():
 )
 def test_phi_inverse_is_a_left_inverse(L, b0, sweep, c):
     b1 = min(b0 + sweep, 179.999)
-    sh = make_piece(L, b0, b1, Behavior.IN)
-    x = phi(sh, c)
-    c2 = inverse(sh, x, phi(sh, 1.0))
+    sm = make_piece(L, b0, b1, Behavior.IN)
+    x = phi(sm, 0, c)
+    c2 = inverse(sm, x, phi(sm, 0, 1.0))
     # compare through phi: c itself may be ambiguous where density hits zero
-    assert abs(phi(sh, c2) - x) < 1e-9 * max(1.0, phi(sh, 1.0))
+    assert abs(phi(sm, 0, c2) - x) < 1e-9 * max(1.0, phi(sm, 0, 1.0))
 
 
 def test_phi_inverse_endpoints_are_exact():
-    sh = make_piece(1.3, 20.0, 160.0, Behavior.IN)
-    assert inverse(sh, 0.0, phi(sh, 1.0)) == 0.0
-    assert inverse(sh, phi(sh, 1.0), phi(sh, 1.0)) == 1.0
+    sm = make_piece(1.3, 20.0, 160.0, Behavior.IN)
+    assert inverse(sm, 0.0, phi(sm, 0, 1.0)) == 0.0
+    assert inverse(sm, phi(sm, 0, 1.0), phi(sm, 0, 1.0)) == 1.0
     with pytest.raises(FluxError):
-        inverse(sh, phi(sh, 1.0) * 1.1, phi(sh, 1.0))
+        inverse(sm, phi(sm, 0, 1.0) * 1.1, phi(sm, 0, 1.0))
 
 
 def test_phi_inverse_across_band_copies():
     # same geometry, shifted by whole turns: identical mapping
     a = make_piece(1.0, 30.0, 150.0, Behavior.IN)
     b = make_piece(1.0, 30.0 + 720.0, 150.0 + 720.0, Behavior.IN)
-    for x in np.linspace(0.0, phi(a, 1.0), 17):
+    for x in np.linspace(0.0, phi(a, 0, 1.0), 17):
         assert abs(
-            inverse(a, float(x), phi(a, 1.0)) - inverse(b, float(x), phi(b, 1.0))
+            inverse(a, float(x), phi(a, 0, 1.0)) - inverse(b, float(x), phi(b, 0, 1.0))
         ) < 1e-12
 
 
 def test_phi_monotone_in_c():
-    sh = make_piece(0.9, 200.0, 340.0, Behavior.OUT)
-    vals = [phi(sh, c) for c in np.linspace(0.0, 1.0, 33)]
+    sm = make_piece(0.9, 200.0, 340.0, Behavior.OUT)
+    vals = [phi(sm, 0, c) for c in np.linspace(0.0, 1.0, 33)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] == 0.0
 
 
-def corner_sink_by_neighbours(sh):
-    """+1 on an OUT corner between Tf and Tb, -1 on an IN one between Tb and Tf."""
-    pair = (sh.prv.behavior, sh.nxt.behavior)
-    if sh.behavior == Behavior.OUT and pair == (Behavior.TF, Behavior.TB):
+def corner_sink_by_neighbours(sm, r):
+    """+1 on an OUT corner between Tf and Tb, -1 on an IN one between Tb and Tf.
+
+    The neighbours are the rows before and after r round the border.
+    """
+    n = sm.elements[6]
+    behavior = sm.decode(r)[1]
+    pair = (sm.decode((r - 1) % n)[1], sm.decode((r + 1) % n)[1])
+    if behavior == Behavior.OUT and pair == (Behavior.TF, Behavior.TB):
         return 1
-    if sh.behavior == Behavior.IN and pair == (Behavior.TB, Behavior.TF):
+    if behavior == Behavior.IN and pair == (Behavior.TB, Behavior.TF):
         return -1
     return 0
 
 
 def corner_flow_pieces():
+    """(stream mesh, row) of each corner flow row of the decomposition corpus."""
     from test_stream_mesh import decomposition_corpus
 
     for sm in decomposition_corpus():
-        for sh in sm.hs:
-            if sh.kind == "corner" and not sh.behavior.is_tangent:
-                yield sh
+        for r in range(len(sm.code)):
+            kind, behavior, _, _ = sm.decode(r)
+            if kind == "corner" and not behavior.is_tangent:
+                yield sm, r
 
 
 def test_corner_sink_flux_is_linear_in_c():
     # corners that absorb or emit the flow head-on carry flux c on [0, c]
-    sinks = [sh for sh in corner_flow_pieces() if corner_sink_by_neighbours(sh)]
+    sinks = [(sm, r) for sm, r in corner_flow_pieces() if corner_sink_by_neighbours(sm, r)]
     assert sinks
-    for sh in sinks:
-        s = corner_sink_by_neighbours(sh)
+    for sm, r in sinks:
+        s = corner_sink_by_neighbours(sm, r)
         for c in (0.0, 0.25, 1.0):
-            assert phi_signed(sh, c) == s * c
-            assert phi(sh, c) == c
-            assert inverse(sh, c, phi(sh, 1.0)) == c
+            assert phi_signed(sm, r, c) == s * c
+            assert phi(sm, r, c) == c
+            assert phi_inverse(sm, r, c, phi(sm, r, 1.0)) == c
 
 
 def test_corner_carries_flux_exactly_between_opposite_tangents():
-    # the rule reads the decomposed border's links: splits never change it
+    # the rule reads the decomposed border's order: splits never change it
     absorbing = emitting = 0
-    for sh in corner_flow_pieces():
-        s = corner_sink_by_neighbours(sh)
-        assert phi_signed(sh, 1.0) == s
+    for sm, r in corner_flow_pieces():
+        s = corner_sink_by_neighbours(sm, r)
+        assert phi_signed(sm, r, 1.0) == s
         absorbing += s == 1
         emitting += s == -1
     # 722 and 709 of them in the random facets, 6 and 6 in the two fans
@@ -196,17 +215,15 @@ def linear_scan_locate(sm, x):
 
 
 def random_pieces(rng, n):
+    """n random ``as_rows`` pieces: inflow pieces and forward tangents."""
     pieces = []
-    for i in range(n):
+    for _ in range(n):
         if rng.random() < 0.3:
-            sh = make_piece(1.0, 0.0, 0.0, Behavior.TF)
+            pieces.append((1.0, 0.0, 0.0, Behavior.TF))
         else:
             b0 = float(rng.uniform(1.0, 179.0))
             b1 = float(rng.uniform(1.0, 179.0))
-            sh = make_piece(float(rng.uniform(0.01, 2.0)), b0, b1, Behavior.IN)
-            sh.total = phi(sh, 1.0)
-        sh.id = i
-        pieces.append(sh)
+            pieces.append((float(rng.uniform(0.01, 2.0)), b0, b1, Behavior.IN))
     return pieces
 
 
@@ -258,8 +275,7 @@ def test_accumulate_then_locate_round_trips():
 def test_accumulate_rejects_foreign_piece():
     rng = np.random.default_rng(10)
     pieces = random_pieces(rng, 3)
-    stranger = make_piece(1.0, 30.0, 60.0, Behavior.IN)
-    stranger.id = 999
+    stranger = (1.0, 30.0, 60.0, Behavior.IN)
     sm = as_rows(pieces + [stranger], [[0, 1, 2]])
     with pytest.raises(FluxError):
         accumulate(sm, 3, 0.5)
@@ -274,21 +290,22 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
     while checked < 1000:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for face_id in sm.faces:
-            for run in sm.face_runs(face_id).values():
-                for sh in run.pieces:
-                    if sh.behavior.is_tangent or sh.length == 0.0:
+        for groups, _ in faces(sm):
+            for rows in groups:
+                for r in rows:
+                    if sm.decode(r)[1].is_tangent or sm.length[r] == 0.0:
                         continue
-                    db = sh.b1 - sh.b0
+                    b0 = sm.b0[r]
+                    db = sm.b1[r] - b0
                     c = float(rng.uniform(0.1, 1.0))
                     want, _ = quad(
-                        lambda t: math.sin(math.radians(sh.b0 + t * db)),
+                        lambda t: math.sin(math.radians(b0 + t * db)),
                         0.0,
                         c,
                         epsabs=1e-14,
                         epsrel=1e-13,
                     )
-                    got = phi_signed(sh, c)
-                    assert abs(got - (-sh.length * want)) < 1e-9
+                    got = phi_signed(sm, r, c)
+                    assert abs(got - (-sm.length[r] * want)) < 1e-9
                     checked += 1
     assert checked >= 1000

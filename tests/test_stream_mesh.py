@@ -1,6 +1,7 @@
 import hashlib
 import math
 from functools import cache
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from streamtrace import FieldSamples, StreamMeshError, meshgen, synth_field
 from streamtrace.field import normalize_sample
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
-from streamtrace.stream_mesh import Behavior, BorderTable, HalfedgeMesh, decompose
+from streamtrace.stream_mesh import Behavior, BorderTable, decompose
 from streamtrace.stream_mesh import _BEHAVIORS, _DECODE, _behaviors, _segment
 
-from conftest import a_sequence, is_simple, split_count
+from conftest import a_sequence, border_face, faces, initial_pairs, is_simple, phi, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 
 
@@ -88,8 +89,9 @@ def test_segment_values_cover_unit_interval_and_alternate():
 
 def segment_interval(mesh, fieldsamples, f, element):
     """(behavior, t0, t1) of each piece of border element ``element`` of f."""
-    border = HalfedgeMesh(BorderTable(mesh, fieldsamples), f).hs
-    return [(sh.behavior, sh.t0, sh.t1) for sh in border if sh.element == element]
+    codes, columns, elements, _, _ = BorderTable(mesh, fieldsamples).border(f)
+    rows = range(elements[element], elements[element + 1])
+    return [(_DECODE[codes[r]][1], columns[0][r], columns[1][r]) for r in rows]
 
 
 def test_segment_interval_mirrors_exactly():
@@ -222,57 +224,57 @@ GOLDEN_RUNS = {
 
 
 def test_golden_decomposition_dump():
-    sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
+    borders = BorderTable(fan_mesh(), samples_from_reals(WOUND))
+    sm = decompose(borders, 0)
     assert sm.dump() == GOLDEN_DUMP
     assert split_count(sm) == 3
-    assert sm.initial_pairs == 4
+    assert initial_pairs(borders, 0) == 4
     chords = [
-        (float(sh.b0).hex(), float(sh.b1).hex(), float(sh.length).hex())
-        for sh in sm.hs
-        if sh.kind == "chord"
+        (float(sm.b0[r]).hex(), float(sm.b1[r]).hex(), float(sm.length[r]).hex())
+        for r in range(len(sm.code))
+        if sm.decode(r)[0] == "chord"
     ]
     assert chords == GOLDEN_CHORDS
+    # face i has the inflow run 2 i and the outflow run 2 i + 1
     runs = {
-        (face_id, beh.value): (
-            [float(x).hex() for x in run.starts],
-            float(run.total).hex(),
-        )
-        for face_id in sm.faces
-        for beh, run in sm.face_runs(face_id).items()
+        (k // 2, _BEHAVIORS[k % 2].value): (hexes(prefix[:-1]), float(prefix[-1]).hex())
+        for k, prefix in enumerate(sm.run_prefix)
     }
     assert runs == GOLDEN_RUNS
 
 
 def test_initial_a_sequence_closes_at_minus_two():
-    sm = HalfedgeMesh(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
-    a = a_sequence(sm, 0)
+    borders = BorderTable(fan_mesh(), samples_from_reals(WOUND))
+    face = border_face(borders, 0)
+    a = a_sequence(borders.border(0)[0], face)
     assert a[0] == 0
     full = a + [-2]  # one value per group, closing value validated internally
     steps = [b - a_ for a_, b in zip(full, full[1:])]
     assert all(s in (-1, 1) for s in steps)
     assert sum(steps) == -2
-    assert not is_simple(sm, 0)
+    assert not is_simple(face)
 
 
 def test_decompose_produces_simple_faces_with_flux():
     sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
-    for face_id in sm.faces:
-        assert is_simple(sm, face_id)
-        seq = a_sequence(sm, face_id)
+    for face_id, face in enumerate(faces(sm)):
+        assert is_simple(face)
+        seq = a_sequence(sm.code, face)
         assert all(b < a for a, b in zip(seq, seq[1:]))
-        runs = sm.face_runs(face_id)
-        assert set(runs) == {Behavior.IN, Behavior.OUT}
-        assert runs[Behavior.IN].total > 0.0
-        assert runs[Behavior.OUT].total > 0.0
+        runs = sm.run_rows[2 * face_id : 2 * face_id + 2]
+        assert [sm.decode(rows[0])[1] for rows in runs] == [Behavior.IN, Behavior.OUT]
+        assert sm.run_prefix[2 * face_id][-1] > 0.0
+        assert sm.run_prefix[2 * face_id + 1][-1] > 0.0
 
 
 def test_simple_config_needs_no_split():
     m = fan_mesh()
     for angle in (17.0, 37.0, 130.0):
-        sm = decompose(BorderTable(m, synth_field(m, "constant", angle_deg=angle)), 0)
+        borders = BorderTable(m, synth_field(m, "constant", angle_deg=angle))
+        sm = decompose(borders, 0)
         assert split_count(sm) == 0
-        assert sm.initial_pairs == 1
-        assert list(sm.faces) == [0]
+        assert initial_pairs(borders, 0) == 1
+        assert len(faces(sm)) == 1
 
 
 def test_border_always_carries_both_flows():
@@ -286,22 +288,24 @@ def test_border_always_carries_both_flows():
             if t1 > t0:
                 behaviors.add(b)
     assert {Behavior.IN, Behavior.OUT} <= behaviors
-    assert decompose(BorderTable(m, fs), 0).initial_pairs >= 1
+    borders = BorderTable(m, fs)
+    decompose(borders, 0)
+    assert initial_pairs(borders, 0) >= 1
 
 
 def test_decompose_random_stress():
     rng = np.random.default_rng(42)
     hist = {}
     for _ in range(1500):
-        mesh, fs = wound_config(rng)
-        sm = decompose(BorderTable(mesh, fs), 0)
-        assert split_count(sm) == sm.initial_pairs - 1
+        borders = BorderTable(*wound_config(rng))
+        sm = decompose(borders, 0)
+        assert split_count(sm) == initial_pairs(borders, 0) - 1
         hist[split_count(sm)] = hist.get(split_count(sm), 0) + 1
-        for face_id in sm.faces:
-            seq = a_sequence(sm, face_id)
+        for face in faces(sm):
+            seq = a_sequence(sm.code, face)
             assert all(b < a for a, b in zip(seq, seq[1:])), seq
-            for run in sm.face_runs(face_id).values():
-                assert run.total > 0.0
+        for prefix in sm.run_prefix:
+            assert prefix[-1] > 0.0
     # the corpus must actually exercise multi-split configurations
     assert max(hist) >= 8
 
@@ -319,35 +323,40 @@ def test_every_stream_face_closes():
     meshes = [decompose(BorderTable(*wound_config(rng)), 0) for _ in range(300)]
     meshes += [decompose(BorderTable(fan_mesh(), samples_from_reals(v)), 0) for v in MULTI_TANGENT]
     for sm in meshes:
-        owner = {}
-        for face_id, (groups, seps) in sm.faces.items():
-            walk = [sh for sep, g in zip(seps, groups) for sh in sep + g]
-            for sh in walk:
-                assert sh.id not in owner
-                owner[sh.id] = face_id
-                assert sh.face == face_id
+        n = sm.elements[6]
+        owner, origin, dest = {}, {}, {}
+        for face_id, (groups, seps) in enumerate(faces(sm)):
+            walk = [r for sep, g in zip(seps, groups) for r in sep + g]
+            for r in walk:
+                assert r not in owner
+                owner[r] = face_id
+                assert sm.run[r] in (-1, 2 * face_id, 2 * face_id + 1)
             for a, b in zip(walk, walk[1:] + walk[:1]):
-                if a.kind != "chord" and b.kind != "chord":
-                    assert a.nxt is b
-                if b.kind == "chord":
-                    assert b.origin == (a.element, a.t1)
-                if a.kind == "chord":
-                    assert a.dest == (b.element, b.t0)
-        assert sorted(owner) == [sh.id for sh in sm.hs]
+                if a < n and b < n:
+                    assert b == (a + 1) % n
+                # a chord runs from where the row before it ends to where
+                # the row after it starts
+                if b >= n:
+                    origin[b] = (sm.decode(a)[2], sm.t1[a])
+                if a >= n:
+                    dest[a] = (sm.decode(b)[2], sm.t0[b])
+        assert sorted(owner) == list(range(len(sm.code)))
+        # twins span the same two anchors in opposite directions
+        assert sorted(sm.twin) == list(range(n, len(sm.code)))
+        for r, t in sm.twin.items():
+            assert (origin[r], dest[r]) == (dest[t], origin[t])
 
 
 def test_chord_twins_carry_equal_flux():
-    from streamtrace import phi
-
     rng = np.random.default_rng(13)
     seen = 0
     while seen < 200:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for sh in sm.hs:
-            if sh.kind == "chord" and sh.opp is not None and sh.id < sh.opp.id:
-                assert phi(sh, 1.0) == pytest.approx(phi(sh.opp, 1.0), abs=1e-12)
-                assert sh.behavior != sh.opp.behavior
+        for r, t in sm.twin.items():
+            if r < t:
+                assert phi(sm, r, 1.0) == pytest.approx(phi(sm, t, 1.0), abs=1e-12)
+                assert sm.decode(r)[1] != sm.decode(t)[1]
                 seen += 1
 
 
@@ -419,27 +428,55 @@ def test_corner_sink_pieces_have_zero_length():
     while found < 50:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for sh in sm.hs:
-            if sh.kind == "corner":
-                assert sh.length == 0.0
+        for r in range(len(sm.code)):
+            if sm.decode(r)[0] == "corner":
+                assert sm.length[r] == 0.0
                 found += 1
 
 
 @cache
-def decomposition_corpus():
-    """300 random wound facets (rng seed 5) plus the MULTI_TANGENT fans."""
+def corpus_borders():
+    """Border tables of 300 random wound facets (rng seed 5) and the MULTI_TANGENT fans."""
     rng = np.random.default_rng(5)
-    meshes = [decompose(BorderTable(*wound_config(rng)), 0) for _ in range(300)]
-    meshes += [decompose(BorderTable(fan_mesh(), samples_from_reals(v)), 0) for v in MULTI_TANGENT]
-    return meshes
+    tables = [BorderTable(*wound_config(rng)) for _ in range(300)]
+    return tables + [BorderTable(fan_mesh(), samples_from_reals(v)) for v in MULTI_TANGENT]
+
+
+@cache
+def decomposition_corpus():
+    """The decomposed facet 0 of each of ``corpus_borders()``."""
+    return [decompose(borders, 0) for borders in corpus_borders()]
 
 
 # sha256 of decomposition_digest over decomposition_corpus(); it pins the
 # dump, runs, piece angles, lengths, twins and fluxes bit for bit
-CORPUS_SHA256 = "fdf993394846e239f3e1a47e485f30874aae5e340c79fd9374272157819ce458"
+CORPUS_SHA256 = "b038477e893842a49c52f61a1b98663f57c4d379f21a1a89852c7447e5a1fe99"
+OBJECT_CORPUS_SHA256 = "fdf993394846e239f3e1a47e485f30874aae5e340c79fd9374272157819ce458"
 
 
 def decomposition_digest(meshes):
+    h = hashlib.sha256()
+    for sm in meshes:
+        h.update(sm.dump().encode())
+        face = {}
+        for face_id, (groups, seps) in enumerate(faces(sm)):
+            face.update(dict.fromkeys(chain(*groups, *seps), face_id))
+        for k, rows in enumerate(sm.run_rows):
+            prefix = sm.run_prefix[k]
+            h.update(
+                f"face{k // 2} {_BEHAVIORS[k % 2].value} {rows} {hexes(prefix[:-1])} "
+                f"{float(prefix[-1]).hex()}\n".encode()
+            )
+        for r in range(len(sm.code)):
+            flux = "-" if sm.decode(r)[1].is_tangent else float(phi(sm, r, 1.0)).hex()
+            h.update(
+                f"{r} face{face[r]} {float(sm.b0[r]).hex()} {float(sm.b1[r]).hex()} "
+                f"{float(sm.length[r]).hex()} {sm.twin.get(r)} {flux}\n".encode()
+            )
+    return h.hexdigest()
+
+
+def object_digest(meshes):
     from streamtrace import phi
 
     h = hashlib.sha256()
@@ -466,6 +503,7 @@ def decomposition_digest(meshes):
 
 def test_decomposition_corpus_is_pinned():
     assert decomposition_digest(decomposition_corpus()) == CORPUS_SHA256
+    assert object_digest(decomposition_corpus()) == OBJECT_CORPUS_SHA256
 
 
 def whole_mesh_scenes():
@@ -484,6 +522,14 @@ def whole_mesh_scenes():
 # are merged across elements, so these pin what single-facet fans cannot.
 WHOLE_MESH_SHA256 = {
     "grid-constant": "3f47dfdf1a16dccbb06b43b37fe8b7fae8c6abd4c58699e6422e62a66e568e0d",
+    "disc-saddle-0": "19a55b5a885ab6f40f14c03b75436438b7bc89a88b28beb98e1c4b1b000371e0",
+    "disc-saddle-1": "d1b707316bb8a529d20605db2d05f327f779bfa204fb1f277f6e1c4f1549dad3",
+    "disc-saddle-2": "7c7086b9624ffe919cee1c5b8939a381e6e2b85e27dcd919ebd70e43c0794b8b",
+    "torus-random": "be644f6796e5e6c5a69327695beee6e221ad804a96c276955f8cf6b2dd2a717e",
+    "icosphere3-random": "412c7da9d1c1359b736f641a8e26a03b7d0f7d446fd0c01e6c139fba5c4fed7a",
+}
+OBJECT_WHOLE_MESH_SHA256 = {
+    "grid-constant": "3f47dfdf1a16dccbb06b43b37fe8b7fae8c6abd4c58699e6422e62a66e568e0d",
     "disc-saddle-0": "8cb50620b91b89a3ff4b794a66aedcdd41c0d1c90242efb4fab7ccbf6321f40d",
     "disc-saddle-1": "c7466a18b7f04f49dc7649575f2eaa3408f1b3ce73bb30c3e69b23b52bbd6a82",
     "disc-saddle-2": "52fb49f06e5b2a0d888a0e50622e3174ecc167f99fd94fa14132d8231cf3b95d",
@@ -493,11 +539,14 @@ WHOLE_MESH_SHA256 = {
 
 
 def test_whole_mesh_decompositions_are_pinned():
-    got = {}
+    got, objects = {}, {}
     for name, mesh, fs in whole_mesh_scenes():
         tr = Tracer(mesh, fs)
-        got[name] = decomposition_digest([tr.stream_mesh(f) for f in range(mesh.n_facets)])
+        meshes = [tr.stream_mesh(f) for f in range(mesh.n_facets)]
+        got[name] = decomposition_digest(meshes)
+        objects[name] = object_digest(meshes)
     assert got == WHOLE_MESH_SHA256
+    assert objects == OBJECT_WHOLE_MESH_SHA256
 
 
 def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
@@ -507,9 +556,7 @@ def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
     rng = np.random.default_rng(100)
     vals = rng.uniform(0.0, 360.0, (mesh.n_facets, 6))
     vals += 360.0 * rng.integers(-2, 3, (mesh.n_facets, 6))
-    ang, wnd = zip(*(normalize_sample(float(v)) for v in vals.ravel()))
-    fs = FieldSamples(np.reshape(ang, vals.shape), np.reshape(wnd, vals.shape))
-    tr = Tracer(mesh, fs)
+    tr = Tracer(mesh, samples_of(vals))
     out = []
     for f in range(mesh.n_facets):
         try:
@@ -522,6 +569,77 @@ def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
     assert hashlib.sha256("\n".join(out).encode()).hexdigest() == (
         "4edf1618d32ba5bb3b798e2c0f42279485ea5d13a3b79b95deb9ac316748ce3e"
     )
+
+
+def samples_of(vals):
+    """FieldSamples of a ``(facets, 6)`` array of real angles in degrees."""
+    ang, wnd = zip(*(normalize_sample(float(v)) for v in vals.ravel()))
+    return FieldSamples(np.reshape(ang, vals.shape), np.reshape(wnd, vals.shape))
+
+
+def snapped_grid(seed):
+    """A 6 x 6 grid with random samples, a fifth of them multiples of 180."""
+    mesh = meshgen.grid(6, 6, distortion=0.2, seed=seed)
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(0.0, 360.0, (mesh.n_facets, 6))
+    vals += 360.0 * rng.integers(-2, 3, (mesh.n_facets, 6))
+    snap = rng.random(vals.shape) < 0.2
+    vals[snap] = 180.0 * rng.integers(-4, 5, snap.sum())
+    return mesh, samples_of(vals)
+
+
+def tangent_edged_disc(corner):
+    """A disc whose facet 17 reads every edge from a tangent canonical side.
+
+    All three halfedges of facet 17 have a smaller opposite, so its edges
+    are cut from its neighbours' samples, set to 0 there; its own samples
+    are all ``corner``, which its corners then run along.
+    """
+    mesh = meshgen.disc(2, 6)
+    vals = np.full((mesh.n_facets, 6), 30.0)
+    for k in range(3):
+        o = mesh.opposite(3 * 17 + k)
+        assert o < 3 * 17 + k
+        vals[o // 3, 2 * (o % 3) : 2 * (o % 3) + 2] = 0.0
+    vals[17] = [corner + 360.0] + [corner] * 5
+    return mesh, samples_of(vals)
+
+
+# one facet for each message decompose raises on a border it cannot
+# decompose; "split target is not a tangent piece" and "face i is not
+# simple" guard states no border reaches
+DECOMPOSE_ERRORS = [
+    pytest.param(tangent_edged_disc, 0.0, 17, "face has no flow pieces", id="no-flow"),
+    pytest.param(
+        tangent_edged_disc, 90.0, 17, "facet 17: border lacks inflow or outflow",
+        id="one-flow",
+    ),
+    pytest.param(
+        snapped_grid, 0, 1, "adjacent opposite flow groups without a tangency",
+        id="no-tangency",
+    ),
+    pytest.param(
+        snapped_grid, 0, 2, "no splittable tangency pattern on non-simple face",
+        id="no-pattern",
+    ),
+    pytest.param(
+        snapped_grid, 0, 12, "chord angle 1.200706085858764 rad falls outside its O band",
+        id="outflow-band",
+    ),
+    pytest.param(
+        snapped_grid, 0, 18, "chord angle 3.777320720537185 rad falls outside its I band",
+        id="inflow-band",
+    ),
+    pytest.param(snapped_grid, 1, 26, "degenerate zero-length chord", id="zero-chord"),
+    pytest.param(snapped_grid, 3, 57, "simple face 3 has a zero-flux run", id="zero-flux"),
+]
+
+
+@pytest.mark.parametrize("scene,arg,facet,message", DECOMPOSE_ERRORS)
+def test_decompose_names_each_broken_border(scene, arg, facet, message):
+    with pytest.raises(StreamMeshError) as exc:
+        decompose(BorderTable(*scene(arg)), facet)
+    assert str(exc.value) == message
 
 
 def row_pieces(sm):
@@ -574,13 +692,26 @@ def assert_rows_match_objects(sm):
             assert hexes(sm.start[r] for r in rows) == hexes(run.starts)
     chords = [sh for sh in pieces if sh.kind == "chord"]
     assert {row[sh.id]: row[sh.opp.id] for sh in chords} == sm.twin
-    # the table's rows: t0 and length from arrays equal the loop's
-    codes, columns, elements, _, _ = sm.borders.border(sm.facet)
-    lens = sm.mesh.facet_edge_lengths(sm.facet).tolist()
-    t0s, lengths = loop_t0_length(codes, columns[1], lens)
-    assert hexes(columns[0]) == hexes(t0s)
-    assert hexes(columns[4]) == hexes(lengths)
-    assert elements == [sum(1 for c in codes if _DECODE[c][2] < e) for e in range(7)]
+
+
+def scene_borders():
+    """(BorderTable, facet) of every facet of the corpus and the whole-mesh scenes."""
+    yield from ((borders, 0) for borders in corpus_borders())
+    for _, mesh, fs in whole_mesh_scenes():
+        borders = BorderTable(mesh, fs)
+        yield from ((borders, f) for f in range(mesh.n_facets))
+
+
+def test_table_rows_match_a_loop_over_the_border():
+    # t0 and length, computed on arrays, equal the loop's, and each
+    # element's span of rows matches the rows' codes
+    for borders, f in scene_borders():
+        codes, columns, elements, _, _ = borders.border(f)
+        lens = borders.mesh.facet_edge_lengths(f).tolist()
+        t0s, lengths = loop_t0_length(codes, columns[1], lens)
+        assert hexes(columns[0]) == hexes(t0s)
+        assert hexes(columns[4]) == hexes(lengths)
+        assert elements == [sum(1 for c in codes if _DECODE[c][2] < e) for e in range(7)]
 
 
 def test_rows_match_the_object_view_bit_for_bit():
