@@ -19,10 +19,10 @@ from .field import (
     validate,
     vertex_index,
 )
-from .flux import accumulate, locate, phi, phi_inverse, phi_signed
+from .flux import accumulate, locate, phi_inverse
 from .mesh import FacetFrame, SurfaceMesh, TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, eval_field_interior, rk4_trace
-from .stream_mesh import Behavior, BorderTable, StreamHalfedge, StreamMesh, decompose
+from .stream_mesh import Behavior, BorderTable, StreamMesh, decompose
 from .tracer import (
     CrossingViolation,
     Polyline,
@@ -48,7 +48,6 @@ __all__ = [
     "Polyline",
     "RK4Config",
     "Seed",
-    "StreamHalfedge",
     "StreamMesh",
     "StreamMeshError",
     "SurfaceMesh",
@@ -66,9 +65,7 @@ __all__ = [
     "load_obj",
     "load_polylines",
     "locate",
-    "phi",
     "phi_inverse",
-    "phi_signed",
     "rk4_trace",
     "save_field",
     "save_obj",

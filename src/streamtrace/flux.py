@@ -7,8 +7,8 @@ has the antiderivative
     phi(c) = L * (cos(B(c)) - cos(B0)) / (B1 - B0),    B(c) = B0 + c (B1 - B0),
 
 with the degenerate limit -L c sin(B0) when B1 == B0.  The signed value is
-negative on inflow pieces and positive on outflow pieces; ``phi`` returns the
-magnitude, which is what run accumulation uses.
+negative on inflow pieces and positive on outflow pieces; run accumulation
+uses the magnitude.
 
 Corner pieces carry no transverse flux except when they absorb or emit the
 flow head-on: an outflow corner sandwiched between a forward and a backward
@@ -22,11 +22,11 @@ piece's midpoint angle, so it stays exact even when B sweeps across several
 multiples of pi (the piece never does after segmentation, but chords built
 from raw angle differences may sit in any band copy).
 
-The trace path reads pieces as rows of a ``StreamMesh``: ``accumulate``,
-``locate`` and ``phi_inverse`` take the stream mesh and a row or run index
-and read its flat per-row lists.  ``phi`` and ``phi_signed`` take a
-``StreamHalfedge``, the object form that splits build chords in; both forms
-evaluate a flow piece through one formula, ``_flow``.
+Pieces are rows of a ``StreamMesh``: ``accumulate``, ``locate`` and
+``phi_inverse`` take the stream mesh and a row or run index and read its
+flat per-row lists.  ``accumulate`` and the chords that splits draw evaluate
+a flow piece through one formula, ``_flow``, and ``phi_totals`` makes the
+same float operations on the arrays of a border table.
 """
 
 from __future__ import annotations
@@ -47,16 +47,8 @@ def _check_c(c):
         raise FluxError(f"piece parameter {c} outside [0, 1]")
 
 
-def phi_signed(sh, c) -> float:
-    """Signed flux through the sub-piece [0, c] of a ``StreamHalfedge``."""
-    _check_c(c)
-    if sh.behavior.is_tangent:
-        raise FluxError("tangent stream-halfedges carry no flux")
-    return _flow(sh.kind == "corner", sh.sink, sh.b0, sh.b1, sh.length, c)
-
-
 def _flow(corner, sink, b0, b1, length, c):
-    """``phi_signed`` of a flow piece given by its fields."""
+    """Signed flux through the sub-piece [0, c] of a flow piece, from its fields."""
     if corner:
         return sink * c
     b0 = math.radians(b0)
@@ -67,15 +59,10 @@ def _flow(corner, sink, b0, b1, length, c):
     return length * (math.cos(b0 + c * db) - math.cos(b0)) / db
 
 
-def phi(sh, c) -> float:
-    """Flux magnitude through the sub-piece [0, c] of a stream-halfedge."""
-    return abs(phi_signed(sh, c))
-
-
 def phi_totals(length, b0, b1):
-    """``phi(sh, 1.0)`` of straight pieces, from arrays of their fields.
+    """Flux magnitude through whole straight pieces, from arrays of their fields.
 
-    The same float operations as ``phi_signed`` at c = 1, elementwise.
+    The same float operations as ``_flow`` at c = 1, elementwise.
     """
     r0 = np.radians(b0)
     db = np.radians(b1) - r0
@@ -85,7 +72,7 @@ def phi_totals(length, b0, b1):
 
 
 def phi_inverse(sm, r, x, total) -> float:
-    """Parameter c with phi(row r of sm, c) == x; exact at x == 0 and x == total.
+    """Parameter c with flux x through [0, c] of row r; exact at x == 0 and x == total.
 
     ``total`` is the row's flux, ``sm.total[r]``, which ``locate`` reads.
     """

@@ -37,26 +37,24 @@ consecutive groups.  A face with exactly two groups, one inflow run and one
 outflow run, is *simple* and can be crossed by flux ratio.
 
 ``decompose`` returns a ``StreamMesh``: flat Python lists of rows, runs and
-chord twins, which is all the trace path reads.  A border of one
-inflow/outflow pair is one simple face, and its rows come straight from the
-table.  A border of p > 1 pairs is first split as linked ``StreamHalfedge``
-objects (``HalfedgeMesh``): each split carves one simple face, one
-inflow/outflow pair, off the main face, with a chord drawn between a split
-forward tangency and a split backward tangency, so the border takes exactly
-p - 1 splits, with no iteration cap.  Splitting a tangent links its second
-half right after the first, so decomposition keeps the border order, and
-gives both halves the tangent's behavior, so it never changes a sign.  The
-split objects are then compiled to the same rows and dropped.  The objects
-are built again, on demand, only for the diagnostic views of a
-``StreamMesh`` (``faces``, ``hs``, ``face_runs``, ``border_pieces`` and
-``dump``), so the trace path allocates few objects and no reference cycles.
+chord twins, the one form of a stream mesh.  A border of one inflow/outflow
+pair is one simple face, and its rows come straight from the table.  A
+border of p > 1 pairs is split on its own rows: each split carves one simple
+face, one inflow/outflow pair, off the main face, with a chord drawn
+between a split forward tangency and a split backward tangency, so the
+border takes exactly p - 1 splits, with no iteration cap.  The second half
+of a split tangent and each chord are appended rows, and a face is lists of
+rows.  Splitting a tangent places its second half right after the first in
+border order, so decomposition keeps the border order, and gives both
+halves the tangent's behavior, so it never changes a sign.  A last pass
+puts the border rows in border order and the chords after them.  A stream
+mesh holds no reference cycles.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -87,8 +85,7 @@ class Behavior(Enum):
 _BEHAVIORS = (Behavior.IN, Behavior.OUT, Behavior.TF, Behavior.TB)
 
 # a row's code is element + 8 behavior + 32 (sink + 1), where element 6
-# marks a chord; _DECODE maps it to (kind, behavior, element, sink), the
-# fields of a StreamHalfedge
+# marks a chord; _DECODE maps it to (kind, behavior, element, sink)
 _CHORD = 6
 _DECODE = [
     ("chord", _BEHAVIORS[b], None, s - 1)
@@ -99,8 +96,8 @@ _DECODE = [
     for e in range(8)
 ]
 
-# the row columns, in the order BorderTable.border returns them
-_COLUMNS = ("t0", "t1", "b0", "b1", "length", "total")
+# the dump's name of each border element
+_NAMES = ("edge0", "corner0", "edge1", "corner1", "edge2", "corner2")
 
 # facets cut together, when a line first reaches one of them: larger
 # blocks make fewer numpy calls, smaller ones cut less for a line that
@@ -116,95 +113,12 @@ _BORDER_ERRORS = (
     "facet {facet}: border lacks inflow or outflow",
 )
 
-# split_step's (first group, three separators) patterns: is the split primal
-_SPLIT_PATTERNS = {
-    (Behavior.OUT, Behavior.TF, Behavior.TB, Behavior.TB): True,
-    (Behavior.IN, Behavior.TB, Behavior.TF, Behavior.TF): False,
-}
+# a split's (first group, three separators) behavior patterns: is the
+# split primal
+_SPLIT_PATTERNS = {(_OUT, _TF, _TB, _TB): True, (_IN, _TB, _TF, _TF): False}
 
 # snapping tolerances (parameters are dimensionless in [0, 1])
 VERTEX_SNAP = 1e-12
-
-
-class StreamHalfedge:
-    """One stream-mesh halfedge.
-
-    Border halfedges (kind ``edge`` or ``corner``) carry their element
-    ordinal (edge k is 2k, corner k is 2k + 1), the anchor span [t0, t1] on
-    it, and the border-relative field angles b0, b1 in degrees at their
-    endpoints.  Chord halfedges carry the field angles relative to the chord
-    direction instead, also in degrees, and their border anchors as
-    ``(element, t)`` pairs in ``origin`` and ``dest``.  ``opp`` is None on
-    the border (the outside is not represented) and the twin record on
-    chords.  ``nxt`` and ``prv`` link border neighbours and are None on
-    chords.  ``sink`` is +1 on an absorbing corner, -1 on an emitting one
-    and 0 on every other piece.  ``total`` is the flux through the whole
-    piece, ``phi(sh, 1.0)``, and 0.0 on tangents.
-    """
-
-    __slots__ = (
-        "id",
-        "kind",
-        "element",
-        "t0",
-        "t1",
-        "b0",
-        "b1",
-        "behavior",
-        "length",
-        "origin",
-        "dest",
-        "nxt",
-        "prv",
-        "opp",
-        "face",
-        "sink",
-        "total",
-    )
-
-    def __init__(
-        self, hid, kind, behavior, element, t0, t1, b0, b1, length, total=0.0, sink=0
-    ):
-        self.id = hid
-        self.kind = kind
-        self.behavior = behavior
-        self.element = element
-        self.t0 = t0
-        self.t1 = t1
-        self.b0 = b0
-        self.b1 = b1
-        self.length = length
-        self.origin = None
-        self.dest = None
-        self.nxt = None
-        self.prv = None
-        self.opp = None
-        self.face = 0
-        self.sink = sink
-        self.total = total
-
-    def __repr__(self):
-        return (
-            f"<sh{self.id} {self.kind} e{self.element} "
-            f"[{self.t0:.6g},{self.t1:.6g}] {self.behavior.value}>"
-        )
-
-
-class Run:
-    """One inflow or outflow run of a simple face, with flux prefix sums.
-
-    ``totals[i]`` is the flux through piece i, ``starts[i]`` and ``ends[i]``
-    the flux accumulated before and after it.
-    """
-
-    __slots__ = ("pieces", "totals", "starts", "ends", "total")
-
-    def __init__(self, pieces, totals):
-        self.pieces = pieces
-        self.totals = totals
-        self.ends = list(accumulate(totals))
-        self.starts = [0.0] + self.ends[:-1]
-        self.total = self.ends[-1]
 
 
 def _behaviors(values):
@@ -297,8 +211,8 @@ class BorderTable:
 
         ``codes[r]`` is row r's code: ``_DECODE[code]`` is the piece's
         (kind, behavior, element, sink).  ``columns`` holds the lists t0,
-        t1, b0, b1, length and total, one entry per row; total is the
-        piece's flux ``phi(sh, 1.0)``, 0.0 on tangents.  Element e holds
+        t1, b0, b1, length and total, one entry per row; total is the flux
+        through the whole piece, 0.0 on tangents.  Element e holds
         rows ``elements[e]:elements[e + 1]``.  Counted from row ``first``,
         round the border, flow group i spans rows
         ``bounds[2 i]:bounds[2 i + 1]``, and the tangents before it
@@ -452,302 +366,181 @@ def _cut_block(mesh, fieldsamples, facets):
     return codes, columns, spans, bounds.astype(np.int32)
 
 
-class HalfedgeMesh:
-    """Stream mesh of one facet as linked ``StreamHalfedge`` objects.
+def _reduce_to_band(b_rad, behavior):
+    """Reduce a real angle into [0, pi] for IN or [pi, 2 pi] for OUT.
 
-    Built as a single main face from the facet's rows of ``borders``, then
-    split by ``split_step`` and frozen by ``finalize``.  ``faces`` maps a
-    face id to its (groups, seps) lists: groups[i] lists the pieces of one
-    flow group (flow pieces plus the tangents interleaved among them),
-    seps[i] the tangent pieces between groups[i - 1] and groups[i].  Groups
-    alternate IN/OUT around the face.  Face 0 is the main face, off which
-    ``split_step`` carves the others.  Run tables exist once the mesh is
-    finalized.
+    Chord endpoints are border tangencies, so the value may sit exactly on
+    a band end (field along the chord itself); the representative is then
+    chosen on the band, e.g. a hair below 0 becomes 2 pi for OUT.
     """
+    m = b_rad % (2.0 * math.pi)
+    lo, hi = (0.0, math.pi) if behavior == _IN else (math.pi, 2 * math.pi)
+    tol = 1e-9
+    for cand in (m, m - 2.0 * math.pi, m + 2.0 * math.pi):
+        if lo - tol <= cand <= hi + tol:
+            return min(max(cand, lo), hi)
+    raise StreamMeshError(
+        f"chord angle {m} rad falls outside its {_BEHAVIORS[behavior].value} band"
+    )
 
-    def __init__(self, borders, facet):
-        self.mesh = borders.mesh
-        self.facet = facet
-        codes, columns, _, first, bounds = borders.border(facet)
-        hs = self.hs = []
-        for code, *values in zip(codes, *columns):
-            kind, behavior, element, sink = _DECODE[code]
-            hs.append(StreamHalfedge(len(hs), kind, behavior, element, *values, sink))
-        prv = hs[-1]
-        for sh in hs:
-            sh.prv = prv
-            prv.nxt = sh
-            prv = sh
-        cycle = hs[first:] + hs[:first]
-        starts, ends = bounds[0::2], bounds[1::2]
-        groups = [cycle[a:b] for a, b in zip(starts, ends)]
-        seps = [cycle[ends[-1]:]] + [cycle[b:a] for b, a in zip(ends, starts[1:])]
-        self.faces = {0: (groups, seps)}
-        self.initial_pairs = len(groups) // 2
-        if self.initial_pairs > 1:
-            # only splits read the frame and the edge lengths
-            self._frame = self.mesh.frame(facet)
-            self._lens = self.mesh.facet_edge_lengths(facet).tolist()
 
-    # -- construction -------------------------------------------------------
+def _split(mesh, facet, code, columns, elements, first, bounds):
+    """The ``StreamMesh`` of a border of p > 1 pairs, split into p simple faces.
 
-    def _piece_length(self, ordinal, t0, t1):
-        if ordinal % 2 == 1:
-            return 0.0
-        return self._lens[ordinal // 2] * (t1 - t0)
+    ``code``, ``columns`` and ``elements`` are the facet's table rows, which
+    the split extends in place, and ``first`` and ``bounds`` its flow
+    groups.  The border starts as the main face.  Each split finds three
+    consecutive separators typed (Tf, Tb, Tb) around an outflow-then-inflow
+    group pair, or the symmetric (Tb, Tf, Tf) around an inflow-then-outflow
+    pair, splits the two outer tangents at their midpoints and joins the
+    split points with a chord.  That carves the pair off the main face as a
+    simple face, on whose side the chord is typed incoming (outgoing for
+    the symmetric form); its twin on the main side has the other type.  A
+    main face with no such pattern raises.
+    """
+    from . import flux
 
-    def _anchor_position(self, element, t):
-        h = 3 * self.facet + element // 2
-        if element % 2 == 0:
-            return self.mesh.position(TracePoint(h, t))
-        # not the edge end at c = 1, where 0.0 * p0 + p1 can turn a -0.0
-        # coordinate into +0.0, a sign that atan2 in _make_chord reads
-        return self.mesh.vertices[self.mesh.dest(h)]
+    t0, t1, b0, b1, length, total = columns
+    frame = mesh.frame(facet)
+    lens = mesh.facet_edge_lengths(facet).tolist()
+    order = list(range(len(code)))  # the border rows, in border order
+    twin = {}
 
-    def _anchor_alpha_rad(self, element, t, level_deg):
-        """Field angle at a border anchor, in radians relative to r."""
+    def append(*row):
+        for column, value in zip((code, *columns), row):
+            column.append(value)
+        return len(code) - 1
+
+    def piece_length(element, a, b):
+        return 0.0 if element % 2 else lens[element // 2] * (b - a)
+
+    def split_tangent(r):
+        """Cut tangent row r at its midpoint; the new row is its second half."""
+        if code[r] >> 3 & 3 < _TF:
+            raise StreamMeshError("split target is not a tangent piece")
+        element = code[r] & 7
+        tm = 0.5 * (t0[r] + t1[r])
+        second_length = piece_length(element, tm, t1[r])
+        second = append(code[r], tm, t1[r], b1[r], b1[r], second_length, 0.0)
+        order.insert(order.index(r) + 1, second)
+        for e in range(element + 1, 7):
+            elements[e] += 1
+        t1[r], b1[r], length[r] = tm, b0[r], piece_length(element, t0[r], tm)
+        return second
+
+    def anchor(r):
+        """Position of row r's start, and the field angle there in radians."""
+        element = code[r] & 7
         k = element // 2
-        ang = self._frame.edge_angles[k]
-        if element % 2 == 1:
-            ang = ang + t * (math.pi - self._frame.betas[k])
-        return math.radians(level_deg) + ang
+        h = 3 * facet + k
+        angle = frame.edge_angles[k]
+        if element % 2 == 0:
+            return mesh.position(TracePoint(h, t0[r])), math.radians(b0[r]) + angle
+        # not the edge end at c = 1, where 0.0 * p0 + p1 can turn a -0.0
+        # coordinate into +0.0, a sign that atan2 reads
+        angle = angle + t0[r] * (math.pi - frame.betas[k])
+        return mesh.vertices[mesh.dest(h)], math.radians(b0[r]) + angle
 
-    # -- decomposition -------------------------------------------------------
+    def chord_row(behavior, a, b, chord_length):
+        flow = flux._flow(False, 0, a, b, chord_length, 1.0)
+        return append(_CHORD + 8 * behavior + 32, 0.0, 1.0, a, b, chord_length, abs(flow))
 
-    def split_step(self):
-        """Carve one simple face, one inflow/outflow pair, off the main face.
+    def add_chord(r_from, r_to, behavior):
+        """Chord rows between the starts of rows r_from and r_to, and its twin.
 
-        Finds three consecutive separators typed (Tf, Tb, Tb) around an
-        outflow-then-inflow group pair, or the symmetric (Tb, Tf, Tf) around
-        an inflow-then-outflow pair, splits the two outer tangents at their
-        anchor midpoints and connects the split points with a chord.  The
-        chord is typed incoming on the carved side and outgoing on the main
-        side (swapped for the symmetric form).  A main face with no such
-        pattern raises.
+        The first is typed ``behavior`` and runs from r_from to r_to; its
+        twin runs back with the same angles shifted a half turn.
         """
-        groups, seps = self.faces[0]
+        (p0, alpha0), (p1, alpha1) = anchor(r_from), anchor(r_to)
+        d = p1 - p0
+        chord_length = float(np.linalg.norm(d))
+        if chord_length <= 0.0:
+            raise StreamMeshError("degenerate zero-length chord")
+        ang = math.atan2(float(np.dot(d, frame.v)), float(np.dot(d, frame.u)))
+        a, b = (
+            math.degrees(_reduce_to_band(alpha - ang, behavior)) for alpha in (alpha0, alpha1)
+        )
+        carved = chord_row(behavior, a, b, chord_length)
+        main = chord_row(behavior ^ 1, b - 180.0, a - 180.0, chord_length)
+        twin[carved], twin[main] = main, carved
+        return carved, main
+
+    cycle = order[first:] + order[:first]
+    starts, ends = bounds[0::2], bounds[1::2]
+    groups = [cycle[a:b] for a, b in zip(starts, ends)]
+    seps = [cycle[ends[-1]:]] + [cycle[b:a] for b, a in zip(ends, starts[1:])]
+    faces = [(groups, seps)]
+    for _ in range(len(groups) // 2 - 1):
+        groups, seps = faces[0]
         m = len(groups)
         for gi in range(m):
-            key = (
-                groups[gi][0].behavior,
-                seps[gi][0].behavior,
-                seps[(gi + 1) % m][0].behavior,
-                seps[(gi + 2) % m][0].behavior,
-            )
-            primal = _SPLIT_PATTERNS.get(key)
+            heads = (groups[gi][0], seps[gi][0], seps[(gi + 1) % m][0], seps[(gi + 2) % m][0])
+            primal = _SPLIT_PATTERNS.get(tuple(code[r] >> 3 & 3 for r in heads))
             if primal is not None:
-                self._apply_split(gi, groups, seps, primal)
-                return
-        raise StreamMeshError("no splittable tangency pattern on non-simple face")
-
-    def _apply_split(self, gi, groups, seps, primal):
+                break
+        else:
+            raise StreamMeshError("no splittable tangency pattern on non-simple face")
         # rotate the lists so the carved group pair is groups[0], groups[1]
         groups = groups[gi:] + groups[:gi]
         seps = seps[gi:] + seps[:gi]
-        # split the tangent adjacent to the carved group pair on each side
-        sh_a = seps[0][-1]
-        sh_b = seps[2][0]
-        a2 = self._split_tangent(sh_a)  # sh_a keeps [t0,tm], a2 is [tm,t1]
-        b2 = self._split_tangent(sh_b)
+        # split the tangent next to the carved group pair on each side
+        a, b = seps[0][-1], seps[2][0]
+        a2, b2 = split_tangent(a), split_tangent(b)
+        # the carved side runs b2 -> a2, the split points
+        carved, main = add_chord(b2, a2, _IN if primal else _OUT)
+        # carved face: a2, groups[0], seps[1], groups[1], b, carved; the
+        # main face keeps a and continues main, b2, rest of seps[2].  Its
+        # merged group leads, as a border walk from main lists it, so the
+        # next pattern search meets the groups in the same order.
+        faces.append(([groups[0], groups[1] + [b, carved]], [[a2], seps[1]]))
+        merged = [main, b2, *seps[2][1:], *groups[2]]
+        faces[0] = ([merged] + groups[3:], [seps[0]] + seps[3:])
 
-        if primal:
-            ext_beh, main_beh = Behavior.IN, Behavior.OUT
-        else:
-            ext_beh, main_beh = Behavior.OUT, Behavior.IN
+    runs = []
+    for face_id, (groups, _) in enumerate(faces):
+        if len(groups) != 2:
+            raise StreamMeshError(f"face {face_id} is not simple")
+        runs += groups if code[groups[0][0]] >> 3 & 3 == _IN else groups[::-1]
+    # the border rows in border order, then the chords in the order drawn
+    rows = order + list(twin)
+    new = [0] * len(rows)
+    for i, r in enumerate(rows):
+        new[r] = i
 
-        # carved side runs b2 -> a2 (the split points); the main side
-        # mirrors it bit-exactly
-        ext = self._make_chord(b2, a2, ext_beh)
-        mainc = self._mirror_chord(ext, main_beh)
-        ext.opp = mainc
-        mainc.opp = ext
+    def renumber(lists):
+        return [[new[r] for r in rs] for rs in lists]
 
-        # carved face: a2, groups[0], seps[1], groups[1], sh_b, ext; the
-        # main face keeps sh_a and continues mainc, b2, rest of seps[2].
-        # Its merged group leads, as a border walk from mainc lists it, so
-        # the next pattern search meets the groups in the same order.
-        new_id = len(self.faces)
-        for sh in (a2, *groups[0], *seps[1], *groups[1], sh_b, ext):
-            sh.face = new_id
-        self.faces[new_id] = ([groups[0], groups[1] + [sh_b, ext]], [[a2], seps[1]])
-        merged = [mainc, b2, *seps[2][1:], *groups[2]]
-        self.faces[0] = ([merged] + groups[3:], [seps[0]] + seps[3:])
-        mainc.face = 0
-
-    def _split_tangent(self, sh):
-        if not sh.behavior.is_tangent:
-            raise StreamMeshError("split target is not a tangent piece")
-        tm = 0.5 * (sh.t0 + sh.t1)
-        second = StreamHalfedge(
-            len(self.hs),
-            sh.kind,
-            sh.behavior,
-            sh.element,
-            tm,
-            sh.t1,
-            sh.b1,
-            sh.b1,
-            self._piece_length(sh.element, tm, sh.t1),
-        )
-        self.hs.append(second)
-        second.nxt = sh.nxt
-        second.prv = sh
-        second.face = sh.face
-        sh.nxt.prv = second
-        sh.nxt = second
-        sh.t1 = tm
-        sh.b1 = sh.b0
-        sh.length = self._piece_length(sh.element, sh.t0, tm)
-        return second
-
-    def _make_chord(self, sh_from, sh_to, behavior):
-        """Chord between the start anchors of border pieces sh_from, sh_to."""
-        from . import flux
-
-        p0 = self._anchor_position(sh_from.element, sh_from.t0)
-        d = self._anchor_position(sh_to.element, sh_to.t0) - p0
-        length = float(np.linalg.norm(d))
-        if length <= 0.0:
-            raise StreamMeshError("degenerate zero-length chord")
-        ang = math.atan2(
-            float(np.dot(d, self._frame.v)), float(np.dot(d, self._frame.u))
-        )
-        b0, b1 = (
-            self._reduce_to_band(
-                self._anchor_alpha_rad(sh.element, sh.t0, sh.b0) - ang, behavior
-            )
-            for sh in (sh_from, sh_to)
-        )
-        sh = StreamHalfedge(
-            len(self.hs),
-            "chord",
-            behavior,
-            None,
-            0.0,
-            1.0,
-            math.degrees(b0),
-            math.degrees(b1),
-            length,
-        )
-        sh.total = flux.phi(sh, 1.0)
-        self.hs.append(sh)
-        sh.origin = (sh_from.element, sh_from.t0)
-        sh.dest = (sh_to.element, sh_to.t0)
-        return sh
-
-    def _mirror_chord(self, twin, behavior):
-        """Reversed copy of a chord: same angles shifted a half turn."""
-        from . import flux
-
-        sh = StreamHalfedge(
-            len(self.hs),
-            "chord",
-            behavior,
-            None,
-            0.0,
-            1.0,
-            twin.b1 - 180.0,
-            twin.b0 - 180.0,
-            twin.length,
-        )
-        sh.total = flux.phi(sh, 1.0)
-        self.hs.append(sh)
-        sh.origin = twin.dest
-        sh.dest = twin.origin
-        return sh
-
-    def _reduce_to_band(self, b_rad, behavior):
-        """Reduce a real angle into [0, pi] for IN or [pi, 2 pi] for OUT.
-
-        Chord endpoints are border tangencies, so the value may sit exactly
-        on a band end (field along the chord itself); the representative is
-        then chosen on the band, e.g. a hair below 0 becomes 2 pi for OUT.
-        """
-        m = b_rad % (2.0 * math.pi)
-        lo, hi = (0.0, math.pi) if behavior == Behavior.IN else (math.pi, 2 * math.pi)
-        tol = 1e-9
-        for cand in (m, m - 2.0 * math.pi, m + 2.0 * math.pi):
-            if lo - tol <= cand <= hi + tol:
-                return min(max(cand, lo), hi)
-        raise StreamMeshError(
-            f"chord angle {m} rad falls outside its {behavior.value} band"
-        )
-
-    # -- finalized queries ---------------------------------------------------
-
-    def finalize(self):
-        """Freeze after decomposition: build run tables and border piece lists."""
-        self._runs = {}
-        for face_id, (groups, _) in self.faces.items():
-            if len(groups) != 2:
-                raise StreamMeshError(f"face {face_id} is not simple")
-            self._runs[face_id] = {
-                g[0].behavior: Run(g, [sh.total for sh in g]) for g in groups
-            }
-        # border pieces per element ordinal, walking the border from hs[0]
-        pieces = [[] for _ in range(6)]
-        first = sh = self.hs[0]
-        while True:
-            pieces[sh.element].append(sh)
-            sh = sh.nxt
-            if sh is first:
-                break
-        self._pieces = tuple(map(tuple, pieces))
-        return self
-
-    def face_runs(self, face_id):
-        return self._runs[face_id]
-
-    def border_pieces(self, element):
-        """Border pieces of element ``element`` (edge k is 2k), in parameter order."""
-        return self._pieces[element]
-
-    # -- diagnostics -----------------------------------------------------------
-
-    def dump(self):
-        """Stable text form: border pieces in order, then chords per face."""
-        names = {0: "edge0", 1: "corner0", 2: "edge1", 3: "corner1", 4: "edge2", 5: "corner2"}
-        lines = []
-        for sh in chain(*self._pieces):
-            lines.append(
-                f"{names[sh.element]} [{sh.t0:.12g}, {sh.t1:.12g}] "
-                f"{sh.behavior.value} face{sh.face}"
-            )
-        for sh in self.hs:
-            if sh.kind == "chord":
-                (e0, t0), (e1, t1) = sh.origin, sh.dest
-                lines.append(
-                    f"chord face{sh.face} ({names[e0]} t={t0:.12g}) -> "
-                    f"({names[e1]} t={t1:.12g}) {sh.behavior.value}"
-                )
-        return "\n".join(lines) + "\n"
-
-
+    return StreamMesh(
+        mesh,
+        facet,
+        [code[r] for r in rows],
+        [[column[r] for r in rows] for column in columns],
+        elements,
+        renumber(runs),
+        {new[r]: new[t] for r, t in twin.items()},
+        [(renumber(groups), renumber(seps)) for groups, seps in faces],
+    )
 
 
 class StreamMesh:
-    """Stream mesh of one facet as flat rows: what the trace path reads.
+    """Stream mesh of one facet as flat rows.
 
     Row r is one piece.  The border pieces come first, in border order from
     the first piece of edge 0, so that element e holds rows
     ``elements[e]:elements[e + 1]`` and row ``r + 1`` follows row r round
     the border; the chords of a split facet follow them.  The per-row
     lists are ``code`` (see ``decode``), ``t0``, ``t1``, ``b0``, ``b1``,
-    ``length`` and ``total``, the fields of the ``StreamHalfedge`` of the
-    same piece.  Face i has the inflow run ``2 i`` and the outflow run
-    ``2 i + 1``: ``run_rows[k]`` lists run k's rows in run order and
-    ``run_prefix[k]`` its flux prefix sums, from 0.0 to the run's total.
-    ``run[r]`` is the run that holds row r, -1 outside every run, and
-    ``start[r]`` the flux of that run before row r.  ``twin`` maps each
-    chord row to the row of its twin.
-
-    ``faces``, ``hs``, ``initial_pairs``, ``face_runs``, ``border_pieces``
-    and ``dump`` read the same stream mesh as ``HalfedgeMesh`` objects,
-    decomposed from ``borders`` when one of them is first read.
+    ``length`` and ``total``: the span, the field angles in degrees at its
+    ends (relative to the border, or on chords to the chord), the length
+    and the flux through the whole piece, 0.0 on tangents.  Face i has the
+    inflow run ``2 i`` and the outflow run ``2 i + 1``: ``run_rows[k]``
+    lists run k's rows in run order and ``run_prefix[k]`` its flux prefix
+    sums, from 0.0 to the run's total.  ``run[r]`` is the run that holds
+    row r, -1 outside every run, and ``start[r]`` the flux of that run
+    before row r.  ``twin`` maps each chord row to the row of its twin.
     """
 
     __slots__ = (
-        "borders",
         "mesh",
         "facet",
         "code",
@@ -763,17 +556,17 @@ class StreamMesh:
         "run_rows",
         "run_prefix",
         "twin",
-        "_objects",
+        "_faces",
     )
 
-    def __init__(self, borders, facet, code, columns, elements, runs, twin=None):
-        self.borders = borders
-        self.mesh = borders.mesh
+    def __init__(self, mesh, facet, code, columns, elements, runs, twin=None, faces=None):
+        self.mesh = mesh
         self.facet = facet
         self.code = code
         self.t0, self.t1, self.b0, self.b1, self.length, self.total = columns
         self.elements = elements
         self.twin = twin or {}
+        self._faces = faces
         self.run_rows = runs
         total = self.total
         self.run_prefix = prefixes = []
@@ -789,40 +582,58 @@ class StreamMesh:
                 x += total[r]
                 prefix.append(x)
             prefixes.append(prefix)
-        self._objects = None
 
     def decode(self, r):
         """(kind, behavior, element, sink) of row r; element is None on chords."""
         return _DECODE[self.code[r]]
 
-    # -- the object view -------------------------------------------------------
-
-    def objects(self):
-        """This stream mesh as a decomposed ``HalfedgeMesh``, built once."""
-        if self._objects is None:
-            self._objects = _decompose_objects(self.borders, self.facet)
-        return self._objects
-
     @property
     def faces(self):
-        return self.objects().faces
+        """Each face as (groups, seps) lists of rows, in walk order.
 
-    @property
-    def hs(self):
-        return self.objects().hs
+        ``groups[i]`` holds the rows of one flow group, with the tangents
+        and chords among them, and ``seps[i]`` the tangent rows between
+        groups i - 1 and i.  A facet that was not split has one face, its
+        inflow and outflow runs with the tangents between them.
+        """
+        if self._faces is None:
+            n = self.elements[6]
+            a, b = self.run_rows
 
-    @property
-    def initial_pairs(self):
-        return self.objects().initial_pairs
+            def between(x, y):
+                return [r % n for r in range(x + 1, y if y > x else y + n)]
 
-    def face_runs(self, face_id):
-        return self.objects().face_runs(face_id)
-
-    def border_pieces(self, element):
-        return self.objects().border_pieces(element)
+            self._faces = [([a, b], [between(b[-1], a[0]), between(a[-1], b[0])])]
+        return self._faces
 
     def dump(self):
-        return self.objects().dump()
+        """Stable text form: border pieces in order, then chords per face.
+
+        A chord runs from where the row before it in its face's walk ends
+        to where the row after it starts.
+        """
+        code, t0, t1 = self.code, self.t0, self.t1
+        face = [0] * len(code)
+        ends = {}
+        for face_id, (groups, seps) in enumerate(self.faces):
+            walk = [r for sep, group in zip(seps, groups) for r in sep + group]
+            for i, r in enumerate(walk):
+                face[r] = face_id
+                if code[r] & 7 == _CHORD:
+                    a, b = walk[i - 1], walk[(i + 1) % len(walk)]
+                    ends[r] = (_NAMES[code[a] & 7], t1[a], _NAMES[code[b] & 7], t0[b])
+        lines = [
+            f"{_NAMES[code[r] & 7]} [{t0[r]:.12g}, {t1[r]:.12g}] "
+            f"{_BEHAVIORS[code[r] >> 3 & 3].value} face{face[r]}"
+            for r in range(self.elements[6])
+        ]
+        for r in range(self.elements[6], len(code)):
+            e0, a, e1, b = ends[r]
+            lines.append(
+                f"chord face{face[r]} ({e0} t={a:.12g}) -> ({e1} t={b:.12g}) "
+                f"{_BEHAVIORS[code[r] >> 3 & 3].value}"
+            )
+        return "\n".join(lines) + "\n"
 
     # -- conversions ---------------------------------------------------------
 
@@ -951,57 +762,14 @@ class StreamMesh:
         return TracePoint(h, t)
 
 
-def _decompose_objects(borders, facet):
-    """Facet's ``HalfedgeMesh``, split into simple faces and finalized.
-
-    Each split carves one inflow/outflow pair off the main face, so a facet
-    with p pairs takes exactly p - 1 splits.  A split that finds no pattern
-    raises, and ``finalize`` refuses a face that is not simple.
-    """
-    hm = HalfedgeMesh(borders, facet)
-    for _ in range(hm.initial_pairs - 1):
-        hm.split_step()
-    return hm.finalize()
-
-
-def piece_rows(pieces):
-    """``(codes, columns)`` of ``StreamHalfedge`` objects, one row per piece.
-
-    The inverse of ``decode`` and of the columns ``StreamMesh`` takes.
-    """
-    codes = [
-        (_CHORD if sh.element is None else sh.element)
-        + 8 * sh.behavior.code
-        + 32 * (sh.sink + 1)
-        for sh in pieces
-    ]
-    return codes, [[getattr(sh, name) for sh in pieces] for name in _COLUMNS]
-
-
-def _compile(borders, facet, hm):
-    """The rows of a decomposed ``HalfedgeMesh``: its border, then its chords."""
-    pieces = [*chain(*hm._pieces), *(sh for sh in hm.hs if sh.kind == "chord")]
-    row = {sh.id: r for r, sh in enumerate(pieces)}
-    code, columns = piece_rows(pieces)
-    elements = list(accumulate(map(len, hm._pieces), initial=0))
-    runs = [
-        [row[sh.id] for sh in hm.face_runs(face_id)[behavior].pieces]
-        for face_id in hm.faces
-        for behavior in (Behavior.IN, Behavior.OUT)
-    ]
-    twin = {row[sh.id]: row[sh.opp.id] for sh in pieces if sh.opp is not None}
-    return StreamMesh(borders, facet, code, columns, elements, runs, twin)
-
-
 def decompose(borders, facet) -> StreamMesh:
     """Decompose a facet into simple stream faces, as rows.
 
     ``borders`` is the mesh's ``BorderTable``.  A border of one
     inflow/outflow pair is one simple face, whose two flow groups are its
     runs, and goes to rows as the table cut it.  A border of more pairs is
-    split as ``HalfedgeMesh`` objects first (``_decompose_objects``), and
-    then compiled to the same rows.  A face with a run that carries no
-    flux raises.
+    split on its rows first (``_split``).  A face with a run that carries
+    no flux raises.
     """
     codes, columns, elements, first, bounds = borders.border(facet)
     if len(bounds) == 4:
@@ -1009,9 +777,9 @@ def decompose(borders, facet) -> StreamMesh:
         runs = [cycle[bounds[0] : bounds[1]], cycle[bounds[2] : bounds[3]]]
         if codes[runs[0][0]] >> 3 & 3 == _OUT:
             runs.reverse()
-        sm = StreamMesh(borders, facet, codes, columns, elements, runs)
+        sm = StreamMesh(borders.mesh, facet, codes, columns, elements, runs)
     else:
-        sm = _compile(borders, facet, _decompose_objects(borders, facet))
+        sm = _split(borders.mesh, facet, codes, columns, elements, first, bounds)
     for k, prefix in enumerate(sm.run_prefix):
         if prefix[-1] <= 0.0:
             raise StreamMeshError(f"simple face {k // 2} has a zero-flux run")

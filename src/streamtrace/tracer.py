@@ -4,8 +4,8 @@ A streamline is advanced one facet at a time: the entry point is imported
 into the facet's stream mesh as a row and a local parameter, carried across
 simple faces by flux ratio (hopping chords to their twin rows as needed),
 and exported back to a mesh border point.  No step size exists anywhere; a
-crossing is one closed-form evaluation per simple face traversed, and it
-reads the stream mesh's flat rows only, never its object view.
+crossing is one closed-form evaluation per simple face traversed, on the
+stream mesh's flat rows.
 
 Crossings of two traced lines inside a facet are impossible by construction
 (each simple face maps the inflow interval monotonically onto the outflow

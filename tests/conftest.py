@@ -103,21 +103,6 @@ def assert_close(a, b, tol, msg=""):
 # -- stream-mesh face queries, over row indices ------------------------------
 
 
-def faces(sm):
-    """Each face of ``sm`` as (groups, seps) lists of row indices.
-
-    ``groups[i]`` lists the rows of one flow group in walk order,
-    ``seps[i]`` the tangent rows between groups i - 1 and i.
-    """
-    pieces = [sh for e in range(6) for sh in sm.border_pieces(e)]
-    pieces += [sh for sh in sm.hs if sh.kind == "chord"]
-    row = {sh.id: r for r, sh in enumerate(pieces)}
-    return [
-        tuple([[row[sh.id] for sh in part] for part in parts] for parts in face)
-        for face in sm.faces.values()
-    ]
-
-
 def border_face(borders, f):
     """Facet f's undecomposed border as one face: (groups, seps) of its rows."""
     codes, _, _, first, bounds = borders.border(f)

@@ -29,7 +29,7 @@ from streamtrace.errors import StreamMeshError, TraceError
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
-from conftest import a_sequence, faces, initial_pairs, phi, split_count, wound_config
+from conftest import a_sequence, initial_pairs, phi, split_count, wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -252,7 +252,7 @@ def test_criterion_5_decomposition_storm():
         if split_count(sm) == initial_pairs(borders, 0) - 1:
             splits_ok += 1
         good_seq = True
-        for face in faces(sm):
+        for face in sm.faces:
             seq = a_sequence(sm.code, face) + [-2]
             if not all(b < a for a, b in zip(seq, seq[1:])):
                 good_seq = False
@@ -274,7 +274,7 @@ def test_criterion_6_flux_oracles():
     while checked < 1000:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for groups, _ in faces(sm):
+        for groups, _ in sm.faces:
             for rows in groups:
                 for r in rows:
                     if sm.decode(r)[1].is_tangent or sm.length[r] == 0.0:

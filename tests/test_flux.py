@@ -1,6 +1,5 @@
 import math
 from bisect import bisect_left
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 from streamtrace import FluxError, accumulate, flux, locate, phi_inverse
 from streamtrace.stream_mesh import Behavior, StreamMesh
 
-from conftest import faces, phi, phi_signed, wound_config
+from conftest import phi, phi_signed, wound_config
 from streamtrace.stream_mesh import BorderTable, decompose
 
 
@@ -30,7 +29,7 @@ def as_rows(pieces, runs=None):
     columns = [[0.0] * n, [1.0] * n, b0s, b1s, lengths, totals]
     if runs is None:
         runs = [list(range(n))]
-    return StreamMesh(SimpleNamespace(mesh=None), None, codes, columns, [0] * 7, runs)
+    return StreamMesh(None, None, codes, columns, [0] * 7, runs)
 
 
 def make_piece(length, b0, b1, behavior):
@@ -290,7 +289,7 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
     while checked < 1000:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for groups, _ in faces(sm):
+        for groups, _ in sm.faces:
             for rows in groups:
                 for r in rows:
                     if sm.decode(r)[1].is_tangent or sm.length[r] == 0.0:

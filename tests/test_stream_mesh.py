@@ -13,7 +13,7 @@ from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import Behavior, BorderTable, decompose
 from streamtrace.stream_mesh import _BEHAVIORS, _DECODE, _behaviors, _segment
 
-from conftest import a_sequence, border_face, faces, initial_pairs, is_simple, phi, split_count
+from conftest import a_sequence, border_face, initial_pairs, is_simple, phi, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 
 
@@ -257,7 +257,7 @@ def test_initial_a_sequence_closes_at_minus_two():
 
 def test_decompose_produces_simple_faces_with_flux():
     sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
-    for face_id, face in enumerate(faces(sm)):
+    for face_id, face in enumerate(sm.faces):
         assert is_simple(face)
         seq = a_sequence(sm.code, face)
         assert all(b < a for a, b in zip(seq, seq[1:]))
@@ -274,7 +274,7 @@ def test_simple_config_needs_no_split():
         sm = decompose(borders, 0)
         assert split_count(sm) == 0
         assert initial_pairs(borders, 0) == 1
-        assert len(faces(sm)) == 1
+        assert len(sm.faces) == 1
 
 
 def test_border_always_carries_both_flows():
@@ -301,7 +301,7 @@ def test_decompose_random_stress():
         sm = decompose(borders, 0)
         assert split_count(sm) == initial_pairs(borders, 0) - 1
         hist[split_count(sm)] = hist.get(split_count(sm), 0) + 1
-        for face in faces(sm):
+        for face in sm.faces:
             seq = a_sequence(sm.code, face)
             assert all(b < a for a, b in zip(seq, seq[1:])), seq
         for prefix in sm.run_prefix:
@@ -325,7 +325,7 @@ def test_every_stream_face_closes():
     for sm in meshes:
         n = sm.elements[6]
         owner, origin, dest = {}, {}, {}
-        for face_id, (groups, seps) in enumerate(faces(sm)):
+        for face_id, (groups, seps) in enumerate(sm.faces):
             walk = [r for sep, g in zip(seps, groups) for r in sep + g]
             for r in walk:
                 assert r not in owner
@@ -451,7 +451,6 @@ def decomposition_corpus():
 # sha256 of decomposition_digest over decomposition_corpus(); it pins the
 # dump, runs, piece angles, lengths, twins and fluxes bit for bit
 CORPUS_SHA256 = "b038477e893842a49c52f61a1b98663f57c4d379f21a1a89852c7447e5a1fe99"
-OBJECT_CORPUS_SHA256 = "fdf993394846e239f3e1a47e485f30874aae5e340c79fd9374272157819ce458"
 
 
 def decomposition_digest(meshes):
@@ -459,7 +458,7 @@ def decomposition_digest(meshes):
     for sm in meshes:
         h.update(sm.dump().encode())
         face = {}
-        for face_id, (groups, seps) in enumerate(faces(sm)):
+        for face_id, (groups, seps) in enumerate(sm.faces):
             face.update(dict.fromkeys(chain(*groups, *seps), face_id))
         for k, rows in enumerate(sm.run_rows):
             prefix = sm.run_prefix[k]
@@ -476,34 +475,8 @@ def decomposition_digest(meshes):
     return h.hexdigest()
 
 
-def object_digest(meshes):
-    from streamtrace import phi
-
-    h = hashlib.sha256()
-    for sm in meshes:
-        h.update(sm.dump().encode())
-        for face_id in sm.faces:
-            runs = sm.face_runs(face_id)
-            for beh in (Behavior.IN, Behavior.OUT):
-                run = runs[beh]
-                h.update(
-                    f"face{face_id} {beh.value} {[sh.id for sh in run.pieces]} "
-                    f"{[float(x).hex() for x in run.starts]} "
-                    f"{float(run.total).hex()}\n".encode()
-                )
-        for sh in sm.hs:
-            flux = "-" if sh.behavior.is_tangent else float(phi(sh, 1.0)).hex()
-            twin = None if sh.opp is None else sh.opp.id
-            h.update(
-                f"{sh.id} face{sh.face} {float(sh.b0).hex()} {float(sh.b1).hex()} "
-                f"{float(sh.length).hex()} {twin} {flux}\n".encode()
-            )
-    return h.hexdigest()
-
-
 def test_decomposition_corpus_is_pinned():
     assert decomposition_digest(decomposition_corpus()) == CORPUS_SHA256
-    assert object_digest(decomposition_corpus()) == OBJECT_CORPUS_SHA256
 
 
 def whole_mesh_scenes():
@@ -528,25 +501,14 @@ WHOLE_MESH_SHA256 = {
     "torus-random": "be644f6796e5e6c5a69327695beee6e221ad804a96c276955f8cf6b2dd2a717e",
     "icosphere3-random": "412c7da9d1c1359b736f641a8e26a03b7d0f7d446fd0c01e6c139fba5c4fed7a",
 }
-OBJECT_WHOLE_MESH_SHA256 = {
-    "grid-constant": "3f47dfdf1a16dccbb06b43b37fe8b7fae8c6abd4c58699e6422e62a66e568e0d",
-    "disc-saddle-0": "8cb50620b91b89a3ff4b794a66aedcdd41c0d1c90242efb4fab7ccbf6321f40d",
-    "disc-saddle-1": "c7466a18b7f04f49dc7649575f2eaa3408f1b3ce73bb30c3e69b23b52bbd6a82",
-    "disc-saddle-2": "52fb49f06e5b2a0d888a0e50622e3174ecc167f99fd94fa14132d8231cf3b95d",
-    "torus-random": "7f37756f5cf38fd6a6793e630d0031405ae99e85b237bd3c90ed99269436f756",
-    "icosphere3-random": "d7b90f81b5ecaf0fec816460d80a9881afc2c7f9d92c77db380a41c0a28bb356",
-}
 
 
 def test_whole_mesh_decompositions_are_pinned():
-    got, objects = {}, {}
+    got = {}
     for name, mesh, fs in whole_mesh_scenes():
         tr = Tracer(mesh, fs)
-        meshes = [tr.stream_mesh(f) for f in range(mesh.n_facets)]
-        got[name] = decomposition_digest(meshes)
-        objects[name] = object_digest(meshes)
+        got[name] = decomposition_digest([tr.stream_mesh(f) for f in range(mesh.n_facets)])
     assert got == WHOLE_MESH_SHA256
-    assert objects == OBJECT_WHOLE_MESH_SHA256
 
 
 def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
@@ -642,12 +604,6 @@ def test_decompose_names_each_broken_border(scene, arg, facet, message):
     assert str(exc.value) == message
 
 
-def row_pieces(sm):
-    """The object view's pieces in row order: the border, then the chords."""
-    border = [sh for e in range(6) for sh in sm.border_pieces(e)]
-    return border + [sh for sh in sm.hs if sh.kind == "chord"]
-
-
 def loop_t0_length(codes, t1, lens):
     """t0 and length of a facet's table rows, one row at a time.
 
@@ -671,29 +627,6 @@ def hexes(values):
     return [float(x).hex() for x in values]
 
 
-def assert_rows_match_objects(sm):
-    pieces = row_pieces(sm)
-    assert len(pieces) == len(sm.code)
-    row = {sh.id: r for r, sh in enumerate(pieces)}
-    for r, sh in enumerate(pieces):
-        assert sm.decode(r) == (sh.kind, sh.behavior, sh.element, sh.sink)
-        for name in ("t0", "t1", "b0", "b1", "length", "total"):
-            assert float(getattr(sm, name)[r]).hex() == float(getattr(sh, name)).hex()
-    for face_id in sm.faces:
-        for behavior in (Behavior.IN, Behavior.OUT):
-            run = sm.face_runs(face_id)[behavior]
-            k = 2 * face_id + behavior.code
-            rows = sm.run_rows[k]
-            assert [pieces[r] for r in rows] == run.pieces
-            assert hexes(sm.total[r] for r in rows) == hexes(run.totals)
-            assert hexes(sm.run_prefix[k][:-1]) == hexes(run.starts)
-            assert float(sm.run_prefix[k][-1]).hex() == float(run.total).hex()
-            assert [sm.run[r] for r in rows] == [k] * len(rows)
-            assert hexes(sm.start[r] for r in rows) == hexes(run.starts)
-    chords = [sh for sh in pieces if sh.kind == "chord"]
-    assert {row[sh.id]: row[sh.opp.id] for sh in chords} == sm.twin
-
-
 def scene_borders():
     """(BorderTable, facet) of every facet of the corpus and the whole-mesh scenes."""
     yield from ((borders, 0) for borders in corpus_borders())
@@ -712,15 +645,3 @@ def test_table_rows_match_a_loop_over_the_border():
         assert hexes(columns[0]) == hexes(t0s)
         assert hexes(columns[4]) == hexes(lengths)
         assert elements == [sum(1 for c in codes if _DECODE[c][2] < e) for e in range(7)]
-
-
-def test_rows_match_the_object_view_bit_for_bit():
-    meshes = list(decomposition_corpus())
-    for _, mesh, fs in whole_mesh_scenes():
-        tr = Tracer(mesh, fs)
-        meshes += [tr.stream_mesh(f) for f in range(mesh.n_facets)]
-    for sm in meshes:
-        assert_rows_match_objects(sm)
-    # split facets are covered, and compile their chords to twin rows
-    assert sum(len(sm.faces) > 1 for sm in meshes) >= 100
-    assert sum(len(sm.twin) for sm in meshes) >= 200
