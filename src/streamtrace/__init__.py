@@ -11,8 +11,6 @@ from .errors import FieldError, FluxError, MeshError, StreamMeshError, TraceErro
 from .field import (
     FieldSamples,
     Violation,
-    corner_jump_deg,
-    interpolated_angle,
     load_field,
     save_field,
     synth_field,
@@ -20,8 +18,8 @@ from .field import (
     vertex_index,
 )
 from .flux import accumulate, locate, phi_inverse
-from .mesh import FacetFrame, SurfaceMesh, TracePoint, load_obj, save_obj
-from .rk4 import RK4Config, eval_field_interior, rk4_trace
+from .mesh import SurfaceMesh, TracePoint, load_obj, save_obj
+from .rk4 import RK4Config, rk4_trace
 from .stream_mesh import Behavior, BorderTable, StreamMesh, decompose
 from .tracer import (
     CrossingViolation,
@@ -40,7 +38,6 @@ __all__ = [
     "Behavior",
     "BorderTable",
     "CrossingViolation",
-    "FacetFrame",
     "FieldError",
     "FieldSamples",
     "FluxError",
@@ -57,10 +54,7 @@ __all__ = [
     "Violation",
     "accumulate",
     "check_crossings",
-    "corner_jump_deg",
     "decompose",
-    "eval_field_interior",
-    "interpolated_angle",
     "load_field",
     "load_obj",
     "load_polylines",

@@ -380,30 +380,6 @@ def _circular_gap(delta_deg):
     return np.abs(delta_deg - 360.0 * np.rint(delta_deg / 360.0))
 
 
-# -- border interpolation -----------------------------------------------------
-
-
-def interpolated_angle(mesh, fieldsamples, f, element, t):
-    """Field angle at a border point, in radians relative to the facet's r.
-
-    ``element`` is the border element ordinal: ``2k`` for edge k, ``2k + 1``
-    for corner k; ``t`` in [0, 1] parameterizes the element.  The angle is
-    the linear interpolation of the real sample angles plus the unwrapped
-    angle from r to the local border direction (for corners the border
-    direction itself turns by pi - beta across the element).
-    """
-    if not 0.0 <= t <= 1.0:
-        raise FieldError(f"interpolation parameter {t} outside [0, 1]")
-    nodes = fieldsamples.nodes(f)
-    frame = mesh.frame(f)
-    k = element // 2
-    b = nodes[element] + t * (nodes[element + 1] - nodes[element])
-    angle = math.radians(b) + frame.edge_angles[k]
-    if element % 2 == 1:
-        angle += t * (math.pi - frame.betas[k])
-    return angle
-
-
 # -- synthesis ----------------------------------------------------------------
 
 

@@ -81,11 +81,6 @@ class _FacetField:
         return math.cos(r) * self.u + math.sin(r) * self.v
 
 
-def eval_field_interior(mesh, fieldsamples, f, point):
-    """Unit field direction at an interior point of facet f."""
-    return _FacetField(mesh, fieldsamples, f).eval(np.asarray(point, float))
-
-
 def _transport_angle(mesh, hf, direction3d):
     """Carry a direction across edge ``hf`` into the facet on its other side."""
     ho = mesh.opposite(hf)

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from streamtrace import FieldSamples, StreamMeshError, SurfaceMesh, flux, meshgen, synth_field
+from streamtrace import (
+    FieldError,
+    FieldSamples,
+    StreamMeshError,
+    SurfaceMesh,
+    flux,
+    meshgen,
+    synth_field,
+)
 from streamtrace.field import normalize_sample
 from streamtrace.stream_mesh import _DECODE, Behavior
 
@@ -98,6 +106,30 @@ def boundary_halfedges(mesh):
 
 def assert_close(a, b, tol, msg=""):
     assert abs(a - b) <= tol, f"{msg} |{a} - {b}| = {abs(a - b)} > {tol}"
+
+
+# -- border interpolation oracle -----------------------------------------------
+
+
+def interpolated_angle(mesh, fieldsamples, f, element, t):
+    """Field angle at a border point, in radians relative to the facet's r.
+
+    ``element`` is the border element ordinal: ``2k`` for edge k, ``2k + 1``
+    for corner k; ``t`` in [0, 1] parameterizes the element.  The angle is
+    the linear interpolation of the real sample angles plus the unwrapped
+    angle from r to the local border direction (for corners the border
+    direction itself turns by pi - beta across the element).
+    """
+    if not 0.0 <= t <= 1.0:
+        raise FieldError(f"interpolation parameter {t} outside [0, 1]")
+    nodes = fieldsamples.nodes(f)
+    frame = mesh.frame(f)
+    k = element // 2
+    b = nodes[element] + t * (nodes[element + 1] - nodes[element])
+    angle = math.radians(b) + frame.edge_angles[k]
+    if element % 2 == 1:
+        angle += t * (math.pi - frame.betas[k])
+    return angle
 
 
 # -- stream-mesh face queries, over row indices ------------------------------

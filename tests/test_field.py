@@ -10,8 +10,6 @@ from streamtrace import (
     FieldError,
     FieldSamples,
     SurfaceMesh,
-    corner_jump_deg,
-    interpolated_angle,
     load_field,
     load_obj,
     meshgen,
@@ -25,11 +23,12 @@ from streamtrace.field import (
     CONTINUITY_TOL_DEG,
     EVENNESS_TOL,
     Violation,
+    corner_jump_deg,
     normalize_sample,
     normalize_samples,
 )
 
-from conftest import right_triangle, samples_from_reals
+from conftest import interpolated_angle, right_triangle, samples_from_reals
 
 
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))

@@ -6,12 +6,12 @@ import pytest
 from streamtrace import (
     RK4Config,
     TraceError,
-    eval_field_interior,
     meshgen,
     rk4_trace,
     synth_field,
 )
 from streamtrace.mesh import TracePoint
+from streamtrace.rk4 import _FacetField
 from streamtrace.tracer import Seed, Tracer
 
 from test_tracer import boundary_seed, left_edge_seed, ray_distance
@@ -27,7 +27,7 @@ def test_constant_field_is_exact_everywhere():
         f = int(f)
         w = rng.dirichlet([1.0, 1.0, 1.0])
         p = w @ mesh.vertices[mesh.faces[f]]
-        d = eval_field_interior(mesh, fs, f, p)
+        d = _FacetField(mesh, fs, f).eval(p)
         assert np.linalg.norm(d - want) < 1e-12
 
 
@@ -43,7 +43,7 @@ def test_circular_field_roughly_tangent():
         if r < 0.2:
             continue
         tangent = np.array([-p[1], p[0], 0.0]) / r
-        d = eval_field_interior(mesh, fs, f, p)
+        d = _FacetField(mesh, fs, f).eval(p)
         assert float(tangent @ d) > math.cos(math.radians(5.0))
 
 

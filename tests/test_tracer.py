@@ -18,7 +18,7 @@ from streamtrace import (
 )
 from streamtrace.cli import _boundary_loop_seeds, _spread_edge_seeds
 from streamtrace.errors import StreamMeshError
-from streamtrace.field import interpolated_angle, vertex_index
+from streamtrace.field import vertex_index
 from streamtrace.mesh import TracePoint
 from streamtrace.tracer import (
     CrossingViolation,
@@ -35,7 +35,7 @@ from streamtrace.tracer import (
     seed_from_vertex,
 )
 
-from conftest import assert_close, constant_samples, wound_config
+from conftest import assert_close, constant_samples, interpolated_angle, wound_config
 
 
 def boundary_seed(mesh, axis, level, s, direction="forward"):
