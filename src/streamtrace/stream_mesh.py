@@ -400,7 +400,7 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
     """
     from . import flux
 
-    t0, t1, b0, b1, length, total = columns
+    t0, t1, b0, b1, length, _ = columns
     frame = mesh.frame(facet)
     lens = mesh.facet_edge_lengths(facet).tolist()
     order = list(range(len(code)))  # the border rows, in border order
@@ -496,11 +496,9 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         merged = [main, b2, *seps[2][1:], *groups[2]]
         faces[0] = ([merged] + groups[3:], [seps[0]] + seps[3:])
 
-    runs = []
     for face_id, (groups, _) in enumerate(faces):
         if len(groups) != 2:
             raise StreamMeshError(f"face {face_id} is not simple")
-        runs += groups if code[groups[0][0]] >> 3 & 3 == _IN else groups[::-1]
     # the border rows in border order, then the chords in the order drawn
     rows = order + list(twin)
     new = [0] * len(rows)
@@ -510,15 +508,21 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
     def renumber(lists):
         return [[new[r] for r in rs] for rs in lists]
 
+    codes = [code[r] for r in rows]
+    faces = [(renumber(groups), renumber(seps)) for groups, seps in faces]
+    # a face's two groups are its runs, inflow first
+    runs = []
+    for groups, _ in faces:
+        runs += groups if codes[groups[0][0]] >> 3 & 3 == _IN else groups[::-1]
     return StreamMesh(
         mesh,
         facet,
-        [code[r] for r in rows],
+        codes,
         [[column[r] for r in rows] for column in columns],
         elements,
-        renumber(runs),
+        runs,
         {new[r]: new[t] for r, t in twin.items()},
-        [(renumber(groups), renumber(seps)) for groups, seps in faces],
+        faces,
     )
 
 

@@ -322,6 +322,10 @@ def test_every_stream_face_closes():
     rng = np.random.default_rng(21)
     meshes = [decompose(BorderTable(*wound_config(rng)), 0) for _ in range(300)]
     meshes += [decompose(BorderTable(fan_mesh(), samples_from_reals(v)), 0) for v in MULTI_TANGENT]
+    # and unsplit facets, whose one face is built from its runs
+    m = fan_mesh()
+    for angle in (17.0, 37.0, 130.0):
+        meshes.append(decompose(BorderTable(m, synth_field(m, "constant", angle_deg=angle)), 0))
     for sm in meshes:
         n = sm.elements[6]
         owner, origin, dest = {}, {}, {}
@@ -345,6 +349,10 @@ def test_every_stream_face_closes():
         assert sorted(sm.twin) == list(range(n, len(sm.code)))
         for r, t in sm.twin.items():
             assert (origin[r], dest[r]) == (dest[t], origin[t])
+        # each run's rows know their run and the flux before them
+        for k, rows in enumerate(sm.run_rows):
+            assert [sm.run[r] for r in rows] == [k] * len(rows)
+            assert hexes(sm.start[r] for r in rows) == hexes(sm.run_prefix[k][:-1])
 
 
 def test_chord_twins_carry_equal_flux():
