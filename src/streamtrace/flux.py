@@ -37,14 +37,9 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import FluxError
-from .stream_mesh import _DECODE, Behavior
+from .stream_mesh import _IN, _TF
 
 _DEGENERATE_SWEEP = 1e-12
-
-
-def _check_c(c):
-    if not 0.0 <= c <= 1.0:
-        raise FluxError(f"piece parameter {c} outside [0, 1]")
 
 
 def _flow(corner, sink, b0, b1, length, c):
@@ -75,6 +70,7 @@ def phi_inverse(sm, r, x, total) -> float:
     """Parameter c with flux x through [0, c] of row r; exact at x == 0 and x == total.
 
     ``total`` is the row's flux, ``sm.total[r]``, which ``locate`` reads.
+    Each clamp returns what ``min(hi, max(lo, v))`` would, lo for a nan.
     """
     if x < 0.0 or x > total * (1.0 + 1e-9) + 1e-300:
         raise FluxError(f"flux value {x} outside [0, {total}]")
@@ -82,42 +78,46 @@ def phi_inverse(sm, r, x, total) -> float:
         return 0.0
     if x >= total:
         return 1.0
-    kind, behavior, _, sink = _DECODE[sm.code[r]]
-    if behavior.is_tangent:
+    code = sm.code[r]
+    behavior = code >> 3 & 3
+    if behavior >= _TF:
         raise FluxError("tangent stream-halfedges carry no flux")
-    if kind == "corner":
-        if sink == 0:
+    if code & 1:
+        if code >> 5 == 1:
             raise FluxError("corner piece without sink flux is not invertible")
-        return min(1.0, max(0.0, x))
+        return (1.0 if x > 1.0 else x) if x > 0.0 else 0.0
     length = sm.length[r]
     b0 = math.radians(sm.b0[r])
     b1 = math.radians(sm.b1[r])
     db = b1 - b0
-    sigma = -1.0 if behavior == Behavior.IN else 1.0
+    sigma = -1.0 if behavior == _IN else 1.0
     if abs(db) < _DEGENERATE_SWEEP:
         denom = length * abs(math.sin(b0))
         if denom == 0.0:
             raise FluxError("degenerate piece with zero flux density")
-        return min(1.0, max(0.0, x / denom))
+        c = x / denom
+        return (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
     u = math.cos(b0) + sigma * x * db / length
-    u = min(1.0, max(-1.0, u))
+    u = (1.0 if u > 1.0 else u) if u > -1.0 else -1.0
     # branch of arccos from the half-turn the mid-angle sits in
     n = math.floor((b0 + 0.5 * db) / math.pi)
     t = math.acos(u)
     bt = n * math.pi + t if n % 2 == 0 else (n + 1) * math.pi - t
-    return min(1.0, max(0.0, (bt - b0) / db))
+    c = (bt - b0) / db
+    return (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
 
 
 def accumulate(sm, r, c) -> float:
     """Flux magnitude collected along the run of row r up to parameter c on r."""
     if sm.run[r] < 0:
         raise FluxError(f"row {r} is not a member of a run")
-    kind, behavior, _, sink = _DECODE[sm.code[r]]
-    if behavior.is_tangent:
+    code = sm.code[r]  # bits: corner 0, behaviour 3-4, sink + 1 from 5
+    if code >> 3 & 3 >= _TF:
         return sm.start[r] + 0.0
-    _check_c(c)
+    if not 0.0 <= c <= 1.0:
+        raise FluxError(f"piece parameter {c} outside [0, 1]")
     return sm.start[r] + abs(
-        _flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c)
+        _flow(code & 1, (code >> 5) - 1, sm.b0[r], sm.b1[r], sm.length[r], c)
     )
 
 
@@ -143,6 +143,8 @@ def locate(sm, run, x):
     while total[rows[j]] == 0.0:
         j += 1
     r = rows[j]
-    # prefix-sum roundoff may land a hair outside the piece's own range
-    rem = min(max(x - prefix[j], 0.0), total[r])
-    return r, phi_inverse(sm, r, rem, total[r])
+    t = total[r]
+    # prefix-sum roundoff may land a hair outside the piece's own range:
+    # min(max(x - prefix[j], 0.0), t), which passes a nan through
+    rem = 0.0 if x < prefix[j] else x - prefix[j]
+    return r, phi_inverse(sm, r, t if t < rem else rem, t)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +28,13 @@ from .errors import MeshError
 _DEGENERATE_AREA_FRACTION = 1e-14
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
     """A point on a mesh edge addressed by halfedge and parameter.
 
     ``c`` in [0, 1] is the linear parameter from the halfedge origin to its
     destination.  ``c`` in (1, 2] is a terminal encoding: the point sits on
     the destination vertex and the fractional part records where on the
-    absorbing corner the streamline ended.
+    absorbing corner the streamline ended.  It equals and unpacks as ``(h, c)``.
     """
 
     halfedge: int

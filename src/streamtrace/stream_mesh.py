@@ -73,13 +73,8 @@ class Behavior(Enum):
     TF = "Tf"
     TB = "Tb"
 
-    # members are singletons: hash by identity, not by Enum's Python-level
-    # hash of the name, so dict and set lookups stay in C
-    __hash__ = object.__hash__
-
     def __init__(self, value):
         self.code = ("I", "O", "Tf", "Tb").index(value)
-        self.is_tangent = self.code >= _TF
 
 
 _BEHAVIORS = (Behavior.IN, Behavior.OUT, Behavior.TF, Behavior.TB)
@@ -651,14 +646,15 @@ class StreamMesh:
         entry piece; landing strictly inside a piece of the other flow is an
         error.
         """
-        if self.mesh.facet(halfedge) != self.facet:
+        if halfedge // 3 != self.facet:
             raise StreamMeshError(
                 f"halfedge {halfedge} is not a halfedge of facet {self.facet}"
             )
         k = halfedge % 3
         if not -VERTEX_SNAP <= c <= 1.0 + VERTEX_SNAP:
             raise StreamMeshError(f"entry parameter {c} outside [0, 1]")
-        t = min(1.0, max(0.0, c))
+        # min(1.0, max(0.0, c)), which keeps 0.0 where c is -0.0
+        t = (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
         entry = self._enter(2 * k, t, enter.code)
         if entry is None:
             raise StreamMeshError(
@@ -686,7 +682,8 @@ class StreamMesh:
                 if behavior == enter:
                     if b == a:
                         return r, 0.0
-                    return r, min(1.0, max(0.0, (t - a) / (b - a)))
+                    c = (t - a) / (b - a)
+                    return r, (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
                 if tangent is None and behavior >= _TF:
                     tangent = r
         if tangent is None:
@@ -756,8 +753,8 @@ class StreamMesh:
         h = 3 * self.facet + element // 2
         if element % 2:
             return TracePoint(h, 1.0 + t)
-        o = self.mesh.opposite(h)
-        if not self.mesh.has_facet(o):
+        o = self.mesh._opposite_list[h]
+        if self.mesh._facet_list[o] < 0:
             h, t = o, 1.0 - t
         if t < VERTEX_SNAP:
             t = 0.0

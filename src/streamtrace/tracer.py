@@ -189,8 +189,9 @@ class Tracer:
         while True:
             rin = run[r]
             rout = rin ^ 1
-            xin = flux.accumulate(sm, r, c)
-            ratio = min(1.0, max(0.0, xin / prefix[rin][-1]))
+            ratio = flux.accumulate(sm, r, c) / prefix[rin][-1]
+            # min(1.0, max(0.0, ratio)), 0.0 for a nan
+            ratio = (1.0 if ratio > 1.0 else ratio) if ratio > 0.0 else 0.0
             out, c_out = flux.locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
             if out not in twin:
                 return out, c_out
@@ -226,23 +227,23 @@ class Tracer:
         kept sorted, so only the two neighbours of a new exit are compared.
         """
         mesh = self.mesh
+        opposite, facet_of = mesh._opposite_list, mesh._facet_list
         seed = pl.seed
         points = pl.points
         if seed.corner_entry is not None:
             f, k, t = seed.corner_entry
             sm = self.stream_mesh(f)
-            entry = (sm, *sm.corner_entry(k, t, enter))
+            r, csm = sm.corner_entry(k, t, enter)
         else:
-            entry = self._edge_seed_entry(seed.point, enter)
+            sm, r, csm = self._edge_seed_entry(seed.point, enter)
 
         visited = {}  # halfedge -> sorted exit parameters
         pivot_vertex, pivot_count = None, 0
         while True:
-            sm, r, csm = entry
             out, c_out = self.cross_facet(sm, r, csm)
             tp = sm.export_position(out, c_out)
             points.append(tp)
-            h_exit, c_exit = tp.halfedge, tp.c
+            h_exit, c_exit = tp
 
             if c_exit > 1.0:
                 pl.termination = "sink-vertex"
@@ -266,7 +267,7 @@ class Tracer:
                 pl.termination = "step-cap"
                 return
 
-            if not mesh.has_facet(h_exit):
+            if facet_of[h_exit] < 0:
                 # export flipped the point outward: surface boundary reached
                 pl.termination = "boundary"
                 return
@@ -283,14 +284,12 @@ class Tracer:
                 entry = self._pivot_at_vertex(pl, o, enter)
                 if entry is None:
                     return
+                sm, r, csm = entry
             else:
                 pivot_vertex, pivot_count = None, 0
-                entry = self._import(mesh.opposite(h_exit), 1.0 - c_exit, enter)
-
-    def _import(self, h, c, enter):
-        """Entry (stream mesh, row, local c) at parameter c of facet halfedge h."""
-        sm = self.stream_mesh(self.mesh.facet(h))
-        return (sm, *sm.import_position(h, c, enter))
+                h = opposite[h_exit]
+                sm = self.stream_mesh(facet_of[h])
+                r, csm = sm.import_position(h, 1.0 - c_exit, enter)
 
     def _edge_seed_entry(self, tp, enter):
         """Entry from the facet of ``tp.halfedge``, else from the one across.
@@ -303,7 +302,8 @@ class Tracer:
         for h, c in ((tp.halfedge, tp.c), (mesh.opposite(tp.halfedge), 1.0 - tp.c)):
             if mesh.has_facet(h):
                 try:
-                    return self._import(h, c, enter)
+                    sm = self.stream_mesh(mesh.facet(h))
+                    return sm, *sm.import_position(h, c, enter)
                 except StreamMeshError as exc:
                     error = exc
         raise error
@@ -339,7 +339,8 @@ class Tracer:
                 pl.termination = "boundary"
                 return None
             try:
-                return self._import(e, 0.0, enter)
+                sm = self.stream_mesh(mesh.facet(e))
+                return sm, *sm.import_position(e, 0.0, enter)
             except StreamMeshError:
                 pass
         self._stop_at_vertex(pl, mesh.origin(o))

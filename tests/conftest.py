@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from streamtrace import (
     FieldError,
     FieldSamples,
+    FluxError,
     StreamMeshError,
     SurfaceMesh,
+    TraceError,
     flux,
     meshgen,
     synth_field,
@@ -205,6 +208,9 @@ def split_count(sm):
 # -- flux of one row, from its fields -------------------------------------------
 
 
+TANGENTS = (Behavior.TF, Behavior.TB)
+
+
 def phi_signed(sm, r, c):
     """Signed flux through the sub-piece [0, c] of row r of ``sm``."""
     kind, _, _, sink = sm.decode(r)
@@ -214,3 +220,88 @@ def phi_signed(sm, r, c):
 def phi(sm, r, c):
     """Flux magnitude through the sub-piece [0, c] of row r of ``sm``."""
     return abs(phi_signed(sm, r, c))
+
+
+# -- the crossing path as min/max clamps and decoded rows ---------------------
+#
+# Oracles for the lean crossing path: ``flux`` and ``Tracer.cross_facet`` read
+# code bits and clamp by comparisons, these decode rows and clamp with
+# ``min``/``max``.  They must agree bit for bit.
+
+
+def oracle_phi_inverse(sm, r, x, total):
+    if x < 0.0 or x > total * (1.0 + 1e-9) + 1e-300:
+        raise FluxError(f"flux value {x} outside [0, {total}]")
+    if x == 0.0:
+        return 0.0
+    if x >= total:
+        return 1.0
+    kind, behavior, _, sink = _DECODE[sm.code[r]]
+    if behavior in TANGENTS:
+        raise FluxError("tangent stream-halfedges carry no flux")
+    if kind == "corner":
+        if sink == 0:
+            raise FluxError("corner piece without sink flux is not invertible")
+        return min(1.0, max(0.0, x))
+    length = sm.length[r]
+    b0 = math.radians(sm.b0[r])
+    b1 = math.radians(sm.b1[r])
+    db = b1 - b0
+    sigma = -1.0 if behavior == Behavior.IN else 1.0
+    if abs(db) < flux._DEGENERATE_SWEEP:
+        denom = length * abs(math.sin(b0))
+        if denom == 0.0:
+            raise FluxError("degenerate piece with zero flux density")
+        return min(1.0, max(0.0, x / denom))
+    u = math.cos(b0) + sigma * x * db / length
+    u = min(1.0, max(-1.0, u))
+    n = math.floor((b0 + 0.5 * db) / math.pi)
+    t = math.acos(u)
+    bt = n * math.pi + t if n % 2 == 0 else (n + 1) * math.pi - t
+    return min(1.0, max(0.0, (bt - b0) / db))
+
+
+def oracle_accumulate(sm, r, c):
+    if sm.run[r] < 0:
+        raise FluxError(f"row {r} is not a member of a run")
+    kind, behavior, _, sink = _DECODE[sm.code[r]]
+    if behavior in TANGENTS:
+        return sm.start[r] + 0.0
+    if not 0.0 <= c <= 1.0:
+        raise FluxError(f"piece parameter {c} outside [0, 1]")
+    return sm.start[r] + abs(
+        flux._flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c)
+    )
+
+
+def oracle_locate(sm, run, x):
+    rows = sm.run_rows[run]
+    prefix = sm.run_prefix[run]
+    total = sm.total
+    if x < 0.0:
+        x = 0.0
+    if x > prefix[-1]:
+        x = prefix[-1]
+    j = bisect_left(prefix, x, 1) - 1
+    while total[rows[j]] == 0.0:
+        j += 1
+    r = rows[j]
+    rem = min(max(x - prefix[j], 0.0), total[r])
+    return r, oracle_phi_inverse(sm, r, rem, total[r])
+
+
+def oracle_cross_facet(sm, r, c):
+    run, prefix, twin = sm.run, sm.run_prefix, sm.twin
+    hops = 0
+    while True:
+        rin = run[r]
+        rout = rin ^ 1
+        xin = oracle_accumulate(sm, r, c)
+        ratio = min(1.0, max(0.0, xin / prefix[rin][-1]))
+        out, c_out = oracle_locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
+        if out not in twin:
+            return out, c_out
+        r, c = twin[out], 1.0 - c_out
+        hops += 1
+        if hops > len(prefix) // 2 + 1:
+            raise TraceError(f"facet {sm.facet}: chord hopping failed to reach the border")

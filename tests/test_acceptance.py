@@ -29,7 +29,7 @@ from streamtrace.errors import StreamMeshError, TraceError
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
-from conftest import a_sequence, initial_pairs, phi, split_count, wound_config
+from conftest import TANGENTS, a_sequence, initial_pairs, phi, split_count, wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -277,7 +277,7 @@ def test_criterion_6_flux_oracles():
         for groups, _ in sm.faces:
             for rows in groups:
                 for r in rows:
-                    if sm.decode(r)[1].is_tangent or sm.length[r] == 0.0:
+                    if sm.decode(r)[1] in TANGENTS or sm.length[r] == 0.0:
                         continue
                     c = float(rng.uniform(0.05, 1.0))
                     b0 = sm.b0[r]

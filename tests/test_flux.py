@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from streamtrace import FluxError, accumulate, flux, locate, phi_inverse
 from streamtrace.stream_mesh import Behavior, StreamMesh
 
-from conftest import phi, phi_signed, wound_config
+from conftest import TANGENTS, phi, phi_signed, wound_config
 from streamtrace.stream_mesh import BorderTable, decompose
 
 
@@ -22,7 +22,7 @@ def as_rows(pieces, runs=None):
     lengths, b0s, b1s, behaviors = (list(column) for column in zip(*pieces))
     codes = [8 * behavior.code + 32 for behavior in behaviors]
     totals = [
-        0.0 if behavior.is_tangent else abs(flux._flow(False, 0, *piece[1:3], piece[0], 1.0))
+        0.0 if behavior in TANGENTS else abs(flux._flow(False, 0, *piece[1:3], piece[0], 1.0))
         for *piece, behavior in pieces
     ]
     n = len(pieces)
@@ -168,7 +168,7 @@ def corner_flow_pieces():
     for sm in decomposition_corpus():
         for r in range(len(sm.code)):
             kind, behavior, _, _ = sm.decode(r)
-            if kind == "corner" and not behavior.is_tangent:
+            if kind == "corner" and behavior not in TANGENTS:
                 yield sm, r
 
 
@@ -263,7 +263,7 @@ def test_accumulate_then_locate_round_trips():
         if sm.run_prefix[0][-1] <= 0.0:
             continue
         for r in sm.run_rows[0]:
-            if sm.decode(r)[1].is_tangent:
+            if sm.decode(r)[1] in TANGENTS:
                 continue
             c = float(rng.uniform(0.0, 1.0))
             x = accumulate(sm, r, c)
@@ -292,7 +292,7 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
         for groups, _ in sm.faces:
             for rows in groups:
                 for r in rows:
-                    if sm.decode(r)[1].is_tangent or sm.length[r] == 0.0:
+                    if sm.decode(r)[1] in TANGENTS or sm.length[r] == 0.0:
                         continue
                     b0 = sm.b0[r]
                     db = sm.b1[r] - b0

@@ -13,7 +13,8 @@ from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import Behavior, BorderTable, decompose
 from streamtrace.stream_mesh import _BEHAVIORS, _DECODE, _behaviors, _segment
 
-from conftest import a_sequence, border_face, initial_pairs, is_simple, phi, split_count
+from conftest import TANGENTS, a_sequence, border_face, initial_pairs, is_simple, phi
+from conftest import split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 
 
@@ -475,7 +476,7 @@ def decomposition_digest(meshes):
                 f"{float(prefix[-1]).hex()}\n".encode()
             )
         for r in range(len(sm.code)):
-            flux = "-" if sm.decode(r)[1].is_tangent else float(phi(sm, r, 1.0)).hex()
+            flux = "-" if sm.decode(r)[1] in TANGENTS else float(phi(sm, r, 1.0)).hex()
             h.update(
                 f"{r} face{face[r]} {float(sm.b0[r]).hex()} {float(sm.b1[r]).hex()} "
                 f"{float(sm.length[r]).hex()} {sm.twin.get(r)} {flux}\n".encode()
