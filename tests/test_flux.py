@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_left
 
 import numpy as np
@@ -10,7 +11,11 @@ from streamtrace import FluxError, accumulate, flux, locate, phi_inverse
 from streamtrace.stream_mesh import Behavior, StreamMesh
 
 from conftest import TANGENTS, phi, phi_signed, wound_config
+from conftest import constant_samples, right_triangle
+from conftest import oracle_accumulate, oracle_cross_facet, oracle_locate, oracle_phi_inverse
+from streamtrace import FieldSamples, SurfaceMesh
 from streamtrace.stream_mesh import BorderTable, decompose
+from streamtrace.tracer import Tracer
 
 
 def as_rows(pieces, runs=None):
@@ -308,3 +313,109 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
                     assert abs(got - (-sm.length[r] * want)) < 1e-9
                     checked += 1
     assert checked >= 1000
+
+
+# -- the lean crossing path against its min/max oracles ------------------------
+
+
+def hexed(value):
+    """A float as ``float.hex``, a (row, c) pair as (row, hex of c)."""
+    if isinstance(value, tuple):
+        return value[0], float(value[1]).hex()
+    return float(value).hex()
+
+
+def assert_same_bits(fn, oracle, *args):
+    """fn returns the oracle's result bit for bit, or raises the oracle's error."""
+    try:
+        want = oracle(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fn(*args)
+        return
+    assert hexed(fn(*args)) == hexed(want), args
+
+
+def crossing_oracles(tracer):
+    """(function, oracle) pairs of the crossing path; ``tracer`` crosses facets."""
+    return {
+        "accumulate": (accumulate, oracle_accumulate),
+        "locate": (locate, oracle_locate),
+        "phi_inverse": (phi_inverse, oracle_phi_inverse),
+        "cross_facet": (tracer.cross_facet, oracle_cross_facet),
+    }
+
+
+def random_facets(rng, n):
+    """n random wound facets (``wound_config``) as one mesh of separate triangles."""
+    meshes, samples = zip(*(wound_config(rng) for _ in range(n)))
+    mesh = SurfaceMesh(
+        np.concatenate([m.vertices for m in meshes]), np.arange(3 * n).reshape(n, 3)
+    )
+    fs = FieldSamples(
+        np.concatenate([s.angles for s in samples]),
+        np.concatenate([s.windings for s in samples]),
+    )
+    return mesh, fs
+
+
+def test_crossing_path_matches_its_oracles_on_random_facets():
+    # the 3000 wound facets of rng seed 5, whose first 300 are the
+    # decomposition corpus.  Per facet: every run at -0.0, 0.0, its total
+    # and a random flux; two random run rows at x = 0, their total and a
+    # random x, and at c = -0.0, 0.0, 1.0 and a random c
+    rng = np.random.default_rng(5)
+    mesh, fs = random_facets(rng, 3000)
+    tracer = Tracer(mesh, fs)
+    paths = crossing_oracles(tracer)
+    checked = 0
+    for f in range(mesh.n_facets):
+        sm = tracer.stream_mesh(f)
+        for run, prefix in enumerate(sm.run_prefix):
+            for x in (-0.0, 0.0, prefix[-1], float(rng.uniform(0.0, prefix[-1]))):
+                assert_same_bits(*paths["locate"], sm, run, x)
+        rows = [r for rows in sm.run_rows for r in rows]
+        for r in rng.choice(rows, 2).tolist():
+            total = sm.total[r]
+            for x in (0.0, total, float(rng.uniform(0.0, total))):
+                assert_same_bits(*paths["phi_inverse"], sm, r, x, total)
+            for c in (-0.0, 0.0, 1.0, float(rng.uniform())):
+                assert_same_bits(*paths["accumulate"], sm, r, c)
+                assert_same_bits(*paths["cross_facet"], sm, r, c)
+                checked += 1
+    assert checked == 8 * mesh.n_facets
+
+
+def test_crossing_path_clamps_match_min_max_out_of_range_and_on_nan():
+    nan = float("nan")
+    mesh = right_triangle()
+    paths = crossing_oracles(Tracer(mesh, constant_samples(mesh, 45.0)))
+    accumulate_pair, locate_pair = paths["accumulate"], paths["locate"]
+    phi_inverse_pair, cross_pair = paths["phi_inverse"], paths["cross_facet"]
+    inflow = (1.0, 30.0, 150.0, Behavior.IN)
+    outflow = (1.0, 210.0, 330.0, Behavior.OUT)
+    sm = as_rows([inflow, outflow, (1.0, 40.0, 40.0, Behavior.IN)], [[0, 2], [1]])
+    for r in range(3):
+        # a total past the row's own flux drives u below -1 or above 1, and
+        # c past 1; a negative length drives c below 0
+        for x in (0.5, 1.5, 3.0, nan):
+            assert_same_bits(*phi_inverse_pair, sm, r, x, 4.0)
+    assert_same_bits(*phi_inverse_pair, as_rows([(-1.0, *inflow[1:])]), 0, 1.5, 4.0)
+    # a head-on sink corner inverts linearly, its clamp sees x itself
+    corner = as_rows([outflow])
+    corner.code[0] = 1 + 8 * Behavior.OUT.code + 64
+    for x in (0.25, 1.5, nan):
+        assert_same_bits(*phi_inverse_pair, corner, 0, x, 2.0)
+    for x in (nan, -1.0, 10.0):
+        assert_same_bits(*locate_pair, sm, 0, x)
+    # a nan flux before a row makes accumulate nan, and the ratio clamp
+    # maps it to 0.0; a shrunk run total pushes the ratio past 1
+    poisoned = as_rows([(1.0, nan, 90.0, Behavior.IN), inflow, outflow], [[0, 1], [2]])
+    for c in (0.0, 0.5, nan):
+        assert_same_bits(*accumulate_pair, poisoned, 1, c)
+        assert_same_bits(*cross_pair, poisoned, 1, c)
+    sm.run_prefix[0][-1] *= 0.5
+    for c in (0.5, 1.0):
+        assert_same_bits(*cross_pair, sm, 2, c)
+    sm.run_prefix[0][-1] = -1.0
+    assert_same_bits(*cross_pair, sm, 0, 0.5)

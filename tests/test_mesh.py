@@ -114,6 +114,22 @@ def test_position_sink_encoding_lands_on_corner_vertex(strip10):
     assert np.allclose(m.position(tp), m.vertices[v])
 
 
+def test_trace_point_is_an_immutable_halfedge_c_pair():
+    tp = TracePoint(1, 0.5)
+    # the CLI's error messages print trace points this way
+    assert repr(tp) == "TracePoint(halfedge=1, c=0.5)"
+    assert hash(tp) == hash((1, 0.5))
+    assert {tp: "a"}[TracePoint(1, 0.5)] == "a"
+    # the one widening over a frozen dataclass: a plain pair equals it
+    assert tp == (1, 0.5)
+    h, c = tp
+    assert (h, c) == (tp.halfedge, tp.c) == (1, 0.5)
+    for field in ("halfedge", "c"):
+        with pytest.raises(AttributeError):
+            setattr(tp, field, 0)
+    assert tp == TracePoint(1, 0.5)
+
+
 def test_positions_equal_position_bit_for_bit():
     m = meshgen.torus()
     rng = np.random.default_rng(8)

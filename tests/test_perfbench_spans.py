@@ -56,3 +56,9 @@ def test_a_tiny_campaign_calls_every_benchmark_entry_point(tmp_path):
     assert (
         calls["flux.accumulate"] == calls["flux.locate"] == calls["flux.phi_inverse"]
     )
+    # cross_facet_us and export_us are per crossing: one call each per exit
+    crossings = sum(len(pl) - 1 for pl in polylines)
+    assert crossings > 0
+    assert calls["tracer.cross_facet"] == calls["stream_mesh.export_position"] == crossings
+    # cache_hit_ratio counts Tracer.stream_mesh calls: one before every import
+    assert calls["tracer.stream_mesh"] >= calls["stream_mesh.import_position"]
