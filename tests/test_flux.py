@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtrace import FluxError, accumulate, flux, locate, phi_inverse
+from streamtrace import FieldSamples, FluxError, SurfaceMesh, accumulate, flux, locate
+from streamtrace import phi_inverse
 from streamtrace.stream_mesh import Behavior, StreamMesh
 
 from conftest import TANGENTS, phi, phi_signed, wound_config
 from conftest import constant_samples, right_triangle
 from conftest import oracle_accumulate, oracle_cross_facet, oracle_locate, oracle_phi_inverse
-from streamtrace import FieldSamples, SurfaceMesh
 from streamtrace.stream_mesh import BorderTable, decompose
 from streamtrace.tracer import Tracer
 
