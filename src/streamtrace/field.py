@@ -20,13 +20,13 @@ vertices only).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
 from .errors import FieldError, MeshError
-from .mesh import BLOCK_LINES, SurfaceMesh
+from .mesh import SurfaceMesh, decimal_literal
 
 _HEADER = "streamfield 1"
 
@@ -131,21 +131,30 @@ ANGLE_LIMIT = 360.0 * 2.0**62
 _INT64 = np.iinfo(np.int64)
 
 
+# one line of a field file after the header
+_ROW = np.dtype(
+    [
+        ("id", np.int64),
+        ("samples", [("angle", np.float64), ("winding", np.int64)], (6,)),
+    ]
+)
+
+
 def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
     """Read a field file and bind it to ``mesh``.
 
     Format: a ``streamfield 1`` header line, then one line per facet with
     13 numbers: the facet id followed by six (angle, winding) pairs.  ``#``
-    starts a comment.  Angles outside [0, 360) are normalized on load with
+    starts a comment.  Numbers are ASCII decimal literals without ``_``
+    separators.  Angles outside [0, 360) are normalized on load with
     the winding adjusted to keep the real angle unchanged (370 becomes 10
     with winding + 1).  A non-finite angle, one of ``ANGLE_LIMIT`` degrees
     or more, or a winding that does not fit 64 bits, as given or after
     that adjustment, is a ``FieldError`` naming its line.
 
-    The lines are split ``BLOCK_LINES`` at a time, and each block is
-    converted a column at a time; the checks then run on whole arrays.
-    Only a file that fails is read again, row by row, to name its first bad
-    line.
+    The lines after the header are converted by one ``np.loadtxt`` call,
+    and the checks run on whole arrays.  Only a file that fails is read
+    again, line by line, to name its first bad line.
     """
     n = mesh.n_facets
     with open(path) as fh:
@@ -159,45 +168,24 @@ def load_field(path, mesh: SurfaceMesh) -> FieldSamples:
             raise FieldError(
                 f"line {header_at}: expected header {_HEADER!r}, got {header!r}"
             )
-        blocks = []
-        while rows := [
-            line.partition("#")[0].split() for line in islice(fh, BLOCK_LINES)
-        ]:
-            blocks.append(_field_columns(rows))
-    samples = _samples_from_columns(blocks, n)
+        try:
+            with warnings.catch_warnings():
+                # a header alone is a file without rows, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, _ROW, ndmin=1)
+        except ValueError:
+            rows = None
+    samples = None if rows is None else _samples_from_rows(rows, n)
     if samples is None:
         _raise_first_bad_line(path, n)
     return samples
 
 
-def _field_columns(rows):
-    """Facet ids, and ``(6, m)`` angles and windings, of the non-blank rows.
-
-    None if a row does not hold 13 numbers of the right kinds.
-    """
-    data = [p for p in rows if p]
-    if any(len(p) != 13 for p in data):
-        return None
-    m = len(data)
-    cols = list(zip(*data)) or [()] * 13  # no rows: 13 empty columns
-    try:
-        ids = np.array(cols[0], dtype=np.int64)
-        # map(float) parses a column faster than np.array does, by the same rules
-        values = np.fromiter(map(float, chain.from_iterable(cols[1::2])), np.float64)
-        given = np.array(cols[2::2], dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return ids, values.reshape(6, m), given.reshape(6, m)
-
-
-def _samples_from_columns(blocks, n):
-    """FieldSamples of ``n`` facets from column blocks; None if a check fails."""
-    if any(block is None for block in blocks):
-        return None
-    # the columns of no rows lead, for a file of a header alone
-    columns = zip(_field_columns([]), *blocks)
-    ids, values, given = (np.concatenate(c, axis=-1) for c in columns)
-    values, given = values.T, given.T
+def _samples_from_rows(rows, n):
+    """FieldSamples of ``n`` facets from ``_ROW`` rows; None if a check fails."""
+    ids = rows["id"]
+    values = rows["samples"]["angle"]
+    given = rows["samples"]["winding"]
     if len(ids) and (ids.min() < 0 or ids.max() >= n):
         return None
     counts = np.bincount(ids, minlength=n)
@@ -237,9 +225,9 @@ def _raise_first_bad_line(path, n):
                     f"line {lineno}: expected facet id and 6 angle/winding pairs"
                 )
             try:
-                fid = int(parts[0])
-                vals = [float(x) for x in parts[1::2]]
-                winds = [int(x) for x in parts[2::2]]
+                fid = decimal_literal(int, parts[0])
+                vals = [decimal_literal(float, x) for x in parts[1::2]]
+                winds = [decimal_literal(int, x) for x in parts[2::2]]
             except ValueError as exc:
                 raise FieldError(f"line {lineno}: {exc}") from None
             if fid < 0 or fid >= n:

@@ -15,8 +15,8 @@ angles, corner angles) is precomputed at build time.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -397,9 +397,16 @@ class SurfaceMesh:
         return out
 
 
-# lines a loader splits and converts at a time: few enough that their
-# tokens are still in cache when their columns are converted
-BLOCK_LINES = 512
+# the body of each ``v`` and ``f`` statement: the rest of a line whose first
+# token is the keyword.  Lines end only at "\n", as they do for ``str.split``
+# after universal newlines, and ``[^\S\n]`` is the whitespace that splits.
+# A pattern that starts with a literal is searched for by a fast scan, so
+# each line is matched from the "\n" before it.
+_BODIES = {
+    kw: re.compile(rf"\n[^\S\n]*{kw}(?:[^\S\n]+(.*))?$", re.MULTILINE) for kw in "vf"
+}
+# the attribute suffix of a face token, from the first "/" after its index
+_SUFFIX = re.compile(r"(?<=\S)/\S*")
 
 
 def load_obj(path) -> SurfaceMesh:
@@ -407,50 +414,59 @@ def load_obj(path) -> SurfaceMesh:
 
     Supports ``v x y z`` and ``f i j k`` statements (1-based indices;
     ``i/j/k`` attribute suffixes are tolerated and ignored).  Everything
-    else is skipped.  Faces must be triangles.
+    else is skipped.  Faces must be triangles.  Numbers are ASCII decimal
+    literals without ``_`` separators.
 
-    The lines are split ``BLOCK_LINES`` at a time, and each block is checked
-    and converted a column at a time.  Only a file that fails is read again,
-    row by row, to name its first bad line.
+    The text is split once into the bodies of its ``v`` and ``f``
+    statements, and each kind is converted by one ``np.loadtxt`` call.
+    Only a file that fails is read again, line by line, to name its first
+    bad line.
     """
     with open(path) as fh:
-        blocks = []
-        while rows := [line.split() for line in islice(fh, BLOCK_LINES)]:
-            blocks.append(_obj_columns(rows))
-    if any(block is None for block in blocks):
+        text = "\n" + fh.read()
+    vbodies, fbodies = (_BODIES[kw].findall(text) for kw in "vf")
+    if "/" in text:
+        fbodies = [_SUFFIX.sub("", body) for body in fbodies]
+    coords = _parse_bodies(vbodies, np.float64, (0, 1, 2))
+    faces = _parse_bodies(fbodies, np.int64, None)
+    if (
+        coords is None
+        or faces is None
+        or faces.shape[1] != 3
+        or (faces.size and faces.min() <= 0)
+    ):
         _raise_first_bad_line(path)
-    # the columns of no rows lead, for a file without lines
-    columns = zip(_obj_columns([]), *blocks)
-    coords, faces = (np.concatenate(c, axis=1) for c in columns)
     if not faces.size:  # as SurfaceMesh refuses an empty list of faces
         raise MeshError("faces must be an (m, 3) array")
-    vertices = np.ascontiguousarray(coords.T)
-    return SurfaceMesh(vertices, np.ascontiguousarray(faces.T - 1))
+    return SurfaceMesh(coords, faces - 1)
 
 
-def _obj_columns(rows):
-    """``(3, n)`` vertex coordinates and face indices of token rows.
+def _parse_bodies(bodies, dtype, usecols):
+    """``(len(bodies), k)`` numbers of statement bodies, ``k = 3`` for none.
 
-    None if a row is malformed, or an index does not fit int64.
+    None if a body is blank (``np.loadtxt`` would skip it) or a token of
+    its columns is not a number of ``dtype``.
     """
-    vrows = [p for p in rows if p and p[0] == "v"]
-    frows = [p for p in rows if p and p[0] == "f"]
-    if any(len(p) < 4 for p in vrows) or any(len(p) != 4 for p in frows):
+    if not bodies:
+        return np.empty((0, 3), dtype)
+    if "" in bodies:
         return None
-    # tokens 1-3 of the rows, a column each; an empty list for no rows
-    vcols = list(zip(*vrows))[1:4]
-    fcols = list(zip(*frows))[1:4]
-    if any("/" in " ".join(col) for col in fcols):
-        fcols = [[tok.partition("/")[0] for tok in col] for col in fcols]
     try:
-        # map(float) parses a column faster than np.array does, by the same rules
-        coords = np.fromiter(map(float, chain.from_iterable(vcols)), np.float64)
-        faces = np.array(fcols, dtype=np.int64)
-    except (ValueError, OverflowError):
+        return np.loadtxt(bodies, dtype, comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
         return None
-    if faces.size and faces.min() <= 0:
-        return None
-    return coords.reshape(3, -1), faces.reshape(3, -1)
+
+
+def decimal_literal(convert, token):
+    """``convert(token)``, ``float`` or ``int``, as ``np.loadtxt`` parses it.
+
+    Raises ValueError for a token that ``convert`` refuses, and for one it
+    accepts that numpy refuses: with ``_`` separators or non-ASCII digits.
+    """
+    value = convert(token)
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{token!r} is not an ASCII decimal literal without '_'")
+    return value
 
 
 def _raise_first_bad_line(path):
@@ -465,14 +481,14 @@ def _raise_first_bad_line(path):
                     raise MeshError(f"line {lineno}: vertex needs 3 coordinates")
                 try:
                     for x in parts[1:4]:
-                        float(x)
+                        decimal_literal(float, x)
                 except ValueError as exc:
                     raise MeshError(f"line {lineno}: bad vertex: {exc}") from None
             elif parts[0] == "f":
                 for tok in parts[1:]:
                     head = tok.split("/")[0]
                     try:
-                        i = int(head)
+                        i = decimal_literal(int, head)
                     except ValueError:
                         raise MeshError(
                             f"line {lineno}: bad face index {head!r}"

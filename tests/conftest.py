@@ -305,3 +305,46 @@ def oracle_cross_facet(sm, r, c):
         hops += 1
         if hops > len(prefix) // 2 + 1:
             raise TraceError(f"facet {sm.facet}: chord hopping failed to reach the border")
+
+
+def reference_obj(path):
+    """Vertices and 0-based faces of an OBJ file, read line by line.
+
+    The reference for ``load_obj`` on files it accepts: ``float`` and
+    ``int`` on each token, ``v`` values after z and ``f`` token suffixes
+    after the first ``/`` dropped.
+    """
+    vertices, faces = [], []
+    with open(path) as fh:
+        for line in fh:
+            parts = line.split()
+            if parts[:1] == ["v"]:
+                vertices.append([float(x) for x in parts[1:4]])
+            elif parts[:1] == ["f"]:
+                faces.append([int(tok.split("/")[0]) - 1 for tok in parts[1:]])
+    return (
+        np.array(vertices, dtype=np.float64).reshape(-1, 3),
+        np.array(faces, dtype=np.int64).reshape(-1, 3),
+    )
+
+
+def reference_field(path):
+    """Angles and windings of a field file by facet id, read line by line.
+
+    The reference for ``load_field`` on files it accepts: ``float`` and
+    ``int`` on each token, every angle folded by ``normalize_sample``.
+    """
+    rows = {}
+    with open(path) as fh:
+        lines = (line.partition("#")[0].split() for line in fh)
+        next(parts for parts in lines if parts)  # the header
+        for parts in lines:
+            if parts:
+                folded = [normalize_sample(float(a)) for a in parts[1::2]]
+                winds = [int(w) + turns for (_, turns), w in zip(folded, parts[2::2])]
+                rows[int(parts[0])] = ([a for a, _ in folded], winds)
+    order = sorted(rows)
+    return (
+        np.array([rows[f][0] for f in order], dtype=np.float64).reshape(-1, 6),
+        np.array([rows[f][1] for f in order], dtype=np.int64).reshape(-1, 6),
+    )

@@ -7,10 +7,16 @@ under a smoothed-random field, seeded on random edges in both directions;
 there every edge has two facets, so every crossing enters a facet through
 an edge cut on the other side.  Every seed must trace without error, the
 lines must not cross, and a fresh ``Tracer`` must trace the same points.
+
+The benchmark's three scenes are also traced a second time with every
+facet's reference direction turned: the lines must stay where they were.
 """
 
+import math
 from functools import cache
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -115,3 +121,53 @@ def test_closed_mesh_campaign_traces_every_seed_without_crossings(name, field_se
     again = [fresh.trace(s) for s in seeds]
     assert [pl.points for pl in again] == [pl.points for pl in lines]
     assert [pl.termination for pl in again] == [pl.termination for pl in lines]
+
+
+# the benchmark's scenes: a jittered grid under a constant field, and a torus
+# and an icosphere under smoothed-random field 1; seeds, directions
+WORKLOAD_SCENES = {
+    "grid": (
+        lambda: meshgen.grid(40, 40, distortion=0.2, seed=1),
+        lambda mesh: synth_field(mesh, "constant", angle_deg=33.0),
+        32,
+        ("forward",),
+    ),
+    "torus": (
+        lambda: meshgen.torus(n_major=24, n_minor=12),
+        lambda mesh: synth_field(mesh, "smoothed-random", seed=1),
+        3,
+        ("forward",),
+    ),
+    "icosphere": (
+        lambda: meshgen.icosphere(3),
+        lambda mesh: synth_field(mesh, "smoothed-random", seed=1),
+        40,
+        ("forward", "backward"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_SCENES))
+def test_traced_lines_do_not_depend_on_the_reference_frames(name):
+    make_mesh, make_field, n, directions = WORKLOAD_SCENES[name]
+    mesh = make_mesh()
+    fs = make_field(mesh)
+
+    def trace_all():
+        tracer = Tracer(mesh, fs)
+        return [
+            tracer.trace(seed)
+            for direction in directions
+            for seed in make_seeds(tracer, n, direction)
+        ]
+
+    lines = trace_all()
+    offsets = np.random.default_rng(6).uniform(-math.pi, math.pi, mesh.n_facets)
+    offsets[offsets == 0.0] = 1.0  # rotate every facet's reference
+    mesh.set_reference_offsets(offsets)
+    turned = trace_all()
+    assert len(turned) == len(lines)
+    for a, b in zip(lines, turned):
+        assert [tp.halfedge for tp in b.points] == [tp.halfedge for tp in a.points]
+        assert (b.termination, b.sink_vertex) == (a.termination, a.sink_vertex)
+        assert np.max(np.abs(b.positions - a.positions), initial=0.0) <= 1e-12

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,13 +51,13 @@ def test_trace_writes_lines_svg_and_obj(tmp_path):
         "--seeds", "30", "--out", lines, "--svg", svg, "--obj", wire,
     ])
     assert rc == 0
-    recs = [json.loads(l) for l in open(lines) if l.strip()]
+    recs = [json.loads(l) for l in Path(lines).read_text().splitlines() if l.strip()]
     assert len(recs) >= 10
     assert all(r["termination"] for r in recs)
-    svg_text = open(svg).read()
+    svg_text = Path(svg).read_text()
     assert svg_text.startswith("<svg") or "<svg" in svg_text
     assert "polyline" in svg_text or "path" in svg_text
-    obj_text = open(wire).read()
+    obj_text = Path(wire).read_text()
     assert "\nl " in obj_text and "np." not in obj_text
     assert main(["check-crossings", "--mesh", obj, "--lines", lines]) == 0
 
@@ -92,7 +93,7 @@ def test_trace_export_bytes_are_pinned(tmp_path, kind, extra, seeds, digests):
         "--out", outs[0], "--svg", outs[1], "--obj", outs[2],
     ])
     assert rc == 0
-    got = tuple(hashlib.sha256(open(p, "rb").read()).hexdigest() for p in outs)
+    got = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in outs)
     assert got == digests
 
 
@@ -109,7 +110,7 @@ def test_trace_explicit_seed_backward(tmp_path):
         "--seed-points", f"{h}:0.5", "--direction", "backward", "--out", lines,
     ])
     assert rc == 0
-    recs = [json.loads(l) for l in open(lines) if l.strip()]
+    recs = [json.loads(l) for l in Path(lines).read_text().splitlines() if l.strip()]
     assert len(recs) == 1
     assert recs[0]["seed"]["direction"] == "backward"
 
@@ -147,7 +148,7 @@ def test_trace_rk4_engine(tmp_path):
         "--rk4-h", "0.05", "--seeds", "8", "--out", lines,
     ])
     assert rc == 0
-    assert sum(1 for l in open(lines) if l.strip()) >= 4
+    assert sum(1 for l in Path(lines).read_text().splitlines() if l.strip()) >= 4
 
 
 def test_seed_singularities_on_saddle(tmp_path):
@@ -158,7 +159,7 @@ def test_seed_singularities_on_saddle(tmp_path):
         "--seed-singularities", "--out", lines,
     ])
     assert rc == 0
-    recs = [json.loads(l) for l in open(lines) if l.strip()]
+    recs = [json.loads(l) for l in Path(lines).read_text().splitlines() if l.strip()]
     # the saddle contributes 2 + 2 separatrices; regular vertices sitting
     # exactly on them carry vertex tangencies and get seeded too
     assert len(recs) >= 4
@@ -244,7 +245,7 @@ def test_trace_rk4_obeys_max_steps(tmp_path):
         "--seeds", "1", "--max-steps", "10", "--out", lines,
     ])
     assert rc == 0
-    (rec,) = [json.loads(l) for l in open(lines) if l.strip()]
+    (rec,) = [json.loads(l) for l in Path(lines).read_text().splitlines() if l.strip()]
     assert rec["termination"] == "step-cap"
     # ten steps of 0.05 average edge cross a few facets at most
     assert len(rec["points"]) <= 10
@@ -271,7 +272,7 @@ def test_bench_caps_rk4_lines_on_a_torus(tmp_path, monkeypatch):
 @pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
 def test_non_finite_vertex_exits_2(tmp_path, capsys, coord):
     obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")
-    lines = open(obj).read().splitlines()
+    lines = Path(obj).read_text().splitlines()
     i = [n for n, line in enumerate(lines) if line.startswith("v ")][4]
     lines[i] = f"v {coord} 0 0"
     bad = tmp_path / "bad.obj"
@@ -298,7 +299,7 @@ def test_unrepresentable_field_sample_exits_2_with_line(
     tmp_path, capsys, angle, winding
 ):
     obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")
-    lines = open(field).read().splitlines()
+    lines = Path(field).read_text().splitlines()
     parts = lines[3].split()
     parts[1], parts[2] = angle, winding
     lines[3] = " ".join(parts)
@@ -311,7 +312,7 @@ def test_unrepresentable_field_sample_exits_2_with_line(
 
 def test_largest_windings_still_load(tmp_path):
     obj, field = synth(tmp_path, "grid", "--nx", "3", "--ny", "3")
-    lines = open(field).read().splitlines()
+    lines = Path(field).read_text().splitlines()
     parts = lines[3].split()
     parts[1], parts[2] = "10.0", str(2**63 - 1)
     parts[3], parts[4] = "-10.0", str(-(2**63) + 1)
@@ -513,7 +514,7 @@ def test_boundary_seeds_start_only_where_lines_enter(tmp_path, capsys, direction
     ])
     assert rc == 0
     assert "rejected seeds" not in capsys.readouterr().out
-    recs = [json.loads(l) for l in open(lines) if l.strip()]
+    recs = [json.loads(l) for l in Path(lines).read_text().splitlines() if l.strip()]
     assert len(recs) == 20
     for rec in recs:
         x, y, _ = rec["positions"][0]

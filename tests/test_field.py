@@ -14,6 +14,7 @@ from streamtrace import (
     load_obj,
     meshgen,
     save_field,
+    save_obj,
     synth_field,
     validate,
     vertex_index,
@@ -28,7 +29,13 @@ from streamtrace.field import (
     normalize_samples,
 )
 
-from conftest import interpolated_angle, right_triangle, samples_from_reals
+from conftest import (
+    interpolated_angle,
+    reference_field,
+    reference_obj,
+    right_triangle,
+    samples_from_reals,
+)
 
 
 @given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
@@ -146,6 +153,74 @@ def test_loaders_accept_the_corpus_as_pinned(tmp_path):
     assert np.signbit(fs.angles[1, 5]) and np.signbit(m.vertices[0, 2])
 
 
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _assert_loaders_match_reference(obj, fld):
+    m = load_obj(obj)
+    fs = load_field(fld, m)
+    for got, want in zip(
+        (m.vertices, m.faces, fs.angles, fs.windings),
+        reference_obj(obj) + reference_field(fld),
+    ):
+        _assert_bits_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: meshgen.grid(12, 9, distortion=0.3, seed=2),
+        lambda: meshgen.torus(),
+        lambda: meshgen.icosphere(2),
+    ],
+    ids=["grid", "torus", "icosphere"],
+)
+def test_loaders_match_the_reference_readers_on_scenes(tmp_path, make):
+    mesh = make()
+    if mesh.n_halfedges > mesh.n_interior_halfedges:
+        fs = synth_field(mesh, "constant", angle_deg=33.0)
+    else:
+        fs = synth_field(mesh, "smoothed-random", seed=1)
+    obj, fld = tmp_path / "s.obj", tmp_path / "s.field"
+    save_obj(obj, mesh)
+    save_field(fld, fs)
+    _assert_loaders_match_reference(obj, fld)
+
+
+# edge-case tokens, line ends and separators that both loaders accept
+_EDGE_OBJ = (
+    "# edge cases\r\n"
+    "\r\n"
+    "v -0.0 4.9e-324 .5\r\n"
+    "v\t5.\t+5\t1E5 1.0\r"
+    "\u00a0v 0005\u00a01e-3\u2003-2.5 # values after z are skipped\n"
+    "v 1 1 0\n"
+    "f 1/1/1 2/2/2 3/3/3\r\n"
+    "f 0002//1\t+4\u2003003/9\n"
+)
+_EDGE_FIELD = (
+    "# comment before the header\r"
+    "\n"
+    "   \t\n"
+    "streamfield 1 # header\r\n"
+    "0001 -0.0 0 4.9e-324 -0 .5 +2 5. 0005 +5 -3 1E5 0 # trailing\r\n"
+    "# a comment line\n"
+    "+0\t370\u00a00\u2003-10 1 359.99999999999994 0 1e-3 7 -5e-324 0 720 -1#c\r"
+)
+
+
+def test_loaders_match_the_reference_readers_on_edge_cases(tmp_path):
+    obj, fld = tmp_path / "e.obj", tmp_path / "e.field"
+    obj.write_bytes(_EDGE_OBJ.encode())
+    fld.write_bytes(_EDGE_FIELD.encode())
+    _assert_loaders_match_reference(obj, fld)
+    m = load_obj(obj)
+    assert np.signbit(m.vertices[0, 0]) and m.vertices[0, 1] == 5e-324
+    assert m.faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+
+
 @pytest.fixture(scope="module")
 def grid32():
     return meshgen.grid(32, 32)  # 2048 facets, so a field file of 2049 lines
@@ -167,6 +242,11 @@ _NOT_REPRESENTABLE = "is not a finite angle with a 64-bit winding"
             "streamfield 1\n",
             "missing samples for 2048 facet(s): 0, 1, 2, 3, 4, 5, 6, 7",
             id="header-only",
+        ),
+        pytest.param(
+            "# comment\nstreamfield 1\n# no rows\n\n",
+            "missing samples for 2048 facet(s): 0, 1, 2, 3, 4, 5, 6, 7",
+            id="header-and-comments-only",
         ),
         pytest.param(
             {1: "streamfield 2"},
@@ -207,6 +287,22 @@ _NOT_REPRESENTABLE = "is not a finite angle with a 64-bit winding"
             {2: _row(0, "1", "1.5")},
             "line 2: invalid literal for int() with base 10: '1.5'",
             id="float-winding",
+        ),
+        # float() and int() accept these, numpy's text reader does not
+        pytest.param(
+            {2: _row(0, "1_0")},
+            "line 2: '1_0' is not an ASCII decimal literal without '_'",
+            id="underscore-angle",
+        ),
+        pytest.param(
+            {2: _row(0, "10", "\u0663")},
+            "line 2: '\u0663' is not an ASCII decimal literal without '_'",
+            id="non-ascii-winding",
+        ),
+        pytest.param(
+            {2: _row("\u0660")},
+            "line 2: '\u0660' is not an ASCII decimal literal without '_'",
+            id="non-ascii-facet-id",
         ),
         pytest.param(
             {2: _row(2048)},

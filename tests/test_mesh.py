@@ -193,6 +193,11 @@ def grid32_obj_lines(tmp_path_factory):
             id="no-faces",
         ),
         pytest.param(
+            "# only\n\n# comments\n",
+            "faces must be an (m, 3) array",
+            id="comments-only",
+        ),
+        pytest.param(
             {2: "v 0 0"},
             "line 2: vertex needs 3 coordinates",
             id="short-vertex",
@@ -202,6 +207,27 @@ def grid32_obj_lines(tmp_path_factory):
             {2: "v 0 x 0"},
             "line 2: bad vertex: could not convert string to float: 'x'",
             id="bad-coordinate",
+        ),
+        # float() and int() accept these, numpy's text reader does not
+        pytest.param(
+            {2: "v 0 1_0 0"},
+            "line 2: bad vertex: '1_0' is not an ASCII decimal literal without '_'",
+            id="underscore-coordinate",
+        ),
+        pytest.param(
+            {2: "v \u0661 0 0"},
+            "line 2: bad vertex: '\u0661' is not an ASCII decimal literal without '_'",
+            id="non-ascii-coordinate",
+        ),
+        pytest.param(
+            {1090: "f 1 2_0 3"},
+            "line 1090: bad face index '2_0'",
+            id="underscore-face-index",
+        ),
+        pytest.param(
+            {1090: "f 1 \u0662 3"},
+            "line 1090: bad face index '\u0662'",
+            id="non-ascii-face-index",
         ),
         pytest.param(
             {1090: "f 1 a 3"},
