@@ -202,7 +202,7 @@ _EDGE_OBJ = (
 )
 _EDGE_FIELD = (
     "# comment before the header\r"
-    "\n"
+    "\r\n"
     "   \t\n"
     "streamfield 1 # header\r\n"
     "0001 -0.0 0 4.9e-324 -0 .5 +2 5. 0005 +5 -3 1E5 0 # trailing\r\n"
