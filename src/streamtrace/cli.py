@@ -219,13 +219,15 @@ def write_svg(path, mesh, polylines):
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {size[0] / span * 1000:.1f} {size[1] / span * 1000:.1f}">'
     ]
+    # each vertex is formatted once, as either end of a wireframe line
     xy = screen(mesh.vertices)
-    for h in mesh.edge_halfedges().tolist():
-        (x1, y1), (x2, y2) = xy[mesh.origin(h)], xy[mesh.dest(h)]
-        parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            'stroke="#ddd" stroke-width="0.7"/>'
-        )
+    ends1 = [f'x1="{x:.2f}" y1="{y:.2f}"' for x, y in xy]
+    ends2 = [f'x2="{x:.2f}" y2="{y:.2f}"' for x, y in xy]
+    h = mesh.edge_halfedges()
+    parts.extend(
+        f'<line {ends1[a]} {ends2[b]} stroke="#ddd" stroke-width="0.7"/>'
+        for a, b in zip(mesh._origin[h].tolist(), mesh._dest[h].tolist())
+    )
     for i, pl in enumerate(polylines):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in screen(pl.positions))
         color = palette[i % len(palette)]

@@ -376,7 +376,8 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
 
     Kinds:
 
-    * ``constant`` -- uniform planar direction; ``angle_deg`` (default 0).
+    * ``constant`` -- uniform planar direction; ``angle_deg`` (default 0), a
+      finite number of degrees.
     * ``circular`` -- counterclockwise circulation around ``center``.
     * ``source`` / ``sink`` -- radial flow away from / into ``center``.
     * ``saddle`` -- index -1 saddle at ``center``; ``phase_deg`` rotates
@@ -396,6 +397,8 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
 
 
 def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
+    if not math.isfinite(angle_deg):
+        raise FieldError(f"field angle must be a finite number of degrees, got {angle_deg}")
     p = mesh.vertices
     if np.any(np.abs(p[:, 2]) > 1e-12):
         raise FieldError("planar field kinds require a z = 0 mesh")

@@ -128,7 +128,12 @@ def _outward(verts, faces):
 
 
 def icosphere(subdivisions=1, radius=1.0):
-    """Icosahedron subdivided ``subdivisions`` times, projected to a sphere."""
+    """Icosahedron subdivided ``subdivisions`` times, projected to a sphere.
+
+    A negative ``subdivisions`` raises ValueError.
+    """
+    if subdivisions < 0:
+        raise ValueError(f"subdivisions must be at least 0, got {subdivisions}")
     t = (1.0 + np.sqrt(5.0)) / 2.0
     verts = [
         (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),

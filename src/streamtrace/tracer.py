@@ -59,7 +59,9 @@ class Polyline:
 
     ``positions`` is an ``(n, 3)`` array, row i the world position of
     ``points[i]``: traced lines set it from one ``SurfaceMesh.positions``
-    call when they end, ``append`` adds a row to a line built by hand.
+    call when they end, ``append`` adds a row to a line built by hand.  A
+    record holds the points only, so a line read back by ``from_record`` has
+    None there; ``SurfaceMesh.positions(points)`` gives the rows bit for bit.
     ``rk4_steps`` counts an RK4 line's integration steps; 0 on stream lines.
     """
 
@@ -91,12 +93,15 @@ class Polyline:
             "termination": self.termination,
             "sink_vertex": self.sink_vertex,
             "points": [[tp.halfedge, tp.c] for tp in self.points],
-            "positions": self.positions.tolist(),
         }
 
     @classmethod
     def from_record(cls, rec):
-        """Inverse of ``to_record``; a record it would not write raises ValueError."""
+        """Inverse of ``to_record``, with ``positions`` None.
+
+        A record it would not write raises ValueError; keys it does not
+        write, such as the ``positions`` of older files, are ignored.
+        """
         try:
             s = rec["seed"]
             point = _record_point(s["halfedge"], s["c"])
@@ -104,18 +109,10 @@ class Polyline:
             pl.termination = rec["termination"]
             pl.sink_vertex = rec["sink_vertex"]
             pl.points = [_record_point(h, c) for h, c in rec["points"]]
-            rows = rec["positions"]
-            for row in rows:
-                for x in row:
-                    if type(x) not in (int, float) or not math.isfinite(x):
-                        raise ValueError(f"position coordinate {x!r} is not a finite number")
-            # one [x, y, z] row per point; ragged rows raise in np.array
-            pl.positions = np.array(rows or np.empty((0, 3)), dtype=float)
-            if pl.positions.shape != (len(pl.points), 3):
-                raise ValueError(f"positions are not {len(pl.points)} [x, y, z] rows")
+            pl.positions = None
         except KeyError as exc:
             raise ValueError(f"polyline record lacks {exc}") from None
-        except (TraceError, TypeError, ValueError, OverflowError) as exc:
+        except (TraceError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed polyline record: {exc}") from None
         return pl
 
@@ -127,13 +124,18 @@ def _record_point(h, c):
 
 
 def save_polylines(path, polylines):
+    """Write one ``to_record`` JSON object per line: points, no positions."""
     with open(path, "w") as fh:
         for pl in polylines:
             fh.write(json.dumps(pl.to_record()) + "\n")
 
 
 def load_polylines(path):
-    """Read ``save_polylines`` output; a malformed line raises ValueError."""
+    """Read ``save_polylines`` output; a malformed line raises ValueError.
+
+    The lines' ``positions`` are None: ``SurfaceMesh.positions(pl.points)``
+    on the traced mesh gives them.
+    """
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

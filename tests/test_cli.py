@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from streamtrace import FieldSamples, load_field, load_obj, save_field
+from streamtrace import FieldSamples, load_field, load_obj, load_polylines, save_field
+from streamtrace import Polyline, Seed, TracePoint, cli
 from streamtrace.cli import main
 
 
@@ -63,14 +64,15 @@ def test_trace_writes_lines_svg_and_obj(tmp_path):
 
 
 # sha256 of the lines, SVG and OBJ files; the sink scene's lines end on
-# sink rows with c in (1, 2]
+# sink rows with c in (1, 2], and the grid is shaped like the benchmark's
+# grid-sweep scene, whose SVG is mostly the wireframe
 @pytest.mark.parametrize(
     "kind,extra,seeds,digests",
     [
         (
             "circular", ("--rings", "5", "--sectors", "18"), "30",
             (
-                "190457a8ef474636fff3503e7d25b4629efd84267b1c1600a17a61445532cffd",
+                "53742bf497f6ed8904f3e79f1fe6a88fa2fd6186ca21d5dc7fea74e87d37d894",
                 "340e49eb568766ef9851f60d24aa489ba19da8f6545ca4bb6d0eee657f3fc096",
                 "0c74a9edbcddf124426f9441c449d478a8ae6eb941b6872e2cded73ac14efb1a",
             ),
@@ -78,9 +80,17 @@ def test_trace_writes_lines_svg_and_obj(tmp_path):
         (
             "sink", ("--rings", "4", "--sectors", "12"), "12",
             (
-                "96fbe03870178bb096433364161e5ad256a6cdfd0539f77d23ac74fb86052ef2",
+                "67483129352679b4d3bb43e3bbeaa615164a4129f8f82abba0f042c3c893c57d",
                 "4aea0e9b72d4dd65012446e051bf47509929d0ad5bfefa936b339e78886c350a",
                 "c7d8ba1eeccf9fa24988701b67173c66559a799593a460b62e6fa2be56e36ee6",
+            ),
+        ),
+        (
+            "grid", ("--nx", "12", "--ny", "12", "--angle", "30"), "20",
+            (
+                "72860ddaa7ac4ac790ccc912561d23d386706f107b29e9f1a3a83d6e090c3e68",
+                "d8a0ba4cc46368169cbdeb6eb15e0fbf8385835c63d738abfc2726a4594c9751",
+                "a39392562d5f26b5e84e9d566061f57a608e13669d2ff2f64ff86394aa16529b",
             ),
         ),
     ],
@@ -95,6 +105,54 @@ def test_trace_export_bytes_are_pinned(tmp_path, kind, extra, seeds, digests):
     assert rc == 0
     got = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in outs)
     assert got == digests
+
+
+RECORD_KEYS = {"seed", "termination", "sink_vertex", "points"}
+
+
+@pytest.mark.parametrize(
+    "kind,extra,flags",
+    [
+        ("circular", ("--rings", "5", "--sectors", "18"), ("--seeds", "30")),
+        ("sink", ("--rings", "4", "--sectors", "12"), ("--seeds", "12")),
+        ("torus-random", ("--seed", "1"), ("--seeds", "6", "--max-steps", "2000")),
+        ("icosphere-random", ("--subdiv", "3", "--seed", "1"), ("--seeds", "20")),
+        ("circular", ("--rings", "4", "--sectors", "12"), ("--seeds", "6", "--engine", "rk4")),
+    ],
+    ids=["circular", "sink", "torus", "icosphere", "rk4"],
+)
+def test_lines_file_loses_nothing(tmp_path, monkeypatch, kind, extra, flags):
+    # the points give back every traced position bit for bit, so the lines
+    # file holds points only
+    obj, field = synth(tmp_path, kind, *extra)
+    traced = []
+    real = cli.save_polylines
+
+    def keeping(path, polylines):
+        traced.extend(polylines)
+        real(path, polylines)
+
+    monkeypatch.setattr(cli, "save_polylines", keeping)
+    lines = tmp_path / "lines.jsonl"
+    rc = main(["trace", "--mesh", obj, "--field", field, *flags, "--out", str(lines)])
+    assert rc == 0
+    recs = [json.loads(l) for l in lines.read_text().splitlines()]
+    assert len(recs) == len(traced) > 0
+    assert all(rec.keys() == RECORD_KEYS for rec in recs)
+    mesh = load_obj(obj)
+    loaded = load_polylines(lines)
+    for a, b in zip(traced, loaded, strict=True):
+        assert b.positions is None
+        assert b.points == a.points
+        assert mesh.positions(b.points).tobytes() == a.positions.tobytes()
+
+
+def test_readme_lists_the_record_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("JSON object per line, with these keys")[1].split("\n\n")[1]
+    listed = {line.split("`")[1] for line in section.splitlines() if line.startswith("- `")}
+    pl = Polyline(Seed(TracePoint(0, 0.5)))
+    assert listed == pl.to_record().keys() == RECORD_KEYS
 
 
 def test_trace_explicit_seed_backward(tmp_path):
@@ -252,8 +310,6 @@ def test_trace_rk4_obeys_max_steps(tmp_path):
 
 
 def test_bench_caps_rk4_lines_on_a_torus(tmp_path, monkeypatch):
-    from streamtrace import cli
-
     obj, field = synth(tmp_path, "torus-random", "--seed", "1")
     steps = []
     real = cli.rk4_trace
@@ -359,7 +415,6 @@ def _record(points, **extra):
         "termination": "boundary",
         "sink_vertex": None,
         "points": points,
-        "positions": [[0.0, 0.0, 0.0] for _ in points],
     }
     rec.update(extra)
     return json.dumps(rec)
@@ -398,39 +453,9 @@ def _record(points, **extra):
             [
                 _record([[0, 0.5]]),
                 '{"seed": {"halfedge": 0, "c": 0.5, "direction": "forward"}, '
-                '"termination": "boundary", "points": [[0, 0.5]], '
-                '"positions": [[0.0, 0.0, 0.0]]}',
+                '"termination": "boundary", "points": [[0, 0.5]]}',
             ],
             "line 2: polyline record lacks 'sink_vertex'",
-        ),
-        (
-            # numpy names the ragged rows
-            [_record([[0, 0.5], [1, 0.5]], positions=[[0, 0], [1]])],
-            "line 1: malformed polyline record: setting an array element",
-        ),
-        (
-            [_record([[0, 0.5], [1, 0.5]], positions=[[0.0, 0.5, 0.0]])],
-            "line 1: malformed polyline record: positions are not 2 [x, y, z] rows",
-        ),
-        (
-            [_record([[0, 0.5]]), _record([[0, 0.5], [1, 0.5]], positions=[[None, 0, 0], [True, "1", 0]])],
-            "line 2: malformed polyline record: position coordinate None is not a finite number",
-        ),
-        (
-            [_record([[0, 0.5], [1, 0.5]], positions=[[0, 0, 0], [True, 1, 0]])],
-            "line 1: malformed polyline record: position coordinate True is not a finite number",
-        ),
-        (
-            [_record([[0, 0.5], [1, 0.5]], positions=[[0, 0, 0], [1, "1", 0]])],
-            "line 1: malformed polyline record: position coordinate '1' is not a finite number",
-        ),
-        (
-            [_record([[0, 0.5]], positions=[[0, float("nan"), 0]])],
-            "line 1: malformed polyline record: position coordinate nan is not a finite number",
-        ),
-        (
-            [_record([[0, 0.5]], positions=[[10**400, 0, 0]])],
-            "line 1: malformed polyline record: int too large to convert to float",
         ),
         (
             # the first segment in file order whose start misses its facet
@@ -448,9 +473,8 @@ def _record(points, **extra):
     ],
     ids=[
         "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
-        "unknown-direction", "no-direction", "no-sink-vertex", "ragged-positions",
-        "positions-short", "position-null", "position-bool", "position-string",
-        "position-nan", "position-too-large", "two-bad-segments", "seed-off-edge",
+        "unknown-direction", "no-direction", "no-sink-vertex", "two-bad-segments",
+        "seed-off-edge",
     ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
@@ -460,6 +484,49 @@ def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
     rc = main(["check-crossings", "--mesh", obj, "--lines", str(lines)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+# the positions that older lines files carried: one row of zeros per point,
+# and the payloads their reader refused
+OLD_POSITIONS = {
+    "zeros": None,
+    "ragged": [[0, 0], [1]],
+    "short": [[0.0, 0.5, 0.0]],
+    "null": [[None, 0, 0], [True, "1", 0]],
+    "bool": [[0, 0, 0], [True, 1, 0]],
+    "string": [[0, 0, 0], [1, "1", 0]],
+    "nan": [[0, float("nan"), 0]],
+    "too-large": [[10**400, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("payload", list(OLD_POSITIONS))
+@pytest.mark.parametrize("lines_kind,exit_code", [("traced", 0), ("crossing", 1), ("off-mesh", 2)])
+def test_older_lines_file_checks_the_same(tmp_path, capsys, lines_kind, exit_code, payload):
+    # a positions key is ignored like any other extra key, whatever it holds
+    obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
+    lines = tmp_path / "lines.jsonl"
+    if lines_kind == "traced":
+        main(["trace", "--mesh", obj, "--field", field, "--seeds", "6", "--out", str(lines)])
+        recs = [json.loads(l) for l in lines.read_text().splitlines()]
+    elif lines_kind == "crossing":
+        recs = [json.loads(_record([[0, 0.5], [1, 0.5]])), json.loads(_record([[1, 0.2], [2, 0.5]]))]
+    else:
+        recs = [json.loads(_record([[0, 0.5], [1, 2.5]]))]
+
+    def check(recs):
+        lines.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        capsys.readouterr()
+        rc = main(["check-crossings", "--mesh", obj, "--lines", str(lines)])
+        return rc, capsys.readouterr()
+
+    rows = OLD_POSITIONS[payload]
+    old = [
+        {**rec, "positions": rows or [[0.0, 0.0, 0.0] for _ in rec["points"]]}
+        for rec in recs
+    ]
+    assert check(old) == check(recs)
+    assert check(recs)[0] == exit_code
 
 
 @pytest.mark.parametrize("kind,seeds", [("sink", None), ("circular", None), ("circular", 8)])
@@ -514,12 +581,13 @@ def test_boundary_seeds_start_only_where_lines_enter(tmp_path, capsys, direction
     ])
     assert rc == 0
     assert "rejected seeds" not in capsys.readouterr().out
-    recs = [json.loads(l) for l in Path(lines).read_text().splitlines() if l.strip()]
-    assert len(recs) == 20
-    for rec in recs:
-        x, y, _ = rec["positions"][0]
+    mesh = load_obj(obj)
+    pls = load_polylines(lines)
+    assert len(pls) == 20
+    for pl in pls:
+        x, y, _ = mesh.positions(pl.points[:1])[0]
         assert x in sides or y in sides
-        assert rec["termination"] == "boundary"
+        assert pl.termination == "boundary"
 
 
 @pytest.mark.parametrize("engine", ["stream", "rk4"])
@@ -624,6 +692,24 @@ def test_negative_distortion_exits_2(tmp_path, capsys, kind, distort):
     rc = main(["synth", kind, f"--distort={distort}", "--out", str(prefix)])
     assert rc == 2
     assert f"error: distortion must be at least 0, got {float(distort)}" in capsys.readouterr().err
+    assert not (tmp_path / "scene.obj").exists()
+
+
+def test_negative_subdivisions_exits_2(tmp_path, capsys):
+    prefix = tmp_path / "scene"
+    rc = main(["synth", "icosphere-random", "--subdiv", "-1", "--out", str(prefix)])
+    assert rc == 2
+    assert "error: subdivisions must be at least 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "scene.obj").exists()
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_non_finite_angle_exits_2(tmp_path, capsys, angle):
+    prefix = tmp_path / "scene"
+    rc = main(["synth", "grid", f"--angle={angle}", "--out", str(prefix)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: field angle must be a finite number of degrees, got {float(angle)}" in err
     assert not (tmp_path / "scene.obj").exists()
 
 
