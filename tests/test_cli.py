@@ -525,8 +525,9 @@ def test_older_lines_file_checks_the_same(tmp_path, capsys, lines_kind, exit_cod
         {**rec, "positions": rows or [[0.0, 0.0, 0.0] for _ in rec["points"]]}
         for rec in recs
     ]
-    assert check(old) == check(recs)
-    assert check(recs)[0] == exit_code
+    new = check(recs)
+    assert new[0] == exit_code
+    assert check(old) == new
 
 
 @pytest.mark.parametrize("kind,seeds", [("sink", None), ("circular", None), ("circular", 8)])

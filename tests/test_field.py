@@ -463,14 +463,6 @@ def test_smoothed_random_closed_surfaces(icosphere2, torus_mesh, sphere_random_f
     assert abs(total) < 1e-6
 
 
-@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
-def test_constant_field_refuses_a_non_finite_angle(angle):
-    # round(d / 360) once raised "cannot convert float NaN to integer"
-    mesh = meshgen.grid(2, 2)
-    with pytest.raises(FieldError, match=f"finite number of degrees, got {angle}"):
-        synth_field(mesh, "constant", angle_deg=angle)
-
-
 def test_smoothed_random_needs_closed_mesh(disc_mesh):
     with pytest.raises(FieldError):
         synth_field(disc_mesh, "smoothed-random")

@@ -330,12 +330,6 @@ def test_boundary_loop_of_disc(disc_mesh):
     assert len(border) == 24
 
 
-def test_icosphere_refuses_negative_subdivisions():
-    assert meshgen.icosphere(0).n_facets == 20
-    with pytest.raises(ValueError, match="subdivisions must be at least 0, got -1"):
-        meshgen.icosphere(-1)
-
-
 def test_meshgen_outward_orientation(icosphere2, torus_mesh):
     for m in (icosphere2, torus_mesh):
         vol = 0.0
