@@ -17,10 +17,8 @@ from .field import (
     validate,
     vertex_index,
 )
-from .flux import accumulate, locate, phi_inverse
 from .mesh import SurfaceMesh, TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, rk4_trace
-from .stream_mesh import Behavior, BorderTable, StreamMesh, decompose
 from .tracer import (
     CrossingViolation,
     Polyline,
@@ -35,8 +33,6 @@ from .tracer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Behavior",
-    "BorderTable",
     "CrossingViolation",
     "FieldError",
     "FieldSamples",
@@ -45,21 +41,16 @@ __all__ = [
     "Polyline",
     "RK4Config",
     "Seed",
-    "StreamMesh",
     "StreamMeshError",
     "SurfaceMesh",
     "TraceError",
     "TracePoint",
     "Tracer",
     "Violation",
-    "accumulate",
     "check_crossings",
-    "decompose",
     "load_field",
     "load_obj",
     "load_polylines",
-    "locate",
-    "phi_inverse",
     "rk4_trace",
     "save_field",
     "save_obj",

@@ -21,8 +21,9 @@ from .errors import FieldError, MeshError, StreamMeshError, TraceError
 from .field import INDEX_TOL, load_field, save_field, synth_field, validate, vertex_index
 from .mesh import TracePoint, load_obj, save_obj
 from .rk4 import RK4Config, rk4_trace
-from .stream_mesh import Behavior
-from .tracer import Seed, Tracer, check_crossings, save_polylines, load_polylines, seed_from_vertex
+from .tracer import (
+    _ENTRY, Seed, Tracer, check_crossings, save_polylines, load_polylines, seed_from_vertex,
+)
 
 SPREAD_SEEDS = 20  # per ``trace`` or ``bench`` run that names no other seeding
 BENCH_RK4_STEPS = 1000  # per RK4 line in ``bench``, which times per step
@@ -69,7 +70,7 @@ def _boundary_loop_seeds(tracer, n, direction="forward"):
     The pieces come from ``tracer``'s stream meshes, which its lines reuse.
     """
     mesh = tracer.mesh
-    enter = Behavior.IN if direction == "forward" else Behavior.OUT
+    enter = _ENTRY[direction]
     spans = []  # (facet halfedge, t0, t1, arc length), in walk order
     seen = set()
     for h in range(mesh.n_interior_halfedges, mesh.n_halfedges):
@@ -82,7 +83,7 @@ def _boundary_loop_seeds(tracer, n, direction="forward"):
             # the facet side runs against the walk
             for r in reversed(range(sm.elements[e], sm.elements[e + 1])):
                 t0, t1 = sm.t0[r], sm.t1[r]
-                if sm.decode(r)[1] == enter and t1 > t0:
+                if sm.code[r] >> 3 & 3 == enter and t1 > t0:
                     spans.append((o, t1, t0, length * (t1 - t0)))
             h = mesh.next(h)
     total = sum(span[3] for span in spans)

@@ -24,9 +24,12 @@ from raw angle differences may sit in any band copy).
 
 Pieces are rows of a ``StreamMesh``: ``accumulate``, ``locate`` and
 ``phi_inverse`` take the stream mesh and a row or run index and read its
-flat per-row lists.  ``accumulate`` and the chords that splits draw evaluate
-a flow piece through one formula, ``_flow``, and ``phi_totals`` makes the
-same float operations on the arrays of a border table.
+flat per-row lists, with the row's behavior code (``stream_mesh.IN`` to
+``TB``) read from bits 3-4 of its code; they are row-level internals, not
+part of the package namespace.  ``accumulate`` and the chords that splits
+draw evaluate a flow piece through one formula, ``_flow``, and
+``phi_totals`` makes the same float operations on the arrays of a border
+table.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .errors import FluxError
-from .stream_mesh import _IN, _TF
+from .stream_mesh import IN, TF
 
 _DEGENERATE_SWEEP = 1e-12
 
@@ -80,7 +83,7 @@ def phi_inverse(sm, r, x, total) -> float:
         return 1.0
     code = sm.code[r]
     behavior = code >> 3 & 3
-    if behavior >= _TF:
+    if behavior >= TF:
         raise FluxError("tangent stream-halfedges carry no flux")
     if code & 1:
         if code >> 5 == 1:
@@ -90,7 +93,7 @@ def phi_inverse(sm, r, x, total) -> float:
     b0 = math.radians(sm.b0[r])
     b1 = math.radians(sm.b1[r])
     db = b1 - b0
-    sigma = -1.0 if behavior == _IN else 1.0
+    sigma = -1.0 if behavior == IN else 1.0
     if abs(db) < _DEGENERATE_SWEEP:
         denom = length * abs(math.sin(b0))
         if denom == 0.0:
@@ -112,7 +115,7 @@ def accumulate(sm, r, c) -> float:
     if sm.run[r] < 0:
         raise FluxError(f"row {r} is not a member of a run")
     code = sm.code[r]  # bits: corner 0, behaviour 3-4, sink + 1 from 5
-    if code >> 3 & 3 >= _TF:
+    if code >> 3 & 3 >= TF:
         return sm.start[r] + 0.0
     if not 0.0 <= c <= 1.0:
         raise FluxError(f"piece parameter {c} outside [0, 1]")

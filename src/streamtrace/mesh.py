@@ -296,16 +296,16 @@ class SurfaceMesh:
         return self._out[self._out_start[v] : self._out_start[v + 1]].tolist()
 
     def fan(self, h):
-        """Outgoing halfedges around ``origin(h)`` in fan order, from ``h``.
+        """Every outgoing halfedge of ``origin(h)`` in fan order, from ``h``.
 
-        Steps ``e -> opposite(prev(e))``, counterclockwise about the vertex,
-        and stops after the first halfedge without a facet or before ``h``.
+        Steps ``e -> opposite(prev(e))``, counterclockwise about the vertex
+        from a halfedge with a facet, and stops before ``h``.  At a boundary
+        vertex the step from the boundary halfedge crosses the gap to the
+        first facet halfedge past it.
         """
         e = h
         while True:
             yield e
-            if self._facet[e] < 0:
-                return
             e = int(self._opposite[self._prev[e]])
             if e == h:
                 return

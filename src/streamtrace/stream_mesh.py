@@ -2,20 +2,26 @@
 
 The border of a facet (edge, corner, edge, corner, edge, corner) is cut at
 every point where the interpolated field runs tangent to the border, giving
-a cyclic sequence of constant-behavior pieces:
+a cyclic sequence of constant-behavior pieces.  A behavior is an int code,
+printed as its label in ``LABELS``:
 
-* ``I``  -- the field points into the facet across the piece;
-* ``O``  -- it points out of the facet;
-* ``Tf`` -- tangent, along the border direction (angle 0 mod 360);
-* ``Tb`` -- tangent, against it (angle 180 mod 360).
+* ``IN`` (``I``)  -- the field points into the facet across the piece;
+* ``OUT`` (``O``) -- it points out of the facet;
+* ``TF`` (``Tf``) -- tangent, along the border direction (angle 0 mod 360);
+* ``TB`` (``Tb``) -- tangent, against it (angle 180 mod 360).
+
+A line's entry side is the code of the pieces it enters on, ``IN`` forward
+and ``OUT`` backward.  Mirroring a piece flips the low bit of its code
+(``^ 1``), which swaps I/O and Tf/Tb, and a simple face's exit run is its
+entry run ``^ 1``.
 
 Tangency crossings in the middle of a piece produce zero-length tangent
 pieces, so behavior is constant on every piece including its endpoints.
 Edge pieces are always cut from the node values of the canonical halfedge
-of the undirected edge; the other side takes the same rows in reverse (swap
-I/O and Tf/Tb, reverse the parameter), which makes the cut parameters of
-the two facets sharing the edge identical by construction rather than
-approximately equal.
+of the undirected edge (``SurfaceMesh``'s canonical table); the other side
+takes the same rows in reverse (flip the code, reverse the parameter),
+which makes the cut parameters of the two facets sharing the edge
+identical by construction rather than approximately equal.
 
 A ``BorderTable`` cuts the facet borders on whole numpy arrays,
 ``BLOCK_FACETS`` facets at a time, each block when a line first reaches one
@@ -54,7 +60,6 @@ mesh holds no reference cycles.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -62,30 +67,17 @@ from .errors import StreamMeshError
 from .mesh import TracePoint
 
 
-# behavior codes of the rows: a mirror flips the low bit, and the codes
-# from _TF up are the tangents
-_IN, _OUT, _TF, _TB = 0, 1, 2, 3
-
-
-class Behavior(Enum):
-    IN = "I"
-    OUT = "O"
-    TF = "Tf"
-    TB = "Tb"
-
-    def __init__(self, value):
-        self.code = ("I", "O", "Tf", "Tb").index(value)
-
-
-_BEHAVIORS = (Behavior.IN, Behavior.OUT, Behavior.TF, Behavior.TB)
+# behavior codes, the codes from TF up the tangents, and their text
+IN, OUT, TF, TB = 0, 1, 2, 3
+LABELS = ("I", "O", "Tf", "Tb")
 
 # a row's code is element + 8 behavior + 32 (sink + 1), where element 6
-# marks a chord; _DECODE maps it to (kind, behavior, element, sink)
+# marks a chord; _DECODE maps it to (kind, behavior code, element, sink)
 _CHORD = 6
 _DECODE = [
-    ("chord", _BEHAVIORS[b], None, s - 1)
+    ("chord", b, None, s - 1)
     if e == _CHORD
-    else ("corner" if e % 2 else "edge", _BEHAVIORS[b], e, s - 1)
+    else ("corner" if e % 2 else "edge", b, e, s - 1)
     for s in range(3)
     for b in range(4)
     for e in range(8)
@@ -110,7 +102,7 @@ _BORDER_ERRORS = (
 
 # a split's (first group, three separators) behavior patterns: is the
 # split primal
-_SPLIT_PATTERNS = {(_OUT, _TF, _TB, _TB): True, (_IN, _TB, _TF, _TF): False}
+_SPLIT_PATTERNS = {(OUT, TF, TB, TB): True, (IN, TB, TF, TF): False}
 
 # snapping tolerances (parameters are dimensionless in [0, 1])
 VERTEX_SNAP = 1e-12
@@ -120,7 +112,7 @@ def _behaviors(values):
     """Behavior code of each border-relative angle in degrees."""
     m = np.mod(values, 360.0)
     return np.where(
-        m == 0.0, _TF, np.where(m == 180.0, _TB, np.where(m < 180.0, _IN, _OUT))
+        m == 0.0, TF, np.where(m == 180.0, TB, np.where(m < 180.0, IN, OUT))
     ).astype(np.int8)
 
 
@@ -205,9 +197,9 @@ class BorderTable:
         """``(codes, columns, elements, first, bounds)`` of facet f.
 
         ``codes[r]`` is row r's code: ``_DECODE[code]`` is the piece's
-        (kind, behavior, element, sink).  ``columns`` holds the lists t0,
-        t1, b0, b1, length and total, one entry per row; total is the flux
-        through the whole piece, 0.0 on tangents.  Element e holds
+        (kind, behavior code, element, sink).  ``columns`` holds the lists
+        t0, t1, b0, b1, length and total, one entry per row; total is the
+        flux through the whole piece, 0.0 on tangents.  Element e holds
         rows ``elements[e]:elements[e + 1]``.  Counted from row ``first``,
         round the border, flow group i spans rows
         ``bounds[2 i]:bounds[2 i + 1]``, and the tangents before it
@@ -251,11 +243,11 @@ def _cut_block(mesh, fieldsamples, facets):
     # canonical side, from that side's node values
     own0, own1 = nodes[:, :6].ravel(), nodes[:, 1:].ravel()
     h = 3 * facets[:, None] + np.arange(3)
-    o = mesh.halfedge_tables()[1][h]
+    other = ~mesh._canonical[h]
     mirrored = np.zeros((nb, 6), bool)
-    mirrored[:, 0::2] = o < h
+    mirrored[:, 0::2] = other
     mirrored = mirrored.ravel()
-    o = o[o < h]
+    o = mesh.halfedge_tables()[1][h][other]
     canonical = fieldsamples.nodes(o // 3)
     d0, d1 = own0.copy(), own1.copy()
     d0[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3)]
@@ -275,7 +267,7 @@ def _cut_block(mesh, fieldsamples, facets):
     near = u0 + s0 * (u1 - u0)
     far = u0 + s1 * (u1 - u0)
     mid = _snap(u0 + (0.5 * (s0 + s1)) * (u1 - u0))
-    tangent = beh[flip] >= _TF
+    tangent = beh[flip] >= TF
     snap_near = np.mod(b1[flip], 180.0) == 0.0
     snap_far = np.mod(b0[flip], 180.0) == 0.0
     b0[flip] = np.where(tangent, mid, np.where(snap_near, _snap(near), near))
@@ -288,7 +280,7 @@ def _cut_block(mesh, fieldsamples, facets):
     # start piece, and the earlier element's zero-length end piece if a
     # tangent still starts the later element.  An element has a piece of
     # length > 0, so neither drop empties it.
-    tan = beh >= _TF
+    tan = beh >= TF
     head = start
     tail = (start + count - 1).reshape(nb, 6)[:, [5, 0, 1, 2, 3, 4]].ravel()
     both = tan[tail] & tan[head]
@@ -309,8 +301,8 @@ def _cut_block(mesh, fieldsamples, facets):
     nxt = np.where(r == row0[fi] + n_rows[fi] - 1, row0[fi], r + 1)
     corner = element % 2 == 1
     sink = np.zeros(len(slot), np.int64)
-    sink[corner & (beh == _OUT) & (beh[prv] == _TF) & (beh[nxt] == _TB)] = 1
-    sink[corner & (beh == _IN) & (beh[prv] == _TB) & (beh[nxt] == _TF)] = -1
+    sink[corner & (beh == OUT) & (beh[prv] == TF) & (beh[nxt] == TB)] = 1
+    sink[corner & (beh == IN) & (beh[prv] == TB) & (beh[nxt] == TF)] = -1
 
     lens = mesh.facet_edge_lengths(facets)
     length = np.where(corner, 0.0, lens[fi, element // 2] * (t1 - t0))
@@ -369,13 +361,13 @@ def _reduce_to_band(b_rad, behavior):
     chosen on the band, e.g. a hair below 0 becomes 2 pi for OUT.
     """
     m = b_rad % (2.0 * math.pi)
-    lo, hi = (0.0, math.pi) if behavior == _IN else (math.pi, 2 * math.pi)
+    lo, hi = (0.0, math.pi) if behavior == IN else (math.pi, 2 * math.pi)
     tol = 1e-9
     for cand in (m, m - 2.0 * math.pi, m + 2.0 * math.pi):
         if lo - tol <= cand <= hi + tol:
             return min(max(cand, lo), hi)
     raise StreamMeshError(
-        f"chord angle {m} rad falls outside its {_BEHAVIORS[behavior].value} band"
+        f"chord angle {m} rad falls outside its {LABELS[behavior]} band"
     )
 
 
@@ -411,7 +403,7 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
 
     def split_tangent(r):
         """Cut tangent row r at its midpoint; the new row is its second half."""
-        if code[r] >> 3 & 3 < _TF:
+        if code[r] >> 3 & 3 < TF:
             raise StreamMeshError("split target is not a tangent piece")
         element = code[r] & 7
         tm = 0.5 * (t0[r] + t1[r])
@@ -482,7 +474,7 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         a, b = seps[0][-1], seps[2][0]
         a2, b2 = split_tangent(a), split_tangent(b)
         # the carved side runs b2 -> a2, the split points
-        carved, main = add_chord(b2, a2, _IN if primal else _OUT)
+        carved, main = add_chord(b2, a2, IN if primal else OUT)
         # carved face: a2, groups[0], seps[1], groups[1], b, carved; the
         # main face keeps a and continues main, b2, rest of seps[2].  Its
         # merged group leads, as a border walk from main lists it, so the
@@ -508,7 +500,7 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
     # a face's two groups are its runs, inflow first
     runs = []
     for groups, _ in faces:
-        runs += groups if codes[groups[0][0]] >> 3 & 3 == _IN else groups[::-1]
+        runs += groups if codes[groups[0][0]] >> 3 & 3 == IN else groups[::-1]
     return StreamMesh(
         mesh,
         facet,
@@ -583,7 +575,7 @@ class StreamMesh:
             prefixes.append(prefix)
 
     def decode(self, r):
-        """(kind, behavior, element, sink) of row r; element is None on chords."""
+        """(kind, behavior code, element, sink) of row r; element is None on chords."""
         return _DECODE[self.code[r]]
 
     @property
@@ -623,14 +615,14 @@ class StreamMesh:
                     ends[r] = (_NAMES[code[a] & 7], t1[a], _NAMES[code[b] & 7], t0[b])
         lines = [
             f"{_NAMES[code[r] & 7]} [{t0[r]:.12g}, {t1[r]:.12g}] "
-            f"{_BEHAVIORS[code[r] >> 3 & 3].value} face{face[r]}"
+            f"{LABELS[code[r] >> 3 & 3]} face{face[r]}"
             for r in range(self.elements[6])
         ]
         for r in range(self.elements[6], len(code)):
             e0, a, e1, b = ends[r]
             lines.append(
                 f"chord face{face[r]} ({e0} t={a:.12g}) -> ({e1} t={b:.12g}) "
-                f"{_BEHAVIORS[code[r] >> 3 & 3].value}"
+                f"{LABELS[code[r] >> 3 & 3]}"
             )
         return "\n".join(lines) + "\n"
 
@@ -640,8 +632,8 @@ class StreamMesh:
         """Map a mesh border point into the stream mesh: (row, local c).
 
         ``halfedge`` must be one of this facet's own halfedges, and ``c``
-        runs along it.  ``enter`` is the behavior of the pieces a line may
-        enter on: ``IN`` for forward lines, ``OUT`` for backward ones.
+        runs along it.  ``enter`` is the behavior code of the pieces a line
+        may enter on: ``IN`` for forward lines, ``OUT`` for backward ones.
         Points landing on a tangency resolve to the endpoint of the adjacent
         entry piece; landing strictly inside a piece of the other flow is an
         error.
@@ -655,11 +647,11 @@ class StreamMesh:
             raise StreamMeshError(f"entry parameter {c} outside [0, 1]")
         # min(1.0, max(0.0, c)), which keeps 0.0 where c is -0.0
         t = (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
-        entry = self._enter(2 * k, t, enter.code)
+        entry = self._enter(2 * k, t, enter)
         if entry is None:
             raise StreamMeshError(
                 f"entry at edge {k} t={t} of facet {self.facet} "
-                f"is not on an {enter.value} piece or a tangency"
+                f"is not on an {LABELS[enter]} piece or a tangency"
             )
         return entry
 
@@ -684,7 +676,7 @@ class StreamMesh:
                         return r, 0.0
                     c = (t - a) / (b - a)
                     return r, (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
-                if tangent is None and behavior >= _TF:
+                if tangent is None and behavior >= TF:
                     tangent = r
         if tangent is None:
             return None
@@ -703,13 +695,13 @@ class StreamMesh:
         code = self.code
         n = self.elements[6]
         fwd = (r + 1) % n
-        while code[fwd] >> 3 & 3 >= _TF:
+        while code[fwd] >> 3 & 3 >= TF:
             fwd = (fwd + 1) % n
         bwd = (r - 1) % n
-        while code[bwd] >> 3 & 3 >= _TF:
+        while code[bwd] >> 3 & 3 >= TF:
             bwd = (bwd - 1) % n
         order = [(fwd, 0.0), (bwd, 1.0)]
-        if code[r] >> 3 & 3 == (_TB if enter == _IN else _TF):
+        if code[r] >> 3 & 3 == (TB if enter == IN else TF):
             order.reverse()
         for cand, c in order:
             if code[cand] >> 3 & 3 == enter:
@@ -720,14 +712,15 @@ class StreamMesh:
         """Entry (row, c) into the facet through corner k at corner parameter t.
 
         Used when a streamline starts at a vertex: the flow enters the facet
-        through the corner's entry piece rather than across an edge.  A
+        through the corner's entry piece, of behavior code ``enter``,
+        rather than across an edge.  A
         separatrix seed at a corner end is a root clamped onto the end,
         while the stream mesh may cut the corner a hair inside it; there
         the pieces within ``VERTEX_SNAP`` of the end are tried as well.
         """
-        entry = self._enter(2 * k + 1, t, enter.code)
+        entry = self._enter(2 * k + 1, t, enter)
         if entry is None and t in (0.0, 1.0):
-            entry = self._enter(2 * k + 1, t, enter.code, VERTEX_SNAP)
+            entry = self._enter(2 * k + 1, t, enter, VERTEX_SNAP)
         if entry is None:
             raise StreamMeshError(
                 f"corner {k} t={t} of facet {self.facet} is not an entry"
@@ -776,7 +769,7 @@ def decompose(borders, facet) -> StreamMesh:
     if len(bounds) == 4:
         cycle = [*range(first, len(codes)), *range(first)]
         runs = [cycle[bounds[0] : bounds[1]], cycle[bounds[2] : bounds[3]]]
-        if codes[runs[0][0]] >> 3 & 3 == _OUT:
+        if codes[runs[0][0]] >> 3 & 3 == OUT:
             runs.reverse()
         sm = StreamMesh(borders.mesh, facet, codes, columns, elements, runs)
     else:

@@ -30,13 +30,13 @@ from . import flux, stream_mesh
 from .errors import StreamMeshError, TraceError
 from .field import INDEX_TOL, vertex_index
 from .mesh import TracePoint
-from .stream_mesh import Behavior
+from .stream_mesh import IN, OUT
 
 ORBIT_TOL = 1e-9
 
-# the pieces a line enters a facet on, per trace direction; it leaves the
-# facet on the run of the other flow
-_ENTRY = {"forward": Behavior.IN, "backward": Behavior.OUT}
+# the behavior code of the pieces a line enters a facet on, per trace
+# direction; it leaves the facet on the run of the other flow, code ^ 1
+_ENTRY = {"forward": IN, "backward": OUT}
 
 
 @dataclass(frozen=True)
@@ -332,20 +332,24 @@ class Tracer:
 
         ``o`` is the exit facet's halfedge leaving the vertex.  The vertex
         end of each edge is tried in fan order, from the next facet round to
-        the exit facet.  None comes with the line labelled: ``boundary`` at
-        the surface boundary, else through ``_stop_at_vertex``.
+        the exit facet, across the gap at a boundary vertex.  None comes
+        with the line labelled: ``boundary`` at a boundary vertex no facet
+        takes it from, else through ``_stop_at_vertex``.
         """
         mesh = self.mesh
         for e in mesh.fan(mesh.opposite(mesh.prev(o))):
             if not mesh.has_facet(e):
-                pl.termination = "boundary"
-                return None
+                continue
             try:
                 sm = self.stream_mesh(mesh.facet(e))
                 return sm, *sm.import_position(e, 0.0, enter)
             except StreamMeshError:
                 pass
-        self._stop_at_vertex(pl, mesh.origin(o))
+        v = mesh.origin(o)
+        if mesh.is_boundary_vertex(v):
+            pl.termination = "boundary"
+        else:
+            self._stop_at_vertex(pl, v)
         return None
 
 

@@ -16,7 +16,7 @@ from streamtrace import (
     synth_field,
 )
 from streamtrace.field import normalize_sample
-from streamtrace.stream_mesh import _DECODE, Behavior
+from streamtrace.stream_mesh import _DECODE, IN, OUT, TB, TF
 
 
 @pytest.fixture(scope="session")
@@ -171,7 +171,7 @@ def a_sequence(codes, face):
         raise StreamMeshError("flow groups do not alternate")
     start = None
     for gi, g in enumerate(groups):
-        if behavior(g[0]) == Behavior.OUT:
+        if behavior(g[0]) == OUT:
             start = gi
             break
     if start is None:
@@ -184,10 +184,10 @@ def a_sequence(codes, face):
         sep = seps[gi]
         sep_type = behavior(sep[0]) if sep else None
         entering = behavior(groups[gi][0])
-        if entering == Behavior.IN:
-            a += 1 if sep_type == Behavior.TF else -1
+        if entering == IN:
+            a += 1 if sep_type == TF else -1
         else:
-            a += 1 if sep_type == Behavior.TB else -1
+            a += 1 if sep_type == TB else -1
         seq.append(a)
     if seq[-1] != -2:
         raise StreamMeshError(
@@ -208,7 +208,7 @@ def split_count(sm):
 # -- flux of one row, from its fields -------------------------------------------
 
 
-TANGENTS = (Behavior.TF, Behavior.TB)
+TANGENTS = (TF, TB)
 
 
 def phi_signed(sm, r, c):
@@ -247,7 +247,7 @@ def oracle_phi_inverse(sm, r, x, total):
     b0 = math.radians(sm.b0[r])
     b1 = math.radians(sm.b1[r])
     db = b1 - b0
-    sigma = -1.0 if behavior == Behavior.IN else 1.0
+    sigma = -1.0 if behavior == IN else 1.0
     if abs(db) < flux._DEGENERATE_SWEEP:
         denom = length * abs(math.sin(b0))
         if denom == 0.0:

@@ -16,9 +16,7 @@ from streamtrace import (
     Seed,
     Tracer,
     check_crossings,
-    locate,
     meshgen,
-    phi_inverse,
     rk4_trace,
     seed_from_vertex,
     synth_field,
@@ -26,6 +24,7 @@ from streamtrace import (
     vertex_index,
 )
 from streamtrace.errors import StreamMeshError, TraceError
+from streamtrace.flux import locate, phi_inverse
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -547,6 +550,18 @@ def test_boundary_seeds_at_span_ends_all_trace(tmp_path, capsys, kind, seeds):
     assert len(out.read_text().splitlines()) == (seeds or 20)
 
 
+def test_a_line_that_exits_at_a_rim_vertex_goes_on(tmp_path, capsys):
+    # seed 12 (halfedge 373, c = 1 - 1.1e-15) exits at rim vertex 72 after a
+    # zero-length step; the facet that takes it lies across the boundary
+    # gap from its exit facet, so the fan walk must cross the gap
+    obj, field = synth(tmp_path, "sink", "--rings", "5", "--sectors", "16")
+    lines = str(tmp_path / "lines.jsonl")
+    assert main(["trace", "--mesh", obj, "--field", field, "--out", lines]) == 0
+    pls = load_polylines(lines)
+    assert [pl.termination for pl in pls] == ["sink-vertex"] * 20
+    assert len(pls[12]) > 2
+
+
 @pytest.mark.parametrize("cmd", ["trace", "bench"])
 def test_seed_count_below_one_exits_2(tmp_path, capsys, cmd):
     obj, field = synth(tmp_path, "grid", "--nx", "4", "--ny", "4")
@@ -723,3 +738,28 @@ def test_folding_distortion_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: disc(8 rings, 3 sectors, distortion 0.3, seed 0) folds facet 4" in err
     assert not (tmp_path / "scene.obj").exists()
+
+
+def test_cli_pipeline_runs_clean_under_dev_mode(tmp_path):
+    # -X dev -W error turns every warning of the whole run into an error:
+    # unclosed files and deprecations, wherever they are raised, which the
+    # in-process filterwarnings setting does not see
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(*argv):
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "streamtrace.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), argv
+
+    io = ["--mesh", "circular.obj", "--field", "circular.field"]
+    run("synth", "circular", "--out", "circular")
+    run("validate", *io)
+    run("trace", *io, "--seeds", "8", "--out", "lines.jsonl", "--svg", "s.svg", "--obj", "l.obj")
+    run("check-crossings", "--mesh", "circular.obj", "--lines", "lines.jsonl")
+    run("synth", "torus-random", "--out", "torus")
+    run(
+        "trace", "--mesh", "torus.obj", "--field", "torus.field", "--engine", "rk4",
+        "--max-steps", "500", "--out", "rk4.jsonl",
+    )

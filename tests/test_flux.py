@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtrace import FieldSamples, FluxError, SurfaceMesh, accumulate, flux, locate
-from streamtrace import phi_inverse
-from streamtrace.stream_mesh import Behavior, StreamMesh
+from streamtrace import FieldSamples, FluxError, SurfaceMesh, flux
+from streamtrace.flux import accumulate, locate, phi_inverse
+from streamtrace.stream_mesh import IN, OUT, TF, TB, StreamMesh
 
 from conftest import TANGENTS, phi, phi_signed, wound_config
 from conftest import constant_samples, right_triangle
@@ -25,7 +25,7 @@ def as_rows(pieces, runs=None):
     is its flux.  By default every row is in run 0.
     """
     lengths, b0s, b1s, behaviors = (list(column) for column in zip(*pieces))
-    codes = [8 * behavior.code + 32 for behavior in behaviors]
+    codes = [8 * behavior + 32 for behavior in behaviors]
     totals = [
         0.0 if behavior in TANGENTS else abs(flux._flow(False, 0, *piece[1:3], piece[0], 1.0))
         for *piece, behavior in pieces
@@ -59,14 +59,14 @@ QUAD_FROZEN = [
 
 @pytest.mark.parametrize("L,b0,b1,c,want", QUAD_FROZEN)
 def test_phi_signed_matches_frozen_quadrature(L, b0, b1, c, want):
-    beh = Behavior.IN if math.sin(math.radians((b0 + b1) / 2)) > 0 else Behavior.OUT
+    beh = IN if math.sin(math.radians((b0 + b1) / 2)) > 0 else OUT
     sm = make_piece(L, b0, b1, beh)
     assert abs(phi_signed(sm, 0, c) - want) < 1e-12
 
 
 def test_phi_signed_sign_convention():
-    inflow = make_piece(1.0, 30.0, 150.0, Behavior.IN)
-    outflow = make_piece(1.0, 210.0, 330.0, Behavior.OUT)
+    inflow = make_piece(1.0, 30.0, 150.0, IN)
+    outflow = make_piece(1.0, 210.0, 330.0, OUT)
     assert phi_signed(inflow, 0, 1.0) < 0.0
     assert phi_signed(outflow, 0, 1.0) > 0.0
     assert phi(inflow, 0, 1.0) == -phi_signed(inflow, 0, 1.0)
@@ -74,10 +74,10 @@ def test_phi_signed_sign_convention():
 
 
 def test_phi_rejects_tangent_pieces_and_bad_c():
-    t = make_piece(1.0, 0.0, 0.0, Behavior.TF)
+    t = make_piece(1.0, 0.0, 0.0, TF)
     with pytest.raises(FluxError, match="tangent stream-halfedges carry no flux"):
         phi_inverse(t, 0, 0.5, 1.0)
-    sm = make_piece(1.0, 30.0, 60.0, Behavior.IN)
+    sm = make_piece(1.0, 30.0, 60.0, IN)
     with pytest.raises(FluxError, match="piece parameter 1.5 outside"):
         accumulate(sm, 0, 1.5)
 
@@ -96,9 +96,9 @@ def test_live_quadrature_agreement():
         mid = math.sin(math.radians(b0 + db / 2))
         if abs(mid) < 1e-6:
             continue
-        beh = Behavior.IN if mid > 0 else Behavior.OUT
+        beh = IN if mid > 0 else OUT
         # keep the whole sweep inside one polarity band
-        lo, hi = (0.0, 180.0) if beh == Behavior.IN else (180.0, 360.0)
+        lo, hi = (0.0, 180.0) if beh == IN else (180.0, 360.0)
         s0 = (b0 - lo) % 360.0
         s1 = (b1 - lo) % 360.0
         if not (s0 <= 180.0 and s1 <= 180.0):
@@ -119,7 +119,7 @@ def test_live_quadrature_agreement():
 )
 def test_phi_inverse_is_a_left_inverse(L, b0, sweep, c):
     b1 = min(b0 + sweep, 179.999)
-    sm = make_piece(L, b0, b1, Behavior.IN)
+    sm = make_piece(L, b0, b1, IN)
     x = phi(sm, 0, c)
     c2 = inverse(sm, x, phi(sm, 0, 1.0))
     # compare through phi: c itself may be ambiguous where density hits zero
@@ -127,7 +127,7 @@ def test_phi_inverse_is_a_left_inverse(L, b0, sweep, c):
 
 
 def test_phi_inverse_endpoints_are_exact():
-    sm = make_piece(1.3, 20.0, 160.0, Behavior.IN)
+    sm = make_piece(1.3, 20.0, 160.0, IN)
     assert inverse(sm, 0.0, phi(sm, 0, 1.0)) == 0.0
     assert inverse(sm, phi(sm, 0, 1.0), phi(sm, 0, 1.0)) == 1.0
     with pytest.raises(FluxError):
@@ -136,8 +136,8 @@ def test_phi_inverse_endpoints_are_exact():
 
 def test_phi_inverse_across_band_copies():
     # same geometry, shifted by whole turns: identical mapping
-    a = make_piece(1.0, 30.0, 150.0, Behavior.IN)
-    b = make_piece(1.0, 30.0 + 720.0, 150.0 + 720.0, Behavior.IN)
+    a = make_piece(1.0, 30.0, 150.0, IN)
+    b = make_piece(1.0, 30.0 + 720.0, 150.0 + 720.0, IN)
     for x in np.linspace(0.0, phi(a, 0, 1.0), 17):
         assert abs(
             inverse(a, float(x), phi(a, 0, 1.0)) - inverse(b, float(x), phi(b, 0, 1.0))
@@ -145,7 +145,7 @@ def test_phi_inverse_across_band_copies():
 
 
 def test_phi_monotone_in_c():
-    sm = make_piece(0.9, 200.0, 340.0, Behavior.OUT)
+    sm = make_piece(0.9, 200.0, 340.0, OUT)
     vals = [phi(sm, 0, c) for c in np.linspace(0.0, 1.0, 33)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[0] == 0.0
@@ -159,9 +159,9 @@ def corner_sink_by_neighbours(sm, r):
     n = sm.elements[6]
     behavior = sm.decode(r)[1]
     pair = (sm.decode((r - 1) % n)[1], sm.decode((r + 1) % n)[1])
-    if behavior == Behavior.OUT and pair == (Behavior.TF, Behavior.TB):
+    if behavior == OUT and pair == (TF, TB):
         return 1
-    if behavior == Behavior.IN and pair == (Behavior.TB, Behavior.TF):
+    if behavior == IN and pair == (TB, TF):
         return -1
     return 0
 
@@ -223,11 +223,11 @@ def random_pieces(rng, n):
     pieces = []
     for _ in range(n):
         if rng.random() < 0.3:
-            pieces.append((1.0, 0.0, 0.0, Behavior.TF))
+            pieces.append((1.0, 0.0, 0.0, TF))
         else:
             b0 = float(rng.uniform(1.0, 179.0))
             b1 = float(rng.uniform(1.0, 179.0))
-            pieces.append((float(rng.uniform(0.01, 2.0)), b0, b1, Behavior.IN))
+            pieces.append((float(rng.uniform(0.01, 2.0)), b0, b1, IN))
     return pieces
 
 
@@ -279,7 +279,7 @@ def test_accumulate_then_locate_round_trips():
 def test_accumulate_rejects_foreign_piece():
     rng = np.random.default_rng(10)
     pieces = random_pieces(rng, 3)
-    stranger = (1.0, 30.0, 60.0, Behavior.IN)
+    stranger = (1.0, 30.0, 60.0, IN)
     sm = as_rows(pieces + [stranger], [[0, 1, 2]])
     with pytest.raises(FluxError):
         accumulate(sm, 3, 0.5)
@@ -392,9 +392,9 @@ def test_crossing_path_clamps_match_min_max_out_of_range_and_on_nan():
     paths = crossing_oracles(Tracer(mesh, constant_samples(mesh, 45.0)))
     accumulate_pair, locate_pair = paths["accumulate"], paths["locate"]
     phi_inverse_pair, cross_pair = paths["phi_inverse"], paths["cross_facet"]
-    inflow = (1.0, 30.0, 150.0, Behavior.IN)
-    outflow = (1.0, 210.0, 330.0, Behavior.OUT)
-    sm = as_rows([inflow, outflow, (1.0, 40.0, 40.0, Behavior.IN)], [[0, 2], [1]])
+    inflow = (1.0, 30.0, 150.0, IN)
+    outflow = (1.0, 210.0, 330.0, OUT)
+    sm = as_rows([inflow, outflow, (1.0, 40.0, 40.0, IN)], [[0, 2], [1]])
     for r in range(3):
         # a total past the row's own flux drives u below -1 or above 1, and
         # c past 1; a negative length drives c below 0
@@ -403,14 +403,14 @@ def test_crossing_path_clamps_match_min_max_out_of_range_and_on_nan():
     assert_same_bits(*phi_inverse_pair, as_rows([(-1.0, *inflow[1:])]), 0, 1.5, 4.0)
     # a head-on sink corner inverts linearly, its clamp sees x itself
     corner = as_rows([outflow])
-    corner.code[0] = 1 + 8 * Behavior.OUT.code + 64
+    corner.code[0] = 1 + 8 * OUT + 64
     for x in (0.25, 1.5, nan):
         assert_same_bits(*phi_inverse_pair, corner, 0, x, 2.0)
     for x in (nan, -1.0, 10.0):
         assert_same_bits(*locate_pair, sm, 0, x)
     # a nan flux before a row makes accumulate nan, and the ratio clamp
     # maps it to 0.0; a shrunk run total pushes the ratio past 1
-    poisoned = as_rows([(1.0, nan, 90.0, Behavior.IN), inflow, outflow], [[0, 1], [2]])
+    poisoned = as_rows([(1.0, nan, 90.0, IN), inflow, outflow], [[0, 1], [2]])
     for c in (0.0, 0.5, nan):
         assert_same_bits(*accumulate_pair, poisoned, 1, c)
         assert_same_bits(*cross_pair, poisoned, 1, c)

@@ -10,8 +10,8 @@ from streamtrace import FieldSamples, StreamMeshError, meshgen, synth_field
 from streamtrace.field import normalize_sample
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
-from streamtrace.stream_mesh import Behavior, BorderTable, decompose
-from streamtrace.stream_mesh import _BEHAVIORS, _DECODE, _behaviors, _segment
+from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decompose
+from streamtrace.stream_mesh import _DECODE, _behaviors, _segment
 
 from conftest import TANGENTS, a_sequence, border_face, initial_pairs, is_simple, phi
 from conftest import split_count
@@ -19,52 +19,52 @@ from conftest import samples_from_reals, single_triangle, random_samples, wound_
 
 
 def _classify(value_deg):
-    return _BEHAVIORS[_behaviors(np.array([value_deg]))[0]]
+    return int(_behaviors(np.array([value_deg]))[0])
 
 
 def _segment_values(d0, d1):
     """(behavior, t0, t1, b0, b1) of each piece of the linear angle d0 -> d1."""
     _, beh, *columns = _segment(np.array([d0]), np.array([d1]))
     rows = zip(beh.tolist(), *(c.tolist() for c in columns))
-    return [(_BEHAVIORS[b], *row) for b, *row in rows]
+    return list(rows)
 
 
 def test_classify_levels():
-    assert _classify(0.0) == Behavior.TF
-    assert _classify(720.0) == Behavior.TF
-    assert _classify(180.0) == Behavior.TB
-    assert _classify(-180.0) == Behavior.TB
-    assert _classify(90.0) == Behavior.IN
-    assert _classify(350.0) == Behavior.OUT
-    assert _classify(-350.0) == Behavior.IN
+    assert _classify(0.0) == TF
+    assert _classify(720.0) == TF
+    assert _classify(180.0) == TB
+    assert _classify(-180.0) == TB
+    assert _classify(90.0) == IN
+    assert _classify(350.0) == OUT
+    assert _classify(-350.0) == IN
 
 
 def test_segment_values_constant_inflow():
     pieces = _segment_values(30.0, 150.0)
     assert len(pieces) == 1
     beh, t0, t1, b0, b1 = pieces[0]
-    assert (beh, t0, t1, b0, b1) == (Behavior.IN, 0.0, 1.0, 30.0, 150.0)
+    assert (beh, t0, t1, b0, b1) == (IN, 0.0, 1.0, 30.0, 150.0)
 
 
 def test_segment_values_tangency_roots_are_exact():
     # value runs 90 -> -90, tangent to the border exactly at t = 0.5
     pieces = _segment_values(90.0, -90.0)
-    assert [p[0] for p in pieces] == [Behavior.IN, Behavior.TF, Behavior.OUT]
+    assert [p[0] for p in pieces] == [IN, TF, OUT]
     assert pieces[1][1] == pieces[1][2] == 0.5
     # root parameter is computed from the level equation, not bisected
     pieces = _segment_values(10.0, 370.0)
-    tf = [p for p in pieces if p[0] == Behavior.TF]
+    tf = [p for p in pieces if p[0] == TF]
     assert len(tf) == 1
     assert tf[0][1] == (360.0 - 10.0) / 360.0
 
 
 def test_segment_values_endpoint_tangencies_are_zero_length():
     pieces = _segment_values(0.0, 120.0)
-    assert pieces[0][0] == Behavior.TF
+    assert pieces[0][0] == TF
     assert pieces[0][1] == pieces[0][2] == 0.0
-    assert pieces[1][0] == Behavior.IN
+    assert pieces[1][0] == IN
     pieces = _segment_values(45.0, 180.0)
-    assert pieces[-1][0] == Behavior.TB
+    assert pieces[-1][0] == TB
     assert pieces[-1][1] == pieces[-1][2] == 1.0
 
 
@@ -112,10 +112,10 @@ def test_segment_interval_mirrors_exactly():
         assert pa[1] == 1.0 - pb[2]  # bit-exact reversed cuts
         assert pa[2] == 1.0 - pb[1]
         assert pa[0] == {
-            Behavior.IN: Behavior.OUT,
-            Behavior.OUT: Behavior.IN,
-            Behavior.TF: Behavior.TB,
-            Behavior.TB: Behavior.TF,
+            IN: OUT,
+            OUT: IN,
+            TF: TB,
+            TB: TF,
         }[pb[0]]
 
 
@@ -238,7 +238,7 @@ def test_golden_decomposition_dump():
     assert chords == GOLDEN_CHORDS
     # face i has the inflow run 2 i and the outflow run 2 i + 1
     runs = {
-        (k // 2, _BEHAVIORS[k % 2].value): (hexes(prefix[:-1]), float(prefix[-1]).hex())
+        (k // 2, LABELS[k % 2]): (hexes(prefix[:-1]), float(prefix[-1]).hex())
         for k, prefix in enumerate(sm.run_prefix)
     }
     assert runs == GOLDEN_RUNS
@@ -263,7 +263,7 @@ def test_decompose_produces_simple_faces_with_flux():
         seq = a_sequence(sm.code, face)
         assert all(b < a for a, b in zip(seq, seq[1:]))
         runs = sm.run_rows[2 * face_id : 2 * face_id + 2]
-        assert [sm.decode(rows[0])[1] for rows in runs] == [Behavior.IN, Behavior.OUT]
+        assert [sm.decode(rows[0])[1] for rows in runs] == [IN, OUT]
         assert sm.run_prefix[2 * face_id][-1] > 0.0
         assert sm.run_prefix[2 * face_id + 1][-1] > 0.0
 
@@ -288,7 +288,7 @@ def test_border_always_carries_both_flows():
         for b, t0, t1 in segment_interval(m, fs, 0, element):
             if t1 > t0:
                 behaviors.add(b)
-    assert {Behavior.IN, Behavior.OUT} <= behaviors
+    assert {IN, OUT} <= behaviors
     borders = BorderTable(m, fs)
     decompose(borders, 0)
     assert initial_pairs(borders, 0) >= 1
@@ -378,7 +378,7 @@ def test_import_export_round_trip_on_edges():
         k = int(rng.integers(0, 3))
         c = float(rng.uniform(0.0, 1.0))
         try:
-            r, csm = sm.import_position(3 * 0 + k, c, Behavior.IN)
+            r, csm = sm.import_position(3 * 0 + k, c, IN)
         except StreamMeshError:
             continue  # outflow point: not importable
         kind, _, element, _ = sm.decode(r)
@@ -394,11 +394,33 @@ def test_import_prefers_inflow_at_shared_cut():
     fs = samples_from_reals(WOUND)
     sm = decompose(BorderTable(m, fs), 0)
     # t = 0.364864... on edge 0 is an exact cut between I and O pieces
-    r, c = sm.import_position(0, 27.0 / 74.0, Behavior.IN)
-    assert sm.decode(r)[1] == Behavior.IN
+    r, c = sm.import_position(0, 27.0 / 74.0, IN)
+    assert sm.decode(r)[1] == IN
     # a backward line enters the same stream mesh on the outflow side
-    r, c = sm.import_position(0, 27.0 / 74.0, Behavior.OUT)
-    assert sm.decode(r)[1] == Behavior.OUT
+    r, c = sm.import_position(0, 27.0 / 74.0, OUT)
+    assert sm.decode(r)[1] == OUT
+
+
+@pytest.mark.parametrize("enter, c, label", [(IN, 0.6, "I"), (OUT, 0.2, "O")])
+def test_import_refuses_a_point_inside_a_piece_of_the_other_flow(enter, c, label):
+    # edge 0 of the wound facet is I on [0, 27/74] and O on [27/74, 63/74]
+    sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
+    message = f"entry at edge 0 t={c} of facet 0 is not on an {label} piece or a tangency"
+    with pytest.raises(StreamMeshError) as exc:
+        sm.import_position(0, c, enter)
+    assert str(exc.value) == message
+
+
+def test_package_namespace_leaves_out_the_row_level_internals():
+    import streamtrace
+
+    assert len(streamtrace.__all__) == len(set(streamtrace.__all__)) == 26
+    assert all(hasattr(streamtrace, name) for name in streamtrace.__all__)
+    internals = {
+        "Behavior", "BorderTable", "StreamMesh", "decompose",
+        "accumulate", "locate", "phi_inverse",
+    }
+    assert internals.isdisjoint(streamtrace.__all__)
 
 
 def test_import_takes_only_the_facets_own_halfedges():
@@ -411,13 +433,13 @@ def test_import_takes_only_the_facets_own_halfedges():
         k = int(rng.integers(0, 3))
         c = float(rng.uniform(0.0, 1.0))
         try:
-            sm.import_position(k, c, Behavior.IN)
+            sm.import_position(k, c, IN)
         except StreamMeshError:
             continue  # outflow point: not importable
         imported += 1
         # the same point named from the other side of the edge
         with pytest.raises(StreamMeshError):
-            sm.import_position(m.opposite(k), 1.0 - c, Behavior.IN)
+            sm.import_position(m.opposite(k), 1.0 - c, IN)
     assert imported >= 10
 
 
@@ -472,7 +494,7 @@ def decomposition_digest(meshes):
         for k, rows in enumerate(sm.run_rows):
             prefix = sm.run_prefix[k]
             h.update(
-                f"face{k // 2} {_BEHAVIORS[k % 2].value} {rows} {hexes(prefix[:-1])} "
+                f"face{k // 2} {LABELS[k % 2]} {rows} {hexes(prefix[:-1])} "
                 f"{float(prefix[-1]).hex()}\n".encode()
             )
         for r in range(len(sm.code)):

@@ -212,9 +212,11 @@ def test_saddle_emits_two_separatrices_per_direction():
 # field; the digest covers each line's (halfedge, c.hex()) points and its
 # termination, and marks the seeds that no facet takes.  Diagonal lines run
 # through vertices, so the pivots pin the direction of the walk around them.
+# At each angle, 9 seeds sit on rim vertices where the field enters: the
+# pivot walks across the boundary gap into the grid and traces them on.
 GRID_PIVOT_DIGESTS = {
-    45.0: (370, "809853154a61980b23e2c957f759da67aa7efc9b3e3d0d4aed477dbb328a730c"),
-    135.0: (363, "8847464841fd62d6ee8e5e7d0a0e89f360bb43f1c2b40c339728ec1022b52320"),
+    45.0: (470, "742ed8f081ac1f4af83764382a136059ccfeaba13f6103b54ad6e30b7aa1e9c5"),
+    135.0: (462, "70cb06449d30df8a28186ec4a58e9005ca723eb654723ebc97cd3b0d4cf4b45e"),
 }
 
 
