@@ -161,7 +161,7 @@ def make_seeds(tracer, n=None, direction=None, points=None, singularities=False)
 def _has_vertex_tangency(mesh, fs, v):
     # v is interior, so every outgoing halfedge h starts edge h % 3 of a facet
     out = mesh.outgoing_halfedges(v)
-    return any(fs.nodes(h // 3)[2 * (h % 3)] % 180.0 == 0.0 for h in out)
+    return any(fs.nodes[h // 3, 2 * (h % 3)] % 180.0 == 0.0 for h in out)
 
 
 # -- trace running ------------------------------------------------------------

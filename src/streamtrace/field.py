@@ -40,8 +40,11 @@ class FieldSamples:
     """Six direction samples per facet (degrees in [0, 360) plus windings).
 
     The real border angles of every facet are computed once, on
-    construction, into a read-only ``(n_facets, 7)`` node table; ``nodes``
-    returns its rows.
+    construction, into the read-only ``(n_facets, 7)`` table ``nodes``.
+    Entries 0..5 of a row are the six samples un-reduced; entry 6 repeats
+    sample 0 minus 360, closing the border loop.  Edge k interpolates
+    ``nodes[f, 2k] -> nodes[f, 2k+1]``; corner k interpolates
+    ``nodes[f, 2k+1] -> nodes[f, 2k+2]``.
     """
 
     def __init__(self, angles, windings):
@@ -56,22 +59,12 @@ class FieldSamples:
         self.angles.setflags(write=False)
         self.windings.setflags(write=False)
         th = angles + 360.0 * windings
-        self._nodes = np.concatenate([th, th[:, :1] - 360.0], axis=1)
-        self._nodes.setflags(write=False)
+        self.nodes = np.concatenate([th, th[:, :1] - 360.0], axis=1)
+        self.nodes.setflags(write=False)
 
     @property
     def n_facets(self):
         return len(self.angles)
-
-    def nodes(self, f):
-        """Real border angles of facet f as a read-only 7-array.
-
-        Entries 0..5 are the six samples un-reduced; entry 6 repeats sample 0
-        minus 360, closing the border loop.  Edge k interpolates nodes[2k] ->
-        nodes[2k+1]; corner k interpolates nodes[2k+1] -> nodes[2k+2].  The
-        row is a view of the node table built once with the samples.
-        """
-        return self._nodes[f]
 
     def flipped(self):
         """The reverse field: every sample rotated by 180 degrees."""
@@ -273,7 +266,7 @@ def corner_jump_deg(mesh, fieldsamples, f, k):
     own jump.  Signs are fixed so that a flat sink (field pointing at the
     vertex on every incident edge) jumps by +beta at each of its corners.
     """
-    nodes = fieldsamples.nodes(f)
+    nodes = fieldsamples.nodes[f]
     corner_rot = nodes[2 * k + 2] - nodes[2 * k + 1]
     beta_deg = math.degrees(mesh.corner_angle(3 * f + k))
     return -corner_rot - (180.0 - beta_deg)
@@ -316,7 +309,7 @@ def validate(mesh: SurfaceMesh, fieldsamples: FieldSamples) -> list[Violation]:
     """
     if fieldsamples.n_facets != mesh.n_facets:
         raise FieldError("field facet count does not match mesh")
-    nodes = fieldsamples._nodes
+    nodes = fieldsamples.nodes
     violations = []
 
     # flat index of node 2k of a halfedge's facet; node 2k + 1 follows it
@@ -340,7 +333,7 @@ def validate(mesh: SurfaceMesh, fieldsamples: FieldSamples) -> list[Violation]:
         )
 
     # one jump / beta ratio per corner; corner k sits on facet vertex k + 1
-    betas = mesh._betas
+    betas = mesh.betas
     corner_rot = nodes[:, 2::2] - nodes[:, 1::2]
     ratios = (-corner_rot - (180.0 - np.degrees(betas))) / betas
     at = np.roll(mesh.faces, -1, axis=1)
@@ -371,6 +364,18 @@ def _circular_gap(delta_deg):
 # -- synthesis ----------------------------------------------------------------
 
 
+# the parameters each field kind reads
+_RADIAL = ("center", "phase_deg")
+_KIND_PARAMS = {
+    "constant": ("angle_deg",),
+    "circular": _RADIAL,
+    "source": _RADIAL,
+    "sink": _RADIAL,
+    "saddle": _RADIAL,
+    "smoothed-random": ("seed",),
+}
+
+
 def synth_field(mesh, kind, **params) -> FieldSamples:
     """Generate a consistent field on ``mesh``.
 
@@ -380,20 +385,25 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
       finite number of degrees.
     * ``circular`` -- counterclockwise circulation around ``center``.
     * ``source`` / ``sink`` -- radial flow away from / into ``center``.
-    * ``saddle`` -- index -1 saddle at ``center``; ``phase_deg`` rotates
-      its separatrices.
+    * ``saddle`` -- index -1 saddle at ``center``.
     * ``smoothed-random`` -- smooth random field on a closed mesh, with the
       topologically required singularities placed on random vertices;
       ``seed`` (default 0).
 
-    The planar kinds require all facets to lie in the z = 0 plane with
+    ``center`` defaults to the origin, and ``phase_deg`` (default 0) turns
+    every sample of the radial kinds, a saddle's separatrices included.  A
+    parameter that the kind does not read raises FieldError.  The planar
+    kinds require all facets to lie in the z = 0 plane with
     counterclockwise orientation.  Every generated field passes validate().
     """
-    if kind in ("constant", "circular", "source", "sink", "saddle"):
-        return _synth_planar(mesh, kind, **params)
+    if kind not in _KIND_PARAMS:
+        raise FieldError(f"unknown field kind {kind!r}")
+    for name in params:
+        if name not in _KIND_PARAMS[kind]:
+            raise FieldError(f"field kind {kind!r} takes no parameter {name!r}")
     if kind == "smoothed-random":
         return _synth_smoothed_random(mesh, **params)
-    raise FieldError(f"unknown field kind {kind!r}")
+    return _synth_planar(mesh, kind, **params)
 
 
 def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
@@ -438,8 +448,7 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
     thetas = np.empty((mesh.n_facets, 6))
     for f in range(mesh.n_facets):
         verts = [p[v] for v in mesh.faces[f]]
-        frame = mesh.frame(f)
-        if np.cross(frame.u, frame.v)[2] < 0:
+        if np.cross(mesh.frame_u[f], mesh.frame_v[f])[2] < 0:
             raise FieldError(f"facet {f} is not counterclockwise in the plane")
         raw = raws[f]
         rots = np.empty(3)

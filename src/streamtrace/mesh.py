@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,25 +40,16 @@ class TracePoint(NamedTuple):
     c: float
 
 
-@dataclass(frozen=True)
-class FacetFrame:
-    """Planar geometry of one facet, expressed against its reference r.
-
-    ``u`` and ``v`` span the facet plane (``u`` is the reference direction
-    r), ``edge_angles[k]`` is the unwrapped angle from r to edge k
-    (``edge_angles[0] == 0`` when r is not rotated), ``betas[k]`` is the
-    interior corner angle between edge k and edge k+1, in (0, pi).
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    edge_lens: np.ndarray
-    edge_angles: np.ndarray
-    betas: np.ndarray
-
-
 class SurfaceMesh:
-    """Manifold, consistently oriented triangle mesh."""
+    """Manifold, consistently oriented triangle mesh.
+
+    Each facet's planar geometry, against its reference direction r, is a
+    read-only ``(n_facets, 3)`` table: rows of ``frame_u`` (along r) and
+    ``frame_v`` span the facet plane; ``edge_lens[f, k]`` is edge k's
+    length, ``edge_angles[f, k]`` the unwrapped angle from r to edge k (0
+    on edge 0 while r is not rotated) and ``betas[f, k]`` the interior
+    corner angle, in (0, pi), between edges k and k + 1.
+    """
 
     def __init__(self, vertices, faces):
         vertices = np.asarray(vertices, dtype=np.float64)
@@ -210,11 +200,11 @@ class SurfaceMesh:
 
         for table in (u, v, lens, betas, angles):
             table.setflags(write=False)
-        self._frame_u = u
-        self._frame_v = v
-        self._edge_lens = lens
-        self._betas = betas
-        self._edge_angles = angles
+        self.frame_u = u
+        self.frame_v = v
+        self.edge_lens = lens
+        self.betas = betas
+        self.edge_angles = angles
 
     # -- basic queries ----------------------------------------------------
 
@@ -312,29 +302,16 @@ class SurfaceMesh:
 
     def edge_length(self, h):
         h = self.canonical_halfedge(h)
-        return float(self._edge_lens[h // 3, h % 3])
-
-    def facet_edge_lengths(self, f):
-        """Lengths of edges 0, 1 and 2 of facet f; f may be an index array."""
-        return self._edge_lens[f]
+        return float(self.edge_lens[h // 3, h % 3])
 
     def average_edge_length(self):
         # canonical halfedges have facets; cumsum adds in order, as a loop would
-        lens = self._edge_lens.ravel()[self.edge_halfedges()]
+        lens = self.edge_lens.ravel()[self.edge_halfedges()]
         return float(np.cumsum(lens)[-1] / len(lens)) if len(lens) else 0.0
 
     def bbox_diagonal(self):
         lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
-
-    def frame(self, f) -> FacetFrame:
-        return FacetFrame(
-            u=self._frame_u[f],
-            v=self._frame_v[f],
-            edge_lens=self._edge_lens[f],
-            edge_angles=self._edge_angles[f],
-            betas=self._betas[f],
-        )
 
     def set_reference_offsets(self, offsets):
         """Rebuild frames with rotated per-facet reference directions.
@@ -352,7 +329,7 @@ class SurfaceMesh:
         """
         if not self.has_facet(h):
             raise MeshError(f"corner angle undefined on boundary halfedge {h}")
-        return float(self._betas[h // 3, h % 3])
+        return float(self.betas[h // 3, h % 3])
 
     def vertex_corners(self, v):
         """``(facet, corner k)`` of each corner at ``v``, by outgoing halfedge."""
@@ -362,7 +339,7 @@ class SurfaceMesh:
     def corner_angle_sum(self, v):
         total = 0.0
         for f, k in self.vertex_corners(v):
-            total += self._betas[f, k]
+            total += self.betas[f, k]
         return total
 
     def angle_defect(self, v):

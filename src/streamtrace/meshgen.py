@@ -68,13 +68,13 @@ def grid(nx, ny, width=1.0, height=1.0, distortion=0.0, seed=0):
     return _planar(verts, faces, what)
 
 
-def strip(n, width=None, height=1.0):
-    """A 1-cell-tall triangulated strip of n cells."""
-    return grid(n, 1, width if width is not None else float(n), height)
+def strip(n):
+    """A triangulated strip of n unit cells, one cell tall."""
+    return grid(n, 1, float(n), 1.0)
 
 
-def disc(rings, sectors, radius=1.0, distortion=0.0, seed=0):
-    """Fan-and-ring triangulated disc centered at the origin.
+def disc(rings, sectors, distortion=0.0, seed=0):
+    """Fan-and-ring triangulated unit disc centered at the origin.
 
     ``distortion`` perturbs the interior ring vertices radially and
     angularly by that fraction of the local spacing; the same seed gives the
@@ -91,11 +91,11 @@ def disc(rings, sectors, radius=1.0, distortion=0.0, seed=0):
     ring_start = []
     for r in range(1, rings + 1):
         ring_start.append(len(verts))
-        rho = radius * r / rings
+        rho = r / rings
         for s in range(sectors):
             ang = 2.0 * np.pi * s / sectors
             if distortion > 0.0 and r < rings:
-                rho_j = rho + distortion * (radius / rings) * rng.uniform(-0.5, 0.5)
+                rho_j = rho + distortion * (1.0 / rings) * rng.uniform(-0.5, 0.5)
                 ang_j = ang + distortion * (2 * np.pi / sectors) * rng.uniform(
                     -0.5, 0.5
                 )
@@ -127,8 +127,8 @@ def _outward(verts, faces):
     return _mesh(verts, faces)
 
 
-def icosphere(subdivisions=1, radius=1.0):
-    """Icosahedron subdivided ``subdivisions`` times, projected to a sphere.
+def icosphere(subdivisions=1):
+    """Icosahedron subdivided ``subdivisions`` times, projected to the unit sphere.
 
     A negative ``subdivisions`` raises ValueError.
     """
@@ -165,20 +165,22 @@ def icosphere(subdivisions=1, radius=1.0):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             nf += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = nf
-    verts = np.array(verts) * radius
-    return _outward(verts, np.array(faces))
+    return _outward(np.array(verts), np.array(faces))
 
 
-def torus(major_radius=2.0, minor_radius=0.7, n_major=24, n_minor=12):
+def torus(n_major=24, n_minor=12):
+    """Torus of ``n_major`` x ``n_minor`` quads, each split in two facets.
+
+    Its center circle has radius 2, its tube radius 0.7.
+    """
+    major, minor = 2.0, 0.7
     verts = []
     for i in range(n_major):
         u = 2.0 * np.pi * i / n_major
         for j in range(n_minor):
             v = 2.0 * np.pi * j / n_minor
-            w = major_radius + minor_radius * np.cos(v)
-            verts.append(
-                (w * np.cos(u), w * np.sin(u), minor_radius * np.sin(v))
-            )
+            w = major + minor * np.cos(v)
+            verts.append((w * np.cos(u), w * np.sin(u), minor * np.sin(v)))
     vid = lambda i, j: (i % n_major) * n_minor + (j % n_minor)
     faces = []
     for i in range(n_major):
@@ -189,16 +191,14 @@ def torus(major_radius=2.0, minor_radius=0.7, n_major=24, n_minor=12):
     return _outward(np.array(verts, float), faces)
 
 
-def cube_corner(size=1.0):
+def cube_corner():
     """Three unit squares of a cube meeting at the origin corner.
 
     The corner vertex is interior with angle defect pi/2; everything else is
     boundary.  Each square is split by its diagonal from the corner.
     """
     o = np.zeros(3)
-    ex = np.array([size, 0.0, 0.0])
-    ey = np.array([0.0, size, 0.0])
-    ez = np.array([0.0, 0.0, size])
+    ex, ey, ez = np.eye(3)
     squares = [(ey, ex), (ex, ez), (ez, ey)]  # normals -z, -y, -x
     verts = [o]
     faces = []

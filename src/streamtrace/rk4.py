@@ -43,8 +43,7 @@ class _FacetField:
     def __init__(self, mesh, fieldsamples, f):
         p0, p1, p2 = mesh.vertices[mesh.faces[f]]
         self.origin = p0
-        frame = mesh.frame(f)
-        self.u, self.v = frame.u, frame.v
+        self.u, self.v = mesh.frame_u[f], mesh.frame_v[f]
         e1 = p1 - p0
         e2 = p2 - p0
         a = np.array(
@@ -54,17 +53,18 @@ class _FacetField:
             ]
         )
         self.inv = np.linalg.inv(a) @ np.stack([e1, e2])
-        nodes = fieldsamples.nodes(f)
+        nodes = fieldsamples.nodes[f]
+        edge_angles = mesh.edge_angles[f]
         # corner k sits at facet vertex (k+1) % 3; angles relative to the
         # frame reference, kept on the continuous branch of the samples
         ang = np.zeros(3)
         for k in range(3):
-            base = math.degrees(frame.edge_angles[k])
+            base = math.degrees(edge_angles[k])
             a0 = nodes[2 * k + 1] + base
             a1 = nodes[2 * k + 2] + math.degrees(
-                frame.edge_angles[(k + 1) % 3]
+                edge_angles[(k + 1) % 3]
                 if k < 2
-                else frame.edge_angles[2] + (math.pi - frame.betas[2])
+                else edge_angles[2] + (math.pi - mesh.betas[f, 2])
             )
             ang[(k + 1) % 3] = 0.5 * (a0 + a1)
         self.corner_dirs = ang
@@ -84,16 +84,16 @@ class _FacetField:
 def _transport_angle(mesh, hf, direction3d):
     """Carry a direction across edge ``hf`` into the facet on its other side."""
     ho = mesh.opposite(hf)
-    fr_f = mesh.frame(mesh.facet(hf))
-    fr_g = mesh.frame(mesh.facet(ho))
+    f, g = mesh.facet(hf), mesh.facet(ho)
     ang_f = math.atan2(
-        float(np.dot(direction3d, fr_f.v)), float(np.dot(direction3d, fr_f.u))
+        float(np.dot(direction3d, mesh.frame_v[f])),
+        float(np.dot(direction3d, mesh.frame_u[f])),
     )
     # angle of the shared directed edge (as directed in f) in both frames
-    ef = fr_f.edge_angles[hf % 3]
-    eg = fr_g.edge_angles[ho % 3] + math.pi
+    ef = mesh.edge_angles[f, hf % 3]
+    eg = mesh.edge_angles[g, ho % 3] + math.pi
     ang_g = ang_f - ef + eg
-    return math.cos(ang_g) * fr_g.u + math.sin(ang_g) * fr_g.v
+    return math.cos(ang_g) * mesh.frame_u[g] + math.sin(ang_g) * mesh.frame_v[g]
 
 
 def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):

@@ -72,16 +72,9 @@ IN, OUT, TF, TB = 0, 1, 2, 3
 LABELS = ("I", "O", "Tf", "Tb")
 
 # a row's code is element + 8 behavior + 32 (sink + 1), where element 6
-# marks a chord; _DECODE maps it to (kind, behavior code, element, sink)
+# marks a chord: ``code & 7`` is the element, ``code >> 3 & 3`` the
+# behavior and ``(code >> 5) - 1`` the sink
 _CHORD = 6
-_DECODE = [
-    ("chord", b, None, s - 1)
-    if e == _CHORD
-    else ("corner" if e % 2 else "edge", b, e, s - 1)
-    for s in range(3)
-    for b in range(4)
-    for e in range(8)
-]
 
 # the dump's name of each border element
 _NAMES = ("edge0", "corner0", "edge1", "corner1", "edge2", "corner2")
@@ -196,8 +189,8 @@ class BorderTable:
     def border(self, f):
         """``(codes, columns, elements, first, bounds)`` of facet f.
 
-        ``codes[r]`` is row r's code: ``_DECODE[code]`` is the piece's
-        (kind, behavior code, element, sink).  ``columns`` holds the lists
+        ``codes[r]`` is row r's code, which packs the piece's element,
+        behavior and sink (see ``_CHORD``).  ``columns`` holds the lists
         t0, t1, b0, b1, length and total, one entry per row; total is the
         flux through the whole piece, 0.0 on tangents.  Element e holds
         rows ``elements[e]:elements[e + 1]``.  Counted from row ``first``,
@@ -238,7 +231,7 @@ def _cut_block(mesh, fieldsamples, facets):
     from . import flux
 
     nb = len(facets)
-    nodes = fieldsamples.nodes(facets)
+    nodes = fieldsamples.nodes[facets]
     # element e of facet i is slot 6 i + e; an edge is cut on its
     # canonical side, from that side's node values
     own0, own1 = nodes[:, :6].ravel(), nodes[:, 1:].ravel()
@@ -248,7 +241,7 @@ def _cut_block(mesh, fieldsamples, facets):
     mirrored[:, 0::2] = other
     mirrored = mirrored.ravel()
     o = mesh.halfedge_tables()[1][h][other]
-    canonical = fieldsamples.nodes(o // 3)
+    canonical = fieldsamples.nodes[o // 3]
     d0, d1 = own0.copy(), own1.copy()
     d0[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3)]
     d1[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3) + 1]
@@ -304,7 +297,7 @@ def _cut_block(mesh, fieldsamples, facets):
     sink[corner & (beh == OUT) & (beh[prv] == TF) & (beh[nxt] == TB)] = 1
     sink[corner & (beh == IN) & (beh[prv] == TB) & (beh[nxt] == TF)] = -1
 
-    lens = mesh.facet_edge_lengths(facets)
+    lens = mesh.edge_lens[facets]
     length = np.where(corner, 0.0, lens[fi, element // 2] * (t1 - t0))
     total = np.abs(sink).astype(float)
     edge_flow = ~corner & ~tan
@@ -388,8 +381,7 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
     from . import flux
 
     t0, t1, b0, b1, length, _ = columns
-    frame = mesh.frame(facet)
-    lens = mesh.facet_edge_lengths(facet).tolist()
+    lens = mesh.edge_lens[facet].tolist()
     order = list(range(len(code)))  # the border rows, in border order
     twin = {}
 
@@ -420,12 +412,12 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         element = code[r] & 7
         k = element // 2
         h = 3 * facet + k
-        angle = frame.edge_angles[k]
+        angle = mesh.edge_angles[facet, k]
         if element % 2 == 0:
             return mesh.position(TracePoint(h, t0[r])), math.radians(b0[r]) + angle
         # not the edge end at c = 1, where 0.0 * p0 + p1 can turn a -0.0
         # coordinate into +0.0, a sign that atan2 reads
-        angle = angle + t0[r] * (math.pi - frame.betas[k])
+        angle = angle + t0[r] * (math.pi - mesh.betas[facet, k])
         return mesh.vertices[mesh.dest(h)], math.radians(b0[r]) + angle
 
     def chord_row(behavior, a, b, chord_length):
@@ -443,7 +435,8 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         chord_length = float(np.linalg.norm(d))
         if chord_length <= 0.0:
             raise StreamMeshError("degenerate zero-length chord")
-        ang = math.atan2(float(np.dot(d, frame.v)), float(np.dot(d, frame.u)))
+        u, v = mesh.frame_u[facet], mesh.frame_v[facet]
+        ang = math.atan2(float(np.dot(d, v)), float(np.dot(d, u)))
         a, b = (
             math.degrees(_reduce_to_band(alpha - ang, behavior)) for alpha in (alpha0, alpha1)
         )
@@ -519,11 +512,12 @@ class StreamMesh:
     Row r is one piece.  The border pieces come first, in border order from
     the first piece of edge 0, so that element e holds rows
     ``elements[e]:elements[e + 1]`` and row ``r + 1`` follows row r round
-    the border; the chords of a split facet follow them.  The per-row
-    lists are ``code`` (see ``decode``), ``t0``, ``t1``, ``b0``, ``b1``,
-    ``length`` and ``total``: the span, the field angles in degrees at its
-    ends (relative to the border, or on chords to the chord), the length
-    and the flux through the whole piece, 0.0 on tangents.  Face i has the
+    the border; the chords of a split facet follow them.  ``code[r]`` packs
+    row r's element, behavior and sink into one int (see ``_CHORD``).  The
+    other per-row lists are ``t0``, ``t1``, ``b0``, ``b1``, ``length`` and
+    ``total``: the span, the field angles in degrees at its ends (relative
+    to the border, or on chords to the chord), the length and the flux
+    through the whole piece, 0.0 on tangents.  Face i has the
     inflow run ``2 i`` and the outflow run ``2 i + 1``: ``run_rows[k]``
     lists run k's rows in run order and ``run_prefix[k]`` its flux prefix
     sums, from 0.0 to the run's total.  ``run[r]`` is the run that holds
@@ -573,10 +567,6 @@ class StreamMesh:
                 x += total[r]
                 prefix.append(x)
             prefixes.append(prefix)
-
-    def decode(self, r):
-        """(kind, behavior code, element, sink) of row r; element is None on chords."""
-        return _DECODE[self.code[r]]
 
     @property
     def faces(self):

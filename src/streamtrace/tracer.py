@@ -380,7 +380,7 @@ def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
     events = []  # (fan position, facet, corner k, t)
     for fan_i, h in enumerate(fan):
         f, k = mesh.facet(h), (h % 3 + 2) % 3
-        nodes = fieldsamples.nodes(f)
+        nodes = fieldsamples.nodes[f]
         b0 = nodes[2 * k + 1]
         b1 = nodes[2 * k + 2]
         slope = (b1 - b0) + 180.0

@@ -16,7 +16,7 @@ from streamtrace import (
     synth_field,
 )
 from streamtrace.field import normalize_sample
-from streamtrace.stream_mesh import _DECODE, IN, OUT, TB, TF
+from streamtrace.stream_mesh import _CHORD, IN, OUT, TB, TF
 
 
 @pytest.fixture(scope="session")
@@ -125,14 +125,33 @@ def interpolated_angle(mesh, fieldsamples, f, element, t):
     """
     if not 0.0 <= t <= 1.0:
         raise FieldError(f"interpolation parameter {t} outside [0, 1]")
-    nodes = fieldsamples.nodes(f)
-    frame = mesh.frame(f)
+    nodes = fieldsamples.nodes[f]
     k = element // 2
     b = nodes[element] + t * (nodes[element + 1] - nodes[element])
-    angle = math.radians(b) + frame.edge_angles[k]
+    angle = math.radians(b) + mesh.edge_angles[f, k]
     if element % 2 == 1:
-        angle += t * (math.pi - frame.betas[k])
+        angle += t * (math.pi - mesh.betas[f, k])
     return angle
+
+
+# -- stream-mesh rows, decoded by table ----------------------------------------
+
+# a row's code is element + 8 behavior + 32 (sink + 1), where element 6
+# marks a chord; _DECODE maps it to (kind, behavior code, element, sink),
+# by table rather than by the code-bit reads of the program it checks
+_DECODE = [
+    ("chord", b, None, s - 1)
+    if e == _CHORD
+    else ("corner" if e % 2 else "edge", b, e, s - 1)
+    for s in range(3)
+    for b in range(4)
+    for e in range(8)
+]
+
+
+def decode(sm, r):
+    """(kind, behavior code, element, sink) of row r; element is None on chords."""
+    return _DECODE[sm.code[r]]
 
 
 # -- stream-mesh face queries, over row indices ------------------------------
@@ -213,7 +232,7 @@ TANGENTS = (TF, TB)
 
 def phi_signed(sm, r, c):
     """Signed flux through the sub-piece [0, c] of row r of ``sm``."""
-    kind, _, _, sink = sm.decode(r)
+    kind, _, _, sink = decode(sm, r)
     return flux._flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c)
 
 

@@ -28,7 +28,7 @@ from streamtrace.flux import locate, phi_inverse
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
-from conftest import TANGENTS, a_sequence, initial_pairs, phi, split_count, wound_config
+from conftest import TANGENTS, a_sequence, decode, initial_pairs, phi, split_count, wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -78,7 +78,7 @@ def planar_angle_field(mesh, theta_deg):
     for f in range(mesh.n_facets):
         vs = [mesh.vertices[mesh.origin(3 * f + k)] for k in range(3)]
         th = [theta_deg(v[0], v[1]) for v in vs]
-        betas = mesh.frame(f).betas
+        betas = mesh.betas[f]
         e0 = math.degrees(math.atan2(vs[1][1] - vs[0][1], vs[1][0] - vs[0][0]))
         b = np.empty(6)
         b[0] = th[0] - e0
@@ -99,7 +99,7 @@ def zero_rotation_samples(mesh):
     ang = np.zeros((mesh.n_facets, 6))
     wnd = np.zeros((mesh.n_facets, 6), dtype=np.int64)
     for f in range(mesh.n_facets):
-        betas = mesh.frame(f).betas
+        betas = mesh.betas[f]
         b = np.empty(6)
         b[0] = b[1] = 0.0
         b[2] = b[3] = b[1] - (180.0 - math.degrees(betas[0]))
@@ -276,7 +276,7 @@ def test_criterion_6_flux_oracles():
         for groups, _ in sm.faces:
             for rows in groups:
                 for r in rows:
-                    if sm.decode(r)[1] in TANGENTS or sm.length[r] == 0.0:
+                    if decode(sm, r)[1] in TANGENTS or sm.length[r] == 0.0:
                         continue
                     c = float(rng.uniform(0.05, 1.0))
                     b0 = sm.b0[r]

@@ -763,3 +763,15 @@ def test_cli_pipeline_runs_clean_under_dev_mode(tmp_path):
         "trace", "--mesh", "torus.obj", "--field", "torus.field", "--engine", "rk4",
         "--max-steps", "500", "--out", "rk4.jsonl",
     )
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.sparse.linalg alone takes about 350 ms to import, and only the
+    # smoothed-random synthesis needs it, through an import in its body; a
+    # fresh interpreter, since this one has scipy from other tests
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = "import sys, streamtrace.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "[]\n")

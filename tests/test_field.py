@@ -53,7 +53,7 @@ def test_normalize_sample_preserves_real_angle(v):
 
 def test_nodes_wrap_closes_the_border_loop():
     fs = samples_from_reals([10.0, 50.0, 420.0, -30.0, 90.0, 180.0])
-    n = fs.nodes(0)
+    n = fs.nodes[0]
     assert n.shape == (7,)
     assert n[6] == n[0] - 360.0
     assert n[2] == 420.0  # windings keep real values
@@ -63,8 +63,8 @@ def test_flipped_rotates_every_sample_half_turn():
     fs = samples_from_reals([10.0, 350.0, 420.0, 0.0, 181.0, 90.0])
     fl = fs.flipped()
     for i in range(6):
-        a = fs.nodes(0)[i]
-        b = fl.nodes(0)[i]
+        a = fs.nodes[0][i]
+        b = fl.nodes[0][i]
         assert b == a + 180.0
 
 
@@ -473,6 +473,35 @@ def test_smoothed_random_has_one_spelling(icosphere2):
         synth_field(icosphere2, "smoothed_random")
 
 
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("circular", {"center": (0.5, 0.5), "angle_deg": 45.0}, "angle_deg"),
+        ("saddle", {"angle_deg": 0.0}, "angle_deg"),
+        ("source", {"seed": 1}, "seed"),
+        ("constant", {"angle_deg": 10.0, "center": (3.0, 3.0)}, "center"),
+        ("constant", {"phase_deg": 90.0}, "phase_deg"),
+        ("constant", {"seed": 0}, "seed"),
+        ("smoothed-random", {"angle_deg": 10.0}, "angle_deg"),
+        ("smoothed-random", {"seed": 0, "center": (0.0, 0.0)}, "center"),
+        ("sink", {"radius": 1.0}, "radius"),
+    ],
+)
+def test_synth_field_refuses_a_parameter_its_kind_does_not_read(
+    grid10, icosphere2, kind, params, name
+):
+    mesh = icosphere2 if kind == "smoothed-random" else grid10
+    with pytest.raises(FieldError, match=f"field kind '{kind}' takes no parameter '{name}'"):
+        synth_field(mesh, kind, **params)
+
+
+def test_phase_turns_every_radial_kind(grid10):
+    for kind in ("circular", "source", "sink", "saddle"):
+        plain = synth_field(grid10, kind, center=(0.5, 0.5))
+        turned = synth_field(grid10, kind, center=(0.5, 0.5), phase_deg=30.0)
+        assert not np.array_equal(plain.angles, turned.angles)
+
+
 def test_smoothed_random_is_deterministic(icosphere2, sphere_random_field):
     again = synth_field(icosphere2, "smoothed-random", seed=0)
     assert np.array_equal(again.angles, sphere_random_field.angles)
@@ -486,16 +515,16 @@ def test_interpolated_angle_matches_nodes_at_sample_points():
     for _ in range(40):
         m = single_triangle(rng)
         fs = random_samples(rng)
-        fr = m.frame(0)
-        n = fs.nodes(0)
+        edge_angles = m.edge_angles[0]
+        n = fs.nodes[0]
         for k in range(3):
             a = interpolated_angle(m, fs, 0, 2 * k, 0.0)
             assert math.isclose(
-                a, math.radians(n[2 * k]) + fr.edge_angles[k], abs_tol=1e-9
+                a, math.radians(n[2 * k]) + edge_angles[k], abs_tol=1e-9
             )
             b = interpolated_angle(m, fs, 0, 2 * k, 1.0)
             assert math.isclose(
-                b, math.radians(n[2 * k + 1]) + fr.edge_angles[k], abs_tol=1e-9
+                b, math.radians(n[2 * k + 1]) + edge_angles[k], abs_tol=1e-9
             )
         # corner ends meet the next edge's start, modulo 2 pi
         for k in range(3):
@@ -519,10 +548,10 @@ def test_constant_field_direction_is_uniform(grid10):
     fs = synth_field(grid10, "constant", angle_deg=25.0)
     want = math.radians(25.0)
     for f in range(0, grid10.n_facets, 13):
-        fr = grid10.frame(f)
+        u, v = grid10.frame_u[f], grid10.frame_v[f]
         for k in range(3):
             a = interpolated_angle(grid10, fs, 0 if False else f, 2 * k, 0.3)
-            d = fr.u * math.cos(a) + fr.v * math.sin(a)
+            d = u * math.cos(a) + v * math.sin(a)
             assert math.isclose(
                 math.atan2(d[1], d[0]), want, abs_tol=1e-9
             ), f"facet {f} edge {k}"
@@ -547,11 +576,11 @@ def test_nodes_rows_are_the_read_only_node_table(sphere_random_field, disc_mesh)
         for f in range(fs.n_facets):
             th = fs.angles[f] + 360.0 * fs.windings[f]
             want = np.append(th, th[0] - 360.0)
-            got = fs.nodes(f)
+            got = fs.nodes[f]
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert not got.flags.writeable
         with pytest.raises(ValueError):
-            fs.nodes(0)[3] = 1.0
+            fs.nodes[0][3] = 1.0
 
 
 def test_samples_reject_nan_angles():
@@ -579,7 +608,7 @@ def loop_validate(mesh, fieldsamples):
             continue
         f, k = h // 3, h % 3
         g, k2 = o // 3, o % 3
-        na, nb = fieldsamples.nodes(f), fieldsamples.nodes(g)
+        na, nb = fieldsamples.nodes[f], fieldsamples.nodes[g]
         d1 = gap(nb[2 * k2 + 1] - na[2 * k] - 180.0)
         d2 = gap(nb[2 * k2] - na[2 * k + 1] - 180.0)
         d3 = abs((na[2 * k + 1] - na[2 * k]) + (nb[2 * k2 + 1] - nb[2 * k2]))

@@ -11,7 +11,7 @@ from streamtrace import FieldSamples, FluxError, SurfaceMesh, flux
 from streamtrace.flux import accumulate, locate, phi_inverse
 from streamtrace.stream_mesh import IN, OUT, TF, TB, StreamMesh
 
-from conftest import TANGENTS, phi, phi_signed, wound_config
+from conftest import TANGENTS, decode, phi, phi_signed, wound_config
 from conftest import constant_samples, right_triangle
 from conftest import oracle_accumulate, oracle_cross_facet, oracle_locate, oracle_phi_inverse
 from streamtrace.stream_mesh import BorderTable, decompose
@@ -157,8 +157,8 @@ def corner_sink_by_neighbours(sm, r):
     The neighbours are the rows before and after r round the border.
     """
     n = sm.elements[6]
-    behavior = sm.decode(r)[1]
-    pair = (sm.decode((r - 1) % n)[1], sm.decode((r + 1) % n)[1])
+    behavior = decode(sm, r)[1]
+    pair = (decode(sm, (r - 1) % n)[1], decode(sm, (r + 1) % n)[1])
     if behavior == OUT and pair == (TF, TB):
         return 1
     if behavior == IN and pair == (TB, TF):
@@ -172,7 +172,7 @@ def corner_flow_pieces():
 
     for sm in decomposition_corpus():
         for r in range(len(sm.code)):
-            kind, behavior, _, _ = sm.decode(r)
+            kind, behavior, _, _ = decode(sm, r)
             if kind == "corner" and behavior not in TANGENTS:
                 yield sm, r
 
@@ -268,7 +268,7 @@ def test_accumulate_then_locate_round_trips():
         if sm.run_prefix[0][-1] <= 0.0:
             continue
         for r in sm.run_rows[0]:
-            if sm.decode(r)[1] in TANGENTS:
+            if decode(sm, r)[1] in TANGENTS:
                 continue
             c = float(rng.uniform(0.0, 1.0))
             x = accumulate(sm, r, c)
@@ -297,7 +297,7 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
         for groups, _ in sm.faces:
             for rows in groups:
                 for r in rows:
-                    if sm.decode(r)[1] in TANGENTS or sm.length[r] == 0.0:
+                    if decode(sm, r)[1] in TANGENTS or sm.length[r] == 0.0:
                         continue
                     b0 = sm.b0[r]
                     db = sm.b1[r] - b0

@@ -87,14 +87,14 @@ def test_frame_angles_unwrap_by_exterior_angles():
 
     for _ in range(50):
         m = single_triangle(rng)
-        fr = m.frame(0)
-        assert abs(fr.edge_angles[0]) < 1e-15
+        edge_angles, betas = m.edge_angles[0], m.betas[0]
+        assert abs(edge_angles[0]) < 1e-15
         for k in range(2):
-            step = fr.edge_angles[k + 1] - fr.edge_angles[k]
-            assert math.isclose(step, math.pi - fr.betas[k], abs_tol=1e-12)
+            step = edge_angles[k + 1] - edge_angles[k]
+            assert math.isclose(step, math.pi - betas[k], abs_tol=1e-12)
         # the frame u axis is edge 0 normalized
         e0 = m.vertices[m.faces[0][1]] - m.vertices[m.faces[0][0]]
-        assert np.allclose(fr.u, e0 / np.linalg.norm(e0))
+        assert np.allclose(m.frame_u[0], e0 / np.linalg.norm(e0))
 
 
 def test_position_interpolates_along_edges(strip10):
@@ -390,7 +390,7 @@ def loop_frames(m, reference_offsets=None):
 
 
 def _frame_arrays(m):
-    return m._frame_u, m._frame_v, m._edge_lens, m._betas, m._edge_angles
+    return m.frame_u, m.frame_v, m.edge_lens, m.betas, m.edge_angles
 
 
 @pytest.mark.parametrize(
@@ -415,6 +415,30 @@ def test_frames_are_bit_identical_to_the_facet_loop(make):
         for got, exp in zip(_frame_arrays(m), want):
             assert got.shape == exp.shape
             assert np.array_equal(got.view(np.int64), exp.view(np.int64))
+
+
+FRAME_TABLES = ("frame_u", "frame_v", "edge_lens", "edge_angles", "betas")
+
+
+def test_frame_tables_are_read_only_and_follow_the_reference_offsets():
+    m = meshgen.grid(5, 4, distortion=0.2, seed=3)
+    unturned = {name: getattr(m, name) for name in FRAME_TABLES}
+    offsets = np.linspace(-2.0, 2.0, m.n_facets)
+    for offs in (None, offsets, np.zeros(m.n_facets)):
+        if offs is not None:
+            m.set_reference_offsets(offs)
+        for name in FRAME_TABLES:
+            table = getattr(m, name)
+            assert table.shape == (m.n_facets, 3)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+        if offs is not None:
+            assert np.array_equal(m.edge_angles[:, 0], -offs)
+    # turning every reference and back rebuilt each table with its old bits
+    for name in FRAME_TABLES:
+        assert getattr(m, name) is not unturned[name]
+        assert np.array_equal(getattr(m, name).view(np.int64), unturned[name].view(np.int64))
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,10 @@ from streamtrace.field import normalize_sample
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decompose
-from streamtrace.stream_mesh import _DECODE, _behaviors, _segment
+from streamtrace.stream_mesh import _behaviors, _segment
 
 from conftest import TANGENTS, a_sequence, border_face, initial_pairs, is_simple, phi
-from conftest import split_count
+from conftest import _DECODE, decode, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 
 
@@ -233,7 +233,7 @@ def test_golden_decomposition_dump():
     chords = [
         (float(sm.b0[r]).hex(), float(sm.b1[r]).hex(), float(sm.length[r]).hex())
         for r in range(len(sm.code))
-        if sm.decode(r)[0] == "chord"
+        if decode(sm, r)[0] == "chord"
     ]
     assert chords == GOLDEN_CHORDS
     # face i has the inflow run 2 i and the outflow run 2 i + 1
@@ -263,7 +263,7 @@ def test_decompose_produces_simple_faces_with_flux():
         seq = a_sequence(sm.code, face)
         assert all(b < a for a, b in zip(seq, seq[1:]))
         runs = sm.run_rows[2 * face_id : 2 * face_id + 2]
-        assert [sm.decode(rows[0])[1] for rows in runs] == [IN, OUT]
+        assert [decode(sm, rows[0])[1] for rows in runs] == [IN, OUT]
         assert sm.run_prefix[2 * face_id][-1] > 0.0
         assert sm.run_prefix[2 * face_id + 1][-1] > 0.0
 
@@ -342,9 +342,9 @@ def test_every_stream_face_closes():
                 # a chord runs from where the row before it ends to where
                 # the row after it starts
                 if b >= n:
-                    origin[b] = (sm.decode(a)[2], sm.t1[a])
+                    origin[b] = (decode(sm, a)[2], sm.t1[a])
                 if a >= n:
-                    dest[a] = (sm.decode(b)[2], sm.t0[b])
+                    dest[a] = (decode(sm, b)[2], sm.t0[b])
         assert sorted(owner) == list(range(len(sm.code)))
         # twins span the same two anchors in opposite directions
         assert sorted(sm.twin) == list(range(n, len(sm.code)))
@@ -365,7 +365,7 @@ def test_chord_twins_carry_equal_flux():
         for r, t in sm.twin.items():
             if r < t:
                 assert phi(sm, r, 1.0) == pytest.approx(phi(sm, t, 1.0), abs=1e-12)
-                assert sm.decode(r)[1] != sm.decode(t)[1]
+                assert decode(sm, r)[1] != decode(sm, t)[1]
                 seen += 1
 
 
@@ -381,7 +381,7 @@ def test_import_export_round_trip_on_edges():
             r, csm = sm.import_position(3 * 0 + k, c, IN)
         except StreamMeshError:
             continue  # outflow point: not importable
-        kind, _, element, _ = sm.decode(r)
+        kind, _, element, _ = decode(sm, r)
         assert kind in ("edge", "corner")
         tp = sm.export_position(r, csm)
         # exporting an edge piece lands back on the same undirected edge
@@ -395,10 +395,10 @@ def test_import_prefers_inflow_at_shared_cut():
     sm = decompose(BorderTable(m, fs), 0)
     # t = 0.364864... on edge 0 is an exact cut between I and O pieces
     r, c = sm.import_position(0, 27.0 / 74.0, IN)
-    assert sm.decode(r)[1] == IN
+    assert decode(sm, r)[1] == IN
     # a backward line enters the same stream mesh on the outflow side
     r, c = sm.import_position(0, 27.0 / 74.0, OUT)
-    assert sm.decode(r)[1] == OUT
+    assert decode(sm, r)[1] == OUT
 
 
 @pytest.mark.parametrize("enter, c, label", [(IN, 0.6, "I"), (OUT, 0.2, "O")])
@@ -460,7 +460,7 @@ def test_corner_sink_pieces_have_zero_length():
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
         for r in range(len(sm.code)):
-            if sm.decode(r)[0] == "corner":
+            if decode(sm, r)[0] == "corner":
                 assert sm.length[r] == 0.0
                 found += 1
 
@@ -498,7 +498,7 @@ def decomposition_digest(meshes):
                 f"{float(prefix[-1]).hex()}\n".encode()
             )
         for r in range(len(sm.code)):
-            flux = "-" if sm.decode(r)[1] in TANGENTS else float(phi(sm, r, 1.0)).hex()
+            flux = "-" if decode(sm, r)[1] in TANGENTS else float(phi(sm, r, 1.0)).hex()
             h.update(
                 f"{r} face{face[r]} {float(sm.b0[r]).hex()} {float(sm.b1[r]).hex()} "
                 f"{float(sm.length[r]).hex()} {sm.twin.get(r)} {flux}\n".encode()
@@ -671,7 +671,7 @@ def test_table_rows_match_a_loop_over_the_border():
     # element's span of rows matches the rows' codes
     for borders, f in scene_borders():
         codes, columns, elements, _, _ = borders.border(f)
-        lens = borders.mesh.facet_edge_lengths(f).tolist()
+        lens = borders.mesh.edge_lens[f].tolist()
         t0s, lengths = loop_t0_length(codes, columns[1], lens)
         assert hexes(columns[0]) == hexes(t0s)
         assert hexes(columns[4]) == hexes(lengths)

@@ -36,7 +36,7 @@ from streamtrace.tracer import (
     seed_from_vertex,
 )
 
-from conftest import assert_close, constant_samples, interpolated_angle, wound_config
+from conftest import assert_close, constant_samples, decode, interpolated_angle, wound_config
 
 
 def boundary_seed(mesh, axis, level, s, direction="forward"):
@@ -263,11 +263,9 @@ def sweep_seed_count(mesh, fs, v, samples=512):
     """
     events = []
     for i, (f, k) in enumerate(fan_walk(mesh, v)):
-        fr = mesh.frame(f)
-
         def delta(t):
             field = interpolated_angle(mesh, fs, f, 2 * k + 1, t)
-            ray = fr.edge_angles[k] + math.pi - t * fr.betas[k]
+            ray = mesh.edge_angles[f, k] + math.pi - t * mesh.betas[f, k]
             return field - ray
 
         ts = np.linspace(0.0, 1.0, samples)
@@ -812,7 +810,7 @@ def test_backward_crossing_inverts_forward_crossing():
             # face i's inflow run is run 2 i
             rin = 2 * face_id
             for r in sm.run_rows[rin]:
-                if sm.decode(r)[0] == "chord" or sm.total[r] == 0.0:
+                if decode(sm, r)[0] == "chord" or sm.total[r] == 0.0:
                     continue
                 c = float(rng.uniform(0.0, 1.0))
                 out, c_out = tr.cross_facet(sm, r, c)
