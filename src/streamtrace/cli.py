@@ -225,9 +225,10 @@ def write_svg(path, mesh, polylines):
     ends1 = [f'x1="{x:.2f}" y1="{y:.2f}"' for x, y in xy]
     ends2 = [f'x2="{x:.2f}" y2="{y:.2f}"' for x, y in xy]
     h = mesh.edge_halfedges()
+    _, _, origin, dest = mesh.halfedge_tables()
     parts.extend(
         f'<line {ends1[a]} {ends2[b]} stroke="#ddd" stroke-width="0.7"/>'
-        for a, b in zip(mesh._origin[h].tolist(), mesh._dest[h].tolist())
+        for a, b in zip(origin[h].tolist(), dest[h].tolist())
     )
     for i, pl in enumerate(polylines):
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in screen(pl.positions))

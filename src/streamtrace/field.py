@@ -89,25 +89,12 @@ class Violation:
         return f"{self.kind} at {self.where}: off by {self.discrepancy:.6g}"
 
 
-def normalize_sample(value_deg):
-    """Reduce a real angle in degrees to ([0, 360), winding)."""
-    w = math.floor(value_deg / 360.0)
-    a = value_deg - 360.0 * w
-    if a < 0.0:  # value / 360 underflowed to -0.0 for a tiny negative value
-        a += 360.0
-        w -= 1
-    if a >= 360.0:  # floating point guard when value is a hair below 0
-        a -= 360.0
-        w += 1
-    return a, int(w)
-
-
 def normalize_samples(values):
-    """``normalize_sample`` over an array of finite angles below ``ANGLE_LIMIT``.
+    """Reduce finite angles below ``ANGLE_LIMIT``, in degrees, to [0, 360).
 
-    Returns the angles in [0, 360) and their int64 windings, equal bit for
-    bit to the scalar form.  The whole turns become int64 before they scale
-    360.0, as the scalar form's ``int`` does, so -0.0 stays -0.0.
+    Returns the reduced angles and their int64 windings, the whole turns
+    taken off.  The turns become int64 before they scale 360.0, so -0.0
+    stays -0.0.
     """
     turns = np.floor(values / 360.0).astype(np.int64)
     angles = values - 360.0 * turns
@@ -228,11 +215,14 @@ def _raise_first_bad_line(path, n):
             if fid in seen:
                 raise FieldError(f"line {lineno}: duplicate facet id {fid}")
             seen.add(fid)
-            for v, w in zip(vals, winds):
+            values = np.array(vals)
+            finite = np.abs(values) < ANGLE_LIMIT
+            turns = normalize_samples(np.where(finite, values, 0.0))[1].tolist()
+            for v, ok, w, t in zip(vals, finite.tolist(), winds, turns):
                 if not (
-                    abs(v) < ANGLE_LIMIT
+                    ok
                     and _INT64.min <= w <= _INT64.max
-                    and _INT64.min <= w + normalize_sample(v)[1] <= _INT64.max
+                    and _INT64.min <= w + t <= _INT64.max
                 ):
                     raise FieldError(
                         f"line {lineno}: angle {v!r} with winding {w} "
@@ -257,39 +247,27 @@ def save_field(path, fieldsamples: FieldSamples):
 # -- consistency -------------------------------------------------------------
 
 
-def corner_jump_deg(mesh, fieldsamples, f, k):
-    """Field discontinuity (degrees) across corner k of facet f.
-
-    The border-interpolated angle rotates by nodes[2k+2] - nodes[2k+1]
-    across the corner while the border direction itself turns by
-    -(180 - beta); whatever rotation remains beyond that turn is the field's
-    own jump.  Signs are fixed so that a flat sink (field pointing at the
-    vertex on every incident edge) jumps by +beta at each of its corners.
-    """
-    nodes = fieldsamples.nodes[f]
-    corner_rot = nodes[2 * k + 2] - nodes[2 * k + 1]
-    beta_deg = math.degrees(mesh.corner_angle(3 * f + k))
-    return -corner_rot - (180.0 - beta_deg)
-
-
 # an index above INDEX_TOL is positive, one within it of 0 is zero
 INDEX_TOL = 1e-9
 
 
 def vertex_index(mesh, fieldsamples, v):
-    """Topological index of the field at an interior vertex.
+    """Topological index of the field at an interior vertex, in turns.
 
-    Sum of the per-corner jumps plus the angle defect, in turns.  Raises
-    MeshError for boundary vertices (their index is not defined).
+    Across corner k of facet f the border angle steps by ``rot = nodes[f,
+    2k+2] - nodes[f, 2k+1]`` degrees, and the field jumps by ``-rot - (180
+    - beta)``, beta the corner angle.  The index is the jumps of the n
+    corners at v plus the angle defect ``360 - sum(beta)``, in turns; the
+    corner angles cancel, which leaves ``1 - n/2 - sum(rot) / 360``, read
+    from the samples alone.  Raises MeshError for boundary vertices (their
+    index is not defined).
     """
     if mesh.is_boundary_vertex(v):
         raise MeshError(f"vertex index undefined for boundary vertex {v}")
-    total_jump = 0.0
-    for f, k in mesh.vertex_corners(v):
-        total_jump += corner_jump_deg(mesh, fieldsamples, f, k)
-    return math.radians(total_jump) / (2.0 * math.pi) + mesh.angle_defect(v) / (
-        2.0 * math.pi
-    )
+    nodes = fieldsamples.nodes
+    corners = mesh.vertex_corners(v)
+    rot = sum(float(nodes[f, 2 * k + 2] - nodes[f, 2 * k + 1]) for f, k in corners)
+    return 1.0 - len(corners) / 2.0 - rot / 360.0
 
 
 def validate(mesh: SurfaceMesh, fieldsamples: FieldSamples) -> list[Violation]:
@@ -574,7 +552,8 @@ def _synth_smoothed_random(mesh, seed=0):
     spread = g.max() - g.min()
     if spread > 0:
         g *= _RANDOM_AMPLITUDE_DEG / spread
-    rot += g[mesh._dest[edges]] - g[mesh._origin[edges]]
+    _, _, origin, dest = mesh.halfedge_tables()
+    rot += g[dest[edges]] - g[origin[edges]]
 
     seed_angle = float(rng.uniform(0.0, 360.0))
 

@@ -133,8 +133,8 @@ class SurfaceMesh:
         self._prev[self._next[b]] = b
 
         self._canonical = self._opposite > np.arange(n)
-        self._facet.setflags(write=False)
-        self._opposite.setflags(write=False)
+        for table in (self._facet, self._opposite, self._origin, self._dest):
+            table.setflags(write=False)
         # the trace path asks for one halfedge at a time: a list item is
         # an int already, where each numpy read builds a scalar
         self._opposite_list = self._opposite.tolist()
@@ -251,11 +251,11 @@ class SurfaceMesh:
         return self._facet_list[h] >= 0
 
     def halfedge_tables(self):
-        """Read-only ``(facet, opposite)`` arrays indexed by halfedge id.
+        """Read-only ``(facet, opposite, origin, dest)`` arrays indexed by halfedge id.
 
         ``facet`` is -1 on boundary halfedges, where ``facet(h)`` is None.
         """
-        return self._facet, self._opposite
+        return self._facet, self._opposite, self._origin, self._dest
 
     def is_boundary_vertex(self, v):
         return bool(self._vertex_on_boundary[v])

@@ -240,7 +240,8 @@ def _cut_block(mesh, fieldsamples, facets):
     mirrored = np.zeros((nb, 6), bool)
     mirrored[:, 0::2] = other
     mirrored = mirrored.ravel()
-    o = mesh.halfedge_tables()[1][h][other]
+    _, opposite, _, _ = mesh.halfedge_tables()
+    o = opposite[h][other]
     canonical = fieldsamples.nodes[o // 3]
     d0, d1 = own0.copy(), own1.copy()
     d0[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3)]

@@ -133,8 +133,9 @@ def save_polylines(path, polylines):
 def load_polylines(path):
     """Read ``save_polylines`` output; a malformed line raises ValueError.
 
-    The lines' ``positions`` are None: ``SurfaceMesh.positions(pl.points)``
-    on the traced mesh gives them.
+    A line nested too deeply for the JSON decoder is malformed too.  The
+    lines' ``positions`` are None: ``SurfaceMesh.positions(pl.points)`` on
+    the traced mesh gives them.
     """
     out = []
     with open(path) as fh:
@@ -142,7 +143,7 @@ def load_polylines(path):
             if line.strip():
                 try:
                     out.append(Polyline.from_record(json.loads(line)))
-                except ValueError as exc:
+                except (RecursionError, ValueError) as exc:
                     raise ValueError(f"{path} line {lineno}: {exc}") from None
     return out
 
@@ -439,28 +440,6 @@ class CrossingViolation:
         )
 
 
-def _border_key(mesh, facet, tp):
-    """Map a trace point on the facet border to its key in [0, 3].
-
-    Edge k covers [k, k + 1], so vertex 0 reads as 0.0 or as 3.0.
-    """
-    h = tp.halfedge
-    if tp.c > 1.0:
-        return (h % 3 + 1.0) % 3.0  # absorbing corner: the vertex itself
-    if mesh.facet(h) == facet:
-        return h % 3 + tp.c
-    o = mesh.opposite(h)
-    if mesh.facet(o) == facet:
-        return o % 3 + (1.0 - tp.c)
-    # vertex pivots connect through a vertex shared with the facet
-    if tp.c == 0.0 or tp.c == 1.0:
-        v = mesh.dest(h) if tp.c == 1.0 else mesh.origin(h)
-        verts = list(mesh.faces[facet])
-        if v in verts:
-            return float(verts.index(v))
-    raise TraceError(f"trace point {tp} does not touch facet {facet}")
-
-
 def _same_point(p, q):
     """True when two border keys lie within 1e-12 around the facet border."""
     d = abs(p - q)
@@ -471,7 +450,7 @@ def check_crossings(mesh, polylines):
     """Traced segments that cross inside a facet, found by one sort per facet.
 
     Cut open at vertex 0, a facet border is the interval [0, 3] of
-    ``_border_key``, and each segment is stored once as its sorted keys
+    ``_border_keys``, and each segment is stored once as its sorted keys
     ``(lo, hi)``.  Two segments cross when exactly one endpoint of the
     second lies strictly inside ``(lo, hi)`` of the first.  Segments sharing
     an endpoint are tangential meetings and are allowed: two keys are one
@@ -510,11 +489,10 @@ def _segment_intervals(mesh, polylines):
     (line, segment) order and leave out segments whose ends share a key.
     A segment's facet is its end point's, or the one across when that point
     is on an outward boundary halfedge, so only a start can be a vertex
-    pivot or touch no facet.  Those go through ``_border_key`` in segment
-    order, and the first point touching no facet raises its ``TraceError``,
-    as a segment-by-segment scan would.
+    pivot or touch no facet.  The first start in segment order that touches
+    no facet raises its ``TraceError``.
     """
-    fac, opp = mesh.halfedge_tables()
+    fac, opp, _, _ = mesh.halfedge_tables()
     pts = [tp for pl in polylines for tp in pl.points]
     # no dtype yet: an int too large for one leaves an object array, which
     # still compares
@@ -538,10 +516,13 @@ def _segment_intervals(mesh, polylines):
     facet = fac[h[end]]
     facet = np.where(facet < 0, fac[opp[h[end]]], facet)
 
-    ka, rest = _edge_keys(fac, opp, h[start], c[start], facet)
-    kb, _ = _edge_keys(fac, opp, h[end], c[end], facet)
-    for i in np.nonzero(rest)[0].tolist():
-        ka[i] = _border_key(mesh, int(facet[i]), pts[start[i]])
+    ka, astray = _border_keys(mesh, h[start], c[start], facet)
+    if len(astray):
+        i = int(astray[0])
+        raise TraceError(
+            f"trace point {pts[start[i]]} does not touch facet {facet[i]}"
+        )
+    kb, _ = _border_keys(mesh, h[end], c[end], facet)
 
     keep = ka != kb
     ka, kb = ka[keep], kb[keep]
@@ -550,13 +531,19 @@ def _segment_intervals(mesh, polylines):
     return facet[keep], lo, hi, line[keep], seg[keep]
 
 
-def _edge_keys(fac, opp, h, c, facet):
-    """``_border_key`` of points on their facet's halfedges or twins, or at sinks.
+def _border_keys(mesh, h, c, facet):
+    """Keys in [0, 3] of trace points ``(h, c)`` on the borders of ``facet``.
 
-    Whole arrays, with the float operations of ``_border_key``, so the keys
-    are the same doubles.  Also returns the mask of the other points, whose
-    keys are left unset.
+    Edge k of a facet covers [k, k + 1], so vertex j reads as j, and vertex
+    0 also as 3.0.  A point on the facet's own halfedge keys as ``k + c``,
+    one on its twin as ``k + 1 - c``, a sink (c > 1) as the halfedge's
+    destination vertex.  A vertex pivot, at c = 0 or 1 on a halfedge of
+    another facet, keys as its vertex, ``origin(h)`` or ``dest(h)``: that
+    vertex's place in the facet's row of ``faces``.  Also returns the
+    ascending indices of the points that touch the facet in none of these
+    ways, whose keys are left unset.
     """
+    fac, opp, origin, dest = mesh.halfedge_tables()
     o = opp[h]
     key = np.empty(len(h))
     sink = c > 1.0
@@ -565,7 +552,14 @@ def _edge_keys(fac, opp, h, c, facet):
     key[sink] = (h[sink] % 3 + 1.0) % 3.0
     key[own] = h[own] % 3 + c[own]
     key[across] = o[across] % 3 + (1.0 - c[across])
-    return key, ~(sink | own | across)
+    rest = np.nonzero(~(sink | own | across))[0]
+    if len(rest):  # pivots are rare, and every campaign is checked
+        hr, cr = h[rest], c[rest]
+        v = np.where(cr == 0.0, origin[hr], np.where(cr == 1.0, dest[hr], -1))
+        at = mesh.faces[facet[rest]] == v[:, None]
+        key[rest] = np.argmax(at, axis=1)
+        rest = rest[~at.any(axis=1)]
+    return key, rest
 
 
 def _interleaving_facets(facet, lo, hi):

@@ -15,8 +15,24 @@ from streamtrace import (
     meshgen,
     synth_field,
 )
-from streamtrace.field import normalize_sample
 from streamtrace.stream_mesh import _CHORD, IN, OUT, TB, TF
+
+
+def normalize_sample(value_deg):
+    """Reduce a real angle in degrees to ([0, 360), winding).
+
+    The scalar oracle of ``field.normalize_samples``, which must agree with
+    it bit for bit.
+    """
+    w = math.floor(value_deg / 360.0)
+    a = value_deg - 360.0 * w
+    if a < 0.0:  # value / 360 underflowed to -0.0 for a tiny negative value
+        a += 360.0
+        w -= 1
+    if a >= 360.0:  # floating point guard when value is a hair below 0
+        a -= 360.0
+        w += 1
+    return a, int(w)
 
 
 @pytest.fixture(scope="session")
@@ -132,6 +148,64 @@ def interpolated_angle(mesh, fieldsamples, f, element, t):
     if element % 2 == 1:
         angle += t * (math.pi - mesh.betas[f, k])
     return angle
+
+
+# -- the vertex index from the geometry ----------------------------------------
+
+
+def corner_jump_deg(mesh, fieldsamples, f, k):
+    """Field discontinuity (degrees) across corner k of facet f.
+
+    The border-interpolated angle rotates by nodes[2k+2] - nodes[2k+1]
+    across the corner while the border direction itself turns by
+    -(180 - beta); whatever rotation remains beyond that turn is the field's
+    own jump.  Signs are fixed so that a flat sink (field pointing at the
+    vertex on every incident edge) jumps by +beta at each of its corners.
+    """
+    nodes = fieldsamples.nodes[f]
+    corner_rot = nodes[2 * k + 2] - nodes[2 * k + 1]
+    beta_deg = math.degrees(mesh.corner_angle(3 * f + k))
+    return -corner_rot - (180.0 - beta_deg)
+
+
+def geometric_vertex_index(mesh, fieldsamples, v):
+    """Index at an interior vertex as the corner jumps plus the angle defect.
+
+    The oracle of ``vertex_index``, which reads the same turns from the
+    samples alone, the corner angles cancelled.
+    """
+    total_jump = 0.0
+    for f, k in mesh.vertex_corners(v):
+        total_jump += corner_jump_deg(mesh, fieldsamples, f, k)
+    return math.radians(total_jump) / (2.0 * math.pi) + mesh.angle_defect(v) / (
+        2.0 * math.pi
+    )
+
+
+# -- crossing-check keys, one point at a time ------------------------------------
+
+
+def _border_key(mesh, facet, tp):
+    """Map a trace point on the facet border to its key in [0, 3].
+
+    Edge k covers [k, k + 1], so vertex 0 reads as 0.0 or as 3.0.  The
+    scalar oracle of the crossing check's array keys.
+    """
+    h = tp.halfedge
+    if tp.c > 1.0:
+        return (h % 3 + 1.0) % 3.0  # absorbing corner: the vertex itself
+    if mesh.facet(h) == facet:
+        return h % 3 + tp.c
+    o = mesh.opposite(h)
+    if mesh.facet(o) == facet:
+        return o % 3 + (1.0 - tp.c)
+    # vertex pivots connect through a vertex shared with the facet
+    if tp.c == 0.0 or tp.c == 1.0:
+        v = mesh.dest(h) if tp.c == 1.0 else mesh.origin(h)
+        verts = list(mesh.faces[facet])
+        if v in verts:
+            return float(verts.index(v))
+    raise TraceError(f"trace point {tp} does not touch facet {facet}")
 
 
 # -- stream-mesh rows, decoded by table ----------------------------------------

@@ -473,11 +473,12 @@ def _record(points, **extra):
             "line 1: malformed polyline record: seed point "
             "TracePoint(halfedge=0, c=1.5) is not on its edge",
         ),
+        (["[" * 100000], "line 1: maximum recursion depth exceeded"),
     ],
     ids=[
         "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
         "unknown-direction", "no-direction", "no-sink-vertex", "two-bad-segments",
-        "seed-off-edge",
+        "seed-off-edge", "deep-nesting",
     ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):
@@ -763,6 +764,19 @@ def test_cli_pipeline_runs_clean_under_dev_mode(tmp_path):
         "trace", "--mesh", "torus.obj", "--field", "torus.field", "--engine", "rk4",
         "--max-steps", "500", "--out", "rk4.jsonl",
     )
+    # the vertex paths: the index of every vertex, separatrix seeds, and
+    # lines that pivot through vertices, checked by their pivot keys
+    run("synth", "saddle", "--out", "saddle")
+    run(
+        "trace", "--mesh", "saddle.obj", "--field", "saddle.field",
+        "--seed-singularities", "--out", "sep.jsonl",
+    )
+    run("synth", "grid", "--nx", "10", "--ny", "10", "--angle", "45", "--out", "diag")
+    run(
+        "trace", "--mesh", "diag.obj", "--field", "diag.field",
+        "--seed-points", "0:0.0,5:0.0,6:0.0,12:0.0,18:0.0,24:0.0", "--out", "diag.jsonl",
+    )
+    run("check-crossings", "--mesh", "diag.obj", "--lines", "diag.jsonl")
 
 
 def test_importing_the_cli_loads_no_scipy():

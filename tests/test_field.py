@@ -23,14 +23,16 @@ import streamtrace.field as field_mod
 from streamtrace.field import (
     CONTINUITY_TOL_DEG,
     EVENNESS_TOL,
+    INDEX_TOL,
     Violation,
-    corner_jump_deg,
-    normalize_sample,
     normalize_samples,
 )
 
 from conftest import (
+    corner_jump_deg,
+    geometric_vertex_index,
     interpolated_angle,
+    normalize_sample,
     reference_field,
     reference_obj,
     right_triangle,
@@ -569,6 +571,38 @@ def test_vertex_index_is_near_integer_on_random_valid_fields(seed, which):
         if not m.is_boundary_vertex(v):
             idx = vertex_index(m, fs, v)
             assert abs(idx - round(idx)) < 1e-6
+
+
+def index_corpus():
+    """Closed random fields, the radial kinds on plain and distorted discs,
+    and a constant field on a distorted grid."""
+    for make in (lambda: meshgen.icosphere(3), meshgen.torus):
+        m = make()
+        for seed in range(4):
+            yield m, synth_field(m, "smoothed-random", seed=seed)
+    for distortion in (0.0, 0.2):
+        m = meshgen.disc(8, 24, distortion=distortion, seed=1)
+        for kind in ("circular", "source", "sink", "saddle"):
+            yield m, synth_field(m, kind)
+    m = meshgen.grid(40, 40, distortion=0.3, seed=0)
+    yield m, synth_field(m, "constant", angle_deg=30.0)
+
+
+def test_vertex_index_from_samples_is_the_geometric_index():
+    # the corner angles of the jumps and of the angle defect cancel: the
+    # index read from the samples alone takes every INDEX_TOL decision the
+    # geometric sum takes
+    checked = 0
+    for m, fs in index_corpus():
+        for v in range(m.n_vertices):
+            if m.is_boundary_vertex(v):
+                continue
+            got, want = vertex_index(m, fs, v), geometric_vertex_index(m, fs, v)
+            assert abs(got - want) <= 1e-12, (v, got, want)
+            assert (got > INDEX_TOL) == (want > INDEX_TOL), (v, got, want)
+            assert (abs(got) <= INDEX_TOL) == (abs(want) <= INDEX_TOL), (v, got, want)
+            checked += 1
+    assert checked == 6593
 
 
 def test_nodes_rows_are_the_read_only_node_table(sphere_random_field, disc_mesh):

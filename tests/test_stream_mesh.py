@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from streamtrace import FieldSamples, StreamMeshError, meshgen, synth_field
-from streamtrace.field import normalize_sample
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decompose
@@ -16,6 +15,7 @@ from streamtrace.stream_mesh import _behaviors, _segment
 from conftest import TANGENTS, a_sequence, border_face, initial_pairs, is_simple, phi
 from conftest import _DECODE, decode, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
+from conftest import normalize_sample
 
 
 def _classify(value_deg):

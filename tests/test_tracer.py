@@ -26,7 +26,6 @@ from streamtrace.tracer import (
     Polyline,
     Seed,
     Tracer,
-    _border_key,
     _interleaving_facets,
     _pairwise_crossings,
     _segment_intervals,
@@ -36,7 +35,9 @@ from streamtrace.tracer import (
     seed_from_vertex,
 )
 
-from conftest import assert_close, constant_samples, decode, interpolated_angle, wound_config
+from conftest import (
+    _border_key, assert_close, constant_samples, decode, interpolated_angle, wound_config,
+)
 
 
 def boundary_seed(mesh, axis, level, s, direction="forward"):
