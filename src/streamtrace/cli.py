@@ -182,9 +182,10 @@ def _run_campaign(seeds, trace):
             continue
         dt = time.perf_counter() - t0
         polylines.append(pl)
-        nx = max(1, len(pl.points) - 1)
-        report.crossings += nx
-        per_line.append(dt / nx)
+        crossings = len(pl.points) - 1  # one per point after the seed
+        report.crossings += crossings
+        if crossings:
+            per_line.append(dt / crossings)
         report.terminations[pl.termination] = (
             report.terminations.get(pl.termination, 0) + 1
         )
@@ -305,7 +306,7 @@ def cmd_bench(args):
     print(f"        (cold {cold.median_crossing_time * 1e6:.2f} us, "
           f"warm {warm.median_crossing_time * 1e6:.2f} us)")
     print(f"rk4:    {rk4_per_step * 1e6:.2f} us per step (h = {cfg.step_fraction} avg edge)")
-    print(f"ratio:  {stream_t / rk4_per_step:.2f} stream crossings per rk4 step")
+    print(f"ratio:  {stream_t / rk4_per_step:.2f} crossing/step time ratio")
     return 0
 
 

@@ -360,7 +360,7 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
     Kinds:
 
     * ``constant`` -- uniform planar direction; ``angle_deg`` (default 0), a
-      finite number of degrees.
+      finite number of degrees below ``ANGLE_LIMIT`` in size.
     * ``circular`` -- counterclockwise circulation around ``center``.
     * ``source`` / ``sink`` -- radial flow away from / into ``center``.
     * ``saddle`` -- index -1 saddle at ``center``.
@@ -387,6 +387,8 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
 def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
     if not math.isfinite(angle_deg):
         raise FieldError(f"field angle must be a finite number of degrees, got {angle_deg}")
+    if abs(angle_deg) >= ANGLE_LIMIT:
+        raise FieldError(f"field angle {angle_deg} is 360 * 2**62 degrees or more")
     p = mesh.vertices
     if np.any(np.abs(p[:, 2]) > 1e-12):
         raise FieldError("planar field kinds require a z = 0 mesh")
@@ -409,18 +411,18 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
         def absolute_angle(q):
             return spin * math.degrees(math.atan2(q[1] - cy, q[0] - cx)) + offset
 
+    def is_center_vertex(q):
+        return abs(q[0] - cx) + abs(q[1] - cy) < 1e-12 * scale
+
     def eval_point(at, toward):
         # radial kinds are constant along rays from the center, so a sample
         # sitting exactly on the center is evaluated slightly along its edge
-        if abs(at[0] - cx) + abs(at[1] - cy) < 1e-12 * scale:
+        if is_center_vertex(at):
             return (
                 at[0] + 0.01 * (toward[0] - at[0]),
                 at[1] + 0.01 * (toward[1] - at[1]),
             )
         return at
-
-    def is_center_vertex(q):
-        return abs(q[0] - cx) + abs(q[1] - cy) < 1e-12 * scale
 
     raws = np.empty((mesh.n_facets, 6))
     thetas = np.empty((mesh.n_facets, 6))
@@ -453,20 +455,13 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
         closure = theta[5] - jump - (180.0 - beta_deg) - (theta[0] - 360.0)
         if abs(closure) > 1e-6:
             raise FieldError(f"synth closure failed on facet {f}: {closure}")
-    angles, windings = _reduce_samples(raws, thetas)
+    angles = normalize_samples(raws)[0]
+    windings = np.rint((thetas - angles) / 360.0).astype(np.int64)
     drift = np.abs(thetas - (angles + 360.0 * windings)) > 1e-6
     if drift.any():
         f, i = np.argwhere(drift)[0]
         raise FieldError(f"synth winding drift on facet {f} sample {i}")
     return FieldSamples(angles, windings)
-
-
-def _reduce_samples(raw, theta):
-    """Angles ``raw`` mod 360 in [0, 360), and the whole turns to ``theta``."""
-    # a tiny negative angle mod 360 rounds up to 360.0
-    angles = np.mod(raw, 360.0)
-    angles[angles >= 360.0] -= 360.0
-    return angles, np.rint((theta - angles) / 360.0).astype(np.int64)
 
 
 # span in degrees of the random potential that turns smoothed-random edges
@@ -648,7 +643,7 @@ def _synth_smoothed_random(mesh, seed=0):
         if _circular_gap(defect(theta, h)) > 1e-5:
             raise FieldError("random field propagation failed to close")
 
-    return FieldSamples(*_reduce_samples(theta, theta))
+    return FieldSamples(*normalize_samples(theta))
 
 
 def _defect_row(mesh, parent, anchors, nontree_h, edge_of, ne):

@@ -342,12 +342,6 @@ class SurfaceMesh:
             total += self.betas[f, k]
         return total
 
-    def angle_defect(self, v):
-        """2*pi minus the sum of incident corner angles, interior vertices only."""
-        if self._vertex_on_boundary[v]:
-            raise MeshError(f"angle defect undefined for boundary vertex {v}")
-        return 2.0 * math.pi - self.corner_angle_sum(v)
-
     # -- positions ----------------------------------------------------------
 
     def position(self, tp: TracePoint) -> np.ndarray:

@@ -524,6 +524,11 @@ class StreamMesh:
     sums, from 0.0 to the run's total.  ``run[r]`` is the run that holds
     row r, -1 outside every run, and ``start[r]`` the flux of that run
     before row r.  ``twin`` maps each chord row to the row of its twin.
+    ``faces`` holds a split facet's faces as (groups, seps) lists of rows,
+    in walk order: ``groups[i]`` one flow group's rows, with the tangents
+    and chords among them, and ``seps[i]`` the tangents between groups
+    i - 1 and i.  It is None on a facet of one pair, whose one face is its
+    two runs and the tangents between them.
     """
 
     __slots__ = (
@@ -542,7 +547,7 @@ class StreamMesh:
         "run_rows",
         "run_prefix",
         "twin",
-        "_faces",
+        "faces",
     )
 
     def __init__(self, mesh, facet, code, columns, elements, runs, twin=None, faces=None):
@@ -552,7 +557,7 @@ class StreamMesh:
         self.t0, self.t1, self.b0, self.b1, self.length, self.total = columns
         self.elements = elements
         self.twin = twin or {}
-        self._faces = faces
+        self.faces = faces
         self.run_rows = runs
         total = self.total
         self.run_prefix = prefixes = []
@@ -569,25 +574,6 @@ class StreamMesh:
                 prefix.append(x)
             prefixes.append(prefix)
 
-    @property
-    def faces(self):
-        """Each face as (groups, seps) lists of rows, in walk order.
-
-        ``groups[i]`` holds the rows of one flow group, with the tangents
-        and chords among them, and ``seps[i]`` the tangent rows between
-        groups i - 1 and i.  A facet that was not split has one face, its
-        inflow and outflow runs with the tangents between them.
-        """
-        if self._faces is None:
-            n = self.elements[6]
-            a, b = self.run_rows
-
-            def between(x, y):
-                return [r % n for r in range(x + 1, y if y > x else y + n)]
-
-            self._faces = [([a, b], [between(b[-1], a[0]), between(a[-1], b[0])])]
-        return self._faces
-
     def dump(self):
         """Stable text form: border pieces in order, then chords per face.
 
@@ -597,7 +583,7 @@ class StreamMesh:
         code, t0, t1 = self.code, self.t0, self.t1
         face = [0] * len(code)
         ends = {}
-        for face_id, (groups, seps) in enumerate(self.faces):
+        for face_id, (groups, seps) in enumerate(self.faces or ()):
             walk = [r for sep, group in zip(seps, groups) for r in sep + group]
             for i, r in enumerate(walk):
                 face[r] = face_id

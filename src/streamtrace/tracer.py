@@ -45,7 +45,7 @@ class Seed:
 
     point: TracePoint
     direction: str = "forward"
-    corner_entry: tuple | None = None  # (facet, corner k, corner parameter)
+    corner: float | None = None  # t in corner k of facet f, at point (3 f + k, 1.0)
 
     def __post_init__(self):
         if self.direction not in _ENTRY:
@@ -233,10 +233,10 @@ class Tracer:
         opposite, facet_of = mesh._opposite_list, mesh._facet_list
         seed = pl.seed
         points = pl.points
-        if seed.corner_entry is not None:
-            f, k, t = seed.corner_entry
+        if seed.corner is not None:
+            f, k = divmod(seed.point.halfedge, 3)
             sm = self.stream_mesh(f)
-            r, csm = sm.corner_entry(k, t, enter)
+            r, csm = sm.corner_entry(k, seed.corner, enter)
         else:
             sm, r, csm = self._edge_seed_entry(seed.point, enter)
 
@@ -416,10 +416,7 @@ def seed_from_vertex(mesh, fieldsamples, v, direction="forward"):
     # wraparound duplicate: last event at fan end == first at fan start
     if len(seeds) > 1 and (seeds[0][0] + n) - seeds[-1][0] <= 1e-9:
         seeds.pop()
-    return [
-        Seed(TracePoint(3 * f + k, 1.0), direction, corner_entry=(f, k, t))
-        for _, f, k, t in seeds
-    ]
+    return [Seed(TracePoint(3 * f + k, 1.0), direction, corner=t) for _, f, k, t in seeds]
 
 
 # -- crossing verification ------------------------------------------------------
@@ -566,10 +563,10 @@ def _interleaving_facets(facet, lo, hi):
     """Facets holding two intervals ``lo1 < lo2 < hi1 < hi2``, from one sort.
 
     The stack holds the open intervals, each nested in the one below it; a
-    new interval first closes those that end at or before its start.
+    new interval first closes those that end at or before its start.  The
+    keys are finite: ``_segment_intervals`` refuses a nan c.
     """
-    # a nan key orders nowhere: its facet goes to the pairwise scan
-    flagged = set(facet[np.isnan(lo) | np.isnan(hi)].tolist())
+    flagged = set()
     order = np.lexsort((-hi, lo, facet))
     stack, current = [], None
     for f, a, b in zip(facet[order].tolist(), lo[order].tolist(), hi[order].tolist()):

@@ -177,9 +177,8 @@ def geometric_vertex_index(mesh, fieldsamples, v):
     total_jump = 0.0
     for f, k in mesh.vertex_corners(v):
         total_jump += corner_jump_deg(mesh, fieldsamples, f, k)
-    return math.radians(total_jump) / (2.0 * math.pi) + mesh.angle_defect(v) / (
-        2.0 * math.pi
-    )
+    defect = 2.0 * math.pi - mesh.corner_angle_sum(v)
+    return math.radians(total_jump) / (2.0 * math.pi) + defect / (2.0 * math.pi)
 
 
 # -- crossing-check keys, one point at a time ------------------------------------
@@ -239,6 +238,11 @@ def border_face(borders, f):
     groups = [cycle[a:b] for a, b in zip(starts, ends)]
     seps = [cycle[ends[-1]:]] + [cycle[b:a] for b, a in zip(ends, starts[1:])]
     return groups, seps
+
+
+def faces_of(borders, sm):
+    """The faces of a decomposed facet: ``sm.faces``, or its border as one face."""
+    return sm.faces or [border_face(borders, sm.facet)]
 
 
 def initial_pairs(borders, f):

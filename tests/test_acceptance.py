@@ -28,7 +28,8 @@ from streamtrace.flux import locate, phi_inverse
 from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
-from conftest import TANGENTS, a_sequence, decode, initial_pairs, phi, split_count, wound_config
+from conftest import TANGENTS, a_sequence, decode, faces_of, initial_pairs, phi, split_count
+from conftest import wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -251,7 +252,7 @@ def test_criterion_5_decomposition_storm():
         if split_count(sm) == initial_pairs(borders, 0) - 1:
             splits_ok += 1
         good_seq = True
-        for face in sm.faces:
+        for face in faces_of(borders, sm):
             seq = a_sequence(sm.code, face) + [-2]
             if not all(b < a for a, b in zip(seq, seq[1:])):
                 good_seq = False
@@ -273,22 +274,21 @@ def test_criterion_6_flux_oracles():
     while checked < 1000:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for groups, _ in sm.faces:
-            for rows in groups:
-                for r in rows:
-                    if decode(sm, r)[1] in TANGENTS or sm.length[r] == 0.0:
-                        continue
-                    c = float(rng.uniform(0.05, 1.0))
-                    b0 = sm.b0[r]
-                    db = sm.b1[r] - b0
-                    want, _ = quad(
-                        lambda t: math.sin(math.radians(b0 + t * db)),
-                        0.0, c, epsabs=1e-14, epsrel=1e-13,
-                    )
-                    x = phi(sm, r, c)
-                    worst_quad = max(worst_quad, abs(x - abs(sm.length[r] * want)))
-                    worst_inv = max(worst_inv, abs(phi_inverse(sm, r, x, phi(sm, r, 1.0)) - c))
-                    checked += 1
+        for rows in sm.run_rows:
+            for r in rows:
+                if decode(sm, r)[1] in TANGENTS or sm.length[r] == 0.0:
+                    continue
+                c = float(rng.uniform(0.05, 1.0))
+                b0 = sm.b0[r]
+                db = sm.b1[r] - b0
+                want, _ = quad(
+                    lambda t: math.sin(math.radians(b0 + t * db)),
+                    0.0, c, epsabs=1e-14, epsrel=1e-13,
+                )
+                x = phi(sm, r, c)
+                worst_quad = max(worst_quad, abs(x - abs(sm.length[r] * want)))
+                worst_inv = max(worst_inv, abs(phi_inverse(sm, r, x, phi(sm, r, 1.0)) - c))
+                checked += 1
 
     mismatches = probes = 0
     for _ in range(150):

@@ -274,7 +274,21 @@ def test_bench_reports_ratio(tmp_path, capsys):
     ])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "ratio:" in out and "per facet crossing" in out
+    assert "crossing/step time ratio" in out and "per facet crossing" in out
+
+
+def test_trace_counts_the_crossings_the_lines_made(tmp_path, capsys):
+    # rk4 lines capped at one step: four of them end before crossing an edge
+    obj, field = synth(tmp_path, "grid", "--nx", "6", "--ny", "6")
+    lines = str(tmp_path / "l.jsonl")
+    rc = main([
+        "trace", "--mesh", obj, "--field", field, "--engine", "rk4",
+        "--max-steps", "1", "--seeds", "5", "--out", lines,
+    ])
+    assert rc == 0
+    assert [len(pl.points) - 1 for pl in load_polylines(lines)] == [0, 0, 1, 0, 0]
+    out = capsys.readouterr().out
+    assert "facet crossings:      1\n" in out and "median per crossing:" in out
 
 
 def test_bench_warm_pass_decomposes_nothing(tmp_path, monkeypatch):
@@ -777,6 +791,8 @@ def test_cli_pipeline_runs_clean_under_dev_mode(tmp_path):
         "--seed-points", "0:0.0,5:0.0,6:0.0,12:0.0,18:0.0,24:0.0", "--out", "diag.jsonl",
     )
     run("check-crossings", "--mesh", "diag.obj", "--lines", "diag.jsonl")
+    run("synth", "grid", "--nx", "6", "--ny", "6", "--out", "g")
+    run("bench", "--mesh", "g.obj", "--field", "g.field", "--seeds", "4")
 
 
 def test_importing_the_cli_loads_no_scipy():

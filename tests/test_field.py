@@ -510,6 +510,88 @@ def test_smoothed_random_is_deterministic(icosphere2, sphere_random_field):
     assert np.array_equal(again.windings, sphere_random_field.windings)
 
 
+_SYNTH_MESHES = {
+    "grid": lambda: meshgen.grid(12, 12),
+    "distorted grid": lambda: meshgen.grid(12, 12, distortion=0.2, seed=3),
+    "disc": lambda: meshgen.disc(4, 16),
+    "distorted disc": lambda: meshgen.disc(4, 16, distortion=0.2, seed=3),
+    "grid10": lambda: meshgen.grid(10, 10),
+    "icosphere2": lambda: meshgen.icosphere(2),
+    "torus": meshgen.torus,
+}
+
+
+def _synth_cases():
+    """``(name, mesh, kind, params)`` of each pinned synthetic field."""
+    for mesh in ("grid", "distorted grid"):
+        for angle in (0.0, 33.0, -30.0, 135.0, 1e6 + 0.3, 359.99999999999994):
+            yield f"constant {angle!r} on {mesh}", mesh, "constant", {"angle_deg": angle}
+    for mesh in ("disc", "distorted disc"):
+        for kind in ("circular", "source", "sink", "saddle"):
+            for phase in (0.0, 11.0):
+                yield f"{kind} phase {phase!r} on {mesh}", mesh, kind, {"phase_deg": phase}
+    for kind in ("circular", "source", "sink", "saddle"):
+        yield f"{kind} at a vertex of grid10", "grid10", kind, {"center": (0.5, 0.5)}
+    for mesh in ("icosphere2", "torus"):
+        yield f"smoothed-random seed 1 on {mesh}", mesh, "smoothed-random", {"seed": 1}
+
+
+# sha256 of the save_field bytes of each synthetic field
+SYNTH_SHA256 = {
+    "constant 0.0 on grid": "8edf8747463d7b0bb909778b16dcf83ea75c4475808dac02d18934001888037e",
+    "constant 33.0 on grid": "a49ce35bcbe10f3024811db58d3c2fe171d7eb6986e6dd126f4891985f08f66e",
+    "constant -30.0 on grid": "cab23caedbadccd2689e73cfa46e5a8975268478f4a60096dd5a99b749750ee3",
+    "constant 135.0 on grid": "8cc9a4a43c78580e6bd286677f2db80ed3c93073c15387b7fa6fdaabd4f1bf81",
+    "constant 1000000.3 on grid": "adbdeaea07ac705423dadab3d1e81c6e3140089900b182acd51e105f3ed3cb3f",
+    "constant 359.99999999999994 on grid": "1fef976e0f180b9a5815b5a5c277bd649c7caf61ac55a14723f65372c23751cd",
+    "constant 0.0 on distorted grid": "02f8b26fcd96b5a5609751121541fd907f585f17cdd1d5895e17d25b6e5ac97c",
+    "constant 33.0 on distorted grid": "adb45082ae58348ee9bf53e6360391ecc99ee4ac885ff1dfa426ca17b81007f0",
+    "constant -30.0 on distorted grid": "e768720f784727d582d9a27941e2967f4b1e7dd645113e335f1085909a4f636b",
+    "constant 135.0 on distorted grid": "1970eaf256340f9218ebd7c60d4b1e59b65536dcee3168f6eec10935207a33c1",
+    "constant 1000000.3 on distorted grid": "5d680fb22efa6385970408ab27f06af34666eb3010d5cad49702a4c7ef83454a",
+    "constant 359.99999999999994 on distorted grid": "73fe13c2d308327677707b3a7b13b5cdce630957e87a02ff11312ae85190c1b0",
+    "circular phase 0.0 on disc": "af0e110682661f43c918184f2a80d2cb9a8136409c3d7109452449932447585d",
+    "circular phase 11.0 on disc": "50d6a0b666ad355d319806c121da770959bef9f929e454ec94a4f0d152178d6b",
+    "source phase 0.0 on disc": "ea648708c2852ea8aec9343be48d36e49dc15403a254345103e78a9af077db77",
+    "source phase 11.0 on disc": "df721c2f3def9a01eb094b473a5807d3709012855962c9cadb888c8c0f05113e",
+    "sink phase 0.0 on disc": "3090dbc071fa7bad6b49245632ac012aba7e1a62655319af1e6ac843c5cd2db3",
+    "sink phase 11.0 on disc": "ea0829a7d32307a3135dd877984edfafe13f3819a308927102ebe1a6ab05186f",
+    "saddle phase 0.0 on disc": "87bd12055ab204a7631e594ddae815910fecff128bd6fd4e2a4d6b9282aa5daa",
+    "saddle phase 11.0 on disc": "132b412f8b5c04818ec2969764d3e82ef6bc4f7a43eb22f81bd74b70f5cf7c48",
+    "circular phase 0.0 on distorted disc": "74fbeba14204ba9291cf9e12a6d1064465c1c453b6a9c9249359f306d2f8a7eb",
+    "circular phase 11.0 on distorted disc": "0b066e5c7af563821771869159d4d5ce1742513e7bfb2f321c8d70016f0c33e0",
+    "source phase 0.0 on distorted disc": "e724a624013d0649c9ccbac3f6a00fc9d0f99f24b4821b833cf464eec3b12bf7",
+    "source phase 11.0 on distorted disc": "60571b166367dbb257d60b8b914edb5c55fdafdd636b76e975560c973441fa37",
+    "sink phase 0.0 on distorted disc": "de31fe18d0b3f94b7b83d4df789a2a45521f684312e8c399fe23e49c7a2a9dc5",
+    "sink phase 11.0 on distorted disc": "55d8cd1fd0ab81cf63050d2ac2654a2b36c11564bf243fca541b0f23ba65a6b0",
+    "saddle phase 0.0 on distorted disc": "56576bd644d775a8e3feff298596dd89ba5ee9978a7df1af182b05d9bafca4a0",
+    "saddle phase 11.0 on distorted disc": "d710b5b3b2eba39ccf5f67e9921ecdd0479d622944a3d6c4a52fcc947202edb4",
+    "circular at a vertex of grid10": "6e9bd905b6d0d0077cfadc462379570a1dc2060e3ddf0d532b35e1e914da1bdb",
+    "source at a vertex of grid10": "46130307738053b5c9086b6137df457861e877e44bc34243e903dc6bbb1d71c4",
+    "sink at a vertex of grid10": "31d8805245fe2e8490e1cf036fe5326c1dd8b6ad619049790153783f0a61e765",
+    "saddle at a vertex of grid10": "31417dac84a513fcafde878f1a65a93125df74f109ed88f0d88738b88b5d7a6f",
+    "smoothed-random seed 1 on icosphere2": "e825c3c558239f8e9e9742f35642f2c35d240b34b5a8b599ef0e6510cda5e55b",
+    "smoothed-random seed 1 on torus": "07d776af38b31375ae9ecb5321eefddd5f6c70920c42b0eac17216aa7df69e6e",
+}
+
+
+@pytest.mark.parametrize(
+    "name, mesh, kind, params", [pytest.param(*case, id=case[0]) for case in _synth_cases()]
+)
+def test_synthetic_fields_are_pinned(tmp_path, name, mesh, kind, params):
+    m = _SYNTH_MESHES[mesh]()
+    p = tmp_path / "f.field"
+    save_field(p, synth_field(m, kind, **params))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == SYNTH_SHA256[name]
+
+
+@pytest.mark.parametrize("angle", [field_mod.ANGLE_LIMIT, -1e22])
+def test_synth_refuses_an_angle_past_the_winding_range(grid10, angle):
+    # its whole turns would not fit the int64 windings
+    with pytest.raises(FieldError, match=r"is 360 \* 2\*\*62 degrees or more"):
+        synth_field(grid10, "constant", angle_deg=angle)
+
+
 def test_interpolated_angle_matches_nodes_at_sample_points():
     rng = np.random.default_rng(11)
     from conftest import single_triangle, random_samples

@@ -294,24 +294,23 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
     while checked < 1000:
         mesh, fs = wound_config(rng)
         sm = decompose(BorderTable(mesh, fs), 0)
-        for groups, _ in sm.faces:
-            for rows in groups:
-                for r in rows:
-                    if decode(sm, r)[1] in TANGENTS or sm.length[r] == 0.0:
-                        continue
-                    b0 = sm.b0[r]
-                    db = sm.b1[r] - b0
-                    c = float(rng.uniform(0.1, 1.0))
-                    want, _ = quad(
-                        lambda t: math.sin(math.radians(b0 + t * db)),
-                        0.0,
-                        c,
-                        epsabs=1e-14,
-                        epsrel=1e-13,
-                    )
-                    got = phi_signed(sm, r, c)
-                    assert abs(got - (-sm.length[r] * want)) < 1e-9
-                    checked += 1
+        for rows in sm.run_rows:
+            for r in rows:
+                if decode(sm, r)[1] in TANGENTS or sm.length[r] == 0.0:
+                    continue
+                b0 = sm.b0[r]
+                db = sm.b1[r] - b0
+                c = float(rng.uniform(0.1, 1.0))
+                want, _ = quad(
+                    lambda t: math.sin(math.radians(b0 + t * db)),
+                    0.0,
+                    c,
+                    epsabs=1e-14,
+                    epsrel=1e-13,
+                )
+                got = phi_signed(sm, r, c)
+                assert abs(got - (-sm.length[r] * want)) < 1e-9
+                checked += 1
     assert checked >= 1000
 
 

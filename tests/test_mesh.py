@@ -72,12 +72,12 @@ def test_angle_defect_flat_interior_vertex(grid10):
     inner = [v for v in range(m.n_vertices) if not m.is_boundary_vertex(v)]
     assert inner
     for v in inner[:10]:
-        assert abs(m.angle_defect(v)) < 1e-12
+        assert abs(2.0 * math.pi - m.corner_angle_sum(v)) < 1e-12
 
 
 def test_angle_defect_icosphere_sums_to_4pi(icosphere2):
     m = icosphere2
-    total = sum(m.angle_defect(v) for v in range(m.n_vertices))
+    total = sum(2.0 * math.pi - m.corner_angle_sum(v) for v in range(m.n_vertices))
     assert abs(total - 4 * math.pi) < 1e-9
 
 
@@ -345,7 +345,8 @@ def test_cube_corner_has_right_angle_defect():
     m = meshgen.cube_corner()
     inner = [v for v in range(m.n_vertices) if not m.is_boundary_vertex(v)]
     assert len(inner) == 1
-    assert math.isclose(m.angle_defect(inner[0]), math.pi / 2, abs_tol=1e-12)
+    defect = 2.0 * math.pi - m.corner_angle_sum(inner[0])
+    assert math.isclose(defect, math.pi / 2, abs_tol=1e-12)
 
 
 def loop_frames(m, reference_offsets=None):

@@ -12,7 +12,7 @@ from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decompose
 from streamtrace.stream_mesh import _behaviors, _segment
 
-from conftest import TANGENTS, a_sequence, border_face, initial_pairs, is_simple, phi
+from conftest import TANGENTS, a_sequence, border_face, faces_of, initial_pairs, is_simple, phi
 from conftest import _DECODE, decode, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 from conftest import normalize_sample
@@ -257,8 +257,9 @@ def test_initial_a_sequence_closes_at_minus_two():
 
 
 def test_decompose_produces_simple_faces_with_flux():
-    sm = decompose(BorderTable(fan_mesh(), samples_from_reals(WOUND)), 0)
-    for face_id, face in enumerate(sm.faces):
+    borders = BorderTable(fan_mesh(), samples_from_reals(WOUND))
+    sm = decompose(borders, 0)
+    for face_id, face in enumerate(faces_of(borders, sm)):
         assert is_simple(face)
         seq = a_sequence(sm.code, face)
         assert all(b < a for a, b in zip(seq, seq[1:]))
@@ -275,7 +276,7 @@ def test_simple_config_needs_no_split():
         sm = decompose(borders, 0)
         assert split_count(sm) == 0
         assert initial_pairs(borders, 0) == 1
-        assert len(sm.faces) == 1
+        assert sm.faces is None
 
 
 def test_border_always_carries_both_flows():
@@ -302,7 +303,7 @@ def test_decompose_random_stress():
         sm = decompose(borders, 0)
         assert split_count(sm) == initial_pairs(borders, 0) - 1
         hist[split_count(sm)] = hist.get(split_count(sm), 0) + 1
-        for face in sm.faces:
+        for face in faces_of(borders, sm):
             seq = a_sequence(sm.code, face)
             assert all(b < a for a, b in zip(seq, seq[1:])), seq
         for prefix in sm.run_prefix:
@@ -321,16 +322,17 @@ MULTI_TANGENT = [
 
 def test_every_stream_face_closes():
     rng = np.random.default_rng(21)
-    meshes = [decompose(BorderTable(*wound_config(rng)), 0) for _ in range(300)]
-    meshes += [decompose(BorderTable(fan_mesh(), samples_from_reals(v)), 0) for v in MULTI_TANGENT]
-    # and unsplit facets, whose one face is built from its runs
+    tables = [BorderTable(*wound_config(rng)) for _ in range(300)]
+    tables += [BorderTable(fan_mesh(), samples_from_reals(v)) for v in MULTI_TANGENT]
+    # and unsplit facets, whose one face is their border
     m = fan_mesh()
     for angle in (17.0, 37.0, 130.0):
-        meshes.append(decompose(BorderTable(m, synth_field(m, "constant", angle_deg=angle)), 0))
-    for sm in meshes:
+        tables.append(BorderTable(m, synth_field(m, "constant", angle_deg=angle)))
+    for borders in tables:
+        sm = decompose(borders, 0)
         n = sm.elements[6]
         owner, origin, dest = {}, {}, {}
-        for face_id, (groups, seps) in enumerate(sm.faces):
+        for face_id, (groups, seps) in enumerate(faces_of(borders, sm)):
             walk = [r for sep, g in zip(seps, groups) for r in sep + g]
             for r in walk:
                 assert r not in owner
@@ -489,7 +491,7 @@ def decomposition_digest(meshes):
     for sm in meshes:
         h.update(sm.dump().encode())
         face = {}
-        for face_id, (groups, seps) in enumerate(sm.faces):
+        for face_id, (groups, seps) in enumerate(sm.faces or ()):
             face.update(dict.fromkeys(chain(*groups, *seps), face_id))
         for k, rows in enumerate(sm.run_rows):
             prefix = sm.run_prefix[k]
@@ -500,7 +502,7 @@ def decomposition_digest(meshes):
         for r in range(len(sm.code)):
             flux = "-" if decode(sm, r)[1] in TANGENTS else float(phi(sm, r, 1.0)).hex()
             h.update(
-                f"{r} face{face[r]} {float(sm.b0[r]).hex()} {float(sm.b1[r]).hex()} "
+                f"{r} face{face.get(r, 0)} {float(sm.b0[r]).hex()} {float(sm.b1[r]).hex()} "
                 f"{float(sm.length[r]).hex()} {sm.twin.get(r)} {flux}\n".encode()
             )
     return h.hexdigest()

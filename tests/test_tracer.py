@@ -199,7 +199,7 @@ def test_saddle_emits_two_separatrices_per_direction():
     assert round(vertex_index(mesh, fs, saddle)) == -1
     for direction in ("forward", "backward"):
         seeds = seed_from_vertex(mesh, fs, saddle, direction)
-        entries = [(f, k, t.hex()) for f, k, t in (s.corner_entry for s in seeds)]
+        entries = [(*divmod(s.point.halfedge, 3), s.corner.hex()) for s in seeds]
         assert entries == SADDLE_SEEDS[direction]
         tr = Tracer(mesh, fs)
         for s in seeds:
