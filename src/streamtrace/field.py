@@ -384,6 +384,13 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
     return _synth_planar(mesh, kind, **params)
 
 
+# a raw sample angle, an offset angle less an edge angle, rounds to the spacing
+# of doubles at the offset, 1.9e-6 degrees at 1e10, past validate's 1e-6: where
+# that spacing is over 1e-9 the offset sheds its whole turns first, exactly
+def _whole_turns_off(deg):
+    return math.fmod(deg, 360.0) if math.isfinite(deg) and math.ulp(deg) > 1e-9 else deg
+
+
 def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
     if not math.isfinite(angle_deg):
         raise FieldError(f"field angle must be a finite number of degrees, got {angle_deg}")
@@ -397,15 +404,16 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
 
     if kind == "constant":
         center_index = 0
+        angle = _whole_turns_off(angle_deg)
 
         def absolute_angle(q):
-            return angle_deg
+            return angle
 
     else:
         spin = -1.0 if kind == "saddle" else 1.0
-        offset = {"circular": 90.0, "source": 0.0, "sink": 180.0, "saddle": 0.0}[
-            kind
-        ] + phase_deg
+        offset = _whole_turns_off(
+            {"circular": 90.0, "source": 0.0, "sink": 180.0, "saddle": 0.0}[kind] + phase_deg
+        )
         center_index = -1 if kind == "saddle" else 1
 
         def absolute_angle(q):

@@ -355,17 +355,16 @@ class SurfaceMesh:
         halfedge; for c in (1, 2] it is the destination vertex (terminal
         sink encoding).  A c outside [0, 2] raises MeshError.
         """
-        hs = [tp.halfedge for tp in points]
-        c = np.array([tp.c for tp in points], dtype=float)
-        bad = np.nonzero((c < 0.0) | (c > 2.0))[0]
-        if len(bad):
-            raise MeshError(f"trace point parameter {c[bad[0]]} outside [0, 2]")
-        p0 = self.vertices[self._origin[hs]]
-        p1 = self.vertices[self._dest[hs]]
-        out = (1.0 - c)[:, None] * p0 + c[:, None] * p1
-        sink = c > 1.0
-        out[sink] = p1[sink]
-        return out
+        hs, cs = list(zip(*points)) or ((), ())
+        c = np.array(cs, dtype=float)
+        bad = (c < 0.0) | (c > 2.0)  # a nan c is neither: its row is nan
+        if np.count_nonzero(bad):
+            raise MeshError(f"trace point parameter {c[bad][0]} outside [0, 2]")
+        h = np.array(hs, dtype=np.int64)
+        p0 = self.vertices[self._origin[h]]
+        p1 = self.vertices[self._dest[h]]
+        c = c[:, None]
+        return np.where(c > 1.0, p1, (1.0 - c) * p0 + c * p1)
 
 
 # the body of each ``v`` and ``f`` statement: the rest of a line whose first

@@ -60,6 +60,7 @@ mesh holds no reference cycles.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,9 +76,6 @@ LABELS = ("I", "O", "Tf", "Tb")
 # marks a chord: ``code & 7`` is the element, ``code >> 3 & 3`` the
 # behavior and ``(code >> 5) - 1`` the sink
 _CHORD = 6
-
-# the dump's name of each border element
-_NAMES = ("edge0", "corner0", "edge1", "corner1", "edge2", "corner2")
 
 # facets cut together, when a line first reaches one of them: larger
 # blocks make fewer numpy calls, smaller ones cut less for a line that
@@ -96,6 +94,9 @@ _BORDER_ERRORS = (
 # a split's (first group, three separators) behavior patterns: is the
 # split primal
 _SPLIT_PATTERNS = {(OUT, TF, TB, TB): True, (IN, TB, TF, TF): False}
+
+# the twins of a facet of one pair, which has no chord: one shared read-only map
+_NO_TWINS = MappingProxyType({})
 
 # snapping tolerances (parameters are dimensionless in [0, 1])
 VERTEX_SNAP = 1e-12
@@ -382,7 +383,13 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
     from . import flux
 
     t0, t1, b0, b1, length, _ = columns
+    # the facet's table rows as floats, but the frame, which meets a chord in
+    # np.dot, whose BLAS sum may round otherwise; vertex k starts edge k
     lens = mesh.edge_lens[facet].tolist()
+    angles = mesh.edge_angles[facet].tolist()
+    betas = mesh.betas[facet].tolist()
+    corners = mesh.vertices[mesh.faces[facet]].tolist()
+    u, v = mesh.frame_u[facet], mesh.frame_v[facet]
     order = list(range(len(code)))  # the border rows, in border order
     twin = {}
 
@@ -412,14 +419,16 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         """Position of row r's start, and the field angle there in radians."""
         element = code[r] & 7
         k = element // 2
-        h = 3 * facet + k
-        angle = mesh.edge_angles[facet, k]
+        end = corners[(k + 1) % 3]
         if element % 2 == 0:
-            return mesh.position(TracePoint(h, t0[r])), math.radians(b0[r]) + angle
+            # SurfaceMesh.position of the edge point at t0, float by float
+            t = t0[r]
+            point = [(1.0 - t) * a + t * b for a, b in zip(corners[k], end)]
+            return point, math.radians(b0[r]) + angles[k]
         # not the edge end at c = 1, where 0.0 * p0 + p1 can turn a -0.0
         # coordinate into +0.0, a sign that atan2 reads
-        angle = angle + t0[r] * (math.pi - mesh.betas[facet, k])
-        return mesh.vertices[mesh.dest(h)], math.radians(b0[r]) + angle
+        angle = angles[k] + t0[r] * (math.pi - betas[k])
+        return end, math.radians(b0[r]) + angle
 
     def chord_row(behavior, a, b, chord_length):
         flow = flux._flow(False, 0, a, b, chord_length, 1.0)
@@ -432,11 +441,10 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         twin runs back with the same angles shifted a half turn.
         """
         (p0, alpha0), (p1, alpha1) = anchor(r_from), anchor(r_to)
-        d = p1 - p0
+        d = np.subtract(p1, p0)
         chord_length = float(np.linalg.norm(d))
         if chord_length <= 0.0:
             raise StreamMeshError("degenerate zero-length chord")
-        u, v = mesh.frame_u[facet], mesh.frame_v[facet]
         ang = math.atan2(float(np.dot(d, v)), float(np.dot(d, u)))
         a, b = (
             math.degrees(_reduce_to_band(alpha - ang, behavior)) for alpha in (alpha0, alpha1)
@@ -550,13 +558,13 @@ class StreamMesh:
         "faces",
     )
 
-    def __init__(self, mesh, facet, code, columns, elements, runs, twin=None, faces=None):
+    def __init__(self, mesh, facet, code, columns, elements, runs, twin=_NO_TWINS, faces=None):
         self.mesh = mesh
         self.facet = facet
         self.code = code
         self.t0, self.t1, self.b0, self.b1, self.length, self.total = columns
         self.elements = elements
-        self.twin = twin or {}
+        self.twin = twin
         self.faces = faces
         self.run_rows = runs
         total = self.total
@@ -573,35 +581,6 @@ class StreamMesh:
                 x += total[r]
                 prefix.append(x)
             prefixes.append(prefix)
-
-    def dump(self):
-        """Stable text form: border pieces in order, then chords per face.
-
-        A chord runs from where the row before it in its face's walk ends
-        to where the row after it starts.
-        """
-        code, t0, t1 = self.code, self.t0, self.t1
-        face = [0] * len(code)
-        ends = {}
-        for face_id, (groups, seps) in enumerate(self.faces or ()):
-            walk = [r for sep, group in zip(seps, groups) for r in sep + group]
-            for i, r in enumerate(walk):
-                face[r] = face_id
-                if code[r] & 7 == _CHORD:
-                    a, b = walk[i - 1], walk[(i + 1) % len(walk)]
-                    ends[r] = (_NAMES[code[a] & 7], t1[a], _NAMES[code[b] & 7], t0[b])
-        lines = [
-            f"{_NAMES[code[r] & 7]} [{t0[r]:.12g}, {t1[r]:.12g}] "
-            f"{LABELS[code[r] >> 3 & 3]} face{face[r]}"
-            for r in range(self.elements[6])
-        ]
-        for r in range(self.elements[6], len(code)):
-            e0, a, e1, b = ends[r]
-            lines.append(
-                f"chord face{face[r]} ({e0} t={a:.12g}) -> ({e1} t={b:.12g}) "
-                f"{LABELS[code[r] >> 3 & 3]}"
-            )
-        return "\n".join(lines) + "\n"
 
     # -- conversions ---------------------------------------------------------
 
@@ -624,7 +603,7 @@ class StreamMesh:
             raise StreamMeshError(f"entry parameter {c} outside [0, 1]")
         # min(1.0, max(0.0, c)), which keeps 0.0 where c is -0.0
         t = (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
-        entry = self._enter(2 * k, t, enter)
+        entry = self.entry(2 * k, t, enter)
         if entry is None:
             raise StreamMeshError(
                 f"entry at edge {k} t={t} of facet {self.facet} "
@@ -632,11 +611,13 @@ class StreamMesh:
             )
         return entry
 
-    def _enter(self, element, t, enter, tol=0.0):
+    def entry(self, element, t, enter, tol=0.0):
         """Entry (row, c) at parameter t of an element, or None.
 
         The first row of behavior code ``enter`` within ``tol`` of t takes
         it; failing that, a tangent row there resolves to its neighbors.
+        None, where no row takes it, costs no exception: a vertex pivot
+        probes the facets round the vertex this way.
         """
         code, t0, t1 = self.code, self.t0, self.t1
         tangent = None
@@ -660,7 +641,7 @@ class StreamMesh:
         return self._resolve_tangent_entry(tangent, enter)
 
     def _resolve_tangent_entry(self, r, enter):
-        """Snap a tangency entry to the endpoint of the adjacent entry row.
+        """Snap a tangency entry to the endpoint of the adjacent entry row, or None.
 
         A point on a forward tangency slides with the border orientation, so
         a forward line prefers the forward neighbor; on a backward tangency
@@ -683,7 +664,7 @@ class StreamMesh:
         for cand, c in order:
             if code[cand] >> 3 & 3 == enter:
                 return cand, c
-        raise StreamMeshError("tangency entry with no adjacent entry piece")
+        return None
 
     def corner_entry(self, k, t, enter):
         """Entry (row, c) into the facet through corner k at corner parameter t.
@@ -695,9 +676,9 @@ class StreamMesh:
         while the stream mesh may cut the corner a hair inside it; there
         the pieces within ``VERTEX_SNAP`` of the end are tried as well.
         """
-        entry = self._enter(2 * k + 1, t, enter)
+        entry = self.entry(2 * k + 1, t, enter)
         if entry is None and t in (0.0, 1.0):
-            entry = self._enter(2 * k + 1, t, enter, VERTEX_SNAP)
+            entry = self.entry(2 * k + 1, t, enter, VERTEX_SNAP)
         if entry is None:
             raise StreamMeshError(
                 f"corner {k} t={t} of facet {self.facet} is not an entry"

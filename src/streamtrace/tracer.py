@@ -38,6 +38,9 @@ ORBIT_TOL = 1e-9
 # direction; it leaves the facet on the run of the other flow, code ^ 1
 _ENTRY = {"forward": IN, "backward": OUT}
 
+# the positions of every line before its own are set: shared, as it holds no element
+_NO_POSITIONS = np.empty((0, 3))
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -68,7 +71,7 @@ class Polyline:
     def __init__(self, seed):
         self.seed = seed
         self.points: list[TracePoint] = []
-        self.positions = np.empty((0, 3))
+        self.positions = _NO_POSITIONS
         self.termination = None
         self.sink_vertex = None
         self.rk4_steps = 0
@@ -153,7 +156,8 @@ class Tracer:
 
     Facet borders are cut into ``borders`` a block at a time, when a line
     first reaches a facet of the block; a facet's stream mesh is decomposed
-    from its rows when a line first reaches the facet.
+    from its rows when a line first reaches the facet, and a vertex's index,
+    or that no facet takes a line from it, when a line first needs it.
     """
 
     def __init__(self, mesh, fieldsamples, max_steps=None):
@@ -166,6 +170,8 @@ class Tracer:
         self.max_steps = max_steps
         self.borders = stream_mesh.BorderTable(mesh, fieldsamples)
         self._cache = {}
+        self._index = {}  # vertex -> vertex_index, of the vertices lines stopped at
+        self._stuck = set()  # (vertex, entry code) no facet takes a line from
 
     def stream_mesh(self, facet):
         sm = self._cache.get(facet)
@@ -318,35 +324,41 @@ class Tracer:
         backward) the line has reached through an edge end; anywhere else
         the flow stalls.
         """
-        mesh = self.mesh
-        if (
-            not mesh.is_boundary_vertex(v)
-            and vertex_index(mesh, self.fieldsamples, v) > INDEX_TOL
-        ):
-            pl.termination = "sink-vertex"
-            pl.sink_vertex = v
-        else:
-            pl.termination = "vertex-stall"
+        if not self.mesh.is_boundary_vertex(v):
+            index = self._index.get(v)
+            if index is None:
+                index = self._index[v] = vertex_index(self.mesh, self.fieldsamples, v)
+            if index > INDEX_TOL:
+                pl.termination = "sink-vertex"
+                pl.sink_vertex = v
+                return
+        pl.termination = "vertex-stall"
 
     def _pivot_at_vertex(self, pl, o, enter):
         """Entry for a line that left its facet at ``origin(o)``, or None.
 
         ``o`` is the exit facet's halfedge leaving the vertex.  The vertex
         end of each edge is tried in fan order, from the next facet round to
-        the exit facet, across the gap at a boundary vertex.  None comes
-        with the line labelled: ``boundary`` at a boundary vertex no facet
-        takes it from, else through ``_stop_at_vertex``.
+        the exit facet, across the gap at a boundary vertex, by ``entry``
+        (None where ``import_position`` raises), past facets that cannot be
+        decomposed.  That none takes the line depends on v and ``enter``
+        alone, so it is found once.  None comes with the line labelled:
+        ``boundary`` at a boundary vertex, else by ``_stop_at_vertex``.
         """
         mesh = self.mesh
-        for e in mesh.fan(mesh.opposite(mesh.prev(o))):
-            if not mesh.has_facet(e):
-                continue
-            try:
-                sm = self.stream_mesh(mesh.facet(e))
-                return sm, *sm.import_position(e, 0.0, enter)
-            except StreamMeshError:
-                pass
         v = mesh.origin(o)
+        if (v, enter) not in self._stuck:
+            for e in mesh.fan(mesh.opposite(mesh.prev(o))):
+                if not mesh.has_facet(e):
+                    continue
+                try:
+                    sm = self.stream_mesh(mesh.facet(e))
+                except StreamMeshError:
+                    continue
+                entry = sm.entry(2 * (e % 3), 0.0, enter)
+                if entry is not None:
+                    return sm, *entry
+            self._stuck.add((v, enter))
         if mesh.is_boundary_vertex(v):
             pl.termination = "boundary"
         else:

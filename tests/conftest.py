@@ -15,7 +15,7 @@ from streamtrace import (
     meshgen,
     synth_field,
 )
-from streamtrace.stream_mesh import _CHORD, IN, OUT, TB, TF
+from streamtrace.stream_mesh import _CHORD, IN, LABELS, OUT, TB, TF
 
 
 def normalize_sample(value_deg):
@@ -225,6 +225,40 @@ _DECODE = [
 def decode(sm, r):
     """(kind, behavior code, element, sink) of row r; element is None on chords."""
     return _DECODE[sm.code[r]]
+
+
+# the dump's name of each border element
+_NAMES = ("edge0", "corner0", "edge1", "corner1", "edge2", "corner2")
+
+
+def dump(sm):
+    """Stable text form of a stream mesh: border pieces in order, then chords per face.
+
+    A chord runs from where the row before it in its face's walk ends to
+    where the row after it starts.
+    """
+    code, t0, t1 = sm.code, sm.t0, sm.t1
+    face = [0] * len(code)
+    ends = {}
+    for face_id, (groups, seps) in enumerate(sm.faces or ()):
+        walk = [r for sep, group in zip(seps, groups) for r in sep + group]
+        for i, r in enumerate(walk):
+            face[r] = face_id
+            if code[r] & 7 == _CHORD:
+                a, b = walk[i - 1], walk[(i + 1) % len(walk)]
+                ends[r] = (_NAMES[code[a] & 7], t1[a], _NAMES[code[b] & 7], t0[b])
+    lines = [
+        f"{_NAMES[code[r] & 7]} [{t0[r]:.12g}, {t1[r]:.12g}] "
+        f"{LABELS[code[r] >> 3 & 3]} face{face[r]}"
+        for r in range(sm.elements[6])
+    ]
+    for r in range(sm.elements[6], len(code)):
+        e0, a, e1, b = ends[r]
+        lines.append(
+            f"chord face{face[r]} ({e0} t={a:.12g}) -> ({e1} t={b:.12g}) "
+            f"{LABELS[code[r] >> 3 & 3]}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 # -- stream-mesh face queries, over row indices ------------------------------

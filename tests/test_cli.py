@@ -45,6 +45,16 @@ def test_synth_kinds_all_validate(tmp_path, kind, extra):
     synth(tmp_path, kind, *extra)
 
 
+@pytest.mark.parametrize("angle", ["1e10", "1e12", "1e15"])
+def test_synth_a_huge_angle_on_a_distorted_grid_validates(tmp_path, angle):
+    # doubles this large are 1.9e-6 degrees or more apart, coarser than the
+    # tolerances the synthesized field is checked to
+    obj, field = synth(
+        tmp_path, "grid", "--nx", "6", "--ny", "6", "--distort", "0.2", "--angle", angle
+    )
+    assert main(["validate", "--mesh", obj, "--field", field]) == 0
+
+
 def test_trace_writes_lines_svg_and_obj(tmp_path):
     obj, field = synth(tmp_path, "circular", "--rings", "5", "--sectors", "18")
     lines = str(tmp_path / "lines.jsonl")

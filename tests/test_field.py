@@ -592,6 +592,21 @@ def test_synth_refuses_an_angle_past_the_winding_range(grid10, angle):
         synth_field(grid10, "constant", angle_deg=angle)
 
 
+@pytest.mark.parametrize("size", [1e10, -1e12, 1e15, 360.0 * 2.0**61])
+def test_synth_huge_offset_angles_give_fields_that_validate(size):
+    # the offset less each edge angle rounds to the spacing of doubles at
+    # the offset's size: 1.9e-6 degrees at 1e10, past the tolerances
+    grid = meshgen.grid(6, 6, distortion=0.2)
+    fs = synth_field(grid, "constant", angle_deg=size)
+    assert validate(grid, fs) == []
+    # the same directions as the angle less its whole turns
+    turned = synth_field(grid, "constant", angle_deg=math.fmod(size, 360.0))
+    assert np.array_equal(fs.angles, turned.angles)
+    disc = meshgen.disc(4, 12, distortion=0.2)
+    for kind in ("circular", "saddle"):
+        assert validate(disc, synth_field(disc, kind, phase_deg=size)) == []
+
+
 def test_interpolated_angle_matches_nodes_at_sample_points():
     rng = np.random.default_rng(11)
     from conftest import single_triangle, random_samples

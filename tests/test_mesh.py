@@ -144,9 +144,24 @@ def test_positions_equal_position_bit_for_bit():
         assert [x.hex() for x in row.tolist()] == [
             x.hex() for x in m.position(tp).tolist()
         ]
+    # the row of each point, float by float
+    for tp, row in zip(points, rows.tolist()):
+        p0 = m.vertices[m.origin(tp.halfedge)].tolist()
+        p1 = m.vertices[m.dest(tp.halfedge)].tolist()
+        c = tp.c
+        want = p1 if c > 1.0 else [(1.0 - c) * a + c * b for a, b in zip(p0, p1)]
+        assert [x.hex() for x in row] == [x.hex() for x in want]
     assert m.positions([]).shape == (0, 3)
     with pytest.raises(MeshError, match="outside"):
         m.positions(points[:3] + [TracePoint(0, 2.5)])
+    # a nan c is not outside [0, 2]: its row is nan, and a bad c after it,
+    # or before it, still raises
+    nan = TracePoint(5, math.nan)
+    assert np.isnan(m.position(nan)).all()
+    assert np.isnan(m.positions(points[:3] + [nan])[3]).all()
+    for bad in ([nan, TracePoint(0, 2.5)], [TracePoint(0, -1e-300), nan]):
+        with pytest.raises(MeshError, match="outside"):
+            m.positions(bad)
 
 
 def test_obj_round_trip(tmp_path, disc_mesh):

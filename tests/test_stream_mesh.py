@@ -13,7 +13,7 @@ from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decomp
 from streamtrace.stream_mesh import _behaviors, _segment
 
 from conftest import TANGENTS, a_sequence, border_face, faces_of, initial_pairs, is_simple, phi
-from conftest import _DECODE, decode, split_count
+from conftest import _DECODE, decode, dump, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 from conftest import normalize_sample
 
@@ -227,7 +227,7 @@ GOLDEN_RUNS = {
 def test_golden_decomposition_dump():
     borders = BorderTable(fan_mesh(), samples_from_reals(WOUND))
     sm = decompose(borders, 0)
-    assert sm.dump() == GOLDEN_DUMP
+    assert dump(sm) == GOLDEN_DUMP
     assert split_count(sm) == 3
     assert initial_pairs(borders, 0) == 4
     chords = [
@@ -448,9 +448,9 @@ def test_import_takes_only_the_facets_own_halfedges():
 def test_reference_rotation_leaves_cuts_invariant():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)
-    before = decompose(BorderTable(m, fs), 0).dump()
+    before = dump(decompose(BorderTable(m, fs), 0))
     m.set_reference_offsets([1.2345])
-    after = decompose(BorderTable(m, fs), 0).dump()
+    after = dump(decompose(BorderTable(m, fs), 0))
     m.set_reference_offsets([0.0])
     assert before == after
 
@@ -489,7 +489,7 @@ CORPUS_SHA256 = "b038477e893842a49c52f61a1b98663f57c4d379f21a1a89852c7447e5a1fe9
 def decomposition_digest(meshes):
     h = hashlib.sha256()
     for sm in meshes:
-        h.update(sm.dump().encode())
+        h.update(dump(sm).encode())
         face = {}
         for face_id, (groups, seps) in enumerate(sm.faces or ()):
             face.update(dict.fromkeys(chain(*groups, *seps), face_id))
@@ -555,7 +555,7 @@ def test_a_broken_border_raises_only_when_its_facet_is_decomposed():
     out = []
     for f in range(mesh.n_facets):
         try:
-            out.append(tr.stream_mesh(f).dump())
+            out.append(dump(tr.stream_mesh(f)))
         except StreamMeshError as exc:
             out.append(f"facet {f}: {exc}")
     failed = [o for o in out if o.startswith("facet")]

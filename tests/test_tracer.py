@@ -21,6 +21,7 @@ from streamtrace.cli import _boundary_loop_seeds, _spread_edge_seeds
 from streamtrace.errors import StreamMeshError
 from streamtrace.field import vertex_index
 from streamtrace.mesh import TracePoint
+import streamtrace.tracer as tracer_mod
 from streamtrace.tracer import (
     CrossingViolation,
     Polyline,
@@ -753,6 +754,80 @@ def test_both_directions_decompose_each_facet_once(monkeypatch):
         assert back.termination == "boundary"
         assert np.linalg.norm(back.positions[-1] - pl.positions[0]) < 1e-9
     assert len(calls) == built
+
+
+@pytest.mark.parametrize("scene", ["icosphere2 random", "grid10 at 45"])
+def test_pivot_probe_takes_what_import_takes_and_none_where_it_raises(scene):
+    # a pivot probes the vertex end of each fan edge, c = 0, by the entry
+    # that import_position wraps, instead of catching its raise
+    if scene == "icosphere2 random":
+        mesh = meshgen.icosphere(2)
+        tr = Tracer(mesh, synth_field(mesh, "smoothed-random", seed=1))
+    else:
+        mesh = meshgen.grid(10, 10)
+        tr = Tracer(mesh, synth_field(mesh, "constant", angle_deg=45.0))
+    outcomes = Counter()
+    for v in range(mesh.n_vertices):
+        if mesh.is_boundary_vertex(v):
+            continue
+        for e in mesh.outgoing_halfedges(v):
+            sm = tr.stream_mesh(mesh.facet(e))
+            for enter in (stream_mesh.IN, stream_mesh.OUT):
+                try:
+                    want = sm.import_position(e, 0.0, enter)
+                except StreamMeshError:
+                    want = None
+                assert sm.entry(2 * (e % 3), 0.0, enter) == want
+                outcomes[want is None] += 1
+    # both outcomes occur
+    assert outcomes[True] and outcomes[False]
+
+
+def test_a_campaign_evaluates_each_sink_index_once(monkeypatch):
+    mesh = meshgen.icosphere(2)
+    fs = synth_field(mesh, "smoothed-random", seed=1)
+    calls, stops = [], []
+    real_index, real_stop = tracer_mod.vertex_index, Tracer._stop_at_vertex
+
+    def counting_index(mesh, fieldsamples, v):
+        calls.append(v)
+        return real_index(mesh, fieldsamples, v)
+
+    def counting_stop(self, pl, v):
+        stops.append(v)
+        return real_stop(self, pl, v)
+
+    monkeypatch.setattr(tracer_mod, "vertex_index", counting_index)
+    monkeypatch.setattr(Tracer, "_stop_at_vertex", counting_stop)
+    tr = Tracer(mesh, fs)
+    pls = [
+        tr.trace(s) for d in ("forward", "backward") for s in _spread_edge_seeds(mesh, 30, d)
+    ]
+    sinks = [pl.sink_vertex for pl in pls if pl.termination == "sink-vertex"]
+    # many lines stop at a vertex, each sink's index is evaluated once
+    assert len(stops) > len(set(stops)) > 0
+    assert sorted(calls) == sorted(set(stops)) and set(sinks) <= set(calls)
+
+
+def test_a_vertex_no_facet_takes_a_line_from_is_probed_once(monkeypatch):
+    mesh = meshgen.icosphere(2)
+    tr = Tracer(mesh, synth_field(mesh, "smoothed-random", seed=1))
+    seeds = _spread_edge_seeds(mesh, 10)
+    first = [tr.trace(s) for s in seeds]
+    assert Counter(pl.termination for pl in first)["sink-vertex"] == 10
+    walks = []
+    real = type(mesh).fan
+
+    def counting(self, h):
+        walks.append(h)
+        return real(self, h)
+
+    monkeypatch.setattr(type(mesh), "fan", counting)
+    again = [tr.trace(s) for s in seeds]
+    # the sink's fan was walked once, by the first line that reached it
+    assert walks == []
+    for a, b in zip(first, again):
+        assert (a.points, a.termination, a.sink_vertex) == (b.points, b.termination, b.sink_vertex)
 
 
 def test_one_seed_cuts_only_the_blocks_its_facets_lie_in():
