@@ -182,7 +182,7 @@ def _run_campaign(seeds, trace):
             continue
         dt = time.perf_counter() - t0
         polylines.append(pl)
-        crossings = len(pl.points) - 1  # one per point after the seed
+        crossings = len(pl) - 1  # one per point after the seed
         report.crossings += crossings
         if crossings:
             per_line.append(dt / crossings)

@@ -368,11 +368,12 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
       topologically required singularities placed on random vertices;
       ``seed`` (default 0).
 
-    ``center`` defaults to the origin, and ``phase_deg`` (default 0) turns
-    every sample of the radial kinds, a saddle's separatrices included.  A
-    parameter that the kind does not read raises FieldError.  The planar
-    kinds require all facets to lie in the z = 0 plane with
-    counterclockwise orientation.  Every generated field passes validate().
+    ``center`` defaults to the origin, and ``phase_deg`` (default 0), a
+    finite number of degrees, turns every sample of the radial kinds, a
+    saddle's separatrices included.  A parameter that the kind does not
+    read raises FieldError.  The planar kinds require all facets to lie in
+    the z = 0 plane with counterclockwise orientation.  Every generated
+    field passes validate().
     """
     if kind not in _KIND_PARAMS:
         raise FieldError(f"unknown field kind {kind!r}")
@@ -388,7 +389,7 @@ def synth_field(mesh, kind, **params) -> FieldSamples:
 # of doubles at the offset, 1.9e-6 degrees at 1e10, past validate's 1e-6: where
 # that spacing is over 1e-9 the offset sheds its whole turns first, exactly
 def _whole_turns_off(deg):
-    return math.fmod(deg, 360.0) if math.isfinite(deg) and math.ulp(deg) > 1e-9 else deg
+    return math.fmod(deg, 360.0) if math.ulp(deg) > 1e-9 else deg
 
 
 def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
@@ -396,6 +397,8 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
         raise FieldError(f"field angle must be a finite number of degrees, got {angle_deg}")
     if abs(angle_deg) >= ANGLE_LIMIT:
         raise FieldError(f"field angle {angle_deg} is 360 * 2**62 degrees or more")
+    if not math.isfinite(phase_deg):
+        raise FieldError(f"field phase must be a finite number of degrees, got {phase_deg}")
     p = mesh.vertices
     if np.any(np.abs(p[:, 2]) > 1e-12):
         raise FieldError("planar field kinds require a z = 0 mesh")

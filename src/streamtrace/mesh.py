@@ -346,21 +346,26 @@ class SurfaceMesh:
 
     def position(self, tp: TracePoint) -> np.ndarray:
         """World position of one trace point, a new 3-vector: ``positions``'s row."""
-        return self.positions([tp])[0]
+        h, c = tp
+        return self.positions_of([h], [c])[0]
 
     def positions(self, points) -> np.ndarray:
-        """World positions of a sequence of trace points, an ``(n, 3)`` array.
+        """World positions of a sequence of ``(halfedge, c)`` points: ``positions_of``."""
+        hs, cs = list(zip(*points)) or ((), ())
+        return self.positions_of(hs, cs)
+
+    def positions_of(self, halfedges, cs) -> np.ndarray:
+        """World positions of the points ``(halfedges[i], cs[i])``, an ``(n, 3)`` array.
 
         For c in [0, 1] a point is ``(1 - c) * origin + c * dest`` along its
         halfedge; for c in (1, 2] it is the destination vertex (terminal
         sink encoding).  A c outside [0, 2] raises MeshError.
         """
-        hs, cs = list(zip(*points)) or ((), ())
         c = np.array(cs, dtype=float)
         bad = (c < 0.0) | (c > 2.0)  # a nan c is neither: its row is nan
         if np.count_nonzero(bad):
             raise MeshError(f"trace point parameter {c[bad][0]} outside [0, 2]")
-        h = np.array(hs, dtype=np.int64)
+        h = np.array(halfedges, dtype=np.int64)
         p0 = self.vertices[self._origin[h]]
         p1 = self.vertices[self._dest[h]]
         c = c[:, None]

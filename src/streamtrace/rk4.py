@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TraceError
-from .mesh import TracePoint
 from .tracer import Polyline
 
 _EDGE_EPS = 1e-12
@@ -116,7 +115,8 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
         raise TraceError("seed bounds no facet")
 
     pl = Polyline(seed)
-    pl.points.append(tp0)
+    pl.halfedges.append(tp0.halfedge)
+    pl.cs.append(tp0.c)
 
     fields = {}
 
@@ -169,9 +169,9 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
             ev = mesh.vertices[mesh.dest(he)] - pa
             c = float(np.dot(x - pa, ev) / np.dot(ev, ev))
             c = min(1.0, max(0.0, c))
-            tp = TracePoint(he, c)
-            x_on = mesh.position(tp)
-            pl.points.append(tp)
+            x_on = mesh.position((he, c))
+            pl.halfedges.append(he)
+            pl.cs.append(c)
             o = mesh.opposite(he)
             if not mesh.has_facet(o):
                 pl.termination = "boundary"
@@ -193,5 +193,5 @@ def rk4_trace(mesh, fieldsamples, seed, config=RK4Config(), direction=None):
 
     pl.termination = pl.termination or "step-cap"
     pl.rk4_steps = steps
-    pl.positions = mesh.positions(pl.points)
+    pl.positions = mesh.positions_of(pl.halfedges, pl.cs)
     return pl

@@ -65,7 +65,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import StreamMeshError
-from .mesh import TracePoint
 
 
 # behavior codes, the codes from TF up the tangents, and their text
@@ -442,7 +441,7 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         """
         (p0, alpha0), (p1, alpha1) = anchor(r_from), anchor(r_to)
         d = np.subtract(p1, p0)
-        chord_length = float(np.linalg.norm(d))
+        chord_length = math.sqrt(d.dot(d))
         if chord_length <= 0.0:
             raise StreamMeshError("degenerate zero-length chord")
         ang = math.atan2(float(np.dot(d, v)), float(np.dot(d, u)))
@@ -686,7 +685,7 @@ class StreamMesh:
         return entry
 
     def export_position(self, r, c):
-        """Map a point of border row r back to the mesh: a TracePoint.
+        """Map a point of border row r back to the mesh: a ``(halfedge, c)`` pair.
 
         Edge pieces yield (facet halfedge, t on it); exits through a surface
         boundary edge are flipped to the outside halfedge so the returned
@@ -703,7 +702,7 @@ class StreamMesh:
         t = t0 + c * (self.t1[r] - t0)
         h = 3 * self.facet + element // 2
         if element % 2:
-            return TracePoint(h, 1.0 + t)
+            return h, 1.0 + t
         o = self.mesh._opposite_list[h]
         if self.mesh._facet_list[o] < 0:
             h, t = o, 1.0 - t
@@ -711,7 +710,7 @@ class StreamMesh:
             t = 0.0
         elif t > 1.0 - VERTEX_SNAP:
             t = 1.0
-        return TracePoint(h, t)
+        return h, t
 
 
 def decompose(borders, facet) -> StreamMesh:

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -60,31 +61,50 @@ class Seed:
 class Polyline:
     """Traced streamline: border points in order plus the termination cause.
 
-    ``positions`` is an ``(n, 3)`` array, row i the world position of
-    ``points[i]``: traced lines set it from one ``SurfaceMesh.positions``
-    call when they end, ``append`` adds a row to a line built by hand.  A
-    record holds the points only, so a line read back by ``from_record`` has
-    None there; ``SurfaceMesh.positions(points)`` gives the rows bit for bit.
-    ``rk4_steps`` counts an RK4 line's integration steps; 0 on stream lines.
+    The points are two columns of equal length, ``halfedges`` (ints) and
+    ``cs`` (their parameters): point i is ``(halfedges[i], cs[i])``.  The
+    trace appends one pair per exit and builds no point object.
+    ``points`` is a read view, a fresh list of ``TracePoint`` on each read;
+    assigning a sequence of ``(halfedge, c)`` pairs to it fills the columns.
+
+    ``positions`` is an ``(n, 3)`` array, row i the world position of point
+    i: traced lines set it from one ``SurfaceMesh.positions_of`` call when
+    they end, ``append`` adds a point and its row to a line built by hand.
+    A record holds the points only, so a line read back by ``from_record``
+    has None there; ``positions_of(halfedges, cs)`` gives the rows bit for
+    bit.  ``rk4_steps`` counts an RK4 line's integration steps; 0 on stream
+    lines.
     """
 
     def __init__(self, seed):
         self.seed = seed
-        self.points: list[TracePoint] = []
+        self.halfedges: list[int] = []
+        self.cs: list[float] = []
         self.positions = _NO_POSITIONS
         self.termination = None
         self.sink_vertex = None
         self.rk4_steps = 0
 
+    @property
+    def points(self) -> list[TracePoint]:
+        return list(map(TracePoint, self.halfedges, self.cs))
+
+    @points.setter
+    def points(self, points):
+        self.halfedges = [h for h, _ in points]
+        self.cs = [c for _, c in points]
+
     def append(self, tp, pos):
         row = np.asarray(pos, dtype=float)
         if row.shape != (3,):
             raise ValueError(f"position {pos!r} is not 3 numbers")
-        self.points.append(tp)
+        h, c = tp
+        self.halfedges.append(h)
+        self.cs.append(c)
         self.positions = np.vstack([self.positions, row])
 
     def __len__(self):
-        return len(self.points)
+        return len(self.halfedges)
 
     def to_record(self):
         return {
@@ -95,7 +115,7 @@ class Polyline:
             },
             "termination": self.termination,
             "sink_vertex": self.sink_vertex,
-            "points": [[tp.halfedge, tp.c] for tp in self.points],
+            "points": list(map(list, zip(self.halfedges, self.cs))),
         }
 
     @classmethod
@@ -107,11 +127,16 @@ class Polyline:
         """
         try:
             s = rec["seed"]
-            point = _record_point(s["halfedge"], s["c"])
-            pl = cls(Seed(point, s["direction"]))
+            h, c = s["halfedge"], s["c"]
+            _check_pair(h, c)
+            pl = cls(Seed(TracePoint(h, c), s["direction"]))
             pl.termination = rec["termination"]
             pl.sink_vertex = rec["sink_vertex"]
-            pl.points = [_record_point(h, c) for h, c in rec["points"]]
+            hs, cs = pl.halfedges, pl.cs
+            for h, c in rec["points"]:
+                _check_pair(h, c)
+                hs.append(h)
+                cs.append(c)
             pl.positions = None
         except KeyError as exc:
             raise ValueError(f"polyline record lacks {exc}") from None
@@ -120,10 +145,9 @@ class Polyline:
         return pl
 
 
-def _record_point(h, c):
+def _check_pair(h, c):
     if type(h) is not int or type(c) not in (int, float):
         raise ValueError(f"{[h, c]!r} is not a [halfedge, c] pair")
-    return TracePoint(h, c)
 
 
 def save_polylines(path, polylines):
@@ -137,8 +161,8 @@ def load_polylines(path):
     """Read ``save_polylines`` output; a malformed line raises ValueError.
 
     A line nested too deeply for the JSON decoder is malformed too.  The
-    lines' ``positions`` are None: ``SurfaceMesh.positions(pl.points)`` on
-    the traced mesh gives them.
+    lines' ``positions`` are None: ``SurfaceMesh.positions_of(pl.halfedges,
+    pl.cs)`` on the traced mesh gives them.
     """
     out = []
     with open(path) as fh:
@@ -219,17 +243,19 @@ class Tracer:
         Every step crosses a facet from an entry (stream mesh, row, local c):
         the seed's, then the one across the exit edge, or after an exit
         exactly at a vertex the one ``_pivot_at_vertex`` finds.  The points
-        are recorded as the line goes; their positions are computed once,
-        when it ends.
+        are recorded in the line's two columns as it goes; their positions
+        are computed once, when it ends.
         """
         pl = Polyline(seed)
-        pl.points.append(seed.point)
+        h, c = seed.point
+        pl.halfedges.append(h)
+        pl.cs.append(c)
         self._walk(pl, _ENTRY[seed.direction])
-        pl.positions = self.mesh.positions(pl.points)
+        pl.positions = self.mesh.positions_of(pl.halfedges, pl.cs)
         return pl
 
     def _walk(self, pl, enter):
-        """Append the exits of ``pl`` to its points and set its termination.
+        """Append the exits of ``pl`` to its columns and set its termination.
 
         A line closes an orbit when it leaves through a halfedge within
         ``ORBIT_TOL`` of an earlier exit there; each halfedge's exits are
@@ -238,7 +264,7 @@ class Tracer:
         mesh = self.mesh
         opposite, facet_of = mesh._opposite_list, mesh._facet_list
         seed = pl.seed
-        points = pl.points
+        halfedges, cs = pl.halfedges, pl.cs
         if seed.corner is not None:
             f, k = divmod(seed.point.halfedge, 3)
             sm = self.stream_mesh(f)
@@ -250,9 +276,9 @@ class Tracer:
         pivot_vertex, pivot_count = None, 0
         while True:
             out, c_out = self.cross_facet(sm, r, csm)
-            tp = sm.export_position(out, c_out)
-            points.append(tp)
-            h_exit, c_exit = tp
+            h_exit, c_exit = sm.export_position(out, c_out)
+            halfedges.append(h_exit)
+            cs.append(c_exit)
 
             if c_exit > 1.0:
                 pl.termination = "sink-vertex"
@@ -272,7 +298,7 @@ class Tracer:
                 seen.insert(i, c_exit)
 
             # the seed and one exit per crossing
-            if len(points) > self.max_steps:
+            if len(cs) > self.max_steps:
                 pl.termination = "step-cap"
                 return
 
@@ -502,19 +528,19 @@ def _segment_intervals(mesh, polylines):
     no facet raises its ``TraceError``.
     """
     fac, opp, _, _ = mesh.halfedge_tables()
-    pts = [tp for pl in polylines for tp in pl.points]
     # no dtype yet: an int too large for one leaves an object array, which
     # still compares
-    h = np.array([tp.halfedge for tp in pts])
-    c = np.array([tp.c for tp in pts])
-    counts = np.array([len(pl.points) for pl in polylines], dtype=np.int64)
+    h = np.array(list(chain.from_iterable(pl.halfedges for pl in polylines)))
+    c = np.array(list(chain.from_iterable(pl.cs for pl in polylines)))
+    counts = np.array([len(pl) for pl in polylines], dtype=np.int64)
     first = np.cumsum(counts) - counts  # index of each line's first point
     off = np.nonzero((h < 0) | (h >= len(fac)) | ~((c >= 0.0) & (c <= 2.0)))[0]
     if len(off):
         k = int(off[0])
         i = int(np.searchsorted(first, k, side="right")) - 1
+        j = k - int(first[i])
         raise TraceError(
-            f"polyline {i} point {k - int(first[i])} is off the mesh: {pts[k]}"
+            f"polyline {i} point {j} is off the mesh: {_point(polylines[i], j)}"
         )
     h, c = h.astype(np.int64), c.astype(float)
     n_seg = np.maximum(counts - 1, 0)
@@ -528,9 +554,8 @@ def _segment_intervals(mesh, polylines):
     ka, astray = _border_keys(mesh, h[start], c[start], facet)
     if len(astray):
         i = int(astray[0])
-        raise TraceError(
-            f"trace point {pts[start[i]]} does not touch facet {facet[i]}"
-        )
+        point = _point(polylines[line[i]], int(seg[i]))
+        raise TraceError(f"trace point {point} does not touch facet {facet[i]}")
     kb, _ = _border_keys(mesh, h[end], c[end], facet)
 
     keep = ka != kb
@@ -538,6 +563,11 @@ def _segment_intervals(mesh, polylines):
     lo = np.where(ka < kb, ka, kb)
     hi = np.where(ka < kb, kb, ka)
     return facet[keep], lo, hi, line[keep], seg[keep]
+
+
+def _point(pl, j):
+    """Point j of ``pl`` as a ``TracePoint``, for an error message."""
+    return TracePoint(pl.halfedges[j], pl.cs[j])
 
 
 def _border_keys(mesh, h, c, facet):

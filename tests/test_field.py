@@ -592,6 +592,13 @@ def test_synth_refuses_an_angle_past_the_winding_range(grid10, angle):
         synth_field(grid10, "constant", angle_deg=angle)
 
 
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["circular", "source", "sink", "saddle"])
+def test_synth_refuses_a_non_finite_phase(kind, phase):
+    with pytest.raises(FieldError, match=r"field phase must be a finite number of degrees"):
+        synth_field(meshgen.disc(3, 8), kind, phase_deg=phase)
+
+
 @pytest.mark.parametrize("size", [1e10, -1e12, 1e15, 360.0 * 2.0**61])
 def test_synth_huge_offset_angles_give_fields_that_validate(size):
     # the offset less each edge angle rounds to the spacing of doubles at

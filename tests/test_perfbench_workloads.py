@@ -2,9 +2,10 @@
 
 ``perfbench/measure.py`` gates every timed campaign on the crossing count
 and the points digest of its first one, but only within a run; these pins
-hold them across changes.  The scenes come from ``perfbench/workloads.py``,
-imported read-only, and each is traced on a fresh ``Tracer`` as a campaign
-traces it.
+hold them across changes, with the bytes of the lines file and of the OBJ
+export each campaign writes.  The scenes come from ``perfbench/workloads.py``,
+imported read-only, and each is traced once, on a fresh ``Tracer``, as a
+campaign traces it.
 """
 
 import hashlib
@@ -14,7 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from streamtrace import Seed, TracePoint, Tracer, load_field, load_obj
+from streamtrace import (
+    Seed,
+    TracePoint,
+    Tracer,
+    check_crossings,
+    load_field,
+    load_obj,
+    save_polylines,
+)
+from streamtrace.cli import write_obj_polylines
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -37,6 +47,23 @@ PINNED = {
     ),
 }
 
+# sha256 of the save_polylines and of the write_obj_polylines bytes of each
+# seed-1 campaign
+EXPORTS = {
+    "grid-sweep": (
+        "71c52271411874d177e0464266788f638ee4bfce432e2b899705f66e5d960e7b",
+        "76df024d94bf00414b566ad554f5d33eea25e50a4452b830a34d22b9f1ddcc32",
+    ),
+    "torus-orbits": (
+        "225dbb367a189c2909586002096bf2f393068172ba4e851d30c2302519174277",
+        "fbc9ec277d299f7c630231b5d02f506ecbec140cbbb51662f4c7d5ab467762ea",
+    ),
+    "sphere-both": (
+        "2f5dbaf9d8649a601026bd383879aa5d2ff9747065af5170e9b6face04e958e1",
+        "dbb45f91761c13f46ec0b877f1c21f60e138aa53b506342bc926b7b010769045",
+    ),
+}
+
 
 def load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -55,17 +82,36 @@ def points_digest(polylines):
     return sha.hexdigest()
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED))
-def test_seed_one_campaign_is_pinned(tmp_path, workload):
-    load_workloads().write_scene(workload, 1, str(tmp_path))
-    mesh = load_obj(tmp_path / "scene.obj")
-    fs = load_field(tmp_path / "scene.field", mesh)
+@pytest.fixture(scope="module", params=sorted(PINNED))
+def campaign(request, tmp_path_factory):
+    """(workload, mesh, polylines) of one seed-1 campaign."""
+    workload = request.param
+    scene = tmp_path_factory.mktemp(workload)
+    load_workloads().write_scene(workload, 1, str(scene))
+    mesh = load_obj(scene / "scene.obj")
+    fs = load_field(scene / "scene.field", mesh)
     seeds = []
-    for line in (tmp_path / "seeds.txt").read_text().splitlines():
+    for line in (scene / "seeds.txt").read_text().splitlines():
         h, c, direction = line.split()
         seeds.append(Seed(TracePoint(int(h), float(c)), direction))
     tracer = Tracer(mesh, fs)
-    polylines = [tracer.trace(s) for s in seeds]
+    return workload, mesh, [tracer.trace(s) for s in seeds]
+
+
+def test_seed_one_campaign_is_pinned(campaign):
+    workload, _, polylines = campaign
     crossings = sum(len(pl.points) - 1 for pl in polylines)
     terminations = dict(Counter(pl.termination for pl in polylines))
     assert (crossings, points_digest(polylines), terminations) == PINNED[workload]
+
+
+def test_seed_one_campaign_exports_are_pinned(campaign, tmp_path):
+    workload, mesh, polylines = campaign
+    assert check_crossings(mesh, polylines) == []
+    save_polylines(tmp_path / "lines.json", polylines)
+    write_obj_polylines(tmp_path / "lines.obj", polylines)
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("lines.json", "lines.obj")
+    )
+    assert digests == EXPORTS[workload]

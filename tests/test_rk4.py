@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -129,22 +130,43 @@ def test_rk4_traces_a_backward_seed_backward():
     assert np.linalg.norm(pl.positions[-1] - exact.positions[-1]) < 1e-5
 
 
-def test_rk4_positions_are_the_mesh_positions_of_its_points():
+def rk4_lines():
+    """A step-capped RK4 orbit on a disc and a backward RK4 line across a grid."""
     disc = meshgen.disc(6, 24)
     h = next(h for h in range(0, disc.n_interior_halfedges, 3)
              if disc.has_facet(disc.opposite(h)))
     grid = meshgen.grid(6, 6)
     cases = [
         (disc, synth_field(disc, "circular"), Seed(TracePoint(h, 0.5)),
-         RK4Config(max_steps=40), "step-cap"),
+         RK4Config(max_steps=40)),
         (grid, synth_field(grid, "constant", angle_deg=30.0),
-         boundary_seed(grid, 0, 1.0, 0.4, "backward"), RK4Config(), "boundary"),
+         boundary_seed(grid, 0, 1.0, 0.4, "backward"), RK4Config()),
     ]
-    for mesh, fs, seed, config, end in cases:
-        pl = rk4_trace(mesh, fs, seed, config)
+    return [(mesh, seed, rk4_trace(mesh, fs, seed, config)) for mesh, fs, seed, config in cases]
+
+
+def test_rk4_positions_are_the_mesh_positions_of_its_points():
+    for (mesh, _, pl), end in zip(rk4_lines(), ["step-cap", "boundary"]):
         assert pl.termination == end
         assert pl.positions.shape == (len(pl), 3)
         assert pl.positions.tobytes() == mesh.positions(pl.points).tobytes()
+
+
+# (points, sha256 over each point's "halfedge:c.hex();") of ``rk4_lines``
+RK4_POINTS = [
+    (16, "114c4b3e4c151c0ef5ac72e0e4975e8400efb3533de3bba6b240dc81e2ab4322"),
+    (13, "793c2a80f957e3ee0a0560c8f2125b826ab0fa45d75d88264ea6578910275484"),
+]
+
+
+def test_rk4_lines_keep_their_points_in_columns():
+    for (mesh, seed, pl), (n, want) in zip(rk4_lines(), RK4_POINTS):
+        assert pl.points[0] == seed.point
+        assert pl.points == list(zip(pl.halfedges, pl.cs))
+        assert all(type(tp) is TracePoint for tp in pl.points)
+        text = "".join(f"{h}:{c.hex()};" for h, c in zip(pl.halfedges, pl.cs))
+        assert (len(pl), hashlib.sha256(text.encode()).hexdigest()) == (n, want)
+        assert pl.positions.tobytes() == mesh.positions_of(pl.halfedges, pl.cs).tobytes()
 
 
 def test_rk4_rejects_a_direction_that_disagrees_with_the_seed():

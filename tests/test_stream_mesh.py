@@ -385,10 +385,23 @@ def test_import_export_round_trip_on_edges():
             continue  # outflow point: not importable
         kind, _, element, _ = decode(sm, r)
         assert kind in ("edge", "corner")
-        tp = sm.export_position(r, csm)
+        h, _ = sm.export_position(r, csm)
         # exporting an edge piece lands back on the same undirected edge
         if kind == "edge":
-            assert tp.halfedge % 3 == element // 2 or not m.has_facet(tp.halfedge)
+            assert h % 3 == element // 2 or not m.has_facet(h)
+
+
+def test_export_position_returns_a_plain_pair():
+    m = fan_mesh()
+    sm = decompose(BorderTable(m, samples_from_reals(WOUND)), 0)
+    kinds = set()
+    for r in range(len(sm.code)):
+        kind = decode(sm, r)[0]
+        if kind != "chord":
+            point = sm.export_position(r, 0.5)
+            assert type(point) is tuple and len(point) == 2
+            kinds.add(kind)
+    assert kinds == {"edge", "corner"}
 
 
 def test_import_prefers_inflow_at_shared_cut():
