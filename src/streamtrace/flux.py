@@ -44,13 +44,17 @@ from .stream_mesh import IN, TF
 
 _DEGENERATE_SWEEP = 1e-12
 
+# degrees to radians in one multiply: the constant and the product that
+# CPython's ``math.radians`` computes, without the call
+_RAD = math.pi / 180.0
+
 
 def _flow(corner, sink, b0, b1, length, c):
     """Signed flux through the sub-piece [0, c] of a flow piece, from its fields."""
     if corner:
         return sink * c
-    b0 = math.radians(b0)
-    b1 = math.radians(b1)
+    b0 *= _RAD
+    b1 *= _RAD
     db = b1 - b0
     if abs(db) < _DEGENERATE_SWEEP:
         return -length * c * math.sin(b0)
@@ -90,8 +94,8 @@ def phi_inverse(sm, r, x, total) -> float:
             raise FluxError("corner piece without sink flux is not invertible")
         return (1.0 if x > 1.0 else x) if x > 0.0 else 0.0
     length = sm.length[r]
-    b0 = math.radians(sm.b0[r])
-    b1 = math.radians(sm.b1[r])
+    b0 = sm.b0[r] * _RAD
+    b1 = sm.b1[r] * _RAD
     db = b1 - b0
     sigma = -1.0 if behavior == IN else 1.0
     if abs(db) < _DEGENERATE_SWEEP:

@@ -76,11 +76,14 @@ LABELS = ("I", "O", "Tf", "Tb")
 # behavior and ``(code >> 5) - 1`` the sink
 _CHORD = 6
 
-# facets cut together, when a line first reaches one of them: larger
-# blocks make fewer numpy calls, smaller ones cut less for a line that
-# reaches few facets and keep the cut's temporaries, and the heap they
-# leave behind, small
-BLOCK_FACETS = 256
+# facets cut together, when a line first reaches one of them.  Each
+# ``_cut_block`` call pays about 0.3 ms of numpy calls (2-core Xeon VM)
+# before it cuts a facet, so larger blocks cut the same facets for less;
+# per facet the cut is cheapest at about 640 to 768 facets a block and
+# dearer past that, and a line that reaches few facets still cuts whole
+# blocks, which raises peak memory.  512 cuts a cold 3,200-facet grid
+# campaign in 7 calls, faster than 256 or 384 (``BENCH_cut_blocks.json``)
+BLOCK_FACETS = 512
 
 # a border that cannot be decomposed keeps the index of its message
 _BORDER_ERRORS = (

@@ -330,7 +330,9 @@ class Tracer:
         """Entry from the facet of ``tp.halfedge``, else from the one across.
 
         A seed may sit on the downstream side of its edge.  Raises the last
-        ``StreamMeshError`` when neither facet takes the line.
+        ``StreamMeshError`` when neither facet takes the line.  The error is
+        kept without its traceback, whose frame would hold the error and
+        ``self`` in a reference cycle.
         """
         mesh = self.mesh
         error = TraceError("seed halfedge bounds no facet")
@@ -340,7 +342,7 @@ class Tracer:
                     sm = self.stream_mesh(mesh.facet(h))
                     return sm, *sm.import_position(h, c, enter)
                 except StreamMeshError as exc:
-                    error = exc
+                    error = exc.with_traceback(None)
         raise error
 
     def _stop_at_vertex(self, pl, v):

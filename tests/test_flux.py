@@ -82,6 +82,22 @@ def test_phi_rejects_tangent_pieces_and_bad_c():
         accumulate(sm, 0, 1.5)
 
 
+def test_radians_multiply_is_math_radians_bit_for_bit():
+    # the crossing path multiplies by flux._RAD where math.radians was
+    # called, and phi_totals calls np.radians: all three must agree
+    rng = np.random.default_rng(28)
+    tiny = math.ulp(0.0)
+    angles = np.concatenate([
+        rng.uniform(-1e4, 1e4, 100_000),
+        rng.uniform(-1.0, 1.0, 10_000) * 360.0 * 2.0**62,
+        [360.0 * 2.0**62, -360.0 * 2.0**62, 0.0, -0.0],
+        [tiny, -tiny, 1e3 * tiny, 2.0**-1022 - tiny, -(2.0**-1022), 2.0**-1022],
+    ])
+    want = [math.radians(a).hex() for a in angles.tolist()]
+    assert [(a * flux._RAD).hex() for a in angles.tolist()] == want
+    assert [r.hex() for r in np.radians(angles).tolist()] == want
+
+
 def test_live_quadrature_agreement():
     from scipy.integrate import quad
 

@@ -6,7 +6,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from streamtrace import FieldSamples, StreamMeshError, meshgen, synth_field
+from streamtrace import FieldSamples, StreamMeshError, meshgen, stream_mesh, synth_field
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decompose
@@ -555,6 +555,26 @@ def test_whole_mesh_decompositions_are_pinned():
         tr = Tracer(mesh, fs)
         got[name] = decomposition_digest([tr.stream_mesh(f) for f in range(mesh.n_facets)])
     assert got == WHOLE_MESH_SHA256
+
+
+def test_border_rows_do_not_depend_on_the_block_size(monkeypatch):
+    def borders(mesh, fs):
+        table, out = BorderTable(mesh, fs), []
+        for f in range(mesh.n_facets):
+            try:
+                out.append(repr(table.border(f)))
+            except StreamMeshError as exc:
+                out.append(str(exc))
+        return out
+
+    chosen = stream_mesh.BLOCK_FACETS
+    for name, mesh, fs in whole_mesh_scenes():
+        got = {}
+        for size in (1, 7, chosen, mesh.n_facets):
+            monkeypatch.setattr(stream_mesh, "BLOCK_FACETS", size)
+            got[size] = borders(mesh, fs)
+        # repr tells -0.0 from 0.0 and prints each double exactly
+        assert [size for size, rows in got.items() if rows != got[1]] == [], name
 
 
 def test_a_broken_border_raises_only_when_its_facet_is_decomposed():

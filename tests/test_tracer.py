@@ -929,8 +929,8 @@ def test_a_vertex_no_facet_takes_a_line_from_is_probed_once(monkeypatch):
 
 
 def test_one_seed_cuts_only_the_blocks_its_facets_lie_in():
-    # a 40 x 40 grid has 3200 facets, 13 blocks; a line at 3 degrees
-    # crosses the grid in a band of a few cell rows, 80 facets each
+    # a 40 x 40 grid has 3200 facets; a line at 3 degrees crosses the
+    # grid in a band of a few cell rows, 80 facets each
     mesh = meshgen.grid(40, 40)
     fs = synth_field(mesh, "constant", angle_deg=3.0)
     tr = Tracer(mesh, fs)
@@ -938,26 +938,51 @@ def test_one_seed_cuts_only_the_blocks_its_facets_lie_in():
     assert pl.termination == "boundary"
     cut = {b for b, block in enumerate(tr.borders._blocks) if block is not None}
     assert cut == {f // stream_mesh.BLOCK_FACETS for f in tr._cache}
-    assert len(cut) < len(tr.borders._blocks) == 13
+    n_blocks = -(-3200 // stream_mesh.BLOCK_FACETS)
+    assert len(cut) < len(tr.borders._blocks) == n_blocks
 
 
 def test_a_campaign_leaves_no_reference_cycles():
-    mesh = meshgen.grid(12, 12)
-    fs = synth_field(mesh, "constant", angle_deg=30.0)
+    grid = meshgen.grid(12, 12)
+    fs = synth_field(grid, "constant", angle_deg=30.0)
+    sphere = meshgen.icosphere(2)
+    sphere_fs = synth_field(sphere, "smoothed-random", seed=1)
+    sphere_seeds = [
+        s for d in ("forward", "backward") for s in _spread_edge_seeds(sphere, 40, d)
+    ]
+    # a seed on the downstream side of its edge is refused by its own facet
+    # and enters from the one across, after a caught StreamMeshError
+    refused = 0
+    probe = Tracer(sphere, sphere_fs)
+    for s in sphere_seeds:
+        h, c = s.point
+        sm = probe.stream_mesh(sphere.facet(h))
+        try:
+            sm.import_position(h, c, tracer_mod._ENTRY[s.direction])
+        except StreamMeshError:
+            refused += 1
+    assert 0 < refused < len(sphere_seeds)
+    del probe
     gc.collect()
     gc.disable()
     try:
-        tr = Tracer(mesh, fs)
+        tr = Tracer(grid, fs)
         pls = [tr.trace(s) for s in _boundary_loop_seeds(tr, 24)]
         assert {pl.termination for pl in pls} == {"boundary"}
         assert len(tr._cache) > 100
         del tr, pls
         # the stream meshes hold no reference cycles: freeing the tracer
         # frees them, and the collector finds nothing left
-        unreachable = gc.collect()
+        unreachable = [gc.collect()]
+        tr = Tracer(sphere, sphere_fs)
+        pls = [tr.trace(s) for s in sphere_seeds]
+        assert len(tr._cache) > 100
+        del tr, pls
+        # nor do the errors of refused seeds
+        unreachable.append(gc.collect())
     finally:
         gc.enable()
-    assert unreachable == 0
+    assert unreachable == [0, 0]
 
 
 @pytest.mark.parametrize("kind", ["sink", "saddle"])
