@@ -22,14 +22,22 @@ piece's midpoint angle, so it stays exact even when B sweeps across several
 multiples of pi (the piece never does after segmentation, but chords built
 from raw angle differences may sit in any band copy).
 
-Pieces are rows of a ``StreamMesh``: ``accumulate``, ``locate`` and
-``phi_inverse`` take the stream mesh and a row or run index and read its
-flat per-row lists, with the row's behavior code (``stream_mesh.IN`` to
-``TB``) read from bits 3-4 of its code; they are row-level internals, not
-part of the package namespace.  ``accumulate`` and the chords that splits
-draw evaluate a flow piece through one formula, ``_flow``, and
-``phi_totals`` makes the same float operations on the arrays of a border
-table.
+Pieces are rows of a ``StreamMesh``: ``accumulate``, ``locate``,
+``offset`` and ``phi_inverse`` take the stream mesh and a row or run index
+and read its flat per-row lists, with the row's behavior code
+(``stream_mesh.IN`` to ``TB``) read from bits 3-4 of its code; they are
+row-level internals, not part of the package namespace.  ``offset`` and the
+chords that splits draw evaluate a flow piece through one formula,
+``_flow``, and ``phi_totals`` makes the same float operations on the arrays
+of a border table.
+
+A line crosses facets as (row, flux offset): the flux through the row from
+its start to the line.  ``accumulate`` adds the row's run prefix to an
+offset, ``locate`` returns the exit row's offset next to its c, and the
+next entry reads that offset from the mirror row's other end, so no
+crossing converts c back to flux.  Only an entry given in c (a seed, a
+vertex pivot) calls ``offset``; c is computed by ``phi_inverse`` once per
+face, to record the exit.
 """
 
 from __future__ import annotations
@@ -114,27 +122,39 @@ def phi_inverse(sm, r, x, total) -> float:
     return (1.0 if c > 1.0 else c) if c > 0.0 else 0.0
 
 
-def accumulate(sm, r, c) -> float:
-    """Flux magnitude collected along the run of row r up to parameter c on r."""
-    if sm.run[r] < 0:
-        raise FluxError(f"row {r} is not a member of a run")
+def offset(sm, r, c) -> float:
+    """Flux through [0, c] of row r: the offset of an entry at parameter c.
+
+    0.0 on tangents, which carry no flux.
+    """
     code = sm.code[r]  # bits: corner 0, behaviour 3-4, sink + 1 from 5
     if code >> 3 & 3 >= TF:
-        return sm.start[r] + 0.0
+        return 0.0
     if not 0.0 <= c <= 1.0:
         raise FluxError(f"piece parameter {c} outside [0, 1]")
-    return sm.start[r] + abs(
-        _flow(code & 1, (code >> 5) - 1, sm.b0[r], sm.b1[r], sm.length[r], c)
-    )
+    return abs(_flow(code & 1, (code >> 5) - 1, sm.b0[r], sm.b1[r], sm.length[r], c))
+
+
+def accumulate(sm, r, x) -> float:
+    """Flux collected along the run of row r up to flux offset x on r.
+
+    The offset is clamped into the row's ``[0, total]``: ``min(total,
+    max(0.0, x))``, 0.0 for a nan, so a tangent row adds nothing.
+    """
+    if sm.run[r] < 0:
+        raise FluxError(f"row {r} is not a member of a run")
+    t = sm.total[r]
+    return sm.start[r] + ((t if t < x else x) if x > 0.0 else 0.0)
 
 
 def locate(sm, run, x):
-    """Find (row, c) at accumulated flux x along run ``run`` of sm.
+    """Find (row, c, offset) at accumulated flux x along run ``run`` of sm.
 
     Ties at piece boundaries resolve to the earlier piece; zero-flux members
     (tangents interleaved in the run, pass-through corners) are skipped.
     Matches a linear scan over the run exactly.  The row's flux total is
-    read from ``sm.total`` and handed to ``phi_inverse``.
+    read from ``sm.total`` and handed to ``phi_inverse``, with the flux
+    offset into the row, clamped into ``[0, total]``, which is returned too.
     """
     rows = sm.run_rows[run]
     prefix = sm.run_prefix[run]
@@ -154,4 +174,6 @@ def locate(sm, run, x):
     # prefix-sum roundoff may land a hair outside the piece's own range:
     # min(max(x - prefix[j], 0.0), t), which passes a nan through
     rem = 0.0 if x < prefix[j] else x - prefix[j]
-    return r, phi_inverse(sm, r, t if t < rem else rem, t)
+    if t < rem:
+        rem = t
+    return r, phi_inverse(sm, r, rem, t), rem

@@ -1,11 +1,13 @@
 """Streamline tracing over decomposed facets.
 
-A streamline is advanced one facet at a time: the entry point is imported
-into the facet's stream mesh as a row and a local parameter, carried across
-simple faces by flux ratio (hopping chords to their twin rows as needed),
-and exported back to a mesh border point.  No step size exists anywhere; a
-crossing is one closed-form evaluation per simple face traversed, on the
-stream mesh's flat rows.
+A streamline is advanced one facet at a time: it enters the facet's stream
+mesh as a row and a flux offset into it, is carried across simple faces by
+flux ratio (hopping chords to their twin rows as needed), and its exit is
+recorded as a mesh border point.  The exit row's offset carries over to the
+mirror row of the facet across, so only a seed or a vertex pivot, given in
+c, is imported.  No step size exists anywhere; a crossing is one
+closed-form evaluation per simple face traversed, on the stream mesh's flat
+rows.
 
 Crossings of two traced lines inside a facet are impossible by construction
 (each simple face maps the inflow interval monotonically onto the outflow
@@ -31,7 +33,7 @@ from . import flux, stream_mesh
 from .errors import StreamMeshError, TraceError
 from .field import INDEX_TOL, vertex_index
 from .mesh import TracePoint
-from .stream_mesh import IN, OUT
+from .stream_mesh import IN, OUT, TF
 
 ORBIT_TOL = 1e-9
 
@@ -206,29 +208,32 @@ class Tracer:
 
     # -- facet crossing ------------------------------------------------------
 
-    def cross_facet(self, sm, r, c):
-        """Carry an entry (row, c) to the exit border row of the facet.
+    def cross_facet(self, sm, r, x):
+        """Carry an entry (row, flux offset) to the exit border row of the facet.
 
-        Each simple face preserves the flux fraction: the exit splits the
-        exit run's total in the same ratio the entry splits the entry run's
-        total, measured from the shared bounding tangency.  The entry row's
-        run is the direction: a forward line enters on an inflow run and
-        leaves on the outflow run of the same face, a backward line the
-        reverse (the inverse map).  Chord exits hop to the twin row, in the
-        neighboring simple face, with the parameter reversed.
+        Returns the exit ``(row, c, offset)``.  Each simple face preserves
+        the flux fraction: the exit splits the exit run's total in the same
+        ratio the entry splits the entry run's total, measured from the
+        shared bounding tangency.  The entry row's run is the direction: a
+        forward line enters on an inflow run and leaves on the outflow run
+        of the same face, a backward line the reverse (the inverse map).
+        Chord exits hop to the twin row, in the neighboring simple face,
+        whose offset is measured from the other end: its total less the
+        exit's.
         """
-        run, prefix, twin = sm.run, sm.run_prefix, sm.twin
+        run, prefix, twin, total = sm.run, sm.run_prefix, sm.twin, sm.total
         hops = 0
         while True:
             rin = run[r]
             rout = rin ^ 1
-            ratio = flux.accumulate(sm, r, c) / prefix[rin][-1]
+            ratio = flux.accumulate(sm, r, x) / prefix[rin][-1]
             # min(1.0, max(0.0, ratio)), 0.0 for a nan
             ratio = (1.0 if ratio > 1.0 else ratio) if ratio > 0.0 else 0.0
-            out, c_out = flux.locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
+            out, c_out, rem = flux.locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
             if out not in twin:
-                return out, c_out
-            r, c = twin[out], 1.0 - c_out
+                return out, c_out, rem
+            r = twin[out]
+            x = total[r] - rem
             hops += 1
             if hops > len(prefix) // 2 + 1:
                 raise TraceError(
@@ -240,9 +245,10 @@ class Tracer:
     def trace(self, seed) -> Polyline:
         """Trace one streamline from ``seed`` until it terminates.
 
-        Every step crosses a facet from an entry (stream mesh, row, local c):
-        the seed's, then the one across the exit edge, or after an exit
-        exactly at a vertex the one ``_pivot_at_vertex`` finds.  The points
+        Every step crosses a facet from an entry (stream mesh, row, flux
+        offset): the seed's, then the mirror of the exit row across the exit
+        edge, or after an exit exactly at a vertex the one
+        ``_pivot_at_vertex`` finds.  The points
         are recorded in the line's two columns as it goes; their positions
         are computed once, when it ends.
         """
@@ -260,6 +266,14 @@ class Tracer:
         A line closes an orbit when it leaves through a halfedge within
         ``ORBIT_TOL`` of an earlier exit there; each halfedge's exits are
         kept sorted, so only the two neighbours of a new exit are compared.
+
+        A line carries its flux offset across an edge: the exit row's
+        mirror in the facet across holds the same piece reversed, so the
+        entry offset is the mirror's total less the exit's.  The mirror is
+        found by counting flow rows, whose pieces both sides cut alike: the
+        exit row's j-th flow row from the start of its edge element is the
+        j-th from the end of the element across.  Tangent rows, which a
+        split or a junction may add on one side only, are passed over.
         """
         mesh = self.mesh
         opposite, facet_of = mesh._opposite_list, mesh._facet_list
@@ -271,11 +285,12 @@ class Tracer:
             r, csm = sm.corner_entry(k, seed.corner, enter)
         else:
             sm, r, csm = self._edge_seed_entry(seed.point, enter)
+        x = flux.offset(sm, r, csm)
 
         visited = {}  # halfedge -> sorted exit parameters
         pivot_vertex, pivot_count = None, 0
         while True:
-            out, c_out = self.cross_facet(sm, r, csm)
+            out, c_out, rem = self.cross_facet(sm, r, x)
             h_exit, c_exit = sm.export_position(out, c_out)
             halfedges.append(h_exit)
             cs.append(c_exit)
@@ -320,11 +335,26 @@ class Tracer:
                 if entry is None:
                     return
                 sm, r, csm = entry
+                x = flux.offset(sm, r, csm)
             else:
                 pivot_vertex, pivot_count = None, 0
+                code = sm.code
+                j = 0  # flow rows before the exit row on its element
+                for q in range(sm.elements[code[out] & 7], out):
+                    if code[q] >> 3 & 3 < TF:
+                        j += 1
                 h = opposite[h_exit]
                 sm = self.stream_mesh(facet_of[h])
-                r, csm = sm.import_position(h, 1.0 - c_exit, enter)
+                code = sm.code
+                # the mirror: the j-th flow row from the end of the element across
+                r = sm.elements[2 * (h % 3) + 1]
+                while True:
+                    r -= 1
+                    if code[r] >> 3 & 3 < TF:
+                        if not j:
+                            break
+                        j -= 1
+                x = sm.total[r] - rem
 
     def _edge_seed_entry(self, tp, enter):
         """Entry from the facet of ``tp.halfedge``, else from the one across.

@@ -392,17 +392,19 @@ def oracle_phi_inverse(sm, r, x, total):
     return min(1.0, max(0.0, (bt - b0) / db))
 
 
-def oracle_accumulate(sm, r, c):
-    if sm.run[r] < 0:
-        raise FluxError(f"row {r} is not a member of a run")
+def oracle_offset(sm, r, c):
     kind, behavior, _, sink = _DECODE[sm.code[r]]
     if behavior in TANGENTS:
-        return sm.start[r] + 0.0
+        return 0.0
     if not 0.0 <= c <= 1.0:
         raise FluxError(f"piece parameter {c} outside [0, 1]")
-    return sm.start[r] + abs(
-        flux._flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c)
-    )
+    return abs(flux._flow(kind == "corner", sink, sm.b0[r], sm.b1[r], sm.length[r], c))
+
+
+def oracle_accumulate(sm, r, x):
+    if sm.run[r] < 0:
+        raise FluxError(f"row {r} is not a member of a run")
+    return sm.start[r] + min(sm.total[r], max(0.0, x))
 
 
 def oracle_locate(sm, run, x):
@@ -418,24 +420,89 @@ def oracle_locate(sm, run, x):
         j += 1
     r = rows[j]
     rem = min(max(x - prefix[j], 0.0), total[r])
-    return r, oracle_phi_inverse(sm, r, rem, total[r])
+    return r, oracle_phi_inverse(sm, r, rem, total[r]), rem
 
 
-def oracle_cross_facet(sm, r, c):
+def oracle_cross_facet(sm, r, x):
     run, prefix, twin = sm.run, sm.run_prefix, sm.twin
     hops = 0
     while True:
         rin = run[r]
         rout = rin ^ 1
-        xin = oracle_accumulate(sm, r, c)
+        xin = oracle_accumulate(sm, r, x)
         ratio = min(1.0, max(0.0, xin / prefix[rin][-1]))
-        out, c_out = oracle_locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
+        out, c_out, rem = oracle_locate(sm, rout, prefix[rout][-1] * (1.0 - ratio))
         if out not in twin:
-            return out, c_out
-        r, c = twin[out], 1.0 - c_out
+            return out, c_out, rem
+        r = twin[out]
+        x = sm.total[r] - rem
         hops += 1
         if hops > len(prefix) // 2 + 1:
             raise TraceError(f"facet {sm.facet}: chord hopping failed to reach the border")
+
+
+# -- the trace, crossing each edge in c ---------------------------------------
+
+
+def oracle_trace(tracer, seed):
+    """``tracer.trace(seed)``, traced as the program traced before lines
+    carried flux across edges, as a ``Polyline`` without positions.
+
+    Each edge crossing turns the exit's c into the parameter across and
+    enters the facet there by ``import_position``, which scans the edge
+    element for it, and turns it back into flux with ``oracle_offset``.  The
+    seed entry, vertex pivots, stops and the orbit check are the tracer's.
+    """
+    from streamtrace.tracer import _ENTRY, ORBIT_TOL, Polyline
+
+    mesh = tracer.mesh
+    enter = _ENTRY[seed.direction]
+    pl = Polyline(seed)
+    pl.points = [seed.point]
+    if seed.corner is not None:
+        f, k = divmod(seed.point.halfedge, 3)
+        sm = tracer.stream_mesh(f)
+        r, c = sm.corner_entry(k, seed.corner, enter)
+    else:
+        sm, r, c = tracer._edge_seed_entry(seed.point, enter)
+    visited = {}
+    pivot_vertex, pivot_count = None, 0
+    while True:
+        out, c_out, _ = oracle_cross_facet(sm, r, oracle_offset(sm, r, c))
+        h_exit, c_exit = sm.export_position(out, c_out)
+        pl.halfedges.append(h_exit)
+        pl.cs.append(c_exit)
+        if c_exit > 1.0:
+            pl.termination, pl.sink_vertex = "sink-vertex", mesh.dest(h_exit)
+            return pl
+        seen = visited.setdefault(h_exit, [])
+        if any(abs(c_exit - p) <= ORBIT_TOL for p in seen):
+            pl.termination = "closed-orbit"
+            return pl
+        seen.append(c_exit)
+        if len(pl) > tracer.max_steps:
+            pl.termination = "step-cap"
+            return pl
+        if not mesh.has_facet(h_exit):
+            pl.termination = "boundary"
+            return pl
+        if c_exit in (0.0, 1.0):
+            o = h_exit if c_exit == 0.0 else mesh.next(h_exit)
+            v = mesh.origin(o)
+            pivot_count = pivot_count + 1 if v == pivot_vertex else 1
+            pivot_vertex = v
+            if pivot_count > mesh.vertex_valence(v):
+                tracer._stop_at_vertex(pl, v)
+                return pl
+            entry = tracer._pivot_at_vertex(pl, o, enter)
+            if entry is None:
+                return pl
+            sm, r, c = entry
+        else:
+            pivot_vertex, pivot_count = None, 0
+            h = mesh.opposite(h_exit)
+            sm = tracer.stream_mesh(mesh.facet(h))
+            r, c = sm.import_position(h, 1.0 - c_exit, enter)
 
 
 def reference_obj(path):

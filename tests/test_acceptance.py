@@ -297,10 +297,10 @@ def test_criterion_6_flux_oracles():
         if total <= 0.0:
             continue
         for x in rng.uniform(-0.1, total * 1.1, 14):
-            got_r, got_c = locate(run, 0, float(x))
-            want_r, want_c = linear_scan_locate(run, float(x))
+            got = locate(run, 0, float(x))
+            want = linear_scan_locate(run, float(x))
             probes += 1
-            if got_r != want_r or got_c != want_c:
+            if got != want:
                 mismatches += 1
     ok = worst_quad < 1e-9 and worst_inv < 1e-9 and mismatches == 0
     report(6, ok, f"{checked} pieces: quadrature gap {worst_quad:.1e}, "

@@ -85,25 +85,25 @@ def test_trace_writes_lines_svg_and_obj(tmp_path):
         (
             "circular", ("--rings", "5", "--sectors", "18"), "30",
             (
-                "53742bf497f6ed8904f3e79f1fe6a88fa2fd6186ca21d5dc7fea74e87d37d894",
+                "0dc445df787938053d3b5f42feb9c25542fcb9f30e70c601fbfa4118bc1eeb30",
                 "340e49eb568766ef9851f60d24aa489ba19da8f6545ca4bb6d0eee657f3fc096",
-                "0c74a9edbcddf124426f9441c449d478a8ae6eb941b6872e2cded73ac14efb1a",
+                "7607598a3629853d068977b1b4c42e9f7b60a4067e7a4e5556baed365101e4ae",
             ),
         ),
         (
             "sink", ("--rings", "4", "--sectors", "12"), "12",
             (
-                "67483129352679b4d3bb43e3bbeaa615164a4129f8f82abba0f042c3c893c57d",
+                "bc33509b843aa42845494e1eae0fa1e50b9723d0cc2a327cb93c3c10a5dd983c",
                 "4aea0e9b72d4dd65012446e051bf47509929d0ad5bfefa936b339e78886c350a",
-                "c7d8ba1eeccf9fa24988701b67173c66559a799593a460b62e6fa2be56e36ee6",
+                "c4c0a58739dbacf1de87118c3094c2bb001cb01162f0dc9357f9cb2aa60205e0",
             ),
         ),
         (
             "grid", ("--nx", "12", "--ny", "12", "--angle", "30"), "20",
             (
-                "72860ddaa7ac4ac790ccc912561d23d386706f107b29e9f1a3a83d6e090c3e68",
+                "05b00a4272a3740f1561db326fe54edc71ff2e26d2e0bd44a21b8487c8b104bd",
                 "d8a0ba4cc46368169cbdeb6eb15e0fbf8385835c63d738abfc2726a4594c9751",
-                "a39392562d5f26b5e84e9d566061f57a608e13669d2ff2f64ff86394aa16529b",
+                "49d3af1b5c833cd9446ba5661bea735e65af1de7ff804d02420d0f3c991137ca",
             ),
         ),
     ],

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamtrace import FieldSamples, FluxError, SurfaceMesh, flux
-from streamtrace.flux import accumulate, locate, phi_inverse
+from streamtrace.flux import accumulate, locate, offset, phi_inverse
 from streamtrace.stream_mesh import IN, OUT, TF, TB, StreamMesh
 
 from conftest import TANGENTS, decode, phi, phi_signed, wound_config
 from conftest import constant_samples, right_triangle
-from conftest import oracle_accumulate, oracle_cross_facet, oracle_locate, oracle_phi_inverse
+from conftest import oracle_accumulate, oracle_cross_facet, oracle_locate, oracle_offset
+from conftest import oracle_phi_inverse
 from streamtrace.stream_mesh import BorderTable, decompose
 from streamtrace.tracer import Tracer
 
@@ -79,7 +80,11 @@ def test_phi_rejects_tangent_pieces_and_bad_c():
         phi_inverse(t, 0, 0.5, 1.0)
     sm = make_piece(1.0, 30.0, 60.0, IN)
     with pytest.raises(FluxError, match="piece parameter 1.5 outside"):
-        accumulate(sm, 0, 1.5)
+        offset(sm, 0, 1.5)
+    # a tangent holds no flux: its offset is 0.0 at any c, and accumulate
+    # clamps an offset on it to 0.0
+    assert offset(t, 0, 0.5) == 0.0 and offset(t, 0, 1.5) == 0.0
+    assert accumulate(t, 0, 0.5) == 0.0
 
 
 def test_radians_multiply_is_math_radians_bit_for_bit():
@@ -227,11 +232,12 @@ def linear_scan_locate(sm, x):
         if t > 0.0:
             last = r
             if x <= acc + t:
-                return r, phi_inverse(sm, r, min(max(x - acc, 0.0), t), t)
+                rem = min(max(x - acc, 0.0), t)
+                return r, phi_inverse(sm, r, rem, t), rem
         acc += t
     if last is None:
         raise FluxError("no flux")
-    return last, 1.0
+    return last, 1.0, sm.total[last]
 
 
 def random_pieces(rng, n):
@@ -269,10 +275,11 @@ def test_locate_matches_linear_scan_everywhere():
             acc += float(t)
             probes.append(acc)
         for x in probes:
-            a_r, a_c = locate(sm, 0, float(x))
-            b_r, b_c = linear_scan_locate(sm, float(x))
+            a_r, a_c, a_x = locate(sm, 0, float(x))
+            b_r, b_c, b_x = linear_scan_locate(sm, float(x))
             assert a_r == b_r, f"x={x}"
             assert abs(a_c - b_c) < 1e-12
+            assert abs(a_x - b_x) < 1e-12
     # x == total on a run ending in zero-flux pieces is among the probes
     assert zero_tails >= 10
 
@@ -287,9 +294,10 @@ def test_accumulate_then_locate_round_trips():
             if decode(sm, r)[1] in TANGENTS:
                 continue
             c = float(rng.uniform(0.0, 1.0))
-            x = accumulate(sm, r, c)
-            r2, c2 = locate(sm, 0, x)
-            assert abs(accumulate(sm, r2, c2) - x) < 1e-9
+            x = accumulate(sm, r, offset(sm, r, c))
+            r2, c2, x2 = locate(sm, 0, x)
+            assert abs(accumulate(sm, r2, offset(sm, r2, c2)) - x) < 1e-9
+            assert abs(accumulate(sm, r2, x2) - x) < 1e-9
 
 
 def test_accumulate_rejects_foreign_piece():
@@ -334,9 +342,9 @@ def test_decomposed_faces_phi_agrees_with_quadrature():
 
 
 def hexed(value):
-    """A float as ``float.hex``, a (row, c) pair as (row, hex of c)."""
+    """A float as ``float.hex``, a (row, c, offset) triple as (row, hexes)."""
     if isinstance(value, tuple):
-        return value[0], float(value[1]).hex()
+        return value[0], *(float(v).hex() for v in value[1:])
     return float(value).hex()
 
 
@@ -354,6 +362,7 @@ def assert_same_bits(fn, oracle, *args):
 def crossing_oracles(tracer):
     """(function, oracle) pairs of the crossing path; ``tracer`` crosses facets."""
     return {
+        "offset": (offset, oracle_offset),
         "accumulate": (accumulate, oracle_accumulate),
         "locate": (locate, oracle_locate),
         "phi_inverse": (phi_inverse, oracle_phi_inverse),
@@ -378,7 +387,8 @@ def test_crossing_path_matches_its_oracles_on_random_facets():
     # the 3000 wound facets of rng seed 5, whose first 300 are the
     # decomposition corpus.  Per facet: every run at -0.0, 0.0, its total
     # and a random flux; two random run rows at x = 0, their total and a
-    # random x, and at c = -0.0, 0.0, 1.0 and a random c
+    # random x, the offsets at c = -0.0, 0.0, 1.0 and a random c, and the
+    # crossings from the offsets -0.0, 0.0, the total and a random one
     rng = np.random.default_rng(5)
     mesh, fs = random_facets(rng, 3000)
     tracer = Tracer(mesh, fs)
@@ -394,9 +404,13 @@ def test_crossing_path_matches_its_oracles_on_random_facets():
             total = sm.total[r]
             for x in (0.0, total, float(rng.uniform(0.0, total))):
                 assert_same_bits(*paths["phi_inverse"], sm, r, x, total)
-            for c in (-0.0, 0.0, 1.0, float(rng.uniform())):
-                assert_same_bits(*paths["accumulate"], sm, r, c)
-                assert_same_bits(*paths["cross_facet"], sm, r, c)
+            for c, x in zip(
+                (-0.0, 0.0, 1.0, float(rng.uniform())),
+                (-0.0, 0.0, total, float(rng.uniform(0.0, total))),
+            ):
+                assert_same_bits(*paths["offset"], sm, r, c)
+                assert_same_bits(*paths["accumulate"], sm, r, x)
+                assert_same_bits(*paths["cross_facet"], sm, r, x)
                 checked += 1
     assert checked == 8 * mesh.n_facets
 
@@ -423,14 +437,22 @@ def test_crossing_path_clamps_match_min_max_out_of_range_and_on_nan():
         assert_same_bits(*phi_inverse_pair, corner, 0, x, 2.0)
     for x in (nan, -1.0, 10.0):
         assert_same_bits(*locate_pair, sm, 0, x)
+    # accumulate clamps an offset into [0, total] of its row, 0.0 for a nan
+    inf = float("inf")
+    for r in range(3):
+        t = sm.total[r]
+        for x in (-inf, -1.0, -0.0, 0.0, 0.5 * t, t, 2.0 * t, 10.0, inf, nan):
+            assert_same_bits(*accumulate_pair, sm, r, x)
+    assert accumulate(sm, 2, nan) == sm.start[2]
+    assert accumulate(sm, 2, 10.0) == sm.start[2] + sm.total[2]
     # a nan flux before a row makes accumulate nan, and the ratio clamp
     # maps it to 0.0; a shrunk run total pushes the ratio past 1
     poisoned = as_rows([(1.0, nan, 90.0, IN), inflow, outflow], [[0, 1], [2]])
-    for c in (0.0, 0.5, nan):
-        assert_same_bits(*accumulate_pair, poisoned, 1, c)
-        assert_same_bits(*cross_pair, poisoned, 1, c)
+    for x in (0.0, 0.5, nan):
+        assert_same_bits(*accumulate_pair, poisoned, 1, x)
+        assert_same_bits(*cross_pair, poisoned, 1, x)
     sm.run_prefix[0][-1] *= 0.5
-    for c in (0.5, 1.0):
-        assert_same_bits(*cross_pair, sm, 2, c)
+    for x in (0.5 * sm.total[2], sm.total[2]):
+        assert_same_bits(*cross_pair, sm, 2, x)
     sm.run_prefix[0][-1] = -1.0
     assert_same_bits(*cross_pair, sm, 0, 0.5)

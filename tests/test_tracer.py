@@ -37,7 +37,8 @@ from streamtrace.tracer import (
 )
 
 from conftest import (
-    _border_key, assert_close, constant_samples, decode, interpolated_angle, wound_config,
+    _border_key, assert_close, constant_samples, decode, interpolated_angle, oracle_trace,
+    wound_config,
 )
 
 
@@ -231,8 +232,8 @@ def test_saddle_emits_two_separatrices_per_direction():
 # At each angle, 9 seeds sit on rim vertices where the field enters: the
 # pivot walks across the boundary gap into the grid and traces them on.
 GRID_PIVOT_DIGESTS = {
-    45.0: (470, "742ed8f081ac1f4af83764382a136059ccfeaba13f6103b54ad6e30b7aa1e9c5"),
-    135.0: (462, "70cb06449d30df8a28186ec4a58e9005ca723eb654723ebc97cd3b0d4cf4b45e"),
+    45.0: (470, "62629a82efc808a2e59d15e32e764c7b1d7d35bcc7d9d07f4e1e324767383de5"),
+    135.0: (462, "9b99f7d8e10b08d8039c5f8af3788f0fd65024e48059ca929923234c5903b7ae"),
 }
 
 
@@ -255,6 +256,47 @@ def test_vertex_pivots_on_grid_diagonals_are_pinned(grid10, angle):
             # every vertex exit but a line's last one continues by a pivot
             pivots += sum(tp.c in (0.0, 1.0) for tp in pl.points[1:-1])
     assert (pivots, digest.hexdigest()) == GRID_PIVOT_DIGESTS[angle]
+
+
+@pytest.mark.parametrize("scene", ["sink", "source", "saddle", "grid 45", "grid 135"])
+def test_lines_cross_edges_as_the_c_crossing_does(scene):
+    # the disc lines end at sinks, sources and the boundary, and the grid
+    # lines pivot through vertices; carried in flux offsets or crossing in
+    # c, they take the same halfedges to the same ends, with c moved by
+    # at most 3.8e-14 (saddle)
+    if scene.startswith("grid"):
+        mesh = meshgen.grid(10, 10)
+        fs = constant_samples(mesh, float(scene.split()[1]))
+        seeds = [
+            Seed(TracePoint(h, c))
+            for h in range(mesh.n_halfedges)
+            if not mesh.has_facet(h)
+            for c in (0.0, 0.5, 1.0)
+        ]
+    else:
+        mesh = meshgen.disc(5, 20)
+        fs = synth_field(mesh, scene)
+        seeds = [s for d in ("forward", "backward") for s in _spread_edge_seeds(mesh, 40, d)]
+    tr, oracle = Tracer(mesh, fs), Tracer(mesh, fs)
+    worst, ends, pivots = 0.0, Counter(), 0
+    for seed in seeds:
+        try:
+            pl = tr.trace(seed)
+        except StreamMeshError:
+            with pytest.raises(StreamMeshError):
+                oracle_trace(oracle, seed)
+            continue
+        want = oracle_trace(oracle, seed)
+        assert (pl.halfedges, pl.termination, pl.sink_vertex) == (
+            want.halfedges, want.termination, want.sink_vertex
+        )
+        worst = max(worst, *(abs(a - b) for a, b in zip(pl.cs, want.cs, strict=True)))
+        ends[pl.termination] += 1
+        pivots += sum(c in (0.0, 1.0) for c in pl.cs[1:-1])
+    assert worst <= 1e-13
+    assert ends["sink-vertex" if scene in ("sink", "source") else "boundary"] > 30
+    if scene.startswith("grid"):
+        assert pivots > 400
 
 
 def fan_walk(mesh, v):
@@ -1011,13 +1053,14 @@ def test_backward_crossing_inverts_forward_crossing():
             for r in sm.run_rows[rin]:
                 if decode(sm, r)[0] == "chord" or sm.total[r] == 0.0:
                     continue
-                c = float(rng.uniform(0.0, 1.0))
-                out, c_out = tr.cross_facet(sm, r, c)
-                back, c_back = tr.cross_facet(sm, out, c_out)
+                x = flux.offset(sm, r, float(rng.uniform(0.0, 1.0)))
+                out, _, rem = tr.cross_facet(sm, r, x)
+                back, _, rem_back = tr.cross_facet(sm, out, rem)
                 assert sm.run[back] // 2 == face_id
-                x = flux.accumulate(sm, r, c)
-                x_back = flux.accumulate(sm, back, c_back)
-                assert abs(x_back - x) <= 1e-9 * sm.run_prefix[rin][-1]
+                # the run flux before the entry, and before the return
+                x_in = flux.accumulate(sm, r, x)
+                x_back = flux.accumulate(sm, back, rem_back)
+                assert abs(x_back - x_in) <= 1e-9 * sm.run_prefix[rin][-1]
                 checked += 1
 
 
@@ -1049,10 +1092,11 @@ def campaign_digest(mesh, fs, n_seeds, max_steps):
 @pytest.mark.parametrize(
     "scene, n_seeds, max_steps, digest",
     [
-        ("torus", 6, 2000, "32988eb1df957a36829881d1e0c310f707e1986ddb517ebc95293e6b143d771f"),
-        ("icosphere2", 12, 400, "e9cc2642058747a4518afc5eb85f559180e372475a0250355e794d3b7bdb0af8"),
-        ("distorted-grid", 12, 400, "22bc1c53b34d97545f595ea7467123bf695ca3ddaf3d91a7da48d1c672104a1c"),
+        ("torus", 6, 2000, "ccc1c069f41b811d2ba1f3d2ebd5e23ac870304fcac63114da3520c241bde1f1"),
+        ("icosphere2", 12, 400, "5c8af2f0b5508b9679deb6cabd731013d0b7ca430ffe12040d66415535310254"),
+        ("distorted-grid", 12, 400, "25cfc77c34a8ba34c9a775044b79a37ed701ae086079b78f278e75251c07330b"),
     ],
+    ids=["torus", "icosphere2", "distorted-grid"],
 )
 def test_campaign_points_and_positions_are_pinned(scene, n_seeds, max_steps, digest):
     # lines end by closed orbit and step cap on the torus, by sink vertex and
