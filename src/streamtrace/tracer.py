@@ -12,9 +12,10 @@ rows.
 Crossings of two traced lines inside a facet are impossible by construction
 (each simple face maps the inflow interval monotonically onto the outflow
 interval); ``check_crossings`` verifies that property on traced output.  It
-reads every segment as an interval of the facet border, sorts each facet's
-intervals once and flags, in one stack pass, the facets where two of them
-interleave: O(k log k) for k segments in a facet.  Only flagged facets are
+reads every segment as an interval of the facet border and flags the facets
+where two intervals interleave from one sort of the intervals' open and
+close events over the whole table, keyed by exact integers: O(k log k) for
+k segments, with no Python loop over them.  Only flagged facets are
 compared pair by pair, under the shared-endpoint tolerance.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
@@ -514,7 +516,7 @@ def _same_point(p, q):
 
 
 def check_crossings(mesh, polylines):
-    """Traced segments that cross inside a facet, found by one sort per facet.
+    """Traced segments that cross inside a facet, found from one event sort.
 
     Cut open at vertex 0, a facet border is the interval [0, 3] of
     ``_border_keys``, and each segment is stored once as its sorted keys
@@ -525,14 +527,14 @@ def check_crossings(mesh, polylines):
     reads as 0.0 or as 3.0).
 
     Chords of a convex facet cross only when their intervals interleave, so
-    each facet's intervals are sorted by ``lo`` ascending, ``hi``
-    descending, and one stack pass flags the facet when a new interval
-    starts inside the open one on top and ends beyond it: O(k log k) for k
-    segments.  A facet it passes holds no two interleaving intervals, hence
-    no violation.  Only flagged facets go through the pairwise scan, which
-    applies the shared-endpoint rule; facets come in the order of their
-    first segment and pairs in (line, segment) order.  Returns the
-    violations found (empty when the no-crossing guarantee holds).
+    ``_interleaving_facets`` flags the facets holding two interleaving
+    intervals, from one sort of every interval's open and close events:
+    O(k log k) for k segments.  A facet it passes holds no violation.  Only
+    flagged facets go through the pairwise scan, which applies the
+    shared-endpoint rule; facets come in the order of their first segment
+    and pairs in (line, segment) order, so permuting the lines permutes
+    the line ids and changes nothing else.  Returns the violations found
+    (empty when the no-crossing guarantee holds).
     """
     facet, lo, hi, line, seg = _segment_intervals(mesh, polylines)
     flagged = _interleaving_facets(facet, lo, hi)
@@ -551,8 +553,10 @@ def check_crossings(mesh, polylines):
 def _segment_intervals(mesh, polylines):
     """``(facet, lo, hi, line, segment)`` arrays, one row per segment.
 
-    A point off the mesh (halfedge outside the table, c outside [0, 2])
-    raises ``TraceError``, the first in (line, point) order.  Rows come in
+    A point off the mesh (a halfedge that is no integer or lies outside the
+    table, a c that is no real number or lies outside [0, 2]) raises
+    ``TraceError``, the first in (line, point) order; only a table that
+    holds one is read again, point by point, to name it.  Rows come in
     (line, segment) order and leave out segments whose ends share a key.
     A segment's facet is its end point's, or the one across when that point
     is on an outward boundary halfedge, so only a start can be a vertex
@@ -560,21 +564,18 @@ def _segment_intervals(mesh, polylines):
     no facet raises its ``TraceError``.
     """
     fac, opp, _, _ = mesh.halfedge_tables()
-    # no dtype yet: an int too large for one leaves an object array, which
-    # still compares
-    h = np.array(list(chain.from_iterable(pl.halfedges for pl in polylines)))
-    c = np.array(list(chain.from_iterable(pl.cs for pl in polylines)))
+    try:
+        h, c = _columns(
+            chain.from_iterable(pl.halfedges for pl in polylines),
+            chain.from_iterable(pl.cs for pl in polylines),
+        )
+        on_mesh = ((h >= 0) & (h < len(fac)) & (c >= 0.0) & (c <= 2.0)).all()
+    except (TypeError, OverflowError):
+        on_mesh = False
+    if not on_mesh:
+        _refuse_points_off_the_mesh(polylines, len(fac))
     counts = np.array([len(pl) for pl in polylines], dtype=np.int64)
     first = np.cumsum(counts) - counts  # index of each line's first point
-    off = np.nonzero((h < 0) | (h >= len(fac)) | ~((c >= 0.0) & (c <= 2.0)))[0]
-    if len(off):
-        k = int(off[0])
-        i = int(np.searchsorted(first, k, side="right")) - 1
-        j = k - int(first[i])
-        raise TraceError(
-            f"polyline {i} point {j} is off the mesh: {_point(polylines[i], j)}"
-        )
-    h, c = h.astype(np.int64), c.astype(float)
     n_seg = np.maximum(counts - 1, 0)
     line = np.repeat(np.arange(len(counts)), n_seg)
     seg = np.arange(len(line)) - np.repeat(np.cumsum(n_seg) - n_seg, n_seg)
@@ -595,6 +596,40 @@ def _segment_intervals(mesh, polylines):
     lo = np.where(ka < kb, ka, kb)
     hi = np.where(ka < kb, kb, ka)
     return facet[keep], lo, hi, line[keep], seg[keep]
+
+
+def _columns(halfedges, cs):
+    """int64 and float64 arrays of trace points' halfedges and cs.
+
+    The ``array`` module converts each value in C and refuses what is no
+    integer (a float, a str, None) as a halfedge and what is no real
+    number (a str, None) as a c, with ``TypeError``, and a value too large
+    for its type with ``OverflowError``.  ``np.fromiter`` would read 1.5 as
+    1 and "0.5" as 0.5.
+    """
+    return (
+        np.frombuffer(array("q", list(halfedges)), dtype=np.int64),
+        np.frombuffer(array("d", list(cs)), dtype=np.float64),
+    )
+
+
+def _refuse_points_off_the_mesh(polylines, n_halfedges):
+    """Raise ``TraceError`` at the first point, in (line, point) order, off the mesh.
+
+    A point is on the mesh when ``_columns`` takes it and its halfedge is
+    in ``[0, n_halfedges)`` and its c in [0, 2].
+    """
+    for i, pl in enumerate(polylines):
+        for j, point in enumerate(zip(pl.halfedges, pl.cs)):
+            try:
+                h, c = _columns(point[:1], point[1:])
+                on_mesh = 0 <= h[0] < n_halfedges and 0.0 <= c[0] <= 2.0
+            except (TypeError, OverflowError):
+                on_mesh = False
+            if not on_mesh:
+                raise TraceError(
+                    f"polyline {i} point {j} is off the mesh: {_point(pl, j)}"
+                )
 
 
 def _point(pl, j):
@@ -634,24 +669,73 @@ def _border_keys(mesh, h, c, facet):
 
 
 def _interleaving_facets(facet, lo, hi):
-    """Facets holding two intervals ``lo1 < lo2 < hi1 < hi2``, from one sort.
+    """Facets holding two intervals ``lo1 < lo2 < hi1 < hi2``, from one event sort.
 
-    The stack holds the open intervals, each nested in the one below it; a
-    new interval first closes those that end at or before its start.  The
-    keys are finite: ``_segment_intervals`` refuses a nan c.
+    Each interval opens at ``lo`` and closes at ``hi``.  The events are
+    sorted by facet, then position; at one position closes come before
+    opens, opens by ``hi`` descending and closes by ``lo`` descending, and
+    identical intervals count as one.  In that order two intervals
+    interleave exactly when one opens, then the other, then the first
+    closes, then the second.  Between an interval's open and close, one
+    nested in it adds a level and takes it away again, one that interleaves
+    it from the right adds one, from the left takes one away.  So where no
+    two interleave, each interval closes at the depth it opened at (a
+    ``cumsum`` of the events gives both); where some do, the first to close
+    of those that have a right partner has no left one, and closes deeper.
+
+    The sort keys are exact int64s, one per event, packing the facet, the
+    rank of the position among the m distinct ends, the kind of event and
+    the rank of the other end: 2 m^2 keys per facet.  A table of more
+    facets than one key holds is sorted a facet range at a time.
     """
     flagged = set()
-    order = np.lexsort((-hi, lo, facet))
-    stack, current = [], None
-    for f, a, b in zip(facet[order].tolist(), lo[order].tolist(), hi[order].tolist()):
-        if f != current:
-            stack, current = [], f
-        while stack and stack[-1] <= a:
-            stack.pop()
-        if stack and b > stack[-1]:
-            flagged.add(f)
-        stack.append(b)
+    n = len(facet)
+    if not n:
+        return flagged
+    # the rank of each end among the m distinct ends; np.unique's inverse
+    # holds the same ranks, and more temporaries at its peak
+    ends = np.concatenate((lo, hi))
+    order = np.argsort(ends)
+    ends = ends[order]
+    rank = np.empty(2 * n, dtype=np.int64)
+    rank[order] = np.cumsum(np.diff(ends, prepend=ends[0]) != 0)
+    m = int(rank[order[-1]]) + 1
+    del ends, order
+    # 2 span m^2 <= 2^63; m <= 2n < 2^31 for any table that fits in memory
+    span = 2**62 // (m * m)
+    first, last = int(facet.min()), int(facet.max())
+    for start in range(first, last + 1, span):
+        rows = slice(None)
+        if last - first >= span:
+            rows = np.flatnonzero((facet >= start) & (facet < start + span))
+        f = facet[rows] - start
+        broken = _unbalanced(f, rank[:n][rows], rank[n:][rows], m)
+        flagged.update((broken + start).tolist())
     return flagged
+
+
+def _unbalanced(f, r_lo, r_hi, m):
+    """Facets in ``[0, 2^62 // m^2)`` where an interval closes at another depth.
+
+    ``r_lo`` and ``r_hi`` are the ranks of the interval ends among m.
+    An open event's key is ``((f m + r_lo) 2 + 1) m + (m - 1 - r_hi)``, a
+    close event's ``(f m + r_hi) 2 m + (m - 1 - r_lo)``.
+    """
+    top = m - 1
+    opens = np.sort(((f * m + r_lo) * 2 + 1) * m + (top - r_hi))
+    opens = opens[np.diff(opens, prepend=-1) != 0]  # one per distinct interval
+    at, tie = np.divmod(opens, m)
+    at >>= 1  # f m + r_lo
+    r_lo = at % m  # of the distinct intervals
+    closes = (at + (top - tie - r_lo)) * 2 * m + (top - r_lo)
+    k = len(opens)
+    order = np.argsort(np.concatenate((opens, closes)))
+    del opens, closes
+    steps = np.where(order < k, 1, -1)
+    depth = np.empty(2 * k, dtype=np.int64)
+    depth[order] = np.cumsum(steps, out=steps)
+    # depth after each open, against depth before each close
+    return at[depth[:k] != depth[k:] + 1] // m
 
 
 def _pairwise_crossings(f, segs):

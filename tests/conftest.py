@@ -207,6 +207,30 @@ def _border_key(mesh, facet, tp):
     raise TraceError(f"trace point {tp} does not touch facet {facet}")
 
 
+def oracle_interleaving_facets(facet, lo, hi):
+    """Facets holding two intervals ``lo1 < lo2 < hi1 < hi2``, by a stack pass.
+
+    The scalar oracle of ``tracer._interleaving_facets``.  Each facet's
+    intervals are sorted by ``lo`` ascending, ``hi`` descending; the stack
+    holds the open intervals, each nested in the one below it, and a new
+    interval first closes those that end at or before its start.  The
+    facet is flagged when a new interval starts inside the one on top and
+    ends beyond it.
+    """
+    flagged = set()
+    order = np.lexsort((-hi, lo, facet))
+    stack, current = [], None
+    for f, a, b in zip(facet[order].tolist(), lo[order].tolist(), hi[order].tolist()):
+        if f != current:
+            stack, current = [], f
+        while stack and stack[-1] <= a:
+            stack.pop()
+        if stack and b > stack[-1]:
+            flagged.add(f)
+        stack.append(b)
+    return flagged
+
+
 # -- stream-mesh rows, decoded by table ----------------------------------------
 
 # a row's code is element + 8 behavior + 32 (sink + 1), where element 6

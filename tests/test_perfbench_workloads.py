@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import oracle_trace
+from conftest import oracle_interleaving_facets, oracle_trace
 from streamtrace import (
     Seed,
     TracePoint,
@@ -26,6 +26,7 @@ from streamtrace import (
     save_polylines,
 )
 from streamtrace.cli import write_obj_polylines
+from streamtrace.tracer import _interleaving_facets, _segment_intervals
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -121,6 +122,12 @@ def test_seed_one_campaign_exports_are_pinned(campaign, tmp_path):
         for name in ("lines.json", "lines.obj")
     )
     assert digests == EXPORTS[workload]
+
+
+def test_seed_one_campaign_flags_what_the_stack_pass_flags(campaign):
+    _, mesh, _, polylines = campaign
+    facet, lo, hi, _, _ = _segment_intervals(mesh, polylines)
+    assert _interleaving_facets(facet, lo, hi) == oracle_interleaving_facets(facet, lo, hi)
 
 
 def test_seed_one_campaign_crosses_edges_as_the_c_crossing_does(campaign):

@@ -7,6 +7,8 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamtrace import (
     RK4Config,
@@ -37,8 +39,8 @@ from streamtrace.tracer import (
 )
 
 from conftest import (
-    _border_key, assert_close, constant_samples, decode, interpolated_angle, oracle_trace,
-    wound_config,
+    _border_key, assert_close, constant_samples, decode, interpolated_angle,
+    oracle_interleaving_facets, oracle_trace, wound_config,
 )
 
 
@@ -764,6 +766,82 @@ def test_a_facet_the_sweep_passes_has_no_pairwise_violation():
     assert outcomes[True, True] and outcomes[True, False] and outcomes[False, False]
 
 
+def test_interleaving_facets_equal_the_stack_pass_on_random_facets():
+    mesh = meshgen.grid(3, 3, distortion=0.2, seed=4)
+    rng = np.random.default_rng(31)
+    flagged_sets = 0
+    for _ in range(3000):
+        facet, lo, hi, _, _ = _segment_intervals(mesh, random_one_facet_lines(mesh, rng))
+        flagged = _interleaving_facets(facet, lo, hi)
+        assert flagged == oracle_interleaving_facets(facet, lo, hi)
+        flagged_sets += bool(flagged)
+    assert 0 < flagged_sets < 3000
+
+
+def lattice_table(rng):
+    """``(facet, lo, hi)`` of a few facets' intervals, with ends on a half-step lattice.
+
+    Ends in {0, 0.5, ..., 3} make intervals share starts and ends, touch
+    and repeat exactly; vertex 0 reads as 0.0 in some and 3.0 in others.
+    Facet ids are spread, as a mesh's facets are.
+    """
+    n = int(rng.integers(1, 14))
+    a, b = rng.integers(0, 7, size=(2, n)) / 2.0
+    keep = a != b
+    a, b = a[keep], b[keep]
+    facet = rng.choice([0, 1, 7, 4096], size=int(rng.integers(1, 5)), replace=False)
+    return facet[rng.integers(0, len(facet), len(a))], np.minimum(a, b), np.maximum(a, b)
+
+
+def test_interleaving_facets_equal_the_stack_pass_on_lattice_tables():
+    rng = np.random.default_rng(12)
+    outcomes = Counter()  # (table holds identical intervals, a facet is flagged)
+    for _ in range(20000):
+        facet, lo, hi = lattice_table(rng)
+        flagged = _interleaving_facets(facet, lo, hi)
+        assert flagged == oracle_interleaving_facets(facet, lo, hi)
+        rows = list(zip(facet.tolist(), lo.tolist(), hi.tolist()))
+        outcomes[len(set(rows)) < len(rows), bool(flagged)] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 500
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0, 1, 5]), st.integers(0, 6), st.integers(0, 6)).filter(
+            lambda row: row[1] != row[2]
+        ),
+        max_size=16,
+    )
+)
+def test_interleaving_facets_equal_the_stack_pass_on_any_lattice_table(rows):
+    facet = np.array([f for f, _, _ in rows], dtype=np.int64)
+    lo = np.array([min(a, b) / 2.0 for _, a, b in rows])
+    hi = np.array([max(a, b) / 2.0 for _, a, b in rows])
+    assert _interleaving_facets(facet, lo, hi) == oracle_interleaving_facets(facet, lo, hi)
+
+
+def test_interleaving_facets_split_a_table_one_key_cannot_hold():
+    # facet ids 2^41 apart and about 4000 distinct ends: a key packing the
+    # whole table would need 2^41 facets of 2 m^2 keys each, past 2^63
+    rng = np.random.default_rng(3)
+    tables = []
+    for f in (0, 1, 2**40, 2**41, 2**41 + 3):
+        if f in (1, 2**41):  # nested intervals only
+            lo = np.arange(1, 1001) / 1000.0
+            hi = 3.0 - lo
+        else:
+            a, b = rng.integers(0, 3001, size=(2, 1000)) / 1000.0
+            a, b = a[a != b], b[a != b]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+        tables.append((np.full(len(lo), f, dtype=np.int64), lo, hi))
+    facet, lo, hi = (np.concatenate(col) for col in zip(*tables))
+    m = len(np.unique(np.concatenate((lo, hi))))
+    assert (int(facet.max()) - int(facet.min()) + 1) * 2 * m * m > 2**63
+    flagged = _interleaving_facets(facet, lo, hi)
+    assert flagged == oracle_interleaving_facets(facet, lo, hi) == {0, 2**40, 2**41 + 3}
+
+
 def test_first_point_off_its_facet_raises_in_segment_order():
     mesh = meshgen.grid(4, 4)
     # halfedge 93 bounds facet 31, which halfedges 1 and 2 do not touch;
@@ -800,6 +878,30 @@ def test_check_crossings_refuses_a_point_off_the_mesh(halfedge, c):
         check_crossings(mesh, [good, bad])
 
 
+@pytest.mark.parametrize("halfedge,c", [(1.5, 0.5), (2.0, 0.5), (1, "0.5"), (1, None)])
+def test_check_crossings_refuses_a_point_of_another_type(halfedge, c):
+    # numpy would read halfedge 1.5 as 1, or fail on a str or None c
+    mesh = meshgen.grid(3, 3)
+    line = Polyline(None)
+    line.points = [(0, 0.5), (halfedge, c)]
+    message = f"polyline 0 point 1 is off the mesh: {TracePoint(halfedge, c)}"
+    with pytest.raises(TraceError, match=re.escape(message)):
+        check_crossings(mesh, [line])
+
+
+def test_check_crossings_names_the_first_point_off_the_mesh_of_any_kind():
+    mesh = meshgen.grid(3, 3)
+    out_of_range, mistyped = Polyline(None), Polyline(None)
+    out_of_range.points = [(0, 0.5), (1, 0.5), (1, 2.5)]
+    mistyped.points = [(0, 0.5), (1, "0.5")]
+    for lines, bad in (
+        ([out_of_range, mistyped], "polyline 0 point 2"),
+        ([mistyped, out_of_range], "polyline 0 point 1"),
+    ):
+        with pytest.raises(TraceError, match=f"^{bad} is off the mesh"):
+            check_crossings(mesh, lines)
+
+
 def test_torus_campaign_of_50k_crossings_has_no_crossings():
     mesh = meshgen.torus()
     fs = synth_field(mesh, "smoothed-random", seed=1)
@@ -807,6 +909,61 @@ def test_torus_campaign_of_50k_crossings_has_no_crossings():
     pls = [tr.trace(s) for s in _spread_edge_seeds(mesh, 25)]
     assert sum(len(pl) - 1 for pl in pls) > 45000
     assert check_crossings(mesh, pls) == []
+
+
+def test_campaign_of_196k_crossings_flags_what_the_stack_pass_flags():
+    # the campaign-scale recipe of BENCH_check.json at 100 seeds
+    mesh = meshgen.torus()
+    fs = synth_field(mesh, "smoothed-random", seed=1)
+    tr = Tracer(mesh, fs)
+    pls = [tr.trace(s) for s in _spread_edge_seeds(mesh, 100)]
+    assert sum(len(pl) - 1 for pl in pls) > 190000
+    facet, lo, hi, _, _ = _segment_intervals(mesh, pls)
+    assert _interleaving_facets(facet, lo, hi) == oracle_interleaving_facets(facet, lo, hi)
+    assert check_crossings(mesh, pls) == []
+
+
+def violation_pairs(violations, line_ids):
+    """Each violation as its facet and unordered pair of (line id, segment)."""
+    return Counter(
+        (v.facet, frozenset({(line_ids[v.line_a], v.segment_a),
+                             (line_ids[v.line_b], v.segment_b)}))
+        for v in violations
+    )
+
+
+def assert_permuting_lines_renames_only_line_ids(mesh, lines, rng):
+    want = violation_pairs(check_crossings(mesh, lines), range(len(lines)))
+    perm = rng.permutation(len(lines))
+    got = check_crossings(mesh, [lines[k] for k in perm])
+    assert violation_pairs(got, perm.tolist()) == want
+    return sum(want.values())
+
+
+def test_permuting_rk4_shear_lines_renames_only_their_line_ids():
+    from test_acceptance import planar_angle_field
+
+    mesh = meshgen.grid(12, 12)
+    fs = planar_angle_field(mesh, lambda x, y: 90.0 + 36000.0 * (y - 0.503))
+    seeds = [
+        boundary_seed(mesh, 0, 1.0, float(y)) for y in np.linspace(0.451, 0.549, 30)
+    ]
+    cfg = RK4Config(step_fraction=0.1, max_steps=20000)
+    ref = [rk4_trace(mesh, fs, s, cfg) for s in seeds]
+    rng = np.random.default_rng(8)
+    assert assert_permuting_lines_renames_only_line_ids(mesh, ref, rng) == 3563
+
+
+def test_permuting_random_one_facet_lines_renames_only_their_line_ids():
+    mesh = meshgen.grid(3, 3, distortion=0.2, seed=4)
+    rng = np.random.default_rng(31)
+    found = [
+        assert_permuting_lines_renames_only_line_ids(
+            mesh, random_one_facet_lines(mesh, rng), rng
+        )
+        for _ in range(1000)
+    ]
+    assert 0 < sum(map(bool, found)) < 1000
 
 
 def test_step_cap_termination():
