@@ -35,7 +35,12 @@ holds every piece's span, length and flux total, and each facet's flow
 groups.  The array operations are the ones a loop over Python floats would
 make, in the same order, so the rows hold the same doubles; the tests pin
 them bit for bit, which also checks that numpy's ``sin`` and ``cos`` round
-as ``math``'s do.
+as ``math``'s do.  A block takes few whole-array passes: an element's cuts
+come out of the level arithmetic in parameter order, so only levels that
+round to one t are sorted; each piece starts where the one before it ends;
+a mirrored edge reverses its canonical side's rows; and a corner reads its
+neighbours from the behavior column shifted by a row.  ``tests/conftest.py``
+keeps the first array form of the cut as the oracle the tests hold it to.
 
 A face is held as its flow groups (maximal runs of same-direction flow
 pieces, with the tangents among them) and the tangent separators between
@@ -77,12 +82,12 @@ LABELS = ("I", "O", "Tf", "Tb")
 _CHORD = 6
 
 # facets cut together, when a line first reaches one of them.  Each
-# ``_cut_block`` call pays about 0.3 ms of numpy calls (2-core Xeon VM)
-# before it cuts a facet, so larger blocks cut the same facets for less;
-# per facet the cut is cheapest at about 640 to 768 facets a block and
-# dearer past that, and a line that reaches few facets still cuts whole
-# blocks, which raises peak memory.  512 cuts a cold 3,200-facet grid
-# campaign in 7 calls, faster than 256 or 384 (``BENCH_cut_blocks.json``)
+# ``_cut_block`` call pays about 0.2 ms of numpy calls (2-core Xeon VM)
+# before it cuts a facet, so per facet the cut gets cheaper up to about
+# 1,024 facets a block (1.3 us a facet, 1.5 at 512) and dearer past that;
+# but a line that reaches few facets still cuts whole blocks, and a larger
+# block holds larger temporaries.  512 cuts a cold 3,200-facet grid
+# campaign in 7 calls (``BENCH_cut_blocks.json``, ``BENCH_cut_passes.json``)
 BLOCK_FACETS = 512
 
 # a border that cannot be decomposed keeps the index of its message
@@ -105,65 +110,73 @@ VERTEX_SNAP = 1e-12
 
 
 def _behaviors(values):
-    """Behavior code of each border-relative angle in degrees."""
-    m = np.mod(values, 360.0)
-    return np.where(
-        m == 0.0, TF, np.where(m == 180.0, TB, np.where(m < 180.0, IN, OUT))
-    ).astype(np.int8)
+    """Behavior code of each border-relative angle in degrees, as ``np.mod`` reads it.
+
+    Below 2**50 degrees ``values - 360 floor(values / 360)`` is the residue
+    ``np.mod(values, 360.0)`` gives, at a quarter of the cost, or, where the
+    quotient rounds up to a whole turn, that residue less 360, read as ``OUT``.
+    """
+    if (np.abs(values) < 2.0**50).all():
+        m = values - 360.0 * np.floor(values / 360.0)
+    else:
+        m = np.mod(values, 360.0)
+    beh = ((m > 180.0) | (m < 0.0)).view(np.int8)
+    beh[m == 0.0] = TF
+    beh[m == 180.0] = TB
+    return beh
 
 
 def _segment(d0, d1):
     """Cut each linear angle ``d0[i] -> d1[i]`` on [0, 1] at its tangencies.
 
-    Returns ``(element, behavior, t0, t1, b0, b1)`` arrays, one row per
-    piece, element i's pieces in parameter order and angles in degrees.  A
-    tangency inside the interval becomes a zero-length tangent piece, and so
-    does one at an end.
+    Returns ``(element, behavior, columns, stop)``, one entry per piece and
+    element i's pieces in parameter order, ending before piece ``stop[i]``.
+    ``columns`` is a ``(6, pieces)`` array: rows 0 to 3 hold t0, t1, b0 and
+    b1, angles in degrees, and the caller fills rows 4 and 5.  A tangency
+    inside the interval becomes a zero-length tangent piece, and so does
+    one at an end.
     """
     n = len(d0)
     span = d1 - d0
-    lo = np.where(d0 < d1, d0, d1)
-    hi = np.where(d0 < d1, d1, d0)
     # the multiples of 180 in [lo, hi], as ints, so that level 0 is +0.0
-    m0 = np.ceil(lo / 180.0).astype(np.int64)
-    count = np.where(span != 0.0, np.floor(hi / 180.0).astype(np.int64) - m0 + 1, 0)
-    first = np.cumsum(count) - count
-    cut = np.repeat(np.arange(n), count)
-    level = 180.0 * (m0[cut] + np.arange(len(cut)) - first[cut])
+    a, b = d0 / 180.0, d1 / 180.0
+    m0 = np.ceil(np.minimum(a, b)).astype(np.int64)
+    m1 = np.floor(np.maximum(a, b)).astype(np.int64)
+    count = np.where(span != 0.0, m1 - m0 + 1, 0)
+    first = count.cumsum() - count
+    cut = np.arange(n).repeat(count)
+    # each element's levels in parameter order, downward where the span is negative
+    up = span > 0.0
+    step = np.where(up, 1, -1)
+    index = (np.where(up, m0, m1) - step * first)[cut] + step[cut] * np.arange(len(cut))
+    level = 180.0 * index
     t = (level - d0[cut]) / span[cut]
     # min(1, max(0, t)), which keeps 0.0 where t is -0.0
     t = np.where(t > 0.0, t, 0.0)
     t = np.where(t < 1.0, t, 1.0)
-    # levels run downward where the span is negative
-    order = np.lexsort((level, t, cut))
-    t, level = t[order], level[order]
+    if ((t[1:] == t[:-1]) & (cut[1:] == cut[:-1])).any():
+        # where two levels round to one t, the lower comes first
+        order = np.lexsort((level, t, cut))
+        t, level = t[order], level[order]
 
     # each cut ends the flow piece before it, when that has length, and
-    # is a tangent piece itself; the element's last piece follows its cuts
-    new = np.ones(len(cut), bool)
-    new[1:] = cut[1:] != cut[:-1]
-    prev_t = np.where(new, 0.0, np.concatenate([t[-1:], t[:-1]]))
-    prev_b = np.where(new, d0[cut], np.concatenate([level[-1:], level[:-1]]))
-    cuts = count > 0
-    last = np.where(cuts, first + count - 1, 0)
-    last_t = np.where(cuts, t[last] if len(cut) else 0.0, 0.0)
-    last_b = np.where(cuts, level[last] if len(cut) else 0.0, d0)
-
-    size = 2 * len(cut) + n
-    el = np.empty(size, np.int64)
-    t0, t1, b0, b1, value = (np.empty(size) for _ in range(5))
-    keep = np.ones(size, bool)
+    # is a tangent piece itself; the element's last piece follows its cuts,
+    # and each piece starts where the one before it on the element ends
     fp = 2 * np.arange(len(cut)) + cut  # the flow piece before each cut
-    tp = fp + 1  # the tangent piece at each cut
     ep = 2 * (first + count) + np.arange(n)  # each element's last piece
-    el[fp], t0[fp], t1[fp], b0[fp], b1[fp] = cut, prev_t, t, prev_b, level
-    value[fp] = 0.5 * (prev_b + level)
-    keep[fp] = t > prev_t
-    el[tp], t0[tp], t1[tp], b0[tp], b1[tp], value[tp] = cut, t, t, level, level, level
-    el[ep], t0[ep], t1[ep], b0[ep], b1[ep] = np.arange(n), last_t, 1.0, last_b, d1
-    value[ep] = 0.5 * (last_b + d1)
-    keep[ep] = last_t < 1.0
-    return el[keep], _behaviors(value[keep]), t0[keep], t1[keep], b0[keep], b1[keep]
+    columns = np.empty((6, 2 * len(cut) + n))
+    t0, t1, b0, b1 = columns[:4]
+    t1[fp], t1[fp + 1], t1[ep] = t, t, 1.0
+    b1[fp], b1[fp + 1], b1[ep] = level, level, d1
+    t0[1:], b0[1:] = t1[:-1], b1[:-1]
+    t0[ep - 2 * count], b0[ep - 2 * count] = 0.0, d0
+    el = np.arange(n).repeat(2 * count + 1)
+    beh = _behaviors(0.5 * (b0 + b1))
+    keep = t1 > t0
+    keep[fp + 1] = True
+    if keep.all():
+        return el, beh, columns, ep + 1
+    return el[keep], beh[keep], columns[:, keep], keep.cumsum()[ep]
 
 
 def _snap(value_deg):
@@ -235,8 +248,9 @@ def _cut_block(mesh, fieldsamples, facets):
 
     nb = len(facets)
     nodes = fieldsamples.nodes[facets]
-    # element e of facet i is slot 6 i + e; an edge is cut on its
-    # canonical side, from that side's node values
+    # element e of facet i is slot 6 i + e; an edge is cut on its canonical
+    # side o, from that side's node values: node 2 (o % 3) of facet o // 3
+    # is entry 2 o + o // 3 of the flat table
     own0, own1 = nodes[:, :6].ravel(), nodes[:, 1:].ravel()
     h = 3 * facets[:, None] + np.arange(3)
     other = ~mesh._canonical[h]
@@ -245,32 +259,31 @@ def _cut_block(mesh, fieldsamples, facets):
     mirrored = mirrored.ravel()
     _, opposite, _, _ = mesh.halfedge_tables()
     o = opposite[h][other]
-    canonical = fieldsamples.nodes[o // 3]
+    q = 2 * o + o // 3
     d0, d1 = own0.copy(), own1.copy()
-    d0[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3)]
-    d1[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3) + 1]
-    slot, beh, t0, t1, b0, b1 = _segment(d0, d1)
+    flat = fieldsamples.nodes.ravel()
+    d0[mirrored], d1[mirrored] = flat[q], flat[q + 1]
+    slot, beh, columns, stop = _segment(d0, d1)
+    t0, t1, b0, b1, length, total = columns
 
     # a mirrored edge takes its canonical side's rows in reverse, with the
     # angles taken at the same cuts from its own node values
-    count = np.bincount(slot, minlength=6 * nb)
-    start = np.cumsum(count) - count
-    r = np.arange(len(slot))
-    flip = mirrored[slot]
-    src = np.where(flip, 2 * start[slot] + count[slot] - 1 - r, r)
-    beh, t0, t1, b0, b1 = beh[src], t0[src], t1[src], b0[src], b1[src]
-    s0, s1 = 1.0 - t1[flip], 1.0 - t0[flip]
-    u0, u1 = own0[slot[flip]], own1[slot[flip]]
+    start = np.concatenate(([0], stop[:-1]))
+    flip = mirrored[slot].nonzero()[0]
+    fs = slot[flip]
+    src = start[fs] + stop[fs] - 1 - flip
+    fbeh, ft0, ft1, fb0, fb1 = beh[src], t0[src], t1[src], b0[src], b1[src]
+    s0, s1 = 1.0 - ft1, 1.0 - ft0
+    u0, u1 = own0[fs], own1[fs]
     near = u0 + s0 * (u1 - u0)
     far = u0 + s1 * (u1 - u0)
     mid = _snap(u0 + (0.5 * (s0 + s1)) * (u1 - u0))
-    tangent = beh[flip] >= TF
-    snap_near = np.mod(b1[flip], 180.0) == 0.0
-    snap_far = np.mod(b0[flip], 180.0) == 0.0
+    tangent = fbeh >= TF
+    snap_near = np.mod(fb1, 180.0) == 0.0
+    snap_far = np.mod(fb0, 180.0) == 0.0
     b0[flip] = np.where(tangent, mid, np.where(snap_near, _snap(near), near))
     b1[flip] = np.where(tangent, mid, np.where(snap_far, _snap(far), far))
-    t0[flip], t1[flip] = s0, s1
-    beh[flip] ^= 1
+    t0[flip], t1[flip], beh[flip] = s0, s1, fbeh ^ 1
 
     # two tangents meeting at an element junction (the last one wraps
     # round) repeat one tangency: drop the later element's zero-length
@@ -278,76 +291,80 @@ def _cut_block(mesh, fieldsamples, facets):
     # tangent still starts the later element.  An element has a piece of
     # length > 0, so neither drop empties it.
     tan = beh >= TF
-    head = start
-    tail = (start + count - 1).reshape(nb, 6)[:, [5, 0, 1, 2, 3, 4]].ravel()
+    head, tail = start, start - 1
+    tail[0::6] = stop[5::6] - 1
     both = tan[tail] & tan[head]
-    drop_head = both & (t0[head] == t1[head])
-    after = np.minimum(head + 1, len(slot) - 1)
-    drop_tail = both & np.where(drop_head, tan[after], True) & (t0[tail] == t1[tail])
-    keep = np.ones(len(slot), bool)
-    keep[head[drop_head]] = False
-    keep[tail[drop_tail]] = False
-    slot, beh, t0, t1, b0, b1, tan = (a[keep] for a in (slot, beh, t0, t1, b0, b1, tan))
+    if both.any():
+        drop_head = both & (t0[head] == t1[head])
+        after = np.minimum(head + 1, len(slot) - 1)
+        drop_tail = both & np.where(drop_head, tan[after], True) & (t0[tail] == t1[tail])
+        keep = np.ones(len(slot), bool)
+        keep[head[drop_head]] = False
+        keep[tail[drop_tail]] = False
+        slot, beh, tan, columns = slot[keep], beh[keep], tan[keep], columns[:, keep]
+        t0, t1, b0, b1, length, total = columns
+        stop = keep.cumsum()[stop - 1]
 
-    # each facet's rows are its border cycle
-    fi, element = slot // 6, slot % 6
-    n_rows = np.bincount(fi, minlength=nb)
-    row0 = np.cumsum(n_rows) - n_rows
-    r = np.arange(len(slot))
-    prv = np.where(r == row0[fi], r + n_rows[fi] - 1, r - 1)
-    nxt = np.where(r == row0[fi] + n_rows[fi] - 1, row0[fi], r + 1)
-    corner = element % 2 == 1
-    sink = np.zeros(len(slot), np.int64)
-    sink[corner & (beh == OUT) & (beh[prv] == TF) & (beh[nxt] == TB)] = 1
-    sink[corner & (beh == IN) & (beh[prv] == TB) & (beh[nxt] == TF)] = -1
+    # each facet's rows are its border cycle: the row after its last is its
+    # first.  A corner piece, never a facet's first row, sinks by its
+    # behavior between its neighbours', read as one key
+    stops = stop.reshape(nb, 6)
+    row0 = np.concatenate(([0], stops[:-1, 5]))
+    ends = stops - row0[:, None]
+    n_rows = ends[:, 5]
+    corner = (slot & 1).astype(bool)
+    after = np.empty_like(beh)
+    after[:-1] = beh[1:]
+    after[stops[:, 5] - 1] = beh[row0]
+    key = 4 * beh + after
+    key[1:] += 16 * beh[:-1]
+    sink = (corner & (key == 16 * TF + 4 * OUT + TB)).view(np.int8)
+    sink -= (corner & (key == 16 * TB + 4 * IN + TF)).view(np.int8)
 
-    lens = mesh.edge_lens[facets]
-    length = np.where(corner, 0.0, lens[fi, element // 2] * (t1 - t0))
-    total = np.abs(sink).astype(float)
-    edge_flow = ~corner & ~tan
+    lens = np.zeros((nb, 6))
+    lens[:, 0::2] = mesh.edge_lens[facets]
+    np.multiply(lens.ravel()[slot], t1 - t0, out=length)
+    total[:] = np.abs(sink)
+    edge_flow = ~(corner | tan)
     total[edge_flow] = flux.phi_totals(length[edge_flow], b0[edge_flow], b1[edge_flow])
 
     # a flow piece whose flow differs from the flow piece before it, round
     # the border, starts a group; group 0 starts at the first such row
-    fr = np.nonzero(~tan)[0]
-    ff = fi[fr]
+    fr = (~tan).nonzero()[0]
+    ff, fb = slot[fr] // 6, beh[fr]
     n_flows = np.bincount(ff, minlength=nb)
-    k = np.arange(len(fr))
-    first_flow = np.ones(len(fr), bool)
-    first_flow[1:] = ff[1:] != ff[:-1]
-    before = fr[np.where(first_flow, np.cumsum(n_flows)[ff] - 1, k - 1)]
-    starts = beh[fr] != beh[before]
-    heads, last_before = fr[starts], before[starts]
-    hf = fi[heads]
+    prior = np.arange(-1, len(fr) - 1)
+    last = n_flows.cumsum()[n_flows > 0] - 1
+    prior[last + 1 - n_flows[n_flows > 0]] = last
+    starts = fb != fb[prior]
+    heads, hf, before = fr[starts], ff[starts], fr[prior[starts]]
+    # group i runs from head i through the flow piece before head i + 1,
+    # in rows counted from group 0's first row round the border
     n_groups = np.bincount(hf, minlength=nb)
+    group_end = n_groups.cumsum()
+    has = n_groups > 0
+    lead = group_end[has] - n_groups[has]
+    following = np.arange(1, len(heads) + 1)
+    following[group_end[has] - 1] = lead
     group0 = np.zeros(nb, np.int64)
-    firsts = np.ones(len(heads), bool)
-    firsts[1:] = hf[1:] != hf[:-1]
-    group0[hf[firsts]] = heads[firsts] - row0[hf[firsts]]
-    # group i runs from head i through the last flow piece before head
-    # i + 1, in rows counted from group 0's first row round the border
-    j = np.arange(len(heads))
-    heads_end = np.cumsum(n_groups)[hf]
-    following = np.where(j == heads_end - 1, heads_end - n_groups[hf], j + 1)
-    bounds = np.empty(2 * len(heads), np.int64)
-    bounds[0::2] = heads - row0[hf] - group0[hf]
-    ends = last_before[following]
-    bounds[1::2] = (ends - row0[hf] - group0[hf]) % n_rows[hf] + 1
+    group0[has] = heads[lead] - row0[has]
+    base, size = row0[hf] + group0[hf], n_rows[hf]
+    bounds = np.empty(2 * len(heads), np.int32)
+    bounds[0::2] = heads - base
+    bounds[1::2] = (before[following] - base) % size + 1
 
-    error = np.zeros(nb, np.int64)
-    error[n_groups == 0] = 3
-    error[hf[~tan[prv[heads]]]] = 2
+    error = np.zeros(nb, np.int32)
+    error[~has] = 3
+    error[hf[(heads - before) % size == 1]] = 2
     error[n_flows == 0] = 1
 
-    codes = (element + 8 * beh + 32 * (sink + 1)).astype(np.int8)
-    columns = np.stack([t0, t1, b0, b1, length, total])
-    bound_end = np.cumsum(2 * n_groups)
+    codes = (slot % 6 + 8 * beh + 32 * (sink + 1)).astype(np.int8)
     spans = np.zeros((nb, 12), np.int32)
     spans[:, 0] = row0
-    spans[:, 2:8] = np.cumsum(np.bincount(slot, minlength=6 * nb).reshape(nb, 6), axis=1)
-    spans[:, 8], spans[:, 9], spans[:, 10] = group0, bound_end - 2 * n_groups, bound_end
+    spans[:, 2:8] = ends
+    spans[:, 8], spans[:, 9], spans[:, 10] = group0, 2 * (group_end - n_groups), 2 * group_end
     spans[:, 11] = error
-    return codes, columns, spans, bounds.astype(np.int32)
+    return codes, columns, spans, bounds
 
 
 def _reduce_to_band(b_rad, behavior):

@@ -111,12 +111,15 @@ class Polyline:
         return len(self.halfedges)
 
     def to_record(self):
+        seed = {
+            "halfedge": self.seed.point.halfedge,
+            "c": self.seed.point.c,
+            "direction": self.seed.direction,
+        }
+        if self.seed.corner is not None:
+            seed["corner"] = self.seed.corner
         return {
-            "seed": {
-                "halfedge": self.seed.point.halfedge,
-                "c": self.seed.point.c,
-                "direction": self.seed.direction,
-            },
+            "seed": seed,
             "termination": self.termination,
             "sink_vertex": self.sink_vertex,
             "points": list(map(list, zip(self.halfedges, self.cs))),
@@ -131,9 +134,11 @@ class Polyline:
         """
         try:
             s = rec["seed"]
-            h, c = s["halfedge"], s["c"]
+            h, c, corner = s["halfedge"], s["c"], s.get("corner")
             _check_pair(h, c)
-            pl = cls(Seed(TracePoint(h, c), s["direction"]))
+            if "corner" in s and not (type(corner) in (int, float) and 0.0 <= corner <= 1.0):
+                raise ValueError(f"seed corner {corner!r} is not a number in [0, 1]")
+            pl = cls(Seed(TracePoint(h, c), s["direction"], corner))
             pl.termination = rec["termination"]
             pl.sink_vertex = rec["sink_vertex"]
             hs, cs = pl.halfedges, pl.cs

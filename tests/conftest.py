@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +67,18 @@ def sphere_random_field(icosphere2):
     return synth_field(icosphere2, "smoothed-random", seed=0)
 
 
+# the benchmark's scene generator, which the tests import read-only
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def single_triangle(rng, min_area2=0.05):
     """One ccw triangle in the z = 0 plane, rejection-sampled to stay fat."""
     while True:
@@ -92,6 +106,19 @@ def random_samples(rng, winding_span=2):
 
 def wound_config(rng, winding_span=2):
     return single_triangle(rng), random_samples(rng, winding_span)
+
+
+def random_facets(rng, n):
+    """n random wound facets (``wound_config``) as one mesh of separate triangles."""
+    meshes, samples = zip(*(wound_config(rng) for _ in range(n)))
+    mesh = SurfaceMesh(
+        np.concatenate([m.vertices for m in meshes]), np.arange(3 * n).reshape(n, 3)
+    )
+    fs = FieldSamples(
+        np.concatenate([s.angles for s in samples]),
+        np.concatenate([s.windings for s in samples]),
+    )
+    return mesh, fs
 
 
 def samples_from_reals(values):
@@ -229,6 +256,211 @@ def oracle_interleaving_facets(facet, lo, hi):
             flagged.add(f)
         stack.append(b)
     return flagged
+
+
+# -- border cut oracle ---------------------------------------------------------
+
+
+def oracle_behaviors(values):
+    """Behavior code of each border-relative angle in degrees, by ``np.mod``."""
+    m = np.mod(values, 360.0)
+    return np.where(
+        m == 0.0, TF, np.where(m == 180.0, TB, np.where(m < 180.0, IN, OUT))
+    ).astype(np.int8)
+
+
+def oracle_segment(d0, d1):
+    """Cut each linear angle ``d0[i] -> d1[i]`` on [0, 1] at its tangencies.
+
+    The oracle of ``stream_mesh._segment``: it sorts each element's cuts
+    with ``np.lexsort`` and builds every piece column by scatters.
+
+    Returns ``(element, behavior, t0, t1, b0, b1)`` arrays, one row per
+    piece, element i's pieces in parameter order and angles in degrees.  A
+    tangency inside the interval becomes a zero-length tangent piece, and so
+    does one at an end.
+    """
+    n = len(d0)
+    span = d1 - d0
+    lo = np.where(d0 < d1, d0, d1)
+    hi = np.where(d0 < d1, d1, d0)
+    # the multiples of 180 in [lo, hi], as ints, so that level 0 is +0.0
+    m0 = np.ceil(lo / 180.0).astype(np.int64)
+    count = np.where(span != 0.0, np.floor(hi / 180.0).astype(np.int64) - m0 + 1, 0)
+    first = np.cumsum(count) - count
+    cut = np.repeat(np.arange(n), count)
+    level = 180.0 * (m0[cut] + np.arange(len(cut)) - first[cut])
+    t = (level - d0[cut]) / span[cut]
+    # min(1, max(0, t)), which keeps 0.0 where t is -0.0
+    t = np.where(t > 0.0, t, 0.0)
+    t = np.where(t < 1.0, t, 1.0)
+    # levels run downward where the span is negative
+    order = np.lexsort((level, t, cut))
+    t, level = t[order], level[order]
+
+    # each cut ends the flow piece before it, when that has length, and
+    # is a tangent piece itself; the element's last piece follows its cuts
+    new = np.ones(len(cut), bool)
+    new[1:] = cut[1:] != cut[:-1]
+    prev_t = np.where(new, 0.0, np.concatenate([t[-1:], t[:-1]]))
+    prev_b = np.where(new, d0[cut], np.concatenate([level[-1:], level[:-1]]))
+    cuts = count > 0
+    last = np.where(cuts, first + count - 1, 0)
+    last_t = np.where(cuts, t[last] if len(cut) else 0.0, 0.0)
+    last_b = np.where(cuts, level[last] if len(cut) else 0.0, d0)
+
+    size = 2 * len(cut) + n
+    el = np.empty(size, np.int64)
+    t0, t1, b0, b1, value = (np.empty(size) for _ in range(5))
+    keep = np.ones(size, bool)
+    fp = 2 * np.arange(len(cut)) + cut  # the flow piece before each cut
+    tp = fp + 1  # the tangent piece at each cut
+    ep = 2 * (first + count) + np.arange(n)  # each element's last piece
+    el[fp], t0[fp], t1[fp], b0[fp], b1[fp] = cut, prev_t, t, prev_b, level
+    value[fp] = 0.5 * (prev_b + level)
+    keep[fp] = t > prev_t
+    el[tp], t0[tp], t1[tp], b0[tp], b1[tp], value[tp] = cut, t, t, level, level, level
+    el[ep], t0[ep], t1[ep], b0[ep], b1[ep] = np.arange(n), last_t, 1.0, last_b, d1
+    value[ep] = 0.5 * (last_b + d1)
+    keep[ep] = last_t < 1.0
+    return el[keep], oracle_behaviors(value[keep]), t0[keep], t1[keep], b0[keep], b1[keep]
+
+
+def _oracle_snap(value_deg):
+    """The nearest multiple of 180; ``+ 0.0`` turns -0.0 into 0.0."""
+    return 180.0 * np.rint(value_deg / 180.0) + 0.0
+
+
+def oracle_cut_block(mesh, fieldsamples, facets):
+    """``BorderTable``'s arrays for one block of facets, pass by pass.
+
+    The oracle of ``stream_mesh._cut_block``, which must return the same
+    arrays bit for bit: the first array form of the cut, which sorts each
+    element's cuts, segments both sides of an interior edge and finds
+    every row's neighbours round its border.
+
+    Returns the rows' codes, their columns (t0, t1, b0, b1, length, total)
+    as one ``(6, rows)`` array, a table with one row per facet (its first
+    row, the start of each element and the end of the last, counted from
+    that row, group 0's first row, its span of group bounds and its error
+    code) and the group bounds.  A piece's t0 is the t1 of the piece before
+    it on the same element, else 0.0, as the cut leaves them.
+    """
+    nb = len(facets)
+    nodes = fieldsamples.nodes[facets]
+    # element e of facet i is slot 6 i + e; an edge is cut on its
+    # canonical side, from that side's node values
+    own0, own1 = nodes[:, :6].ravel(), nodes[:, 1:].ravel()
+    h = 3 * facets[:, None] + np.arange(3)
+    other = ~mesh._canonical[h]
+    mirrored = np.zeros((nb, 6), bool)
+    mirrored[:, 0::2] = other
+    mirrored = mirrored.ravel()
+    _, opposite, _, _ = mesh.halfedge_tables()
+    o = opposite[h][other]
+    canonical = fieldsamples.nodes[o // 3]
+    d0, d1 = own0.copy(), own1.copy()
+    d0[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3)]
+    d1[mirrored] = canonical[np.arange(len(o)), 2 * (o % 3) + 1]
+    slot, beh, t0, t1, b0, b1 = oracle_segment(d0, d1)
+
+    # a mirrored edge takes its canonical side's rows in reverse, with the
+    # angles taken at the same cuts from its own node values
+    count = np.bincount(slot, minlength=6 * nb)
+    start = np.cumsum(count) - count
+    r = np.arange(len(slot))
+    flip = mirrored[slot]
+    src = np.where(flip, 2 * start[slot] + count[slot] - 1 - r, r)
+    beh, t0, t1, b0, b1 = beh[src], t0[src], t1[src], b0[src], b1[src]
+    s0, s1 = 1.0 - t1[flip], 1.0 - t0[flip]
+    u0, u1 = own0[slot[flip]], own1[slot[flip]]
+    near = u0 + s0 * (u1 - u0)
+    far = u0 + s1 * (u1 - u0)
+    mid = _oracle_snap(u0 + (0.5 * (s0 + s1)) * (u1 - u0))
+    tangent = beh[flip] >= TF
+    snap_near = np.mod(b1[flip], 180.0) == 0.0
+    snap_far = np.mod(b0[flip], 180.0) == 0.0
+    b0[flip] = np.where(tangent, mid, np.where(snap_near, _oracle_snap(near), near))
+    b1[flip] = np.where(tangent, mid, np.where(snap_far, _oracle_snap(far), far))
+    t0[flip], t1[flip] = s0, s1
+    beh[flip] ^= 1
+
+    # two tangents meeting at an element junction (the last one wraps
+    # round) repeat one tangency: drop the later element's zero-length
+    # start piece, and the earlier element's zero-length end piece if a
+    # tangent still starts the later element.  An element has a piece of
+    # length > 0, so neither drop empties it.
+    tan = beh >= TF
+    head = start
+    tail = (start + count - 1).reshape(nb, 6)[:, [5, 0, 1, 2, 3, 4]].ravel()
+    both = tan[tail] & tan[head]
+    drop_head = both & (t0[head] == t1[head])
+    after = np.minimum(head + 1, len(slot) - 1)
+    drop_tail = both & np.where(drop_head, tan[after], True) & (t0[tail] == t1[tail])
+    keep = np.ones(len(slot), bool)
+    keep[head[drop_head]] = False
+    keep[tail[drop_tail]] = False
+    slot, beh, t0, t1, b0, b1, tan = (a[keep] for a in (slot, beh, t0, t1, b0, b1, tan))
+
+    # each facet's rows are its border cycle
+    fi, element = slot // 6, slot % 6
+    n_rows = np.bincount(fi, minlength=nb)
+    row0 = np.cumsum(n_rows) - n_rows
+    r = np.arange(len(slot))
+    prv = np.where(r == row0[fi], r + n_rows[fi] - 1, r - 1)
+    nxt = np.where(r == row0[fi] + n_rows[fi] - 1, row0[fi], r + 1)
+    corner = element % 2 == 1
+    sink = np.zeros(len(slot), np.int64)
+    sink[corner & (beh == OUT) & (beh[prv] == TF) & (beh[nxt] == TB)] = 1
+    sink[corner & (beh == IN) & (beh[prv] == TB) & (beh[nxt] == TF)] = -1
+
+    lens = mesh.edge_lens[facets]
+    length = np.where(corner, 0.0, lens[fi, element // 2] * (t1 - t0))
+    total = np.abs(sink).astype(float)
+    edge_flow = ~corner & ~tan
+    total[edge_flow] = flux.phi_totals(length[edge_flow], b0[edge_flow], b1[edge_flow])
+
+    # a flow piece whose flow differs from the flow piece before it, round
+    # the border, starts a group; group 0 starts at the first such row
+    fr = np.nonzero(~tan)[0]
+    ff = fi[fr]
+    n_flows = np.bincount(ff, minlength=nb)
+    k = np.arange(len(fr))
+    first_flow = np.ones(len(fr), bool)
+    first_flow[1:] = ff[1:] != ff[:-1]
+    before = fr[np.where(first_flow, np.cumsum(n_flows)[ff] - 1, k - 1)]
+    starts = beh[fr] != beh[before]
+    heads, last_before = fr[starts], before[starts]
+    hf = fi[heads]
+    n_groups = np.bincount(hf, minlength=nb)
+    group0 = np.zeros(nb, np.int64)
+    firsts = np.ones(len(heads), bool)
+    firsts[1:] = hf[1:] != hf[:-1]
+    group0[hf[firsts]] = heads[firsts] - row0[hf[firsts]]
+    # group i runs from head i through the last flow piece before head
+    # i + 1, in rows counted from group 0's first row round the border
+    j = np.arange(len(heads))
+    heads_end = np.cumsum(n_groups)[hf]
+    following = np.where(j == heads_end - 1, heads_end - n_groups[hf], j + 1)
+    bounds = np.empty(2 * len(heads), np.int64)
+    bounds[0::2] = heads - row0[hf] - group0[hf]
+    ends = last_before[following]
+    bounds[1::2] = (ends - row0[hf] - group0[hf]) % n_rows[hf] + 1
+
+    error = np.zeros(nb, np.int64)
+    error[n_groups == 0] = 3
+    error[hf[~tan[prv[heads]]]] = 2
+    error[n_flows == 0] = 1
+
+    codes = (element + 8 * beh + 32 * (sink + 1)).astype(np.int8)
+    columns = np.stack([t0, t1, b0, b1, length, total])
+    bound_end = np.cumsum(2 * n_groups)
+    spans = np.zeros((nb, 12), np.int32)
+    spans[:, 0] = row0
+    spans[:, 2:8] = np.cumsum(np.bincount(slot, minlength=6 * nb).reshape(nb, 6), axis=1)
+    spans[:, 8], spans[:, 9], spans[:, 10] = group0, bound_end - 2 * n_groups, bound_end
+    spans[:, 11] = error
+    return codes, columns, spans, bounds.astype(np.int32)
 
 
 # -- stream-mesh rows, decoded by table ----------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from streamtrace import FieldSamples, load_field, load_obj, load_polylines, save_field
-from streamtrace import Polyline, Seed, TracePoint, cli
+from streamtrace import Polyline, Seed, TracePoint, Tracer, cli
 from streamtrace.cli import main
 
 
@@ -131,8 +131,9 @@ RECORD_KEYS = {"seed", "termination", "sink_vertex", "points"}
         ("torus-random", ("--seed", "1"), ("--seeds", "6", "--max-steps", "2000")),
         ("icosphere-random", ("--subdiv", "3", "--seed", "1"), ("--seeds", "20")),
         ("circular", ("--rings", "4", "--sectors", "12"), ("--seeds", "6", "--engine", "rk4")),
+        ("saddle", ("--rings", "4", "--sectors", "12"), ("--seed-singularities",)),
     ],
-    ids=["circular", "sink", "torus", "icosphere", "rk4"],
+    ids=["circular", "sink", "torus", "icosphere", "rk4", "separatrices"],
 )
 def test_lines_file_loses_nothing(tmp_path, monkeypatch, kind, extra, flags):
     # the points give back every traced position bit for bit, so the lines
@@ -156,8 +157,14 @@ def test_lines_file_loses_nothing(tmp_path, monkeypatch, kind, extra, flags):
     loaded = load_polylines(lines)
     for a, b in zip(traced, loaded, strict=True):
         assert b.positions is None
+        assert b.seed == a.seed
         assert b.points == a.points
         assert mesh.positions(b.points).tobytes() == a.positions.tobytes()
+    if "--seed-singularities" in flags:
+        # a separatrix seed keeps its corner, so it traces again to its line
+        tracer = Tracer(mesh, load_field(field, mesh))
+        assert all(b.seed.corner is not None for b in loaded)
+        assert [tracer.trace(b.seed).points for b in loaded] == [b.points for b in loaded]
 
 
 def test_readme_lists_the_record_keys():
@@ -498,11 +505,26 @@ def _record(points, **extra):
             "TracePoint(halfedge=0, c=1.5) is not on its edge",
         ),
         (["[" * 100000], "line 1: maximum recursion depth exceeded"),
+        (
+            [_record([[0, 0.5]], seed={"halfedge": 0, "c": 1.0, "direction": "forward",
+                                       "corner": 1.5})],
+            "line 1: malformed polyline record: seed corner 1.5 is not a number in [0, 1]",
+        ),
+        (
+            [_record([[0, 0.5]], seed={"halfedge": 0, "c": 1.0, "direction": "forward",
+                                       "corner": None})],
+            "line 1: malformed polyline record: seed corner None is not a number in [0, 1]",
+        ),
+        (
+            [_record([[0, 0.5]], seed={"halfedge": 0, "c": 1.0, "direction": "forward",
+                                       "corner": True})],
+            "line 1: malformed polyline record: seed corner True is not a number in [0, 1]",
+        ),
     ],
     ids=[
         "no-seed", "bad-point", "halfedge-off-mesh", "c-off-mesh", "no-shared-facet",
         "unknown-direction", "no-direction", "no-sink-vertex", "two-bad-segments",
-        "seed-off-edge", "deep-nesting",
+        "seed-off-edge", "deep-nesting", "corner-off-corner", "null-corner", "bool-corner",
     ],
 )
 def test_malformed_lines_file_exits_2(tmp_path, capsys, records, message):

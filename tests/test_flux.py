@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamtrace import FieldSamples, FluxError, SurfaceMesh, flux
+from streamtrace import FluxError, flux
 from streamtrace.flux import accumulate, locate, offset, phi_inverse
 from streamtrace.stream_mesh import IN, OUT, TF, TB, StreamMesh
 
-from conftest import TANGENTS, decode, phi, phi_signed, wound_config
+from conftest import TANGENTS, decode, phi, phi_signed, random_facets, wound_config
 from conftest import constant_samples, right_triangle
 from conftest import oracle_accumulate, oracle_cross_facet, oracle_locate, oracle_offset
 from conftest import oracle_phi_inverse
@@ -368,19 +368,6 @@ def crossing_oracles(tracer):
         "phi_inverse": (phi_inverse, oracle_phi_inverse),
         "cross_facet": (tracer.cross_facet, oracle_cross_facet),
     }
-
-
-def random_facets(rng, n):
-    """n random wound facets (``wound_config``) as one mesh of separate triangles."""
-    meshes, samples = zip(*(wound_config(rng) for _ in range(n)))
-    mesh = SurfaceMesh(
-        np.concatenate([m.vertices for m in meshes]), np.arange(3 * n).reshape(n, 3)
-    )
-    fs = FieldSamples(
-        np.concatenate([s.angles for s in samples]),
-        np.concatenate([s.windings for s in samples]),
-    )
-    return mesh, fs
 
 
 def test_crossing_path_matches_its_oracles_on_random_facets():

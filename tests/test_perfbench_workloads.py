@@ -9,13 +9,11 @@ campaign traces it.
 """
 
 import hashlib
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-from conftest import oracle_interleaving_facets, oracle_trace
+from conftest import load_workloads, oracle_interleaving_facets, oracle_trace
 from streamtrace import (
     Seed,
     TracePoint,
@@ -27,8 +25,6 @@ from streamtrace import (
 )
 from streamtrace.cli import write_obj_polylines
 from streamtrace.tracer import _interleaving_facets, _segment_intervals
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 # crossings, sha256 of the points and termination counts of each seed-1 campaign
 PINNED = {
@@ -70,13 +66,6 @@ EXPORTS = {
         "0690e356ee183910c04afd11cbc48e30240a0dc2fa63f00e4469c8b8e717aee0",
     ),
 }
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def points_digest(polylines):

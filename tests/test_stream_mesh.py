@@ -6,7 +6,8 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from streamtrace import FieldSamples, StreamMeshError, meshgen, stream_mesh, synth_field
+from streamtrace import FieldSamples, StreamMeshError, load_field, load_obj, meshgen
+from streamtrace import stream_mesh, synth_field
 from streamtrace.mesh import SurfaceMesh
 from streamtrace.tracer import Tracer
 from streamtrace.stream_mesh import IN, LABELS, OUT, TB, TF, BorderTable, decompose
@@ -15,7 +16,8 @@ from streamtrace.stream_mesh import _behaviors, _segment
 from conftest import TANGENTS, a_sequence, border_face, faces_of, initial_pairs, is_simple, phi
 from conftest import _DECODE, decode, dump, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
-from conftest import normalize_sample
+from conftest import load_workloads, normalize_sample, oracle_behaviors, oracle_cut_block
+from conftest import random_facets
 
 
 def _classify(value_deg):
@@ -24,8 +26,8 @@ def _classify(value_deg):
 
 def _segment_values(d0, d1):
     """(behavior, t0, t1, b0, b1) of each piece of the linear angle d0 -> d1."""
-    _, beh, *columns = _segment(np.array([d0]), np.array([d1]))
-    rows = zip(beh.tolist(), *(c.tolist() for c in columns))
+    _, beh, columns, _ = _segment(np.array([d0]), np.array([d1]))
+    rows = zip(beh.tolist(), *columns[:4].tolist())
     return list(rows)
 
 
@@ -745,3 +747,99 @@ def test_table_rows_match_a_loop_over_the_border():
         assert hexes(columns[0]) == hexes(t0s)
         assert hexes(columns[4]) == hexes(lengths)
         assert elements == [sum(1 for c in codes if _DECODE[c][2] < e) for e in range(7)]
+
+
+def assert_cut_as_the_oracle(mesh, fs, size=None):
+    """Every block of ``size`` facets (``BLOCK_FACETS``) cuts as ``oracle_cut_block`` does.
+
+    The arrays must hold the same dtypes and shapes and the same bytes, so
+    floats are compared by bit pattern.
+    """
+    size = size or stream_mesh.BLOCK_FACETS
+    for a in range(0, mesh.n_facets, size):
+        facets = np.arange(a, min(a + size, mesh.n_facets))
+        got = stream_mesh._cut_block(mesh, fs, facets)
+        want = oracle_cut_block(mesh, fs, facets)
+        for name, g, w in zip(("codes", "columns", "spans", "bounds"), got, want, strict=True):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), (name, a)
+            assert g.tobytes() == w.tobytes(), (name, a)
+
+
+# seed 1 is the benchmark's; 23 was not used while the cut was tuned
+@pytest.mark.parametrize("seed", [1, 23])
+@pytest.mark.parametrize("workload", ["grid-sweep", "torus-orbits", "sphere-both"])
+def test_workload_blocks_cut_as_the_oracle(tmp_path, workload, seed):
+    load_workloads().write_scene(workload, seed, str(tmp_path))
+    mesh = load_obj(tmp_path / "scene.obj")
+    assert_cut_as_the_oracle(mesh, load_field(tmp_path / "scene.field", mesh))
+
+
+def test_random_facet_corpus_cuts_as_the_oracle():
+    # the 3000 wound facets of rng seed 5, whose first 300 are the
+    # decomposition corpus
+    assert_cut_as_the_oracle(*random_facets(np.random.default_rng(5), 3000))
+
+
+@pytest.mark.parametrize("offset", [1e10, 1e12, 1e15, 3e18])
+def test_offset_fields_cut_as_the_oracle(offset):
+    # whole turns added to every sample leave each field the same, while
+    # the angles and their levels grow: below 2**50 degrees the behaviors
+    # come from the residue, above from np.mod, and at 3e18 levels of 180
+    # degrees round to one double and to one t, which takes the lexsort
+    turns = int(offset // 360.0)
+    for _, mesh, fs in whole_mesh_scenes():
+        assert_cut_as_the_oracle(mesh, FieldSamples(fs.angles, fs.windings + turns))
+
+
+def squeezed_grid(width):
+    """``meshgen.grid(4, 4)`` with its second column squeezed to ``width``."""
+    grid = meshgen.grid(4, 4)
+    v = grid.vertices.copy()
+    xs = np.unique(v[:, 0])
+    v[:, 0] = np.where(v[:, 0] >= xs[2], v[:, 0] - (xs[2] - xs[1] - width), v[:, 0])
+    return SurfaceMesh(v, grid.faces)
+
+
+@pytest.mark.parametrize("angle", [0.0, 33.0, 90.0])
+def test_sliver_grid_cuts_as_the_oracle(angle):
+    mesh = squeezed_grid(1e-7)
+    assert_cut_as_the_oracle(mesh, synth_field(mesh, "constant", angle_deg=angle))
+
+
+def test_blocks_of_any_size_cut_as_the_oracle():
+    # the last block of each size but the whole mesh is partial here
+    for _, mesh, fs in whole_mesh_scenes():
+        for size in (1, 7, 512, mesh.n_facets):
+            assert_cut_as_the_oracle(mesh, fs, size)
+
+
+@pytest.mark.parametrize(
+    "scene,arg,facet,error",
+    [
+        # no flow piece: no group either, so code 1 wins over code 3
+        (tangent_edged_disc, 0.0, 17, 1),
+        (snapped_grid, 0, 1, 2),
+        (tangent_edged_disc, 90.0, 17, 3),
+    ],
+    ids=["no-flow", "no-tangency", "one-flow"],
+)
+def test_each_border_error_code_cuts_as_the_oracle(scene, arg, facet, error):
+    mesh, fs = scene(arg)
+    _, _, spans, _ = stream_mesh._cut_block(mesh, fs, np.arange(mesh.n_facets))
+    assert spans[facet, 11] == error
+    assert_cut_as_the_oracle(mesh, fs, mesh.n_facets)
+
+
+def test_behaviors_are_those_of_np_mod():
+    # angles at and a hair off every quarter turn, from tiny to past 2**50
+    # degrees, where the residue gives way to np.mod
+    quarter = 90.0 * np.arange(-12, 13)
+    scale = 10.0 ** np.arange(-320, 21, 20)
+    values = np.concatenate([quarter, np.outer(scale, [1.0, -1.0, 180.0, -180.0]).ravel()])
+    values = np.concatenate([values, 360.0 * 2.0**49 + quarter, 1e15 + quarter])
+    above, below = np.nextafter(values, np.inf), np.nextafter(values, -np.inf)
+    values = np.concatenate([values, above, below])
+    spread = np.random.default_rng(3).uniform(-1e4, 1e4, 2000)
+    values = np.concatenate([values, -values, spread])
+    for part in (values, values[np.abs(values) < 2.0**50]):
+        assert _behaviors(part).tolist() == oracle_behaviors(part).tolist()
