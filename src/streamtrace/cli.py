@@ -77,9 +77,10 @@ def _boundary_loop_seeds(tracer, n, direction="forward"):
         while h not in seen:
             seen.add(h)
             o = mesh.opposite(h)
-            sm = tracer.stream_mesh(mesh.facet(o))
-            length = mesh.edge_length(h)
-            e = 2 * (o % 3)
+            f, k = divmod(o, 3)
+            sm = tracer.stream_mesh(f)
+            length = float(mesh.edge_lens[f, k])
+            e = 2 * k
             # the facet side runs against the walk
             for r in reversed(range(sm.elements[e], sm.elements[e + 1])):
                 t0, t1 = sm.t0[r], sm.t1[r]

@@ -437,6 +437,7 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
 
     raws = np.empty((mesh.n_facets, 6))
     thetas = np.empty((mesh.n_facets, 6))
+    betas = mesh.betas.tolist()
     for f in range(mesh.n_facets):
         verts = [p[v] for v in mesh.faces[f]]
         if np.cross(mesh.frame_u[f], mesh.frame_v[f])[2] < 0:
@@ -457,11 +458,11 @@ def _synth_planar(mesh, kind, angle_deg=0.0, center=(0.0, 0.0), phase_deg=0.0):
         theta[0] = raw[0] % 360.0
         for k in range(3):
             if k:
-                beta_deg = math.degrees(mesh.corner_angle(3 * f + k - 1))
+                beta_deg = math.degrees(betas[f][k - 1])
                 jump = beta_deg * center_index if is_center_vertex(verts[k]) else 0.0
                 theta[2 * k] = theta[2 * k - 1] - jump - (180.0 - beta_deg)
             theta[2 * k + 1] = theta[2 * k] + rots[k]
-        beta_deg = math.degrees(mesh.corner_angle(3 * f + 2))
+        beta_deg = math.degrees(betas[f][2])
         jump = beta_deg * center_index if is_center_vertex(verts[0]) else 0.0
         closure = theta[5] - jump - (180.0 - beta_deg) - (theta[0] - 360.0)
         if abs(closure) > 1e-6:
@@ -507,12 +508,15 @@ def _synth_smoothed_random(mesh, seed=0):
         for v in rng.choice(nv, size=abs(chi), replace=False):
             singular[int(v)] = sign
 
-    beta_sums = np.array([mesh.corner_angle_sum(v) for v in range(nv)])
+    # corner k is at facet vertex k + 1; sum each vertex's in facet order
+    corner_vertex = np.roll(mesh.faces, -1, axis=1)
+    beta_sums = np.bincount(corner_vertex.ravel(), mesh.betas.ravel(), nv)
+    betas = mesh.betas.tolist()
     jumps = np.empty((nf, 3))
     for f in range(nf):
         for k in range(3):
-            v = int(mesh.faces[f][(k + 1) % 3])
-            beta = mesh.corner_angle(3 * f + k)
+            v = int(corner_vertex[f, k])
+            beta = betas[f][k]
             idx = singular.get(v, 0)
             jumps[f, k] = (beta / beta_sums[v]) * 360.0 * (idx - 1) + math.degrees(
                 beta
@@ -538,7 +542,7 @@ def _synth_smoothed_random(mesh, seed=0):
         # border closure: edge rotations + corner steps -(jump + 180 - beta)
         # must cancel the border's own full turn
         rhs[f] = jumps[f].sum() + 180.0 - sum(
-            math.degrees(mesh.corner_angle(3 * f + k)) for k in range(3)
+            math.degrees(beta) for beta in betas[f]
         )
     a_facets = csr_matrix((vals, (rows, cols)), shape=(nf, ne))
     rot = lsqr(a_facets, rhs, atol=1e-14, btol=1e-14)[0]
@@ -570,7 +574,7 @@ def _synth_smoothed_random(mesh, seed=0):
         for k in range(3):
             col, sgn = edge_of(3 * f + k)
             inc[2 * k] = sgn * rot_vec[col]
-            beta_deg = math.degrees(mesh.corner_angle(3 * f + k))
+            beta_deg = math.degrees(betas[f][k])
             inc[2 * k + 1] = -jumps[f, k] - (180.0 - beta_deg)
         inc[5] += 360.0
         return inc

@@ -77,8 +77,12 @@ def phi_totals(length, b0, b1):
     r0 = np.radians(b0)
     db = np.radians(b1) - r0
     flat = np.abs(db) < _DEGENERATE_SWEEP
-    swept = length * (np.cos(r0 + db) - np.cos(r0)) / np.where(flat, 1.0, db)
-    return np.abs(np.where(flat, -length * np.sin(r0), swept))
+    swept = np.empty_like(r0)
+    swept[flat] = -length[flat] * np.sin(r0[flat])
+    bent = ~flat
+    r, d = r0[bent], db[bent]
+    swept[bent] = length[bent] * (np.cos(r + d) - np.cos(r)) / d
+    return np.abs(swept)
 
 
 def phi_inverse(sm, r, x, total) -> float:

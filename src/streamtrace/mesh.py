@@ -1,15 +1,16 @@
 """Halfedge triangle mesh with per-facet reference frames.
 
-The mesh is immutable once built.  Halfedges of facet ``f`` get the ids
-``3*f``, ``3*f + 1`` and ``3*f + 2``; halfedge ``3*f + k`` runs from facet
-vertex ``k`` to facet vertex ``(k + 1) % 3``.  Boundary halfedges (no facet)
-are appended after the interior ones so that every undirected edge has
-exactly two directed halfedges.
+The mesh is immutable once built: each of its tables is a read-only array,
+its vertices and faces copies of the arrays it was given.  Halfedges of
+facet ``f`` get the ids ``3*f``, ``3*f + 1`` and ``3*f + 2``; halfedge
+``3*f + k`` runs from facet vertex ``k`` to facet vertex ``(k + 1) % 3``.
+Boundary halfedges (no facet) are appended after the interior ones so that
+every undirected edge has exactly two directed halfedges.
 
-Each facet carries a reference direction ``r`` lying in its plane.  By
-default ``r`` is the normalized direction of edge 0, so the angle from ``r``
-to edge 0 is exactly zero.  All per-facet angular data (border direction
-angles, corner angles) is precomputed at build time.
+Each facet's reference direction ``r`` is the normalized direction of its
+edge 0, so the angle from ``r`` to edge 0 is zero.  All per-facet geometry
+(frames, edge lengths, corner and border direction angles) is precomputed
+at build time as tables that callers read directly.
 """
 
 from __future__ import annotations
@@ -43,18 +44,20 @@ class TracePoint(NamedTuple):
 class SurfaceMesh:
     """Manifold, consistently oriented triangle mesh.
 
-    Each facet's planar geometry, against its reference direction r, is a
-    read-only ``(n_facets, 3)`` table: rows of ``frame_u`` (along r) and
-    ``frame_v`` span the facet plane; ``edge_lens[f, k]`` is edge k's
-    length, ``edge_angles[f, k]`` the unwrapped angle from r to edge k (0
-    on edge 0 while r is not rotated) and ``betas[f, k]`` the interior
-    corner angle, in (0, pi), between edges k and k + 1.
+    Each facet's planar geometry, against its reference direction r (edge
+    0), is a read-only ``(n_facets, 3)`` table: rows of ``frame_u`` (along
+    r) and ``frame_v`` span the facet plane; ``edge_lens[f, k]`` is edge
+    k's length, ``edge_angles[f, k]`` the unwrapped angle from r to edge k
+    (-0.0 on edge 0) and ``betas[f, k]`` the interior corner angle, in
+    (0, pi), between edges k and k + 1, at facet vertex k + 1.
     """
 
     def __init__(self, vertices, faces):
-        vertices = np.asarray(vertices, dtype=np.float64)
+        # copies: a caller's array, or another view of its memory, stays
+        # writable and cannot change the mesh
+        vertices = np.array(vertices, dtype=np.float64)
         try:
-            faces = np.asarray(faces, dtype=np.int64)
+            faces = np.array(faces, dtype=np.int64)
         except OverflowError:
             raise MeshError("face references a vertex that does not exist") from None
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -70,8 +73,9 @@ class SurfaceMesh:
         self.faces = faces
         self._build_connectivity()
         self._build_frames()
-        self.vertices.setflags(write=False)
-        self.faces.setflags(write=False)
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     # -- construction ---------------------------------------------------
 
@@ -133,36 +137,23 @@ class SurfaceMesh:
         self._prev[self._next[b]] = b
 
         self._canonical = self._opposite > np.arange(n)
-        for table in (self._facet, self._opposite, self._origin, self._dest):
-            table.setflags(write=False)
         # the trace path asks for one halfedge at a time: a list item is
         # an int already, where each numpy read builds a scalar
         self._opposite_list = self._opposite.tolist()
         self._facet_list = self._facet.tolist()
         self._vertex_on_boundary = np.bincount(self._origin[b], minlength=nv) > 0
-        self._vertex_on_boundary.setflags(write=False)
         self.n_interior_halfedges = n_interior
 
-    def _build_frames(self, reference_offsets=None):
+    def _build_frames(self):
         """Precompute per-facet frames as ``(n_facets, 3)`` arrays.
-
-        ``reference_offsets`` rotates each facet's reference direction r by
-        the given angle (radians, counterclockwise in the facet plane).  The
-        default of zero pins r to edge 0.  Rotated references exist so tests
-        can check that traced points do not depend on the choice of r.
 
         Every facet is computed at once, yet each value is bit-identical to
         a per-facet loop over 3-vectors: ``np.vecdot`` (new in NumPy 2.0)
         runs the same BLAS ``dot`` as ``np.dot`` and ``np.linalg.norm`` on
-        one vector, and the corner angles and offset rotations go through
-        ``math.acos``, ``math.cos`` and ``math.sin`` one value at a time,
-        since the numpy ufuncs may round those differently.
+        one vector, and the corner angles go through ``math.acos`` one
+        value at a time, since the numpy ufunc may round them differently.
         """
         nf = len(self.faces)
-        if reference_offsets is None:
-            reference_offsets = np.zeros(nf)
-        offs = np.asarray(reference_offsets, dtype=float)
-
         tri = self.vertices[self.faces]  # (nf, 3 corners, 3 coordinates)
         es = np.roll(tri, -1, axis=1) - tri  # edge k runs corner k -> k + 1
         lens = np.sqrt(np.vecdot(es, es))
@@ -176,14 +167,8 @@ class SurfaceMesh:
             if len(bad):
                 raise MeshError(f"degenerate facet {bad[0]}")
         normal /= norms[:, None]
-        u0 = es[:, 0] / lens[:, :1]
-        v0 = np.cross(normal, u0)
-        turned = offs != 0.0
-        cos = np.array([math.cos(o) for o in offs[turned].tolist()])[:, None]
-        sin = np.array([math.sin(o) for o in offs[turned].tolist()])[:, None]
-        u, v = u0.copy(), v0.copy()
-        u[turned] = cos * u0[turned] + sin * v0[turned]
-        v[turned] = cos * v0[turned] - sin * u0[turned]
+        u = es[:, 0] / lens[:, :1]
+        v = np.cross(normal, u)
 
         # corner k sits between edge k and edge k + 1
         es1 = np.roll(es, -1, axis=1)
@@ -194,12 +179,10 @@ class SurfaceMesh:
         # unwrapped angles from r to the edge directions: the turn at each
         # corner is pi - beta in (0, pi), accumulated, never reduced
         angles = np.empty((nf, 3))
-        angles[:, 0] = -offs  # angle from r to edge 0
+        angles[:, 0] = -0.0  # r is edge 0, as a reference turned by +0.0
         angles[:, 1] = angles[:, 0] + (math.pi - betas[:, 0])
         angles[:, 2] = angles[:, 1] + (math.pi - betas[:, 1])
 
-        for table in (u, v, lens, betas, angles):
-            table.setflags(write=False)
         self.frame_u = u
         self.frame_v = v
         self.edge_lens = lens
@@ -300,10 +283,6 @@ class SurfaceMesh:
             if e == h:
                 return
 
-    def edge_length(self, h):
-        h = self.canonical_halfedge(h)
-        return float(self.edge_lens[h // 3, h % 3])
-
     def average_edge_length(self):
         # canonical halfedges have facets; cumsum adds in order, as a loop would
         lens = self.edge_lens.ravel()[self.edge_halfedges()]
@@ -313,46 +292,17 @@ class SurfaceMesh:
         lo, hi = self.vertices.min(axis=0), self.vertices.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def set_reference_offsets(self, offsets):
-        """Rebuild frames with rotated per-facet reference directions.
-
-        Testing hook: all traced positions must be invariant under this.
-        """
-        self._build_frames(reference_offsets=offsets)
-
-    # -- angular queries --------------------------------------------------
-
-    def corner_angle(self, h):
-        """Interior angle, in (0, pi), at the corner halfedge ``h`` points to.
-
-        Raises MeshError for boundary halfedges.
-        """
-        if not self.has_facet(h):
-            raise MeshError(f"corner angle undefined on boundary halfedge {h}")
-        return float(self.betas[h // 3, h % 3])
-
     def vertex_corners(self, v):
         """``(facet, corner k)`` of each corner at ``v``, by outgoing halfedge."""
         out = self.outgoing_halfedges(v)
         return [(h // 3, (h % 3 + 2) % 3) for h in out if self.has_facet(h)]
 
-    def corner_angle_sum(self, v):
-        total = 0.0
-        for f, k in self.vertex_corners(v):
-            total += self.betas[f, k]
-        return total
-
     # -- positions ----------------------------------------------------------
 
     def position(self, tp: TracePoint) -> np.ndarray:
-        """World position of one trace point, a new 3-vector: ``positions``'s row."""
+        """World position of one trace point, a new 3-vector: ``positions_of``'s row."""
         h, c = tp
         return self.positions_of([h], [c])[0]
-
-    def positions(self, points) -> np.ndarray:
-        """World positions of a sequence of ``(halfedge, c)`` points: ``positions_of``."""
-        hs, cs = list(zip(*points)) or ((), ())
-        return self.positions_of(hs, cs)
 
     def positions_of(self, halfedges, cs) -> np.ndarray:
         """World positions of the points ``(halfedges[i], cs[i])``, an ``(n, 3)`` array.

@@ -1,4 +1,4 @@
-"""Procedural test meshes.
+"""Procedural meshes: grids, discs, icospheres and tori.
 
 Planar generators emit z = 0 meshes oriented counterclockwise as seen from
 +z (what the planar field synthesizers expect).  Closed generators fix their
@@ -66,11 +66,6 @@ def grid(nx, ny, width=1.0, height=1.0, distortion=0.0, seed=0):
                 faces += [[a, b, d], [b, c, d]]
     what = f"grid({nx} x {ny} cells, distortion {distortion}, seed {seed})"
     return _planar(verts, faces, what)
-
-
-def strip(n):
-    """A triangulated strip of n unit cells, one cell tall."""
-    return grid(n, 1, float(n), 1.0)
 
 
 def disc(rings, sectors, distortion=0.0, seed=0):
@@ -190,33 +185,3 @@ def torus(n_major=24, n_minor=12):
             faces += [[a, b, c], [a, c, d]]
     return _outward(np.array(verts, float), faces)
 
-
-def cube_corner():
-    """Three unit squares of a cube meeting at the origin corner.
-
-    The corner vertex is interior with angle defect pi/2; everything else is
-    boundary.  Each square is split by its diagonal from the corner.
-    """
-    o = np.zeros(3)
-    ex, ey, ez = np.eye(3)
-    squares = [(ey, ex), (ex, ez), (ez, ey)]  # normals -z, -y, -x
-    verts = [o]
-    faces = []
-    for a, b in squares:
-        ia = len(verts)
-        verts += [a.copy(), a + b, b.copy()]
-        faces += [[0, ia, ia + 1], [0, ia + 1, ia + 2]]
-    # merge duplicated axis-end vertices between adjacent squares
-    merged = {}
-    out_verts = []
-    remap = {}
-    for i, v in enumerate(verts):
-        key = tuple(np.round(v, 12))
-        if key in merged:
-            remap[i] = merged[key]
-        else:
-            merged[key] = len(out_verts)
-            remap[i] = len(out_verts)
-            out_verts.append(v)
-    faces = [[remap[i] for i in f] for f in faces]
-    return _mesh(np.array(out_verts), faces)

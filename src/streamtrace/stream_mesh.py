@@ -504,9 +504,6 @@ def _split(mesh, facet, code, columns, elements, first, bounds):
         merged = [main, b2, *seps[2][1:], *groups[2]]
         faces[0] = ([merged] + groups[3:], [seps[0]] + seps[3:])
 
-    for face_id, (groups, _) in enumerate(faces):
-        if len(groups) != 2:
-            raise StreamMeshError(f"face {face_id} is not simple")
     # the border rows in border order, then the chords in the order drawn
     rows = order + list(twin)
     new = [0] * len(rows)
@@ -713,11 +710,9 @@ class StreamMesh:
         of an edge end snaps onto that vertex (c = 0 or 1).  Corner pieces
         only terminate streamlines (absorbing corners); they yield the
         halfedge pointing at the corner vertex with c = 1 + t as terminal
-        encoding.  Chords cannot be exported.
+        encoding.  ``r`` is never a chord: a crossing exits on a border row.
         """
         element = self.code[r] & 7
-        if element == _CHORD:
-            raise StreamMeshError("cannot export a chord position")
         t0 = self.t0[r]
         t = t0 + c * (self.t1[r] - t0)
         h = 3 * self.facet + element // 2

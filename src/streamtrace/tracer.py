@@ -68,8 +68,7 @@ class Polyline:
     The points are two columns of equal length, ``halfedges`` (ints) and
     ``cs`` (their parameters): point i is ``(halfedges[i], cs[i])``.  The
     trace appends one pair per exit and builds no point object.
-    ``points`` is a read view, a fresh list of ``TracePoint`` on each read;
-    assigning a sequence of ``(halfedge, c)`` pairs to it fills the columns.
+    ``points`` is a read view, a fresh list of ``TracePoint`` on each read.
 
     ``positions`` is an ``(n, 3)`` array, row i the world position of point
     i: traced lines set it from one ``SurfaceMesh.positions_of`` call when
@@ -92,11 +91,6 @@ class Polyline:
     @property
     def points(self) -> list[TracePoint]:
         return list(map(TracePoint, self.halfedges, self.cs))
-
-    @points.setter
-    def points(self, points):
-        self.halfedges = [h for h, _ in points]
-        self.cs = [c for _, c in points]
 
     def append(self, tp, pos):
         row = np.asarray(pos, dtype=float)

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import math
 from bisect import bisect_left
@@ -10,6 +11,7 @@ from streamtrace import (
     FieldError,
     FieldSamples,
     FluxError,
+    Polyline,
     StreamMeshError,
     SurfaceMesh,
     TraceError,
@@ -39,7 +41,7 @@ def normalize_sample(value_deg):
 
 @pytest.fixture(scope="session")
 def strip10():
-    return meshgen.strip(10)
+    return strip(10)
 
 
 @pytest.fixture(scope="session")
@@ -138,6 +140,87 @@ def right_triangle():
     return SurfaceMesh(verts, [[0, 1, 2]])
 
 
+def strip(n):
+    """A triangulated strip of n unit cells, one cell tall."""
+    return meshgen.grid(n, 1, float(n), 1.0)
+
+
+def cube_corner():
+    """Three unit squares of a cube meeting at the origin corner.
+
+    The corner vertex is interior with angle defect pi/2; everything else is
+    boundary.  Each square is split by its diagonal from the corner.
+    """
+    o = np.zeros(3)
+    ex, ey, ez = np.eye(3)
+    squares = [(ey, ex), (ex, ez), (ez, ey)]  # normals -z, -y, -x
+    verts = [o]
+    faces = []
+    for a, b in squares:
+        ia = len(verts)
+        verts += [a.copy(), a + b, b.copy()]
+        faces += [[0, ia, ia + 1], [0, ia + 1, ia + 2]]
+    # merge duplicated axis-end vertices between adjacent squares
+    merged = {}
+    out_verts = []
+    remap = {}
+    for i, v in enumerate(verts):
+        key = tuple(np.round(v, 12))
+        if key in merged:
+            remap[i] = merged[key]
+        else:
+            merged[key] = len(out_verts)
+            remap[i] = len(out_verts)
+            out_verts.append(v)
+    faces = [[remap[i] for i in f] for f in faces]
+    return SurfaceMesh(np.array(out_verts), faces)
+
+
+def turned_frames(mesh, offsets):
+    """A copy of ``mesh`` with each facet's reference direction r turned.
+
+    Facet f's r turns by ``offsets[f]`` radians, counterclockwise in its
+    plane, and ``frame_u``, ``frame_v`` and ``edge_angles`` follow it; the
+    copy shares every other table with ``mesh``.  Cuts and traced lines
+    must not depend on the turn.  The cosines and sines go through ``math``
+    one value at a time, and a facet turned by 0.0 keeps its rows' bits.
+    """
+    offs = np.asarray(offsets, dtype=float)
+    turned = offs != 0.0
+    cos = np.array([math.cos(o) for o in offs[turned].tolist()])[:, None]
+    sin = np.array([math.sin(o) for o in offs[turned].tolist()])[:, None]
+    u0, v0 = mesh.frame_u, mesh.frame_v
+    u, v = u0.copy(), v0.copy()
+    u[turned] = cos * u0[turned] + sin * v0[turned]
+    v[turned] = cos * v0[turned] - sin * u0[turned]
+    # the angle from r to edge 0 is minus the turn; corners add pi - beta
+    angles = np.empty((mesh.n_facets, 3))
+    angles[:, 0] = -offs
+    angles[:, 1] = angles[:, 0] + (math.pi - mesh.betas[:, 0])
+    angles[:, 2] = angles[:, 1] + (math.pi - mesh.betas[:, 1])
+    out = copy.copy(mesh)
+    for name, table in (("frame_u", u), ("frame_v", v), ("edge_angles", angles)):
+        table.setflags(write=False)
+        setattr(out, name, table)
+    return out
+
+
+def polyline_of(points, seed=None):
+    """A ``Polyline`` from ``seed`` whose columns hold ``(halfedge, c)`` points."""
+    pl = Polyline(seed)
+    pl.halfedges = [h for h, _ in points]
+    pl.cs = [c for _, c in points]
+    return pl
+
+
+def corner_angle_sum(mesh, v):
+    """Sum of the corner angles at vertex v, in ascending facet order."""
+    total = 0.0
+    for f, k in mesh.vertex_corners(v):
+        total += mesh.betas[f, k]
+    return total
+
+
 def constant_samples(mesh, angle_deg):
     return synth_field(mesh, "constant", angle_deg=angle_deg)
 
@@ -191,7 +274,7 @@ def corner_jump_deg(mesh, fieldsamples, f, k):
     """
     nodes = fieldsamples.nodes[f]
     corner_rot = nodes[2 * k + 2] - nodes[2 * k + 1]
-    beta_deg = math.degrees(mesh.corner_angle(3 * f + k))
+    beta_deg = math.degrees(mesh.betas[f, k])
     return -corner_rot - (180.0 - beta_deg)
 
 
@@ -204,7 +287,7 @@ def geometric_vertex_index(mesh, fieldsamples, v):
     total_jump = 0.0
     for f, k in mesh.vertex_corners(v):
         total_jump += corner_jump_deg(mesh, fieldsamples, f, k)
-    defect = 2.0 * math.pi - mesh.corner_angle_sum(v)
+    defect = 2.0 * math.pi - corner_angle_sum(mesh, v)
     return math.radians(total_jump) / (2.0 * math.pi) + defect / (2.0 * math.pi)
 
 
@@ -709,12 +792,11 @@ def oracle_trace(tracer, seed):
     element for it, and turns it back into flux with ``oracle_offset``.  The
     seed entry, vertex pivots, stops and the orbit check are the tracer's.
     """
-    from streamtrace.tracer import _ENTRY, ORBIT_TOL, Polyline
+    from streamtrace.tracer import _ENTRY, ORBIT_TOL
 
     mesh = tracer.mesh
     enter = _ENTRY[seed.direction]
-    pl = Polyline(seed)
-    pl.points = [seed.point]
+    pl = polyline_of([seed.point], seed)
     if seed.corner is not None:
         f, k = divmod(seed.point.halfedge, 3)
         sm = tracer.stream_mesh(f)

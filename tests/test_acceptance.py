@@ -29,7 +29,7 @@ from streamtrace.mesh import TracePoint
 from streamtrace.stream_mesh import BorderTable, decompose
 
 from conftest import TANGENTS, a_sequence, decode, faces_of, initial_pairs, phi, split_count
-from conftest import wound_config
+from conftest import cube_corner, wound_config
 from test_flux import linear_scan_locate, random_run
 from test_tracer import boundary_seed, interior_vertices, ray_distance, sweep_seed_count
 
@@ -315,7 +315,7 @@ def test_criterion_7_index_arithmetic():
     sad = vertex_index(g, synth_field(g, "saddle", center=(0.5, 0.5)), vc)
 
     # a field with zero rotation everywhere leaves only the apex angle defect
-    cc = meshgen.cube_corner()
+    cc = cube_corner()
     corner = vertex_index(cc, zero_rotation_samples(cc), 0)
 
     sph = meshgen.icosphere(2)

@@ -25,6 +25,8 @@ from streamtrace.cli import make_seeds
 from streamtrace.mesh import TracePoint
 from streamtrace.tracer import Seed, Tracer, check_crossings
 
+from conftest import turned_frames
+
 # boundary seeding finds no entry piece when the flow only leaves
 NO_ENTRY = {("source", "forward"), ("sink", "backward")}
 
@@ -153,7 +155,7 @@ def test_traced_lines_do_not_depend_on_the_reference_frames(name):
     mesh = make_mesh()
     fs = make_field(mesh)
 
-    def trace_all():
+    def trace_all(mesh):
         tracer = Tracer(mesh, fs)
         return [
             tracer.trace(seed)
@@ -161,11 +163,10 @@ def test_traced_lines_do_not_depend_on_the_reference_frames(name):
             for seed in make_seeds(tracer, n, direction)
         ]
 
-    lines = trace_all()
+    lines = trace_all(mesh)
     offsets = np.random.default_rng(6).uniform(-math.pi, math.pi, mesh.n_facets)
     offsets[offsets == 0.0] = 1.0  # rotate every facet's reference
-    mesh.set_reference_offsets(offsets)
-    turned = trace_all()
+    turned = trace_all(turned_frames(mesh, offsets))
     assert len(turned) == len(lines)
     for a, b in zip(lines, turned):
         assert [tp.halfedge for tp in b.points] == [tp.halfedge for tp in a.points]

@@ -159,7 +159,7 @@ def test_lines_file_loses_nothing(tmp_path, monkeypatch, kind, extra, flags):
         assert b.positions is None
         assert b.seed == a.seed
         assert b.points == a.points
-        assert mesh.positions(b.points).tobytes() == a.positions.tobytes()
+        assert mesh.positions_of(b.halfedges, b.cs).tobytes() == a.positions.tobytes()
     if "--seed-singularities" in flags:
         # a separatrix seed keeps its corner, so it traces again to its line
         tracer = Tracer(mesh, load_field(field, mesh))
@@ -648,7 +648,7 @@ def test_boundary_seeds_start_only_where_lines_enter(tmp_path, capsys, direction
     pls = load_polylines(lines)
     assert len(pls) == 20
     for pl in pls:
-        x, y, _ = mesh.positions(pl.points[:1])[0]
+        x, y, _ = mesh.position(pl.points[0])
         assert x in sides or y in sides
         assert pl.termination == "boundary"
 

@@ -765,7 +765,7 @@ def loop_validate(mesh, fieldsamples):
             if f is None:
                 continue
             k = (h % 3 + 2) % 3
-            beta = mesh.corner_angle(3 * f + k)
+            beta = float(mesh.betas[f, k])
             ratios.append(corner_jump_deg(mesh, fieldsamples, f, k) / beta)
         if ratios and max(ratios) - min(ratios) > EVENNESS_TOL:
             violations.append(

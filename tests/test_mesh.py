@@ -7,7 +7,8 @@ import pytest
 from streamtrace import MeshError, SurfaceMesh, TracePoint, load_obj, save_obj
 from streamtrace import meshgen
 
-from conftest import boundary_halfedges, right_triangle
+from conftest import boundary_halfedges, corner_angle_sum, cube_corner, right_triangle, strip
+from conftest import turned_frames
 
 
 def test_halfedge_ids_follow_facet_layout(grid10):
@@ -61,10 +62,11 @@ def test_nonmanifold_edge_rejected():
 def test_corner_angles_of_right_triangle():
     m = right_triangle()
     # corner k sits at facet-vertex (k+1)%3, so the right angle is corner 2
-    assert math.isclose(m.corner_angle(0), math.pi / 4)
-    assert math.isclose(m.corner_angle(1), math.pi / 4)
-    assert math.isclose(m.corner_angle(2), math.pi / 2)
-    assert math.isclose(sum(m.corner_angle(k) for k in range(3)), math.pi)
+    betas = m.betas[0].tolist()
+    assert math.isclose(betas[0], math.pi / 4)
+    assert math.isclose(betas[1], math.pi / 4)
+    assert math.isclose(betas[2], math.pi / 2)
+    assert math.isclose(sum(betas), math.pi)
 
 
 def test_angle_defect_flat_interior_vertex(grid10):
@@ -72,12 +74,12 @@ def test_angle_defect_flat_interior_vertex(grid10):
     inner = [v for v in range(m.n_vertices) if not m.is_boundary_vertex(v)]
     assert inner
     for v in inner[:10]:
-        assert abs(2.0 * math.pi - m.corner_angle_sum(v)) < 1e-12
+        assert abs(2.0 * math.pi - corner_angle_sum(m, v)) < 1e-12
 
 
 def test_angle_defect_icosphere_sums_to_4pi(icosphere2):
     m = icosphere2
-    total = sum(2.0 * math.pi - m.corner_angle_sum(v) for v in range(m.n_vertices))
+    total = sum(2.0 * math.pi - corner_angle_sum(m, v) for v in range(m.n_vertices))
     assert abs(total - 4 * math.pi) < 1e-9
 
 
@@ -138,7 +140,7 @@ def test_positions_equal_position_bit_for_bit():
     # edge ends, the sink encoding's ends and a negative zero as well
     cs[:6] = [0.0, 1.0, 2.0, -0.0, 1.0 + 1e-16, 5e-324]
     points = [TracePoint(h, c) for h, c in zip(hs, cs)]
-    rows = m.positions(points)
+    rows = m.positions_of(hs, cs)
     assert rows.shape == (600, 3)
     for tp, row in zip(points, rows):
         assert [x.hex() for x in row.tolist()] == [
@@ -151,17 +153,16 @@ def test_positions_equal_position_bit_for_bit():
         c = tp.c
         want = p1 if c > 1.0 else [(1.0 - c) * a + c * b for a, b in zip(p0, p1)]
         assert [x.hex() for x in row] == [x.hex() for x in want]
-    assert m.positions([]).shape == (0, 3)
+    assert m.positions_of([], []).shape == (0, 3)
     with pytest.raises(MeshError, match="outside"):
-        m.positions(points[:3] + [TracePoint(0, 2.5)])
+        m.positions_of(hs[:3] + [0], cs[:3] + [2.5])
     # a nan c is not outside [0, 2]: its row is nan, and a bad c after it,
     # or before it, still raises
-    nan = TracePoint(5, math.nan)
-    assert np.isnan(m.position(nan)).all()
-    assert np.isnan(m.positions(points[:3] + [nan])[3]).all()
-    for bad in ([nan, TracePoint(0, 2.5)], [TracePoint(0, -1e-300), nan]):
+    assert np.isnan(m.position(TracePoint(5, math.nan))).all()
+    assert np.isnan(m.positions_of(hs[:3] + [5], cs[:3] + [math.nan])[3]).all()
+    for bad in ([math.nan, 2.5], [-1e-300, math.nan]):
         with pytest.raises(MeshError, match="outside"):
-            m.positions(bad)
+            m.positions_of([5, 0], bad)
 
 
 def test_obj_round_trip(tmp_path, disc_mesh):
@@ -357,14 +358,14 @@ def test_meshgen_outward_orientation(icosphere2, torus_mesh):
 
 
 def test_cube_corner_has_right_angle_defect():
-    m = meshgen.cube_corner()
+    m = cube_corner()
     inner = [v for v in range(m.n_vertices) if not m.is_boundary_vertex(v)]
     assert len(inner) == 1
-    defect = 2.0 * math.pi - m.corner_angle_sum(inner[0])
+    defect = 2.0 * math.pi - corner_angle_sum(m, inner[0])
     assert math.isclose(defect, math.pi / 2, abs_tol=1e-12)
 
 
-def loop_frames(m, reference_offsets=None):
+def loop_frames(m):
     """Per-facet loop oracle for ``SurfaceMesh._build_frames``.
 
     Returns (u, v, edge_lens, betas, edge_angles), each ``(n_facets, 3)``,
@@ -374,7 +375,6 @@ def loop_frames(m, reference_offsets=None):
     nf = m.n_facets
     u_all, v_all = np.empty((nf, 3)), np.empty((nf, 3))
     lens_all, betas, angles = np.empty((nf, 3)), np.empty((nf, 3)), np.empty((nf, 3))
-    offs = np.zeros(nf) if reference_offsets is None else reference_offsets
     p = m.vertices
     for f, (a, b, c) in enumerate(m.faces):
         pts = (p[a], p[b], p[c])
@@ -384,21 +384,13 @@ def loop_frames(m, reference_offsets=None):
             lens[k] = np.linalg.norm(es[k])
         normal = np.cross(es[0], -es[2])
         normal /= np.linalg.norm(normal)
-        u0 = es[0] / lens[0]
-        v0 = np.cross(normal, u0)
-        off = offs[f]
-        if off:
-            u = math.cos(off) * u0 + math.sin(off) * v0
-            v = math.cos(off) * v0 - math.sin(off) * u0
-        else:
-            u, v = u0, v0
-        u_all[f] = u
-        v_all[f] = v
+        u_all[f] = es[0] / lens[0]
+        v_all[f] = np.cross(normal, u_all[f])
         for k in range(3):
             k1 = (k + 1) % 3
             cosb = np.dot(-es[k], es[k1]) / (lens[k] * lens[k1])
             betas[f, k] = math.acos(min(1.0, max(-1.0, cosb)))
-        base = -off
+        base = -0.0  # the angle from r, along edge 0, to edge 0
         angles[f, 0] = base
         angles[f, 1] = base + (math.pi - betas[f, 0])
         angles[f, 2] = base + (math.pi - betas[f, 0]) + (math.pi - betas[f, 1])
@@ -421,40 +413,65 @@ def _frame_arrays(m):
 )
 def test_frames_are_bit_identical_to_the_facet_loop(make):
     m = make()
-    rng = np.random.default_rng(17)
-    offsets = rng.uniform(-math.pi, math.pi, m.n_facets)
-    offsets[::7] = 0.0  # unrotated facets among rotated ones
-    for ref in (None, offsets):
-        if ref is not None:
-            m.set_reference_offsets(ref)
-        want = loop_frames(m, ref)
-        for got, exp in zip(_frame_arrays(m), want):
-            assert got.shape == exp.shape
-            assert np.array_equal(got.view(np.int64), exp.view(np.int64))
+    for got, exp in zip(_frame_arrays(m), loop_frames(m)):
+        assert got.shape == exp.shape
+        assert np.array_equal(got.view(np.int64), exp.view(np.int64))
+    # the view compares bits: edge 0's angle is -0.0, not 0.0
+    assert all(math.copysign(1.0, a) == -1.0 for a in m.edge_angles[:, 0].tolist())
 
 
-FRAME_TABLES = ("frame_u", "frame_v", "edge_lens", "edge_angles", "betas")
+FRAME_TABLES = ("frame_u", "frame_v", "edge_angles", "edge_lens", "betas")
 
 
 def test_frame_tables_are_read_only_and_follow_the_reference_offsets():
     m = meshgen.grid(5, 4, distortion=0.2, seed=3)
-    unturned = {name: getattr(m, name) for name in FRAME_TABLES}
+    zeros = np.zeros(m.n_facets)
     offsets = np.linspace(-2.0, 2.0, m.n_facets)
-    for offs in (None, offsets, np.zeros(m.n_facets)):
-        if offs is not None:
-            m.set_reference_offsets(offs)
+    for offs in (None, offsets, zeros):
+        mesh = m if offs is None else turned_frames(m, offs)
         for name in FRAME_TABLES:
-            table = getattr(m, name)
+            table = getattr(mesh, name)
             assert table.shape == (m.n_facets, 3)
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0
         if offs is not None:
-            assert np.array_equal(m.edge_angles[:, 0], -offs)
-    # turning every reference and back rebuilt each table with its old bits
+            assert np.array_equal(mesh.edge_angles[:, 0], -offs)
+    # the turn moves the frames and the edge angles, not the corners, and
+    # turning by 0.0 leaves every table with its bits
+    turned, still = turned_frames(m, offsets), turned_frames(m, zeros)
     for name in FRAME_TABLES:
-        assert getattr(m, name) is not unturned[name]
-        assert np.array_equal(getattr(m, name).view(np.int64), unturned[name].view(np.int64))
+        moved = not np.array_equal(getattr(turned, name), getattr(m, name))
+        assert moved == (name in FRAME_TABLES[:3])
+        assert np.array_equal(getattr(still, name).view(np.int64), getattr(m, name).view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: meshgen.grid(4, 3, distortion=0.2, seed=1),
+        lambda: meshgen.icosphere(1),
+        cube_corner,
+    ],
+    ids=["grid", "icosphere1", "cube-corner"],
+)
+def test_every_mesh_table_is_read_only(make):
+    m = make()
+    tables = {name: x for name, x in vars(m).items() if isinstance(x, np.ndarray)}
+    halfedge = {"_next", "_prev", "_out", "_out_start", "_canonical", "_opposite"}
+    assert halfedge | set(FRAME_TABLES) | {"vertices", "faces"} <= tables.keys()
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+
+
+def test_a_mesh_keeps_its_own_copy_of_the_callers_arrays():
+    base = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    faces = np.array([[0, 1, 2]])
+    m = SurfaceMesh(base[:], faces)
+    assert base.flags.writeable and faces.flags.writeable
+    base[1, 0], faces[0] = 2.0, [0, 2, 1]
+    assert m.vertices[1].tolist() == [1.0, 0.0, 0.0]
+    assert m.faces.tolist() == [[0, 1, 2]]
 
 
 @pytest.mark.parametrize(
@@ -582,7 +599,7 @@ def test_average_edge_length_adds_edges_in_halfedge_order(icosphere2, disc_mesh)
         for h in range(m.n_halfedges):
             o = m.opposite(h)
             if m.has_facet(h) and (o > h or not m.has_facet(o)):
-                total += m.edge_length(h)
+                total += float(m.edge_lens[h // 3, h % 3])
                 count += 1
         assert m.average_edge_length() == total / count
 
@@ -605,7 +622,7 @@ _PINNED_TABLES = {
         "ed1c906b8adac9c072afa3537a64330aadee28044fa4489845abb88a27026442",
     ),
     "strip": (
-        lambda: meshgen.strip(6),
+        lambda: strip(6),
         "830e055aac81dce4533774343c27866d8b068907e424332e9d02ef3ab0eb4454",
     ),
     "icosphere2": (
@@ -617,7 +634,7 @@ _PINNED_TABLES = {
         "58e6d40d9bff05017d491e2764818103f704569d6e5b59bd167a0283c0f586bb",
     ),
     "cube-corner": (
-        meshgen.cube_corner,
+        cube_corner,
         "43654c640b0ed345cea3585131dcfdc52b88a0a436beccd8df7698096f9c65c0",
     ),
 }

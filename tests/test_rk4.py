@@ -15,6 +15,7 @@ from streamtrace.mesh import TracePoint
 from streamtrace.rk4 import _FacetField
 from streamtrace.tracer import Seed, Tracer
 
+from conftest import strip
 from test_tracer import boundary_seed, left_edge_seed, ray_distance
 
 
@@ -49,7 +50,7 @@ def test_circular_field_roughly_tangent():
 
 
 def test_rk4_straight_on_constant_field():
-    mesh = meshgen.strip(10)
+    mesh = strip(10)
     ang = 3.5
     fs = synth_field(mesh, "constant", angle_deg=ang)
     pl = rk4_trace(mesh, fs, left_edge_seed(mesh, 0.2))
@@ -149,7 +150,7 @@ def test_rk4_positions_are_the_mesh_positions_of_its_points():
     for (mesh, _, pl), end in zip(rk4_lines(), ["step-cap", "boundary"]):
         assert pl.termination == end
         assert pl.positions.shape == (len(pl), 3)
-        assert pl.positions.tobytes() == mesh.positions(pl.points).tobytes()
+        assert pl.positions.tobytes() == mesh.positions_of(pl.halfedges, pl.cs).tobytes()
 
 
 # (points, sha256 over each point's "halfedge:c.hex();") of ``rk4_lines``

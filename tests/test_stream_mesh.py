@@ -17,7 +17,7 @@ from conftest import TANGENTS, a_sequence, border_face, faces_of, initial_pairs,
 from conftest import _DECODE, decode, dump, split_count
 from conftest import samples_from_reals, single_triangle, random_samples, wound_config
 from conftest import load_workloads, normalize_sample, oracle_behaviors, oracle_cut_block
-from conftest import random_facets
+from conftest import random_facets, turned_frames
 
 
 def _classify(value_deg):
@@ -464,9 +464,7 @@ def test_reference_rotation_leaves_cuts_invariant():
     m = fan_mesh()
     fs = samples_from_reals(WOUND)
     before = dump(decompose(BorderTable(m, fs), 0))
-    m.set_reference_offsets([1.2345])
-    after = dump(decompose(BorderTable(m, fs), 0))
-    m.set_reference_offsets([0.0])
+    after = dump(decompose(BorderTable(turned_frames(m, [1.2345]), fs), 0))
     assert before == after
 
 

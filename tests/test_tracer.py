@@ -40,7 +40,7 @@ from streamtrace.tracer import (
 
 from conftest import (
     _border_key, assert_close, constant_samples, decode, interpolated_angle,
-    oracle_interleaving_facets, oracle_trace, wound_config,
+    oracle_interleaving_facets, oracle_trace, polyline_of, strip, wound_config,
 )
 
 
@@ -75,7 +75,7 @@ def ray_distance(positions, origin, direction):
 
 
 def test_constant_field_runs_straight():
-    mesh = meshgen.strip(10)
+    mesh = strip(10)
     ang = 3.5
     fs = synth_field(mesh, "constant", angle_deg=ang)
     tr = Tracer(mesh, fs)
@@ -416,7 +416,7 @@ def test_seed_counts_on_random_sphere_field(icosphere2, sphere_random_field):
 
 
 def test_polyline_record_round_trip(tmp_path):
-    mesh = meshgen.strip(6)
+    mesh = strip(6)
     fs = synth_field(mesh, "constant", angle_deg=25.0)
     tr = Tracer(mesh, fs)
     pls = [tr.trace(left_edge_seed(mesh, y)) for y in (0.21, 0.55, 0.83)]
@@ -438,11 +438,11 @@ def test_polyline_record_round_trip(tmp_path):
         # the file holds no positions: the points give them bit for bit
         assert b.positions is None
         assert a.positions.shape == (len(a), 3)
-        assert mesh.positions(b.points).tobytes() == a.positions.tobytes()
+        assert mesh.positions_of(b.halfedges, b.cs).tobytes() == a.positions.tobytes()
 
 
 def test_polyline_append_takes_one_xyz_row():
-    mesh = meshgen.strip(4)
+    mesh = strip(4)
     pl = Polyline(left_edge_seed(mesh, 0.3))
     assert pl.positions.shape == (0, 3)
     pl.append(pl.seed.point, [0.0, 0.3, 0.0])
@@ -454,13 +454,12 @@ def test_polyline_append_takes_one_xyz_row():
 
 
 def test_lines_built_by_append_and_by_points_read_back_alike():
-    mesh = meshgen.strip(4)
+    mesh = strip(4)
     points = [TracePoint(0, 0.25), TracePoint(1, 0.5), (4, 1.0), [2, 0]]
     by_append = Polyline(Seed(TracePoint(0, 0.25)))
     for tp in points:
         by_append.append(tp, mesh.position(tp))
-    by_points = Polyline(Seed(TracePoint(0, 0.25)))
-    by_points.points = points
+    by_points = polyline_of(points, Seed(TracePoint(0, 0.25)))
     want = [TracePoint(h, c) for h, c in points]
     for pl in (by_append, by_points):
         assert pl.points == want
@@ -470,12 +469,10 @@ def test_lines_built_by_append_and_by_points_read_back_alike():
         assert mesh.positions_of(pl.halfedges, pl.cs).tobytes() == (
             by_append.positions.tobytes()
         )
-        assert mesh.positions(pl.points).tobytes() == by_append.positions.tobytes()
 
 
 def test_points_is_a_fresh_list_on_each_read():
-    pl = Polyline(Seed(TracePoint(0, 0.25)))
-    pl.points = [TracePoint(0, 0.25), TracePoint(1, 0.5)]
+    pl = polyline_of([(0, 0.25), (1, 0.5)], Seed(TracePoint(0, 0.25)))
     view = pl.points
     assert view is not pl.points
     view.append(TracePoint(2, 0.75))
@@ -538,7 +535,7 @@ def test_a_record_with_an_int_c_round_trips_byte_for_byte(tmp_path):
 
 
 def test_check_crossings_flags_interleaving():
-    mesh = meshgen.strip(4)
+    mesh = strip(4)
     fs = synth_field(mesh, "constant", angle_deg=0.0)
     tr = Tracer(mesh, fs)
     a = tr.trace(left_edge_seed(mesh, 0.3))
@@ -733,9 +730,7 @@ def test_segment_intervals_hold_the_scalar_border_keys_bit_for_bit():
                 if ka != kb:
                     lo, hi = sorted((ka, kb))
                     expected.append((f, lo.hex(), hi.hex(), len(lines), 0))
-                pl = Polyline(None)
-                pl.points = [tp_a, tp_b]
-                lines.append(pl)
+                lines.append(polyline_of([tp_a, tp_b]))
     assert set(kinds) == {"sink", "own", "opposite", "outward", "pivot"}
     facet, lo, hi, line, seg = _segment_intervals(mesh, lines)
     got = list(zip(
@@ -851,10 +846,8 @@ def test_first_point_off_its_facet_raises_in_segment_order():
         for g in mesh.outgoing_halfedges(mesh.origin(1))
         if 0 not in (mesh.facet(g), mesh.facet(mesh.opposite(g)))
     )
-    a = Polyline(None)
-    a.points = [pivot, TracePoint(0, 0.5), TracePoint(1, 0.5), TracePoint(93, 0.5)]
-    b = Polyline(None)
-    b.points = [pivot, TracePoint(1, 0.25), TracePoint(2, 0.5), TracePoint(93, 0.25)]
+    a = polyline_of([pivot, TracePoint(0, 0.5), TracePoint(1, 0.5), TracePoint(93, 0.5)])
+    b = polyline_of([pivot, TracePoint(1, 0.25), TracePoint(2, 0.5), TracePoint(93, 0.25)])
     for lines, bad in (([a, b], TracePoint(1, 0.5)), ([b, a], TracePoint(2, 0.5))):
         message = f"trace point {bad} does not touch facet 31"
         with pytest.raises(TraceError, match=re.escape(message)):
@@ -869,10 +862,8 @@ def test_check_crossings_refuses_a_point_off_the_mesh(halfedge, c):
     mesh = meshgen.grid(2, 2)
     if halfedge == "past-end":
         halfedge = mesh.n_halfedges + 5
-    good = Polyline(None)
-    good.points = [TracePoint(0, 0.5), TracePoint(1, 0.5)]
-    bad = Polyline(None)
-    bad.points = [TracePoint(0, 0.25), TracePoint(halfedge, c), TracePoint(1, 2.5)]
+    good = polyline_of([TracePoint(0, 0.5), TracePoint(1, 0.5)])
+    bad = polyline_of([TracePoint(0, 0.25), TracePoint(halfedge, c), TracePoint(1, 2.5)])
     message = f"polyline 1 point 1 is off the mesh: {TracePoint(halfedge, c)}"
     with pytest.raises(TraceError, match=re.escape(message)):
         check_crossings(mesh, [good, bad])
@@ -882,8 +873,7 @@ def test_check_crossings_refuses_a_point_off_the_mesh(halfedge, c):
 def test_check_crossings_refuses_a_point_of_another_type(halfedge, c):
     # numpy would read halfedge 1.5 as 1, or fail on a str or None c
     mesh = meshgen.grid(3, 3)
-    line = Polyline(None)
-    line.points = [(0, 0.5), (halfedge, c)]
+    line = polyline_of([(0, 0.5), (halfedge, c)])
     message = f"polyline 0 point 1 is off the mesh: {TracePoint(halfedge, c)}"
     with pytest.raises(TraceError, match=re.escape(message)):
         check_crossings(mesh, [line])
@@ -891,9 +881,8 @@ def test_check_crossings_refuses_a_point_of_another_type(halfedge, c):
 
 def test_check_crossings_names_the_first_point_off_the_mesh_of_any_kind():
     mesh = meshgen.grid(3, 3)
-    out_of_range, mistyped = Polyline(None), Polyline(None)
-    out_of_range.points = [(0, 0.5), (1, 0.5), (1, 2.5)]
-    mistyped.points = [(0, 0.5), (1, "0.5")]
+    out_of_range = polyline_of([(0, 0.5), (1, 0.5), (1, 2.5)])
+    mistyped = polyline_of([(0, 0.5), (1, "0.5")])
     for lines, bad in (
         ([out_of_range, mistyped], "polyline 0 point 2"),
         ([mistyped, out_of_range], "polyline 0 point 1"),
